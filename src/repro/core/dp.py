@@ -3,7 +3,8 @@
 The Spec solver decomposes each per-server sub-problem **P2.1m** into:
 
 1. a traversal of *combinations of shared parameter blocks* ``N ∈ A``
-   (:func:`enumerate_shared_combinations`), and
+   (:func:`enumerate_shared_combinations`, which returns ``A`` in array
+   form as a :class:`CombinationSet`), and
 2. for each combination, a 0/1 knapsack over the eligible models' specific
    blocks within the capacity left after caching ``N``.
 
@@ -30,9 +31,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -107,12 +109,117 @@ def _chains_are_nested(chain: Sequence[FrozenSet[int]]) -> bool:
     return True
 
 
+class CombinationSet(Sequence[SharedCombination]):
+    """The combination set ``A`` in array form.
+
+    The shared blocks are split into block-disjoint *chains*, each a list
+    of nested prefixes in increasing size. A combination picks one
+    *level* per chain: level ``0`` caches nothing of that chain, level
+    ``k`` caches its ``k``-th prefix. ``N`` is the union of the picked
+    prefixes, and because chains are block-disjoint ``d_N`` is the sum of
+    the picked prefix sizes. The exhaustive mode is the same form with
+    one single-block chain per shared block.
+
+    Indexing or iterating yields :class:`SharedCombination` values, built
+    on demand; the solver itself only reads the arrays.
+
+    Attributes
+    ----------
+    chains:
+        Per chain, its prefixes in increasing size; level ``k`` of chain
+        ``c`` is ``chains[c][k - 1]``.
+    choices:
+        ``(|A|, len(chains))`` level matrix, one row per combination in
+        enumeration order.
+    sizes:
+        ``(|A|,)`` int64 ``d_N`` per combination.
+    """
+
+    def __init__(
+        self,
+        chains: Sequence[Sequence[FrozenSet[int]]],
+        choices: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        self.chains: Tuple[Tuple[FrozenSet[int], ...], ...] = tuple(
+            tuple(chain) for chain in chains
+        )
+        # Read-only: one set is memoised per library and shared by every
+        # solve that uses it.
+        choices.flags.writeable = False
+        sizes.flags.writeable = False
+        self.choices = choices
+        self.sizes = sizes
+
+    def __len__(self) -> int:
+        return int(self.choices.shape[0])
+
+    def __getitem__(self, row: int) -> SharedCombination:
+        row = operator.index(row)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError("combination index out of range")
+        blocks = frozenset().union(
+            *(
+                chain[level - 1]
+                for chain, level in zip(self.chains, self.choices[row].tolist())
+                if level
+            )
+        )
+        return SharedCombination(blocks, int(self.sizes[row]))
+
+    def eligibility(self, shared_sets: Sequence[AbstractSet[int]]) -> np.ndarray:
+        """``(|A|, len(shared_sets))`` bool: does ``N`` contain set ``i``?
+
+        A set is contained in ``N`` iff, on every chain it touches, the
+        picked level reaches the smallest prefix holding its blocks on
+        that chain. In the prefix mode every model's shared set *is* one
+        chain level, so its column is ``choices[:, chain] >= level``; an
+        empty set is contained in every ``N``. A block outside every
+        chain makes its set never contained.
+        """
+        level_of: Dict[FrozenSet[int], Tuple[int, int]] = {}
+        first_level: Dict[int, Tuple[int, int]] = {}
+        for chain_pos, chain in enumerate(self.chains):
+            for level, prefix in enumerate(chain, start=1):
+                level_of.setdefault(prefix, (chain_pos, level))
+                for block in prefix:
+                    first_level.setdefault(block, (chain_pos, level))
+        never = np.zeros(len(shared_sets), dtype=bool)
+        requirements: List[List[Tuple[int, int]]] = []
+        for position, shared in enumerate(shared_sets):
+            hit = level_of.get(frozenset(shared))
+            if hit is not None:
+                requirements.append([hit])
+                continue
+            needed: Dict[int, int] = {}
+            for block in shared:
+                if block not in first_level:
+                    never[position] = True
+                    break
+                chain_pos, level = first_level[block]
+                needed[chain_pos] = max(needed.get(chain_pos, 0), level)
+            requirements.append(list(needed.items()))
+        eligible = np.ones((len(self), len(shared_sets)), dtype=bool)
+        width = max((len(need) for need in requirements), default=0)
+        for slot in range(width):
+            chain_col = np.zeros(len(shared_sets), dtype=np.intp)
+            min_level = np.zeros(len(shared_sets), dtype=self.choices.dtype)
+            for position, need in enumerate(requirements):
+                if slot < len(need):
+                    chain_col[position], min_level[position] = need[slot]
+            eligible &= self.choices[:, chain_col] >= min_level
+        eligible[:, never] = False
+        return eligible
+
+
 #: Per-library memo of enumerated combination sets. Libraries are
 #: logically immutable and compared by identity, so weak keying is exact;
 #: entries vanish with their library. A sweep that shares one library
 #: across topologies (the paper fixes the library) enumerates ``A`` once
 #: instead of once per solve.
-_COMBINATION_CACHE: "weakref.WeakKeyDictionary[ModelLibrary, Dict[Tuple[str, int], List[SharedCombination]]]" = (
+_COMBINATION_CACHE: "weakref.WeakKeyDictionary[ModelLibrary, Dict[Tuple[str, int], CombinationSet]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -122,7 +229,7 @@ def enumerate_shared_combinations(
     mode: str = "auto",
     max_combinations: int = 1_000_000,
     cache: bool = True,
-) -> List[SharedCombination]:
+) -> CombinationSet:
     """Build the combination set ``A`` for Algorithm 2.
 
     With ``cache=True`` (default) the result is memoised per library
@@ -134,14 +241,17 @@ def enumerate_shared_combinations(
     -----
     ``"exhaustive"``
         Every subset of the shared blocks — the paper's literal ``2^β``;
-        only viable for tiny block counts (tests).
+        only viable for tiny block counts (tests). Ordered by subset size,
+        then lexicographically by sorted block ids (the
+        ``itertools.combinations`` order).
     ``"prefix"``
         Exploits the structure fine-tuning creates: per-model shared sets
         form nested chains (one per root/family), and a union of
         non-maximal prefixes of the *same* chain is never preferable, so
         ``A`` is the product over chains of (no prefix | one of its
-        distinct prefixes). Raises :class:`SolverError` if the library's
-        shared sets are not chain-structured.
+        distinct prefixes), in ``itertools.product`` order. Raises
+        :class:`SolverError` if the library's shared sets are not
+        chain-structured.
     ``"auto"``
         ``"prefix"`` when the library is chain-structured, otherwise
         ``"exhaustive"``.
@@ -165,10 +275,9 @@ def enumerate_shared_combinations(
         return cached
     shared = sorted(library.shared_block_ids)
     if not shared:
-        return [SharedCombination(frozenset(), 0)]
-
-    def sized(blocks: FrozenSet[int]) -> SharedCombination:
-        return SharedCombination(blocks, library.blocks_size(blocks))
+        return CombinationSet(
+            (), np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.int64)
+        )
 
     if mode in ("auto", "prefix"):
         shared_sets = _distinct_shared_sets(library)
@@ -188,14 +297,26 @@ def enumerate_shared_combinations(
                         f"combination set would exceed {max_combinations} "
                         f"elements; the library is too general for Spec"
                     )
-            combos: List[SharedCombination] = []
-            choice_lists = [
-                [frozenset()] + list(chain) for chain in chains
-            ]
-            for selection in itertools.product(*choice_lists):
-                blocks = frozenset().union(*selection)
-                combos.append(sized(blocks))
-            return combos
+            # itertools.product order: the last chain's level varies
+            # fastest, each chain's block repeated ``repeat`` times.
+            dtype = np.min_scalar_type(max(len(chain) for chain in chains))
+            choices = np.empty((count, len(chains)), dtype=dtype)
+            sizes = np.zeros(count, dtype=np.int64)
+            repeat = count
+            for chain_pos, chain in enumerate(chains):
+                radix = len(chain) + 1
+                repeat //= radix
+                column = np.tile(
+                    np.repeat(np.arange(radix, dtype=dtype), repeat),
+                    count // (radix * repeat),
+                )
+                choices[:, chain_pos] = column
+                level_sizes = np.array(
+                    [0] + [library.blocks_size(prefix) for prefix in chain],
+                    dtype=np.int64,
+                )
+                sizes += level_sizes[column]
+            return CombinationSet(chains, choices, sizes)
 
     count = 2 ** len(shared)
     if count > max_combinations:
@@ -203,11 +324,22 @@ def enumerate_shared_combinations(
             f"2^{len(shared)} shared-block subsets exceed {max_combinations}; "
             "the library is too general for exhaustive enumeration"
         )
-    combos = []
-    for r in range(len(shared) + 1):
-        for subset in itertools.combinations(shared, r):
-            combos.append(sized(frozenset(subset)))
-    return combos
+    # Row r of ``bits`` is the subset whose membership, read with block
+    # position 0 as the most significant bit, spells r. For equal subset
+    # sizes, itertools.combinations' lexicographic order is descending r.
+    masks = np.arange(count, dtype=np.int64)
+    bits = np.empty((count, len(shared)), dtype=np.uint8)
+    for pos in range(len(shared)):
+        bits[:, pos] = (masks >> (len(shared) - 1 - pos)) & 1
+    choices = bits[np.lexsort((-masks, bits.sum(axis=1)))]
+    block_sizes = np.array(
+        [library.block_size(block) for block in shared], dtype=np.int64
+    )
+    return CombinationSet(
+        [(frozenset((block,)),) for block in shared],
+        choices,
+        choices @ block_sizes,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +688,11 @@ class ValueDpTables:
     :meth:`solve` replicates ``knapsack_value_dp``'s arithmetic exactly —
     same rounding, same slice-shift fill, same backtrack, same
     ``true_value`` accumulation order — so selections are byte-identical
-    (asserted by the equivalence tests).
+    (asserted by the equivalence tests). Each table keeps two things for
+    the per-capacity step: the suffix minimum of ``min_weight``, so the
+    best reachable value under a capacity is one binary search, and a
+    packed per-item decision bitset over the states, so the backtrack
+    tests one bit per item.
     """
 
     def __init__(
@@ -576,7 +712,14 @@ class ValueDpTables:
 
     # ------------------------------------------------------------------
     def _fill(self, filtered_values: np.ndarray, filtered_weights: np.ndarray):
-        """The capacity-independent part of ``knapsack_value_dp``."""
+        """The capacity-independent part of ``knapsack_value_dp``.
+
+        Returns ``(suffix_min, decisions, row_bytes, rounded)``:
+        ``suffix_min[u]`` is the least weight reaching *at least* ``u``
+        rounded units (non-decreasing), and bit ``u`` of item ``j``'s
+        ``row_bytes``-long row in ``decisions`` (little bit order) is set
+        iff item ``j`` improved state ``u`` — the seed's take matrix.
+        """
         count = filtered_values.shape[0]
         v_min = float(filtered_values.min())
         unit = self.epsilon * v_min
@@ -600,16 +743,20 @@ class ValueDpTables:
             )
         min_weight = np.full(total_rounded + 1, np.inf)
         min_weight[0] = 0.0
-        improved_states: List[np.ndarray] = []
+        decisions = np.zeros((count, total_rounded + 1), dtype=bool)
         reachable = 0
-        for weight, value_units in zip(filtered_weights.tolist(), rounded):
+        for item, (weight, value_units) in enumerate(
+            zip(filtered_weights.tolist(), rounded)
+        ):
             reachable = min(reachable + value_units, total_rounded)
             shifted = min_weight[: reachable - value_units + 1] + weight
             segment = min_weight[value_units : reachable + 1]
-            improved = shifted < segment
+            improved = decisions[item, value_units : reachable + 1]
+            np.less(shifted, segment, out=improved)
             np.copyto(segment, shifted, where=improved)
-            improved_states.append(np.flatnonzero(improved) + value_units)
-        return (min_weight, improved_states, rounded)
+        suffix_min = np.minimum.accumulate(min_weight[::-1])[::-1]
+        packed = np.packbits(decisions, axis=1, bitorder="little")
+        return (suffix_min, packed.tobytes(), packed.shape[1], rounded)
 
     # ------------------------------------------------------------------
     def solve(
@@ -631,12 +778,11 @@ class ValueDpTables:
             raise SolverError("knapsack values must be non-negative")
         if all_weights.size and int(all_weights.min()) < 0:
             raise SolverError("knapsack weights must be non-negative")
-        keep = (all_values > 0) & (all_weights <= capacity)
-        original = np.flatnonzero(keep)
+        original = ((all_values > 0) & (all_weights <= capacity)).nonzero()[0]
         if original.size == 0:
             return 0.0, []
-        filtered_values = np.ascontiguousarray(all_values[keep])
-        filtered_weights = np.ascontiguousarray(all_weights[keep])
+        filtered_values = all_values[original]
+        filtered_weights = all_weights[original]
         key = (filtered_values.tobytes(), filtered_weights.tobytes())
         entry = self._tables.get(key)
         if entry is None:
@@ -648,22 +794,21 @@ class ValueDpTables:
             self.hits += 1
         if entry[0] is _TABLE_BLOWN:
             raise SolverError(entry[1])
-        min_weight, improved_states, rounded = entry
+        suffix_min, decisions, row_bytes, rounded = entry
 
-        best_units = int(np.flatnonzero(min_weight <= capacity)[-1])
+        # The largest u with min_weight[u] <= capacity is the largest u
+        # whose suffix minimum fits (suffix_min[0] = 0 always does).
+        units = int(suffix_min.searchsorted(capacity, side="right")) - 1
         selected_positions: List[int] = []
-        units = best_units
         for item_pos in range(len(rounded) - 1, -1, -1):
-            states = improved_states[item_pos]
-            pos = int(np.searchsorted(states, units))
-            if pos < len(states) and states[pos] == units:
+            if decisions[item_pos * row_bytes + (units >> 3)] >> (units & 7) & 1:
                 selected_positions.append(item_pos)
                 units -= rounded[item_pos]
         if units != 0:
             raise SolverError("value DP backtrack failed (internal error)")
         selected_positions.reverse()
-        selected = [int(original[position]) for position in selected_positions]
-        true_value = float(sum(all_values[index] for index in selected))
+        selected = original[selected_positions].tolist()
+        true_value = float(sum(filtered_values[selected_positions].tolist()))
         return true_value, selected
 
 

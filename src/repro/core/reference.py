@@ -17,20 +17,24 @@ baseline. Production code lives in :mod:`repro.core.objective`,
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.dp import (
     KNAPSACK_BACKENDS,
     SharedCombination,
-    enumerate_shared_combinations,
+    _chains_are_nested,
+    _distinct_shared_sets,
+    _group_nested_chains,
     knapsack_branch_and_bound,
     knapsack_weight_dp,
 )
+from repro.models.library import ModelLibrary
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import SolverError
@@ -305,6 +309,67 @@ def reference_knapsack_value_dp(
     return true_value, selected
 
 
+def reference_enumerate_shared_combinations(
+    library: ModelLibrary,
+    mode: str = "auto",
+    max_combinations: int = 1_000_000,
+) -> List[SharedCombination]:
+    """The seed combination-set enumeration: one frozenset per element.
+
+    Builds every combination's block set by union and sizes it with a
+    Python sum over its blocks. The array-form
+    :func:`repro.core.dp.enumerate_shared_combinations` must yield the
+    same combinations, in the same order, with the same sizes.
+    """
+    if mode not in ("auto", "prefix", "exhaustive"):
+        raise SolverError(f"unknown combination mode {mode!r}")
+    shared = sorted(library.shared_block_ids)
+    if not shared:
+        return [SharedCombination(frozenset(), 0)]
+
+    def sized(blocks: FrozenSet[int]) -> SharedCombination:
+        return SharedCombination(blocks, library.blocks_size(blocks))
+
+    if mode in ("auto", "prefix"):
+        shared_sets = _distinct_shared_sets(library)
+        chains = _group_nested_chains(shared_sets)
+        nested = all(_chains_are_nested(chain) for chain in chains)
+        if not nested and mode == "prefix":
+            raise SolverError(
+                "library's shared blocks are not chain-structured; "
+                "use mode='exhaustive'"
+            )
+        if nested:
+            count = 1
+            for chain in chains:
+                count *= len(chain) + 1
+                if count > max_combinations:
+                    raise SolverError(
+                        f"combination set would exceed {max_combinations} "
+                        f"elements; the library is too general for Spec"
+                    )
+            combos: List[SharedCombination] = []
+            choice_lists = [
+                [frozenset()] + list(chain) for chain in chains
+            ]
+            for selection in itertools.product(*choice_lists):
+                blocks = frozenset().union(*selection)
+                combos.append(sized(blocks))
+            return combos
+
+    count = 2 ** len(shared)
+    if count > max_combinations:
+        raise SolverError(
+            f"2^{len(shared)} shared-block subsets exceed {max_combinations}; "
+            "the library is too general for exhaustive enumeration"
+        )
+    combos = []
+    for r in range(len(shared) + 1):
+        for subset in itertools.combinations(shared, r):
+            combos.append(sized(frozenset(subset)))
+    return combos
+
+
 class ReferenceSpec:
     """The seed TrimCaching Spec: per-server Python candidate loops."""
 
@@ -401,13 +466,11 @@ class ReferenceSpec:
                 "Spec requires specific blocks to be model-exclusive "
                 "(additive DP weights); this library violates that"
             )
-        combos = enumerate_shared_combinations(
-            instance.library,
-            self.combinations,
-            self.max_combinations,
-            # The frozen baseline must keep paying the seed's per-solve
-            # enumeration cost — never the new per-library memo.
-            cache=False,
+        # The frozen baseline keeps paying the seed's per-solve,
+        # per-frozenset enumeration cost — never the array form or its
+        # per-library memo.
+        combos = reference_enumerate_shared_combinations(
+            instance.library, self.combinations, self.max_combinations
         )
         placement = instance.new_placement()
         tracker = ReferenceCoverageTracker(instance)

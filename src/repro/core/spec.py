@@ -13,10 +13,18 @@ Guarantees (Propositions 3-4, Theorems 1-2): with each sub-problem solved
 (1-ε)-optimally the overall solution is within ``(1-ε)/2`` of optimal, in
 time polynomial in ``M`` and ``I`` for fixed shared-block structure.
 
-Two pipeline-level accelerations ride on top of the algorithms without
-changing a single output bit:
+The pipeline around the algorithms is array-native and changes no
+output bit:
 
-* the combination set ``A`` and the per-library sub-problem context
+* the combination set ``A`` is a
+  :class:`~repro.core.dp.CombinationSet` — a ``(|A|, chains)`` level
+  matrix with int64 sizes ``d_N`` — and model ``i`` is eligible under
+  ``N`` iff ``choices[:, chain_i] >= level_i`` (or it has no shared
+  block), one gather instead of per-combination set walks;
+* each server's candidate bounds are one sequential ``np.cumsum``,
+  bit-equal to the seed's left-to-right Python sum, so the traversal
+  order and its tie-breaks are the seed's;
+* the combination set and the per-library sub-problem context
   (eligibility matrix, specific weights) are memoised per library object,
   so a sweep that fixes the library across topologies pays for them once;
 * ``workers=N`` fans each sub-problem's knapsack batch over a thread
@@ -40,7 +48,7 @@ import numpy as np
 
 from repro.core.dp import (
     KNAPSACK_BACKENDS,
-    SharedCombination,
+    CombinationSet,
     ValueDpTables,
     enumerate_shared_combinations,
 )
@@ -59,50 +67,38 @@ class _SubproblemContext:
     block set, its specific-block weight and — per combination — the
     eligible model list via Python subset checks (``O(M · |A| · I)`` set
     walks overall). All of that is server-independent, so it is built
-    once per solve here, with eligibility as a dense ``(|A|, I)`` matrix.
+    once per solve here, with eligibility as a dense ``(|A|, I)`` matrix
+    read straight off the combination set's level matrix.
     """
 
-    #: Combination chunk size for the eligibility matmul (bounds the
-    #: float32 temporaries to a few MB even at the |A| guard limit).
-    CHUNK = 4096
-
-    def __init__(
-        self, instance: PlacementInstance, combos: Sequence[SharedCombination]
-    ) -> None:
+    def __init__(self, instance: PlacementInstance, combos: CombinationSet) -> None:
         index = instance.block_index
-        shared_ids = sorted(instance.library.shared_block_ids)
-        shared_pos = {block_id: pos for pos, block_id in enumerate(shared_ids)}
-        num_shared = len(shared_ids)
-
-        # (I, B_shared) bool: each model's shared blocks.
-        shared_cols = (
-            [index.block_pos[b] for b in shared_ids] if shared_ids else []
-        )
-        shared_member = index.member[:, shared_cols]
-        shared_sizes = index.sizes[shared_cols]
+        shared_ids = instance.library.shared_block_ids
+        shared_cols = [index.block_pos[b] for b in sorted(shared_ids)]
         #: ``D_N(i) = D_i - d_{N,i}`` — the specific-block footprint,
         #: independent of N because a model is only eligible when ALL its
         #: shared blocks are in N.
-        self.specific_weight = index.model_sizes - shared_member @ shared_sizes
-
-        #: ``d_N`` per combination.
-        self.combo_sizes = np.array(
-            [combo.size_bytes for combo in combos], dtype=np.int64
+        self.specific_weight = (
+            index.model_sizes - index.member[:, shared_cols] @ index.sizes[shared_cols]
         )
-        combo_mask = np.zeros((len(combos), num_shared), dtype=bool)
-        for row, combo in enumerate(combos):
-            if combo.blocks:
-                combo_mask[row, [shared_pos[b] for b in combo.blocks]] = True
-
+        #: ``d_N`` per combination.
+        self.combo_sizes = combos.sizes
         #: ``(|A|, I)`` bool: are ALL of model i's shared blocks in N?
-        self.eligible = np.zeros((len(combos), instance.num_models), dtype=bool)
-        shared_f = shared_member.astype(np.float32)
-        for start in range(0, len(combos), self.CHUNK):
-            stop = min(start + self.CHUNK, len(combos))
-            # Count of model-shared blocks *missing* from each combo;
-            # exact in float32 (counts are far below 2**24).
-            missing = (~combo_mask[start:stop]).astype(np.float32) @ shared_f.T
-            self.eligible[start:stop] = missing == 0.0
+        self.eligible = combos.eligibility(
+            [blocks & shared_ids for blocks in instance.model_blocks]
+        )
+
+
+def _sequential_row_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row of ``mask``, the sum of the selected ``values``.
+
+    Added left to right in column order, exactly like the seed's
+    ``float(sum(values[j] for j in row))``: a cumulative sum is
+    sequential, and a masked-out column adds an exact ``+0.0``. A
+    pairwise ``np.sum`` or a BLAS matvec can differ by an ulp, which is
+    enough to reorder two combinations with nearly equal bounds.
+    """
+    return np.cumsum(mask * values, axis=1)[:, -1]
 
 
 #: Per-library memo of sub-problem contexts, keyed by the combination
@@ -236,7 +232,7 @@ class TrimCachingSpec:
         return servers
 
     def _context_for(
-        self, instance: PlacementInstance, combos: Sequence[SharedCombination]
+        self, instance: PlacementInstance, combos: CombinationSet
     ) -> _SubproblemContext:
         """The sub-problem context, memoised per library when enabled."""
         if not self.reuse_library_cache:
@@ -294,7 +290,7 @@ class TrimCachingSpec:
         instance: PlacementInstance,
         server: int,
         utilities: np.ndarray,
-        combos: Sequence[SharedCombination],
+        combos: CombinationSet,
         context: Optional[_SubproblemContext] = None,
         pool: Optional[ThreadPoolExecutor] = None,
         tables: Optional[ValueDpTables] = None,
@@ -334,41 +330,34 @@ class TrimCachingSpec:
         # is an upper bound on what its knapsack can achieve; traversing
         # high-potential combos first lets the bound prune the rest. This
         # changes nothing about which combo wins — only how many
-        # knapsacks actually run.
-        positive = utilities > 0.0
-        eligible_pos = context.eligible & positive[None, :]
-        candidate_rows = np.flatnonzero(
-            (context.combo_sizes <= capacity) & eligible_pos.any(axis=1)
-        )
+        # knapsacks actually run. Zero-utility models can neither be
+        # eligible nor move a bound, so only positive columns are kept.
+        positive = np.flatnonzero(utilities > 0.0)
+        fitting = np.flatnonzero(context.combo_sizes <= capacity)
+        eligible_pos = context.eligible[np.ix_(fitting, positive)]
+        has_item = eligible_pos.any(axis=1)
+        candidate_rows = fitting[has_item]
         if len(candidate_rows) == 0:
             return 0.0, []
-        # One row-major nonzero pass instead of one flatnonzero per row;
-        # np.nonzero yields each row's columns in ascending order, so the
-        # per-row arrays are exactly the former per-row flatnonzero.
-        candidate_eligible = eligible_pos[candidate_rows]
-        nz_rows, nz_cols = np.nonzero(candidate_eligible)
-        eligible_per_row = np.split(
-            nz_cols, np.searchsorted(nz_rows, np.arange(1, len(candidate_rows)))
-        )
-        # Bounds via Python float sums in ascending-index order — the
-        # seed's exact accumulation, so sort order and pruning cannot
-        # drift from it by a rounding ulp (a BLAS matvec here can).
-        bounds = [
-            float(sum(utilities[index] for index in eligible))
-            for eligible in eligible_per_row
-        ]
+        candidate_eligible = eligible_pos[has_item]
+        positive_utilities = utilities[positive]
+        bounds = _sequential_row_sums(candidate_eligible, positive_utilities)
         # Stable sort: ties keep combination enumeration order, exactly
         # like the seed's stable list sort.
-        order = np.argsort(-np.asarray(bounds, dtype=float), kind="stable")
+        order = np.argsort(-bounds, kind="stable")
+        bounds = bounds.tolist()
         lp_guard = None
         if self.prefix_prune and len(candidate_rows) > 1:
             lp_guard = self._prefix_guards(
-                utilities, context, candidate_eligible, candidate_rows, capacity
-            )
+                positive_utilities,
+                context.specific_weight[positive],
+                candidate_eligible,
+                capacity - context.combo_sizes[candidate_rows],
+            ).tolist()
 
         def run_rank(rank: int) -> Tuple[float, List[int]]:
             pos = order[rank]
-            eligible = eligible_per_row[pos]
+            eligible = positive[candidate_eligible[pos]]
             combo_capacity = capacity - int(
                 context.combo_sizes[candidate_rows[pos]]
             )
@@ -380,20 +369,19 @@ class TrimCachingSpec:
                     tables=tables,
                 )
             else:
-                values = [float(utilities[index]) for index in eligible]
-                weights = [
-                    int(context.specific_weight[index]) for index in eligible
-                ]
-                mass, chosen = self._run_knapsack(values, weights, combo_capacity)
-            return mass, [int(eligible[p]) for p in chosen]
+                mass, chosen = self._run_knapsack(
+                    utilities[eligible].tolist(),
+                    context.specific_weight[eligible].tolist(),
+                    combo_capacity,
+                )
+            return mass, eligible[chosen].tolist() if chosen else []
 
         if pool is not None and len(order) > 1:
             return self._traverse_parallel(bounds, order, run_rank, pool, lp_guard)
 
         best_mass = 0.0
         best_selection: List[int] = []
-        for rank in range(len(order)):
-            pos = order[rank]
+        for rank, pos in enumerate(order.tolist()):
             if bounds[pos] <= best_mass:
                 break  # sorted: no later combo can beat the incumbent
             if lp_guard is not None and lp_guard[pos] <= best_mass:
@@ -410,15 +398,14 @@ class TrimCachingSpec:
     # ------------------------------------------------------------------
     @staticmethod
     def _prefix_guards(
-        utilities: np.ndarray,
-        context: _SubproblemContext,
+        values: np.ndarray,
+        weights: np.ndarray,
         candidate_eligible: np.ndarray,
-        candidate_rows: np.ndarray,
-        capacity: int,
+        residual: np.ndarray,
     ) -> np.ndarray:
         """Per-candidate LP prefix bounds on the knapsack optimum.
 
-        For each candidate combo, greedily fill its residual capacity
+        For each candidate combo, greedily fill its ``residual`` capacity
         with eligible items in decreasing value density and add the
         *full* value of the first item that no longer fits — the
         classical LP-relaxation upper bound, rounded up. Computed as one
@@ -428,19 +415,18 @@ class TrimCachingSpec:
         achievable mass provably cannot exceed the incumbent — pruning
         with these bounds is selection-transparent.
         """
-        specific = context.specific_weight.astype(float)
-        density = utilities / np.maximum(specific, 1e-12)
+        specific = weights.astype(float)
+        density = values / np.maximum(specific, 1e-12)
         perm = np.argsort(-density, kind="stable")
         sorted_weights = specific[perm]
-        sorted_values = utilities[perm]
+        sorted_values = values[perm]
         eligible_sorted = candidate_eligible[:, perm]
         cum_weight = np.cumsum(eligible_sorted * sorted_weights, axis=1)
         cum_value = np.cumsum(eligible_sorted * sorted_values, axis=1)
-        residual = (capacity - context.combo_sizes[candidate_rows]).astype(float)
         # cum_weight is non-decreasing along the item axis, so the fits
         # mask is a prefix and its sum is the prefix length.
-        prefix_len = (cum_weight <= residual[:, None]).sum(axis=1)
-        rows = np.arange(len(candidate_rows))
+        prefix_len = (cum_weight <= residual.astype(float)[:, None]).sum(axis=1)
+        rows = np.arange(candidate_eligible.shape[0])
         prefix_value = np.where(
             prefix_len > 0, cum_value[rows, np.maximum(prefix_len - 1, 0)], 0.0
         )
@@ -538,64 +524,66 @@ class TrimCachingSpec:
         from repro import obs
 
         start = time.perf_counter()
-        if not instance.library.specific_blocks_are_exclusive():
-            raise SolverError(
-                "Spec requires specific blocks to be model-exclusive "
-                "(additive DP weights); this library violates that"
-            )
-        combos = enumerate_shared_combinations(
-            instance.library,
-            self.combinations,
-            self.max_combinations,
-            cache=self.reuse_library_cache,
-        )
-        context = self._context_for(instance, combos)
-        placement = instance.new_placement()
-        tracker = CoverageTracker(instance, engine=self.engine)
-        per_server_mass: List[float] = []
-        tables: Optional[ValueDpTables] = None
-        if self.knapsack_cache and self.backend == "value_dp":
-            tables = ValueDpTables(self.epsilon)
-        pool: Optional[ThreadPoolExecutor] = None
-        if self.workers is not None and self.workers > 1:
-            pool = ThreadPoolExecutor(max_workers=self.workers)
-        try:
-            with obs.span(
-                "solve.spec", backend=self.backend, engine=self.engine
-            ):
-                for server in self._ordered_servers(instance):
-                    utilities = tracker.server_gains(server)  # I2 applied
-                    mass, selection = self.solve_subproblem(
-                        instance,
-                        server,
-                        utilities,
-                        combos,
-                        context,
-                        pool=pool,
-                        tables=tables,
-                    )
-                    for model_index in selection:
-                        placement.add(server, model_index)
-                    tracker.mark_server_models(server, selection)
-                    per_server_mass.append(mass)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        stats = {
-            "num_combinations": len(combos),
-            "epsilon": self.epsilon,
-            "backend": self.backend,
-            "workers": self.workers or 1,
-            "per_server_mass": per_server_mass,
-        }
-        if tables is not None:
-            stats["knapsack_cache_hits"] = tables.hits
-            stats["knapsack_cache_misses"] = tables.misses
-            obs.count("repro_solver_knapsack_dp_hits_total", tables.hits)
-            obs.count("repro_solver_knapsack_dp_misses_total", tables.misses)
+        with obs.span("solve.spec", backend=self.backend, engine=self.engine):
+            if not instance.library.specific_blocks_are_exclusive():
+                raise SolverError(
+                    "Spec requires specific blocks to be model-exclusive "
+                    "(additive DP weights); this library violates that"
+                )
+            with obs.span("solve.spec.combinations"):
+                combos = enumerate_shared_combinations(
+                    instance.library,
+                    self.combinations,
+                    self.max_combinations,
+                    cache=self.reuse_library_cache,
+                )
+            with obs.span("solve.spec.context"):
+                context = self._context_for(instance, combos)
+            placement = instance.new_placement()
+            tracker = CoverageTracker(instance, engine=self.engine)
+            per_server_mass: List[float] = []
+            tables: Optional[ValueDpTables] = None
+            if self.knapsack_cache and self.backend == "value_dp":
+                tables = ValueDpTables(self.epsilon)
+            pool: Optional[ThreadPoolExecutor] = None
+            if self.workers is not None and self.workers > 1:
+                pool = ThreadPoolExecutor(max_workers=self.workers)
+            try:
+                with obs.span("solve.spec.traverse"):
+                    for server in self._ordered_servers(instance):
+                        utilities = tracker.server_gains(server)  # I2 applied
+                        mass, selection = self.solve_subproblem(
+                            instance,
+                            server,
+                            utilities,
+                            combos,
+                            context,
+                            pool=pool,
+                            tables=tables,
+                        )
+                        for model_index in selection:
+                            placement.add(server, model_index)
+                        tracker.mark_server_models(server, selection)
+                        per_server_mass.append(mass)
+            finally:
+                if pool is not None:
+                    pool.shutdown(wait=True)
+            stats = {
+                "num_combinations": len(combos),
+                "epsilon": self.epsilon,
+                "backend": self.backend,
+                "workers": self.workers or 1,
+                "per_server_mass": per_server_mass,
+            }
+            if tables is not None:
+                stats["knapsack_cache_hits"] = tables.hits
+                stats["knapsack_cache_misses"] = tables.misses
+                obs.count("repro_solver_knapsack_dp_hits_total", tables.hits)
+                obs.count("repro_solver_knapsack_dp_misses_total", tables.misses)
+            hit = hit_ratio(instance, placement)
         return SolverResult(
             placement=placement,
-            hit_ratio=hit_ratio(instance, placement),
+            hit_ratio=hit,
             runtime_s=time.perf_counter() - start,
             solver=self.name,
             stats=stats,

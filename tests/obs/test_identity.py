@@ -96,3 +96,24 @@ def test_metrics_only_and_tracing_only_are_identical_too(dark_reference):
             dark_reference
         )
         obs.disable()
+
+
+def test_spec_phase_spans_cover_the_solve_and_leave_results_alone():
+    plan = make_plan(solvers=(SolverSpec("spec"),))
+    dark, _ = execute_plan(plan, backend=SerialBackend())
+    obs.enable(metrics=True, tracing=True)
+    observed, _ = execute_plan(plan, backend=SerialBackend())
+    totals = obs.phase_totals()
+    assert result_set_content_json(observed) == result_set_content_json(dark)
+    phases = (
+        "solve.spec.combinations",
+        "solve.spec.context",
+        "solve.spec.traverse",
+    )
+    for name in ("solve.spec",) + phases:
+        assert totals[name]["count"] > 0, name
+    # The sub-phases nest inside the widened solve span (1 µs of
+    # timestamp rounding allowed per span).
+    inner = sum(totals[name]["seconds"] for name in phases)
+    slack = 1e-6 * sum(totals[name]["count"] for name in phases)
+    assert inner <= totals["solve.spec"]["seconds"] + slack
