@@ -28,9 +28,7 @@ Covered:
   (identical result content asserted; target < 1.3x at paper scale);
 * the kernel-level Spec path — LP prefix prune + memoised value-DP
   tables vs the prior traversal at paper density (byte-identical
-  placements asserted; target >= 1.5x), plus the compiled coverage
-  engine vs dense (jitted when numba is present, numpy fallbacks
-  otherwise);
+  placements asserted; target >= 1.5x);
 * the batched scenario build — ``rng_scheme="v2"`` vs the seed's
   per-user loops on the RNG-governed stage at ``K=500, I=300``
   (target >= 3x);
@@ -565,21 +563,13 @@ def remote_benchmarks(quick: bool, workers: int):
 
 
 def kernels_benchmarks(quick: bool, workers: int):
-    """The kernel-level Spec path and the compiled coverage engine.
+    """The kernel-level Spec path.
 
-    Two entries:
-
-    * ``spec_kernel`` — Spec with the LP prefix prune + memoised value-DP
-      tables (the defaults) vs the prior traversal (both knobs off) on
-      the paper-density instance; byte-identical placements asserted,
-      target ``SPEC_KERNEL_TARGET_SPEEDUP``.
-    * ``compiled_engine`` — Gen/Independent under ``engine="compiled"``
-      vs their default engines. Without numba the compiled engine runs
-      its numpy fallbacks (recorded, not a speedup claim); placements
-      are asserted identical either way.
+    ``spec_kernel`` — Spec with the LP prefix prune + memoised value-DP
+    tables (the defaults) vs the prior traversal (both knobs off) on the
+    paper-density instance; byte-identical placements asserted, target
+    ``SPEC_KERNEL_TARGET_SPEEDUP``.
     """
-    from repro.core import kernels
-
     budget = 0.3 if quick else 2.0
     params = dict(
         num_servers=8 if quick else 30,
@@ -614,33 +604,6 @@ def kernels_benchmarks(quick: bool, workers: int):
         f"{new_result.stats['knapsack_cache_misses']} misses, "
         f"identical placements"
     )
-
-    gen_instance = instance
-    dense_s, dense_result = timeit(
-        lambda: TrimCachingGen().solve(gen_instance), budget
-    )
-    compiled_s, compiled_result = timeit(
-        lambda: TrimCachingGen(engine="compiled").solve(gen_instance), budget
-    )
-    ind_dense_s, ind_dense = timeit(
-        lambda: IndependentCaching().solve(gen_instance), budget
-    )
-    ind_compiled_s, ind_compiled = timeit(
-        lambda: IndependentCaching(engine="compiled").solve(gen_instance),
-        budget,
-    )
-    engines_identical = (
-        compiled_result.placement == dense_result.placement
-        and ind_compiled.placement == ind_dense.placement
-    )
-    assert engines_identical, "compiled-engine placements diverge from dense"
-    numba_note = "yes" if kernels.HAVE_NUMBA else "no, numpy fallbacks"
-    print(
-        f"compiled engine (numba={numba_note}): gen dense "
-        f"{dense_s * 1e3:.2f} ms vs compiled {compiled_s * 1e3:.2f} ms; "
-        f"independent dense {ind_dense_s * 1e3:.2f} ms vs compiled "
-        f"{ind_compiled_s * 1e3:.2f} ms; identical placements"
-    )
     return {
         name: {
             "instance": {**params, "seed": 42},
@@ -651,20 +614,6 @@ def kernels_benchmarks(quick: bool, workers: int):
             "knapsack_cache_hits": new_result.stats["knapsack_cache_hits"],
             "knapsack_cache_misses": new_result.stats["knapsack_cache_misses"],
             "placements_identical": identical,
-        },
-        "compiled_engine": {
-            "instance": {**params, "seed": 42},
-            "have_numba": kernels.HAVE_NUMBA,
-            "gen_dense_s": dense_s,
-            "gen_compiled_s": compiled_s,
-            "independent_dense_s": ind_dense_s,
-            "independent_compiled_s": ind_compiled_s,
-            "placements_identical": engines_identical,
-            "note": (
-                "jitted kernels"
-                if kernels.HAVE_NUMBA
-                else "numba absent: numpy fallbacks (no speedup claimed)"
-            ),
         },
     }
 

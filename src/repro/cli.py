@@ -34,10 +34,8 @@ import dataclasses
 import sys
 from typing import Callable, List, Optional
 
+from repro.core.objective import COVERAGE_ENGINES
 from repro.sim import experiments
-
-#: Engine choices plumbed into every solver that has an ``engine`` knob.
-_ENGINES = ("dense", "sparse", "compiled", "auto")
 
 
 def _render_result(result, args: argparse.Namespace) -> str:
@@ -554,11 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--engine",
-            choices=_ENGINES,
+            choices=COVERAGE_ENGINES,
             default="dense",
             help="coverage engine: dense (bit-pinned to the seed), "
-            "sparse (O(nnz) CSR walks), compiled (numba kernels when "
-            "installed, numpy fallbacks otherwise) or auto",
+            "sparse (O(nnz) CSR walks) or auto (sparse on sparse-primary "
+            "instances, dense otherwise)",
         )
         add_sweep_outputs(p)
         p.set_defaults(handler=_sweep_command(fn))
@@ -654,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallelism (backend width / plan workers field); "
         "defaults to the plan's own setting",
     )
-    p.add_argument("--engine", choices=_ENGINES, default=None)
+    p.add_argument("--engine", choices=COVERAGE_ENGINES, default=None)
     p.add_argument(
         "--epsilon",
         type=float,

@@ -34,23 +34,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.blockmask import ServerBlockCache
-from repro.core.objective import CoverageTracker
+from repro.core.objective import CoverageTracker, check_engine
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import ConfigurationError
 
 # Gains are sums of non-negative products (demand x indicator), so a true
 # zero gain is exactly 0.0 and strict comparisons need no epsilon floor.
-
-
-def _check_engine(engine: str) -> None:
-    """Fail at construction, not mid-solve inside a worker."""
-    if engine not in ("dense", "sparse", "compiled", "auto"):
-        raise ConfigurationError(
-            f"engine must be dense|sparse|compiled|auto, got {engine!r}"
-        )
 
 
 class TrimCachingGen:
@@ -75,12 +66,12 @@ class TrimCachingGen:
         fill_zero_gain: bool = False,
         engine: str = "dense",
     ) -> None:
-        _check_engine(engine)
+        check_engine(engine, ConfigurationError)
         self.accelerated = accelerated
         self.fill_zero_gain = fill_zero_gain
         #: Coverage engine: ``"dense"`` (bit-pinned to the seed),
-        #: ``"sparse"`` (O(nnz) CSR walks), ``"compiled"`` (Numba
-        #: kernels when available, numpy otherwise) or ``"auto"``.
+        #: ``"sparse"`` (O(nnz) CSR walks) or ``"auto"`` (sparse on
+        #: sparse-primary instances, dense otherwise).
         self.engine = engine
 
     # ------------------------------------------------------------------
@@ -182,24 +173,15 @@ class TrimCachingGen:
         # literal scan's tie-break.
         fit = np.empty(extras.shape, dtype=bool)
         value = np.empty(extras.shape)
-        # The compiled argmax is comparison-only, so its index matches
-        # the numpy masked argmax bit-for-bit (same first-maximiser
-        # tie-break); the numpy fallback IS the inline expression below.
-        use_kernels = kernels.prefers_compiled(self.engine)
         steps = 0
         # One span brackets the whole loop (a per-step span would cost
         # more than the masked argmax it measures).
         with obs.span("solve.gen.greedy"):
             while True:
-                if use_kernels:
-                    flat = kernels.masked_argmax(
-                        gains, extras, remaining, fit, value
-                    )
-                else:
-                    np.less_equal(extras, remaining, out=fit)
-                    value.fill(-1.0)
-                    np.copyto(value, gains, where=fit)
-                    flat = int(np.argmax(value))
+                np.less_equal(extras, remaining, out=fit)
+                value.fill(-1.0)
+                np.copyto(value, gains, where=fit)
+                flat = int(np.argmax(value))
                 server, model_index = divmod(flat, num_models)
                 if (
                     gains[server, model_index] <= 0.0

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import kernels
-from repro.core.objective import CoverageTracker, hit_ratio
+from repro.core.objective import CoverageTracker, check_engine, hit_ratio
 from repro.core.placement import PlacementInstance
 from repro.core.result import SolverResult
+from repro.errors import ConfigurationError
 
 # Gains are sums of non-negative products, so zero gain is exactly 0.0.
 
@@ -42,16 +42,14 @@ class IndependentCaching:
     ----------
     engine:
         Coverage engine: ``"dense"`` (bit-pinned to the seed),
-        ``"sparse"`` (O(nnz) CSR walks), ``"compiled"`` (Numba kernels
-        when available, numpy otherwise) or ``"auto"``.
+        ``"sparse"`` (O(nnz) CSR walks) or ``"auto"`` (sparse on
+        sparse-primary instances, dense otherwise).
     """
 
     name = "Independent Caching"
 
     def __init__(self, engine: str = "dense") -> None:
-        from repro.core.gen import _check_engine
-
-        _check_engine(engine)
+        check_engine(engine, ConfigurationError)
         self.engine = engine
 
     def solve(self, instance: PlacementInstance) -> SolverResult:
@@ -71,16 +69,12 @@ class IndependentCaching:
         # final scalar check stops when no fitting pair gains anything.
         fit = np.empty((instance.num_servers, num_models), dtype=bool)
         value = np.empty(fit.shape)
-        use_kernels = kernels.prefers_compiled(self.engine)
         steps = 0
         while True:
-            if use_kernels:
-                flat = kernels.masked_argmax(gains, sizes, remaining, fit, value)
-            else:
-                np.less_equal(sizes[None, :], remaining, out=fit)
-                value.fill(-1.0)
-                np.copyto(value, gains, where=fit)
-                flat = int(np.argmax(value))
+            np.less_equal(sizes[None, :], remaining, out=fit)
+            value.fill(-1.0)
+            np.copyto(value, gains, where=fit)
+            flat = int(np.argmax(value))
             server, model_index = divmod(flat, num_models)
             if (
                 gains[server, model_index] <= 0.0

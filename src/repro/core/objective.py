@@ -11,6 +11,10 @@ tracker has two engines over the same state:
 * ``"sparse"`` — column refreshes walk only the CSR nonzeros, ``O(nnz)``
   instead of ``O(M·K)``.
 
+``"auto"`` resolves to ``"sparse"`` on sparse-primary instances and to
+``"dense"`` otherwise; :data:`COVERAGE_ENGINES` is the one list of
+accepted engine names.
+
 :func:`served_matrix` picks the O(nnz) walk automatically whenever the
 instance carries the CSR artifact — boolean output, so the sparse walk is
 *exactly* the dense einsum's result, not merely close.
@@ -22,9 +26,21 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.placement import Placement, PlacementInstance
 from repro.errors import PlacementError
+
+
+#: Coverage engines accepted by :class:`CoverageTracker` and by every
+#: solver that builds one; ``"auto"`` resolves per instance.
+COVERAGE_ENGINES = ("dense", "sparse", "auto")
+
+
+def check_engine(engine: str, error: type = PlacementError) -> None:
+    """Raise ``error`` unless ``engine`` is one of :data:`COVERAGE_ENGINES`."""
+    if engine not in COVERAGE_ENGINES:
+        raise error(
+            f"engine must be {'|'.join(COVERAGE_ENGINES)}, got {engine!r}"
+        )
 
 
 def _check_shapes(instance: PlacementInstance, placement: Placement) -> None:
@@ -144,37 +160,16 @@ class CoverageTracker:
         the placement level (empirically identical on the equivalence
         grids) rather than bit-by-bit through the gains.
 
-    ``engine="compiled"``
-        The same refresh routed through :mod:`repro.core.kernels`:
-        Numba-jitted loops when numba is installed, the engines' own
-        numpy expressions otherwise. The state layout follows what the
-        instance would pick anyway (CSR fold for sparse-primary, column
-        kernel otherwise). The jitted sparse fold is bit-identical to
-        the bincount; the jitted dense kernel may differ from the
-        einsum in final ulps, so compiled placements are pinned at the
-        placement level exactly like the sparse engine's.
-
-    ``engine="auto"`` picks ``"compiled"`` when numba is importable,
-    otherwise ``"sparse"`` for sparse-primary instances and ``"dense"``
-    for the rest.
+    ``engine="auto"`` picks ``"sparse"`` for sparse-primary instances and
+    ``"dense"`` for the rest.
     """
 
     def __init__(self, instance: PlacementInstance, engine: str = "dense") -> None:
+        check_engine(engine)
         if engine == "auto":
-            if kernels.HAVE_NUMBA:
-                engine = "compiled"
-            else:
-                engine = "sparse" if instance.is_sparse_primary else "dense"
-        if engine not in ("dense", "sparse", "compiled"):
-            raise PlacementError(
-                f"engine must be dense|sparse|compiled|auto, got {engine!r}"
-            )
+            engine = "sparse" if instance.is_sparse_primary else "dense"
         self.instance = instance
         self.engine = engine
-        self._compiled = engine == "compiled"
-        sparse_state = engine == "sparse" or (
-            self._compiled and instance.is_sparse_primary
-        )
         self.served = np.zeros(
             (instance.num_users, instance.num_models), dtype=bool
         )
@@ -183,7 +178,7 @@ class CoverageTracker:
         # Flat alias of the same buffer (never rebound — all updates are
         # in place), for 1-D gathers against the CSR entry_flat_index.
         self._wflat = self._weighted.reshape(-1)
-        if sparse_state:
+        if engine == "sparse":
             sparse = instance.sparse_feasible
             self._sparse = sparse
             num_servers = instance.num_servers
@@ -235,15 +230,6 @@ class CoverageTracker:
         """
         if self._sparse is not None:
             sparse = self._sparse
-            if self._compiled:
-                servers, users = sparse.column_entries(model_index)
-                kernels.sparse_column_gains(
-                    servers,
-                    users,
-                    self._weighted[:, model_index],
-                    self._gains[:, model_index],
-                )
-                return
             # Same entries in the same order as the (servers, users)
             # column view, gathered flat (entry_flat_index[j] addresses
             # weighted[users[j], model_index]) — identical bincount input.
@@ -254,13 +240,6 @@ class CoverageTracker:
                 sparse.entry_servers[start:stop],
                 weights=self._wflat[sparse.entry_flat_index()[start:stop]],
                 minlength=num_servers,
-            )
-            return
-        if self._compiled:
-            kernels.dense_column_gains(
-                self.instance.feasible[:, :, model_index],
-                self._weighted[:, model_index],
-                self._gains[:, model_index],
             )
             return
         # Column views of the same arrays the full einsum would reduce:
@@ -324,7 +303,6 @@ class CoverageTracker:
         new = object.__new__(CoverageTracker)
         new.instance = self.instance
         new.engine = self.engine
-        new._compiled = self._compiled
         new._sparse = self._sparse
         new.served = self.served.copy()
         new._weighted = self._weighted.copy()
@@ -349,7 +327,7 @@ class CoverageTracker:
         other rows' recompute would reproduce their bits unchanged).
         """
         demand = self.instance.demand
-        if self._sparse is not None and not self._compiled:
+        if self._sparse is not None:
             cols = np.asarray(columns, dtype=np.intp)
             if cols.size == 0:
                 return

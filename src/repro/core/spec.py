@@ -52,7 +52,7 @@ from repro.core.dp import (
     ValueDpTables,
     enumerate_shared_combinations,
 )
-from repro.core.objective import CoverageTracker, hit_ratio
+from repro.core.objective import CoverageTracker, check_engine, hit_ratio
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import ConfigurationError, SolverError
@@ -138,8 +138,8 @@ class TrimCachingSpec:
     engine:
         Coverage engine for the successive ``I2`` bookkeeping:
         ``"dense"`` (bit-pinned to the seed), ``"sparse"`` (O(nnz) CSR
-        walks), ``"compiled"`` (Numba kernels when available, numpy
-        otherwise) or ``"auto"``.
+        walks) or ``"auto"`` (sparse on sparse-primary instances, dense
+        otherwise).
     fallback:
         What ``value_dp`` falls back to when its rounded table blows up:
         ``"weight_dp"`` keeps the legacy quantised-DP → branch-and-bound
@@ -196,10 +196,7 @@ class TrimCachingSpec:
             )
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if engine not in ("dense", "sparse", "compiled", "auto"):
-            raise ConfigurationError(
-                f"engine must be dense|sparse|compiled|auto, got {engine!r}"
-            )
+        check_engine(engine, ConfigurationError)
         if fallback not in ("weight_dp", "best_first"):
             raise ConfigurationError(
                 f"fallback must be weight_dp|best_first, got {fallback!r}"

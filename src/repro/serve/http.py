@@ -23,8 +23,9 @@ just :mod:`http.server`. Endpoints:
     ratio.
 
 Errors return ``{"error": ...}`` with status 400 (bad request / domain
-error) or 404 (unknown path). Mutation and reads share one lock, so
-routed answers never observe a half-applied event batch.
+error), 404 (unknown path) or 413 (a declared body over
+:data:`MAX_BODY_BYTES`, refused unread). Mutation and reads share one
+lock, so routed answers never observe a half-applied event batch.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from repro import obs
 from repro.errors import ReproError, ServeError
 from repro.serve.events import TRACE_FORMAT, Event
 from repro.serve.service import PlacementService
+
+#: Largest ``POST /events`` body the server reads, in bytes.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def metrics_exposition(service: PlacementService) -> str:
@@ -87,11 +91,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # ------------------------------------------------------------------
-    def _reply(self, status: int, payload: dict) -> None:
+    def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
@@ -103,8 +110,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
+    def _error(self, status: int, message: str, close: bool = False) -> None:
+        self._reply(status, {"error": message}, close)
 
     @staticmethod
     def _int_param(params: dict, name: str) -> int:
@@ -158,8 +165,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if parts.path != "/events":
             self._error(404, f"unknown path {parts.path!r}")
             return
+        declared = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(declared)
+        except ValueError:
+            length = -1
+        # A refused body stays unread, so the connection cannot carry
+        # another request: both refusals close it.
+        if length < 0:
+            self._error(400, f"invalid Content-Length {declared!r}", close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._error(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}", close=True
+            )
+            return
+        try:
             raw = self.rfile.read(length) if length else b""
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (ValueError, UnicodeDecodeError) as exc:

@@ -51,10 +51,18 @@ from repro.serve.events import Event, apply_event
 #: storage via ServerBlockCache; "independent" = full model sizes.)
 SERVE_SOLVERS = ("gen", "independent")
 
-#: Tracker engines whose gain bits the trace replay may compare against a
-#: recorded value. "compiled" is excluded: its jitted dense kernel is only
-#: placement-level pinned (ulp caveat), which would break `==` replay.
+#: Tracker engines the service runs: the explicit coverage engines, whose
+#: gain bits the trace replay compares against recorded values. "auto" is
+#: not accepted: a service names the engine its recorded trace came from.
 SERVE_ENGINES = ("dense", "sparse")
+
+
+def check_serve_config(solver: str, engine: str) -> None:
+    """Raise :class:`ServeError` unless the service can run this pair."""
+    if solver not in SERVE_SOLVERS:
+        raise ServeError(f"serving supports solvers {SERVE_SOLVERS}, got {solver!r}")
+    if engine not in SERVE_ENGINES:
+        raise ServeError(f"serving supports engines {SERVE_ENGINES}, got {engine!r}")
 
 
 @dataclass(frozen=True)
@@ -518,14 +526,7 @@ def resolve_from_scratch(
     times the full stateless path (what a server without resident state
     would pay per event) — the serve benchmark's baseline.
     """
-    if solver not in SERVE_SOLVERS:
-        raise ServeError(
-            f"serving supports solvers {SERVE_SOLVERS}, got {solver!r}"
-        )
-    if engine not in SERVE_ENGINES:
-        raise ServeError(
-            f"serving supports engines {SERVE_ENGINES}, got {engine!r}"
-        )
+    check_serve_config(solver, engine)
     source = scenario.instance
     carrier = PlacementInstance(
         library=scenario.library,

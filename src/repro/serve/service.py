@@ -27,9 +27,8 @@ from repro.errors import ServeError
 from repro.serve.events import Event, apply_event
 from repro.serve.policy import ResolvePolicy
 from repro.serve.resolver import (
-    SERVE_ENGINES,
-    SERVE_SOLVERS,
     SolveState,
+    check_serve_config,
     full_solve,
     patch_solve,
     recorded_solve,
@@ -108,9 +107,9 @@ class PlacementService:
         ``"gen"`` (deduplicated storage, the paper's Algorithm 3) or
         ``"independent"`` (knapsack storage baseline).
     engine:
-        Tracker engine, ``"dense"`` or ``"sparse"``. (``"compiled"`` is
-        not served: its gains are only placement-level pinned, which
-        would break the replay's exact value comparisons.)
+        Tracker engine, ``"dense"`` or ``"sparse"`` (see
+        :data:`~repro.serve.resolver.SERVE_ENGINES`; ``"auto"`` is not
+        served).
     policy:
         The :class:`ResolvePolicy`; default ``ResolvePolicy()`` (auto).
     """
@@ -122,14 +121,7 @@ class PlacementService:
         engine: str = "dense",
         policy: Optional[ResolvePolicy] = None,
     ) -> None:
-        if solver not in SERVE_SOLVERS:
-            raise ServeError(
-                f"serving supports solvers {SERVE_SOLVERS}, got {solver!r}"
-            )
-        if engine not in SERVE_ENGINES:
-            raise ServeError(
-                f"serving supports engines {SERVE_ENGINES}, got {engine!r}"
-            )
+        check_serve_config(solver, engine)
         self.scenario = scenario
         self.solver = solver
         self.engine = engine

@@ -7,10 +7,19 @@ from hypothesis import given, settings
 from repro.core.bounds import gamma_bound
 from repro.core.gen import TrimCachingGen
 from repro.core.exhaustive import ExhaustiveSearch
-from repro.core.objective import hit_ratio, placement_is_feasible, storage_used
+from repro.core.objective import (
+    CoverageTracker,
+    hit_ratio,
+    placement_is_feasible,
+    storage_used,
+)
 from repro.core.placement import Placement
+from repro.core.spec import TrimCachingSpec
+from repro.errors import ConfigurationError, PlacementError
 
 from tests.core.test_submodular import small_instances
+
+ENGINES = ("dense", "sparse")
 
 
 class TestBasicBehaviour:
@@ -32,9 +41,9 @@ class TestBasicBehaviour:
         assert on_zero == {0, 1}
         assert storage_used(tiny_instance, result.placement, 0) == 20_000_000
 
-    def test_zero_capacity_places_nothing(self, tiny_library):
-        import numpy as np
-
+    @pytest.mark.parametrize("accelerated", [True, False])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_capacity_places_nothing(self, tiny_library, engine, accelerated):
         from tests.conftest import make_instance
 
         instance = make_instance(
@@ -43,7 +52,9 @@ class TestBasicBehaviour:
             np.ones((2, 2, 3), dtype=bool),
             [0, 0],
         )
-        result = TrimCachingGen().solve(instance)
+        result = TrimCachingGen(accelerated=accelerated, engine=engine).solve(
+            instance
+        )
         assert result.placement.total_placements() == 0
         assert result.hit_ratio == 0.0
 
@@ -218,3 +229,76 @@ class TestFillZeroGainPort:
         self._fill_remaining_set_walk(instance, oracle)
         assert ported == oracle
         assert placement_is_feasible(instance, ported)
+
+
+def gain_tie_instance():
+    """Two servers, two users, three 10-byte models with disjoint blocks,
+    one model per server.
+
+    Model 0 is reachable from both servers and model 1 only from server 0,
+    each with mass 0.5, so the first step's maximisers are exactly tied:
+    (0, 0), (0, 1) and (1, 0). Model 2 (mass 0.3) is reachable only from
+    server 1. Lowest server, then lowest model, picks (0, 0), which
+    zeroes (1, 0) and leaves server 1 with model 2. Preferring a higher
+    server or a higher model ends with model 0 on server 1 instead.
+    """
+    from repro.models.blocks import ParameterBlock
+    from repro.models.library import ModelLibrary
+    from repro.models.model import Model
+    from tests.conftest import make_instance
+
+    blocks = [ParameterBlock(index, 10) for index in range(3)]
+    models = [Model(index, (index,)) for index in range(3)]
+    library = ModelLibrary(blocks, models)
+    demand = np.array([[0.25, 0.25, 0.1], [0.25, 0.25, 0.2]])
+    feasible = np.zeros((2, 2, 3), dtype=bool)
+    feasible[:, :, 0] = True
+    feasible[0, :, 1] = True
+    feasible[1, :, 2] = True
+    return make_instance(library, demand, feasible, [10, 10])
+
+
+class TestEngines:
+    """Cross-engine pins: tie-break, auto resolution, rejection."""
+
+    @pytest.mark.parametrize("accelerated", [True, False])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_gain_ties_resolve_to_lowest_server_then_model(
+        self, engine, accelerated
+    ):
+        from repro.core.reference import ReferenceGen
+
+        instance = gain_tie_instance()
+        result = TrimCachingGen(accelerated=accelerated, engine=engine).solve(
+            instance
+        )
+        assert result.placement.models_on(0) == [0]
+        assert result.placement.models_on(1) == [2]
+        reference = ReferenceGen(accelerated=accelerated).solve(instance)
+        assert result.placement == reference.placement
+        assert result.hit_ratio == reference.hit_ratio
+
+    def test_auto_resolves_by_instance(self, tiny_instance, tight_scenario):
+        sparse_primary = tight_scenario.instance
+        assert sparse_primary.is_sparse_primary
+        assert not tiny_instance.is_sparse_primary
+        assert CoverageTracker(sparse_primary, engine="auto").engine == "sparse"
+        assert CoverageTracker(tiny_instance, engine="auto").engine == "dense"
+        for instance, resolved in (
+            (sparse_primary, "sparse"),
+            (tiny_instance, "dense"),
+        ):
+            auto = TrimCachingGen(engine="auto").solve(instance)
+            explicit = TrimCachingGen(engine=resolved).solve(instance)
+            assert auto.placement == explicit.placement
+            assert auto.hit_ratio == explicit.hit_ratio
+
+    @pytest.mark.parametrize("engine", ["compiled", "magic"])
+    def test_tracker_rejects_unknown_engine(self, tiny_instance, engine):
+        with pytest.raises(PlacementError, match=r"dense\|sparse\|auto"):
+            CoverageTracker(tiny_instance, engine=engine)
+
+    @pytest.mark.parametrize("solver", [TrimCachingGen, TrimCachingSpec])
+    def test_solvers_reject_compiled(self, solver):
+        with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
+            solver(engine="compiled")

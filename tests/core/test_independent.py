@@ -11,7 +11,9 @@ from repro.core.objective import (
     independent_storage_used,
     placement_is_feasible,
 )
+from repro.errors import ConfigurationError
 
+from tests.core.test_gen import ENGINES, gain_tie_instance
 from tests.core.test_submodular import small_instances
 
 
@@ -36,7 +38,8 @@ class TestBasics:
             hit_ratio(tiny_instance, result.placement)
         )
 
-    def test_zero_capacity(self, tiny_library):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_capacity(self, tiny_library, engine):
         from tests.conftest import make_instance
 
         instance = make_instance(
@@ -45,8 +48,9 @@ class TestBasics:
             np.ones((2, 2, 3), dtype=bool),
             [0, 0],
         )
-        result = IndependentCaching().solve(instance)
+        result = IndependentCaching(engine=engine).solve(instance)
         assert result.placement.total_placements() == 0
+        assert result.hit_ratio == 0.0
 
 
 class TestDominance:
@@ -94,3 +98,33 @@ class TestMaskedArgmaxPort:
         dense = IndependentCaching().solve(instance)
         sparse = IndependentCaching(engine="sparse").solve(instance)
         assert dense.placement == sparse.placement
+
+
+class TestEngines:
+    """Cross-engine pins: tie-break, auto resolution, rejection."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_gain_ties_resolve_to_lowest_server_then_model(self, engine):
+        from repro.core.reference import ReferenceIndependent
+
+        instance = gain_tie_instance()
+        result = IndependentCaching(engine=engine).solve(instance)
+        assert result.placement.models_on(0) == [0]
+        assert result.placement.models_on(1) == [2]
+        reference = ReferenceIndependent().solve(instance)
+        assert result.placement == reference.placement
+        assert result.hit_ratio == reference.hit_ratio
+
+    def test_auto_resolves_by_instance(self, tiny_instance, tight_scenario):
+        for instance, resolved in (
+            (tight_scenario.instance, "sparse"),
+            (tiny_instance, "dense"),
+        ):
+            auto = IndependentCaching(engine="auto").solve(instance)
+            explicit = IndependentCaching(engine=resolved).solve(instance)
+            assert auto.placement == explicit.placement
+            assert auto.hit_ratio == explicit.hit_ratio
+
+    def test_rejects_compiled(self):
+        with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
+            IndependentCaching(engine="compiled")

@@ -30,7 +30,9 @@ def scenario():
 
 def run_server(service):
     server = serve_http(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     return server, thread
 

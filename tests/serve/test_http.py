@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,6 +16,7 @@ from repro.serve import (
     resolve_from_scratch,
     serve_http,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -22,7 +24,9 @@ def http_server(micro_scenario):
     """A live server on an ephemeral port; stopped at teardown."""
     service = PlacementService(micro_scenario, engine="sparse")
     server = serve_http(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield server
@@ -56,6 +60,26 @@ def post_json(server, path, payload, expect_status=200):
     except urllib.error.HTTPError as error:
         assert error.code == expect_status, error.read().decode("utf-8")
         return json.loads(error.read().decode("utf-8"))
+
+
+def post_raw(server, content_length):
+    """POST /events with a hand-written Content-Length and no body.
+
+    Returns ``(status, payload)``; a server that waits for the declared
+    body instead of answering trips the socket timeout.
+    """
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /events HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body.decode("utf-8"))
 
 
 class TestGet:
@@ -152,3 +176,22 @@ class TestPostEvents:
     def test_post_unknown_path_is_404(self, http_server):
         payload = post_json(http_server, "/other", {}, expect_status=404)
         assert "unknown path" in payload["error"]
+
+
+class TestBodyLength:
+    def test_negative_content_length_is_400(self, http_server):
+        status, payload = post_raw(http_server, -1)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_non_integer_content_length_is_400(self, http_server):
+        status, payload = post_raw(http_server, "lots")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_body_is_413_without_reading_it(self, http_server):
+        # The body is never sent: the reply must come from the header.
+        status, payload = post_raw(http_server, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert http_server.service.events_processed == 0

@@ -22,9 +22,10 @@ class TestConstruction:
         with pytest.raises(ServeError, match="solvers"):
             PlacementService(micro_scenario, solver="spec")
 
-    def test_rejects_unknown_engine(self, micro_scenario):
-        with pytest.raises(ServeError, match="engines"):
-            PlacementService(micro_scenario, engine="compiled")
+    @pytest.mark.parametrize("engine", ["compiled", "auto"])
+    def test_rejects_unknown_engine(self, micro_scenario, engine):
+        with pytest.raises(ServeError, match=r"engines \('dense', 'sparse'\)"):
+            PlacementService(micro_scenario, engine=engine)
 
     def test_initial_solve_matches_batch_solver(self, serve_scenario):
         service = PlacementService(serve_scenario, solver="gen", engine="dense")

@@ -274,6 +274,24 @@ class TestGenericSweep:
         )
         assert "Fig. 4(a)" in capsys.readouterr().out
 
+    def test_sweep_removed_compiled_engine_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "sweep",
+                    "--axis",
+                    "capacity",
+                    "--algos",
+                    "gen",
+                    "--engine",
+                    "compiled",
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "compiled" in err
+        assert all(engine in err for engine in ("dense", "sparse", "auto"))
+
     def test_sweep_bad_points_exits_2(self, capsys):
         assert (
             main(["sweep", "--axis", "capacity", "--points", "abc", "--algos", "gen"])
