@@ -7,6 +7,7 @@ algorithms clearly beat Independent Caching with Spec on top.
 
 from conftest import attach_series  # type: ignore[import-not-found]
 
+from repro.api import run_plan
 from repro.sim import experiments
 from repro.utils.stats import average_relative_gain
 
@@ -19,13 +20,13 @@ def _ordering_holds(result, slack: float = 0.02) -> None:
     assert gen.mean() > independent.mean()
 
 
-def test_fig4a_hit_vs_capacity(benchmark, bench_topologies, bench_scale):
+def test_fig4a_capacity(benchmark, bench_topologies, bench_scale):
     """Fig. 4(a): rising in Q; Spec >= Gen > Independent."""
+    plan = experiments.fig4a_plan(
+        num_topologies=bench_topologies, seed=0, scale=bench_scale
+    )
     result = benchmark.pedantic(
-        experiments.fig4a_hit_vs_capacity,
-        kwargs=dict(num_topologies=bench_topologies, seed=0, scale=bench_scale),
-        rounds=1,
-        iterations=1,
+        run_plan, args=(plan,), rounds=1, iterations=1
     )
     attach_series(benchmark, result)
     _ordering_holds(result)
@@ -40,13 +41,13 @@ def test_fig4a_hit_vs_capacity(benchmark, bench_topologies, bench_scale):
     assert gain > 0.05  # paper: ~34%
 
 
-def test_fig4b_hit_vs_servers(benchmark, bench_topologies, bench_scale):
+def test_fig4b_servers(benchmark, bench_topologies, bench_scale):
     """Fig. 4(b): rising in M; same ordering."""
+    plan = experiments.fig4b_plan(
+        num_topologies=bench_topologies, seed=0, scale=bench_scale
+    )
     result = benchmark.pedantic(
-        experiments.fig4b_hit_vs_servers,
-        kwargs=dict(num_topologies=bench_topologies, seed=0, scale=bench_scale),
-        rounds=1,
-        iterations=1,
+        run_plan, args=(plan,), rounds=1, iterations=1
     )
     attach_series(benchmark, result)
     _ordering_holds(result)
@@ -55,13 +56,13 @@ def test_fig4b_hit_vs_servers(benchmark, bench_topologies, bench_scale):
         assert means[-1] >= means[0] - 0.03, algo
 
 
-def test_fig4c_hit_vs_users(benchmark, bench_topologies, bench_scale):
+def test_fig4c_users(benchmark, bench_topologies, bench_scale):
     """Fig. 4(c): falling in K; same ordering."""
+    plan = experiments.fig4c_plan(
+        num_topologies=bench_topologies, seed=0, scale=bench_scale
+    )
     result = benchmark.pedantic(
-        experiments.fig4c_hit_vs_users,
-        kwargs=dict(num_topologies=bench_topologies, seed=0, scale=bench_scale),
-        rounds=1,
-        iterations=1,
+        run_plan, args=(plan,), rounds=1, iterations=1
     )
     attach_series(benchmark, result)
     _ordering_holds(result)

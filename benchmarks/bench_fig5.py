@@ -2,6 +2,7 @@
 
 from conftest import attach_series  # type: ignore[import-not-found]
 
+from repro.api import run_plan
 from repro.sim import experiments
 
 
@@ -12,13 +13,13 @@ def _gen_beats_independent(result) -> None:
     assert (gen >= independent - 0.02).all()
 
 
-def test_fig5a_hit_vs_capacity(benchmark, bench_topologies, bench_scale):
+def test_fig5a_capacity(benchmark, bench_topologies, bench_scale):
     """Fig. 5(a): rising in Q; Gen > Independent."""
+    plan = experiments.fig5a_plan(
+        num_topologies=bench_topologies, seed=0, scale=bench_scale
+    )
     result = benchmark.pedantic(
-        experiments.fig5a_hit_vs_capacity,
-        kwargs=dict(num_topologies=bench_topologies, seed=0, scale=bench_scale),
-        rounds=1,
-        iterations=1,
+        run_plan, args=(plan,), rounds=1, iterations=1
     )
     attach_series(benchmark, result)
     _gen_beats_independent(result)
@@ -27,25 +28,25 @@ def test_fig5a_hit_vs_capacity(benchmark, bench_topologies, bench_scale):
         assert means[-1] >= means[0] - 1e-9, algo
 
 
-def test_fig5b_hit_vs_servers(benchmark, bench_topologies, bench_scale):
+def test_fig5b_servers(benchmark, bench_topologies, bench_scale):
     """Fig. 5(b): rising in M; Gen > Independent."""
+    plan = experiments.fig5b_plan(
+        num_topologies=bench_topologies, seed=0, scale=bench_scale
+    )
     result = benchmark.pedantic(
-        experiments.fig5b_hit_vs_servers,
-        kwargs=dict(num_topologies=bench_topologies, seed=0, scale=bench_scale),
-        rounds=1,
-        iterations=1,
+        run_plan, args=(plan,), rounds=1, iterations=1
     )
     attach_series(benchmark, result)
     _gen_beats_independent(result)
 
 
-def test_fig5c_hit_vs_users(benchmark, bench_topologies, bench_scale):
+def test_fig5c_users(benchmark, bench_topologies, bench_scale):
     """Fig. 5(c): falling in K; Gen > Independent."""
+    plan = experiments.fig5c_plan(
+        num_topologies=bench_topologies, seed=0, scale=bench_scale
+    )
     result = benchmark.pedantic(
-        experiments.fig5c_hit_vs_users,
-        kwargs=dict(num_topologies=bench_topologies, seed=0, scale=bench_scale),
-        rounds=1,
-        iterations=1,
+        run_plan, args=(plan,), rounds=1, iterations=1
     )
     attach_series(benchmark, result)
     _gen_beats_independent(result)

@@ -1,23 +1,22 @@
 """Bench: regenerate Fig. 7 (robustness to user mobility)."""
 
+from repro.api import run_plan
 from repro.sim import experiments
 from repro.utils.tables import format_table
 
 
-def test_fig7_mobility_robustness(benchmark, bench_topologies):
+def test_fig7_mobility(benchmark, bench_topologies):
     """Fig. 7: a fixed placement loses only a few percent over 2 h of
     pedestrian/bike/vehicle mobility (paper: 5.4-6.4%)."""
-    result = benchmark.pedantic(
-        experiments.fig7_mobility_robustness,
-        kwargs=dict(
-            num_runs=max(2, bench_topologies),
-            horizon_s=7200.0,
-            sample_every=120,  # evaluate every 10 simulated minutes
-            seed=0,
-        ),
-        rounds=1,
-        iterations=1,
+    plan = experiments.fig7_plan(
+        num_runs=max(2, bench_topologies),
+        horizon_s=7200.0,
+        sample_every=120,  # evaluate every 10 simulated minutes
+        seed=0,
     )
+    result = benchmark.pedantic(
+        run_plan, args=(plan,), rounds=1, iterations=1
+    ).mobility()
     print()
     print(result.to_table())
     for algo in result.series:

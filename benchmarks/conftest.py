@@ -1,7 +1,7 @@
 """Benchmark-harness configuration.
 
-Every benchmark regenerates one paper table/figure via the entry points in
-:mod:`repro.sim.experiments` and attaches the reproduced series to
+Every benchmark regenerates one paper table/figure by running its plan
+from :mod:`repro.sim.experiments` and attaches the reproduced series to
 ``benchmark.extra_info`` so the numbers land in the saved benchmark JSON.
 
 Scale knobs: the environment variable ``REPRO_BENCH_TOPOLOGIES`` overrides

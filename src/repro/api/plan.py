@@ -61,8 +61,8 @@ class AxisSpec:
 
     ``apply(config, value, scale)`` maps a sweep point onto a
     :class:`~repro.sim.config.ScenarioConfig`; ``scale`` is the plan's
-    paper-scale shrink factor (only the ``capacity`` axis uses it, the
-    same way the legacy figure functions did).
+    paper-scale shrink factor (only the ``capacity`` axis uses it: sweep
+    points are paper-scale GB).
     """
 
     name: str
@@ -77,8 +77,8 @@ class AxisSpec:
         return self._apply(config, value, scale)
 
 
-#: Named axes matching the paper's sweeps (labels identical to the
-#: legacy per-figure functions, so migrated tables render identically).
+#: Named axes matching the paper's sweeps (their x labels are part of
+#: the results pinned in tests/golden/figure_content.json).
 NAMED_AXES: Dict[str, AxisSpec] = {
     "capacity": AxisSpec(
         "capacity",
@@ -280,6 +280,10 @@ class ExperimentPlan:
         if not 0 < self.scale <= 1:
             raise ConfigurationError(
                 f"scale must be in (0, 1], got {self.scale}"
+            )
+        if self.workers < 1:
+            raise ConfigurationError(
+                f"workers must be at least 1, got {self.workers}"
             )
         if self.evaluation == "sampled" and self.sample_users is None:
             raise ConfigurationError(

@@ -3,15 +3,15 @@
 :func:`run_plan` turns any :class:`~repro.api.plan.ExperimentPlan` into
 a :class:`ResultSet`. Whatever the plan kind, the ResultSet is the same
 shape — x values plus one named series per solver/metric — with table,
-chart, CSV and JSON round-trip, and accessors that reconstruct the
-legacy per-figure result types (:meth:`ResultSet.comparison`,
-:meth:`ResultSet.mobility`, :meth:`ResultSet.replacement`).
+chart, CSV and JSON round-trip, and views onto the per-kind result
+types (:meth:`ResultSet.comparison`, :meth:`ResultSet.mobility`,
+:meth:`ResultSet.replacement`).
 
-Reproducibility contract: for every plan kind the executor replays the
-exact seed derivation and loop order of the pre-plan per-figure
-functions (retained in :mod:`repro.sim.legacy`), so migrated figures
-produce **bit-identical** series — asserted by
-``tests/api/test_plan_equivalence.py``.
+Reproducibility contract: sweeps seed each grid cell with
+:func:`~repro.sim.runner.scenario_seed`, every other kind seeds each
+topology or run with :func:`~repro.sim.runner.study_seed`, and the
+results of every paper figure and ablation plan are pinned to committed
+values in ``tests/golden/figure_content.json``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.sim.runner import (
     Fig7Result,
     ReplacementAblation,
     SweepRunner,
+    study_seed,
 )
 from repro.utils.stats import RunningStats, SeriesStats
 
@@ -73,7 +74,7 @@ class ResultSet(ExperimentResult):
         """The executed plan's kind (``"sweep"`` when plan-less)."""
         return self.plan.kind if self.plan is not None else "sweep"
 
-    # -- legacy result views -------------------------------------------
+    # -- per-kind result views -----------------------------------------
     def comparison(self) -> AlgorithmComparison:
         """View a single-point result as an :class:`AlgorithmComparison`."""
         if len(self.x_values) != 1:
@@ -122,7 +123,7 @@ class ResultSet(ExperimentResult):
 
     # -- rendering ------------------------------------------------------
     def to_table(self, float_format: str = ".4f") -> str:
-        """Paper-style table; comparison/mobility kinds keep their legacy layout."""
+        """Paper-style table; non-sweep kinds render through their views."""
         if self.kind == "comparison":
             return self.comparison().to_table()
         if self.kind == "mobility":
@@ -197,8 +198,8 @@ def _run_sweep(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
 def _run_comparison(
     plan: ExperimentPlan, registry: SolverRegistry
 ) -> ResultSet:
-    # Replays repro.sim.legacy._compare_algorithms exactly: per-topology
-    # seeds hash((seed, t)), library chained from the first scenario.
+    # The library is chained from the first scenario: fixed across
+    # topologies, only the topology draw varies.
     from repro.sim.scenario import build_scenario
 
     config = plan.base_config()
@@ -209,7 +210,7 @@ def _run_comparison(
     for topology_index in range(plan.num_topologies):
         scenario = build_scenario(
             config,
-            hash((plan.seed, topology_index)) % (2**31),
+            study_seed(plan.seed, topology_index),
             library=library,
         )
         library = scenario.library  # fixed across topologies
@@ -235,7 +236,6 @@ def _run_comparison(
 
 
 def _run_mobility(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
-    # Replays repro.sim.legacy.fig7_mobility_robustness exactly.
     from repro.sim.mobility_eval import MobilityStudy
     from repro.sim.scenario import build_scenario
 
@@ -245,9 +245,7 @@ def _run_mobility(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
     times: Optional[np.ndarray] = None
     series: Dict[str, SeriesStats] = {}
     for run_index in range(spec.num_runs):
-        scenario = build_scenario(
-            config, hash((plan.seed, run_index)) % (2**31)
-        )
+        scenario = build_scenario(config, study_seed(plan.seed, run_index))
         study = MobilityStudy(scenario, sample_every=spec.sample_every)
         for label, solver in algorithms.items():
             result = solver.solve(scenario.instance)
@@ -276,8 +274,7 @@ def _run_mobility(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
 def _run_replacement(
     plan: ExperimentPlan, registry: SolverRegistry
 ) -> ResultSet:
-    # Replays repro.sim.legacy.ablation_replacement exactly; the plan's
-    # first (only) solver is the re-placement solver.
+    # The plan's first (only) solver is the re-placement solver.
     from repro.sim.replacement import ReplacementPolicy
     from repro.sim.scenario import build_scenario
 
@@ -296,9 +293,7 @@ def _run_replacement(
     replacements = {t: RunningStats() for t in thresholds}
     bytes_shipped = {t: RunningStats() for t in thresholds}
     for run_index in range(spec.num_runs):
-        scenario = build_scenario(
-            config, hash((plan.seed, run_index)) % (2**31)
-        )
+        scenario = build_scenario(config, study_seed(plan.seed, run_index))
         for threshold in thresholds:
             policy = ReplacementPolicy(
                 scenario,

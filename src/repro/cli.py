@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.objective import COVERAGE_ENGINES
 from repro.sim import experiments
@@ -64,25 +64,24 @@ def _render_result(result, args: argparse.Namespace) -> str:
     return output
 
 
-def _sweep_command(fn: Callable) -> Callable[[argparse.Namespace], str]:
+#: Figure-subcommand flag -> plan-builder keyword, where the names differ.
+_BUILDER_KWARGS = {"topologies": "num_topologies", "runs": "num_runs"}
+
+
+def _plan_command(
+    builder: Callable, flags: Sequence[str]
+) -> Callable[[argparse.Namespace], str]:
+    """Run ``builder``'s plan at the given flags (unset ones keep its defaults)."""
+
     def run(args: argparse.Namespace) -> str:
-        kwargs = dict(
-            num_topologies=args.topologies,
-            evaluation=args.evaluation,
-            seed=args.seed,
-            workers=args.workers,
-            engine=args.engine,
-        )
-        if args.scale is not None:
-            kwargs["scale"] = args.scale
-        return _render_result(fn(**kwargs), args)
+        from repro.api import run_plan
 
-    return run
-
-
-def _comparison_command(fn: Callable) -> Callable[[argparse.Namespace], str]:
-    def run(args: argparse.Namespace) -> str:
-        return fn(num_topologies=args.topologies, seed=args.seed).to_table()
+        kwargs = {
+            _BUILDER_KWARGS.get(flag, flag): getattr(args, flag)
+            for flag in flags
+            if getattr(args, flag) is not None
+        }
+        return _render_result(run_plan(builder(**kwargs)), args)
 
     return run
 
@@ -94,18 +93,6 @@ def _fig1(args: argparse.Namespace) -> str:
 def _table1(args: argparse.Namespace) -> str:
     return experiments.table1_library_construction(
         num_models=args.models, seed=args.seed
-    ).to_table()
-
-
-def _fig7(args: argparse.Namespace) -> str:
-    return experiments.fig7_mobility_robustness(
-        num_runs=args.runs, seed=args.seed
-    ).to_table()
-
-
-def _ablation_replacement(args: argparse.Namespace) -> str:
-    return experiments.ablation_replacement(
-        num_runs=args.runs, seed=args.seed
     ).to_table()
 
 
@@ -523,43 +510,51 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the full result set (series + plan) to this JSON file",
         )
 
-    sweeps = {
-        "fig4a": experiments.fig4a_hit_vs_capacity,
-        "fig4b": experiments.fig4b_hit_vs_servers,
-        "fig4c": experiments.fig4c_hit_vs_users,
-        "fig5a": experiments.fig5a_hit_vs_capacity,
-        "fig5b": experiments.fig5b_hit_vs_servers,
-        "fig5c": experiments.fig5c_hit_vs_users,
-    }
-    for name, fn in sweeps.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
-        add_common(p)
-        p.add_argument(
-            "--evaluation", choices=("expected", "monte_carlo"), default="expected"
-        )
-        p.add_argument(
-            "--scale",
-            type=float,
-            default=None,
-            help="library/storage scale (1.0 = the paper's full setting)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="process-pool width for the topology fan-out "
-            "(bit-identical series for any value)",
-        )
-        p.add_argument(
-            "--engine",
-            choices=COVERAGE_ENGINES,
-            default="dense",
-            help="coverage engine: dense (bit-pinned to the seed), "
-            "sparse (O(nnz) CSR walks) or auto (sparse on sparse-primary "
-            "instances, dense otherwise)",
-        )
-        add_sweep_outputs(p)
-        p.set_defaults(handler=_sweep_command(fn))
+    # One subcommand per figure/ablation plan; its flags depend on the
+    # plan kind.
+    for name, builder in experiments.PLAN_BUILDERS.items():
+        p = sub.add_parser(name, help=builder.__doc__.splitlines()[0])
+        kind = builder().kind
+        if kind == "sweep":
+            add_common(p)
+            p.add_argument(
+                "--evaluation",
+                choices=("expected", "monte_carlo"),
+                default="expected",
+            )
+            p.add_argument(
+                "--scale",
+                type=float,
+                default=None,
+                help="library/storage scale (1.0 = the paper's full setting)",
+            )
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="process-pool width for the topology fan-out "
+                "(bit-identical series for any value)",
+            )
+            p.add_argument(
+                "--engine",
+                choices=COVERAGE_ENGINES,
+                default="dense",
+                help="coverage engine: dense (bit-pinned to the seed), "
+                "sparse (O(nnz) CSR walks) or auto (sparse on "
+                "sparse-primary instances, dense otherwise)",
+            )
+            add_sweep_outputs(p)
+            flags = (
+                "topologies", "seed", "evaluation", "scale", "workers", "engine"
+            )
+        elif kind == "comparison":
+            add_common(p, topologies=5)
+            flags = ("topologies", "seed")
+        else:  # mobility / replacement studies
+            p.add_argument("--runs", type=int, default=3)
+            p.add_argument("--seed", type=int, default=0)
+            flags = ("runs", "seed")
+        p.set_defaults(handler=_plan_command(builder, flags))
 
     # The generic declarative sweep over any axis/solver set.
     p = sub.add_parser(
@@ -732,19 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solvers", help="List the registered solvers.")
     p.set_defaults(handler=_solvers)
 
-    comparisons = {
-        "fig6a": experiments.fig6a_optimality_gap,
-        "fig6b": experiments.fig6b_runtime_general,
-        "ablation-epsilon": experiments.ablation_epsilon,
-        "ablation-lazy": experiments.ablation_lazy_greedy,
-        "ablation-order": experiments.ablation_server_order,
-        "ablation-backend": experiments.ablation_dp_backend,
-    }
-    for name, fn in comparisons.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
-        add_common(p, topologies=5)
-        p.set_defaults(handler=_comparison_command(fn))
-
     p = sub.add_parser("fig1", help="Accuracy vs. frozen layers (Fig. 1).")
     p.add_argument("--step", type=int, default=10)
     p.set_defaults(handler=_fig1)
@@ -753,19 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_table1)
-
-    p = sub.add_parser("fig7", help="Mobility robustness (Fig. 7).")
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_fig7)
-
-    p = sub.add_parser(
-        "ablation-replacement",
-        help="Threshold-triggered re-placement trade-off (§IV-A).",
-    )
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_ablation_replacement)
 
     p = sub.add_parser(
         "serve",

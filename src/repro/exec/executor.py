@@ -386,8 +386,9 @@ def execute_plan(
             plan, registry, backend, store, key, report
         )
     else:
-        # Study kinds have no task grid: run in-process (the executors
-        # replay the legacy seed loops exactly) and cache whole results.
+        # Study kinds have no task grid: run in-process (the same
+        # executors as run_plan, so the same pinned results) and cache
+        # whole results.
         # The report says so rather than naming a backend that never ran.
         report.backend = "in-process"
         report.tasks_total = 1

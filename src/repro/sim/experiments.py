@@ -1,16 +1,17 @@
 """Per-figure/table reproduction entry points, declared as plans.
 
-Each ``figN_*`` function regenerates the corresponding paper artefact
-and returns a structured result whose ``to_table()`` prints the same
-rows or series the paper plots. Since the declarative experiment API
-landed (:mod:`repro.api`), every solver experiment here is a ~5-line
-:class:`~repro.api.plan.ExperimentPlan` declaration (the ``*_plan``
-functions) executed by the one generic
-:func:`~repro.api.run.run_plan`; the ``figN_*``/``ablation_*``
-callables are thin wrappers kept for backward compatibility. The
-pre-plan implementations are retained verbatim in
-:mod:`repro.sim.legacy` and the equivalence suite asserts the plan path
-reproduces them bit-identically.
+Every solver experiment here is a ~5-line
+:class:`~repro.api.plan.ExperimentPlan` declaration (a ``*_plan``
+builder, indexed by :data:`PLAN_BUILDERS`) executed by the one generic
+:func:`~repro.api.run.run_plan`::
+
+    run_plan(fig4a_plan(num_topologies=5)).to_table()
+    run_plan(fig6a_plan()).comparison()      # AlgorithmComparison
+    run_plan(fig7_plan()).mobility()         # Fig7Result
+    run_plan(ablation_replacement_plan()).replacement()
+
+Each builder's results at small fixed settings are pinned to committed
+values in ``tests/golden/figure_content.json``.
 
 Scale knobs (`num_topologies`, evaluation mode) default to
 laptop-friendly values; pass ``num_topologies=100`` and
@@ -20,14 +21,14 @@ Index (see DESIGN.md §3):
 
 * :func:`fig1_accuracy_vs_frozen` — motivation curve (substituted model).
 * :func:`table1_library_construction` — two-round fine-tuning settings.
-* :func:`fig4a_hit_vs_capacity` / :func:`fig4b_hit_vs_servers` /
-  :func:`fig4c_hit_vs_users` — special case, Spec vs Gen vs Independent.
-* :func:`fig5a_hit_vs_capacity` / :func:`fig5b_hit_vs_servers` /
-  :func:`fig5c_hit_vs_users` — general case, Gen vs Independent.
-* :func:`fig6a_optimality_gap` / :func:`fig6b_runtime_general` — hit
-  ratio and runtime against the exhaustive optimum / Spec.
-* :func:`fig7_mobility_robustness` — fixed placement under mobility.
-* ``ablation_*`` — our extra studies of the design decisions.
+* :func:`fig4a_plan` / :func:`fig4b_plan` / :func:`fig4c_plan` —
+  special case, Spec vs Gen vs Independent.
+* :func:`fig5a_plan` / :func:`fig5b_plan` / :func:`fig5c_plan` —
+  general case, Gen vs Independent.
+* :func:`fig6a_plan` / :func:`fig6b_plan` — hit ratio and runtime
+  against the exhaustive optimum / Spec.
+* :func:`fig7_plan` — fixed placement under mobility.
+* ``ablation_*_plan`` — our extra studies of the design decisions.
 
 (Fig. 1 and Table I are deterministic artefact renders — no topologies,
 solvers or seeds — so they are the only entries without a plan form.)
@@ -47,18 +48,12 @@ from repro.api.plan import (
     SolverSpec,
     SweepSpec,
 )
-from repro.api.run import ResultSet, run_plan
 from repro.core.gen import GenConfig
 from repro.core.independent import IndependentConfig
 from repro.core.spec import SpecConfig
+from repro.errors import ConfigurationError
 from repro.models.accuracy import ANIMAL_CURVE, TRANSPORTATION_CURVE
 from repro.models.generators import GeneralCaseConfig, build_general_case_library
-from repro.sim.runner import (  # noqa: F401 — re-exported for back-compat
-    AlgorithmComparison,
-    ExperimentResult,
-    Fig7Result,
-    ReplacementAblation,
-)
 from repro.utils.tables import format_table
 from repro.utils.units import GB
 
@@ -82,7 +77,7 @@ DEFAULT_SCALE = 0.2
 
 def _scaled_library(scale: float) -> int:
     if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
+        raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
     return max(2, round(PAPER_LIBRARY_SIZE * scale))
 
 
@@ -234,7 +229,11 @@ def fig4a_plan(
     workers: int = 1,
     engine: str = "dense",
 ) -> ExperimentPlan:
-    """Fig. 4(a) as a declarative plan."""
+    """Fig. 4(a): special case, hit ratio vs. capacity (M=10, I=30).
+
+    ``capacities_gb`` are the paper's values; both they and the library
+    shrink by ``scale`` (see :data:`DEFAULT_SCALE`).
+    """
     return ExperimentPlan(
         name="Fig. 4(a) — special case: cache hit ratio vs. capacity Q",
         sweep=SweepSpec("capacity", tuple(capacities_gb)),
@@ -249,35 +248,6 @@ def fig4a_plan(
     )
 
 
-def fig4a_hit_vs_capacity(
-    num_topologies: int = 20,
-    capacities_gb: Sequence[float] = CAPACITY_SWEEP_GB,
-    evaluation: str = "expected",
-    num_realizations: int = 200,
-    seed: int = 0,
-    scale: float = DEFAULT_SCALE,
-    workers: int = 1,
-    engine: str = "dense",
-) -> ResultSet:
-    """Fig. 4(a): special case, hit ratio vs. capacity (M=10, I=30).
-
-    ``capacities_gb`` are the paper's values; both they and the library
-    shrink by ``scale`` (see :data:`DEFAULT_SCALE`).
-    """
-    return run_plan(
-        fig4a_plan(
-            num_topologies,
-            capacities_gb,
-            evaluation,
-            num_realizations,
-            seed,
-            scale,
-            workers,
-            engine,
-        )
-    )
-
-
 def fig4b_plan(
     num_topologies: int = 20,
     server_counts: Sequence[int] = SERVER_SWEEP,
@@ -288,7 +258,7 @@ def fig4b_plan(
     workers: int = 1,
     engine: str = "dense",
 ) -> ExperimentPlan:
-    """Fig. 4(b) as a declarative plan."""
+    """Fig. 4(b): special case, hit ratio vs. M (Q=1 GB, I=30)."""
     return ExperimentPlan(
         name="Fig. 4(b) — special case: cache hit ratio vs. number of edge servers M",
         sweep=SweepSpec("servers", tuple(server_counts)),
@@ -303,31 +273,6 @@ def fig4b_plan(
     )
 
 
-def fig4b_hit_vs_servers(
-    num_topologies: int = 20,
-    server_counts: Sequence[int] = SERVER_SWEEP,
-    evaluation: str = "expected",
-    num_realizations: int = 200,
-    seed: int = 0,
-    scale: float = DEFAULT_SCALE,
-    workers: int = 1,
-    engine: str = "dense",
-) -> ResultSet:
-    """Fig. 4(b): special case, hit ratio vs. M (Q=1 GB, I=30)."""
-    return run_plan(
-        fig4b_plan(
-            num_topologies,
-            server_counts,
-            evaluation,
-            num_realizations,
-            seed,
-            scale,
-            workers,
-            engine,
-        )
-    )
-
-
 def fig4c_plan(
     num_topologies: int = 20,
     user_counts: Sequence[int] = USER_SWEEP,
@@ -338,7 +283,7 @@ def fig4c_plan(
     workers: int = 1,
     engine: str = "dense",
 ) -> ExperimentPlan:
-    """Fig. 4(c) as a declarative plan."""
+    """Fig. 4(c): special case, hit ratio vs. K (Q=1 GB, M=10)."""
     return ExperimentPlan(
         name="Fig. 4(c) — special case: cache hit ratio vs. number of users K",
         sweep=SweepSpec("users", tuple(user_counts)),
@@ -358,31 +303,6 @@ def fig4c_plan(
     )
 
 
-def fig4c_hit_vs_users(
-    num_topologies: int = 20,
-    user_counts: Sequence[int] = USER_SWEEP,
-    evaluation: str = "expected",
-    num_realizations: int = 200,
-    seed: int = 0,
-    scale: float = DEFAULT_SCALE,
-    workers: int = 1,
-    engine: str = "dense",
-) -> ResultSet:
-    """Fig. 4(c): special case, hit ratio vs. K (Q=1 GB, M=10)."""
-    return run_plan(
-        fig4c_plan(
-            num_topologies,
-            user_counts,
-            evaluation,
-            num_realizations,
-            seed,
-            scale,
-            workers,
-            engine,
-        )
-    )
-
-
 def fig5a_plan(
     num_topologies: int = 20,
     capacities_gb: Sequence[float] = CAPACITY_SWEEP_GB,
@@ -393,7 +313,7 @@ def fig5a_plan(
     workers: int = 1,
     engine: str = "dense",
 ) -> ExperimentPlan:
-    """Fig. 5(a) as a declarative plan."""
+    """Fig. 5(a): general case, hit ratio vs. capacity (M=10, I=30)."""
     return ExperimentPlan(
         name="Fig. 5(a) — general case: cache hit ratio vs. capacity Q",
         sweep=SweepSpec("capacity", tuple(capacities_gb)),
@@ -408,31 +328,6 @@ def fig5a_plan(
     )
 
 
-def fig5a_hit_vs_capacity(
-    num_topologies: int = 20,
-    capacities_gb: Sequence[float] = CAPACITY_SWEEP_GB,
-    evaluation: str = "expected",
-    num_realizations: int = 200,
-    seed: int = 0,
-    scale: float = DEFAULT_SCALE,
-    workers: int = 1,
-    engine: str = "dense",
-) -> ResultSet:
-    """Fig. 5(a): general case, hit ratio vs. capacity (M=10, I=30)."""
-    return run_plan(
-        fig5a_plan(
-            num_topologies,
-            capacities_gb,
-            evaluation,
-            num_realizations,
-            seed,
-            scale,
-            workers,
-            engine,
-        )
-    )
-
-
 def fig5b_plan(
     num_topologies: int = 20,
     server_counts: Sequence[int] = SERVER_SWEEP,
@@ -443,7 +338,7 @@ def fig5b_plan(
     workers: int = 1,
     engine: str = "dense",
 ) -> ExperimentPlan:
-    """Fig. 5(b) as a declarative plan."""
+    """Fig. 5(b): general case, hit ratio vs. M (Q=1 GB, I=30)."""
     return ExperimentPlan(
         name="Fig. 5(b) — general case: cache hit ratio vs. number of edge servers M",
         sweep=SweepSpec("servers", tuple(server_counts)),
@@ -458,31 +353,6 @@ def fig5b_plan(
     )
 
 
-def fig5b_hit_vs_servers(
-    num_topologies: int = 20,
-    server_counts: Sequence[int] = SERVER_SWEEP,
-    evaluation: str = "expected",
-    num_realizations: int = 200,
-    seed: int = 0,
-    scale: float = DEFAULT_SCALE,
-    workers: int = 1,
-    engine: str = "dense",
-) -> ResultSet:
-    """Fig. 5(b): general case, hit ratio vs. M (Q=1 GB, I=30)."""
-    return run_plan(
-        fig5b_plan(
-            num_topologies,
-            server_counts,
-            evaluation,
-            num_realizations,
-            seed,
-            scale,
-            workers,
-            engine,
-        )
-    )
-
-
 def fig5c_plan(
     num_topologies: int = 20,
     user_counts: Sequence[int] = USER_SWEEP,
@@ -493,7 +363,7 @@ def fig5c_plan(
     workers: int = 1,
     engine: str = "dense",
 ) -> ExperimentPlan:
-    """Fig. 5(c) as a declarative plan."""
+    """Fig. 5(c): general case, hit ratio vs. K (Q=1 GB, M=10)."""
     return ExperimentPlan(
         name="Fig. 5(c) — general case: cache hit ratio vs. number of users K",
         sweep=SweepSpec("users", tuple(user_counts)),
@@ -513,36 +383,15 @@ def fig5c_plan(
     )
 
 
-def fig5c_hit_vs_users(
-    num_topologies: int = 20,
-    user_counts: Sequence[int] = USER_SWEEP,
-    evaluation: str = "expected",
-    num_realizations: int = 200,
-    seed: int = 0,
-    scale: float = DEFAULT_SCALE,
-    workers: int = 1,
-    engine: str = "dense",
-) -> ResultSet:
-    """Fig. 5(c): general case, hit ratio vs. K (Q=1 GB, M=10)."""
-    return run_plan(
-        fig5c_plan(
-            num_topologies,
-            user_counts,
-            evaluation,
-            num_realizations,
-            seed,
-            scale,
-            workers,
-            engine,
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # Fig. 6 — optimality gap and runtime, as comparison plans
 # ----------------------------------------------------------------------
 def fig6a_plan(num_topologies: int = 10, seed: int = 0) -> ExperimentPlan:
-    """Fig. 6(a) as a declarative (comparison) plan."""
+    """Fig. 6(a): Spec (ε=0) and Gen vs. the exhaustive optimum.
+
+    Paper setting: 400 m area, M=2, K=6, Q=0.1 GB, special-case library
+    with 9 models requested per user.
+    """
     return ExperimentPlan(
         name="Fig. 6(a) — special case: hit ratio and runtime vs. optimal",
         solvers=(
@@ -563,19 +412,12 @@ def fig6a_plan(num_topologies: int = 10, seed: int = 0) -> ExperimentPlan:
     )
 
 
-def fig6a_optimality_gap(
-    num_topologies: int = 10, seed: int = 0
-) -> AlgorithmComparison:
-    """Fig. 6(a): Spec (ε=0) and Gen vs. the exhaustive optimum.
-
-    Paper setting: 400 m area, M=2, K=6, Q=0.1 GB, special-case library
-    with 9 models requested per user.
-    """
-    return run_plan(fig6a_plan(num_topologies, seed)).comparison()
-
-
 def fig6b_plan(num_topologies: int = 5, seed: int = 0) -> ExperimentPlan:
-    """Fig. 6(b) as a declarative (comparison) plan."""
+    """Fig. 6(b): Spec vs. Gen on a general-case library.
+
+    Paper setting: Q=0.2 GB, 27 models per user; Spec's combination
+    traversal is exponential here, demonstrating why Gen exists.
+    """
     return ExperimentPlan(
         name="Fig. 6(b) — general case: Spec vs. Gen runtime",
         solvers=(
@@ -598,17 +440,6 @@ def fig6b_plan(num_topologies: int = 5, seed: int = 0) -> ExperimentPlan:
     )
 
 
-def fig6b_runtime_general(
-    num_topologies: int = 5, seed: int = 0
-) -> AlgorithmComparison:
-    """Fig. 6(b): Spec vs. Gen on a general-case library.
-
-    Paper setting: Q=0.2 GB, 27 models per user; Spec's combination
-    traversal is exponential here, demonstrating why Gen exists.
-    """
-    return run_plan(fig6b_plan(num_topologies, seed)).comparison()
-
-
 # ----------------------------------------------------------------------
 # Fig. 7 — mobility robustness, as a study plan
 # ----------------------------------------------------------------------
@@ -618,7 +449,11 @@ def fig7_plan(
     sample_every: int = 60,
     seed: int = 0,
 ) -> ExperimentPlan:
-    """Fig. 7 as a declarative (mobility-study) plan."""
+    """Fig. 7: fixed Spec/Gen placements under 2 h of user mobility.
+
+    Paper setting: M=10, K=10, Q=1 GB, special case; pedestrian/bike/
+    vehicle users, 5 s slots.
+    """
     return ExperimentPlan(
         name="Fig. 7 — cache hit ratio over time (mobility)",
         solvers=(
@@ -639,22 +474,6 @@ def fig7_plan(
     )
 
 
-def fig7_mobility_robustness(
-    num_runs: int = 5,
-    horizon_s: float = 7200.0,
-    sample_every: int = 60,
-    seed: int = 0,
-) -> Fig7Result:
-    """Fig. 7: fixed Spec/Gen placements under 2 h of user mobility.
-
-    Paper setting: M=10, K=10, Q=1 GB, special case; pedestrian/bike/
-    vehicle users, 5 s slots.
-    """
-    return run_plan(
-        fig7_plan(num_runs, horizon_s, sample_every, seed)
-    ).mobility()
-
-
 # ----------------------------------------------------------------------
 # Ablations (ours), as plans
 # ----------------------------------------------------------------------
@@ -663,7 +482,7 @@ def ablation_epsilon_plan(
     num_topologies: int = 5,
     seed: int = 0,
 ) -> ExperimentPlan:
-    """Spec ε ablation as a declarative plan."""
+    """Hit ratio / runtime of Spec across the rounding parameter ε."""
     solvers = tuple(
         SolverSpec("spec", label=f"Spec (eps={eps})", config=SpecConfig(epsilon=eps))
         for eps in epsilons
@@ -684,21 +503,10 @@ def ablation_epsilon_plan(
     )
 
 
-def ablation_epsilon(
-    epsilons: Sequence[float] = (0.01, 0.05, 0.1, 0.2, 0.5, 0.9),
-    num_topologies: int = 5,
-    seed: int = 0,
-) -> AlgorithmComparison:
-    """Hit ratio / runtime of Spec across the rounding parameter ε."""
-    return run_plan(
-        ablation_epsilon_plan(epsilons, num_topologies, seed)
-    ).comparison()
-
-
 def ablation_lazy_greedy_plan(
     num_topologies: int = 5, seed: int = 0
 ) -> ExperimentPlan:
-    """Lazy-vs-naive Gen ablation as a declarative plan."""
+    """Lazy vs. naive Gen greedy: identical quality, different runtime."""
     return ExperimentPlan(
         name="Ablation — lazy vs. naive greedy",
         solvers=(
@@ -716,17 +524,10 @@ def ablation_lazy_greedy_plan(
     )
 
 
-def ablation_lazy_greedy(
-    num_topologies: int = 5, seed: int = 0
-) -> AlgorithmComparison:
-    """Lazy vs. naive Gen greedy: identical quality, different runtime."""
-    return run_plan(ablation_lazy_greedy_plan(num_topologies, seed)).comparison()
-
-
 def ablation_server_order_plan(
     num_topologies: int = 5, seed: int = 0
 ) -> ExperimentPlan:
-    """Spec server-order ablation as a declarative plan."""
+    """Spec's successive-greedy server ordering strategies."""
     return ExperimentPlan(
         name="Ablation — successive-greedy server order",
         solvers=tuple(
@@ -748,20 +549,13 @@ def ablation_server_order_plan(
     )
 
 
-def ablation_server_order(
-    num_topologies: int = 5, seed: int = 0
-) -> AlgorithmComparison:
-    """Spec's successive-greedy server ordering strategies."""
-    return run_plan(ablation_server_order_plan(num_topologies, seed)).comparison()
-
-
 def ablation_replacement_plan(
     thresholds: Sequence[float] = (0.0, 0.8, 0.9, 1.0),
     num_runs: int = 3,
     horizon_s: float = 7200.0,
     seed: int = 0,
 ) -> ExperimentPlan:
-    """§IV-A re-placement ablation as a declarative (study) plan."""
+    """§IV-A extension: hit ratio vs. backbone cost of re-placement."""
     return ExperimentPlan(
         name="Ablation — threshold-triggered re-placement (2 h horizon)",
         solvers=(SolverSpec("gen"),),
@@ -782,22 +576,10 @@ def ablation_replacement_plan(
     )
 
 
-def ablation_replacement(
-    thresholds: Sequence[float] = (0.0, 0.8, 0.9, 1.0),
-    num_runs: int = 3,
-    horizon_s: float = 7200.0,
-    seed: int = 0,
-) -> ReplacementAblation:
-    """§IV-A extension: hit ratio vs. backbone cost of re-placement."""
-    return run_plan(
-        ablation_replacement_plan(thresholds, num_runs, horizon_s, seed)
-    ).replacement()
-
-
 def ablation_dp_backend_plan(
     num_topologies: int = 5, seed: int = 0
 ) -> ExperimentPlan:
-    """Spec knapsack-backend ablation as a declarative plan."""
+    """Value-DP vs. weight-DP vs. exact knapsack backends inside Spec."""
     return ExperimentPlan(
         name="Ablation — Spec knapsack backend",
         solvers=(
@@ -828,16 +610,9 @@ def ablation_dp_backend_plan(
     )
 
 
-def ablation_dp_backend(
-    num_topologies: int = 5, seed: int = 0
-) -> AlgorithmComparison:
-    """Value-DP vs. weight-DP vs. exact knapsack backends inside Spec."""
-    return run_plan(ablation_dp_backend_plan(num_topologies, seed)).comparison()
-
-
-#: The canonical index of figure/ablation plan builders (README's
-#: migration map and the registry-drift tests iterate it; a future
-#: ``sweep --plan`` CLI shortcut would resolve names here).
+#: The canonical index of figure/ablation plan builders: the CLI builds
+#: one subcommand per entry, and the golden-results and registry-drift
+#: tests iterate it.
 PLAN_BUILDERS = {
     "fig4a": fig4a_plan,
     "fig4b": fig4b_plan,

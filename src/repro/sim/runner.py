@@ -50,6 +50,16 @@ def scenario_seed(root_seed: int, x_index: int, topology_index: int) -> int:
     return hash((root_seed, x_index, topology_index)) % (2**31)
 
 
+def study_seed(root_seed: int, index: int) -> int:
+    """The scenario seed of one topology or run of a non-sweep plan.
+
+    Comparison plans draw topology ``index`` from it; mobility and
+    replacement studies draw run ``index``. Same int-tuple hash as
+    :func:`scenario_seed`.
+    """
+    return hash((root_seed, index)) % (2**31)
+
+
 def library_rng_tag(x_index: int) -> str:
     """RNG-child tag of sweep point ``x_index``'s shared model library."""
     return f"library-x{x_index}"

@@ -123,6 +123,18 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="scale"):
             _sweep_plan(scale=0.0)
 
+    def test_bad_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            _sweep_plan(workers=0)
+        with pytest.raises(ConfigurationError, match="workers"):
+            _sweep_plan().with_overrides(workers=0)
+
+    def test_bad_figure_scale_is_a_configuration_error(self):
+        from repro.sim.experiments import fig4a_plan
+
+        with pytest.raises(ConfigurationError, match="scale"):
+            fig4a_plan(scale=0.0)
+
     def test_base_config_matches_direct_construction(self):
         plan = _sweep_plan()
         assert plan.base_config() == ScenarioConfig(

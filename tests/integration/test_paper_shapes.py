@@ -8,6 +8,7 @@ absolute numbers, on reduced-scale sweeps.
 import numpy as np
 import pytest
 
+from repro.api import run_plan
 from repro.core.gen import TrimCachingGen
 from repro.core.independent import IndependentCaching
 from repro.core.spec import TrimCachingSpec
@@ -20,16 +21,18 @@ from repro.utils.units import GB
 
 @pytest.fixture(scope="module")
 def fig4a_small():
-    return experiments.fig4a_hit_vs_capacity(
+    plan = experiments.fig4a_plan(
         num_topologies=2, capacities_gb=(0.5, 1.0, 1.5), seed=0, scale=0.1
     )
+    return run_plan(plan)
 
 
 @pytest.fixture(scope="module")
 def fig5a_small():
-    return experiments.fig5a_hit_vs_capacity(
+    plan = experiments.fig5a_plan(
         num_topologies=2, capacities_gb=(0.5, 1.0, 1.5), seed=0, scale=0.1
     )
+    return run_plan(plan)
 
 
 class TestFig4Shapes:
@@ -56,17 +59,19 @@ class TestFig4Shapes:
         assert gain > 0.08
 
     def test_hit_ratio_increases_with_servers(self):
-        result = experiments.fig4b_hit_vs_servers(
+        plan = experiments.fig4b_plan(
             num_topologies=2, server_counts=(4, 8, 12), seed=1, scale=0.1
         )
+        result = run_plan(plan)
         for algo in ("TrimCaching Spec", "TrimCaching Gen"):
             means = result.mean_of(algo)
             assert means[-1] >= means[0] - 0.02, algo
 
     def test_hit_ratio_decreases_with_users(self):
-        result = experiments.fig4c_hit_vs_users(
+        plan = experiments.fig4c_plan(
             num_topologies=2, user_counts=(10, 30, 50), seed=2, scale=0.1
         )
+        result = run_plan(plan)
         for algo in result.series:
             means = result.mean_of(algo)
             assert means[-1] <= means[0] + 0.02, algo
@@ -89,7 +94,8 @@ class TestFig5Shapes:
 
 class TestFig6Shapes:
     def test_spec_matches_optimal_gen_close(self):
-        result = experiments.fig6a_optimality_gap(num_topologies=3, seed=0)
+        plan = experiments.fig6a_plan(num_topologies=3, seed=0)
+        result = run_plan(plan).comparison()
         optimal = result.mean_hit("Optimal (exhaustive)")
         assert result.mean_hit("TrimCaching Spec") == pytest.approx(
             optimal, rel=0.02
@@ -97,7 +103,8 @@ class TestFig6Shapes:
         assert result.mean_hit("TrimCaching Gen") >= 0.85 * optimal
 
     def test_gen_much_faster_than_spec_in_general_case(self):
-        result = experiments.fig6b_runtime_general(num_topologies=1, seed=0)
+        plan = experiments.fig6b_plan(num_topologies=1, seed=0)
+        result = run_plan(plan).comparison()
         # Paper: ~3900x; any large factor demonstrates the point.
         assert result.speedup("TrimCaching Gen", "TrimCaching Spec") > 30
 
@@ -106,9 +113,10 @@ class TestFig7Shape:
     def test_graceful_degradation_under_mobility(self):
         """Paper: only ~5-6% degradation over 2 h. We run 30 min at small
         scale and require bounded degradation."""
-        result = experiments.fig7_mobility_robustness(
+        plan = experiments.fig7_plan(
             num_runs=2, horizon_s=1800.0, sample_every=60, seed=0
         )
+        result = run_plan(plan).mobility()
         for algo in result.series:
             assert result.degradation(algo) < 0.35, algo
             means = result.series[algo].means

@@ -1,34 +1,52 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.api import plan_to_dict
 from repro.cli import build_parser, main
+from repro.sim.experiments import PLAN_BUILDERS
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "figure_content.json"
+
+
+def _commands():
+    parser = build_parser()
+    sub = next(
+        action
+        for action in parser._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    return set(sub.choices)
 
 
 class TestParser:
     def test_all_commands_registered(self):
-        parser = build_parser()
-        sub = next(
-            action
-            for action in parser._actions
-            if hasattr(action, "choices") and action.choices
-        )
-        commands = set(sub.choices)
-        for expected in (
-            "fig1",
-            "table1",
-            "fig4a",
-            "fig4b",
-            "fig4c",
-            "fig5a",
-            "fig5b",
-            "fig5c",
-            "fig6a",
-            "fig6b",
-            "fig7",
-            "ablation-epsilon",
-        ):
-            assert expected in commands
+        assert {"fig1", "table1", "sweep", "solvers", "serve"} <= _commands()
+
+    def test_every_plan_builder_is_a_subcommand(self):
+        assert set(PLAN_BUILDERS) <= _commands()
+
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            (
+                "fig4a",
+                dict(topologies=10, seed=0, evaluation="expected",
+                     scale=None, workers=1, engine="dense"),
+            ),
+            ("fig5c", dict(topologies=10, seed=0, workers=1)),
+            ("fig6a", dict(topologies=5, seed=0)),
+            ("ablation-backend", dict(topologies=5, seed=0)),
+            ("fig7", dict(runs=3, seed=0)),
+            ("ablation-replacement", dict(runs=3, seed=0)),
+        ],
+    )
+    def test_figure_flag_defaults(self, command, defaults):
+        args = vars(build_parser().parse_args([command]))
+        assert {flag: args[flag] for flag in defaults} == defaults
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -62,6 +80,47 @@ class TestExecution:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_figure_flags_reach_the_plan(self, tmp_path, capsys):
+        out = tmp_path / "fig5b.json"
+        argv = ["fig5b", "--topologies", "1", "--seed", "4", "--scale", "0.05",
+                "--engine", "sparse", "--json", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        expected = PLAN_BUILDERS["fig5b"](
+            num_topologies=1, seed=4, scale=0.05, engine="sparse"
+        )
+        assert json.loads(out.read_text())["plan"] == plan_to_dict(expected)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4a"],
+            ["sweep", "--axis", "capacity"],
+        ],
+        ids=["fig4a", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "0"], ["--scale", "0"]], ids=["workers", "scale"]
+    )
+    def test_bad_flag_exits_2_without_traceback(self, argv, flag, capsys):
+        assert main(argv + flag + ["--topologies", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert flag[0].lstrip("-") in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_sweep_reproduces_fig4a_golden(self, tmp_path, capsys):
+        """The generic `sweep` CLI reproduces fig4a's series bit-for-bit."""
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--axis", "capacity", "--algos", "spec,gen,independent",
+                "--topologies", "1", "--scale", "0.05", "--json", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        experiment = json.loads(out.read_text())["experiment"]
+        golden = json.loads(GOLDEN.read_text())["fig4a-cli"]["experiment"]
+        assert experiment["x_values"] == golden["x_values"]
+        assert experiment["series"] == golden["series"]
 
 
 class TestGenericSweep:

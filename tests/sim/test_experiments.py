@@ -8,6 +8,7 @@ harness runs the same entry points at fuller scale.
 import numpy as np
 import pytest
 
+from repro.api import run_plan
 from repro.sim import experiments
 
 
@@ -40,9 +41,10 @@ class TestSweepFigures:
     """Each panel at toy scale; shape assertions live in integration tests."""
 
     def test_fig4a_runs(self):
-        result = experiments.fig4a_hit_vs_capacity(
+        plan = experiments.fig4a_plan(
             num_topologies=1, capacities_gb=(0.5, 1.0), seed=0, scale=0.05
         )
+        result = run_plan(plan)
         assert set(result.series) == {
             "TrimCaching Spec",
             "TrimCaching Gen",
@@ -51,39 +53,45 @@ class TestSweepFigures:
         assert len(result.x_values) == 2
 
     def test_fig4b_runs(self):
-        result = experiments.fig4b_hit_vs_servers(
+        plan = experiments.fig4b_plan(
             num_topologies=1, server_counts=(4, 6), seed=0, scale=0.05
         )
+        result = run_plan(plan)
         assert result.x_values == [4, 6]
 
     def test_fig4c_runs(self):
-        result = experiments.fig4c_hit_vs_users(
+        plan = experiments.fig4c_plan(
             num_topologies=1, user_counts=(6, 10), seed=0, scale=0.05
         )
+        result = run_plan(plan)
         assert result.x_values == [6, 10]
 
     def test_fig5a_excludes_spec(self):
-        result = experiments.fig5a_hit_vs_capacity(
+        plan = experiments.fig5a_plan(
             num_topologies=1, capacities_gb=(0.5,), seed=0, scale=0.05
         )
+        result = run_plan(plan)
         assert set(result.series) == {"TrimCaching Gen", "Independent Caching"}
 
     def test_fig5b_runs(self):
-        result = experiments.fig5b_hit_vs_servers(
+        plan = experiments.fig5b_plan(
             num_topologies=1, server_counts=(4,), seed=0, scale=0.05
         )
+        result = run_plan(plan)
         assert "TrimCaching Gen" in result.series
 
     def test_fig5c_runs(self):
-        result = experiments.fig5c_hit_vs_users(
+        plan = experiments.fig5c_plan(
             num_topologies=1, user_counts=(6,), seed=0, scale=0.05
         )
+        result = run_plan(plan)
         assert "Independent Caching" in result.series
 
 
 class TestFig6:
     def test_fig6a_spec_matches_optimal(self):
-        result = experiments.fig6a_optimality_gap(num_topologies=2, seed=0)
+        plan = experiments.fig6a_plan(num_topologies=2, seed=0)
+        result = run_plan(plan).comparison()
         optimal = result.mean_hit("Optimal (exhaustive)")
         spec = result.mean_hit("TrimCaching Spec")
         gen = result.mean_hit("TrimCaching Gen")
@@ -96,17 +104,19 @@ class TestFig6:
         assert result.speedup("TrimCaching Gen", "Optimal (exhaustive)") > 1
 
     def test_fig6b_gen_much_faster(self):
-        result = experiments.fig6b_runtime_general(num_topologies=1, seed=0)
+        plan = experiments.fig6b_plan(num_topologies=1, seed=0)
+        result = run_plan(plan).comparison()
         assert result.speedup("TrimCaching Gen", "TrimCaching Spec") > 10
         table = result.to_table()
         assert "runtime" in table
 
 
 class TestFig7:
-    def test_mobility_robustness_shape(self):
-        result = experiments.fig7_mobility_robustness(
+    def test_fixed_placements_under_mobility(self):
+        plan = experiments.fig7_plan(
             num_runs=1, horizon_s=600.0, sample_every=24, seed=0
         )
+        result = run_plan(plan).mobility()
         assert "TrimCaching Spec" in result.series
         assert "TrimCaching Gen" in result.series
         for algo in result.series:
@@ -117,25 +127,29 @@ class TestFig7:
 
 class TestAblations:
     def test_epsilon_ablation(self):
-        result = experiments.ablation_epsilon(
+        plan = experiments.ablation_epsilon_plan(
             epsilons=(0.1, 0.5), num_topologies=1, seed=0
         )
+        result = run_plan(plan).comparison()
         exact = result.mean_hit("Spec (exact)")
         assert result.mean_hit("Spec (eps=0.1)") <= exact + 1e-9
         assert result.mean_hit("Spec (eps=0.5)") <= exact + 1e-9
 
     def test_lazy_ablation(self):
-        result = experiments.ablation_lazy_greedy(num_topologies=1, seed=0)
+        plan = experiments.ablation_lazy_greedy_plan(num_topologies=1, seed=0)
+        result = run_plan(plan).comparison()
         assert result.mean_hit("Gen (lazy)") == pytest.approx(
             result.mean_hit("Gen (naive)"), abs=1e-9
         )
 
     def test_order_ablation(self):
-        result = experiments.ablation_server_order(num_topologies=1, seed=0)
+        plan = experiments.ablation_server_order_plan(num_topologies=1, seed=0)
+        result = run_plan(plan).comparison()
         assert len(result.hit_ratios) == 3
 
     def test_backend_ablation(self):
-        result = experiments.ablation_dp_backend(num_topologies=1, seed=0)
+        plan = experiments.ablation_dp_backend_plan(num_topologies=1, seed=0)
+        result = run_plan(plan).comparison()
         assert result.mean_hit("Spec (value_dp)") <= (
             result.mean_hit("Spec (exact)") + 1e-9
         )
