@@ -64,21 +64,21 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import ExperimentPlan, SolverSpec, SweepSpec
 from repro.core.dp import knapsack_value_dp, knapsack_weight_dp
-from repro.core.gen import TrimCachingGen
-from repro.core.independent import IndependentCaching
+from repro.core.gen import GenConfig, TrimCachingGen
+from repro.core.independent import IndependentConfig
 from repro.core.reference import (
     ReferenceGen,
-    ReferenceIndependent,
     ReferenceSpec,
     reference_knapsack_value_dp,
 )
 from repro.core.spec import TrimCachingSpec
+from repro.exec import execute_plan
 from repro.serve.events import generate_event_trace
 from repro.serve.resolver import resolve_from_scratch
 from repro.serve.service import PlacementService
 from repro.sim.config import ScenarioConfig
-from repro.sim.runner import SweepRunner
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
 
@@ -348,35 +348,41 @@ def sweep_benchmarks(quick: bool, workers: int):
     )
     num_topologies = 2 if quick else 8
     points = [0.15, 0.3] if quick else [0.15, 0.3, 0.6]
-    base = ScenarioConfig(**params)
 
-    def run(algorithms, feasibility, sweep_workers):
-        runner = SweepRunner(
-            base,
-            algorithms,
+    def run(solvers, feasibility, sweep_workers):
+        plan = ExperimentPlan(
+            name="bench sweep",
+            sweep=SweepSpec("capacity", tuple(points)),
+            solvers=solvers,
+            base=params,
             num_topologies=num_topologies,
             seed=7,
+            scale=1.0,
             feasibility=feasibility,
             workers=sweep_workers,
         )
         start = time.perf_counter()
-        result = runner.run(
-            "bench sweep",
-            "Q (GB)",
-            points,
-            lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
-        )
+        result, _ = execute_plan(plan)
         return time.perf_counter() - start, result
 
-    seed_algos = {
-        "Gen": ReferenceGen(accelerated=True),
-        "Independent": ReferenceIndependent(),
-    }
-    dense_algos = {"Gen": TrimCachingGen(), "Independent": IndependentCaching()}
-    sparse_algos = {
-        "Gen": TrimCachingGen(engine="sparse"),
-        "Independent": IndependentCaching(engine="sparse"),
-    }
+    # Same labels on every path, so the identity assert compares like
+    # with like; the seed path runs the registered reference solvers.
+    seed_algos = (
+        SolverSpec("reference-gen", label="Gen"),
+        SolverSpec("reference-independent", label="Independent"),
+    )
+    dense_algos = (
+        SolverSpec("gen", label="Gen"),
+        SolverSpec("independent", label="Independent"),
+    )
+    sparse_algos = (
+        SolverSpec("gen", label="Gen", config=GenConfig(engine="sparse")),
+        SolverSpec(
+            "independent",
+            label="Independent",
+            config=IndependentConfig(engine="sparse"),
+        ),
+    )
     seed_s, seed_result = run(seed_algos, "dense", 1)
     dense_s, dense_result = run(dense_algos, "dense", 1)
     sparse_s, sparse_result = run(sparse_algos, "sparse", 1)
@@ -426,9 +432,7 @@ def cache_benchmarks(quick: bool, workers: int):
     """
     import tempfile
 
-    from repro.api import ExperimentPlan, SolverSpec, SweepSpec
-    from repro.core import GenConfig, IndependentConfig
-    from repro.exec import ArtifactStore, ProcessBackend, SerialBackend, execute_plan
+    from repro.exec import ArtifactStore, ProcessBackend, SerialBackend
 
     params = dict(
         num_servers=8 if quick else 30,
@@ -498,9 +502,7 @@ def remote_benchmarks(quick: bool, workers: int):
     the wall-clock ratio. Target: < 1.3x at paper scale, where task
     compute dwarfs the plumbing.
     """
-    from repro.api import ExperimentPlan, SolverSpec, SweepSpec
-    from repro.core import GenConfig, IndependentConfig
-    from repro.exec import ProcessBackend, RemoteClusterBackend, execute_plan
+    from repro.exec import ProcessBackend, RemoteClusterBackend
     from repro.sim.serialization import result_set_content_json
 
     params = dict(
@@ -891,28 +893,26 @@ def obs_benchmarks(quick: bool):
     num_topologies = 2 if quick else 4
     points = [0.15, 0.3]
     passes = 2 if quick else 3
-    base = ScenarioConfig(**params)
-    algos = {
-        "Gen": TrimCachingGen(engine="sparse"),
-        "Independent": IndependentCaching(engine="sparse"),
-    }
+    plan = ExperimentPlan(
+        name="obs bench sweep",
+        sweep=SweepSpec("capacity", tuple(points)),
+        solvers=(
+            SolverSpec("gen", label="Gen", config=GenConfig(engine="sparse")),
+            SolverSpec(
+                "independent",
+                label="Independent",
+                config=IndependentConfig(engine="sparse"),
+            ),
+        ),
+        base=params,
+        num_topologies=num_topologies,
+        seed=7,
+        scale=1.0,
+    )
 
     def run_sweep():
-        runner = SweepRunner(
-            base,
-            algos,
-            num_topologies=num_topologies,
-            seed=7,
-            feasibility="sparse",
-            workers=1,
-        )
         start = time.perf_counter()
-        result = runner.run(
-            "obs bench sweep",
-            "Q (GB)",
-            points,
-            lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
-        )
+        result, _ = execute_plan(plan)
         return time.perf_counter() - start, result
 
     obs.disable()

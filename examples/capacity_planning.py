@@ -14,8 +14,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro import IndependentCaching, ScenarioConfig, TrimCachingGen
-from repro.sim.runner import SweepRunner
+from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
 from repro.utils.tables import format_table
 from repro.utils.units import GB, format_size
 
@@ -36,27 +35,22 @@ def smallest_capacity_meeting(
 
 
 def main() -> None:
-    base = ScenarioConfig(
-        num_servers=6,
-        num_users=18,
-        num_models=45,
-        requests_per_user=20,
-    )
-    runner = SweepRunner(
-        base_config=base,
-        algorithms={
-            "TrimCaching Gen": TrimCachingGen(),
-            "Independent Caching": IndependentCaching(),
-        },
+    plan = ExperimentPlan(
+        name="Capacity planning sweep",
+        # scale=1.0: the capacity points are plain GB, not paper scale.
+        sweep=SweepSpec("capacity", CAPACITIES_GB),
+        solvers=(SolverSpec("gen"), SolverSpec("independent")),
+        base=dict(
+            num_servers=6,
+            num_users=18,
+            num_models=45,
+            requests_per_user=20,
+        ),
         num_topologies=4,
         seed=0,
+        scale=1.0,
     )
-    result = runner.run(
-        "Capacity planning sweep",
-        "Q (GB)",
-        list(CAPACITIES_GB),
-        lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
-    )
+    result = run_plan(plan)
     print(result.to_table())
     print()
 

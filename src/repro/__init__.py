@@ -65,7 +65,6 @@ from repro.sim import (
     PlacementEvaluator,
     Scenario,
     ScenarioConfig,
-    SweepRunner,
     build_scenario,
 )
 from repro.api import (
@@ -137,7 +136,6 @@ __all__ = [
     "build_scenario",
     "PlacementEvaluator",
     "MobilityStudy",
-    "SweepRunner",
     # declarative experiment API
     "SOLVERS",
     "SolverRegistry",

@@ -10,9 +10,9 @@ scenarios are new declarations, not new functions.
 
 Plan shapes (``plan.kind``):
 
-* ``"sweep"`` — a :class:`SweepSpec` axis + point list, executed on
-  :class:`~repro.sim.runner.SweepRunner` (Figs. 4/5 and any custom
-  parameter sweep).
+* ``"sweep"`` — a :class:`SweepSpec` axis + point list, executed as a
+  (point × topology) task grid by :func:`repro.exec.execute_plan`
+  (Figs. 4/5 and any custom parameter sweep).
 * ``"comparison"`` — no axis: all solvers on one fixed setting,
   replicating the Fig. 6 / ablation topology loop exactly.
 * ``"mobility"`` — a :class:`MobilitySpec` study: solve once, then track
@@ -50,6 +50,12 @@ from repro.utils.units import GB
 
 #: Format tag embedded in every serialised plan.
 PLAN_FORMAT = "trimcaching-plan-v1"
+
+#: How a sweep scores placements (see ``repro.sim.runner._score_result``).
+EVALUATIONS = ("expected", "monte_carlo", "sampled")
+
+#: Instance representations ``build_scenario`` accepts.
+FEASIBILITIES = ("sparse", "dense")
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +279,18 @@ class ExperimentPlan:
             raise ConfigurationError(
                 f"solver labels must be unique, got {labels}"
             )
-        # Delegates range checks to the executor's SweepRunner where
-        # possible; the study kinds validate in their own dataclasses.
+        # Every run-time knob is checked here, so no executor runs an
+        # invalid plan; the study kinds validate in their own dataclasses.
+        if self.evaluation not in EVALUATIONS:
+            raise ConfigurationError(
+                f"evaluation must be one of {EVALUATIONS}, "
+                f"got {self.evaluation!r}"
+            )
+        if self.feasibility not in FEASIBILITIES:
+            raise ConfigurationError(
+                f"feasibility must be one of {FEASIBILITIES}, "
+                f"got {self.feasibility!r}"
+            )
         if self.num_topologies < 1:
             raise ConfigurationError("num_topologies must be at least 1")
         if not 0 < self.scale <= 1:

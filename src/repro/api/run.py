@@ -1,11 +1,13 @@
-"""The generic plan executor and its uniform result type.
+"""The uniform plan result type, the study-kind executors and run_plan.
 
 :func:`run_plan` turns any :class:`~repro.api.plan.ExperimentPlan` into
-a :class:`ResultSet`. Whatever the plan kind, the ResultSet is the same
-shape — x values plus one named series per solver/metric — with table,
-chart, CSV and JSON round-trip, and views onto the per-kind result
-types (:meth:`ResultSet.comparison`, :meth:`ResultSet.mobility`,
-:meth:`ResultSet.replacement`).
+a :class:`ResultSet` through :func:`repro.exec.execute_plan`, the one
+executor: sweeps run as (point, topology) task grids on a backend, and
+the study kinds run in-process via the executors below. Whatever the
+plan kind, the ResultSet is the same shape — x values plus one named
+series per solver/metric — with table, chart, CSV and JSON round-trip,
+and views onto the per-kind result types (:meth:`ResultSet.comparison`,
+:meth:`ResultSet.mobility`, :meth:`ResultSet.replacement`).
 
 Reproducibility contract: sweeps seed each grid cell with
 :func:`~repro.sim.runner.scenario_seed`, every other kind seeds each
@@ -16,26 +18,18 @@ values in ``tests/golden/figure_content.json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.api.plan import (
-    ExperimentPlan,
-    MobilitySpec,
-    ReplacementSpec,
-    plan_from_dict,
-    plan_to_dict,
-    resolve_axis,
-)
+from repro.api.plan import ExperimentPlan, MobilitySpec, ReplacementSpec
 from repro.api.registry import SOLVERS, SolverRegistry
 from repro.sim.runner import (
     AlgorithmComparison,
     ExperimentResult,
     Fig7Result,
     ReplacementAblation,
-    SweepRunner,
     study_seed,
 )
 from repro.utils.stats import RunningStats, SeriesStats
@@ -170,31 +164,9 @@ class ResultSet(ExperimentResult):
 
 
 # ----------------------------------------------------------------------
-# Executors (one per plan kind)
+# In-process executors of the study kinds (sweeps run as task grids in
+# repro.exec.executor)
 # ----------------------------------------------------------------------
-def _run_sweep(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
-    axis = resolve_axis(plan.sweep.axis)
-    runner = SweepRunner(
-        base_config=plan.base_config(),
-        algorithms=plan.algorithms(registry),
-        num_topologies=plan.num_topologies,
-        evaluation=plan.evaluation,
-        num_realizations=plan.num_realizations,
-        seed=plan.seed,
-        workers=plan.workers,
-        feasibility=plan.feasibility,
-        sample_users=plan.sample_users,
-        sample_strata=plan.sample_strata,
-    )
-    result = runner.run(
-        plan.name,
-        axis.x_label,
-        list(plan.sweep.points),
-        lambda cfg, value: axis.apply(cfg, value, plan.scale),
-    )
-    return ResultSet.from_experiment(result, plan)
-
-
 def _run_comparison(
     plan: ExperimentPlan, registry: SolverRegistry
 ) -> ResultSet:
@@ -336,25 +308,14 @@ def run_plan(
 ) -> ResultSet:
     """Execute a plan and return its uniform :class:`ResultSet`.
 
-    ``backend`` (an :class:`~repro.exec.backends.ExecutionBackend`)
-    selects the execution substrate for sweep plans and ``store`` (an
+    The report-less form of :func:`repro.exec.execute_plan`, which runs
+    every plan kind. ``backend`` (an
+    :class:`~repro.exec.backends.ExecutionBackend`) defaults to the one
+    ``plan.workers`` implies; ``store`` (an
     :class:`~repro.exec.store.ArtifactStore`) enables content-addressed
-    result caching and mid-sweep resume; both default to off, which runs
-    the plan exactly as before. Every backend/store combination yields
-    hit-ratio series bit-identical to the plain path — use
-    :func:`repro.exec.execute_plan` when you also want the execution
-    report (cache hit/miss, task counts).
+    result caching and mid-sweep resume. Every backend/store combination
+    yields bit-identical hit-ratio series.
     """
-    if backend is not None or store is not None:
-        from repro.exec.executor import execute_plan
+    from repro.exec.executor import execute_plan
 
-        result, _ = execute_plan(plan, registry, backend=backend, store=store)
-        return result
-    kind = plan.kind
-    if kind == "sweep":
-        return _run_sweep(plan, registry)
-    if kind == "mobility":
-        return _run_mobility(plan, registry)
-    if kind == "replacement":
-        return _run_replacement(plan, registry)
-    return _run_comparison(plan, registry)
+    return execute_plan(plan, registry, backend=backend, store=store)[0]

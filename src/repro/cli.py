@@ -351,22 +351,8 @@ def _build_cli_plan(args: argparse.Namespace):
     )
 
 
-def _phase_footer() -> str:
-    """The per-phase wall-clock breakdown (empty unless tracing ran)."""
-    from repro import obs
-
-    if not obs.tracing_enabled():
-        return ""
-    from repro.exec.executor import ExecutionReport
-
-    report = ExecutionReport(backend="serial", cache="off")
-    report.record_phases()
-    table = report.phase_breakdown()
-    return "\n" + table if table else ""
-
-
 def _generic_sweep(args: argparse.Namespace) -> str:
-    from repro.api import plan_from_json, plan_to_json, run_plan
+    from repro.api import plan_from_json, plan_to_json
     from repro.errors import ConfigurationError
 
     if args.plan is not None:
@@ -442,9 +428,6 @@ def _generic_sweep(args: argparse.Namespace) -> str:
         obs.enable(metrics=args.obs, tracing=want_tracing)
 
     def execute() -> str:
-        if backend is None and store is None:
-            output = _render_result(run_plan(plan), args)
-            return output + _phase_footer()
         from repro.exec import execute_plan
 
         result, report = execute_plan(plan, backend=backend, store=store)

@@ -12,8 +12,9 @@ Four backends ship:
 
 * :class:`SerialBackend` — in-process, lazily, one task at a time.
 * :class:`ProcessBackend` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor` fan-out (the generalisation of the former
-  ``SweepRunner(workers=N)`` inline pool).
+  ProcessPoolExecutor` fan-out; what a plan with ``workers > 1`` runs
+  on unless a backend is named
+  (:func:`~repro.exec.executor.default_backend`).
 * :class:`LocalClusterBackend` — shards the task grid round-robin into
   ``shards`` groups, runs each shard as one long-lived worker-process
   job, and re-interleaves the shard outputs back into submission order —

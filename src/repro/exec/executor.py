@@ -1,16 +1,17 @@
 """The plan executor: task grid × backend × artifact store.
 
-:func:`execute_plan` is the cache-and-backend-aware counterpart of
-:func:`repro.api.run.run_plan`. For a sweep plan it expands the
-(sweep point × topology) task grid **in the parent** — every task
-carries its scenario seed (the same ``hash((seed, x_index, t))``
-derivation the serial :class:`~repro.sim.runner.SweepRunner` uses) and
-its sweep point's shared model library — then maps the grid over an
-:class:`~repro.exec.backends.ExecutionBackend` and folds the outcomes in
-serial order. Because the task function is the very
-:func:`~repro.sim.runner._run_sweep_slice` the serial loop runs and the
-fold replays the serial nesting, every backend's series are
-bit-identical to :class:`~repro.exec.backends.SerialBackend`'s.
+:func:`execute_plan` is the one executor of every plan kind;
+:func:`repro.api.run.run_plan` is its report-less wrapper. For a sweep
+plan it expands the (sweep point × topology) task grid **in the
+parent** — every task carries its scenario seed
+(:func:`~repro.sim.runner.scenario_seed`) and its sweep point's shared
+model library — then maps the grid over an
+:class:`~repro.exec.backends.ExecutionBackend` (by default the one
+``plan.workers`` implies, see :func:`default_backend`) and folds the
+outcomes in grid order. Every backend runs the same task function,
+:func:`~repro.sim.runner._run_sweep_slice`, and the fold order never
+depends on the backend, so every backend's series are bit-identical to
+:class:`~repro.exec.backends.SerialBackend`'s.
 
 With an :class:`~repro.exec.store.ArtifactStore` attached:
 
@@ -29,12 +30,10 @@ they execute in-process and participate in full-result caching only.
 Granularity trade-off: one task per (point, topology) is what makes
 per-task caching and fine-grained resume possible, but it means
 :class:`~repro.exec.backends.ProcessBackend` pickles a point's shared
-model library once per topology (the ``SweepRunner(workers=N)`` slice
-path pickles it once per slice). Pickle memoises within a submission,
+model library once per topology. Pickle memoises within a submission,
 so :class:`~repro.exec.backends.LocalClusterBackend` — whose shard jobs
-carry many tasks in one submit — amortises the library the way slices
-do; pick it (or the plain ``--workers`` path) when pickling overhead
-outweighs resume granularity.
+carry many tasks in one submit — pickles it once per shard; pick it
+when pickling overhead outweighs resume granularity.
 """
 
 from __future__ import annotations
@@ -169,7 +168,10 @@ class ExecutionReport:
 
 
 def default_backend(plan: ExperimentPlan) -> ExecutionBackend:
-    """The backend a plan implies on its own: ``workers`` decides."""
+    """The backend a plan implies on its own: ``workers`` decides.
+
+    The only place that maps ``plan.workers`` to a backend.
+    """
     if plan.workers > 1:
         return ProcessBackend(workers=plan.workers)
     return SerialBackend()
@@ -178,9 +180,8 @@ def default_backend(plan: ExperimentPlan) -> ExecutionBackend:
 def build_sweep_tasks(plan: ExperimentPlan) -> List[SweepTask]:
     """Expand a sweep plan into its per-(point, topology) task grid.
 
-    Seeds come from :func:`repro.sim.runner.scenario_seed` — the same
-    derivation the runner's serial loop uses — so grid execution is
-    bit-identical to the runner path.
+    Seeds come from :func:`repro.sim.runner.scenario_seed`, fixed here
+    in the parent, so no backend can perturb them.
     """
     from repro.sim.runner import scenario_seed
 
@@ -203,11 +204,10 @@ def build_sweep_tasks(plan: ExperimentPlan) -> List[SweepTask]:
 class _PayloadBuilder:
     """Materialise executable task payloads, one shared library per point.
 
-    Per-point configs and libraries are built on first use only — the
-    same ``library-x{i}`` RNG children as
-    :meth:`~repro.sim.runner.SweepRunner._build_tasks`, so solvers see
-    identical libraries — and points whose every task comes from the
-    cache never pay the library build.
+    Per-point configs and libraries are built on first use only, each
+    library from the plan seed's ``library-x{i}`` RNG child
+    (:func:`~repro.sim.runner.library_rng_tag`), and points whose every
+    task comes from the cache never pay the library build.
     """
 
     def __init__(self, plan: ExperimentPlan, registry: SolverRegistry) -> None:
@@ -307,8 +307,8 @@ def _execute_sweep_grid(
         # runs still account their retries and lost workers.
         report.record_faults(getattr(backend, "stats", None))
 
-    # Fold in grid order — exactly the serial loop's nesting, so the
-    # accumulated series are bit-identical for any backend.
+    # Fold in grid order, whatever order the backend finished in, so
+    # the accumulated series are bit-identical for any backend.
     x_values = list(plan.sweep.points)
     algorithms = plan.labels(registry)
     series = {algo: SeriesStats(x_values) for algo in algorithms}
@@ -329,8 +329,8 @@ def _execute_sweep_grid(
         x_values=x_values,
         series=series,
         runtimes=runtimes,
-        # Identical metadata to the SweepRunner path (workers from the
-        # plan, not the backend): result bytes stay backend-independent.
+        # Workers come from the plan, not the backend: result bytes stay
+        # backend-independent.
         metadata=sweep_metadata(
             plan.num_topologies, plan.evaluation, plan.seed, plan.workers
         ),
@@ -386,9 +386,8 @@ def execute_plan(
             plan, registry, backend, store, key, report
         )
     else:
-        # Study kinds have no task grid: run in-process (the same
-        # executors as run_plan, so the same pinned results) and cache
-        # whole results.
+        # Study kinds have no task grid: run in-process and cache whole
+        # results.
         # The report says so rather than naming a backend that never ran.
         report.backend = "in-process"
         report.tasks_total = 1

@@ -246,6 +246,9 @@ class _RemoteRun:
         self.workers: Dict[int, _Worker] = {}
         self.next_worker_id = 0
         self.restarts_used = 0
+        #: Worker ids below this were spawned up front (set by run()).
+        self.initial_workers = 0
+        self.first_dispatch_done = False
 
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -491,7 +494,23 @@ class _RemoteRun:
     def _dispatch(self, now: float) -> None:
         if not self.pending:
             return
-        idle = [w for w in self.workers.values() if w.idle]
+        if not self.first_dispatch_done:
+            # Hold the first dispatch until every initially spawned
+            # worker has connected or been declared lost (the liveness
+            # monitor bounds the wait): chaos facets arm workers by id,
+            # so which worker gets task 0 must not depend on which one
+            # happened to connect first.
+            if any(
+                w.alive and not w.connected
+                for w in self.workers.values()
+                if w.worker_id < self.initial_workers
+            ):
+                return
+            self.first_dispatch_done = True
+        idle = sorted(
+            (w for w in self.workers.values() if w.idle),
+            key=lambda w: w.worker_id,
+        )
         if not idle:
             return
         ready: List[int] = []
@@ -574,7 +593,8 @@ class _RemoteRun:
     def run(self) -> Iterator[Any]:
         """The generator body of :meth:`RemoteClusterBackend.map`."""
         total = len(self.payloads)
-        for _ in range(min(self.backend.workers, total)):
+        self.initial_workers = min(self.backend.workers, total)
+        for _ in range(self.initial_workers):
             self._spawn_worker()
         self.acceptor.start()
         tick = self.backend._tick

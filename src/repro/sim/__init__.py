@@ -1,8 +1,9 @@
 """Simulation harness: scenario assembly, evaluation, experiments.
 
 Builds §VII-A scenarios (topology + library + demand + QoS), evaluates
-placements under expected rates and Rayleigh-fading Monte Carlo, runs
-multi-topology sweeps, and exposes one entry point per paper figure/table.
+placements under expected rates and Rayleigh-fading Monte Carlo, holds
+the sweep task function and result types, and declares one plan per
+paper figure/table.
 """
 
 from repro.sim.config import ScenarioConfig
@@ -16,7 +17,6 @@ from repro.sim.runner import (
     ExperimentResult,
     Fig7Result,
     ReplacementAblation,
-    SweepRunner,
 )
 from repro.sim.scenario import Scenario, build_scenario
 
@@ -26,7 +26,6 @@ __all__ = [
     "build_scenario",
     "PlacementEvaluator",
     "MobilityStudy",
-    "SweepRunner",
     "ExperimentResult",
     "AlgorithmComparison",
     "Fig7Result",

@@ -1,50 +1,37 @@
-"""Multi-topology sweep runner and experiment results.
+"""Sweep task function, seed derivations and experiment results.
 
 The paper's figures sweep one parameter (capacity, server count, user
-count), averaging each point over 100 random topologies. ``SweepRunner``
-reproduces that shape: for every sweep value and topology seed it builds a
-scenario (a sparse-primary :class:`~repro.core.placement.
-PlacementInstance` — one problem artifact shared from the topology layer
-down to the solvers), runs each algorithm, scores the placement (expected
-hit ratio by default, Rayleigh Monte Carlo optionally), and aggregates
-mean/std series.
-
-Topology seeds are mutually independent, so ``workers=N`` fans the
-per-(sweep point, topology-slice) tasks across a process pool. Every
-task's scenario seed is fixed up front in the parent (deterministic
-seed-per-task scheduling), each worker runs exactly the code the serial
-loop runs, and results are folded into the series accumulators in the
-serial loop's order — so the resulting ``ExperimentResult`` hit-ratio
-series are *bit-identical* to ``workers=1`` (asserted by the test
-suite). Only the measured ``runtimes`` vary, as wall-clock always does.
+count), averaging each point over 100 random topologies. A sweep plan
+runs as a grid of (sweep point, topology) tasks in
+:func:`repro.exec.execute_plan`; this module holds the pieces every
+task and fold share: the task function :func:`_run_sweep_slice` (build
+the scenario, run each algorithm, score the placement by expected hit
+ratio, Rayleigh Monte Carlo or a stratified user sample), the seed
+derivations (:func:`scenario_seed`, :func:`study_seed`,
+:func:`library_rng_tag`), the sweep metadata, and the result types.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.result import SolverResult
-from repro.sim.config import ScenarioConfig
 from repro.sim.evaluator import EvalSpec, PlacementEvaluator
 from repro.sim.scenario import Scenario, build_scenario
 from repro.utils.stats import RunningStats, SeriesStats
 from repro.utils.tables import format_table
-
-#: An algorithm is anything with ``solve(instance) -> SolverResult``.
-Solver = Any
 
 
 def scenario_seed(root_seed: int, x_index: int, topology_index: int) -> int:
     """The scenario seed of one (sweep point, topology) grid cell.
 
     The single source of truth for the sweep seed derivation: the
-    serial loop, the process fan-out and the ``repro.exec`` task grid
-    all call this, so cached/resumed tasks can never fold outcomes
-    computed under a different stream. (Python hashes of int tuples are
+    ``repro.exec`` task grid calls this on every backend, so
+    cached/resumed tasks can never fold outcomes computed under a
+    different stream. (Python hashes of int tuples are
     process-stable; ``PYTHONHASHSEED`` only perturbs str/bytes.)
     """
     return hash((root_seed, x_index, topology_index)) % (2**31)
@@ -70,10 +57,8 @@ def sweep_metadata(
 ) -> Dict[str, Any]:
     """The metadata dict every executed sweep carries.
 
-    Shared by :meth:`SweepRunner.run` and the ``repro.exec`` grid
-    executor so their results stay byte-identical — a key added to one
-    path cannot silently diverge from the other (cached artifacts
-    embed this dict verbatim).
+    Cached artifacts embed this dict verbatim, so its keys are part of
+    the pinned result bytes.
     """
     return {
         "num_topologies": num_topologies,
@@ -233,7 +218,7 @@ def _score_result(
     sample_users: Optional[int] = None,
     sample_strata: int = 4,
 ) -> float:
-    """Score one solver result (shared by the serial and worker paths)."""
+    """Score one solver result by the plan's ``evaluation`` mode."""
     if evaluation == "expected":
         return result.hit_ratio
     evaluator = PlacementEvaluator(scenario)
@@ -253,12 +238,12 @@ def _score_result(
 def _run_sweep_slice(
     task: Tuple,
 ) -> List[Dict[str, Tuple[float, float]]]:
-    """Run one (sweep point, topology-slice) task.
+    """Run one sweep task over its list of topology seeds.
 
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor` can
-    pickle it; the serial path calls it directly, which is what makes the
-    parallel results bit-identical — both paths are literally this code.
-    Returns, per topology seed in order, ``{algo: (score, runtime_s)}``.
+    Module-level so every execution backend can pickle it; each backend
+    runs literally this code, which is what makes parallel results
+    bit-identical to serial ones. Returns, per topology seed in order,
+    ``{algo: (score, runtime_s)}``.
     """
     (
         config,
@@ -296,206 +281,3 @@ def _run_sweep_slice(
             per_algo[algo_name] = (score, result.runtime_s)
         outcomes.append(per_algo)
     return outcomes
-
-
-class SweepRunner:
-    """Run algorithms over a one-parameter sweep of scenarios.
-
-    Parameters
-    ----------
-    base_config:
-        Scenario configuration shared by all sweep points.
-    algorithms:
-        Mapping name -> solver. Fresh solver state is the caller's
-        responsibility (all built-in solvers are stateless).
-    num_topologies:
-        Independent topologies per sweep point (paper: 100).
-    evaluation:
-        ``"expected"`` scores with the objective ``U(X)``;
-        ``"monte_carlo"`` additionally averages over Rayleigh fading;
-        ``"sampled"`` estimates the expected hit ratio from a
-        stratified user sample (``sample_users`` required) — the
-        million-user sweeps' evaluator.
-    num_realizations:
-        Fading draws per topology for Monte-Carlo evaluation.
-    seed:
-        Root seed; topology ``t`` of sweep point ``v`` derives its own
-        stream, so points and repetitions are independent.
-    share_library:
-        Build the model library once per sweep point and reuse it across
-        topologies (the paper fixes the library; topologies vary only in
-        geometry/QoS/demand).
-    workers:
-        Process-pool width for the topology fan-out. ``1`` (default)
-        runs in-process; any value yields bit-identical hit-ratio series
-        because every task's seed is fixed in the parent and aggregation
-        replays the serial order. Tasks are sliced so each worker keeps
-        one shared library (and its solver-side caches) warm per slice.
-    feasibility:
-        Instance representation passed to ``build_scenario``:
-        ``"sparse"`` (default, CSR-primary) or ``"dense"`` (the seed's
-        up-front tensor; kept for benchmarking the old pipeline).
-    backend:
-        An explicit :class:`~repro.exec.backends.ExecutionBackend` for
-        the task fan-out. ``None`` (default) derives one from
-        ``workers``: in-process for ``workers=1``, a process pool
-        otherwise — the pre-backend behaviour. Any backend yields
-        bit-identical series (seeds are parent-fixed, folding replays
-        the serial order).
-    sample_users:
-        Stratified sample size per topology for ``evaluation="sampled"``
-        (sampling seed = the cell's scenario seed, so runs reproduce).
-    sample_strata:
-        Number of contiguous index strata for the sampled evaluator.
-    """
-
-    def __init__(
-        self,
-        base_config: ScenarioConfig,
-        algorithms: Mapping[str, Solver],
-        num_topologies: int = 20,
-        evaluation: str = "expected",
-        num_realizations: int = 200,
-        seed: int = 0,
-        share_library: bool = True,
-        workers: int = 1,
-        feasibility: str = "sparse",
-        backend: Optional[Any] = None,
-        sample_users: Optional[int] = None,
-        sample_strata: int = 4,
-    ) -> None:
-        if not algorithms:
-            raise ValueError("at least one algorithm is required")
-        if num_topologies < 1:
-            raise ValueError("num_topologies must be at least 1")
-        if evaluation not in ("expected", "monte_carlo", "sampled"):
-            raise ValueError(
-                f"evaluation must be 'expected', 'monte_carlo' or "
-                f"'sampled', got {evaluation!r}"
-            )
-        if evaluation == "sampled" and sample_users is None:
-            raise ValueError("evaluation='sampled' requires sample_users")
-        if sample_users is not None and evaluation != "sampled":
-            raise ValueError(
-                "sample_users only applies to evaluation='sampled'"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if feasibility not in ("sparse", "dense"):
-            raise ValueError(
-                f"feasibility must be 'sparse' or 'dense', got {feasibility!r}"
-            )
-        self.base_config = base_config
-        self.algorithms = dict(algorithms)
-        self.num_topologies = num_topologies
-        self.evaluation = evaluation
-        self.num_realizations = num_realizations
-        self.seed = seed
-        self.share_library = share_library
-        self.workers = workers
-        self.feasibility = feasibility
-        self.backend = backend
-        self.sample_users = sample_users
-        self.sample_strata = sample_strata
-
-    # ------------------------------------------------------------------
-    def _build_tasks(
-        self, x_values: Sequence[float], config_for
-    ) -> List[Tuple[int, Tuple]]:
-        """Deterministic (x_index, task) list, seeds fixed in the parent.
-
-        Each sweep point's topologies are split into ``workers``
-        contiguous slices; a slice carries its shared library once, so
-        workers amortise library pickling and per-library solver caches
-        across the slice exactly like the serial loop does.
-        """
-        from repro.sim.scenario import build_library  # local: avoids cycle
-        from repro.utils.rng import RngFactory
-
-        slices = max(1, min(self.workers, self.num_topologies))
-        per_slice = -(-self.num_topologies // slices)  # ceil division
-        tasks: List[Tuple[int, Tuple]] = []
-        for x_index, x_value in enumerate(x_values):
-            config = config_for(self.base_config, x_value)
-            library = None
-            if self.share_library:
-                factory = RngFactory(self.seed)
-                library = build_library(
-                    config, factory.child(library_rng_tag(x_index))
-                )
-            seeds = [
-                scenario_seed(self.seed, x_index, topology_index)
-                for topology_index in range(self.num_topologies)
-            ]
-            for start in range(0, self.num_topologies, per_slice):
-                tasks.append(
-                    (
-                        x_index,
-                        (
-                            config,
-                            seeds[start : start + per_slice],
-                            self.algorithms,
-                            self.evaluation,
-                            self.num_realizations,
-                            library,
-                            self.feasibility,
-                            self.sample_users,
-                            self.sample_strata,
-                        ),
-                    )
-                )
-        return tasks
-
-    def run(
-        self,
-        name: str,
-        x_label: str,
-        x_values: Sequence[float],
-        config_for: Callable[[ScenarioConfig, float], ScenarioConfig],
-    ) -> ExperimentResult:
-        """Execute the sweep.
-
-        Parameters
-        ----------
-        config_for:
-            Maps ``(base_config, x_value)`` to the sweep point's config.
-        """
-        series = {
-            algo: SeriesStats(list(x_values)) for algo in self.algorithms
-        }
-        runtimes = {
-            algo: SeriesStats(list(x_values)) for algo in self.algorithms
-        }
-        # The fan-out lives in the execution-backend layer; the legacy
-        # ``workers`` knob maps onto serial / process-pool backends.
-        # Local import: repro.exec.executor imports this module.
-        from repro.exec.backends import ProcessBackend, SerialBackend
-
-        tasks = self._build_tasks(x_values, config_for)
-        payloads = [payload for _, payload in tasks]
-        backend = self.backend
-        if backend is None:
-            backend = (
-                ProcessBackend(workers=self.workers)
-                if self.workers > 1
-                else SerialBackend()
-            )
-        outcomes = list(backend.map(_run_sweep_slice, payloads))
-        # Fold in submission order — exactly the serial nesting, so the
-        # accumulated series are bit-identical for any worker count.
-        for (x_index, _), slice_outcomes in zip(tasks, outcomes):
-            for per_algo in slice_outcomes:
-                for algo_name in self.algorithms:
-                    score, runtime_s = per_algo[algo_name]
-                    series[algo_name].add(x_index, score)
-                    runtimes[algo_name].add(x_index, runtime_s)
-        return ExperimentResult(
-            name=name,
-            x_label=x_label,
-            x_values=list(x_values),
-            series=series,
-            runtimes=runtimes,
-            metadata=sweep_metadata(
-                self.num_topologies, self.evaluation, self.seed, self.workers
-            ),
-        )

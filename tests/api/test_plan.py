@@ -306,6 +306,25 @@ class TestReviewRegressions:
         with pytest.raises(ConfigurationError, match="check_every"):
             ReplacementSpec(check_every=0)
 
+    def test_unknown_evaluation_is_refused_not_run(self):
+        # The sweep scorer treats any evaluation it does not know as
+        # Monte Carlo, so an unknown one must never reach an executor.
+        from repro.exec import execute_plan
+        from repro.sim.experiments import fig4a_plan
+
+        plan = fig4a_plan(num_topologies=1, capacities_gb=(0.5,), scale=0.05)
+        with pytest.raises(ConfigurationError, match="evaluation"):
+            execute_plan(plan.with_overrides(evaluation="magic"))
+
+    @pytest.mark.parametrize(
+        "field, value", [("evaluation", "magic"), ("feasibility", "csc")]
+    )
+    def test_plan_file_with_bad_run_mode_rejected(self, field, value):
+        payload = plan_to_dict(_sweep_plan())
+        payload[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            plan_from_dict(payload)
+
 
 class TestPlanBuilderIndex:
     def test_every_figure_plan_builds_and_round_trips(self):

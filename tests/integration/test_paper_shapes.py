@@ -14,7 +14,6 @@ from repro.core.independent import IndependentCaching
 from repro.core.spec import TrimCachingSpec
 from repro.sim import experiments
 from repro.sim.config import ScenarioConfig
-from repro.sim.runner import SweepRunner
 from repro.utils.stats import average_relative_gain
 from repro.utils.units import GB
 

@@ -1,36 +1,45 @@
-"""Tests for the sweep runner and experiment results."""
+"""Sweep plans through the one executor, and experiment results.
 
-import numpy as np
+Monte Carlo scoring of a sweep is pinned absolutely by the
+``fig4a-monte-carlo`` case of ``tests/api/test_figure_golden.py``.
+"""
+
 import pytest
 
-from repro.core.gen import TrimCachingGen
-from repro.core.independent import IndependentCaching
-from repro.sim.config import ScenarioConfig
-from repro.sim.runner import ExperimentResult, SweepRunner
-from repro.utils.units import GB
+from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
+from repro.core import SpecConfig
+from repro.errors import ConfigurationError
+
+
+def capacity_plan(base, solvers, points, name="test sweep", **overrides):
+    """A capacity sweep whose points are plain GB (``scale=1.0``)."""
+    return ExperimentPlan(
+        name=name,
+        sweep=SweepSpec("capacity", tuple(points)),
+        solvers=tuple(solvers),
+        base=base,
+        scale=1.0,
+        **overrides,
+    )
+
+
+GEN = SolverSpec("gen", label="Gen")
+INDEPENDENT = SolverSpec("independent", label="Independent")
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    base = ScenarioConfig(num_servers=2, num_users=5, num_models=6)
-    runner = SweepRunner(
-        base_config=base,
-        algorithms={
-            "Gen": TrimCachingGen(),
-            "Independent": IndependentCaching(),
-        },
+    plan = capacity_plan(
+        dict(num_servers=2, num_users=5, num_models=6),
+        (GEN, INDEPENDENT),
+        [0.1, 0.3],
         num_topologies=3,
         seed=0,
     )
-    return runner.run(
-        "test sweep",
-        "Q (GB)",
-        [0.1, 0.3],
-        lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
-    )
+    return run_plan(plan)
 
 
-class TestSweepRunner:
+class TestSweepPlan:
     def test_series_shapes(self, small_sweep):
         assert set(small_sweep.series) == {"Gen", "Independent"}
         for series in small_sweep.series.values():
@@ -47,7 +56,7 @@ class TestSweepRunner:
 
     def test_table_rendering(self, small_sweep):
         table = small_sweep.to_table()
-        assert "Q (GB)" in table
+        assert "Q (GB, paper scale)" in table
         assert "Gen (mean)" in table
         assert "test sweep" in table
 
@@ -55,82 +64,58 @@ class TestSweepRunner:
         assert small_sweep.metadata["num_topologies"] == 3
 
     def test_reproducible(self):
-        base = ScenarioConfig(num_servers=2, num_users=4, num_models=6)
-
-        def run_once():
-            runner = SweepRunner(
-                base, {"Gen": TrimCachingGen()}, num_topologies=2, seed=9
-            )
-            return runner.run(
-                "x", "K", [4], lambda cfg, k: cfg.with_overrides(num_users=int(k))
-            )
-
-        assert run_once().mean_of("Gen") == pytest.approx(
-            run_once().mean_of("Gen")
-        )
-
-    def test_monte_carlo_evaluation_mode(self):
-        base = ScenarioConfig(num_servers=2, num_users=4, num_models=6)
-        runner = SweepRunner(
-            base,
-            {"Gen": TrimCachingGen()},
+        plan = ExperimentPlan(
+            name="x",
+            sweep=SweepSpec("users", (4,)),
+            solvers=(GEN,),
+            base=dict(num_servers=2, num_users=4, num_models=6),
             num_topologies=2,
-            evaluation="monte_carlo",
-            num_realizations=20,
-            seed=0,
+            seed=9,
         )
-        result = runner.run(
-            "mc", "K", [4], lambda cfg, k: cfg.with_overrides(num_users=int(k))
+        assert run_plan(plan).mean_of("Gen") == pytest.approx(
+            run_plan(plan).mean_of("Gen")
         )
-        assert 0.0 <= result.mean_of("Gen")[0] <= 1.0
 
     def test_validation(self):
-        base = ScenarioConfig()
-        with pytest.raises(ValueError):
-            SweepRunner(base, {})
-        with pytest.raises(ValueError):
-            SweepRunner(base, {"Gen": TrimCachingGen()}, num_topologies=0)
-        with pytest.raises(ValueError):
-            SweepRunner(base, {"Gen": TrimCachingGen()}, evaluation="magic")
-        with pytest.raises(ValueError):
-            SweepRunner(base, {"Gen": TrimCachingGen()}, workers=0)
-        with pytest.raises(ValueError):
-            SweepRunner(base, {"Gen": TrimCachingGen()}, feasibility="csc")
+        base = dict(num_servers=2, num_users=4, num_models=6)
+        with pytest.raises(ConfigurationError):
+            capacity_plan(base, (), [0.1])
+        for bad in (
+            dict(num_topologies=0),
+            dict(evaluation="magic"),
+            dict(workers=0),
+            dict(feasibility="csc"),
+        ):
+            with pytest.raises(ConfigurationError):
+                capacity_plan(base, (GEN,), [0.1], **bad)
 
 
 class TestParallelDeterminism:
     """``workers=N`` must reproduce the serial series bit for bit."""
 
     @staticmethod
-    def _run(workers: int, evaluation: str = "expected") -> ExperimentResult:
-        from repro.core.spec import TrimCachingSpec
-
-        base = ScenarioConfig(
-            library_case="special",
-            num_servers=3,
-            num_users=10,
-            num_models=9,
-            requests_per_user=5,
-        )
-        runner = SweepRunner(
-            base,
-            {
-                "Spec": TrimCachingSpec(epsilon=0.1),
-                "Gen": TrimCachingGen(),
-                "Independent": IndependentCaching(),
-            },
+    def _run(workers: int):
+        plan = capacity_plan(
+            dict(
+                library_case="special",
+                num_servers=3,
+                num_users=10,
+                num_models=9,
+                requests_per_user=5,
+            ),
+            (
+                SolverSpec("spec", label="Spec", config=SpecConfig(epsilon=0.1)),
+                GEN,
+                INDEPENDENT,
+            ),
+            [0.05, 0.1, 0.2],
+            name="determinism",
             num_topologies=3,
-            evaluation=evaluation,
             num_realizations=10,
             seed=5,
             workers=workers,
         )
-        return runner.run(
-            "determinism",
-            "Q (GB)",
-            [0.05, 0.1, 0.2],
-            lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
-        )
+        return run_plan(plan)
 
     def test_workers4_bit_identical_series(self):
         serial = self._run(workers=1)
@@ -160,21 +145,18 @@ class TestParallelDeterminism:
     def test_dense_feasibility_mode_matches(self):
         """The dense-instance pipeline scores the same series (the CSR is
         a representation change, not a behavioural one)."""
-        base = ScenarioConfig(num_servers=2, num_users=6, num_models=6)
-        algorithms = {"Gen": TrimCachingGen()}
 
         def run(feasibility):
-            return SweepRunner(
-                base,
-                algorithms,
-                num_topologies=2,
-                seed=1,
-                feasibility=feasibility,
-            ).run(
-                "mode",
-                "Q (GB)",
-                [0.1, 0.2],
-                lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
+            return run_plan(
+                capacity_plan(
+                    dict(num_servers=2, num_users=6, num_models=6),
+                    (GEN,),
+                    [0.1, 0.2],
+                    name="mode",
+                    num_topologies=2,
+                    seed=1,
+                    feasibility=feasibility,
+                )
             )
 
         assert (

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
 from repro.core.gen import TrimCachingGen
 from repro.sim.config import ScenarioConfig
 from repro.sim.evaluator import EvalSpec, PlacementEvaluator
-from repro.sim.runner import SweepRunner
 from repro.sim.scenario import build_scenario
-from repro.utils.units import GB
 
 
 @pytest.fixture(scope="module")
@@ -146,41 +145,17 @@ class TestSampledEvaluation:
 
 class TestSampledSweep:
     def test_sampled_sweep_runs(self):
-        base = ScenarioConfig(
-            num_servers=2, num_users=40, num_models=8, rng_scheme="v2"
-        )
-        runner = SweepRunner(
-            base,
-            {"Gen": TrimCachingGen()},
+        plan = ExperimentPlan(
+            name="sampled sweep",
+            sweep=SweepSpec("capacity", (0.1, 0.3)),
+            solvers=(SolverSpec("gen", label="Gen"),),
+            base=dict(num_servers=2, num_users=40, num_models=8, rng_scheme="v2"),
             num_topologies=2,
             evaluation="sampled",
             sample_users=16,
             seed=0,
+            scale=1.0,
         )
-        result = runner.run(
-            "sampled sweep",
-            "Q (GB)",
-            [0.1, 0.3],
-            lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
-        )
-        means = result.mean_of("Gen")
+        means = run_plan(plan).mean_of("Gen")
         assert len(means) == 2
         assert all(0.0 <= m <= 1.0 for m in means)
-
-    def test_sampled_requires_sample_users(self):
-        base = ScenarioConfig(num_servers=2, num_users=10, num_models=6)
-        with pytest.raises(ValueError, match="sample_users"):
-            SweepRunner(
-                base, {"Gen": TrimCachingGen()}, evaluation="sampled", seed=0
-            )
-
-    def test_sample_users_requires_sampled_evaluation(self):
-        base = ScenarioConfig(num_servers=2, num_users=10, num_models=6)
-        with pytest.raises(ValueError, match="sampled"):
-            SweepRunner(
-                base,
-                {"Gen": TrimCachingGen()},
-                evaluation="expected",
-                sample_users=8,
-                seed=0,
-            )

@@ -50,22 +50,31 @@ class TestPlacementRoundTrip:
 
 @pytest.fixture(scope="module")
 def small_result():
-    from repro.core.independent import IndependentCaching
-    from repro.sim.config import ScenarioConfig
-    from repro.sim.runner import SweepRunner
-    from repro.utils.units import GB
+    from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
+    from repro.sim.runner import ExperimentResult
 
-    runner = SweepRunner(
-        ScenarioConfig(num_servers=2, num_users=4, num_models=6),
-        {"Gen": TrimCachingGen(), "Independent": IndependentCaching()},
+    plan = ExperimentPlan(
+        name="ser test",
+        sweep=SweepSpec("capacity", (0.1, 0.2)),
+        solvers=(
+            SolverSpec("gen", label="Gen"),
+            SolverSpec("independent", label="Independent"),
+        ),
+        base=dict(num_servers=2, num_users=4, num_models=6),
         num_topologies=2,
         seed=0,
+        scale=1.0,
     )
-    return runner.run(
-        "ser test",
-        "Q (GB)",
-        [0.1, 0.2],
-        lambda cfg, q: cfg.with_overrides(storage_bytes=int(q * GB)),
+    result = run_plan(plan)
+    # A plain, plan-less ExperimentResult: the experiment serialisers
+    # take any figure result, not only executed plans.
+    return ExperimentResult(
+        name=result.name,
+        x_label=result.x_label,
+        x_values=result.x_values,
+        series=result.series,
+        runtimes=result.runtimes,
+        metadata=result.metadata,
     )
 
 
@@ -80,13 +89,13 @@ class TestExperimentExport:
 
     def test_json_parses(self, small_result):
         payload = json.loads(experiment_to_json(small_result))
-        assert payload["x_label"] == "Q (GB)"
+        assert payload["x_label"] == "Q (GB, paper scale)"
 
     def test_csv_shape(self, small_result):
         csv_text = experiment_to_csv(small_result)
         lines = [line for line in csv_text.strip().splitlines()]
         assert len(lines) == 3  # header + 2 sweep points
-        assert lines[0].startswith("Q (GB),Gen mean,Gen std")
+        assert lines[0].startswith('"Q (GB, paper scale)",Gen mean,Gen std')
         assert lines[1].startswith("0.1,")
 
 
