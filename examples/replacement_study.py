@@ -12,7 +12,7 @@ Run with::
     python examples/replacement_study.py
 """
 
-from repro import ScenarioConfig, TrimCachingGen, build_scenario
+from repro import MobilityStudy, ScenarioConfig, TrimCachingGen, build_scenario
 from repro.sim.replacement import ReplacementPolicy
 from repro.utils.tables import format_table
 from repro.utils.units import GB, format_size
@@ -35,14 +35,12 @@ def main() -> None:
         f"{scenario.num_models} models; 2 h horizon, checks every minute\n"
     )
 
+    # One study for every threshold: users move once, and each policy
+    # re-evaluates the same snapshots.
+    study = MobilityStudy(scenario, sample_every=12)  # every 60 s of 5 s slots
     rows = []
     for threshold in THRESHOLDS:
-        policy = ReplacementPolicy(
-            scenario,
-            TrimCachingGen(),
-            threshold=threshold,
-            check_every=12,  # every 60 s of 5 s slots
-        )
+        policy = ReplacementPolicy(study, TrimCachingGen(), threshold=threshold)
         trace = policy.run(horizon_s=7200.0, seed=0)
         label = "never" if threshold == 0.0 else f"{threshold:.2f}"
         rows.append(

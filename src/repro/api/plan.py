@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
@@ -203,8 +204,8 @@ class MobilitySpec:
     num_runs: int = 5
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        if not (math.isfinite(self.horizon_s) and self.horizon_s > 0):
+            raise ConfigurationError("horizon_s must be finite and positive")
         if self.sample_every < 1:
             raise ConfigurationError("sample_every must be at least 1")
         if self.num_runs < 1:
@@ -226,8 +227,12 @@ class ReplacementSpec:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if self.num_runs < 1:
             raise ConfigurationError("num_runs must be at least 1")
-        if self.horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        if not all(0 <= t <= 1 for t in self.thresholds):
+            raise ConfigurationError(
+                f"thresholds must be in [0, 1], got {self.thresholds}"
+            )
+        if not (math.isfinite(self.horizon_s) and self.horizon_s > 0):
+            raise ConfigurationError("horizon_s must be finite and positive")
         if self.check_every < 1:
             raise ConfigurationError("check_every must be at least 1")
 

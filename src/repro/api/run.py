@@ -218,6 +218,7 @@ def _run_mobility(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
     series: Dict[str, SeriesStats] = {}
     for run_index in range(spec.num_runs):
         scenario = build_scenario(config, study_seed(plan.seed, run_index))
+        # One study per run: every solver walks the same snapshots.
         study = MobilityStudy(scenario, sample_every=spec.sample_every)
         for label, solver in algorithms.items():
             result = solver.solve(scenario.instance)
@@ -247,6 +248,7 @@ def _run_replacement(
     plan: ExperimentPlan, registry: SolverRegistry
 ) -> ResultSet:
     # The plan's first (only) solver is the re-placement solver.
+    from repro.sim.mobility_eval import MobilityStudy
     from repro.sim.replacement import ReplacementPolicy
     from repro.sim.scenario import build_scenario
 
@@ -266,12 +268,11 @@ def _run_replacement(
     bytes_shipped = {t: RunningStats() for t in thresholds}
     for run_index in range(spec.num_runs):
         scenario = build_scenario(config, study_seed(plan.seed, run_index))
+        # One study per run: every threshold walks the same snapshots.
+        study = MobilityStudy(scenario, sample_every=spec.check_every)
         for threshold in thresholds:
             policy = ReplacementPolicy(
-                scenario,
-                solver_spec.build(registry),
-                threshold=threshold,
-                check_every=spec.check_every,
+                study, solver_spec.build(registry), threshold=threshold
             )
             trace = policy.run(
                 horizon_s=spec.horizon_s, seed=(plan.seed, run_index)

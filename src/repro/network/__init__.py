@@ -11,7 +11,7 @@ from repro.network.backhaul import Backhaul
 from repro.network.channel import ChannelModel
 from repro.network.geometry import Point, coverage_sets, pairwise_distances, uniform_points
 from repro.network.latency import LatencyModel
-from repro.network.mobility import MobilityClass, MobilityModel, MobilityState
+from repro.network.mobility import MobilityClass, MobilityModel
 from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
 from repro.network.users import User
@@ -29,5 +29,4 @@ __all__ = [
     "LatencyModel",
     "MobilityClass",
     "MobilityModel",
-    "MobilityState",
 ]

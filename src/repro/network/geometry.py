@@ -122,13 +122,9 @@ def coverage_sets(
     return servers_of_user, users_of_server
 
 
-def clamp_to_square(x: float, y: float, side_length: float) -> Tuple[float, float]:
-    """Reflect a position back into the square (used by mobility)."""
-    def reflect(value: float) -> float:
-        period = 2.0 * side_length
-        value = value % period
-        if value < 0:
-            value += period
-        return value if value <= side_length else period - value
-
-    return reflect(x), reflect(y)
+def reflect_into_square(coords: np.ndarray, side_length: float) -> np.ndarray:
+    """Reflect ``(..., 2)`` positions back into the square (used by mobility)."""
+    period = 2.0 * side_length
+    folded = np.mod(coords, period)
+    # Folded values past the side mirror back: min(v, period - v).
+    return np.minimum(folded, period - folded)

@@ -5,17 +5,22 @@ initial speed and orientation, then re-drawing acceleration and angular
 velocity at the start of every time slot (5 s slots in the paper). Users
 reflect off the simulation-area boundary so the population density stays
 uniform over long horizons.
+
+:class:`MobilityModel` keeps the population as arrays (positions ``(K, 2)``,
+speeds, orientations, class bounds); each slot's :meth:`~MobilityModel.step`
+is one ``(K, 2)`` uniform draw, in per-user acceleration-then-angle stream
+order, and :meth:`~MobilityModel.trajectory` returns ``(slots + 1, K, 2)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.geometry import Point, clamp_to_square
+from repro.network.geometry import reflect_into_square
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -72,22 +77,6 @@ VEHICLE = MobilityClass(
 DEFAULT_CLASSES = (PEDESTRIAN, BIKE, VEHICLE)
 
 
-@dataclass
-class MobilityState:
-    """Kinematic state of one user."""
-
-    x: float
-    y: float
-    speed: float
-    orientation: float
-    mobility_class: MobilityClass
-
-    @property
-    def position(self) -> Point:
-        """Current position as a :class:`Point`."""
-        return Point(self.x, self.y)
-
-
 class MobilityModel:
     """Advance a population of users through time slots.
 
@@ -99,6 +88,9 @@ class MobilityModel:
         Length of one time slot (paper: 5 s).
     classes:
         Mobility classes users are assigned to (round-robin by default).
+
+    After :meth:`start`, ``positions`` ``(K, 2)``, ``speed`` ``(K,)`` and
+    ``orientation`` ``(K,)`` hold the population's current state.
     """
 
     def __init__(
@@ -117,23 +109,33 @@ class MobilityModel:
         self.slot_duration_s = slot_duration_s
         self.classes = tuple(classes)
 
-    def initial_states(
-        self, positions: Sequence[Point], seed: SeedLike = None
-    ) -> List[MobilityState]:
-        """Assign classes round-robin and draw initial speeds/orientations."""
-        rng = as_generator(seed)
-        states: List[MobilityState] = []
-        for index, point in enumerate(positions):
-            cls = self.classes[index % len(self.classes)]
-            speed = float(rng.uniform(*cls.initial_speed))
-            orientation = float(rng.uniform(0.0, np.pi))
-            states.append(
-                MobilityState(point.x, point.y, speed, orientation, cls)
+    def start(self, positions: np.ndarray, seed: SeedLike = None) -> None:
+        """Place users at ``positions`` ``(K, 2)``, assign classes
+        round-robin and draw initial speeds and orientations."""
+        positions = np.array(positions, dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ConfigurationError(
+                f"positions must have shape (K, 2), got {positions.shape}"
             )
-        return states
+        rng = as_generator(seed)
+        members = [self.classes[k % len(self.classes)] for k in range(len(positions))]
+        # (K, 3, 2): each user's initial-speed, acceleration and
+        # angular-velocity (low, high) ranges.
+        ranges = np.array(
+            [(c.initial_speed, c.acceleration, c.angular_velocity) for c in members],
+            dtype=np.float64,
+        ).reshape(len(members), 3, 2)
+        low, span = ranges[..., 0], ranges[..., 1] - ranges[..., 0]
+        self.max_speed = np.array([cls.max_speed for cls in members], dtype=np.float64)
+        # Per slot, column 0 draws the acceleration, column 1 the angular velocity.
+        self._rate_low, self._rate_span = low[:, 1:], span[:, 1:]
+        draws = rng.random((len(positions), 2))
+        self.positions = positions
+        self.speed = low[:, 0] + span[:, 0] * draws[:, 0]
+        self.orientation = 0.0 + np.pi * draws[:, 1]
 
-    def step(self, states: Sequence[MobilityState], seed: SeedLike = None) -> List[MobilityState]:
-        """Advance every user by one slot; returns new states.
+    def step(self, seed: SeedLike = None) -> np.ndarray:
+        """Advance every user by one slot; returns the new ``(K, 2)`` positions.
 
         At the slot boundary each user draws an acceleration and an angular
         velocity from its class ranges, then moves for the whole slot with
@@ -142,32 +144,30 @@ class MobilityModel:
         """
         rng = as_generator(seed)
         dt = self.slot_duration_s
-        advanced: List[MobilityState] = []
-        for state in states:
-            cls = state.mobility_class
-            acceleration = float(rng.uniform(*cls.acceleration))
-            angular = float(rng.uniform(*cls.angular_velocity))
-            speed = float(np.clip(state.speed + acceleration * dt, 0.0, cls.max_speed))
-            orientation = (state.orientation + angular * dt) % (2.0 * np.pi)
-            x = state.x + speed * np.cos(orientation) * dt
-            y = state.y + speed * np.sin(orientation) * dt
-            x, y = clamp_to_square(x, y, self.side_length)
-            advanced.append(MobilityState(x, y, speed, orientation, cls))
-        return advanced
+        rates = self._rate_low + self._rate_span * rng.random(self._rate_low.shape)
+        change = rates * dt
+        self.speed = np.minimum(np.maximum(self.speed + change[:, 0], 0.0), self.max_speed)
+        self.orientation = (self.orientation + change[:, 1]) % (2.0 * np.pi)
+        moved = self.positions.copy()
+        moved[:, 0] += self.speed * np.cos(self.orientation) * dt
+        moved[:, 1] += self.speed * np.sin(self.orientation) * dt
+        self.positions = reflect_into_square(moved, self.side_length)
+        return self.positions
 
     def trajectory(
         self,
-        positions: Sequence[Point],
+        positions: np.ndarray,
         num_slots: int,
         seed: SeedLike = None,
-    ) -> List[List[Point]]:
-        """Positions over ``num_slots`` slots (index 0 = initial positions)."""
+    ) -> np.ndarray:
+        """Positions ``(num_slots + 1, K, 2)`` over ``num_slots`` slots
+        (frame 0 = ``positions``)."""
         if num_slots < 0:
             raise ConfigurationError("num_slots must be non-negative")
         rng = as_generator(seed)
-        states = self.initial_states(positions, rng)
-        frames = [[state.position for state in states]]
-        for _ in range(num_slots):
-            states = self.step(states, rng)
-            frames.append([state.position for state in states])
+        self.start(positions, rng)
+        frames = np.empty((num_slots + 1,) + self.positions.shape)
+        frames[0] = self.positions
+        for slot in range(1, num_slots + 1):
+            frames[slot] = self.step(rng)
         return frames

@@ -298,19 +298,20 @@ class NetworkTopology:
     # ------------------------------------------------------------------
     # Derived topologies
     # ------------------------------------------------------------------
-    def with_user_positions(self, positions: Sequence[Point]) -> "NetworkTopology":
-        """A new topology with users moved to ``positions``.
+    def with_user_positions(self, positions: np.ndarray) -> "NetworkTopology":
+        """A new topology with users moved to ``positions`` ``(K, 2)``.
 
         Association sets, allocations and expected rates are recomputed —
         exactly what the mobility study needs between time slots.
         """
-        if len(positions) != self.num_users:
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != (self.num_users, 2):
             raise TopologyError(
-                f"expected {self.num_users} positions, got {len(positions)}"
+                f"positions must have shape ({self.num_users}, 2), "
+                f"got {positions.shape}"
             )
-        moved = [
-            user.moved_to(position) for user, position in zip(self.users, positions)
-        ]
+        coords = positions.tolist()
+        moved = [user.moved_to(Point(*xy)) for user, xy in zip(self.users, coords)]
         return NetworkTopology(self.servers, moved, self.channel, self.backhaul)
 
     # ------------------------------------------------------------------

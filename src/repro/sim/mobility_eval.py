@@ -5,20 +5,27 @@ a long horizon (2 h of 5 s slots in the paper) while the placement stays
 *fixed*; the hit ratio is re-evaluated as coverage and rates drift. The
 paper's finding — only a few percent degradation over 2 h — is what the
 Fig. 7 benchmark checks for shape.
+
+Users move independently of the placement, so a study walks one
+``(slots + 1, K, 2)`` trajectory and rebuilds the sampled instances once per
+``(horizon, seed)``; every placement it evaluates, and every
+:class:`~repro.sim.replacement.ReplacementPolicy` built on it, reuses them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.objective import hit_ratio
-from repro.core.placement import Placement
+from repro.core.placement import Placement, PlacementInstance
+from repro.errors import ConfigurationError
 from repro.network.mobility import DEFAULT_CLASSES, MobilityClass, MobilityModel
 from repro.sim.scenario import Scenario
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -70,7 +77,7 @@ class MobilityStudy:
         classes: Sequence[MobilityClass] = DEFAULT_CLASSES,
     ) -> None:
         if sample_every < 1:
-            raise ValueError("sample_every must be at least 1")
+            raise ConfigurationError("sample_every must be at least 1")
         self.scenario = scenario
         self.model = MobilityModel(
             side_length=scenario.config.area_side_m,
@@ -78,6 +85,44 @@ class MobilityStudy:
             classes=classes,
         )
         self.sample_every = sample_every
+        self._cached: Optional[tuple] = None
+
+    def snapshots(
+        self, horizon_s: float, seed: SeedLike = 0
+    ) -> Tuple[Tuple[float, ...], Tuple[PlacementInstance, ...]]:
+        """Sample times and the instances users see then (index 0: t = 0).
+
+        Users move for ``int(horizon_s / slot_duration_s)`` slots; every
+        ``sample_every``-th slot and the last one are sampled. The result
+        is kept for the next call with the same horizon and an equal int
+        or tuple ``seed``; a generator or ``None`` seed walks afresh.
+        """
+        if not (math.isfinite(horizon_s) and horizon_s >= 0):
+            raise ConfigurationError(
+                f"horizon_s must be finite and non-negative, got {horizon_s}"
+            )
+        num_slots = int(horizon_s / self.model.slot_duration_s)
+        cacheable = isinstance(seed, (int, np.integer, tuple))
+        key = (num_slots, seed)
+        if cacheable and self._cached is not None and self._cached[0] == key:
+            return self._cached[1]
+        topology = self.scenario.topology
+        frames = self.model.trajectory(
+            np.array([user.position.as_array() for user in topology.users]),
+            num_slots,
+            seed,
+        )
+        sampled = list(range(self.sample_every, num_slots + 1, self.sample_every))
+        if num_slots % self.sample_every:
+            sampled.append(num_slots)
+        times = (0.0,) + tuple(slot * self.model.slot_duration_s for slot in sampled)
+        instances = (self.scenario.instance,) + tuple(
+            self.scenario.rebuild_instance(topology.with_user_positions(frames[slot]))
+            for slot in sampled
+        )
+        if cacheable:
+            self._cached = (key, (times, instances))
+        return times, instances
 
     def run(
         self,
@@ -86,27 +131,10 @@ class MobilityStudy:
         seed: SeedLike = 0,
     ) -> MobilityTrace:
         """Evaluate ``placement`` while users move for ``horizon_s``."""
-        if horizon_s < 0:
-            raise ValueError("horizon_s must be non-negative")
-        rng = as_generator(seed)
-        num_slots = int(horizon_s / self.model.slot_duration_s)
-        positions = [user.position for user in self.scenario.topology.users]
-        states = self.model.initial_states(positions, rng)
-
-        times: List[float] = [0.0]
-        ratios: List[float] = [
-            hit_ratio(self.scenario.instance, placement)
-        ]
-        for slot in range(1, num_slots + 1):
-            states = self.model.step(states, rng)
-            if slot % self.sample_every != 0 and slot != num_slots:
-                continue
-            topology = self.scenario.topology.with_user_positions(
-                [state.position for state in states]
-            )
-            instance = self.scenario.rebuild_instance(topology)
-            times.append(slot * self.model.slot_duration_s)
-            ratios.append(hit_ratio(instance, placement))
+        times, instances = self.snapshots(horizon_s, seed)
         return MobilityTrace(
-            times_s=np.array(times), hit_ratios=np.array(ratios)
+            times_s=np.array(times),
+            hit_ratios=np.array(
+                [hit_ratio(instance, placement) for instance in instances]
+            ),
         )

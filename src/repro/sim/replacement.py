@@ -12,21 +12,25 @@ monitored, and when it drops below ``threshold`` times the value it had
 when last (re)placed, the solver runs again on the current snapshot. The
 run records every replacement and the backhaul bytes it moved (the cost
 the paper wants to keep low).
+
+A policy walks the snapshots of a :class:`~repro.sim.mobility_eval.MobilityStudy`,
+so policies built on one study (one per threshold, say) share one trajectory
+and one set of rebuilt instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List
 
 import numpy as np
 
 from repro.core.objective import hit_ratio
 from repro.core.placement import Placement
 from repro.errors import ConfigurationError
-from repro.network.mobility import DEFAULT_CLASSES, MobilityClass, MobilityModel
+from repro.sim.mobility_eval import MobilityStudy
 from repro.sim.scenario import Scenario
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -91,69 +95,39 @@ class ReplacementPolicy:
 
     Parameters
     ----------
-    scenario:
-        The initial snapshot.
+    study:
+        The mobility study whose snapshots are monitored: its scenario is
+        the initial snapshot, and the trigger is checked at its sample
+        times (every ``study.sample_every`` slots).
     solver:
         Any placement solver (``solve(instance) -> SolverResult``).
     threshold:
         Re-place when the current hit ratio falls below
         ``threshold * hit_ratio_at_last_placement``. ``0`` never
-        replaces (reproduces :class:`~repro.sim.mobility_eval.MobilityStudy`).
-    slot_duration_s / check_every / classes:
-        Mobility settings; the hit ratio is evaluated (and the trigger
-        checked) every ``check_every`` slots.
+        replaces (reproduces :meth:`MobilityStudy.run`).
     """
 
     def __init__(
-        self,
-        scenario: Scenario,
-        solver: Any,
-        threshold: float = 0.9,
-        slot_duration_s: float = 5.0,
-        check_every: int = 12,
-        classes: Sequence[MobilityClass] = DEFAULT_CLASSES,
+        self, study: MobilityStudy, solver: Any, threshold: float = 0.9
     ) -> None:
         if not 0 <= threshold <= 1:
             raise ConfigurationError(
                 f"threshold must be in [0, 1], got {threshold}"
             )
-        if check_every < 1:
-            raise ConfigurationError("check_every must be at least 1")
-        self.scenario = scenario
+        self.study = study
         self.solver = solver
         self.threshold = threshold
-        self.check_every = check_every
-        self.model = MobilityModel(
-            side_length=scenario.config.area_side_m,
-            slot_duration_s=slot_duration_s,
-            classes=classes,
-        )
 
     def run(self, horizon_s: float = 7200.0, seed: SeedLike = 0) -> ReplacementTrace:
         """Simulate the monitor-and-replace loop over ``horizon_s``."""
-        if horizon_s < 0:
-            raise ConfigurationError("horizon_s must be non-negative")
-        rng = as_generator(seed)
-        num_slots = int(horizon_s / self.model.slot_duration_s)
+        times, instances = self.study.snapshots(horizon_s, seed)
+        scenario = self.study.scenario
+        placement = self.solver.solve(scenario.instance).placement
+        reference = hit_ratio(scenario.instance, placement)
 
-        placement = self.solver.solve(self.scenario.instance).placement
-        reference = hit_ratio(self.scenario.instance, placement)
-
-        positions = [user.position for user in self.scenario.topology.users]
-        states = self.model.initial_states(positions, rng)
-
-        times: List[float] = [0.0]
         ratios: List[float] = [reference]
         events: List[ReplacementEvent] = []
-        for slot in range(1, num_slots + 1):
-            states = self.model.step(states, rng)
-            if slot % self.check_every != 0 and slot != num_slots:
-                continue
-            now = slot * self.model.slot_duration_s
-            topology = self.scenario.topology.with_user_positions(
-                [state.position for state in states]
-            )
-            instance = self.scenario.rebuild_instance(topology)
+        for now, instance in zip(times[1:], instances[1:]):
             current = hit_ratio(instance, placement)
             if self.threshold > 0 and current < self.threshold * reference:
                 new_placement = self.solver.solve(instance).placement
@@ -164,14 +138,13 @@ class ReplacementPolicy:
                         hit_ratio_before=current,
                         hit_ratio_after=after,
                         bytes_shipped=placement_delta_bytes(
-                            self.scenario, placement, new_placement
+                            scenario, placement, new_placement
                         ),
                     )
                 )
                 placement = new_placement
                 reference = after
                 current = after
-            times.append(now)
             ratios.append(current)
         return ReplacementTrace(
             times_s=np.array(times), hit_ratios=np.array(ratios), events=events

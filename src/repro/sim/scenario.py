@@ -69,18 +69,12 @@ class Scenario:
 
     def rebuild_instance(self, topology: NetworkTopology) -> PlacementInstance:
         """A new instance for moved users (same library/demand/capacity)."""
-        latency = LatencyModel(topology, self._model_sizes())
+        latency = LatencyModel(topology, self.instance.model_sizes)
         return PlacementInstance(
             library=self.library,
             demand=self.demand,
             feasible=latency.feasibility_sparse(),
             capacities=self.instance.capacities,
-        )
-
-    def _model_sizes(self) -> np.ndarray:
-        return np.array(
-            [self.library.model_size(i) for i in self.library.model_ids],
-            dtype=float,
         )
 
 

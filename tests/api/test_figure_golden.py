@@ -59,6 +59,11 @@ CASES = {
         "fig7",
         dict(num_runs=1, horizon_s=600.0, sample_every=24, seed=0),
     ),
+    # The paper's full 2 h horizon at the default Fig. 7 sampling.
+    "fig7-2h": (
+        "fig7",
+        dict(num_runs=1, horizon_s=7200.0, sample_every=60, seed=0),
+    ),
     "ablation-epsilon": (
         "ablation-epsilon",
         dict(epsilons=(0.1, 0.5), num_topologies=1, seed=0),

@@ -306,6 +306,31 @@ class TestReviewRegressions:
         with pytest.raises(ConfigurationError, match="check_every"):
             ReplacementSpec(check_every=0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_horizon_rejected_at_declaration(self, horizon):
+        from repro.sim.experiments import ablation_replacement_plan, fig7_plan
+
+        with pytest.raises(ConfigurationError, match="horizon_s"):
+            MobilitySpec(horizon_s=horizon)
+        with pytest.raises(ConfigurationError, match="horizon_s"):
+            ReplacementSpec(horizon_s=horizon)
+        with pytest.raises(ConfigurationError, match="horizon_s"):
+            fig7_plan(horizon_s=horizon)
+        with pytest.raises(ConfigurationError, match="horizon_s"):
+            ablation_replacement_plan(horizon_s=horizon)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_bad_threshold_rejected_at_declaration(self, threshold):
+        from repro.sim.experiments import ablation_replacement_plan
+
+        with pytest.raises(ConfigurationError, match="thresholds"):
+            ReplacementSpec(thresholds=(0.0, threshold))
+        with pytest.raises(ConfigurationError, match="thresholds"):
+            ablation_replacement_plan(thresholds=(threshold,))
+
+    def test_threshold_bounds_are_inclusive(self):
+        assert ReplacementSpec(thresholds=(0.0, 1.0)).thresholds == (0.0, 1.0)
+
     def test_unknown_evaluation_is_refused_not_run(self):
         # The sweep scorer treats any evaluation it does not know as
         # Monte Carlo, so an unknown one must never reach an executor.

@@ -142,6 +142,47 @@ class TestStudyExecution:
         assert "replace when below" in result.to_table()
 
 
+class TestSharedTrajectory:
+    """Each run walks its trajectory once, whatever the solver count."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        from repro.network.mobility import MobilityModel
+
+        calls = []
+        step = MobilityModel.step
+        monkeypatch.setattr(
+            MobilityModel,
+            "step",
+            lambda self, seed=None: calls.append(1) or step(self, seed),
+        )
+        return calls
+
+    def test_mobility_steps_once_per_slot(self, steps):
+        plan = ExperimentPlan(
+            name="two solvers",
+            solvers=(SolverSpec("gen"), SolverSpec("independent")),
+            study=MobilitySpec(horizon_s=300.0, sample_every=12, num_runs=2),
+            base=_TINY_BASE,
+        )
+        result = run_plan(plan)
+        assert len(result.series) == 2
+        assert len(steps) == 2 * 60
+
+    def test_replacement_steps_once_per_slot(self, steps):
+        plan = ExperimentPlan(
+            name="three thresholds",
+            solvers=(SolverSpec("gen"),),
+            study=ReplacementSpec(
+                thresholds=(0.0, 0.9, 1.0), num_runs=2, horizon_s=300.0
+            ),
+            base={**_TINY_BASE, "storage_bytes": 150_000_000},
+        )
+        result = run_plan(plan)
+        assert result.replacement().thresholds == [0.0, 0.9, 1.0]
+        assert len(steps) == 2 * 60
+
+
 class TestCustomScenarios:
     """The point of the API: new scenarios are declarations, not code."""
 

@@ -6,9 +6,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.geometry import (
     Point,
-    clamp_to_square,
     coverage_sets,
     pairwise_distances,
+    reflect_into_square,
     uniform_points,
 )
 
@@ -69,20 +69,16 @@ class TestCoverageSets:
             coverage_sets(np.zeros((1, 1)), radius=0.0)
 
 
-class TestClampToSquare:
+class TestReflectIntoSquare:
     def test_inside_unchanged(self):
-        assert clamp_to_square(3.0, 4.0, 10.0) == (3.0, 4.0)
+        assert reflect_into_square(np.array([3.0, 4.0]), 10.0).tolist() == [3.0, 4.0]
 
     def test_reflects_over_edge(self):
-        x, y = clamp_to_square(12.0, -2.0, 10.0)
-        assert x == pytest.approx(8.0)
-        assert y == pytest.approx(2.0)
+        reflected = reflect_into_square(np.array([[12.0, -2.0]]), 10.0)
+        assert reflected.tolist() == [[8.0, 2.0]]
 
     def test_always_inside(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            x, y = clamp_to_square(
-                float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)), 10.0
-            )
-            assert 0 <= x <= 10
-            assert 0 <= y <= 10
+        coords = reflect_into_square(rng.uniform(-50, 50, size=(200, 2)), 10.0)
+        assert coords.shape == (200, 2)
+        assert ((0 <= coords) & (coords <= 10)).all()

@@ -1,10 +1,13 @@
 """Tests for the §VII-E mobility model."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.geometry import Point
 from repro.network.mobility import (
     BIKE,
     DEFAULT_CLASSES,
@@ -32,72 +35,115 @@ class TestPaperParameters:
         assert VEHICLE.angular_velocity[1] == pytest.approx(np.pi / 2)
 
 
-class TestInitialStates:
+class TestStart:
     def test_round_robin_classes(self):
         model = MobilityModel(1000.0)
-        states = model.initial_states([Point(0, 0)] * 6, seed=0)
-        names = [s.mobility_class.name for s in states]
-        assert names == ["pedestrian", "bike", "vehicle"] * 2
+        model.start(np.zeros((6, 2)), seed=0)
+        assert model.max_speed.tolist() == [2.5, 10.0, 25.0] * 2
 
     def test_speeds_in_class_ranges(self):
         model = MobilityModel(1000.0)
-        states = model.initial_states([Point(0, 0)] * 30, seed=0)
-        for state in states:
-            low, high = state.mobility_class.initial_speed
-            assert low <= state.speed <= high
+        model.start(np.zeros((30, 2)), seed=0)
+        for k, speed in enumerate(model.speed):
+            low, high = DEFAULT_CLASSES[k % 3].initial_speed
+            assert low <= speed <= high
 
     def test_orientation_range(self):
         model = MobilityModel(1000.0)
-        states = model.initial_states([Point(0, 0)] * 30, seed=0)
-        for state in states:
-            assert 0 <= state.orientation <= np.pi
+        model.start(np.zeros((30, 2)), seed=0)
+        assert ((0 <= model.orientation) & (model.orientation <= np.pi)).all()
+
+    def test_positions_copied(self):
+        positions = np.full((3, 2), 500.0)
+        model = MobilityModel(1000.0)
+        model.start(positions, seed=0)
+        model.step(seed=1)
+        assert (positions == 500.0).all()
 
 
 class TestStep:
     def test_positions_stay_in_area(self):
         model = MobilityModel(1000.0, slot_duration_s=5.0)
-        states = model.initial_states(
-            [Point(500, 500)] * 9, seed=1
-        )
+        model.start(np.full((9, 2), 500.0), seed=1)
         for _ in range(500):
-            states = model.step(states, seed=None)
-        for state in states:
-            assert 0 <= state.x <= 1000
-            assert 0 <= state.y <= 1000
+            positions = model.step(seed=None)
+        assert positions.shape == (9, 2)
+        assert ((0 <= positions) & (positions <= 1000)).all()
 
     def test_speed_clamped(self):
         model = MobilityModel(1000.0)
-        states = model.initial_states([Point(500, 500)] * 9, seed=2)
+        model.start(np.full((9, 2), 500.0), seed=2)
         for _ in range(200):
-            states = model.step(states)
-        for state in states:
-            assert 0 <= state.speed <= state.mobility_class.max_speed
+            model.step()
+        assert ((0 <= model.speed) & (model.speed <= model.max_speed)).all()
 
     def test_users_actually_move(self):
         model = MobilityModel(1000.0, slot_duration_s=5.0)
-        states = model.initial_states([Point(500, 500)] * 3, seed=3)
-        moved = model.step(states, seed=4)
-        for before, after in zip(states, moved):
-            assert (before.x, before.y) != (after.x, after.y)
+        model.start(np.full((3, 2), 500.0), seed=3)
+        before = model.positions
+        moved = model.step(seed=4)
+        assert (before != moved).any(axis=1).all()
 
 
 class TestTrajectory:
     def test_shape(self):
         model = MobilityModel(1000.0)
-        frames = model.trajectory([Point(1, 1), Point(2, 2)], num_slots=10, seed=0)
-        assert len(frames) == 11
-        assert len(frames[0]) == 2
-        assert frames[0] == [Point(1, 1), Point(2, 2)]
+        positions = np.array([[1.0, 1.0], [2.0, 2.0]])
+        frames = model.trajectory(positions, num_slots=10, seed=0)
+        assert frames.shape == (11, 2, 2)
+        assert frames.dtype == np.float64
+        assert frames[0].tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
     def test_reproducible(self):
         model = MobilityModel(1000.0)
-        a = model.trajectory([Point(1, 1)], num_slots=5, seed=7)
-        b = model.trajectory([Point(1, 1)], num_slots=5, seed=7)
-        assert a == b
+        a = model.trajectory(np.array([[1.0, 1.0]]), num_slots=5, seed=7)
+        b = model.trajectory(np.array([[1.0, 1.0]]), num_slots=5, seed=7)
+        assert np.array_equal(a, b)
 
     def test_negative_slots_rejected(self):
         with pytest.raises(ConfigurationError):
-            MobilityModel(1000.0).trajectory([Point(0, 0)], num_slots=-1)
+            MobilityModel(1000.0).trajectory(np.zeros((1, 2)), num_slots=-1)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 2)])
+    def test_positions_shape_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match=r"shape \(K, 2\)"):
+            MobilityModel(1000.0).trajectory(np.zeros(shape), num_slots=1)
+
+
+class TestGoldenTrajectory:
+    """Absolute pins of whole trajectories.
+
+    ``tests/golden/mobility_trajectory.json`` was captured from the
+    per-user scalar implementation this array model replaced: a sha256
+    of each ``(slots + 1, K, 2)`` float64 trajectory plus its last
+    frame. The array model must reproduce it bit for bit.
+    """
+
+    GOLDEN = json.loads(
+        (
+            Path(__file__).resolve().parent.parent
+            / "golden"
+            / "mobility_trajectory.json"
+        ).read_text()
+    )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["cases"]))
+    def test_matches_golden(self, name):
+        golden = self.GOLDEN
+        case = golden["cases"][name]
+        by_name = {cls.name: cls for cls in (PEDESTRIAN, BIKE, VEHICLE)}
+        positions = np.random.default_rng(case["positions_seed"]).uniform(
+            0.0, golden["side_length_m"], size=(case["num_users"], 2)
+        )
+        model = MobilityModel(
+            golden["side_length_m"],
+            slot_duration_s=golden["slot_duration_s"],
+            classes=[by_name[cls] for cls in case["classes"]],
+        )
+        frames = model.trajectory(positions, golden["num_slots"], seed=case["seed"])
+        assert frames.shape == (golden["num_slots"] + 1, case["num_users"], 2)
+        assert frames[-1].tolist() == case["last_frame"]
+        assert hashlib.sha256(frames.tobytes()).hexdigest() == case["sha256"]
 
 
 class TestValidation:

@@ -129,7 +129,7 @@ class TestValidation:
 class TestWithUserPositions:
     def test_recomputes_everything(self):
         topo = make_topology([Point(0, 0)], [Point(50, 0)])
-        moved = topo.with_user_positions([Point(5000, 0)])
+        moved = topo.with_user_positions(np.array([[5000.0, 0.0]]))
         assert moved.servers_of_user(0) == []
         assert moved.expected_rates[0, 0] == 0.0
         # Original untouched.
@@ -137,5 +137,16 @@ class TestWithUserPositions:
 
     def test_wrong_count_rejected(self):
         topo = make_topology([Point(0, 0)], [Point(50, 0)])
-        with pytest.raises(TopologyError):
-            topo.with_user_positions([Point(0, 0), Point(1, 1)])
+        with pytest.raises(TopologyError, match=r"shape \(1, 2\)"):
+            topo.with_user_positions(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 2, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        topo = make_topology([Point(0, 0)], [Point(50, 0)])
+        with pytest.raises(TopologyError, match=r"shape \(1, 2\)"):
+            topo.with_user_positions(np.zeros(shape))
+
+    def test_moved_positions_are_exact(self):
+        topo = make_topology([Point(0, 0)], [Point(50, 0)])
+        moved = topo.with_user_positions(np.array([[0.1, 0.7]]))
+        assert moved.users[0].position == Point(0.1, 0.7)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.gen import TrimCachingGen
+from repro.errors import ConfigurationError
+from repro.network.mobility import MobilityModel
 from repro.sim.mobility_eval import MobilityStudy, MobilityTrace
 
 
@@ -28,7 +30,8 @@ class TestMobilityStudy:
         study = MobilityStudy(small_scenario, sample_every=6)
         a = study.run(result.placement, horizon_s=120.0, seed=5)
         b = study.run(result.placement, horizon_s=120.0, seed=5)
-        assert a.hit_ratios == pytest.approx(b.hit_ratios)
+        assert a.times_s.tolist() == b.times_s.tolist()
+        assert a.hit_ratios.tolist() == b.hit_ratios.tolist()
 
     def test_zero_horizon(self, small_scenario):
         result = TrimCachingGen().solve(small_scenario.instance)
@@ -43,6 +46,65 @@ class TestMobilityStudy:
         result = TrimCachingGen().solve(small_scenario.instance)
         with pytest.raises(ValueError):
             study.run(result.placement, horizon_s=-1.0)
+
+    def test_validation_raises_configuration_error(self, small_scenario):
+        with pytest.raises(ConfigurationError, match="sample_every"):
+            MobilityStudy(small_scenario, sample_every=0)
+        study = MobilityStudy(small_scenario)
+        result = TrimCachingGen().solve(small_scenario.instance)
+        for horizon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="horizon_s"):
+                study.run(result.placement, horizon_s=horizon)
+
+
+class TestSharedSnapshots:
+    """A study walks its trajectory once per (horizon, seed)."""
+
+    def test_snapshots_reused_across_placements(self, small_scenario, monkeypatch):
+        steps = []
+        step = MobilityModel.step
+        monkeypatch.setattr(
+            MobilityModel,
+            "step",
+            lambda self, seed=None: steps.append(1) or step(self, seed),
+        )
+        study = MobilityStudy(small_scenario, sample_every=6)
+        gen = TrimCachingGen().solve(small_scenario.instance).placement
+        empty = small_scenario.instance.new_placement()
+        study.run(gen, horizon_s=120.0, seed=5)
+        first = study.snapshots(120.0, seed=5)
+        study.run(empty, horizon_s=120.0, seed=5)
+        assert len(steps) == 24
+        assert study.snapshots(120.0, seed=5) is first
+        study.run(gen, horizon_s=120.0, seed=6)
+        assert len(steps) == 48
+
+    def test_matches_fresh_study(self, small_scenario):
+        gen = TrimCachingGen().solve(small_scenario.instance).placement
+        empty = small_scenario.instance.new_placement()
+        shared = MobilityStudy(small_scenario, sample_every=6)
+        shared.run(gen, horizon_s=120.0, seed=(1, 2))
+        for placement in (gen, empty):
+            fresh = MobilityStudy(small_scenario, sample_every=6).run(
+                placement, horizon_s=120.0, seed=(1, 2)
+            )
+            reused = shared.run(placement, horizon_s=120.0, seed=(1, 2))
+            assert reused.times_s.tolist() == fresh.times_s.tolist()
+            assert reused.hit_ratios.tolist() == fresh.hit_ratios.tolist()
+
+    def test_generator_seed_walks_afresh(self, small_scenario):
+        study = MobilityStudy(small_scenario, sample_every=6)
+        rng = np.random.default_rng(0)
+        first = study.snapshots(60.0, seed=rng)
+        assert study.snapshots(60.0, seed=rng) is not first
+
+    def test_samples_every_nth_and_last_slot(self, small_scenario):
+        times, instances = MobilityStudy(small_scenario, sample_every=5).snapshots(
+            62.0, seed=0
+        )
+        assert times == (0.0, 25.0, 50.0, 60.0)
+        assert len(instances) == 4
+        assert instances[0] is small_scenario.instance
 
 
 class TestMobilityTrace:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.gen import TrimCachingGen
 from repro.core.placement import Placement
 from repro.errors import ConfigurationError
+from repro.sim.mobility_eval import MobilityStudy
 from repro.sim.replacement import (
     ReplacementPolicy,
     ReplacementTrace,
@@ -58,7 +59,9 @@ class TestPlacementDelta:
 class TestReplacementPolicy:
     def test_zero_threshold_never_replaces(self, small_scenario):
         policy = ReplacementPolicy(
-            small_scenario, TrimCachingGen(), threshold=0.0, check_every=6
+            MobilityStudy(small_scenario, sample_every=6),
+            TrimCachingGen(),
+            threshold=0.0,
         )
         trace = policy.run(horizon_s=600.0, seed=0)
         assert trace.num_replacements == 0
@@ -67,7 +70,9 @@ class TestReplacementPolicy:
     def test_aggressive_threshold_replaces(self, tight_scenario):
         """threshold=1.0 fires on any degradation below the reference."""
         policy = ReplacementPolicy(
-            tight_scenario, TrimCachingGen(), threshold=1.0, check_every=6
+            MobilityStudy(tight_scenario, sample_every=6),
+            TrimCachingGen(),
+            threshold=1.0,
         )
         trace = policy.run(horizon_s=1800.0, seed=0)
         # With users moving, some check must see current < reference.
@@ -80,14 +85,13 @@ class TestReplacementPolicy:
         """Re-placing helps on average (single runs can fluctuate: a
         fresh placement is optimal *now* but may age worse than the old
         one would have, so this averages over several mobility seeds)."""
+        study = MobilityStudy(tight_scenario, sample_every=6)
+
         def mean_over_seeds(threshold: float) -> float:
             values = []
             for seed in range(3):
                 trace = ReplacementPolicy(
-                    tight_scenario,
-                    TrimCachingGen(),
-                    threshold=threshold,
-                    check_every=6,
+                    study, TrimCachingGen(), threshold=threshold
                 ).run(horizon_s=1800.0, seed=seed)
                 values.append(trace.mean_hit_ratio)
             return float(np.mean(values))
@@ -96,7 +100,9 @@ class TestReplacementPolicy:
 
     def test_trace_shape(self, small_scenario):
         policy = ReplacementPolicy(
-            small_scenario, TrimCachingGen(), threshold=0.9, check_every=6
+            MobilityStudy(small_scenario, sample_every=6),
+            TrimCachingGen(),
+            threshold=0.9,
         )
         trace = policy.run(horizon_s=300.0, seed=0)
         assert trace.times_s[0] == 0.0
@@ -104,13 +110,28 @@ class TestReplacementPolicy:
         assert ((0 <= trace.hit_ratios) & (trace.hit_ratios <= 1)).all()
 
     def test_validation(self, small_scenario):
+        study = MobilityStudy(small_scenario)
+        for threshold in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError, match="threshold"):
+                ReplacementPolicy(study, TrimCachingGen(), threshold=threshold)
         with pytest.raises(ConfigurationError):
-            ReplacementPolicy(small_scenario, TrimCachingGen(), threshold=1.5)
-        with pytest.raises(ConfigurationError):
-            ReplacementPolicy(small_scenario, TrimCachingGen(), check_every=0)
-        policy = ReplacementPolicy(small_scenario, TrimCachingGen())
-        with pytest.raises(ConfigurationError):
-            policy.run(horizon_s=-1.0)
+            MobilityStudy(small_scenario, sample_every=0)
+        policy = ReplacementPolicy(study, TrimCachingGen())
+        for horizon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="horizon_s"):
+                policy.run(horizon_s=horizon)
+
+    def test_zero_threshold_reproduces_mobility_study(self, small_scenario):
+        study = MobilityStudy(small_scenario, sample_every=6)
+        solver = TrimCachingGen()
+        fixed = study.run(
+            solver.solve(small_scenario.instance).placement, horizon_s=600.0, seed=3
+        )
+        trace = ReplacementPolicy(study, solver, threshold=0.0).run(
+            horizon_s=600.0, seed=3
+        )
+        assert trace.times_s.tolist() == fixed.times_s.tolist()
+        assert trace.hit_ratios.tolist() == fixed.hit_ratios.tolist()
 
 
 class TestReplacementTrace:

@@ -108,9 +108,7 @@ class TestBuildLibrary:
 
 class TestRebuildInstance:
     def test_moved_users_change_feasibility(self, small_scenario):
-        from repro.network.geometry import Point
-
-        far_positions = [Point(10_000 + i, 10_000) for i in range(8)]
+        far_positions = np.array([[10_000.0 + i, 10_000.0] for i in range(8)])
         topology = small_scenario.topology.with_user_positions(far_positions)
         instance = small_scenario.rebuild_instance(topology)
         # Users out of everyone's coverage: nothing feasible.
