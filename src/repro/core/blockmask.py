@@ -4,10 +4,14 @@ The set-based storage accounting on :class:`~repro.core.placement.
 PlacementInstance` (``marginal_storage``/``dedup_storage``) walks Python
 frozensets per (server, model) probe — fine for reference code, but it is
 the inner loop of every greedy solver. :class:`BlockMaskIndex` replaces
-those walks with dense numpy arrays over *block positions* ``0..B-1``:
+those walks with dense numpy arrays over *block positions* ``0..B-1``,
+read straight off the library's arrays
+(:attr:`~repro.models.library.ModelLibrary.membership`) with one scatter:
 
 * ``member`` — ``(I, B)`` bool: does model ``i`` contain block ``b``?
 * ``sizes`` — ``(B,)`` int64 block sizes.
+* ``member_t`` — ``(B, I)`` int64, the transposed membership (built on
+  first use): row ``b`` lists which models contain block ``b``.
 
 With a per-server cached-block mask ``c`` (``(B,)`` bool) the marginal
 storage of *every* model at once is the single integer matvec
@@ -16,14 +20,18 @@ maintenance of marginal-size tables is bit-stable.
 
 :class:`ServerBlockCache` maintains those per-server masks plus an
 ``(M, I)`` marginal-size table updated by exact integer deltas as models
-are placed.
+are placed: caching blocks ``F`` lowers every model's marginal by
+``sizes[F] @ member_t[F]``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 import numpy as np
+
+from repro.models.library import ModelLibrary
 
 
 class BlockMaskIndex:
@@ -31,64 +39,64 @@ class BlockMaskIndex:
 
     Parameters
     ----------
-    model_blocks:
-        Per dense model index, the frozenset of block ids it contains
-        (``PlacementInstance.model_blocks``).
-    block_sizes:
-        Block id -> size in bytes (``PlacementInstance.block_sizes``).
-        Every block referenced by a model must be present; unreferenced
-        blocks are allowed (they occupy a column that no model sets).
+    library:
+        The model library. Dense model index ``i`` is the ``i``-th model
+        id in ascending order (``PlacementInstance.index_to_model_id``);
+        block position ``b`` is the ``b``-th block id in ascending order.
+        Unreferenced blocks occupy a column that no model sets.
     """
 
-    def __init__(
-        self,
-        model_blocks: Sequence[FrozenSet[int]],
-        block_sizes: Mapping[int, int],
-    ) -> None:
+    def __init__(self, library: ModelLibrary) -> None:
+        indptr, positions = library.membership
         #: block position -> block id (ascending id order).
-        self.block_ids: np.ndarray = np.array(sorted(block_sizes), dtype=np.int64)
-        #: block id -> block position.
-        self.block_pos: Dict[int, int] = {
-            int(block_id): pos for pos, block_id in enumerate(self.block_ids)
-        }
+        self.block_ids: np.ndarray = library.block_id_array
         #: ``(B,)`` block sizes in bytes, aligned with ``block_ids``.
-        self.sizes: np.ndarray = np.array(
-            [block_sizes[int(b)] for b in self.block_ids], dtype=np.int64
-        )
-        num_models = len(model_blocks)
-        num_blocks = len(self.block_ids)
-        #: ``(I, B)`` bool membership matrix.
-        self.member: np.ndarray = np.zeros((num_models, num_blocks), dtype=bool)
-        for index, blocks in enumerate(model_blocks):
-            if blocks:
-                self.member[index, [self.block_pos[b] for b in blocks]] = True
+        self.sizes: np.ndarray = library.block_size_array
         #: ``(I,)`` full model sizes ``D_i`` (sum of member block sizes).
-        self.model_sizes: np.ndarray = self.member @ self.sizes
+        self.model_sizes: np.ndarray = library.model_size_array
+        num_models = library.num_models
+        rows = np.repeat(np.arange(num_models), np.diff(indptr))
+        #: ``(I, B)`` bool membership matrix.
+        self.member: np.ndarray = np.zeros(
+            (num_models, library.num_blocks), dtype=bool
+        )
+        self.member[rows, positions] = True
+        # (block position, model row) of every membership entry.
+        self._coords = (positions, rows)
         #: per model, the sorted block *positions* it occupies (the sparse
         #: row of ``member`` — the greedy engines touch only these).
-        self.model_positions: list = [
-            np.flatnonzero(row) for row in self.member
-        ]
-        member_i64 = self.member.astype(np.int64)
-        #: per model, the ``(B',)`` sizes of its own blocks and the
-        #: ``(I, B')`` membership sub-matrix over those blocks — the only
-        #: columns the per-placement delta update can touch, precomputed
-        #: contiguous so the hot matvec never gathers from ``member``.
-        self.model_block_sizes: list = [
-            self.sizes[positions] for positions in self.model_positions
-        ]
-        self.model_member_cols: list = [
-            np.ascontiguousarray(member_i64[:, positions])
-            for positions in self.model_positions
-        ]
-        #: per model, the precomputed delta when *none* of its blocks are
-        #: cached yet (the common case on sparsely filled servers):
-        #: ``member_cols @ block_sizes`` — every model's marginal drops by
-        #: its byte overlap with the freshly cached model.
-        self.model_full_overlap: list = [
-            cols @ sizes
-            for cols, sizes in zip(self.model_member_cols, self.model_block_sizes)
-        ]
+        self.model_positions: List[np.ndarray] = np.split(
+            positions[np.lexsort((positions, rows))], indptr[1:-1]
+        )
+        self._full_overlap: List[Optional[np.ndarray]] = [None] * num_models
+
+    @cached_property
+    def block_pos(self) -> Dict[int, int]:
+        """Block id -> block position."""
+        return {block_id: pos for pos, block_id in enumerate(self.block_ids.tolist())}
+
+    @cached_property
+    def member_t(self) -> np.ndarray:
+        """``(B, I)`` int64 transposed membership (built on first use)."""
+        member_t = np.zeros((self.num_blocks, self.num_models), dtype=np.int64)
+        member_t[self._coords] = 1
+        return member_t
+
+    def full_overlap(self, model_index: int) -> np.ndarray:
+        """``(I,)`` int64 byte overlap of every model with one model.
+
+        Entry ``i`` is the total size of the blocks model ``i`` shares
+        with ``model_index`` — the drop in every marginal when that model
+        is cached on a server holding none of its blocks. Memoised per
+        model on first use.
+        """
+        overlap = self._full_overlap[model_index]
+        if overlap is None:
+            positions = self.model_positions[model_index]
+            overlap = self.sizes[positions] @ self.member_t[positions]
+            overlap.setflags(write=False)
+            self._full_overlap[model_index] = overlap
+        return overlap
 
     # ------------------------------------------------------------------
     @property
@@ -136,6 +144,7 @@ class BlockMaskIndex:
         if not indices:
             return 0
         return int(self.sizes[self.member[indices].any(axis=0)].sum())
+
 
 class ServerBlockCache:
     """Mutable per-server cached-block state for the greedy engines.
@@ -186,25 +195,24 @@ class ServerBlockCache:
         """Cache a model's blocks on a server; returns the bytes added."""
         index = self.index
         positions = index.model_positions[model_index]
-        if positions.size == 0:
-            return 0
         mask_row = self.masks[server]
         already = mask_row[positions]
         mask_row[positions] = True
         if not already.any():
             # None of the blocks were cached: the delta is the model's
-            # full overlap vector, precomputed on the index (identical
-            # integers to the general path with ``already`` all false).
+            # memoised full overlap (identical integers to the general
+            # path with ``already`` all false).
             added = int(index.model_sizes[model_index])
-            self.extras[server] -= index.model_full_overlap[model_index]
+            self.extras[server] -= index.full_overlap(model_index)
             self.used[server] += added
             return added
-        # Sizes of the newly cached blocks, zero where already cached:
-        # every model containing one of the new blocks gets exactly that
-        # much cheaper on this server.
-        new_sizes = index.model_block_sizes[model_index] * ~already
-        added = int(new_sizes.sum())
-        if added:
-            self.extras[server] -= index.model_member_cols[model_index] @ new_sizes
-            self.used[server] += added
+        # Every model containing one of the newly cached blocks gets
+        # exactly that block's size cheaper on this server.
+        fresh = positions[~already]
+        if fresh.size == 0:
+            return 0
+        fresh_sizes = index.sizes[fresh]
+        added = int(fresh_sizes.sum())
+        self.extras[server] -= fresh_sizes @ index.member_t[fresh]
+        self.used[server] += added
         return added

@@ -131,17 +131,11 @@ class PlacementInstance:
         }
         #: dense index -> the model's block-id frozenset.
         self.model_blocks: Tuple[FrozenSet[int], ...] = tuple(
-            library.model(model_id).block_set for model_id in self.index_to_model_id
+            model.block_set for model in library.models()
         )
-        #: dense index -> full model size D_i in bytes.
-        self.model_sizes: np.ndarray = np.array(
-            [library.model_size(model_id) for model_id in self.index_to_model_id],
-            dtype=np.int64,
-        )
-        #: block id -> size in bytes (plain dict for the hot greedy loop).
-        self.block_sizes: Dict[int, int] = {
-            block_id: library.block_size(block_id) for block_id in library.block_ids
-        }
+        #: dense index -> full model size D_i in bytes (the library's
+        #: read-only array, shared by every instance of the library).
+        self.model_sizes: np.ndarray = library.model_size_array
         self._block_index: Optional[BlockMaskIndex] = None
 
     # ------------------------------------------------------------------
@@ -232,6 +226,11 @@ class PlacementInstance:
         return sum(self.block_sizes[b] for b in blocks)
 
     @property
+    def block_sizes(self) -> Dict[int, int]:
+        """Block id -> size in bytes (the library's shared table)."""
+        return self.library.block_sizes_by_id
+
+    @property
     def block_index(self) -> BlockMaskIndex:
         """Dense block-membership bitmask index (built lazily, cached).
 
@@ -244,7 +243,7 @@ class PlacementInstance:
         if self._block_index is None:
             cached = _BLOCK_INDEX_CACHE.get(self.library)
             if cached is None:
-                cached = BlockMaskIndex(self.model_blocks, self.block_sizes)
+                cached = BlockMaskIndex(self.library)
                 _BLOCK_INDEX_CACHE[self.library] = cached
             self._block_index = cached
         return self._block_index

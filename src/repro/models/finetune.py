@@ -16,6 +16,12 @@ the three sharing-creating operations on parameter tables alone:
 
 A single :class:`FineTuner` instance allocates globally unique block and
 model ids and finally assembles a :class:`~repro.models.library.ModelLibrary`.
+Blocks are recorded as flat size, name and origin columns (block id =
+position), which :meth:`FineTuner.build` hands to
+:meth:`~repro.models.library.ModelLibrary.from_arrays` without creating a
+:class:`~repro.models.blocks.ParameterBlock` per block. Every operation
+validates its arguments before it allocates, so a rejected call leaves
+the tuner unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from repro.data.transformer import (
     transformer_layer_table,
 )
 from repro.errors import LibraryError
-from repro.models.blocks import ParameterBlock
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
 
@@ -100,7 +105,10 @@ class FineTuner:
     """
 
     def __init__(self) -> None:
-        self._blocks: List[ParameterBlock] = []
+        # Block columns; a block's id is its position.
+        self._block_sizes: List[int] = []
+        self._block_names: List[str] = []
+        self._block_origins: List[str] = []
         self._models: List[Model] = []
         # Per-root cache of materialised bottom blocks so two fine-tunes of
         # the same root share the *same* block objects for their common
@@ -112,9 +120,15 @@ class FineTuner:
     # Id allocation
     # ------------------------------------------------------------------
     def _new_block(self, size_bytes: int, name: str, origin: str) -> int:
-        block = ParameterBlock(len(self._blocks), size_bytes, name=name, origin=origin)
-        self._blocks.append(block)
-        return block.block_id
+        block_id = len(self._block_sizes)
+        if size_bytes <= 0:
+            raise LibraryError(
+                f"block {block_id} size must be positive, got {size_bytes}"
+            )
+        self._block_sizes.append(size_bytes)
+        self._block_names.append(name)
+        self._block_origins.append(origin)
+        return block_id
 
     def _register_root(self, root: PretrainedRoot) -> None:
         known = self._roots.get(root.name)
@@ -178,41 +192,44 @@ class FineTuner:
         """
         if isinstance(parent, PretrainedRoot):
             depth = parent.num_layers
-            layer_sizes = [parent.layer_size_bytes(i) for i in range(depth)]
-            layer_names = [layer.name for layer in parent.layers]
             root_name = parent.name
             bytes_per_param = parent.bytes_per_param
-            prefix_supplier = lambda: self._root_prefix(parent, n_frozen)
         else:
-            depth = parent.num_blocks
-            layer_sizes = [
-                self._block_size_by_id(b) for b in parent.block_ids
-            ]
-            layer_names = [
-                self._blocks[b].name or f"layer{k}"
-                for k, b in enumerate(parent.block_ids)
-            ]
+            parent_ids = parent.block_ids
+            if min(parent_ids) < 0 or max(parent_ids) >= self.num_blocks:
+                foreign = [b for b in parent_ids if not 0 <= b < self.num_blocks]
+                raise LibraryError(
+                    f"parent model {parent.model_id} references blocks "
+                    f"{foreign} not allocated by this tuner"
+                )
+            depth = len(parent_ids)
             root_name = parent.name or f"model{parent.model_id}"
             bytes_per_param = 4
-            prefix_supplier = lambda: list(parent.block_ids[:n_frozen])
-
         if not 0 <= n_frozen < depth:
             raise LibraryError(
                 f"n_frozen must be in [0, {depth - 1}] for {name!r}, got {n_frozen}"
             )
+        if head_params is not None and head_params <= 0:
+            raise LibraryError("head_params must be positive")
 
-        block_ids = prefix_supplier()
-        for index in range(n_frozen, depth):
-            is_head = index == depth - 1
-            size = layer_sizes[index]
-            if is_head and head_params is not None:
-                if head_params <= 0:
-                    raise LibraryError("head_params must be positive")
-                size = head_params * bytes_per_param
+        # Everything is validated: allocate the shared prefix, then one
+        # fresh block per un-frozen tensor.
+        retrained = range(n_frozen, depth)
+        if isinstance(parent, PretrainedRoot):
+            block_ids = self._root_prefix(parent, n_frozen)
+            sizes = [parent.layer_size_bytes(i) for i in retrained]
+            names = [parent.layers[i].name for i in retrained]
+        else:
+            block_ids = list(parent_ids[:n_frozen])
+            sizes = [self._block_sizes[parent_ids[i]] for i in retrained]
+            names = [
+                self._block_names[parent_ids[i]] or f"layer{i}" for i in retrained
+            ]
+        if head_params is not None:
+            sizes[-1] = head_params * bytes_per_param
+        for size, layer_name in zip(sizes, names):
             block_ids.append(
-                self._new_block(
-                    size, name=f"{name}.{layer_names[index]}", origin=name
-                )
+                self._new_block(size, name=f"{name}.{layer_name}", origin=name)
             )
         return self._add_model(name, block_ids, root=root_name)
 
@@ -259,12 +276,6 @@ class FineTuner:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def _block_size_by_id(self, block_id: int) -> int:
-        try:
-            return self._blocks[block_id].size_bytes
-        except IndexError:
-            raise LibraryError(f"unknown block id {block_id}") from None
-
     def _add_model(self, name: str, block_ids: Sequence[int], root: str) -> Model:
         model = Model(
             model_id=len(self._models),
@@ -280,8 +291,19 @@ class FineTuner:
         """Models created so far."""
         return len(self._models)
 
+    @property
+    def num_blocks(self) -> int:
+        """Blocks allocated so far."""
+        return len(self._block_sizes)
+
     def build(self) -> ModelLibrary:
         """Assemble the library from everything created so far."""
         if not self._models:
             raise LibraryError("no models have been fine-tuned yet")
-        return ModelLibrary(blocks=self._blocks, models=self._models)
+        return ModelLibrary.from_arrays(
+            range(self.num_blocks),
+            self._block_sizes,
+            self._block_names,
+            self._block_origins,
+            self._models,
+        )

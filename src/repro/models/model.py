@@ -40,6 +40,10 @@ class Model:
             raise LibraryError(f"model_id must be non-negative, got {self.model_id}")
         if not self.block_ids:
             raise LibraryError(f"model {self.model_id} must contain at least one block")
+        if min(self.block_ids) < 0:
+            raise LibraryError(
+                f"model {self.model_id} lists a negative block id {min(self.block_ids)}"
+            )
         block_set = frozenset(self.block_ids)
         if len(block_set) != len(self.block_ids):
             raise LibraryError(

@@ -535,10 +535,7 @@ def resolve_from_scratch(
         capacities=np.asarray(source.capacities, dtype=np.int64).copy(),
     )
     original_demand = scenario.demand.copy()
-    model_sizes = np.array(
-        [scenario.library.model_size(i) for i in scenario.library.model_ids],
-        dtype=float,
-    )
+    model_sizes = scenario.library.model_size_array.astype(float)
     algorithm = _solver_for(solver, engine)
     records: List[ScratchRecord] = []
     for event in events:

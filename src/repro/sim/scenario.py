@@ -326,9 +326,7 @@ def build_scenario(
     with obs.span("scenario.demand"):
         demand = _build_demand(config, factory.child("demand"))
 
-    sizes = np.array(
-        [library.model_size(i) for i in library.model_ids], dtype=float
-    )
+    sizes = library.model_size_array.astype(float)
     latency_model = LatencyModel(topology, sizes)
     instance = PlacementInstance(
         library=library,

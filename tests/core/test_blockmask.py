@@ -6,6 +6,7 @@ import pytest
 from repro.core.blockmask import BlockMaskIndex, ServerBlockCache
 from repro.core.placement import PlacementInstance
 from repro.models.blocks import ParameterBlock
+from repro.models.generators import GeneralCaseConfig, build_general_case_library
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
 from repro.utils.units import MB
@@ -123,3 +124,46 @@ class TestServerBlockCache:
         assert cache.marginal(0, 1) == 5 * MB
         assert cache.add(0, 1) == 5 * MB
         assert cache.used[0] == 20 * MB
+
+
+class TestPaperScaleCache:
+    """The incremental cache on the paper's 300-model general-case library.
+
+    ~3,444 blocks in sibling families that share frozen prefixes, so adds
+    hit the partial-overlap path (some of a model's blocks already cached)
+    as well as re-adds and the fully fresh path.
+    """
+
+    def test_incremental_cache_matches_recompute(self):
+        library = build_general_case_library(
+            GeneralCaseConfig(num_models=300), seed=0
+        )
+        index = BlockMaskIndex(library)
+        num_servers = 3
+        cache = ServerBlockCache(index, num_servers)
+        placed = np.zeros((num_servers, library.num_models), dtype=bool)
+        rng = np.random.default_rng(17)
+        partial = readds = 0
+        for step in range(120):
+            server = int(rng.integers(num_servers))
+            if step % 6 == 5 and placed[server].any():
+                model_index = int(rng.choice(np.flatnonzero(placed[server])))
+                readds += 1
+            else:
+                model_index = int(rng.integers(library.num_models))
+            expected = int(cache.extras[server, model_index])
+            added = cache.add(server, model_index)
+            assert added == expected
+            partial += 0 < added < index.model_sizes[model_index]
+            placed[server, model_index] = True
+            assert np.array_equal(
+                cache.extras[server], index.marginal_sizes(cache.masks[server])
+            )
+            assert cache.used[server] == index.union_size(
+                np.flatnonzero(placed[server])
+            )
+        assert partial > 0 and readds > 0
+        rebuilt = ServerBlockCache.from_placement(index, placed)
+        assert np.array_equal(rebuilt.masks, cache.masks)
+        assert np.array_equal(rebuilt.used, cache.used)
+        assert np.array_equal(rebuilt.extras, cache.extras)

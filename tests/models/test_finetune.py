@@ -5,6 +5,7 @@ import pytest
 from repro.data.resnet import RESNET18, RESNET50
 from repro.data.transformer import TINY_LLM
 from repro.errors import LibraryError
+from repro.models.model import Model
 from repro.models.finetune import (
     FineTuner,
     PretrainedRoot,
@@ -79,6 +80,27 @@ class TestFreezeBottom:
         child = tuner.freeze_bottom(parent, 20, name="child")
         assert child.block_ids[:20] == parent.block_ids[:20]
         assert set(child.block_ids[20:]).isdisjoint(parent.block_ids)
+
+    def test_foreign_parent_block_rejected_before_allocating(self, root18):
+        tuner = FineTuner()
+        parent = tuner.full_finetune(root18, name="parent")
+        stranger = Model(7, parent.block_ids[:-1] + (tuner.num_blocks,))
+        blocks_before = tuner.num_blocks
+        with pytest.raises(LibraryError, match="not allocated by this tuner"):
+            tuner.freeze_bottom(stranger, 10, name="child")
+        assert tuner.num_blocks == blocks_before
+        assert tuner.num_models == 1
+        assert tuner.build().num_blocks == blocks_before
+
+    def test_rejected_head_params_leave_tuner_unchanged(self, root18):
+        tuner = FineTuner()
+        tuner.freeze_bottom(root18, 20, name="first")
+        blocks_before = tuner.num_blocks
+        with pytest.raises(LibraryError, match="head_params"):
+            tuner.freeze_bottom(root18, 20, name="bad", head_params=0)
+        assert tuner.num_blocks == blocks_before
+        assert tuner.num_models == 1
+        assert tuner.build().num_blocks == blocks_before
 
     def test_two_roots_never_share(self):
         tuner = FineTuner()

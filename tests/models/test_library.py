@@ -1,5 +1,8 @@
 """Tests for ModelLibrary: indexes, sharing structure, storage accounting."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +51,101 @@ class TestConstruction:
     def test_empty_models_rejected(self):
         with pytest.raises(LibraryError):
             ModelLibrary([ParameterBlock(0, 1)], [])
+
+    def test_unknown_blocks_listed_sorted(self):
+        message = r"model 1 references unknown blocks \[7, 9\]"
+        with pytest.raises(LibraryError, match=message):
+            ModelLibrary(
+                [ParameterBlock(0, 1)], [Model(0, (0,)), Model(1, (9, 0, 7))]
+            )
+
+
+class TestFromArrays:
+    """The array constructor runs the same checks as ``ModelLibrary(...)``."""
+
+    def test_same_library_as_object_constructor(self, tiny_library):
+        blocks = tiny_library.blocks()
+        rebuilt = ModelLibrary.from_arrays(
+            [b.block_id for b in reversed(blocks)],
+            [b.size_bytes for b in reversed(blocks)],
+            [b.name for b in reversed(blocks)],
+            [b.origin for b in reversed(blocks)],
+            reversed(tiny_library.models()),
+        )
+        assert rebuilt.blocks() == blocks
+        assert rebuilt.models() == tiny_library.models()
+        for ours, theirs in zip(rebuilt.membership, tiny_library.membership):
+            assert np.array_equal(ours, theirs)
+
+    def test_duplicate_block_id(self):
+        with pytest.raises(LibraryError, match="duplicate block"):
+            ModelLibrary.from_arrays(
+                [3, 3], [1, 2], ["", ""], ["", ""], [Model(0, (3,))]
+            )
+
+    def test_non_positive_size(self):
+        with pytest.raises(LibraryError, match="size must be positive"):
+            ModelLibrary.from_arrays(
+                [0, 1], [4, 0], ["", ""], ["", ""], [Model(0, (0,))]
+            )
+
+    def test_negative_block_id(self):
+        with pytest.raises(LibraryError, match="non-negative"):
+            ModelLibrary.from_arrays(
+                [-2, 1], [4, 4], ["", ""], ["", ""], [Model(0, (1,))]
+            )
+
+    def test_unequal_columns(self):
+        with pytest.raises(LibraryError, match="equal lengths"):
+            ModelLibrary.from_arrays(
+                [0, 1], [4], ["", ""], ["", ""], [Model(0, (1,))]
+            )
+
+    def test_unknown_block_reference(self):
+        with pytest.raises(LibraryError, match="unknown blocks"):
+            ModelLibrary.from_arrays([0], [4], [""], [""], [Model(0, (0, 5))])
+
+
+class TestArrays:
+    def test_arrays_are_read_only(self, tiny_library):
+        indptr, positions = tiny_library.membership
+        for array in (
+            tiny_library.block_id_array,
+            tiny_library.block_size_array,
+            tiny_library.model_size_array,
+            indptr,
+            positions,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_arrays_match_objects(self, tiny_library):
+        blocks = tiny_library.blocks()
+        assert tiny_library.block_id_array.tolist() == [
+            b.block_id for b in blocks
+        ]
+        assert tiny_library.block_size_array.tolist() == [
+            b.size_bytes for b in blocks
+        ]
+        assert tiny_library.model_size_array.tolist() == [
+            tiny_library.model_size(i) for i in tiny_library.model_ids
+        ]
+        indptr, positions = tiny_library.membership
+        for row, model in enumerate(tiny_library.models()):
+            span = positions[indptr[row] : indptr[row + 1]]
+            assert tuple(tiny_library.block_id_array[span].tolist()) == (
+                model.block_ids
+            )
+
+    def test_pickle_round_trip(self, tiny_library):
+        tiny_library.models_with_block(0)  # build a lazy table first
+        clone = pickle.loads(pickle.dumps(tiny_library))
+        assert clone.blocks() == tiny_library.blocks()
+        assert clone.models() == tiny_library.models()
+        assert clone.shared_block_ids == tiny_library.shared_block_ids
+        assert clone.models_with_block(0) == frozenset({0, 1})
+        with pytest.raises(ValueError):
+            clone.block_size_array[0] = 1
 
 
 class TestSharingStructure:

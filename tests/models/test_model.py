@@ -17,6 +17,10 @@ class TestModel:
         with pytest.raises(LibraryError):
             Model(-1, (0,))
 
+    def test_negative_block_id_rejected(self):
+        with pytest.raises(LibraryError, match="negative block id"):
+            Model(0, (0, -1))
+
     def test_empty_blocks_rejected(self):
         with pytest.raises(LibraryError):
             Model(0, ())
