@@ -23,9 +23,6 @@ Covered:
 * the artifact store — cold vs warm execution of the same plan through
   ``repro.exec`` (the warm run is a pure content-addressed cache hit;
   byte-identical result JSON asserted, wall-clock ratio tracked);
-* the remote socket backend — failure-free overhead of the
-  fault-tolerant substrate vs the plain process pool on the same plan
-  (identical result content asserted; target < 1.3x at paper scale);
 * the kernel-level Spec path — LP prefix prune + memoised value-DP
   tables vs the prior traversal at paper density (byte-identical
   placements asserted; target >= 1.5x);
@@ -492,78 +489,6 @@ def cache_benchmarks(quick: bool, workers: int):
     }
 
 
-def remote_benchmarks(quick: bool, workers: int):
-    """Failure-free overhead of the remote socket backend vs process.
-
-    The remote backend pays for its fault tolerance in plumbing — a TCP
-    round-trip per task, heartbeat threads, a liveness monitor. This
-    entry runs the same plan on both substrates (no chaos, no faults),
-    asserts the deterministic result content is identical, and tracks
-    the wall-clock ratio. Target: < 1.3x at paper scale, where task
-    compute dwarfs the plumbing.
-    """
-    from repro.exec import ProcessBackend, RemoteClusterBackend
-    from repro.sim.serialization import result_set_content_json
-
-    params = dict(
-        num_servers=8 if quick else 30,
-        num_users=60 if quick else 500,
-        num_models=30 if quick else 300,
-        requests_per_user=12 if quick else 30,
-        deadline_range_s=(1.0, 2.0),
-        library_case="special",
-    )
-    plan = ExperimentPlan(
-        name="bench remote sweep",
-        sweep=SweepSpec(
-            "capacity", (0.15, 0.3) if quick else (0.15, 0.3, 0.6)
-        ),
-        solvers=(
-            SolverSpec("gen", config=GenConfig(engine="sparse")),
-            SolverSpec("independent", config=IndependentConfig(engine="sparse")),
-        ),
-        base=params,
-        num_topologies=2 if quick else 8,
-        seed=7,
-        scale=1.0,
-    )
-    width = max(2, workers)
-    start = time.perf_counter()
-    process_result, _ = execute_plan(plan, backend=ProcessBackend(width))
-    process_s = time.perf_counter() - start
-    start = time.perf_counter()
-    remote_result, remote_report = execute_plan(
-        plan, backend=RemoteClusterBackend(workers=width)
-    )
-    remote_s = time.perf_counter() - start
-    identical = result_set_content_json(
-        remote_result
-    ) == result_set_content_json(process_result)
-    assert identical, "remote result content diverges from process"
-    assert remote_report.workers_lost == 0, "failure-free run lost workers"
-    overhead = remote_s / process_s
-    print(
-        f"remote (M={params['num_servers']}, K={params['num_users']}, "
-        f"I={params['num_models']}, {plan.num_topologies} topologies x "
-        f"{len(plan.sweep.points)} points, w={width}): process "
-        f"{process_s:.2f} s, remote {remote_s:.2f} s — overhead "
-        f"{overhead:.2f}x, identical content"
-    )
-    return {
-        "failure_free_overhead": {
-            "instance": {**params, "seed": 7},
-            "num_topologies": plan.num_topologies,
-            "sweep_points_gb": list(plan.sweep.points),
-            "workers": width,
-            "process_s": process_s,
-            "remote_s": remote_s,
-            "overhead_vs_process": overhead,
-            "overhead_target": 1.3,
-            "content_identical": identical,
-        }
-    }
-
-
 def kernels_benchmarks(quick: bool, workers: int):
     """The kernel-level Spec path.
 
@@ -1009,7 +934,6 @@ def main(argv=None) -> int:
         "sparse",
         "sweep",
         "cache",
-        "remote",
         "kernels",
         "scenario",
         "serve",
@@ -1050,7 +974,6 @@ def main(argv=None) -> int:
         "sparse": lambda: sparse_benchmarks(args.quick),
         "sweep": lambda: sweep_benchmarks(args.quick, args.workers),
         "cache": lambda: cache_benchmarks(args.quick, args.workers),
-        "remote": lambda: remote_benchmarks(args.quick, args.workers),
         "kernels": lambda: kernels_benchmarks(args.quick, args.workers),
         "scenario": lambda: scenario_benchmarks(args.quick),
         "serve": lambda: serve_benchmarks(args.quick),

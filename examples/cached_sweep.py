@@ -5,7 +5,7 @@ A plan is plain data, so its serialised form is a *content address*: the
 per-task partial) on a hash of the canonical plan JSON plus a
 code-version salt. This example runs one sweep three ways:
 
-1. cold, on the sharded :class:`~repro.exec.LocalClusterBackend`,
+1. cold, on the parallel :class:`~repro.exec.ProcessBackend`,
    populating the store;
 2. warm, on a *different* backend — a pure cache hit (zero tasks run,
    byte-identical result set), because the cache key excludes how the
@@ -26,7 +26,7 @@ from repro.core.gen import GenConfig
 from repro.core.independent import IndependentConfig
 from repro.exec import (
     ArtifactStore,
-    LocalClusterBackend,
+    ProcessBackend,
     SerialBackend,
     execute_plan,
     plan_cache_key,
@@ -75,9 +75,9 @@ def main() -> None:
         store = ArtifactStore(cache_dir)
         print(f"plan content address: {plan_cache_key(plan)[:16]}…\n")
 
-        # 1. Cold: the cluster backend shards the 2x4 task grid.
+        # 1. Cold: two worker processes share the 2x4 task grid.
         cold, report = execute_plan(
-            plan, backend=LocalClusterBackend(shards=2), store=store
+            plan, backend=ProcessBackend(workers=2), store=store
         )
         print(cold.to_table())
         print(f"cold:  {report.summary()}")

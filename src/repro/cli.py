@@ -10,7 +10,7 @@ Usage::
     python -m repro sweep --axis capacity --algos spec,gen,independent
     python -m repro sweep --axis users --points 10,30,50 --engine sparse
     python -m repro sweep --plan plan.json --backend process --cache-dir .cache
-    python -m repro sweep --plan plan.json --backend remote --retries 3 \
+    python -m repro sweep --plan plan.json --backend process --retries 3 \
         --chaos kill-worker:2
     trimcaching fig7 --runs 3
 
@@ -19,12 +19,13 @@ command is the generic front-end to the declarative experiment API
 (:mod:`repro.api`): pick an axis, points, and any set of registered
 solvers — the per-figure commands are just pre-baked plans. With
 ``--plan`` it executes a serialised plan file instead; ``--backend``
-picks the execution substrate (bit-identical series on all of them) and
+picks the execution substrate (bit-identical series on both) and
 ``--cache-dir`` enables content-addressed result caching with mid-sweep
 resume (an unchanged re-run is a pure cache hit). ``--retries``,
 ``--task-timeout`` and ``--heartbeat`` configure the fault layer (the
-``remote`` backend survives worker crashes with bit-identical results),
-and ``--chaos`` injects a deterministic fault schedule for drills.
+``process`` backend survives worker crashes with bit-identical
+results), and ``--chaos`` injects a deterministic fault schedule for
+drills.
 """
 
 from __future__ import annotations
@@ -351,6 +352,18 @@ def _build_cli_plan(args: argparse.Namespace):
     )
 
 
+def _backend_name(name: str) -> str:
+    """``--backend`` type: a removed or unknown name exits 2 with a
+    message naming the backends that exist."""
+    from repro.errors import ConfigurationError
+    from repro.exec.backends import check_backend_name
+
+    try:
+        return check_backend_name(name)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _generic_sweep(args: argparse.Namespace) -> str:
     from repro.api import plan_from_json, plan_to_json
     from repro.errors import ConfigurationError
@@ -515,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="process-pool width for the topology fan-out "
+                help="number of worker processes for the topology fan-out "
                 "(bit-identical series for any value)",
             )
             p.add_argument(
@@ -560,10 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("serial", "process", "cluster", "remote"),
+        type=_backend_name,
         default=None,
+        metavar="{serial,process}",
         help="execution backend for the task grid (bit-identical series "
-        "on all; process/cluster/remote width follows --workers)",
+        "on both): serial in-process, or process — long-lived worker "
+        "processes, as many as --workers, with the fault-layer flags "
+        "below",
     )
     p.add_argument(
         "--cache-dir",
@@ -583,21 +599,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--task-timeout",
         type=float,
         default=None,
-        help="straggler deadline in seconds (remote backend): past it a "
-        "task is re-dispatched to an idle worker, past twice it the "
+        help="straggler deadline in seconds (process backend): past it "
+        "a task is re-dispatched to an idle worker, past twice it the "
         "wedged worker is declared lost",
     )
     p.add_argument(
         "--heartbeat",
         type=float,
         default=None,
-        help="remote-worker heartbeat interval in seconds (liveness "
-        "timeout is five intervals; default 0.2)",
+        help="process-worker heartbeat interval in seconds (liveness "
+        "timeout is five intervals, at least 1 s; default 0.2)",
     )
     p.add_argument(
         "--chaos",
         default=None,
-        help="deterministic fault injection on the remote backend, e.g. "
+        help="deterministic fault injection on the process backend, e.g. "
         "'kill-worker:2', 'drop-conn:1,straggle:3x0.5' (facets: "
         "kill-worker:N[xLIMIT], drop-conn:N[xLIMIT], "
         "heartbeat-delay:S, straggle:EVERYxSECONDS, seed:S)",

@@ -2,8 +2,8 @@
 
 The layer between a declarative :class:`~repro.api.plan.ExperimentPlan`
 and the solvers: *where* its task grid runs
-(:mod:`repro.exec.backends` — serial, process pool, local cluster
-shards, fault-tolerant remote socket workers, all bit-identical),
+(:mod:`repro.exec.backends` — serial, or fault-tolerant long-lived
+worker processes; bit-identical either way),
 *whether it needs to run at all* (:mod:`repro.exec.store` — a
 content-addressed cache of full results and per-task partials, keyed on
 the canonical serialised plan plus a code-version salt), and *what
@@ -19,7 +19,7 @@ Entry points:
   returning ``(ResultSet, ExecutionReport)``;
 * ``repro.api.run_plan(plan, backend=..., store=...)`` — the same,
   report-less;
-* ``python -m repro sweep --plan plan.json --backend remote
+* ``python -m repro sweep --plan plan.json --backend process
   --retries 3 --cache-dir .cache`` — the CLI front end (resumable,
   cache-hitting, crash-surviving).
 """
@@ -27,7 +27,6 @@ Entry points:
 from repro.exec.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    LocalClusterBackend,
     ProcessBackend,
     SerialBackend,
     make_backend,
@@ -47,9 +46,7 @@ from repro.exec.faults import (
     TaskError,
     TaskTimeout,
     WorkerLost,
-    is_transient,
 )
-from repro.exec.remote import REMOTE_DEFAULT_RETRY, RemoteClusterBackend
 from repro.exec.retry import NO_RETRY, RetryPolicy, default_retry_policy
 from repro.exec.store import (
     CODE_VERSION_SALT,
@@ -63,8 +60,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "LocalClusterBackend",
-    "RemoteClusterBackend",
     "make_backend",
     "ArtifactStore",
     "plan_cache_key",
@@ -79,12 +74,10 @@ __all__ = [
     "TaskError",
     "WorkerLost",
     "TaskTimeout",
-    "is_transient",
     "FaultStats",
     "ChaosPolicy",
     "ArtifactChaos",
     "RetryPolicy",
     "NO_RETRY",
-    "REMOTE_DEFAULT_RETRY",
     "default_retry_policy",
 ]

@@ -8,31 +8,46 @@ function is deterministic, and results are folded in submission order —
 so any backend produces results bit-identical to
 :class:`SerialBackend`'s, whatever the placement of tasks on processes.
 
-Four backends ship:
+Two backends ship:
 
 * :class:`SerialBackend` — in-process, lazily, one task at a time.
-* :class:`ProcessBackend` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor` fan-out; what a plan with ``workers > 1`` runs
-  on unless a backend is named
+* :class:`ProcessBackend` — long-lived forked worker processes fed one
+  task at a time over private socket pairs; what a plan with ``workers > 1``
+  runs on unless a backend is named
   (:func:`~repro.exec.executor.default_backend`).
-* :class:`LocalClusterBackend` — shards the task grid round-robin into
-  ``shards`` groups, runs each shard as one long-lived worker-process
-  job, and re-interleaves the shard outputs back into submission order —
-  the shape of a cluster dispatcher, runnable on one machine.
-* :class:`~repro.exec.remote.RemoteClusterBackend` — long-lived socket
-  workers with heartbeats, liveness monitoring and straggler
-  re-dispatch (see :mod:`repro.exec.remote`).
 
-All of them speak the fault taxonomy of :mod:`repro.exec.faults`: a
-worker death surfaces as a typed
-:class:`~repro.exec.faults.ExecutionError` naming the failing task
-index (never an opaque ``BrokenProcessPool``), a
-:class:`~repro.exec.retry.RetryPolicy` governs transient-failure
-retries (pool recreation + resubmission here), and when retries are
-exhausted the policy's ``degrade_in_process`` rung can finish the work
-in the parent instead of failing the sweep. Task-function exceptions
-are deterministic and always fail fast as
-:class:`~repro.exec.faults.TaskError`.
+:class:`ProcessBackend` ships tasks over a length-prefixed pickle
+protocol to forked workers, each holding one end of a
+:func:`socket.socketpair` created for it before the fork (nothing outside
+the process tree can reach either end), that heartbeat while they
+compute and stream results as they finish. The parent runs a
+liveness monitor and a scheduler in the consuming thread:
+
+* a worker whose heartbeat goes silent (or whose connection drops, or
+  whose process dies) is declared **lost** — its in-flight task is
+  re-queued and retried under the :class:`~repro.exec.retry.
+  RetryPolicy`, with deterministic backoff jitter derived from the
+  task's grid index;
+* a task that out-lives ``task_timeout`` on a live worker is a
+  **straggler** — it is speculatively re-dispatched to an idle worker
+  (first result wins; results are deterministic, so either copy carries
+  the same bits), and past twice the deadline the wedged owner is
+  treated as lost;
+* lost workers are **replaced** from a bounded restart budget; when
+  retries are exhausted under a ``degrade_in_process`` policy, or the
+  budget is gone and no worker is left, remaining tasks **degrade** to
+  in-process execution — the sweep completes, slower, instead of
+  failing;
+* a task function that *raises* is deterministic
+  (:class:`~repro.exec.faults.TaskError`) and fails fast, whatever the
+  retry policy.
+
+The default policy is :data:`~repro.exec.retry.NO_RETRY`: the first
+lost worker fails the run with a typed
+:class:`~repro.exec.faults.WorkerLost` naming the task index. Any crash
+schedule a retrying policy survives — including every
+:class:`~repro.exec.faults.ChaosPolicy` the equivalence suite throws at
+it — yields series bit-identical to :class:`SerialBackend`.
 
 Backends are deliberately ignorant of plans, scenarios and stores; they
 see only ``(fn, payloads)``. New substrates (a queue consumer, an RPC
@@ -41,9 +56,16 @@ fan-out) plug in by implementing :meth:`ExecutionBackend.map`.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+import socket
+import struct
+import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+import traceback
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set
 
 try:  # pragma: no cover - Protocol exists on every supported Python
     from typing import Protocol, runtime_checkable
@@ -56,11 +78,21 @@ except ImportError:  # pragma: no cover
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.exec.faults import FaultStats, TaskError, TaskFailure, WorkerLost
+from repro.exec.faults import (
+    ChaosPolicy,
+    FaultStats,
+    TaskError,
+    TaskTimeout,
+    WorkerLost,
+)
 from repro.exec.retry import NO_RETRY, RetryPolicy
 
 #: CLI-facing backend names, in help-text order.
-BACKEND_NAMES = ("serial", "process", "cluster", "remote")
+BACKEND_NAMES = ("serial", "process")
+
+#: Backends that were folded into ``process``; naming one is an error
+#: that points at the replacement.
+_REMOVED_BACKENDS = ("cluster", "remote")
 
 
 @runtime_checkable
@@ -107,365 +139,628 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-def _run_indexed_chunk(
-    fn: Callable[[Any], Any], start_index: int, payloads: List[Any]
-) -> List[Any]:
-    """Run consecutive payloads in a worker (module-level: picklable).
+# ----------------------------------------------------------------------
+# Wire protocol: 4-byte big-endian length + pickle payload
+# ----------------------------------------------------------------------
+_LENGTH = struct.Struct(">I")
 
-    A task-function exception is re-raised as a picklable
-    :class:`~repro.exec.faults.TaskFailure` carrying the exact grid
-    index, so the parent can fail fast naming the right task even when
-    several tasks share one submission.
+
+def send_frame(sock: socket.socket, message: Any) -> None:
+    """Serialise one protocol message onto ``sock``."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    sock.sendall(_LENGTH.pack(len(payload)) + payload)
+
+
+def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
+    chunks = []
+    while count:
+        chunk = sock.recv(count)
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(sock: socket.socket) -> Optional[Any]:
+    """Read one protocol message from ``sock`` (``None`` on EOF)."""
+    header = _recv_exact(sock, _LENGTH.size)
+    if header is None:
+        return None
+    payload = _recv_exact(sock, _LENGTH.unpack(header)[0])
+    if payload is None:
+        return None
+    return pickle.loads(payload)
+
+
+# ----------------------------------------------------------------------
+# Worker process
+# ----------------------------------------------------------------------
+def _worker_main(
+    sock: socket.socket,
+    inherited: List[socket.socket],
+    worker_id: int,
+    fn: Callable[[Any], Any],
+    chaos: Optional[ChaosPolicy],
+    heartbeat_interval: float,
+) -> None:
+    """Long-lived worker: heartbeat, run tasks until told to stop.
+
+    ``sock`` is this worker's end of its socket pair; ``inherited`` are
+    the parent's ends the fork copied in, closed here so that the
+    parent's death reads as EOF. Every frame from the parent is
+    ``("task", index, payload)`` or ``("stop",)``. Chaos facets execute
+    *here*, on the worker itself, so injected faults ride exactly the
+    code paths real crashes take.
     """
-    results = []
-    for offset, payload in enumerate(payloads):
+    for other in inherited:
+        other.close()
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            send_frame(sock, message)
+
+    def _heartbeat() -> None:
+        while True:
+            time.sleep(heartbeat_interval)
+            if chaos is not None and chaos.heartbeat_delay_s > 0:
+                time.sleep(chaos.heartbeat_delay_s)
+            try:
+                send(("heartbeat", worker_id))
+            except OSError:
+                return
+
+    threading.Thread(target=_heartbeat, daemon=True).start()
+
+    tasks_done = 0
+    while True:
         try:
-            results.append(fn(payload))
-        except TaskFailure:
-            raise
-        except BaseException as exc:
-            raise TaskFailure(
-                start_index + offset, f"{type(exc).__name__}: {exc}"
-            ) from None
-    return results
+            message = recv_frame(sock)
+        except OSError:
+            break
+        if message is None or message[0] == "stop":
+            break
+        if message[0] != "task":
+            continue
+        _, task_index, payload = message
+        if chaos is not None:
+            if chaos.kill_after is not None and tasks_done >= chaos.kill_after:
+                # Die *on receipt*, before executing: exactly one
+                # in-flight task is lost per granted kill.
+                os._exit(17)
+            if chaos.straggles(task_index):
+                time.sleep(chaos.straggle_s)
+        try:
+            reply = ("result", task_index, fn(payload))
+        except BaseException:
+            reply = ("task-error", task_index, traceback.format_exc())
+        # Release this task before blocking on the next frame: a worker
+        # must never hold two tasks' payloads (a sweep point's whole
+        # model library each) at once.
+        del message, payload
+        try:
+            send(reply)
+        except OSError:
+            break
+        completed = reply[0] == "result"
+        del reply
+        if not completed:
+            continue
+        tasks_done += 1
+        if (
+            chaos is not None
+            and chaos.drop_after is not None
+            and tasks_done >= chaos.drop_after
+        ):
+            # Drop the connection after a completed task: nothing is
+            # lost, but the parent sees a dead peer.
+            try:
+                sock.close()
+            finally:
+                os._exit(18)
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
-def _future_is_broken(future) -> bool:
-    """Does this future need resubmission after a pool breakage?"""
-    if not future.done() or future.cancelled():
-        return True
-    return future.exception() is not None
+# ----------------------------------------------------------------------
+# Parent-side bookkeeping
+# ----------------------------------------------------------------------
+class _Worker:
+    """Parent-side handle of one worker process."""
+
+    def __init__(self, worker_id: int, proc, conn: socket.socket) -> None:
+        self.worker_id = worker_id
+        self.proc = proc
+        self.conn = conn  #: the parent's end of the worker's socket pair
+        self.alive = True  #: not yet declared lost
+        self.lost_reason: Optional[str] = None
+        self.task: Optional[int] = None  #: index currently assigned here
+        self.task_started_at: float = 0.0
+        self.last_seen = time.monotonic()  #: any frame counts as life
+
+    @property
+    def idle(self) -> bool:
+        return self.alive and self.task is None
+
+
+class _ProcessRun:
+    """State machine of one ``map`` call (scheduler + monitor + fold)."""
+
+    def __init__(
+        self,
+        backend: "ProcessBackend",
+        fn: Callable[[Any], Any],
+        payloads: List[Any],
+    ) -> None:
+        self.backend = backend
+        self.fn = fn
+        self.payloads = payloads
+        self.stats = backend.stats
+        self.retry = backend.retry
+        self.chaos = backend.chaos
+
+        self.lock = threading.Lock()
+        self.cond = threading.Condition(self.lock)
+        n = len(payloads)
+        #: Epoch stamp of each task's *first* dispatch (or degradation
+        #: start): the parent half of the queue-wait measurement.
+        self.assigned_epoch: Dict[int, float] = {}
+        self.results: Dict[int, Any] = {}
+        self.attempts = [0] * n
+        self.pending: Deque[int] = deque(range(n))
+        self.not_before = [0.0] * n
+        self.redispatched: Set[int] = set()
+        self.degrade_queue: Deque[int] = deque()
+        self.error: Optional[BaseException] = None
+        self.closing = False
+
+        self.workers: Dict[int, _Worker] = {}
+        self.next_worker_id = 0
+        self.restarts_used = 0
+        #: When the liveness monitor last ran (see _check_liveness).
+        self.last_check = time.monotonic()
+        self.ctx = multiprocessing.get_context("fork")
+
+    # -- spawning ------------------------------------------------------
+    def _spawn_worker(self) -> None:
+        """Fork one worker wired to the parent by a fresh socket pair."""
+        worker_id = self.next_worker_id
+        self.next_worker_id += 1
+        conn, child_end = socket.socketpair()
+        armed = (
+            self.chaos.armed_for(worker_id) if self.chaos is not None else None
+        )
+        inherited = [conn] + [w.conn for w in self.workers.values()]
+        proc = self.ctx.Process(
+            target=_worker_main,
+            args=(
+                child_end,
+                inherited,
+                worker_id,
+                self.fn,
+                armed,
+                self.backend.heartbeat_interval,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        child_end.close()
+        worker = _Worker(worker_id, proc, conn)
+        self.workers[worker_id] = worker
+        threading.Thread(
+            target=self._reader, args=(worker,), daemon=True
+        ).start()
+
+    # -- per-worker reader ---------------------------------------------
+    def _reader(self, worker: _Worker) -> None:
+        while True:
+            try:
+                message = recv_frame(worker.conn)
+            except OSError:
+                message = None
+            if message is None:
+                with self.cond:
+                    self._declare_lost(worker, "connection lost")
+                    self.cond.notify_all()
+                return
+            kind = message[0]
+            with self.cond:
+                now = time.monotonic()
+                if kind == "heartbeat":
+                    # The observed gap between consecutive signs of life
+                    # is the liveness monitor's actual signal-to-noise:
+                    # gaps approaching heartbeat_timeout mean lost
+                    # workers are being declared on a hair trigger.
+                    obs.observe(
+                        "repro_exec_heartbeat_gap_seconds",
+                        now - worker.last_seen,
+                    )
+                worker.last_seen = now
+                if kind == "result":
+                    _, index, value = message
+                    if index not in self.results:
+                        self.results[index] = value
+                    if worker.task == index:
+                        worker.task = None
+                    self.cond.notify_all()
+                elif kind == "task-error":
+                    _, index, description = message
+                    if self.error is None:
+                        self.error = TaskError(
+                            "task function raised on worker "
+                            f"{worker.worker_id}:\n{description}",
+                            task_index=index,
+                        )
+                    if worker.task == index:
+                        worker.task = None
+                    self.cond.notify_all()
+                # heartbeats only refresh last_seen
+
+    # -- failure handling (all called under the lock) ------------------
+    def _declare_lost(self, worker: _Worker, reason: str) -> None:
+        """Idempotently mark a worker dead and recover its task."""
+        if not worker.alive:
+            return
+        worker.alive = False
+        worker.lost_reason = reason
+        if not self.closing:
+            self.stats.workers_lost += 1
+            obs.instant(
+                "exec.worker_lost", worker=worker.worker_id, reason=reason
+            )
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        try:
+            worker.proc.terminate()
+        except (OSError, ValueError):
+            pass
+        index, worker.task = worker.task, None
+        if self.closing or index is None or index in self.results:
+            return
+        if any(
+            other.alive and other.task == index
+            for other in self.workers.values()
+        ):
+            return  # a re-dispatched copy is still running it
+        self._requeue(index, reason)
+
+    def _requeue(self, index: int, reason: str) -> None:
+        self.attempts[index] += 1
+        if self.retry.exhausted(self.attempts[index]):
+            if self.retry.degrade_in_process:
+                obs.instant("exec.degraded", task=index, reason=reason)
+                self.degrade_queue.append(index)
+                return
+            if self.error is None:
+                exc_type = (
+                    TaskTimeout if "straggl" in reason else WorkerLost
+                )
+                self.error = exc_type(
+                    f"task {index} failed {self.attempts[index]} time(s) "
+                    f"({reason}); retry budget "
+                    f"max_attempts={self.retry.max_attempts} exhausted",
+                    task_index=index,
+                )
+            return
+        self.stats.retries += 1
+        obs.instant(
+            "exec.retry",
+            task=index,
+            attempt=self.attempts[index],
+            reason=reason,
+        )
+        self.not_before[index] = time.monotonic() + self.retry.delay_s(
+            self.attempts[index], index
+        )
+        self.pending.appendleft(index)
+
+    def _check_liveness(self, now: float) -> None:
+        timeout = self.backend.heartbeat_timeout
+        stalled = now - self.last_check > timeout
+        self.last_check = now
+        for worker in list(self.workers.values()):
+            if not worker.alive:
+                continue
+            if stalled:
+                # The monitor itself went unscheduled for a whole timeout
+                # (the parent was stopped, or busy degrading tasks): the
+                # silence is the parent's, not the workers', so restart
+                # their clocks instead of declaring them lost.
+                worker.last_seen = now
+            elif now - worker.last_seen > timeout:
+                self._declare_lost(worker, "heartbeat timeout")
+
+    def _check_stragglers(self, now: float) -> None:
+        timeout = self.backend.task_timeout
+        if timeout is None:
+            return
+        for worker in list(self.workers.values()):
+            if not worker.alive or worker.task is None:
+                continue
+            age = now - worker.task_started_at
+            if age <= timeout:
+                continue
+            index = worker.task
+            if index not in self.redispatched:
+                idle = next(
+                    (w for w in self.workers.values() if w.idle), None
+                )
+                if idle is not None:
+                    self.redispatched.add(index)
+                    self.stats.re_dispatched += 1
+                    obs.instant(
+                        "exec.redispatch",
+                        task=index,
+                        owner=worker.worker_id,
+                        thief=idle.worker_id,
+                    )
+                    self._assign(idle, index, now)
+                    continue
+            if age > 2 * timeout:
+                # Both hope and patience exhausted: the owner is wedged.
+                self._declare_lost(worker, "straggler past hard deadline")
+
+    def _respawn(self) -> None:
+        unfinished = len(self.payloads) - len(self.results)
+        live = sum(1 for w in self.workers.values() if w.alive)
+        while (
+            live < self.backend.workers
+            and self.restarts_used < self.backend.max_restarts
+            and live < unfinished
+        ):
+            self.restarts_used += 1
+            self._spawn_worker()
+            live += 1
+
+    def _pool_exhausted(self) -> bool:
+        return (
+            not any(w.alive for w in self.workers.values())
+            and self.restarts_used >= self.backend.max_restarts
+        )
+
+    # -- dispatch ------------------------------------------------------
+    def _assign(self, worker: _Worker, index: int, now: float) -> None:
+        """Mark + send one task to one worker (send failures = lost)."""
+        worker.task = index
+        worker.task_started_at = now
+        self.assigned_epoch.setdefault(index, time.time())
+        try:
+            send_frame(worker.conn, ("task", index, self.payloads[index]))
+        except OSError:
+            self._declare_lost(worker, "send failed")
+
+    def _dispatch(self, now: float) -> None:
+        if not self.pending:
+            return
+        idle = sorted(
+            (w for w in self.workers.values() if w.idle),
+            key=lambda w: w.worker_id,
+        )
+        if not idle:
+            return
+        ready: List[int] = []
+        deferred: List[int] = []
+        while self.pending and len(ready) < len(idle):
+            index = self.pending.popleft()
+            if index in self.results:
+                continue  # a duplicate already finished it
+            if self.not_before[index] > now:
+                deferred.append(index)
+            else:
+                ready.append(index)
+        for index in reversed(deferred):
+            self.pending.appendleft(index)
+        for worker, index in zip(idle, ready):
+            self._assign(worker, index, now)
+
+    # -- degradation ---------------------------------------------------
+    def _collect_degraded(self) -> List[int]:
+        """Indices that must now run in the parent (under the lock)."""
+        indices = list(self.degrade_queue)
+        self.degrade_queue.clear()
+        if self._pool_exhausted():
+            # The whole pool is gone: everything still pending comes home.
+            while self.pending:
+                index = self.pending.popleft()
+                if index not in self.results:
+                    indices.append(index)
+        return indices
+
+    def _run_degraded(self, indices: List[int]) -> None:
+        """Execute fallen-back tasks in-process (outside the lock)."""
+        for index in indices:
+            self.assigned_epoch.setdefault(index, time.time())
+            try:
+                value = self.fn(self.payloads[index])
+            except BaseException:
+                description = traceback.format_exc()
+                with self.cond:
+                    if self.error is None:
+                        self.error = TaskError(
+                            "task function raised during in-process "
+                            f"degradation:\n{description}",
+                            task_index=index,
+                        )
+                    self.cond.notify_all()
+                return
+            with self.cond:
+                if index not in self.results:
+                    self.results[index] = value
+                self.stats.degraded += 1
+                self.cond.notify_all()
+
+    # -- lifecycle -----------------------------------------------------
+    def _shutdown(self) -> None:
+        with self.cond:
+            self.closing = True
+            workers = list(self.workers.values())
+        for worker in workers:
+            try:
+                send_frame(worker.conn, ("stop",))
+            except OSError:
+                pass
+            try:
+                worker.conn.close()
+            except OSError:
+                pass
+            try:
+                worker.proc.terminate()
+            except (OSError, ValueError):
+                pass
+        for worker in workers:
+            worker.proc.join(timeout=2.0)
+
+    def run(self) -> Iterator[Any]:
+        """The generator body of :meth:`ProcessBackend.map`."""
+        total = len(self.payloads)
+        with self.cond:
+            for _ in range(min(self.backend.workers, total)):
+                self._spawn_worker()
+            self.last_check = time.monotonic()
+        tick = self.backend._tick
+        next_yield = 0
+        try:
+            while next_yield < total:
+                to_yield: List[Any] = []
+                with self.cond:
+                    if self.error is not None:
+                        raise self.error
+                    now = time.monotonic()
+                    self._check_liveness(now)
+                    self._check_stragglers(now)
+                    self._respawn()
+                    self._dispatch(now)
+                    degraded = self._collect_degraded()
+                    while next_yield < total and next_yield in self.results:
+                        to_yield.append((next_yield, self.results[next_yield]))
+                        next_yield += 1
+                    if not to_yield and not degraded:
+                        self.cond.wait(tick)
+                        if self.error is not None:
+                            raise self.error
+                if degraded:
+                    self._run_degraded(degraded)
+                for index, value in to_yield:
+                    yield obs.absorb(value, self.assigned_epoch.get(index))
+        finally:
+            self._shutdown()
 
 
 class ProcessBackend:
-    """Fan tasks over a local process pool, results in submission order.
+    """Ship tasks to long-lived worker processes; survive their deaths.
 
     Parameters
     ----------
     workers:
-        Pool width. ``chunksize`` batches consecutive payloads per
-        round-trip (larger chunks amortise pickling of shared payload
-        parts, e.g. a sweep point's model library).
+        Target worker-process count (lost workers are replaced from
+        ``max_restarts``).
     retry:
-        :class:`~repro.exec.retry.RetryPolicy` for pool breakage (a
-        worker process died). Default :data:`~repro.exec.retry.NO_RETRY`
-        fails fast with a typed :class:`~repro.exec.faults.WorkerLost`
-        naming the failing task index; with retries the pool is
-        recreated and unfinished submissions re-dispatched, and the
-        policy's ``degrade_in_process`` rung finishes stubborn chunks in
-        the parent. Attempt accounting is per awaited chunk.
+        :class:`~repro.exec.retry.RetryPolicy` for transient failures;
+        defaults to :data:`~repro.exec.retry.NO_RETRY` (the first lost
+        worker fails the run with a typed
+        :class:`~repro.exec.faults.WorkerLost`).
+    heartbeat_interval / heartbeat_timeout:
+        Workers heartbeat every ``heartbeat_interval`` seconds; a
+        worker silent for ``heartbeat_timeout`` (default: five
+        intervals, at least 1 s) is declared lost.
+    task_timeout:
+        Straggler deadline in seconds: past it a task is re-dispatched
+        to an idle worker, past twice it the wedged owner is lost.
+        ``None`` (default) disables straggler handling.
+    chaos:
+        A :class:`~repro.exec.faults.ChaosPolicy` executed *by the
+        workers on themselves* — deterministic fault injection for
+        tests, CI and drills.
+    max_restarts:
+        Replacement-worker budget (default ``2 * workers + 2``); once
+        spent, remaining tasks degrade to in-process execution.
     """
 
     name = "process"
+    #: Payloads per frame: every task travels alone.
+    chunksize = 1
 
     def __init__(
         self,
         workers: int = 2,
-        chunksize: int = 1,
         retry: Optional[RetryPolicy] = None,
+        heartbeat_interval: float = 0.2,
+        heartbeat_timeout: Optional[float] = None,
+        task_timeout: Optional[float] = None,
+        chaos: Optional[ChaosPolicy] = None,
+        max_restarts: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be at least 1, got {workers}"
             )
-        if chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be at least 1, got {chunksize}"
-            )
+        if heartbeat_interval <= 0:
+            raise ConfigurationError("heartbeat_interval must be > 0")
+        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
+            raise ConfigurationError("heartbeat_timeout must be > 0")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ConfigurationError("task_timeout must be > 0")
+        if max_restarts is not None and max_restarts < 0:
+            raise ConfigurationError("max_restarts must be >= 0")
         self.workers = workers
-        self.chunksize = chunksize
         self.retry = retry if retry is not None else NO_RETRY
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = (
+            heartbeat_timeout
+            if heartbeat_timeout is not None
+            else max(1.0, 5.0 * heartbeat_interval)
+        )
+        self.task_timeout = task_timeout
+        self.chaos = chaos
+        self.max_restarts = (
+            max_restarts if max_restarts is not None else 2 * workers + 2
+        )
+        #: Monitor wake-up cadence: fine enough to catch timeouts fast.
+        self._tick = min(0.25, max(0.01, heartbeat_interval / 2.0))
         self.stats = FaultStats()
 
     def map(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> Iterator[Any]:
-        """Yield pool results lazily; order follows submission."""
-        payloads = list(payloads)
-        self.stats = stats = FaultStats()
-        retry = self.retry
-        if not payloads:
-            return iter(())
-        # When observability is on, workers run the wrapped fn (per-task
-        # envelopes) and the parent absorbs each envelope at yield time;
-        # when off, fn is untouched and the path below is unchanged.
-        fn = obs.wrap_task(fn)
-        chunks: List[Tuple[int, List[Any]]] = [
-            (start, payloads[start : start + self.chunksize])
-            for start in range(0, len(payloads), self.chunksize)
-        ]
-        submitted_at: List[float] = [0.0] * len(chunks)
-
-        def _iterate() -> Iterator[Any]:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            futures: dict = {}
-
-            def submit(to_pool, indices) -> None:
-                for ci in indices:
-                    start, chunk = chunks[ci]
-                    submitted_at[ci] = time.time()
-                    futures[ci] = to_pool.submit(
-                        _run_indexed_chunk, fn, start, chunk
-                    )
-
-            def degrade(ci: int) -> List[Any]:
-                stats.degraded += len(chunks[ci][1])
-                obs.instant("exec.degraded", task=chunks[ci][0])
-                submitted_at[ci] = time.time()
-                try:
-                    return _run_indexed_chunk(fn, chunks[ci][0], chunks[ci][1])
-                except TaskFailure as failure:
-                    raise TaskError(
-                        "task function raised during in-process "
-                        f"degradation: {failure.description}",
-                        task_index=failure.task_index,
-                    ) from failure
-
-            submit(pool, range(len(chunks)))
-            attempts = [0] * len(chunks)
-            try:
-                for ci in range(len(chunks)):
-                    while True:
-                        try:
-                            results = futures[ci].result()
-                            break
-                        except TaskFailure as failure:
-                            raise TaskError(
-                                "task function raised in worker: "
-                                f"{failure.description}",
-                                task_index=failure.task_index,
-                            ) from failure
-                        except BrokenExecutor as exc:
-                            start = chunks[ci][0]
-                            stats.workers_lost += 1
-                            obs.instant("exec.worker_lost", task=start)
-                            attempts[ci] += 1
-                            if retry.exhausted(attempts[ci]):
-                                if retry.degrade_in_process:
-                                    results = degrade(ci)
-                                    break
-                                raise WorkerLost(
-                                    "worker pool broke while running "
-                                    f"task {start} (attempt "
-                                    f"{attempts[ci]}/{retry.max_attempts})",
-                                    task_index=start,
-                                ) from exc
-                            stats.retries += 1
-                            obs.instant(
-                                "exec.retry",
-                                task=start,
-                                attempt=attempts[ci],
-                            )
-                            time.sleep(retry.delay_s(attempts[ci], start))
-                            # The breakage poisoned every unfinished
-                            # future: recreate the pool and re-dispatch.
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            pool = ProcessPoolExecutor(
-                                max_workers=self.workers
-                            )
-                            submit(
-                                pool,
-                                [
-                                    index
-                                    for index in range(ci, len(chunks))
-                                    if _future_is_broken(futures[index])
-                                ],
-                            )
-                    for value in results:
-                        yield obs.absorb(value, submitted_at[ci])
-            finally:
-                # Normal completion, an error, or the consumer
-                # abandoning the iteration (GeneratorExit): cancel
-                # queued work so shutdown doesn't grind through the
-                # whole remaining grid.
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        return _iterate()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"ProcessBackend(workers={self.workers})"
-
-
-def _run_indexed_shard(
-    fn: Callable[[Any], Any], indexed_payloads: List[Tuple[int, Any]]
-) -> List[Any]:
-    """Run one shard's (index, payload) pairs sequentially (picklable)."""
-    results = []
-    for index, payload in indexed_payloads:
-        try:
-            results.append(fn(payload))
-        except TaskFailure:
-            raise
-        except BaseException as exc:
-            raise TaskFailure(
-                index, f"{type(exc).__name__}: {exc}"
-            ) from None
-    return results
-
-
-class LocalClusterBackend:
-    """Shard the task grid across long-lived worker-process jobs.
-
-    The grid is dealt round-robin into ``shards`` groups; each group runs
-    as a single sequential job in the pool (one "node" of the pretend
-    cluster), and the outputs are re-interleaved into submission order.
-    Because every task's seed travels in its payload and the fold order
-    is reconstructed exactly, the results are bit-identical to
-    :class:`SerialBackend` — only the placement of work differs.
-
-    Trade-off versus :class:`ProcessBackend`: a shard's outputs become
-    available only when the whole shard job completes, so results reach
-    the consumer — and therefore the artifact store's per-task
-    persistence — at **shard granularity**. A killed cluster-backend
-    sweep resumes from completed shards, not completed tasks; prefer
-    ``process`` when fine-grained resume matters more than long-lived
-    shard jobs.
-
-    Parameters
-    ----------
-    shards:
-        Number of shard jobs to cut the grid into.
-    workers:
-        Pool width (defaults to ``shards``: every shard gets a process).
-    retry:
-        :class:`~repro.exec.retry.RetryPolicy` applied at **shard**
-        granularity: a shard job that dies with the pool is resubmitted
-        whole (its tasks are deterministic, so the re-run folds the same
-        bits), and the ``degrade_in_process`` rung runs a stubborn shard
-        in the parent. Default: fail fast with a typed
-        :class:`~repro.exec.faults.WorkerLost` naming the shard's first
-        task index.
-    """
-
-    name = "cluster"
-
-    def __init__(
-        self,
-        shards: int = 2,
-        workers: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        if shards < 1:
-            raise ConfigurationError(f"shards must be at least 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise ConfigurationError(
-                f"workers must be at least 1, got {workers}"
-            )
-        self.shards = shards
-        self.workers = workers if workers is not None else shards
-        self.retry = retry if retry is not None else NO_RETRY
+        """Yield ``fn(payload)`` per payload in submission order,
+        surviving worker crashes per the retry policy."""
         self.stats = FaultStats()
-
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> Iterator[Any]:
-        """Yield shard-job results re-interleaved into submission order."""
         payloads = list(payloads)
-        self.stats = stats = FaultStats()
-        retry = self.retry
         if not payloads:
             return iter(())
-        fn = obs.wrap_task(fn)
-        shards = min(self.shards, len(payloads))
-        assignment = [index % shards for index in range(len(payloads))]
-        indexed_shards: List[List[Tuple[int, Any]]] = [
-            [] for _ in range(shards)
-        ]
-        for index, payload in enumerate(payloads):
-            indexed_shards[assignment[index]].append((index, payload))
-        submitted_at: List[float] = [0.0] * shards
-
-        def _iterate() -> Iterator[Any]:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            futures: dict = {}
-            resolved: dict = {}
-
-            def submit(to_pool, shard_ids) -> None:
-                for shard in shard_ids:
-                    submitted_at[shard] = time.time()
-                    futures[shard] = to_pool.submit(
-                        _run_indexed_shard, fn, indexed_shards[shard]
-                    )
-
-            def resolve(shard: int) -> None:
-                nonlocal pool
-                attempts = 0
-                while shard not in resolved:
-                    try:
-                        resolved[shard] = futures[shard].result()
-                    except TaskFailure as failure:
-                        raise TaskError(
-                            "task function raised in shard worker: "
-                            f"{failure.description}",
-                            task_index=failure.task_index,
-                        ) from failure
-                    except BrokenExecutor as exc:
-                        first_index = indexed_shards[shard][0][0]
-                        stats.workers_lost += 1
-                        obs.instant("exec.worker_lost", task=first_index)
-                        attempts += 1
-                        if retry.exhausted(attempts):
-                            if retry.degrade_in_process:
-                                stats.degraded += len(indexed_shards[shard])
-                                obs.instant(
-                                    "exec.degraded", task=first_index
-                                )
-                                submitted_at[shard] = time.time()
-                                try:
-                                    resolved[shard] = _run_indexed_shard(
-                                        fn, indexed_shards[shard]
-                                    )
-                                except TaskFailure as failure:
-                                    raise TaskError(
-                                        "task function raised during "
-                                        "in-process degradation: "
-                                        f"{failure.description}",
-                                        task_index=failure.task_index,
-                                    ) from failure
-                                return
-                            raise WorkerLost(
-                                f"shard job {shard} lost its worker while "
-                                f"running task {first_index} (attempt "
-                                f"{attempts}/{retry.max_attempts})",
-                                task_index=first_index,
-                            ) from exc
-                        stats.retries += 1
-                        obs.instant(
-                            "exec.retry", task=first_index, attempt=attempts
-                        )
-                        time.sleep(retry.delay_s(attempts, first_index))
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = ProcessPoolExecutor(max_workers=self.workers)
-                        submit(
-                            pool,
-                            [
-                                other
-                                for other in range(shards)
-                                if other not in resolved
-                                and _future_is_broken(futures[other])
-                            ],
-                        )
-
-            submit(pool, range(shards))
-            try:
-                cursors = [0] * shards
-                for index in range(len(payloads)):
-                    shard = assignment[index]
-                    resolve(shard)
-                    yield obs.absorb(
-                        resolved[shard][cursors[shard]], submitted_at[shard]
-                    )
-                    cursors[shard] += 1
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        return _iterate()
+        # Workers inherit the wrapped fn through the fork and ship
+        # envelopes (result + telemetry snapshot) back as task results;
+        # the fold above absorbs them first-result-wins, so a killed
+        # worker's partial telemetry never reaches the parent.
+        return _ProcessRun(self, obs.wrap_task(fn), payloads).run()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"LocalClusterBackend(shards={self.shards}, "
-            f"workers={self.workers})"
+            f"ProcessBackend(workers={self.workers}, "
+            f"retry={self.retry!r}, chaos={self.chaos!r})"
         )
+
+
+def check_backend_name(name: str) -> str:
+    """Return ``name`` if it names a backend; otherwise raise.
+
+    A removed backend name fails with a message naming its replacement.
+    """
+    if name in _REMOVED_BACKENDS:
+        raise ConfigurationError(
+            f"the {name!r} backend was removed; use 'process' (the same "
+            "long-lived socket workers, heartbeats and retries)"
+        )
+    if name not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
+        )
+    return name
 
 
 def make_backend(
@@ -478,19 +773,19 @@ def make_backend(
 ) -> ExecutionBackend:
     """Construct a backend from its CLI name.
 
-    ``workers`` is the parallelism knob: pool width for ``process``,
-    shard/pool count for ``cluster``, worker count for ``remote``;
-    ``serial`` ignores it. The fault knobs apply where they mean
-    something — ``retry`` to every failure-capable backend,
-    ``heartbeat_interval``/``task_timeout``/``chaos`` to ``remote``
-    only (passing them elsewhere is a configuration error, not a
-    silent no-op).
+    ``workers`` is the worker count of ``process``; ``serial`` ignores
+    it. The fault knobs (``retry``, ``heartbeat_interval``,
+    ``task_timeout``, ``chaos``) apply to ``process`` only: passing any
+    of them to ``serial`` is a configuration error, not a silent no-op.
     """
-    workers = max(1, workers)
-    if name != "remote":
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
+    check_backend_name(name)
+    if name == "serial":
         offending = [
             flag
             for flag, value in (
+                ("--retries", retry),
                 ("--heartbeat", heartbeat_interval),
                 ("--task-timeout", task_timeout),
                 ("--chaos", chaos),
@@ -499,33 +794,17 @@ def make_backend(
         ]
         if offending:
             raise ConfigurationError(
-                f"{', '.join(offending)} require(s) the remote backend, "
-                f"not {name!r}"
-            )
-    if name == "serial":
-        if retry is not None:
-            raise ConfigurationError(
-                "the serial backend has no failure domain; --retries "
-                "requires process, cluster or remote"
+                "the serial backend has no failure domain; "
+                f"{', '.join(offending)} require(s) the process backend"
             )
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend(workers=workers, retry=retry)
-    if name == "cluster":
-        return LocalClusterBackend(shards=workers, retry=retry)
-    if name == "remote":
-        from repro.exec.remote import RemoteClusterBackend
-
-        kwargs = {}
-        if heartbeat_interval is not None:
-            kwargs["heartbeat_interval"] = heartbeat_interval
-        return RemoteClusterBackend(
-            workers=workers,
-            retry=retry,
-            task_timeout=task_timeout,
-            chaos=chaos,
-            **kwargs,
-        )
-    raise ConfigurationError(
-        f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
+    kwargs = {}
+    if heartbeat_interval is not None:
+        kwargs["heartbeat_interval"] = heartbeat_interval
+    return ProcessBackend(
+        workers=workers,
+        retry=retry,
+        task_timeout=task_timeout,
+        chaos=chaos,
+        **kwargs,
     )

@@ -27,13 +27,10 @@ With an :class:`~repro.exec.store.ArtifactStore` attached:
 Study kinds (comparison / mobility / replacement) have no task grid;
 they execute in-process and participate in full-result caching only.
 
-Granularity trade-off: one task per (point, topology) is what makes
-per-task caching and fine-grained resume possible, but it means
+Granularity: one task per (point, topology) is what makes per-task
+caching and fine-grained resume possible; the price is that
 :class:`~repro.exec.backends.ProcessBackend` pickles a point's shared
-model library once per topology. Pickle memoises within a submission,
-so :class:`~repro.exec.backends.LocalClusterBackend` — whose shard jobs
-carry many tasks in one submit — pickles it once per shard; pick it
-when pickling overhead outweighs resume granularity.
+model library once per topology.
 """
 
 from __future__ import annotations

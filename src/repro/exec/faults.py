@@ -20,8 +20,8 @@ result JSON under any crash schedule.
 
 :class:`ChaosPolicy` is the deterministic fault-injection harness: a
 seeded schedule of worker kills, dropped connections, delayed
-heartbeats and stragglers that the remote workers execute on
-themselves, plus :class:`ArtifactChaos` for seeded on-disk corruption
+heartbeats and stragglers that the process backend's workers execute
+on themselves, plus :class:`ArtifactChaos` for seeded on-disk corruption
 (truncate / garbage / zero) of artifact-store files. Chaos is a test
 and CI instrument — it rides the same code paths real faults take, so
 the equivalence suite exercises exactly the recovery machinery
@@ -45,8 +45,8 @@ class ExecutionError(ReproError, RuntimeError):
     """A task grid failed to execute.
 
     Carries the failing task's grid index (and id, when the caller
-    tracks one) so operators see *which* cell failed instead of an
-    opaque ``BrokenProcessPool`` out of ``pool.map``.
+    tracks one) so operators see *which* cell failed instead of a bare
+    dropped connection.
     """
 
     #: Whether retrying can help (overridden per subclass).
@@ -85,35 +85,6 @@ class TaskTimeout(WorkerLost):
     straggler is treated like a lost worker and the task re-dispatched."""
 
     transient = True
-
-
-def is_transient(exc: BaseException) -> bool:
-    """Is ``exc`` a substrate failure worth retrying?"""
-    if isinstance(exc, ExecutionError):
-        return exc.transient
-    # Pool breakage surfaces as concurrent.futures.process.BrokenProcessPool
-    # (a BrokenExecutor); treat any executor breakage as transient.
-    from concurrent.futures import BrokenExecutor
-
-    return isinstance(exc, BrokenExecutor)
-
-
-class TaskFailure(Exception):
-    """Picklable carrier of a task-function exception across processes.
-
-    Raised inside worker-side chunk runners so the parent learns the
-    *exact* failing task index even when several tasks share one
-    submission; the original traceback travels as formatted text (the
-    original exception object may not pickle).
-    """
-
-    def __init__(self, task_index: int, description: str) -> None:
-        super().__init__(task_index, description)
-        self.task_index = task_index
-        self.description = description
-
-    def __str__(self) -> str:
-        return f"task {self.task_index} raised: {self.description}"
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +133,7 @@ class FaultStats:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChaosPolicy:
-    """A seeded, bounded fault-injection schedule for remote workers.
+    """A seeded, bounded fault-injection schedule for backend workers.
 
     Facets (each with a grant budget, so chaos terminates):
 

@@ -1,8 +1,8 @@
 """Retry policy for transient execution failures.
 
-One :class:`RetryPolicy` governs every backend's reaction to a
+One :class:`RetryPolicy` governs the process backend's reaction to a
 transient fault (:class:`~repro.exec.faults.WorkerLost`,
-:class:`~repro.exec.faults.TaskTimeout`, a broken process pool):
+:class:`~repro.exec.faults.TaskTimeout`):
 
 * a task gets ``max_attempts`` executions in total — the first run plus
   ``max_attempts - 1`` retries;
@@ -97,9 +97,8 @@ class RetryPolicy:
         ))
 
 
-#: The default for ``process``/``cluster`` backends: fail fast with a
-#: typed error on the first transient fault (pre-fault-layer behaviour,
-#: minus the opaque ``BrokenProcessPool``).
+#: The process backend's default: fail fast with a typed error on the
+#: first transient fault.
 NO_RETRY = RetryPolicy()
 
 

@@ -19,7 +19,7 @@ Design constraints, in order:
   exact (bucket counts only ever add to matching buckets).
 
 Thread safety: each metric carries its own lock (the serve HTTP server
-observes from handler threads; the remote backend's reader threads
+observes from handler threads; the process backend's reader threads
 observe heartbeat gaps). The registry's get-or-create is locked too.
 """
 

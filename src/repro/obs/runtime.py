@@ -18,7 +18,7 @@ observability is off, ``wrap_task`` returns the function unchanged and
 ``absorb`` is an identity — the task path is byte-for-byte what it was.
 
 A killed worker never sends its envelope (results ship only on task
-completion, and the remote backend's first-result-wins fold absorbs at
+completion, and the process backend's first-result-wins fold absorbs at
 most one envelope per task index), so partial spans from lost workers
 cannot corrupt the merged view.
 """
@@ -183,7 +183,7 @@ class ObsTask:
     parent's own telemetry untouched while a task runs.
 
     Exceptions pass through untouched: the fault taxonomy
-    (``TaskFailure`` wrapping, retry classification) must see exactly
+    (task-error reporting, retry classification) must see exactly
     what it would have seen without observability.
     """
 

@@ -1,6 +1,6 @@
 """Stdlib HTTP/JSON transport for :class:`PlacementService`.
 
-Mirrors the ``exec`` remote backend's stdlib-only style: no frameworks,
+Mirrors the ``exec`` process backend's stdlib-only style: no frameworks,
 just :mod:`http.server`. Endpoints:
 
 ``GET /status``

@@ -1,6 +1,6 @@
 """The chaos equivalence suite: crashes must not change a single bit.
 
-Runs a real sweep plan on the remote backend under seeded fault
+Runs a real sweep plan on the process backend under seeded fault
 schedules — worker kills, dropped connections, retry exhaustion into
 degradation — and asserts the deterministic content of the result
 (canonical JSON minus measured wall-clock runtimes) is **identical**,
@@ -15,7 +15,7 @@ from repro.api import ExperimentPlan, SolverSpec, SweepSpec
 from repro.exec import (
     ArtifactStore,
     ChaosPolicy,
-    RemoteClusterBackend,
+    ProcessBackend,
     SerialBackend,
     execute_plan,
     plan_cache_key,
@@ -45,12 +45,12 @@ def make_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
-def remote(chaos=None, **kwargs):
+def process(chaos=None, **kwargs):
     defaults = dict(
         workers=2, retry=FAST_RETRY, heartbeat_interval=0.05, chaos=chaos
     )
     defaults.update(kwargs)
-    return RemoteClusterBackend(**defaults)
+    return ProcessBackend(**defaults)
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +88,16 @@ class TestContentView:
 
 
 class TestChaosEquivalence:
-    def test_failure_free_remote_matches_serial(self, serial_reference):
-        result, report = execute_plan(make_plan(), backend=remote())
+    def test_failure_free_process_matches_serial(self, serial_reference):
+        result, report = execute_plan(make_plan(), backend=process())
         assert_content_identical(result, serial_reference)
         assert report.retries == 0
         assert report.workers_lost == 0
 
     def test_kill_schedule_matches_serial(self, serial_reference):
+        # One worker, so the armed worker always receives a 3rd task.
         result, report = execute_plan(
-            make_plan(), backend=remote(ChaosPolicy(kill_after=2))
+            make_plan(), backend=process(ChaosPolicy(kill_after=2), workers=1)
         )
         assert_content_identical(result, serial_reference)
         assert report.workers_lost == 1
@@ -106,7 +107,7 @@ class TestChaosEquivalence:
         # (unarmed) recompute everything lost.
         result, report = execute_plan(
             make_plan(),
-            backend=remote(ChaosPolicy(kill_after=0, kill_limit=2)),
+            backend=process(ChaosPolicy(kill_after=0, kill_limit=2)),
         )
         assert_content_identical(result, serial_reference)
         assert report.workers_lost >= 2
@@ -114,7 +115,7 @@ class TestChaosEquivalence:
 
     def test_dropped_connections_match_serial(self, serial_reference):
         result, _ = execute_plan(
-            make_plan(), backend=remote(ChaosPolicy(drop_after=1))
+            make_plan(), backend=process(ChaosPolicy(drop_after=1))
         )
         assert_content_identical(result, serial_reference)
 
@@ -130,7 +131,7 @@ class TestChaosEquivalence:
         )
         result, report = execute_plan(
             make_plan(),
-            backend=remote(
+            backend=process(
                 ChaosPolicy(kill_after=0, kill_limit=99),
                 retry=degrade_now,
                 max_restarts=1,
@@ -148,7 +149,7 @@ class TestChaosEquivalence:
         store = ArtifactStore(tmp_path)
         chaotic, report = execute_plan(
             plan,
-            backend=remote(ChaosPolicy(kill_after=1)),
+            backend=process(ChaosPolicy(kill_after=1)),
             store=store,
         )
         assert_content_identical(chaotic, serial_reference)

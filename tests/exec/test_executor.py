@@ -13,9 +13,7 @@ from repro.exec import (
     ArtifactStore,
     ExecutionReport,
     FaultStats,
-    LocalClusterBackend,
     ProcessBackend,
-    RemoteClusterBackend,
     SerialBackend,
     build_sweep_tasks,
     execute_plan,
@@ -108,8 +106,6 @@ class TestBackendEquivalence:
         for backend in (
             SerialBackend(),
             ProcessBackend(workers=2),
-            LocalClusterBackend(shards=3),
-            RemoteClusterBackend(workers=2, heartbeat_interval=0.05),
         ):
             result, report = execute_plan(plan, backend=backend)
             assert_same_series(plain, result)
@@ -119,7 +115,7 @@ class TestBackendEquivalence:
     def test_run_plan_wrapper_accepts_backend(self):
         plan = make_plan()
         plain = run_plan(plan)
-        routed = run_plan(plan, backend=LocalClusterBackend(shards=2))
+        routed = run_plan(plan, backend=ProcessBackend(workers=2))
         assert_same_series(plain, routed)
 
     def test_metadata_matches_the_runner_path(self):
@@ -149,7 +145,7 @@ class TestFullResultCache:
         store = ArtifactStore(tmp_path)
         cold, _ = execute_plan(plan, backend=ProcessBackend(2), store=store)
         warm, report = execute_plan(
-            plan, backend=LocalClusterBackend(2), store=store
+            plan, backend=SerialBackend(), store=store
         )
         assert report.cache == "hit"
         assert warm.to_json() == cold.to_json()
@@ -305,8 +301,9 @@ class TestFaultReporting:
 
 class TestRetryDeterminism:
     def test_exactly_k_transient_failures_are_invisible(self):
-        # Both initial workers are armed to die on their 3rd task
-        # receipt: exactly K=2 tasks are lost and retried. The result's
+        # Both initial workers are armed to die on their first task
+        # receipt (the first dispatch waits for both, so each gets one):
+        # exactly K=2 tasks are lost and retried. The result's
         # deterministic content must be byte-identical to serial and
         # the report must record exactly K retries.
         from repro.exec.faults import ChaosPolicy
@@ -315,7 +312,7 @@ class TestRetryDeterminism:
 
         plan = make_plan()
         serial_result, _ = execute_plan(plan, backend=SerialBackend())
-        backend = RemoteClusterBackend(
+        backend = ProcessBackend(
             workers=2,
             retry=RetryPolicy(
                 max_attempts=3,
@@ -325,7 +322,7 @@ class TestRetryDeterminism:
                 degrade_in_process=True,
             ),
             heartbeat_interval=0.05,
-            chaos=ChaosPolicy(kill_after=2, kill_limit=2),
+            chaos=ChaosPolicy(kill_after=0, kill_limit=2),
         )
         chaotic, report = execute_plan(plan, backend=backend)
         assert report.retries == 2

@@ -1,7 +1,5 @@
 """Tests for the failure taxonomy and the deterministic chaos harness."""
 
-import pickle
-
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
@@ -11,10 +9,8 @@ from repro.exec.faults import (
     ExecutionError,
     FaultStats,
     TaskError,
-    TaskFailure,
     TaskTimeout,
     WorkerLost,
-    is_transient,
 )
 
 
@@ -25,17 +21,6 @@ class TestTaxonomy:
         assert not TaskError("x").transient
         assert WorkerLost("x").transient
         assert TaskTimeout("x").transient
-        assert is_transient(WorkerLost("x"))
-        assert is_transient(TaskTimeout("x"))
-        assert not is_transient(TaskError("x"))
-        assert not is_transient(ValueError("x"))
-
-    def test_broken_executor_is_transient(self):
-        from concurrent.futures import BrokenExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        assert is_transient(BrokenExecutor("pool died"))
-        assert is_transient(BrokenProcessPool("pool died"))
 
     def test_hierarchy(self):
         # A timeout is a species of lost worker; everything is a typed
@@ -50,15 +35,6 @@ class TestTaxonomy:
         error = WorkerLost("worker pool broke", task_index=7)
         assert error.task_index == 7
         assert "task index 7" in str(error)
-
-    def test_task_failure_pickles(self):
-        # TaskFailure crosses process boundaries; it must survive the
-        # pickle round-trip with its index and description intact.
-        failure = TaskFailure(5, "ValueError: boom")
-        clone = pickle.loads(pickle.dumps(failure))
-        assert clone.task_index == 5
-        assert clone.description == "ValueError: boom"
-        assert "task 5" in str(clone)
 
 
 class TestFaultStats:

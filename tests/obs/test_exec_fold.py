@@ -10,9 +10,7 @@ from repro import obs
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec
 from repro.exec import (
     ChaosPolicy,
-    LocalClusterBackend,
     ProcessBackend,
-    RemoteClusterBackend,
     SerialBackend,
     execute_plan,
 )
@@ -107,10 +105,11 @@ class TestBackendFold:
         [
             lambda: SerialBackend(),
             lambda: ProcessBackend(workers=2),
-            lambda: LocalClusterBackend(workers=2),
-            lambda: RemoteClusterBackend(workers=2, heartbeat_interval=0.05),
+            lambda: ProcessBackend(
+                workers=2, retry=FAST_RETRY, heartbeat_interval=0.05
+            ),
         ],
-        ids=["serial", "process", "cluster", "remote"],
+        ids=["serial", "process", "process-retry"],
     )
     def test_queue_wait_and_task_spans_fold_in(self, backend_factory):
         obs.enable(metrics=True, tracing=True)
@@ -132,13 +131,13 @@ class TestBackendFold:
         names = {record[0] for record in obs.tracer().spans}
         assert "task.solve" in names
 
-    def test_remote_heartbeat_gap_histogram(self):
+    def test_heartbeat_gap_histogram(self):
         obs.enable(metrics=True, tracing=True)
         # A warm run can finish before the first heartbeat fires, so a
         # straggling worker holds the run open past heartbeat_interval.
         execute_plan(
             make_plan(),
-            backend=RemoteClusterBackend(
+            backend=ProcessBackend(
                 workers=2,
                 heartbeat_interval=0.02,
                 chaos=ChaosPolicy(straggle_every=1, straggle_s=0.2),
@@ -156,11 +155,13 @@ class TestBackendFold:
         obs.enable(metrics=True, tracing=True)
         result, report = execute_plan(
             make_plan(),
-            backend=RemoteClusterBackend(
+            backend=ProcessBackend(
                 workers=2,
                 retry=FAST_RETRY,
                 heartbeat_interval=0.05,
-                chaos=ChaosPolicy(kill_after=1),
+                # Worker 0 dies on its first task, which the first
+                # dispatch always gives it.
+                chaos=ChaosPolicy(kill_after=0),
             ),
         )
         assert report.workers_lost >= 1

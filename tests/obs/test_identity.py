@@ -15,13 +15,12 @@ from repro import obs
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec
 from repro.exec import (
     ArtifactStore,
-    LocalClusterBackend,
     ProcessBackend,
-    RemoteClusterBackend,
     SerialBackend,
     execute_plan,
     plan_cache_key,
 )
+from repro.exec.retry import RetryPolicy
 from repro.sim.serialization import result_set_content_json
 
 
@@ -41,8 +40,13 @@ def make_plan(**overrides):
 BACKENDS = {
     "serial": lambda: SerialBackend(),
     "process": lambda: ProcessBackend(workers=2),
-    "cluster": lambda: LocalClusterBackend(workers=2),
-    "remote": lambda: RemoteClusterBackend(workers=2, heartbeat_interval=0.05),
+    # The fault layer armed (retries, in-process degradation, fast
+    # heartbeats) but never triggered must not touch a result byte.
+    "process-retry": lambda: ProcessBackend(
+        workers=2,
+        retry=RetryPolicy(max_attempts=3, degrade_in_process=True),
+        heartbeat_interval=0.05,
+    ),
 }
 
 

@@ -409,11 +409,11 @@ class TestPlanFileSweep:
     def test_backend_without_cache(self, tmp_path, capsys):
         plan_file = self._write_plan(tmp_path, capsys)
         assert (
-            main(["sweep", "--plan", str(plan_file), "--backend", "cluster"])
+            main(["sweep", "--plan", str(plan_file), "--backend", "process"])
             == 0
         )
         out = capsys.readouterr().out
-        assert "backend cluster" in out
+        assert "backend process" in out
 
     def test_explicit_workers_overrides_plan_width(self, tmp_path, capsys):
         # --workers is honoured even without --backend when a cache is
@@ -542,7 +542,7 @@ class TestFaultFlags:
         assert main(["sweep", "--plan", str(plan_file), "--retries", "2"]) == 2
         assert "require an explicit --backend" in capsys.readouterr().err
 
-    def test_remote_only_flags_rejected_on_process(self, tmp_path, capsys):
+    def test_fault_flags_rejected_on_serial(self, tmp_path, capsys):
         plan_file = self._write_plan(tmp_path, capsys)
         assert (
             main(
@@ -551,14 +551,23 @@ class TestFaultFlags:
                     "--plan",
                     str(plan_file),
                     "--backend",
-                    "process",
+                    "serial",
                     "--chaos",
                     "kill-worker:1",
                 ]
             )
             == 2
         )
-        assert "remote backend" in capsys.readouterr().err
+        assert "require(s) the process backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["cluster", "remote"])
+    def test_removed_backend_names_exit_2(self, tmp_path, capsys, name):
+        plan_file = self._write_plan(tmp_path, capsys)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--plan", str(plan_file), "--backend", name])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the {name!r} backend was removed; use 'process'" in err
 
     def test_serial_rejects_retries(self, tmp_path, capsys):
         plan_file = self._write_plan(tmp_path, capsys)
@@ -587,7 +596,7 @@ class TestFaultFlags:
                     "--plan",
                     str(plan_file),
                     "--backend",
-                    "remote",
+                    "process",
                     "--chaos",
                     "explode:1",
                 ]
@@ -596,7 +605,7 @@ class TestFaultFlags:
         )
         assert "unknown chaos facet" in capsys.readouterr().err
 
-    def test_remote_backend_runs_a_plan(self, tmp_path, capsys):
+    def test_process_backend_runs_a_plan(self, tmp_path, capsys):
         plan_file = self._write_plan(tmp_path, capsys)
         assert (
             main(
@@ -605,7 +614,7 @@ class TestFaultFlags:
                     "--plan",
                     str(plan_file),
                     "--backend",
-                    "remote",
+                    "process",
                     "--heartbeat",
                     "0.05",
                 ]
@@ -613,13 +622,13 @@ class TestFaultFlags:
             == 0
         )
         out = capsys.readouterr().out
-        assert "backend remote" in out
+        assert "backend process" in out
         assert "retried" not in out  # failure-free: no fault tail
 
     def test_chaos_run_footer_counts_the_faults(self, tmp_path, capsys):
-        # One worker, armed to die on its first task: the (default)
-        # remote retry policy recovers via a replacement, and the
-        # footer accounts exactly one retry and one lost worker.
+        # One worker, armed to die on its first task: the --retries
+        # policy recovers via a replacement, and the footer accounts
+        # exactly one retry and one lost worker.
         plan_file = self._write_plan(tmp_path, capsys)
         assert (
             main(
@@ -628,7 +637,7 @@ class TestFaultFlags:
                     "--plan",
                     str(plan_file),
                     "--backend",
-                    "remote",
+                    "process",
                     "--retries",
                     "3",
                     "--heartbeat",
@@ -640,7 +649,7 @@ class TestFaultFlags:
             == 0
         )
         out = capsys.readouterr().out
-        assert "backend remote" in out
+        assert "backend process" in out
         assert "1 retried" in out
         assert "1 worker(s) lost" in out
 
