@@ -10,7 +10,7 @@ read straight off the library's arrays
 
 * ``member`` — ``(I, B)`` bool: does model ``i`` contain block ``b``?
 * ``sizes`` — ``(B,)`` int64 block sizes.
-* ``member_t`` — ``(B, I)`` int64, the transposed membership (built on
+* ``member_t`` — ``(B, I)`` bool, the transposed membership (built on
   first use): row ``b`` lists which models contain block ``b``.
 
 With a per-server cached-block mask ``c`` (``(B,)`` bool) the marginal
@@ -21,7 +21,7 @@ maintenance of marginal-size tables is bit-stable.
 :class:`ServerBlockCache` maintains those per-server masks plus an
 ``(M, I)`` marginal-size table updated by exact integer deltas as models
 are placed: caching blocks ``F`` lowers every model's marginal by
-``sizes[F] @ member_t[F]``.
+``sizes[F] @ member_t[F]`` (exact int64 against bool rows).
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class BlockMaskIndex:
             (num_models, library.num_blocks), dtype=bool
         )
         self.member[rows, positions] = True
-        # (block position, model row) of every membership entry.
-        self._coords = (positions, rows)
         #: per model, the sorted block *positions* it occupies (the sparse
         #: row of ``member`` — the greedy engines touch only these).
         self.model_positions: List[np.ndarray] = np.split(
@@ -77,10 +75,10 @@ class BlockMaskIndex:
 
     @cached_property
     def member_t(self) -> np.ndarray:
-        """``(B, I)`` int64 transposed membership (built on first use)."""
-        member_t = np.zeros((self.num_blocks, self.num_models), dtype=np.int64)
-        member_t[self._coords] = 1
-        return member_t
+        """``(B, I)`` bool transposed membership (built on first use)."""
+        # Bool, not int64: 1/8 the bytes, and a worker keeps alive the
+        # index of every library it has touched.
+        return np.ascontiguousarray(self.member.T)
 
     def full_overlap(self, model_index: int) -> np.ndarray:
         """``(I,)`` int64 byte overlap of every model with one model.

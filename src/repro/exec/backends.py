@@ -16,11 +16,12 @@ Two backends ship:
   runs on unless a backend is named
   (:func:`~repro.exec.executor.default_backend`).
 
-:class:`ProcessBackend` ships tasks over a length-prefixed pickle
-protocol to forked workers, each holding one end of a
-:func:`socket.socketpair` created for it before the fork (nothing outside
-the process tree can reach either end), that heartbeat while they
-compute and stream results as they finish. The parent runs a
+:class:`ProcessBackend` forks workers after the payload list is built,
+so they inherit the task function and every payload. Over a
+:func:`socket.socketpair` made for each worker before the fork (nothing
+outside the process tree can reach either end) the parent sends only
+task indices, in length-prefixed pickle frames, while the workers
+heartbeat and stream results back as they finish. The parent runs a
 liveness monitor and a scheduler in the consuming thread:
 
 * a worker whose heartbeat goes silent (or whose connection drops, or
@@ -181,6 +182,7 @@ def _worker_main(
     inherited: List[socket.socket],
     worker_id: int,
     fn: Callable[[Any], Any],
+    payloads: List[Any],
     chaos: Optional[ChaosPolicy],
     heartbeat_interval: float,
 ) -> None:
@@ -188,10 +190,10 @@ def _worker_main(
 
     ``sock`` is this worker's end of its socket pair; ``inherited`` are
     the parent's ends the fork copied in, closed here so that the
-    parent's death reads as EOF. Every frame from the parent is
-    ``("task", index, payload)`` or ``("stop",)``. Chaos facets execute
-    *here*, on the worker itself, so injected faults ride exactly the
-    code paths real crashes take.
+    parent's death reads as EOF. ``fn`` and ``payloads`` came with the
+    fork; frames from the parent are ``("task", index)`` or ``("stop",)``.
+    Chaos facets execute *here*, on the worker itself, so injected
+    faults ride exactly the code paths real crashes take.
     """
     for other in inherited:
         other.close()
@@ -223,7 +225,7 @@ def _worker_main(
             break
         if message[0] != "task":
             continue
-        _, task_index, payload = message
+        task_index = message[1]
         if chaos is not None:
             if chaos.kill_after is not None and tasks_done >= chaos.kill_after:
                 # Die *on receipt*, before executing: exactly one
@@ -232,13 +234,11 @@ def _worker_main(
             if chaos.straggles(task_index):
                 time.sleep(chaos.straggle_s)
         try:
-            reply = ("result", task_index, fn(payload))
+            reply = ("result", task_index, fn(payloads[task_index]))
         except BaseException:
             reply = ("task-error", task_index, traceback.format_exc())
-        # Release this task before blocking on the next frame: a worker
-        # must never hold two tasks' payloads (a sweep point's whole
-        # model library each) at once.
-        del message, payload
+        # Only the reply is this task's own (the payloads are the
+        # fork's); it is dropped once sent, before the next frame.
         try:
             send(reply)
         except OSError:
@@ -341,6 +341,7 @@ class _ProcessRun:
                 inherited,
                 worker_id,
                 self.fn,
+                self.payloads,
                 armed,
                 self.backend.heartbeat_interval,
             ),
@@ -530,7 +531,7 @@ class _ProcessRun:
         worker.task_started_at = now
         self.assigned_epoch.setdefault(index, time.time())
         try:
-            send_frame(worker.conn, ("task", index, self.payloads[index]))
+            send_frame(worker.conn, ("task", index))
         except OSError:
             self._declare_lost(worker, "send failed")
 
@@ -682,7 +683,7 @@ class ProcessBackend:
     """
 
     name = "process"
-    #: Payloads per frame: every task travels alone.
+    #: Tasks per frame: each frame names one task by its index.
     chunksize = 1
 
     def __init__(
@@ -733,10 +734,10 @@ class ProcessBackend:
         payloads = list(payloads)
         if not payloads:
             return iter(())
-        # Workers inherit the wrapped fn through the fork and ship
-        # envelopes (result + telemetry snapshot) back as task results;
-        # the fold above absorbs them first-result-wins, so a killed
-        # worker's partial telemetry never reaches the parent.
+        # Workers inherit the wrapped fn and the payloads through the
+        # fork and ship envelopes (result + telemetry snapshot) back as
+        # task results; the fold above absorbs them first-result-wins,
+        # so a killed worker's partial telemetry never reaches the parent.
         return _ProcessRun(self, obs.wrap_task(fn), payloads).run()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

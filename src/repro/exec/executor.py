@@ -28,9 +28,9 @@ Study kinds (comparison / mobility / replacement) have no task grid;
 they execute in-process and participate in full-result caching only.
 
 Granularity: one task per (point, topology) is what makes per-task
-caching and fine-grained resume possible; the price is that
-:class:`~repro.exec.backends.ProcessBackend` pickles a point's shared
-model library once per topology.
+caching and fine-grained resume possible. It costs no library traffic:
+:class:`~repro.exec.backends.ProcessBackend` workers inherit every
+payload at fork and receive only task indices.
 """
 
 from __future__ import annotations

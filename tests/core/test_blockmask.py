@@ -9,6 +9,8 @@ from repro.models.blocks import ParameterBlock
 from repro.models.generators import GeneralCaseConfig, build_general_case_library
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
+from repro.sim.config import ScenarioConfig
+from repro.sim.scenario import build_scenario
 from repro.utils.units import MB
 
 
@@ -167,3 +169,86 @@ class TestPaperScaleCache:
         assert np.array_equal(rebuilt.masks, cache.masks)
         assert np.array_equal(rebuilt.used, cache.used)
         assert np.array_equal(rebuilt.extras, cache.extras)
+
+
+class TestCompactIndex:
+    """``member_t`` is bool; its products stay exact int64.
+
+    Checked against set arithmetic on the instance's ``model_blocks``
+    frozensets, on the general case at I=300 (families sharing frozen
+    prefixes) and on a server whose capacity is exactly one model's
+    block sum.
+    """
+
+    @pytest.fixture
+    def instance(self):
+        config = ScenarioConfig(
+            num_servers=3, num_users=20, num_models=300,
+            requests_per_user=30, library_case="general",
+        )
+        return build_scenario(config, seed=7).instance
+
+    @staticmethod
+    def overlap_reference(instance, model_index, cached=frozenset()):
+        """Bytes each model shares with ``model_index``'s blocks that
+        are not already in ``cached`` (the set-walk drop in marginals)."""
+        fresh = instance.model_blocks[model_index] - cached
+        sizes = instance.block_sizes
+        return [
+            sum(sizes[b] for b in fresh & blocks)
+            for blocks in instance.model_blocks
+        ]
+
+    def test_member_t_is_bool_and_compact(self, instance):
+        index = instance.block_index
+        member_t = index.member_t
+        assert member_t.dtype == bool
+        assert member_t.nbytes == index.num_blocks * index.num_models
+        assert member_t.flags.c_contiguous
+        assert np.array_equal(member_t, index.member.T)
+
+    def test_full_overlap_matches_set_reference(self, instance):
+        index = instance.block_index
+        for model_index in range(0, instance.num_models, 7):
+            overlap = index.full_overlap(model_index)
+            assert overlap.dtype == np.int64
+            assert overlap.tolist() == self.overlap_reference(
+                instance, model_index
+            )
+
+    def test_cache_extras_match_set_reference(self, instance):
+        index = instance.block_index
+        cache = ServerBlockCache(index, 1)
+        cached = frozenset()
+        rng = np.random.default_rng(3)
+        for model_index in rng.choice(instance.num_models, 25, replace=False):
+            before = cache.extras[0].copy()
+            drop = self.overlap_reference(instance, int(model_index), cached)
+            cache.add(0, int(model_index))
+            cached |= instance.model_blocks[model_index]
+            assert cache.extras.dtype == np.int64
+            assert (before - cache.extras[0]).tolist() == drop
+            assert cache.extras[0].tolist() == [
+                instance.marginal_storage(i, cached)
+                for i in range(instance.num_models)
+            ]
+
+    def test_exact_fit_capacity(self, instance):
+        index = instance.block_index
+        model_index = int(np.argmax(instance.model_sizes))
+        instance.set_capacity(0, int(instance.model_sizes[model_index]))
+        cache = ServerBlockCache(index, instance.num_servers)
+        assert cache.marginal(0, model_index) == instance.capacities[0]
+        added = cache.add(0, model_index)
+        assert added == cache.used[0] == instance.capacities[0]
+        cached = instance.model_blocks[model_index]
+        assert cache.extras[0].tolist() == [
+            instance.marginal_storage(i, cached)
+            for i in range(instance.num_models)
+        ]
+        # Exactly the models inside the cached blocks still fit.
+        fits = cache.extras[0] <= instance.capacities[0] - cache.used[0]
+        assert np.flatnonzero(fits).tolist() == [
+            i for i, blocks in enumerate(instance.model_blocks)
+            if blocks <= cached
+        ]

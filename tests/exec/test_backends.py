@@ -9,6 +9,7 @@ results stay correct and in submission order under all of them.
 
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -159,6 +160,20 @@ def _gone(pid):
             return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
     except FileNotFoundError:
         return True
+
+
+def _arrived(payload):
+    return payload.arrived
+
+
+#: Objects a worker keeps alive, so two of them never share an address.
+_KEPT = []
+
+
+def _id_of_shared(payload):
+    shared, _ = payload
+    _KEPT.append(shared)
+    return id(shared)
 
 
 def _assert_previous_payload_released(payload):
@@ -319,6 +334,49 @@ class TestProcessBackend:
         assert list(
             backend.map(_assert_previous_payload_released, payloads)
         ) == [0, 1, 2, 3]
+
+    def test_payloads_arrive_by_fork_not_by_pickle(self):
+        backend = ProcessBackend(workers=1, **FAST)
+        payloads = [_TrackedPayload(index) for index in range(3)]
+        assert list(backend.map(_arrived, payloads)) == [False] * 3
+
+    def test_parent_sends_only_task_indices(self, monkeypatch):
+        # Workers fork after the spy is installed, so their own sends
+        # land in their copy of `sent`; the parent's list sees only
+        # parent-to-worker frames.
+        from repro.exec import backends
+
+        sent = []
+        real_send = backends.send_frame
+
+        def spy(sock, message):
+            sent.append(message)
+            real_send(sock, message)
+
+        monkeypatch.setattr(backends, "send_frame", spy)
+        library = list(range(100_000))  # would be ~500 KB as a pickle
+        payloads = [(library, index) for index in range(4)]
+        backend = ProcessBackend(workers=2, **FAST)
+        assert list(backend.map(_id_of_shared, payloads))
+        assert sent
+        for message in sent:
+            assert message == ("stop",) or (
+                len(message) == 2
+                and message[0] == "task"
+                and type(message[1]) is int
+            ), message
+            framed = 4 + len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+            assert framed < 64, message
+        assert sorted(m[1] for m in sent if m[0] == "task") == [0, 1, 2, 3]
+
+    def test_shared_payload_objects_stay_shared_in_a_worker(self):
+        # As on SerialBackend: two payloads holding one object (a sweep
+        # point's library) hand a worker that very object both times.
+        shared = {"library": list(range(1000))}
+        payloads = [(shared, 0), (shared, 1)]
+        backend = ProcessBackend(workers=1, **FAST)
+        first, second = backend.map(_id_of_shared, payloads)
+        assert first == second
 
     def test_task_exception_is_a_typed_task_error(self):
         # A task-function exception must fail fast as TaskError naming
