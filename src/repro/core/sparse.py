@@ -49,9 +49,10 @@ from repro.errors import PlacementError
 class SparseFeasibility:
     """Immutable CSR bundle over the ``I1[m, k, i]`` nonzeros.
 
-    Build via :meth:`from_dense` or from a prepared COO triple via
-    :meth:`from_coo` (the latency layer does the latter without ever
-    materialising the dense tensor).
+    Build via :meth:`from_dense`, from a checked COO triple via
+    :meth:`from_coo`, or from canonical ``(pair, user)`` entries via
+    :meth:`from_pairs` (the latency layer's path, which never
+    materialises the dense tensor).
     """
 
     def __init__(
@@ -85,12 +86,37 @@ class SparseFeasibility:
         feasible = np.asarray(feasible, dtype=bool)
         if feasible.ndim != 3:
             raise PlacementError("feasible must be a (M, K, I) tensor")
-        num_servers, num_users, num_models = feasible.shape
-        # nonzero on the (I, M, K) view yields entries already sorted by
+        # The flat nonzeros of the (I, M, K) view are already sorted by
         # (model, server, user) — the canonical layout.
-        models, servers, users = np.nonzero(feasible.transpose(2, 0, 1))
-        return cls.from_coo(
-            feasible.shape, models=models, servers=servers, users=users
+        pairs, users = np.divmod(
+            np.flatnonzero(feasible.transpose(2, 0, 1)), feasible.shape[1]
+        )
+        return cls.from_pairs(feasible.shape, pairs, users)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        shape: Tuple[int, int, int],
+        pairs: np.ndarray,
+        users: np.ndarray,
+    ) -> "SparseFeasibility":
+        """Build from entries given as pair row ``model * M + server`` and
+        user, already unique and in ``(model, server, user)`` order.
+
+        The order is the caller's guarantee and is not checked, so
+        builders that emit it by construction (the dense compression and
+        the latency layer) pay no O(nnz) validation. Entries from
+        anywhere else go through :meth:`from_coo`.
+        """
+        num_servers, num_users, num_models = (int(x) for x in shape)
+        num_pairs = num_models * num_servers
+        pair_indptr = np.zeros(num_pairs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs, minlength=num_pairs), out=pair_indptr[1:])
+        return cls(
+            (num_servers, num_users, num_models),
+            pair_indptr=pair_indptr,
+            entry_users=np.asarray(users, dtype=np.int32),
+            entry_servers=np.asarray(pairs % num_servers, dtype=np.int32),
         )
 
     @classmethod
@@ -101,20 +127,51 @@ class SparseFeasibility:
         servers: np.ndarray,
         users: np.ndarray,
     ) -> "SparseFeasibility":
-        """Build from COO index arrays sorted by ``(model, server, user)``."""
+        """Build from COO index arrays sorted by ``(model, server, user)``.
+
+        The arrays must be 1-D and of equal length, every index inside
+        ``shape``, and the entries strictly increasing in
+        ``(model, server, user)`` order (sorted, no duplicates);
+        :class:`~repro.errors.PlacementError` names the first entry that
+        is not. Unsorted entries would land users in the wrong pairs and
+        a duplicate would count one request twice.
+        """
         num_servers, num_users, num_models = (int(x) for x in shape)
-        pair_codes = np.asarray(models, dtype=np.int64) * num_servers + np.asarray(
-            servers, dtype=np.int64
+        models, servers, users = (
+            np.asarray(values, dtype=np.int64)
+            for values in (models, servers, users)
         )
-        counts = np.bincount(pair_codes, minlength=num_models * num_servers)
-        pair_indptr = np.zeros(num_models * num_servers + 1, dtype=np.int64)
-        np.cumsum(counts, out=pair_indptr[1:])
-        return cls(
-            (num_servers, num_users, num_models),
-            pair_indptr=pair_indptr,
-            entry_users=np.asarray(users, dtype=np.int32),
-            entry_servers=np.asarray(servers, dtype=np.int32),
-        )
+        if models.ndim != 1 or not models.shape == servers.shape == users.shape:
+            raise PlacementError(
+                "COO models/servers/users must be 1-D and of equal length, "
+                f"got shapes {models.shape}, {servers.shape}, {users.shape}"
+            )
+        for name, values, bound in (
+            ("model", models, num_models),
+            ("server", servers, num_servers),
+            ("user", users, num_users),
+        ):
+            bad = np.flatnonzero((values < 0) | (values >= bound))
+            if bad.size:
+                raise PlacementError(
+                    f"COO entry {bad[0]} has {name} {values[bad[0]]}, "
+                    f"outside [0, {bound})"
+                )
+        pairs = models * num_servers + servers
+        codes = pairs * num_users + users
+        bad = np.flatnonzero(codes[1:] <= codes[:-1])
+        if bad.size:
+            entry = int(bad[0]) + 1
+            relation = (
+                "duplicates" if codes[entry] == codes[entry - 1] else "sorts before"
+            )
+            raise PlacementError(
+                f"COO entry {entry} (model {models[entry]}, server "
+                f"{servers[entry]}, user {users[entry]}) {relation} entry "
+                f"{entry - 1}; entries must be strictly increasing in "
+                "(model, server, user) order"
+            )
+        return cls.from_pairs(shape, pairs, users)
 
     @classmethod
     def from_user_blocks(

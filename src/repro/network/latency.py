@@ -160,9 +160,9 @@ class LatencyModel:
         the stable argsort of the (nearly sorted) result is composed
         back — the composition is an exact sorting permutation of the
         actual values, and the prefix-cut membership below depends only
-        on values, so any valid order yields the identical CSR (the
-        final ``(model, server, user)`` lexsort canonicalises entry
-        order). Pinned by the bit-identity test suite.
+        on values, so any valid order yields the identical CSR (entries
+        come out in ``(model, server, user)`` order whichever order is
+        used). Pinned by the bit-identity test suite.
         """
         if server_order_hint is None:
             order = np.argsort(per_bit, axis=0, kind="stable")
@@ -220,25 +220,30 @@ class LatencyModel:
         return low  # (K', I): feasible servers per (user, model)
 
     @staticmethod
-    def _block_coo(
+    def _block_entries(
         counts: np.ndarray, order: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Expand prefix-cut counts to (model, server, user)-sorted COO."""
-        users_pair, models_pair = np.nonzero(counts)
-        pair_counts = counts[users_pair, models_pair]
-        total = int(pair_counts.sum())
-        starts = np.cumsum(pair_counts) - pair_counts
-        ranks = np.arange(total, dtype=np.int64) - np.repeat(starts, pair_counts)
-        users_flat = np.repeat(users_pair, pair_counts)
-        models_flat = np.repeat(models_pair, pair_counts)
-        servers_flat = order[ranks, users_flat]
-        # from_coo expects (model, server, user)-sorted entries.
-        sort_index = np.lexsort((users_flat, servers_flat, models_flat))
-        return (
-            models_flat[sort_index],
-            servers_flat[sort_index],
-            users_flat[sort_index],
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """One user block's ``I1`` entries as ``(pairs, users)``, in CSR order.
+
+        ``pairs`` holds each entry's pair row ``model * M + server`` and
+        ``users`` its block-local user. Server ``m`` serves (k, i) iff
+        its place in user ``k``'s sorted order, ``rank[m, k]``, is below
+        ``counts[k, i]``. Over the users with any entry, that test laid
+        out ``(model, server, user)`` is a bool mask whose
+        ``np.flatnonzero`` lists the entries already in CSR order, so
+        nothing is sorted. The mask spans only the users with an entry:
+        where most users are unreachable, an ``(I, M, K)`` mask would
+        cost far more than the entries it holds.
+        """
+        active = np.flatnonzero(counts.any(axis=1))
+        order = order[:, active]
+        rank = np.empty_like(order)
+        np.put_along_axis(
+            rank, order, np.arange(order.shape[0])[:, None], axis=0
         )
+        mask = rank[None, :, :] < counts[active].T[:, None, :]
+        pairs, columns = np.divmod(np.flatnonzero(mask), active.size)
+        return pairs, active[columns]
 
     def feasibility_sparse(
         self,
@@ -249,8 +254,10 @@ class LatencyModel:
 
         Runs exactly the elementwise arithmetic of :meth:`feasibility`
         (same multiply/add/compare on the same values, so the nonzero set
-        is bit-identical) but only ever holds ``(M, K)``/``(K, I)``
-        intermediates, not the ``(M, K, I)`` float latency tensor.
+        is bit-identical) but holds only ``(M, K)``/``(K, I)``
+        intermediates and the bool mask of :meth:`_block_entries`, which
+        lists the entries already in CSR order, never the ``(M, K, I)``
+        float latency tensor.
 
         ``server_order_hint`` (optional, ``(M, K)``) seeds the per-user
         server sort with a previously computed order — see
@@ -267,14 +274,9 @@ class LatencyModel:
             counts = self._prefix_cuts(
                 sorted_pb, self.deadlines, self.inference
             )
-            models_flat, servers_flat, users_flat = self._block_coo(
-                counts, order
-            )
-            return SparseFeasibility.from_coo(
-                (num_servers, num_users, num_models),
-                models=models_flat,
-                servers=servers_flat,
-                users=users_flat,
+            pairs, users = self._block_entries(counts, order)
+            return SparseFeasibility.from_pairs(
+                (num_servers, num_users, num_models), pairs, users
             )
 
     def feasibility_sparse_chunked(
@@ -285,10 +287,11 @@ class LatencyModel:
         """``I1`` as a CSR artifact, assembled in user blocks.
 
         Identical arithmetic to :meth:`feasibility_sparse`, but the
-        per-user argsort, the binary-searched prefix cuts and the COO
-        expansion all run on ``chunk_size``-user blocks, so the large
-        ``(K, I)``-shaped search temporaries and per-block sort scratch
-        are bounded by the chunk, not by K. The per-block fragments are
+        per-user argsort, the binary-searched prefix cuts and the entry
+        mask all run on ``chunk_size``-user blocks, so the large
+        ``(K, I)``-shaped search temporaries and the mask are bounded by
+        the chunk, not by K. Each block's entries come out
+        ``(model, server, user)``-sorted, and the fragments are
         merged by :meth:`SparseFeasibility.from_user_blocks` into the
         global ``(model, server, user)`` order without a global sort —
         the result compares ``==`` to the unchunked build for any chunk
@@ -317,10 +320,10 @@ class LatencyModel:
                     self.deadlines[start:stop],
                     self.inference[start:stop],
                 )
-                models_flat, servers_flat, users_flat = self._block_coo(
-                    counts, order
+                pairs, users = self._block_entries(counts, order)
+                blocks.append(
+                    (pairs // num_servers, pairs % num_servers, users + start)
                 )
-                blocks.append((models_flat, servers_flat, users_flat + start))
             return SparseFeasibility.from_user_blocks(
                 (num_servers, num_users, num_models), blocks
             )

@@ -6,7 +6,12 @@ import pytest
 from repro.core.blockmask import BlockMaskIndex, ServerBlockCache
 from repro.core.placement import PlacementInstance
 from repro.models.blocks import ParameterBlock
-from repro.models.generators import GeneralCaseConfig, build_general_case_library
+from repro.models.generators import (
+    GeneralCaseConfig,
+    SpecialCaseConfig,
+    build_general_case_library,
+    build_special_case_library,
+)
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
 from repro.sim.config import ScenarioConfig
@@ -252,3 +257,45 @@ class TestCompactIndex:
             i for i, blocks in enumerate(instance.model_blocks)
             if blocks <= cached
         ]
+
+
+def _shuffled_library(seed=5, num_models=12, num_blocks=40):
+    """A library whose models list their blocks out of position order."""
+    rng = np.random.default_rng(seed)
+    blocks = [
+        ParameterBlock(b, int(rng.integers(1, 64))) for b in range(num_blocks)
+    ]
+    models = [
+        Model(i, tuple(int(b) for b in rng.permutation(num_blocks)[: 2 + i % 7]))
+        for i in range(num_models)
+    ]
+    return ModelLibrary(blocks, models)
+
+
+class TestIndexStructure:
+    """The scattered index equals its definition on real libraries."""
+
+    LIBRARIES = {
+        "general-I300": lambda: build_general_case_library(
+            GeneralCaseConfig(num_models=300), seed=0
+        ),
+        "special-I30": lambda: build_special_case_library(
+            SpecialCaseConfig(num_models=30), seed=1
+        ),
+        "shuffled": _shuffled_library,
+    }
+
+    @pytest.mark.parametrize("name", sorted(LIBRARIES))
+    def test_member_t_and_model_positions(self, name):
+        library = self.LIBRARIES[name]()
+        index = BlockMaskIndex(library)
+        member = index.member
+        assert member.dtype == bool
+        assert member.shape == (library.num_models, library.num_blocks)
+        assert index.member_t.dtype == bool
+        assert np.array_equal(index.member_t, member.T)
+        pos_of = {block_id: pos for pos, block_id in enumerate(index.block_ids)}
+        for i, model in enumerate(library.models()):
+            expected = sorted(pos_of[block_id] for block_id in model.block_ids)
+            assert index.model_positions[i].tolist() == expected
+            assert np.flatnonzero(member[i]).tolist() == expected

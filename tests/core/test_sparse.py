@@ -167,6 +167,62 @@ def _coo_from_dense(dense):
     return models, servers, users
 
 
+class TestFromCoo:
+    """from_coo accepts only canonical COO: sorted, unique, in range."""
+
+    def test_canonical_coo_matches_dense(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            dense = random_dense(rng)
+            models, servers, users = _coo_from_dense(dense)
+            built = SparseFeasibility.from_coo(
+                dense.shape, models=models, servers=servers, users=users
+            )
+            assert built == SparseFeasibility.from_dense(dense)
+
+    def test_unsorted_entries_rejected(self):
+        # Accepted unsorted, pair_users(0, 0) would read [0], not [1].
+        with pytest.raises(PlacementError, match=r"entry 1 .*sorts before"):
+            SparseFeasibility.from_coo(
+                (1, 2, 2), models=[1, 0], servers=[0, 0], users=[0, 1]
+            )
+
+    def test_duplicate_entry_rejected(self):
+        # Accepted, nnz would be 2 for one cell and its demand count twice.
+        with pytest.raises(PlacementError, match=r"entry 1 .*duplicates"):
+            SparseFeasibility.from_coo(
+                (1, 3, 1), models=[0, 0], servers=[0, 0], users=[2, 2]
+            )
+
+    def test_out_of_range_user_rejected(self):
+        # Accepted, it would only fail later with an IndexError in to_dense.
+        with pytest.raises(PlacementError, match=r"entry 1 has user 7"):
+            SparseFeasibility.from_coo(
+                (1, 3, 1), models=[0, 0], servers=[0, 0], users=[0, 7]
+            )
+
+    @pytest.mark.parametrize("field", ["models", "servers"])
+    def test_negative_index_rejected(self, field):
+        coo = {"models": [0], "servers": [0], "users": [0]}
+        coo[field] = [-1]
+        with pytest.raises(PlacementError, match="entry 0 has"):
+            SparseFeasibility.from_coo((2, 2, 2), **coo)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(PlacementError, match="equal length"):
+            SparseFeasibility.from_coo(
+                (2, 2, 2), models=[0, 1], servers=[0], users=[0, 1]
+            )
+
+    def test_empty_coo(self):
+        built = SparseFeasibility.from_coo(
+            (2, 3, 4), models=[], servers=[], users=[]
+        )
+        assert built == SparseFeasibility.from_dense(
+            np.zeros((2, 3, 4), dtype=bool)
+        )
+
+
 class TestFromUserBlocks:
     @pytest.mark.parametrize("block_size", [1, 3, 7, 40, 64])
     def test_matches_from_coo(self, block_size):
