@@ -13,12 +13,18 @@ Plan shapes (``plan.kind``):
 * ``"sweep"`` — a :class:`SweepSpec` axis + point list, executed as a
   (point × topology) task grid by :func:`repro.exec.execute_plan`
   (Figs. 4/5 and any custom parameter sweep).
-* ``"comparison"`` — no axis: all solvers on one fixed setting,
-  replicating the Fig. 6 / ablation topology loop exactly.
+* ``"comparison"`` — no axis: all solvers on one fixed setting, one
+  task per topology, every topology sharing topology 0's library
+  (Fig. 6 and the point ablations).
 * ``"mobility"`` — a :class:`MobilitySpec` study: solve once, then track
-  the placement's hit ratio under user mobility (Fig. 7).
+  the placement's hit ratio under user mobility (Fig. 7); one task per
+  run.
 * ``"replacement"`` — a :class:`ReplacementSpec` study: the §IV-A
-  threshold-triggered re-placement loop.
+  threshold-triggered re-placement loop for exactly one solver; one
+  task per run.
+
+Only sweeps take ``evaluation``, ``feasibility``, ``sample_users`` and
+``scale``; the other kinds refuse them at declaration.
 
 Plans are plain data: :func:`plan_to_dict`/:func:`plan_from_dict` (and
 the JSON wrappers) round-trip them losslessly, so a plan can live in a
@@ -305,6 +311,27 @@ class ExperimentPlan:
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be at least 1, got {self.workers}"
+            )
+        if self.sweep is None:
+            # Only a sweep task scores, samples or scales; the other
+            # kinds would silently run as if these knobs were unset.
+            for name, unset in (
+                ("evaluation", "expected"),
+                ("feasibility", "sparse"),
+                ("sample_users", None),
+                ("scale", 1.0),
+            ):
+                if getattr(self, name) != unset:
+                    raise ConfigurationError(
+                        f"{name} applies to sweep plans only; a "
+                        f"{self.kind} plan needs {name}={unset!r}, got "
+                        f"{getattr(self, name)!r}"
+                    )
+        if isinstance(self.study, ReplacementSpec) and len(self.solvers) != 1:
+            raise ConfigurationError(
+                "a replacement plan evaluates exactly one re-placement "
+                f"solver; got {len(self.solvers)} (sweep thresholds, not "
+                "solvers)"
             )
         if self.evaluation == "sampled" and self.sample_users is None:
             raise ConfigurationError(

@@ -1,12 +1,13 @@
-"""The uniform plan result type, the study-kind executors and run_plan.
+"""The uniform plan result type and run_plan.
 
 :func:`run_plan` turns any :class:`~repro.api.plan.ExperimentPlan` into
 a :class:`ResultSet` through :func:`repro.exec.execute_plan`, the one
-executor: sweeps run as (point, topology) task grids on a backend, and
-the study kinds run in-process via the executors below. Whatever the
-plan kind, the ResultSet is the same shape — x values plus one named
-series per solver/metric — with table, chart, CSV and JSON round-trip,
-and views onto the per-kind result types (:meth:`ResultSet.comparison`,
+executor: every plan kind runs as a task grid on a backend — (point,
+topology) cells for a sweep, one task per topology for a comparison and
+one per run for a mobility or replacement study. Whatever the plan
+kind, the ResultSet is the same shape — x values plus one named series
+per solver/metric — with table, chart, CSV and JSON round-trip, and
+views onto the per-kind result types (:meth:`ResultSet.comparison`,
 :meth:`ResultSet.mobility`, :meth:`ResultSet.replacement`).
 
 Reproducibility contract: sweeps seed each grid cell with
@@ -19,20 +20,19 @@ values in ``tests/golden/figure_content.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.api.plan import ExperimentPlan, MobilitySpec, ReplacementSpec
+from repro.api.plan import ExperimentPlan
 from repro.api.registry import SOLVERS, SolverRegistry
 from repro.sim.runner import (
+    REPLACEMENT_METRICS,
     AlgorithmComparison,
     ExperimentResult,
     Fig7Result,
     ReplacementAblation,
-    study_seed,
 )
-from repro.utils.stats import RunningStats, SeriesStats
 
 
 @dataclass
@@ -108,11 +108,14 @@ class ResultSet(ExperimentResult):
             }
             for label, stats in self.series.items()
         }
+        mean_hit, replacements, bytes_shipped = (
+            per_metric[label] for label in REPLACEMENT_METRICS
+        )
         return ReplacementAblation(
             thresholds=thresholds,
-            mean_hit=per_metric["time-avg hit ratio"],
-            replacements=per_metric["replacements"],
-            bytes_shipped=per_metric["backbone traffic (bytes)"],
+            mean_hit=mean_hit,
+            replacements=replacements,
+            bytes_shipped=bytes_shipped,
         )
 
     # -- rendering ------------------------------------------------------
@@ -161,144 +164,6 @@ class ResultSet(ExperimentResult):
         from repro.sim.serialization import result_set_from_json
 
         return result_set_from_json(text, registry)
-
-
-# ----------------------------------------------------------------------
-# In-process executors of the study kinds (sweeps run as task grids in
-# repro.exec.executor)
-# ----------------------------------------------------------------------
-def _run_comparison(
-    plan: ExperimentPlan, registry: SolverRegistry
-) -> ResultSet:
-    # The library is chained from the first scenario: fixed across
-    # topologies, only the topology draw varies.
-    from repro.sim.scenario import build_scenario
-
-    config = plan.base_config()
-    algorithms = plan.algorithms(registry)
-    hit_ratios = {label: RunningStats() for label in algorithms}
-    runtimes = {label: RunningStats() for label in algorithms}
-    library = None
-    for topology_index in range(plan.num_topologies):
-        scenario = build_scenario(
-            config,
-            study_seed(plan.seed, topology_index),
-            library=library,
-        )
-        library = scenario.library  # fixed across topologies
-        for label, solver in algorithms.items():
-            result = solver.solve(scenario.instance)
-            hit_ratios[label].add(result.hit_ratio)
-            runtimes[label].add(result.runtime_s)
-    return ResultSet(
-        name=plan.name,
-        x_label="(fixed setting)",
-        x_values=[0.0],
-        series={
-            label: SeriesStats([0.0], [stats])
-            for label, stats in hit_ratios.items()
-        },
-        runtimes={
-            label: SeriesStats([0.0], [stats])
-            for label, stats in runtimes.items()
-        },
-        metadata={"config": config, "num_topologies": plan.num_topologies},
-        plan=plan,
-    )
-
-
-def _run_mobility(plan: ExperimentPlan, registry: SolverRegistry) -> ResultSet:
-    from repro.sim.mobility_eval import MobilityStudy
-    from repro.sim.scenario import build_scenario
-
-    spec: MobilitySpec = plan.study
-    config = plan.base_config()
-    algorithms = plan.algorithms(registry)
-    times: Optional[np.ndarray] = None
-    series: Dict[str, SeriesStats] = {}
-    for run_index in range(spec.num_runs):
-        scenario = build_scenario(config, study_seed(plan.seed, run_index))
-        # One study per run: every solver walks the same snapshots.
-        study = MobilityStudy(scenario, sample_every=spec.sample_every)
-        for label, solver in algorithms.items():
-            result = solver.solve(scenario.instance)
-            trace = study.run(
-                result.placement,
-                horizon_s=spec.horizon_s,
-                seed=(plan.seed, run_index),
-            )
-            if times is None:
-                times = trace.times_s
-            if label not in series:
-                series[label] = SeriesStats(times.tolist())
-            series[label].add_run(trace.hit_ratios.tolist())
-    assert times is not None
-    return ResultSet(
-        name=plan.name,
-        x_label="time (s)",
-        x_values=times.tolist(),
-        series=series,
-        runtimes={},
-        metadata={"config": config, "num_runs": spec.num_runs},
-        plan=plan,
-    )
-
-
-def _run_replacement(
-    plan: ExperimentPlan, registry: SolverRegistry
-) -> ResultSet:
-    # The plan's first (only) solver is the re-placement solver.
-    from repro.sim.mobility_eval import MobilityStudy
-    from repro.sim.replacement import ReplacementPolicy
-    from repro.sim.scenario import build_scenario
-
-    spec: ReplacementSpec = plan.study
-    if len(plan.solvers) != 1:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "a replacement plan evaluates exactly one re-placement solver; "
-            f"got {len(plan.solvers)} (sweep thresholds, not solvers)"
-        )
-    config = plan.base_config()
-    solver_spec = plan.solvers[0]
-    thresholds = list(spec.thresholds)
-    mean_hit = {t: RunningStats() for t in thresholds}
-    replacements = {t: RunningStats() for t in thresholds}
-    bytes_shipped = {t: RunningStats() for t in thresholds}
-    for run_index in range(spec.num_runs):
-        scenario = build_scenario(config, study_seed(plan.seed, run_index))
-        # One study per run: every threshold walks the same snapshots.
-        study = MobilityStudy(scenario, sample_every=spec.check_every)
-        for threshold in thresholds:
-            policy = ReplacementPolicy(
-                study, solver_spec.build(registry), threshold=threshold
-            )
-            trace = policy.run(
-                horizon_s=spec.horizon_s, seed=(plan.seed, run_index)
-            )
-            mean_hit[threshold].add(trace.mean_hit_ratio)
-            replacements[threshold].add(trace.num_replacements)
-            bytes_shipped[threshold].add(trace.total_bytes_shipped)
-    return ResultSet(
-        name=plan.name,
-        x_label="replace when below",
-        x_values=thresholds,
-        series={
-            "time-avg hit ratio": SeriesStats(
-                thresholds, [mean_hit[t] for t in thresholds]
-            ),
-            "replacements": SeriesStats(
-                thresholds, [replacements[t] for t in thresholds]
-            ),
-            "backbone traffic (bytes)": SeriesStats(
-                thresholds, [bytes_shipped[t] for t in thresholds]
-            ),
-        },
-        runtimes={},
-        metadata={"config": config, "num_runs": spec.num_runs},
-        plan=plan,
-    )
 
 
 def run_plan(

@@ -538,7 +538,9 @@ def knapsack_branch_and_bound(
             best_set = list(chosen)
         if position == n:
             return
-        if bound(position, value, remaining) <= best_value + 1e-12:
+        # No slack: a node whose bound exceeds the incumbent at all may
+        # hold a strictly better completion.
+        if bound(position, value, remaining) <= best_value:
             return
         index, item_value, item_weight = items[position]
         if item_weight <= remaining:
@@ -570,11 +572,10 @@ def knapsack_best_first(
     The queue is tie-broken on the DFS preorder path (include = 0 sorts
     before exclude = 1), and the incumbent keeps the preorder-earliest
     achiever of the maximal value, so equal-value optima resolve to the
-    *same* selection the depth-first reference returns. The one
-    theoretical divergence is the DFS's ``1e-12`` pruning slack, which
-    can make it miss an improvement smaller than ``1e-12`` absolute that
-    this backend finds; no generic float instance exercises that corner
-    (the equivalence tests pin the two backends selection-identical).
+    *same* selection the depth-first reference returns. Both prune a
+    node exactly when its bound cannot exceed the incumbent, with no
+    slack, so they agree on the optimum value as well (the equivalence
+    tests pin the two backends selection-identical).
 
     Raises
     ------

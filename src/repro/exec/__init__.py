@@ -33,8 +33,8 @@ from repro.exec.backends import (
 )
 from repro.exec.executor import (
     ExecutionReport,
-    SweepTask,
-    build_sweep_tasks,
+    PlanTask,
+    build_plan_tasks,
     default_backend,
     execute_plan,
 )
@@ -67,8 +67,8 @@ __all__ = [
     "CODE_VERSION_SALT",
     "execute_plan",
     "ExecutionReport",
-    "SweepTask",
-    "build_sweep_tasks",
+    "PlanTask",
+    "build_plan_tasks",
     "default_backend",
     "ExecutionError",
     "TaskError",

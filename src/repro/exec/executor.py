@@ -1,40 +1,43 @@
 """The plan executor: task grid × backend × artifact store.
 
 :func:`execute_plan` is the one executor of every plan kind;
-:func:`repro.api.run.run_plan` is its report-less wrapper. For a sweep
-plan it expands the (sweep point × topology) task grid **in the
-parent** — every task carries its scenario seed
-(:func:`~repro.sim.runner.scenario_seed`) and its sweep point's shared
-model library — then maps the grid over an
+:func:`repro.api.run.run_plan` is its report-less wrapper. It expands
+the plan's task grid **in the parent** (:func:`build_plan_tasks`): a
+sweep has one task per (sweep point, topology), seeded by
+:func:`~repro.sim.runner.scenario_seed`; a comparison has one task per
+topology and a mobility or replacement study one task per run, seeded
+by :func:`~repro.sim.runner.study_seed`. It then maps the grid over an
 :class:`~repro.exec.backends.ExecutionBackend` (by default the one
 ``plan.workers`` implies, see :func:`default_backend`) and folds the
-outcomes in grid order. Every backend runs the same task function,
-:func:`~repro.sim.runner._run_sweep_slice`, and the fold order never
-depends on the backend, so every backend's series are bit-identical to
-:class:`~repro.exec.backends.SerialBackend`'s.
+outcomes in grid order. Every backend runs the same task function —
+:func:`~repro.sim.runner._run_sweep_slice` for sweeps and comparisons
+(a comparison is a one-point sweep),
+:func:`~repro.sim.runner._run_mobility_run` or
+:func:`~repro.sim.runner._run_replacement_run` for the studies — and the
+fold order never depends on the backend, so every backend's series are
+bit-identical to :class:`~repro.exec.backends.SerialBackend`'s.
 
 With an :class:`~repro.exec.store.ArtifactStore` attached:
 
 * an unchanged re-run returns the cached full result without running a
   single task (a pure cache hit);
 * each task's outcome is persisted the moment the backend yields it, so
-  a killed sweep resumes from its completed tasks — the resumed result
-  is identical to an uninterrupted run because restored scores fold in
+  a killed run resumes from its completed tasks — the resumed result
+  is identical to an uninterrupted run because restored values fold in
   the same order with the same bits (JSON floats round-trip exactly);
+  a partial whose shape does not fit the plan's fold is recomputed;
 * the cache key excludes ``workers`` (and the backend), so artifacts are
   shared across execution substrates.
 
-Study kinds (comparison / mobility / replacement) have no task grid;
-they execute in-process and participate in full-result caching only.
-
-Granularity: one task per (point, topology) is what makes per-task
-caching and fine-grained resume possible. It costs no library traffic:
-:class:`~repro.exec.backends.ProcessBackend` workers inherit every
-payload at fork and receive only task indices.
+Granularity: one task per (point, topology) or run is what makes
+per-task caching and fine-grained resume possible. It costs no library
+traffic: :class:`~repro.exec.backends.ProcessBackend` workers inherit
+every payload at fork and receive only task indices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -47,14 +50,15 @@ from repro.utils.stats import SeriesStats
 
 
 @dataclass(frozen=True)
-class SweepTask:
-    """One cell of the sweep grid: a (sweep point, topology) pair.
+class PlanTask:
+    """One task of a plan's grid: a (sweep point, topology) pair.
 
+    Comparisons have one point (``x_index`` 0); a study's run ``i`` is
+    ``topology_index`` ``i``, as each run draws its own topology.
     ``task_id`` addresses the cached partial; ``scenario_seed`` is fixed
-    at grid-build time in the parent. The executable payload (config +
-    shared library + solvers) is materialised lazily, only for tasks the
-    cache cannot serve — so a resume never rebuilds a fully-cached
-    point's model library.
+    at grid-build time in the parent. The executable payload is
+    materialised lazily, only for tasks the cache cannot serve — so a
+    resume never rebuilds a fully-cached point's model library.
     """
 
     task_id: str
@@ -174,71 +178,122 @@ def default_backend(plan: ExperimentPlan) -> ExecutionBackend:
     return SerialBackend()
 
 
-def build_sweep_tasks(plan: ExperimentPlan) -> List[SweepTask]:
-    """Expand a sweep plan into its per-(point, topology) task grid.
+def build_plan_tasks(plan: ExperimentPlan) -> List[PlanTask]:
+    """Expand a plan into its task grid, in fold order.
 
-    Seeds come from :func:`repro.sim.runner.scenario_seed`, fixed here
+    Seeds come from :func:`repro.sim.runner.scenario_seed` (sweeps) or
+    :func:`repro.sim.runner.study_seed` (every other kind), fixed here
     in the parent, so no backend can perturb them.
     """
-    from repro.sim.runner import scenario_seed
+    from repro.sim.runner import scenario_seed, study_seed
 
-    tasks: List[SweepTask] = []
-    for x_index in range(len(plan.sweep.points)):
-        for topology_index in range(plan.num_topologies):
-            tasks.append(
-                SweepTask(
-                    task_id=f"x{x_index}-t{topology_index}",
-                    x_index=x_index,
-                    topology_index=topology_index,
-                    scenario_seed=scenario_seed(
-                        plan.seed, x_index, topology_index
-                    ),
-                )
+    if plan.kind == "sweep":
+        return [
+            PlanTask(
+                f"x{x_index}-t{topology_index}",
+                x_index,
+                topology_index,
+                scenario_seed(plan.seed, x_index, topology_index),
             )
-    return tasks
+            for x_index in range(len(plan.sweep.points))
+            for topology_index in range(plan.num_topologies)
+        ]
+    if plan.kind == "comparison":
+        prefix, count = "x0-t", plan.num_topologies
+    else:
+        prefix, count = "r", plan.study.num_runs
+    return [
+        PlanTask(f"{prefix}{index}", 0, index, study_seed(plan.seed, index))
+        for index in range(count)
+    ]
 
 
-class _PayloadBuilder:
-    """Materialise executable task payloads, one shared library per point.
+class _PlanGrid:
+    """A plan kind's task function, payloads, partial shape and fold.
 
-    Per-point configs and libraries are built on first use only, each
-    library from the plan seed's ``library-x{i}`` RNG child
-    (:func:`~repro.sim.runner.library_rng_tag`), and points whose every
-    task comes from the cache never pay the library build.
+    Sweep and comparison tasks yield a ``(score, runtime_s)`` pair per
+    solver; a study run yields, per label, one value per x (sample time
+    or threshold). A point's config and library are built on first use
+    only, so a point whose every task is cached never pays the build.
     """
 
     def __init__(self, plan: ExperimentPlan, registry: SolverRegistry) -> None:
+        from repro.sim import runner
+
         self._plan = plan
-        self._axis = resolve_axis(plan.sweep.axis)
+        self._registry = registry
         self._base = plan.base_config()
-        self._algorithms = plan.algorithms(registry)
+        self._algorithms: Optional[Dict[str, Any]] = None
         self._per_point: Dict[int, Tuple[Any, Any]] = {}
+        self.labels = plan.labels(registry)
+        self.fn = runner._run_sweep_slice
+        if plan.kind == "sweep":
+            self.x_label = resolve_axis(plan.sweep.axis).x_label
+            self.x_values = list(plan.sweep.points)
+        elif plan.kind == "comparison":
+            self.x_label, self.x_values = "(fixed setting)", [0.0]
+        elif plan.kind == "mobility":
+            from repro.sim.mobility_eval import sample_schedule
+
+            self.fn = runner._run_mobility_run
+            self.x_label = "time (s)"
+            _, self.x_values = sample_schedule(
+                plan.study.horizon_s, plan.study.sample_every
+            )
+        else:
+            self.fn = runner._run_replacement_run
+            self.x_label = "replace when below"
+            self.x_values = list(plan.study.thresholds)
+            self.labels = list(runner.REPLACEMENT_METRICS)
+        self.paired = self.fn is runner._run_sweep_slice
+
+    def fits(self, outcome: List[Dict[str, Tuple[float, ...]]]) -> bool:
+        """Does a cached partial have the shape the fold reads?"""
+        width = 2 if self.paired else len(self.x_values)
+        return (
+            len(outcome) == 1
+            and set(outcome[0]) == set(self.labels)
+            and all(len(values) == width for values in outcome[0].values())
+        )
 
     def _point(self, x_index: int):
         if x_index not in self._per_point:
-            from repro.sim.runner import library_rng_tag
+            from repro.sim.runner import library_rng_tag, study_seed
             from repro.sim.scenario import build_library
             from repro.utils.rng import RngFactory
 
             plan = self._plan
-            config = self._axis.apply(
-                self._base, plan.sweep.points[x_index], plan.scale
-            )
-            factory = RngFactory(plan.seed)
-            library = build_library(
-                config, factory.child(library_rng_tag(x_index))
-            )
-            self._per_point[x_index] = (config, library)
+            if plan.kind == "sweep":
+                config = resolve_axis(plan.sweep.axis).apply(
+                    self._base, plan.sweep.points[x_index], plan.scale
+                )
+                rng = RngFactory(plan.seed).child(library_rng_tag(x_index))
+            else:
+                # A comparison keeps topology 0's library for every
+                # topology: the draw build_scenario makes for topology 0.
+                config = self._base
+                rng = RngFactory(study_seed(plan.seed, 0)).child("library")
+            self._per_point[x_index] = (config, build_library(config, rng))
         return self._per_point[x_index]
 
-    def payload(self, task: SweepTask) -> Tuple:
-        """A :func:`~repro.sim.runner._run_sweep_slice` argument."""
-        config, library = self._point(task.x_index)
+    def payload(self, task: PlanTask) -> Tuple:
+        """The task function's argument."""
         plan = self._plan
+        if plan.kind == "replacement":
+            # A fresh solver per threshold.
+            solvers = functools.partial(plan.solvers[0].build, self._registry)
+        else:
+            if self._algorithms is None:
+                self._algorithms = plan.algorithms(self._registry)
+            solvers = self._algorithms
+        if not self.paired:
+            run_seed = (plan.seed, task.topology_index)
+            return (self._base, task.scenario_seed, run_seed, plan.study, solvers)
+        config, library = self._point(task.x_index)
         return (
             config,
             [task.scenario_seed],
-            self._algorithms,
+            solvers,
             plan.evaluation,
             plan.num_realizations,
             library,
@@ -247,15 +302,45 @@ class _PayloadBuilder:
             plan.sample_strata,
         )
 
+    def fold(self, tasks: Sequence[PlanTask], outcomes: Dict[str, List]):
+        """The uniform result, folded in grid order."""
+        from repro.api.run import ResultSet
+        from repro.sim.runner import sweep_metadata
 
-def _grid_size(plan: ExperimentPlan) -> int:
-    """Task count of a plan (1 for the study kinds — no grid)."""
-    if plan.kind == "sweep":
-        return len(plan.sweep.points) * plan.num_topologies
-    return 1
+        plan = self._plan
+        series = {label: SeriesStats(self.x_values) for label in self.labels}
+        runtimes = {label: SeriesStats(self.x_values) for label in self.labels}
+        for task in tasks:
+            (values,) = outcomes[task.task_id]
+            for label in self.labels:
+                if self.paired:
+                    score, runtime_s = values[label]
+                    series[label].add(task.x_index, score)
+                    runtimes[label].add(task.x_index, runtime_s)
+                else:
+                    series[label].add_run(values[label])
+        if plan.kind == "sweep":
+            # Workers come from the plan, not the backend: result bytes
+            # stay backend-independent.
+            metadata = sweep_metadata(
+                plan.num_topologies, plan.evaluation, plan.seed, plan.workers
+            )
+        elif plan.kind == "comparison":
+            metadata = {"config": self._base, "num_topologies": plan.num_topologies}
+        else:
+            metadata = {"config": self._base, "num_runs": plan.study.num_runs}
+        return ResultSet(
+            name=plan.name,
+            x_label=self.x_label,
+            x_values=self.x_values,
+            series=series,
+            runtimes=runtimes if self.paired else {},
+            metadata=metadata,
+            plan=plan,
+        )
 
 
-def _execute_sweep_grid(
+def _execute_grid(
     plan: ExperimentPlan,
     registry: SolverRegistry,
     backend: ExecutionBackend,
@@ -263,18 +348,18 @@ def _execute_sweep_grid(
     key: Optional[str],
     report: ExecutionReport,
 ):
-    """Run (or resume) a sweep plan's grid and fold the uniform result."""
-    from repro.api.run import ResultSet
-    from repro.sim.runner import _run_sweep_slice
-
+    """Run (or resume) a plan's task grid and fold the uniform result."""
     with obs.span("exec.grid_build"):
-        tasks = build_sweep_tasks(plan)
-    outcomes: Dict[str, List[Dict[str, Tuple[float, float]]]] = {}
+        tasks = build_plan_tasks(plan)
+        grid = _PlanGrid(plan, registry)
+    outcomes: Dict[str, List[Dict[str, Tuple[float, ...]]]] = {}
     if store is not None and key is not None:
         with obs.span("exec.cache_probe"):
             for task in tasks:
                 cached = store.load_task(key, task.task_id)
-                if cached is not None:
+                # A partial of the wrong shape (another kind's, or a
+                # foreign file) is a miss: recompute rather than crash.
+                if cached is not None and grid.fits(cached):
                     outcomes[task.task_id] = cached
     report.tasks_total = len(tasks)
     report.tasks_cached = len(outcomes)
@@ -285,10 +370,9 @@ def _execute_sweep_grid(
     )
 
     pending = [task for task in tasks if task.task_id not in outcomes]
-    builder = _PayloadBuilder(plan, registry)
     with obs.span("exec.payload_build"):
-        payloads = [builder.payload(task) for task in pending]
-    results = backend.map(_run_sweep_slice, payloads)
+        payloads = [grid.payload(task) for task in pending]
+    results = backend.map(grid.fn, payloads)
     # Persist every outcome as soon as the backend yields it: a killed
     # run leaves its completed prefix behind for the next run to resume.
     try:
@@ -306,33 +390,8 @@ def _execute_sweep_grid(
 
     # Fold in grid order, whatever order the backend finished in, so
     # the accumulated series are bit-identical for any backend.
-    x_values = list(plan.sweep.points)
-    algorithms = plan.labels(registry)
-    series = {algo: SeriesStats(x_values) for algo in algorithms}
-    runtimes = {algo: SeriesStats(x_values) for algo in algorithms}
     with obs.span("exec.fold"):
-        for task in tasks:
-            for per_algo in outcomes[task.task_id]:
-                for algo in algorithms:
-                    score, runtime_s = per_algo[algo]
-                    series[algo].add(task.x_index, score)
-                    runtimes[algo].add(task.x_index, runtime_s)
-    axis = resolve_axis(plan.sweep.axis)
-    from repro.sim.runner import sweep_metadata
-
-    return ResultSet(
-        name=plan.name,
-        x_label=axis.x_label,
-        x_values=x_values,
-        series=series,
-        runtimes=runtimes,
-        # Workers come from the plan, not the backend: result bytes stay
-        # backend-independent.
-        metadata=sweep_metadata(
-            plan.num_topologies, plan.evaluation, plan.seed, plan.workers
-        ),
-        plan=plan,
-    )
+        return grid.fold(tasks, outcomes)
 
 
 def execute_plan(
@@ -349,12 +408,6 @@ def execute_plan(
     ``repro.api.run_plan(plan, backend=..., store=...)`` is the
     report-less convenience wrapper.
     """
-    from repro.api.run import (
-        _run_comparison,
-        _run_mobility,
-        _run_replacement,
-    )
-
     if backend is None:
         backend = default_backend(plan)
     report = ExecutionReport(
@@ -367,35 +420,18 @@ def execute_plan(
         report.plan_key = key
         cached = store.load_result(key, registry)
         if cached is not None:
-            # JSON serialisation keeps only scalar metadata; the study
-            # executors also record the base ScenarioConfig, which is
+            # JSON serialisation keeps only scalar metadata; non-sweep
+            # folds also record the base ScenarioConfig, which is
             # derivable from the plan — re-attach it so a warm result is
             # indistinguishable from a cold one to metadata consumers.
             if plan.kind != "sweep" and "config" not in cached.metadata:
                 cached.metadata["config"] = plan.base_config()
             report.cache = "hit"
-            report.tasks_total = _grid_size(plan)
+            report.tasks_total = len(build_plan_tasks(plan))
             report.record_phases()
             return cached, report
 
-    if plan.kind == "sweep":
-        result = _execute_sweep_grid(
-            plan, registry, backend, store, key, report
-        )
-    else:
-        # Study kinds have no task grid: run in-process and cache whole
-        # results.
-        # The report says so rather than naming a backend that never ran.
-        report.backend = "in-process"
-        report.tasks_total = 1
-        report.tasks_run = 1
-        if plan.kind == "mobility":
-            result = _run_mobility(plan, registry)
-        elif plan.kind == "replacement":
-            result = _run_replacement(plan, registry)
-        else:
-            result = _run_comparison(plan, registry)
-
+    result = _execute_grid(plan, registry, backend, store, key, report)
     if store is not None and key is not None:
         store.save_result(key, result)
         # The full result supersedes the per-task partials; dropping

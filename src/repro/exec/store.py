@@ -17,8 +17,8 @@ Two artifact granularities live under one key:
 
 * ``result.json`` — the full executed :class:`~repro.api.run.ResultSet`
   (series + plan provenance); an unchanged re-run is a pure cache hit.
-* ``tasks/<task_id>.json`` — one per (sweep point, topology) task; a
-  killed sweep resumes from the completed tasks instead of recomputing
+* ``tasks/<task_id>.json`` — one per task of the plan's grid; a
+  killed run resumes from the completed tasks instead of recomputing
   them.
 
 All writes are atomic (same-directory temp file + ``os.replace``), so
@@ -188,13 +188,15 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def load_task(
         self, key: str, task_id: str
-    ) -> Optional[List[Dict[str, Tuple[float, float]]]]:
+    ) -> Optional[List[Dict[str, Tuple[float, ...]]]]:
         """One task's cached outcomes, or ``None`` on any miss.
 
-        The payload shape mirrors what a sweep task computes: one
-        ``{algorithm: (score, runtime_s)}`` dict per scenario seed.
-        JSON floats round-trip exactly (``repr``-based), so restored
-        scores fold into series bit-identical to freshly computed ones.
+        The payload shape mirrors what a task computes: a list of
+        ``{label: float tuple}`` dicts — a sweep task's ``(score,
+        runtime_s)`` per solver, a study run's one value per x. Whether
+        the shape fits the plan is the executor's check. JSON floats
+        round-trip exactly (``repr``-based), so restored values fold
+        into series bit-identical to freshly computed ones.
         """
         path = self.task_path(key, task_id)
         try:
@@ -209,10 +211,10 @@ class ArtifactStore:
         try:
             return [
                 {
-                    algo: (float(pair[0]), float(pair[1]))
-                    for algo, pair in per_algo.items()
+                    label: tuple(float(value) for value in values)
+                    for label, values in per_label.items()
                 }
-                for per_algo in payload["outcomes"]
+                for per_label in payload["outcomes"]
             ]
         except (KeyError, TypeError, ValueError, IndexError, AttributeError):
             return None
@@ -221,7 +223,7 @@ class ArtifactStore:
         self,
         key: str,
         task_id: str,
-        outcomes: List[Dict[str, Tuple[float, float]]],
+        outcomes: List[Dict[str, Tuple[float, ...]]],
     ) -> None:
         """Atomically cache one task's outcomes."""
         payload = {
@@ -229,10 +231,10 @@ class ArtifactStore:
             "task_id": task_id,
             "outcomes": [
                 {
-                    algo: [float(score), float(runtime)]
-                    for algo, (score, runtime) in per_algo.items()
+                    label: [float(value) for value in values]
+                    for label, values in per_label.items()
                 }
-                for per_algo in outcomes
+                for per_label in outcomes
             ],
         }
         _atomic_write_text(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,25 @@ from repro.errors import ConfigurationError
 from repro.network.mobility import DEFAULT_CLASSES, MobilityClass, MobilityModel
 from repro.sim.scenario import Scenario
 from repro.utils.rng import SeedLike
+
+
+#: Mobility slot length in seconds (paper: 5 s).
+SLOT_DURATION_S = 5.0
+
+
+def sample_schedule(
+    horizon_s: float, sample_every: int, slot_duration_s: float = SLOT_DURATION_S
+) -> Tuple[List[int], List[float]]:
+    """The slots a study samples, and their times in seconds.
+
+    Slot 0, every ``sample_every``-th slot and the last one, which is
+    the horizon's slot count ``int(horizon_s / slot_duration_s)``.
+    """
+    num_slots = int(horizon_s / slot_duration_s)
+    slots = list(range(0, num_slots + 1, sample_every))
+    if num_slots % sample_every:
+        slots.append(num_slots)
+    return slots, [slot * slot_duration_s for slot in slots]
 
 
 @dataclass
@@ -72,7 +91,7 @@ class MobilityStudy:
     def __init__(
         self,
         scenario: Scenario,
-        slot_duration_s: float = 5.0,
+        slot_duration_s: float = SLOT_DURATION_S,
         sample_every: int = 12,
         classes: Sequence[MobilityClass] = DEFAULT_CLASSES,
     ) -> None:
@@ -101,28 +120,27 @@ class MobilityStudy:
             raise ConfigurationError(
                 f"horizon_s must be finite and non-negative, got {horizon_s}"
             )
-        num_slots = int(horizon_s / self.model.slot_duration_s)
+        slots, times = sample_schedule(
+            horizon_s, self.sample_every, self.model.slot_duration_s
+        )
         cacheable = isinstance(seed, (int, np.integer, tuple))
-        key = (num_slots, seed)
+        key = (slots[-1], seed)
         if cacheable and self._cached is not None and self._cached[0] == key:
             return self._cached[1]
         topology = self.scenario.topology
         frames = self.model.trajectory(
             np.array([user.position.as_array() for user in topology.users]),
-            num_slots,
+            slots[-1],
             seed,
         )
-        sampled = list(range(self.sample_every, num_slots + 1, self.sample_every))
-        if num_slots % self.sample_every:
-            sampled.append(num_slots)
-        times = (0.0,) + tuple(slot * self.model.slot_duration_s for slot in sampled)
         instances = (self.scenario.instance,) + tuple(
             self.scenario.rebuild_instance(topology.with_user_positions(frames[slot]))
-            for slot in sampled
+            for slot in slots[1:]
         )
+        sampled = (tuple(times), instances)
         if cacheable:
-            self._cached = (key, (times, instances))
-        return times, instances
+            self._cached = (key, sampled)
+        return sampled
 
     def run(
         self,

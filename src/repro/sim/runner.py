@@ -1,14 +1,16 @@
-"""Sweep task function, seed derivations and experiment results.
+"""Plan task functions, seed derivations and experiment results.
 
 The paper's figures sweep one parameter (capacity, server count, user
-count), averaging each point over 100 random topologies. A sweep plan
-runs as a grid of (sweep point, topology) tasks in
-:func:`repro.exec.execute_plan`; this module holds the pieces every
-task and fold share: the task function :func:`_run_sweep_slice` (build
-the scenario, run each algorithm, score the placement by expected hit
-ratio, Rayleigh Monte Carlo or a stratified user sample), the seed
-derivations (:func:`scenario_seed`, :func:`study_seed`,
-:func:`library_rng_tag`), the sweep metadata, and the result types.
+count), averaging each point over 100 random topologies. Every plan
+runs as a task grid in :func:`repro.exec.execute_plan`; this module
+holds the pieces its tasks and folds share: the task functions
+(:func:`_run_sweep_slice` for sweep and comparison tasks: build the
+scenario, run each algorithm, score the placement by expected hit
+ratio, Rayleigh Monte Carlo or a stratified user sample;
+:func:`_run_mobility_run` and :func:`_run_replacement_run` for one run
+of a study), the seed derivations (:func:`scenario_seed`,
+:func:`study_seed`, :func:`library_rng_tag`), the sweep metadata, and
+the result types.
 """
 
 from __future__ import annotations
@@ -281,3 +283,48 @@ def _run_sweep_slice(
             per_algo[algo_name] = (score, result.runtime_s)
         outcomes.append(per_algo)
     return outcomes
+
+
+#: Series labels of a replacement study, one value per threshold each.
+REPLACEMENT_METRICS = ("time-avg hit ratio", "replacements", "backbone traffic (bytes)")
+
+
+def _run_mobility_run(task: Tuple) -> List[Dict[str, Tuple[float, ...]]]:
+    """One mobility run: ``[{label: hit ratio at each sample time}]``."""
+    from repro.sim.mobility_eval import MobilityStudy
+
+    config, scenario_seed, mobility_seed, spec, algorithms = task
+    scenario = build_scenario(config, scenario_seed)
+    # One study per run: every solver walks the same snapshots.
+    study = MobilityStudy(scenario, sample_every=spec.sample_every)
+    hit_ratios: Dict[str, Tuple[float, ...]] = {}
+    for label, solver in algorithms.items():
+        result = solver.solve(scenario.instance)
+        trace = study.run(
+            result.placement, horizon_s=spec.horizon_s, seed=mobility_seed
+        )
+        hit_ratios[label] = tuple(trace.hit_ratios.tolist())
+    return [hit_ratios]
+
+
+def _run_replacement_run(task: Tuple) -> List[Dict[str, Tuple[float, ...]]]:
+    """One replacement run: ``[{metric: value at each threshold}]``."""
+    from repro.sim.mobility_eval import MobilityStudy
+    from repro.sim.replacement import ReplacementPolicy
+
+    config, scenario_seed, mobility_seed, spec, build_solver = task
+    scenario = build_scenario(config, scenario_seed)
+    # One study per run: every threshold walks the same snapshots.
+    study = MobilityStudy(scenario, sample_every=spec.check_every)
+    traces = [
+        ReplacementPolicy(study, build_solver(), threshold=threshold).run(
+            horizon_s=spec.horizon_s, seed=mobility_seed
+        )
+        for threshold in spec.thresholds
+    ]
+    values = (
+        tuple(trace.mean_hit_ratio for trace in traces),
+        tuple(float(trace.num_replacements) for trace in traces),
+        tuple(float(trace.total_bytes_shipped) for trace in traces),
+    )
+    return [dict(zip(REPLACEMENT_METRICS, values))]

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import run_plan
+from repro.exec import ProcessBackend, execute_plan
 from repro.sim.experiments import PLAN_BUILDERS
 from repro.sim.serialization import result_set_content_json
 
@@ -114,10 +115,13 @@ def test_figure_matches_golden(name, golden):
 
 
 def test_parallel_workers_match_serial_golden(golden):
-    """workers=2 reproduces the serial fig4a series bit-for-bit.
+    """Two worker processes reproduce the serial goldens bit-for-bit.
 
-    The plan and metadata legitimately record ``workers``, so only the
-    x values and series are compared with the ``workers=1`` entry.
+    fig4a declares ``workers=2``, which its plan and metadata
+    legitimately record, so only its x values and series are compared
+    with the ``workers=1`` entry. The comparison and study plans run on
+    an explicit two-worker backend and match their entries whole, with
+    one task per topology or run.
     """
     builder, kwargs = CASES["fig4a"]
     result = run_case(builder, dict(kwargs, workers=2))
@@ -126,6 +130,16 @@ def test_parallel_workers_match_serial_golden(golden):
     assert experiment["x_values"] == expected["x_values"]
     assert experiment["series"] == expected["series"]
     assert_runtime_counts(result)
+
+    for name, tasks in (("fig6a", 2), ("fig7", 1), ("ablation-replacement", 1)):
+        builder, kwargs = CASES[name]
+        result, report = execute_plan(
+            PLAN_BUILDERS[builder](**kwargs), backend=ProcessBackend(workers=2)
+        )
+        assert content(result) == golden[name], name
+        assert report.backend == "process", name
+        assert report.tasks_run == report.tasks_total == tasks, name
+        assert_runtime_counts(result)
 
 
 if __name__ == "__main__":

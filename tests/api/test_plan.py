@@ -82,15 +82,55 @@ def _sweep_plan(**overrides):
     return ExperimentPlan(**defaults)
 
 
+def _study_plan(**overrides):
+    """A non-sweep plan: no axis, so no sweep-only knob such as scale."""
+    return _sweep_plan(**{"sweep": None, "scale": 1.0, **overrides})
+
+
+class TestNonSweepPlansRejectGridKnobs:
+    """Comparison and study plans refuse the knobs only a sweep honours."""
+
+    KINDS = {
+        "comparison": {},
+        "mobility": {"study": MobilitySpec(horizon_s=60.0, num_runs=1)},
+        "replacement": {
+            "study": ReplacementSpec(thresholds=(0.0,), num_runs=1),
+            "solvers": (SolverSpec("gen"),),
+        },
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_evaluation(self, kind):
+        with pytest.raises(ConfigurationError, match="evaluation"):
+            _study_plan(evaluation="monte_carlo", **self.KINDS[kind])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_feasibility(self, kind):
+        with pytest.raises(ConfigurationError, match="feasibility"):
+            _study_plan(feasibility="dense", **self.KINDS[kind])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_sample_users(self, kind):
+        with pytest.raises(ConfigurationError, match="sample_users"):
+            _study_plan(sample_users=8, **self.KINDS[kind])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_scale(self, kind):
+        with pytest.raises(ConfigurationError, match="scale"):
+            _study_plan(scale=0.5, **self.KINDS[kind])
+
+
 class TestPlanValidation:
     def test_kinds(self):
         assert _sweep_plan().kind == "sweep"
         assert (
-            _sweep_plan(sweep=None).kind == "comparison"
+            _study_plan().kind == "comparison"
         )
-        assert _sweep_plan(sweep=None, study=MobilitySpec()).kind == "mobility"
+        assert _study_plan(study=MobilitySpec()).kind == "mobility"
         assert (
-            _sweep_plan(sweep=None, study=ReplacementSpec()).kind
+            _study_plan(
+                study=ReplacementSpec(), solvers=(SolverSpec("gen"),)
+            ).kind
             == "replacement"
         )
 
@@ -165,19 +205,17 @@ class TestPlanJsonRoundTrip:
         assert plan_from_json(plan_to_json(plan)) == plan
 
     def test_comparison_round_trip_equality(self):
-        plan = _sweep_plan(sweep=None)
+        plan = _study_plan()
         assert plan_from_json(plan_to_json(plan)) == plan
 
     def test_mobility_round_trip_equality(self):
-        plan = _sweep_plan(
-            sweep=None, study=MobilitySpec(horizon_s=600.0, num_runs=2)
-        )
+        plan = _study_plan(study=MobilitySpec(horizon_s=600.0, num_runs=2))
         assert plan_from_json(plan_to_json(plan)) == plan
 
     def test_replacement_round_trip_equality(self):
-        plan = _sweep_plan(
-            sweep=None,
+        plan = _study_plan(
             study=ReplacementSpec(thresholds=(0.0, 0.9), num_runs=1),
+            solvers=(SolverSpec("gen"),),
         )
         assert plan_from_json(plan_to_json(plan)) == plan
 
@@ -186,7 +224,7 @@ class TestPlanJsonRoundTrip:
         assert plan_to_json(plan_from_json(text)) == text
 
     def test_kind_is_serialised(self):
-        payload = plan_to_dict(_sweep_plan(sweep=None))
+        payload = plan_to_dict(_study_plan())
         assert payload["kind"] == "comparison"
 
     def test_bad_format_rejected(self):
@@ -198,7 +236,7 @@ class TestPlanJsonRoundTrip:
             plan_from_json("{not json")
 
     def test_unknown_study_type_rejected(self):
-        payload = plan_to_dict(_sweep_plan(sweep=None, study=MobilitySpec()))
+        payload = plan_to_dict(_study_plan(study=MobilitySpec()))
         payload["study"]["type"] = "teleportation"
         with pytest.raises(ConfigurationError, match="unknown study type"):
             plan_from_dict(payload)
@@ -268,7 +306,7 @@ class TestReviewRegressions:
             plan_from_dict(payload)
 
     def test_study_missing_type_raises_configuration_error(self):
-        payload = plan_to_dict(_sweep_plan(sweep=None, study=MobilitySpec()))
+        payload = plan_to_dict(_study_plan(study=MobilitySpec()))
         del payload["study"]["type"]
         with pytest.raises(ConfigurationError, match="unknown study type"):
             plan_from_dict(payload)

@@ -222,11 +222,32 @@ class TestReviewRegressions:
     def test_replacement_plan_refuses_multiple_solvers(self):
         from repro.errors import ConfigurationError
 
+        # Refused when the plan is declared, not when it runs.
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            ExperimentPlan(
+                name="two solvers",
+                solvers=(SolverSpec("gen"), SolverSpec("independent")),
+                study=ReplacementSpec(
+                    thresholds=(0.0,), num_runs=1, horizon_s=60.0
+                ),
+                base=_TINY_BASE,
+            )
+
+    def test_two_solver_replacement_plan_file_is_refused_on_load(self):
+        import json
+
+        from repro.api import plan_from_json, plan_to_json
+        from repro.errors import ConfigurationError
+
         plan = ExperimentPlan(
-            name="two solvers",
-            solvers=(SolverSpec("gen"), SolverSpec("independent")),
+            name="one solver",
+            solvers=(SolverSpec("gen"),),
             study=ReplacementSpec(thresholds=(0.0,), num_runs=1, horizon_s=60.0),
             base=_TINY_BASE,
         )
+        payload = json.loads(plan_to_json(plan))
+        payload["solvers"].append(
+            {"solver": "independent", "label": None, "config": None}
+        )
         with pytest.raises(ConfigurationError, match="exactly one"):
-            run_plan(plan)
+            plan_from_json(json.dumps(payload))

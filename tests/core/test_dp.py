@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dp import (
@@ -281,6 +281,9 @@ class TestWeightDp:
 
 class TestBackendAgreement:
     @given(knapsack_instances)
+    # A near-tie that a pruning slack once cut: the true optimum is 12.0
+    # ([0, 1, 2]), not 11.999999999999998 ([1, 2, 3]).
+    @example(([10.0, 1.0, 1.0, 9.999999999999998], [2, 0, 0, 1], 2))
     @settings(max_examples=60, deadline=None)
     def test_all_backends_feasible_and_ordered(self, instance):
         values, weights, capacity = instance

@@ -8,14 +8,14 @@ completed tasks to the same numbers an uninterrupted run produces.
 
 import pytest
 
-from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
+from repro.api import ExperimentPlan, MobilitySpec, SolverSpec, SweepSpec, run_plan
 from repro.exec import (
     ArtifactStore,
     ExecutionReport,
     FaultStats,
     ProcessBackend,
     SerialBackend,
-    build_sweep_tasks,
+    build_plan_tasks,
     execute_plan,
     plan_cache_key,
 )
@@ -82,7 +82,7 @@ class KillAfterBackend:
 class TestTaskGrid:
     def test_grid_shape_and_order(self):
         plan = make_plan()
-        tasks = build_sweep_tasks(plan)
+        tasks = build_plan_tasks(plan)
         assert len(tasks) == 2 * 3  # points x topologies
         assert [t.task_id for t in tasks] == [
             "x0-t0", "x0-t1", "x0-t2", "x1-t0", "x1-t1", "x1-t2",
@@ -91,7 +91,7 @@ class TestTaskGrid:
 
     def test_seeds_match_the_runner_derivation(self):
         plan = make_plan()
-        tasks = build_sweep_tasks(plan)
+        tasks = build_plan_tasks(plan)
         for task in tasks:
             expected = hash(
                 (plan.seed, task.x_index, task.topology_index)
@@ -242,6 +242,72 @@ class TestResume:
         assert "cache hit" in hit.summary()
         nocache = ExecutionReport(backend="serial", cache="off", tasks_run=3)
         assert "cache off" in nocache.summary()
+
+
+def make_mobility_plan():
+    return ExperimentPlan(
+        name="exec mobility test",
+        solvers=(SolverSpec("gen"), SolverSpec("independent")),
+        study=MobilitySpec(horizon_s=300.0, sample_every=12, num_runs=3),
+        base={"num_servers": 3, "num_users": 8, "num_models": 9},
+        seed=0,
+    )
+
+
+class TestStudyGrid:
+    def test_one_task_per_run_seeded_by_study_seed(self):
+        from repro.sim.runner import study_seed
+
+        tasks = build_plan_tasks(make_mobility_plan())
+        assert [t.task_id for t in tasks] == ["r0", "r1", "r2"]
+        assert [t.scenario_seed for t in tasks] == [
+            study_seed(0, run) for run in range(3)
+        ]
+
+    def test_killed_mobility_plan_resumes_from_its_runs(self, tmp_path):
+        plan = make_mobility_plan()
+        uninterrupted = run_plan(plan)
+
+        store = ArtifactStore(tmp_path)
+        key = plan_cache_key(plan)
+        with pytest.raises(RuntimeError, match="simulated mid-sweep kill"):
+            execute_plan(plan, backend=KillAfterBackend(1), store=store)
+        assert store.completed_tasks(key) == {"r0"}
+
+        counting = CountingBackend()
+        resumed, report = execute_plan(plan, backend=counting, store=store)
+        assert report.cache == "partial"
+        assert (report.tasks_cached, report.tasks_run, counting.ran) == (1, 2, 2)
+        assert resumed.to_json() == uninterrupted.to_json()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["short tuple", "missing label", "extra label", "two outcomes"],
+    )
+    def test_misshapen_study_partial_is_a_miss(self, tmp_path, damage):
+        plan = make_mobility_plan()
+        store = ArtifactStore(tmp_path)
+        key = plan_cache_key(plan)
+        with pytest.raises(RuntimeError):
+            execute_plan(plan, backend=KillAfterBackend(1), store=store)
+        (good,) = store.load_task(key, "r0")
+        bad = dict(good)
+        if damage == "short tuple":
+            bad["Gen" if "Gen" in bad else sorted(bad)[0]] = (0.5,)
+        elif damage == "missing label":
+            bad.pop(sorted(bad)[0])
+        elif damage == "extra label":
+            bad["Unknown"] = next(iter(good.values()))
+        store.save_task(
+            key, "r0", [good, good] if damage == "two outcomes" else [bad]
+        )
+
+        counting = CountingBackend()
+        result, report = execute_plan(plan, backend=counting, store=store)
+        assert report.cache == "miss"
+        assert report.tasks_cached == 0
+        assert counting.ran == 3
+        assert result.to_json() == run_plan(plan).to_json()
 
 
 class FaultyStatsBackend:

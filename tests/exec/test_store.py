@@ -121,16 +121,39 @@ class TestPlanCacheKey:
 
 
 class TestTaskArtifacts:
-    def test_round_trip_exact_floats(self, tmp_path):
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            # A sweep task's (score, runtime_s) per solver...
+            [{"Gen": (0.1 + 0.2, 1.5e-3), "Independent": (2.0 / 3.0, 0.25)}],
+            # ...and a study run's one value per x.
+            [{"Gen": (0.5, 0.25, 1.0 / 3.0), "Spec": (0.1,)}],
+        ],
+    )
+    def test_round_trip_exact_floats(self, tmp_path, outcomes):
         store = ArtifactStore(tmp_path)
         key = plan_cache_key(make_plan())
-        outcomes = [
-            {"Gen": (0.1 + 0.2, 1.5e-3), "Independent": (2.0 / 3.0, 0.25)}
-        ]
         store.save_task(key, "x0-t0", outcomes)
         restored = store.load_task(key, "x0-t0")
         # Bit-exact: JSON floats round-trip via repr.
         assert restored == outcomes
+
+    def test_reads_pair_partials_in_the_original_layout(self, tmp_path):
+        # Sweep partials already on disk keep resuming.
+        store = ArtifactStore(tmp_path)
+        key = plan_cache_key(make_plan())
+        path = store.task_path(key, "x0-t0")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "trimcaching-task-v1",
+                    "task_id": "x0-t0",
+                    "outcomes": [{"Gen": [0.5, 0.001]}],
+                }
+            )
+        )
+        assert store.load_task(key, "x0-t0") == [{"Gen": (0.5, 0.001)}]
 
     def test_missing_is_none(self, tmp_path):
         store = ArtifactStore(tmp_path)
