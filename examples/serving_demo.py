@@ -1,12 +1,13 @@
-"""Serve a placement as a long-lived service with incremental re-solve.
+"""Serve a placement as a long-lived service with warm re-solve.
 
 The batch pipeline answers "what is the best placement for this
 scenario?" once. :mod:`repro.serve` keeps that answer *warm*: a
-:class:`~repro.serve.PlacementService` holds the solved greedy trace and
-the coverage state resident, and patches them as users arrive and
-depart, capacities step, and popularity drifts — every post-event answer
-``==``-identical to re-solving the mutated scenario from scratch, at a
-fraction of the cost.
+:class:`~repro.serve.PlacementService` holds the coverage state and the
+feasibility artifact resident, refreshes the changed demand columns as
+users arrive and depart, capacities step, and popularity drifts, and
+re-runs the greedy on a clone of its warm tracker — every post-event
+answer ``==``-identical to re-solving the mutated scenario from scratch,
+at a fraction of the cost.
 
 This demo drives the same seeded event trace through both transports:
 
@@ -70,17 +71,17 @@ def main() -> None:
         reference[-1].placement.matrix,
     )
 
-    patch_ms = [r.latency_s * 1e3 for r in results]
+    served_ms = [r.latency_s * 1e3 for r in results]
     scratch_ms = [r.seconds * 1e3 for r in reference]
     counters = session.status()["counters"]
     print(
-        f"processed {len(results)} events: {counters['replay']} replayed, "
-        f"{counters['fallback']} fallbacks, {counters['full']} full solves"
+        f"processed {len(results)} events: {counters['full']} re-solved, "
+        f"{counters['noop']} changed nothing"
     )
     print(
-        f"median latency: patched {np.median(patch_ms):.2f} ms vs "
+        f"median latency: resident {np.median(served_ms):.2f} ms vs "
         f"from-scratch {np.median(scratch_ms):.2f} ms "
-        f"({np.median(scratch_ms) / np.median(patch_ms):.1f}x) — "
+        f"({np.median(scratch_ms) / np.median(served_ms):.1f}x) — "
         "every answer exactly equal"
     )
     print(f"final hit ratio: {session.hit_ratio:.4f}")

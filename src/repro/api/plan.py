@@ -313,19 +313,28 @@ class ExperimentPlan:
                 f"workers must be at least 1, got {self.workers}"
             )
         if self.sweep is None:
-            # Only a sweep task scores, samples or scales; the other
-            # kinds would silently run as if these knobs were unset.
-            for name, unset in (
-                ("evaluation", "expected"),
-                ("feasibility", "sparse"),
-                ("sample_users", None),
-                ("scale", 1.0),
-            ):
+            # Only a sweep task scores, samples or scales, and only a
+            # sweep or comparison draws topologies; the other kinds would
+            # silently run as if these knobs were unset.
+            unused = [
+                "evaluation",
+                "feasibility",
+                "sample_users",
+                "scale",
+                "num_realizations",
+                "sample_strata",
+            ]
+            if self.study is not None:
+                unused.append("num_topologies")
+            defaults = {
+                spec.name: spec.default for spec in dataclasses.fields(self)
+            }
+            for name in unused:
+                unset = defaults[name]
                 if getattr(self, name) != unset:
                     raise ConfigurationError(
-                        f"{name} applies to sweep plans only; a "
-                        f"{self.kind} plan needs {name}={unset!r}, got "
-                        f"{getattr(self, name)!r}"
+                        f"{name} has no effect on a {self.kind} plan; it "
+                        f"needs {name}={unset!r}, got {getattr(self, name)!r}"
                     )
         if isinstance(self.study, ReplacementSpec) and len(self.solvers) != 1:
             raise ConfigurationError(

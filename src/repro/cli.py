@@ -143,7 +143,7 @@ def _serve(args: argparse.Namespace) -> str:
     """Solve a scenario once and serve it over HTTP (blocks)."""
     from repro import obs
     from repro.errors import ConfigurationError
-    from repro.serve import PlacementService, ResolvePolicy, serve_http
+    from repro.serve import PlacementService, serve_http
 
     if args.no_obs and args.trace is not None:
         raise ConfigurationError(
@@ -155,14 +155,7 @@ def _serve(args: argparse.Namespace) -> str:
     if not args.no_obs:
         obs.enable(metrics=True, tracing=args.trace is not None)
     scenario, seed = _serve_scenario(args)
-    policy = ResolvePolicy(
-        mode=args.policy,
-        full_every=args.full_every,
-        max_changed_fraction=args.max_changed_fraction,
-    )
-    service = PlacementService(
-        scenario, solver=args.solver, engine=args.engine, policy=policy
-    )
+    service = PlacementService(scenario, solver=args.solver, engine=args.engine)
     server = serve_http(
         service, host=args.host, port=args.port, verbose=args.verbose
     )
@@ -759,21 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="Scenario seed (overrides the plan's).")
     p.add_argument("--solver", choices=("gen", "independent"), default="gen")
     p.add_argument("--engine", choices=("dense", "sparse"), default="sparse")
-    p.add_argument(
-        "--policy", choices=("auto", "patch", "full"), default="auto"
-    )
-    p.add_argument(
-        "--full-every",
-        type=int,
-        default=0,
-        help="Force a full re-solve every Nth event (0 disables).",
-    )
-    p.add_argument(
-        "--max-changed-fraction",
-        type=float,
-        default=0.5,
-        help="Auto mode: full re-solve when more columns change.",
-    )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--port",

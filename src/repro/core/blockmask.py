@@ -205,11 +205,11 @@ class ServerBlockCache:
         positions = index.model_positions[model_index]
         mask_row = self.masks[server]
         already = mask_row[positions]
-        mask_row[positions] = True
         if not already.any():
             # None of the blocks were cached: the delta is the model's
             # memoised full overlap (identical integers to the general
             # path with ``already`` all false).
+            mask_row[positions] = True
             added = int(index.model_sizes[model_index])
             self.extras[server] -= index.full_overlap(model_index)
             self.used[server] += added
@@ -219,6 +219,7 @@ class ServerBlockCache:
         fresh = positions[~already]
         if fresh.size == 0:
             return 0
+        mask_row[fresh] = True
         fresh_sizes = index.sizes[fresh]
         added = int(fresh_sizes.sum())
         self.extras[server] -= fresh_sizes @ index.member_t[fresh]

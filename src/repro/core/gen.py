@@ -12,14 +12,17 @@ ServerBlockCache` (exact integer marginal-storage table):
 
 * ``accelerated=False`` — the literal algorithm: re-scan all (m, i) pairs
   per step (per-server stable argsort, exactly the seed's scan order).
-* ``accelerated=True`` (default) — the vectorised engine: a maintained
-  ``(M, I)`` candidate-value matrix holds each pair's gain where the pair
-  is unplaced, positive-gain and currently fits, and ``-1`` elsewhere.
-  A step is one ``argmax`` over that matrix; placing (m, i) then only
-  dirties row ``m`` (storage/remaining changed) and column ``i`` (gains
-  changed), so the refresh is ``O(M + I)`` plus the tracker's ``O(M·K)``
-  column update. ``np.argmax`` returns the first (row-major) maximiser —
-  the same lowest-server-then-lowest-model tie-break as the literal scan.
+* ``accelerated=True`` (default) — :func:`greedy_place`, the one greedy
+  loop in the repo: Gen runs it with a block cache, Independent Caching
+  without one (full model sizes), and the resident service on a clone of
+  its warm tracker. It keeps an ``(M, I)`` candidate matrix holding each
+  pair's gain where the pair's marginal bytes fit and ``-1`` elsewhere.
+  A step is one ``argmax`` over it; placing (m, i) only changes row ``m``
+  of the storage table and remaining capacity and column ``i`` of the
+  gains, so the matrix is refreshed on that row and column — ``O(M + I)``
+  plus the tracker's column update — and stays equal to a full rebuild.
+  ``np.argmax`` returns the first (row-major) maximiser: the same
+  lowest-server-then-lowest-model tie-break as the literal scan.
 
 The seed implementations are retained verbatim in
 :mod:`repro.core.reference`; the equivalence tests assert bit-identical
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +45,63 @@ from repro.errors import ConfigurationError
 
 # Gains are sums of non-negative products (demand x indicator), so a true
 # zero gain is exactly 0.0 and strict comparisons need no epsilon floor.
+
+
+def greedy_place(
+    instance: PlacementInstance,
+    tracker: CoverageTracker,
+    cache: Optional[ServerBlockCache] = None,
+) -> Tuple[Placement, int]:
+    """The masked-argmax greedy of Gen, Independent and the service.
+
+    Caches, step by step, the pair with the largest gain among those
+    whose marginal bytes fit the server's remaining capacity, until no
+    fitting pair gains anything. ``cache`` set: deduplicated marginals
+    (Gen; the cache is updated in place); ``None``: full model sizes
+    (Independent). ``tracker`` is marked in place and must start
+    unmarked. Returns the placement and the number of steps.
+    """
+    placement = instance.new_placement()
+    gains = tracker.gain_matrix_view()
+    sizes = instance.model_sizes
+    extras = (
+        cache.extras if cache is not None else np.broadcast_to(sizes, gains.shape)
+    )
+    remaining = instance.capacities.astype(np.int64)
+    placed = placement.matrix
+    num_models = instance.num_models
+
+    # Candidate values `where(fit, gains, -1)`. Placed pairs need no mask
+    # of their own — marking (m, i) served zeroes gains[m, i] exactly
+    # (every product in its column refresh is 0.0), so `> 0` can never
+    # re-select them; the scalar check stops when no fitting pair has
+    # positive gain. A placement at (s, m) changes only column m of the
+    # gains, row s of the marginals and remaining[s]: refreshing that row
+    # and column leaves every entry equal to a full rebuild.
+    values = np.where(extras <= remaining[:, None], gains, -1.0)
+    steps = 0
+    while True:
+        flat = int(values.argmax())
+        server, model_index = divmod(flat, num_models)
+        if (
+            gains[server, model_index] <= 0.0
+            or extras[server, model_index] > remaining[server]
+        ):
+            break
+        placed[server, model_index] = True
+        if cache is not None:
+            remaining[server] -= cache.add(server, model_index)
+        else:
+            remaining[server] -= sizes[model_index]
+        tracker.mark_served(server, model_index)
+        values[:, model_index] = np.where(
+            extras[:, model_index] <= remaining, gains[:, model_index], -1.0
+        )
+        values[server] = np.where(
+            extras[server] <= remaining[server], gains[server], -1.0
+        )
+        steps += 1
+    return placement, steps
 
 
 class TrimCachingGen:
@@ -153,45 +213,13 @@ class TrimCachingGen:
     ) -> Tuple[Placement, int, CoverageTracker]:
         from repro import obs
 
-        placement = instance.new_placement()
         with obs.span("solve.gen.tracker_init", engine=self.engine):
             tracker = CoverageTracker(instance, engine=self.engine)
         cache = ServerBlockCache(instance.block_index, instance.num_servers)
-        gains = tracker.gain_matrix_view()
-        extras = cache.extras
-        remaining = instance.capacities.astype(np.int64)[:, None].copy()
-        placed = placement.matrix
-        num_models = instance.num_models
-
-        # Every step is one masked argmax: pairs that fit keep their gain,
-        # the rest read as -1. Placed pairs need no mask of their own —
-        # marking (m, i) served zeroes gains[m, i] exactly (every product
-        # in its column refresh is 0.0), so `> 0` can never re-select
-        # them; the final scalar check stops when no fitting pair has
-        # positive gain. np.argmax takes the first (row-major) maximiser,
-        # i.e. lowest server then lowest model among exact ties — the
-        # literal scan's tie-break.
-        fit = np.empty(extras.shape, dtype=bool)
-        value = np.empty(extras.shape)
-        steps = 0
         # One span brackets the whole loop (a per-step span would cost
         # more than the masked argmax it measures).
         with obs.span("solve.gen.greedy"):
-            while True:
-                np.less_equal(extras, remaining, out=fit)
-                value.fill(-1.0)
-                np.copyto(value, gains, where=fit)
-                flat = int(np.argmax(value))
-                server, model_index = divmod(flat, num_models)
-                if (
-                    gains[server, model_index] <= 0.0
-                    or extras[server, model_index] > remaining[server, 0]
-                ):
-                    break
-                placed[server, model_index] = True
-                remaining[server, 0] -= cache.add(server, model_index)
-                tracker.mark_served(server, model_index)
-                steps += 1
+            placement, steps = greedy_place(instance, tracker, cache)
         return placement, steps, tracker
 
     # ------------------------------------------------------------------

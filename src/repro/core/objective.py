@@ -175,9 +175,11 @@ class CoverageTracker:
         )
         #: ``(K, I)`` demand mass not yet served, maintained per column.
         self._weighted = instance.demand * ~self.served
-        # Flat alias of the same buffer (never rebound — all updates are
-        # in place), for 1-D gathers against the CSR entry_flat_index.
+        # Flat aliases of the same buffers (never rebound — all updates
+        # are in place), for 1-D gathers and scatters against the CSR
+        # entry_flat_index.
         self._wflat = self._weighted.reshape(-1)
+        self._sflat = self.served.reshape(-1)
         if engine == "sparse":
             sparse = instance.sparse_feasible
             self._sparse = sparse
@@ -270,20 +272,19 @@ class CoverageTracker:
         """O(column nnz) refresh over the CSR artifact."""
         sparse = self._sparse
         row = model_index * self.instance.num_servers + server
-        start = sparse.pair_indptr[row]
-        stop = sparse.pair_indptr[row + 1]
+        start, stop = sparse.pair_indptr[row : row + 2].tolist()
         if start == stop:
             return
-        pair_users = sparse.entry_users[start:stop]
         # No all-served early-out: on the greedy path the chosen pair
         # always has positive gain (some pair user unserved), so the
         # check would be pure per-mark overhead; re-marking a fully
-        # served pair just recomputes the same column bits.
-        self.served[pair_users, model_index] = True
-        # Same exact zeroing as the dense engine: newly served users'
-        # remaining mass becomes exactly 0.0 (the flat indices address
-        # exactly weighted[pair_users, model_index]).
-        self._wflat[sparse.entry_flat_index()[start:stop]] = 0.0
+        # served pair just recomputes the same column bits. The flat
+        # indices address exactly (pair_users, model_index) in both
+        # (K, I) buffers; newly served users' remaining mass becomes
+        # exactly 0.0, as in the dense engine.
+        flat = sparse.entry_flat_index()[start:stop]
+        self._sflat[flat] = True
+        self._wflat[flat] = 0.0
         self._refresh_column(model_index)
 
     # ------------------------------------------------------------------
@@ -305,6 +306,7 @@ class CoverageTracker:
         new.engine = self.engine
         new._sparse = self._sparse
         new.served = self.served.copy()
+        new._sflat = new.served.reshape(-1)
         new._weighted = self._weighted.copy()
         new._wflat = new._weighted.reshape(-1)
         new._gains = self._gains.copy()
@@ -391,46 +393,6 @@ class CoverageTracker:
                     ~self.served[user, column]
                 )
             self._refresh_column(column)
-
-    def adopt_columns(self, other: "CoverageTracker", columns) -> None:
-        """Copy the given columns' state verbatim from another tracker.
-
-        Used by the serving layer's trace replay to compose a final
-        tracker from two exactly-maintained halves (unchanged columns
-        from the previous solve, changed columns from the replay clone).
-        Both trackers must share the instance shape and engine.
-        """
-        self.served[:, columns] = other.served[:, columns]
-        self._weighted[:, columns] = other._weighted[:, columns]
-        self._gains[:, columns] = other._gains[:, columns]
-
-    def bulk_mark(self, pairs: Iterable) -> np.ndarray:
-        """Apply many placement marks with one kernel run per column.
-
-        Equivalent to calling :meth:`mark_served` for every ``(server,
-        model)`` pair, but defers the column refresh until all served bits
-        are set — exact, because a column's final state depends only on
-        the *set* of marked pairs, the weighted resync recomputes the
-        constructor's expression bit for bit, and the kernel runs once on
-        that final state (the same run the last sequential mark would
-        do). Returns the touched column indices, sorted.
-        """
-        touched = set()
-        for server, model_index in pairs:
-            model_index = int(model_index)
-            if self._sparse is not None:
-                users = self._sparse.pair_users(int(server), model_index)
-                if users.size:
-                    self.served[users, model_index] = True
-                    touched.add(model_index)
-            else:
-                self.served[:, model_index] |= self.instance.feasible[
-                    int(server), :, model_index
-                ]
-                touched.add(model_index)
-        columns = np.asarray(sorted(touched), dtype=np.intp)
-        self.refresh_columns(columns)
-        return columns
 
     def update_user(self, user: int, demand_row: np.ndarray) -> np.ndarray:
         """Set one user's demand row and refresh the affected columns.

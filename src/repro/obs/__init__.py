@@ -4,7 +4,7 @@ One subsystem sees every phase of the stack: solver phases (scenario
 build, feasibility, greedy loop, knapsack DP), the execution backends
 (per-task queue-wait/run spans, retry/chaos annotations, worker-side
 telemetry shipped back over the pickle protocol) and the serving layer
-(patch-vs-full spans, route/event latency histograms, the ``/metrics``
+(refresh and re-solve spans, route/event latency histograms, the ``/metrics``
 endpoint). Three rules keep it honest:
 
 * **Off by default, near-zero cost when off.** ``obs.span(...)`` on the
@@ -22,7 +22,7 @@ endpoint). Three rules keep it honest:
 
 Span naming convention: dotted ``layer.phase[.detail]`` — e.g.
 ``exec.task``, ``task.solve``, ``solve.gen.greedy``,
-``feasibility.sparse``, ``serve.patch_solve``. Metrics are
+``feasibility.sparse``, ``serve.full_solve``. Metrics are
 Prometheus-style snake case with a ``repro_`` prefix and base-unit
 suffixes (``_seconds``, ``_total``).
 

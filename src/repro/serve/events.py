@@ -5,7 +5,7 @@ An :class:`Event` is one mutation of a live scenario: a user departing
 original row is restored), a server's storage capacity stepping to a new
 absolute value, or a model's popularity being scaled. :class:`EventTrace`
 is an ordered, JSON-round-trippable sequence of events plus the seed that
-generated it, so serve benchmarks and replay tests are reproducible —
+generated it, so serve benchmarks and equivalence tests are reproducible —
 a stepping stone to the ROADMAP's trace-driven ``TraceSpec`` workloads.
 
 :func:`apply_event` is the single source of mutation arithmetic: both the

@@ -53,7 +53,8 @@ def metrics_exposition(service: PlacementService) -> str:
     counters on every call (no sampling lag, no obs dependency):
 
     * ``repro_serve_resolves_total{mode=...}`` — the cumulative
-      replay/fallback/full/noop counters of :meth:`PlacementService.stats`.
+      counters of :meth:`PlacementService.stats` (``full``/``noop``;
+      ``replay``/``fallback`` stay 0).
     * ``repro_serve_events_processed_total`` — their sum.
     * ``repro_serve_hit_ratio`` — the current placement's hit ratio.
     * ``repro_serve_initial_solve_seconds`` — the cold-start solve time.

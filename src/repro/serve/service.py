@@ -2,12 +2,11 @@
 
 :class:`PlacementService` solves a scenario once and then stays warm: the
 :class:`~repro.core.objective.CoverageTracker` base state, the CSR
-feasibility artifact, the solved placement and its greedy trace all stay
-resident, so processing an event costs a few column refreshes plus a
-trace replay (or, when the :class:`~repro.serve.policy.ResolvePolicy`
-says so, a warm full solve) instead of a stateless rebuild. Every answer
-is ``==``-identical to solving the mutated scenario from scratch — the
-pinned equivalence suite in ``tests/serve/`` enforces it.
+feasibility artifact and the solved placement stay resident, so
+processing an event costs a few column refreshes plus one greedy solve
+over a clone of the base tracker, instead of a stateless rebuild. Every
+answer is ``==``-identical to solving the mutated scenario from scratch —
+the pinned equivalence suite in ``tests/serve/`` enforces it.
 
 :class:`ServiceSession` is the ergonomic front end (one method per event
 kind); :mod:`repro.serve.http` exposes the same service over stdlib HTTP.
@@ -21,50 +20,36 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
 from repro.errors import ServeError
 from repro.serve.events import Event, apply_event
-from repro.serve.policy import ResolvePolicy
-from repro.serve.resolver import (
-    SolveState,
-    check_serve_config,
-    full_solve,
-    patch_solve,
-    recorded_solve,
-)
+from repro.serve.resolver import SolveState, check_serve_config, warm_solve
 
 
 @dataclass(frozen=True)
 class EventResult:
     """Outcome of one processed event.
 
-    ``action`` is the policy's decision (``"patch"`` | ``"full"`` |
-    ``"noop"``); ``mode`` is what actually ran (``"replay"``,
-    ``"fallback"`` — a patch that could not prove exactness and
-    re-solved, ``"full"``, or ``"noop"``).
+    ``mode`` is ``"full"`` (the event changed demand or capacity and the
+    placement was re-solved) or ``"noop"`` (nothing changed).
     """
 
     event: Event
-    action: str
     mode: str
     hit_ratio: float
     latency_s: float
     changed_columns: int
-    reused_steps: int
-    extended_steps: int
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready summary (used by the HTTP transport)."""
         return {
             "event": self.event.to_dict(),
-            "action": self.action,
             "mode": self.mode,
             "hit_ratio": self.hit_ratio,
             "latency_s": self.latency_s,
             "changed_columns": self.changed_columns,
-            "reused_steps": self.reused_steps,
-            "extended_steps": self.extended_steps,
         }
 
 
@@ -110,8 +95,6 @@ class PlacementService:
         Tracker engine, ``"dense"`` or ``"sparse"`` (see
         :data:`~repro.serve.resolver.SERVE_ENGINES`; ``"auto"`` is not
         served).
-    policy:
-        The :class:`ResolvePolicy`; default ``ResolvePolicy()`` (auto).
     """
 
     def __init__(
@@ -119,13 +102,11 @@ class PlacementService:
         scenario,
         solver: str = "gen",
         engine: str = "dense",
-        policy: Optional[ResolvePolicy] = None,
     ) -> None:
         check_serve_config(solver, engine)
         self.scenario = scenario
         self.solver = solver
         self.engine = engine
-        self.policy = policy or ResolvePolicy()
         self.dedup = solver == "gen"
         source = scenario.instance
         # Private copies: the instance constructor shares float/int64
@@ -149,12 +130,16 @@ class PlacementService:
             sparse.entry_pair_index()
             sparse.user_view()
         start = time.perf_counter()
-        self.state: SolveState = recorded_solve(
-            self.instance, self.base_tracker.clone(), self.dedup
+        self.state: SolveState = warm_solve(
+            self.instance, self.base_tracker, self.dedup
         )
         self.initial_solve_s = time.perf_counter() - start
         self.events_processed = 0
         self.hit_ratios: List[float] = [self.state.hit_ratio]
+        # Every event is a "full" re-solve or a "noop". The "replay" and
+        # "fallback" keys are kept at 0 for readers of the counter set
+        # that predate the single re-solve path (the repo benchmark
+        # indexes them).
         self.counters: Dict[str, int] = {
             "replay": 0,
             "fallback": 0,
@@ -197,11 +182,6 @@ class PlacementService:
         return {
             "solver": self.solver,
             "engine": self.engine,
-            "policy": {
-                "mode": self.policy.mode,
-                "full_every": self.policy.full_every,
-                "max_changed_fraction": self.policy.max_changed_fraction,
-            },
             "num_servers": instance.num_servers,
             "num_users": instance.num_users,
             "num_models": instance.num_models,
@@ -216,14 +196,12 @@ class PlacementService:
         """Re-solve counters plus the event total, JSON-ready.
 
         The focused view of :meth:`status`'s ``counters`` block: how
-        many events were absorbed by trace replay, fell back to a fresh
-        greedy pass, forced a policy-mandated full solve, or touched
-        nothing — the numbers an operator watches to tell whether the
-        incremental path is actually carrying the load.
+        many events were re-solved (``full``) and how many touched
+        nothing (``noop``). ``replay`` and ``fallback`` always read 0;
+        they stay in the set for readers that index them.
 
         Counters are cumulative for the life of the service and are
-        **never reset** — not by a ``full_every``-mandated full solve,
-        not by a fallback; each event increments exactly one of them, so
+        **never reset**; each event increments exactly one of them, so
         their sum always equals ``events_processed``. The same numbers
         are exported in Prometheus text format by the HTTP transport's
         ``/metrics`` endpoint (:func:`repro.serve.http.metrics_exposition`)
@@ -247,9 +225,7 @@ class PlacementService:
 
     # ------------------------------------------------------------------
     def process(self, event: Event) -> EventResult:
-        """Apply one event and re-solve (patch or full, per policy)."""
-        from repro import obs
-
+        """Apply one event and, if it changed anything, re-solve."""
         start = time.perf_counter()
         with obs.span("serve.event", kind=event.kind) as span:
             changed, capacity_changed = apply_event(
@@ -268,34 +244,13 @@ class PlacementService:
                         else None,
                     )
             if changed.size == 0 and not capacity_changed:
-                action = mode = "noop"
-                reused = extended = 0
+                mode = "noop"
             else:
-                action = self.policy.choose(
-                    self.events_processed,
-                    int(changed.size),
-                    self.instance.num_models,
-                    capacity_changed,
-                )
-                if action == "full":
-                    with obs.span("serve.full_solve"):
-                        self.state = full_solve(
-                            self.instance, self.base_tracker, self.dedup
-                        )
-                    mode = "full"
-                    reused, extended = 0, len(self.state.steps)
-                else:
-                    with obs.span("serve.patch_solve"):
-                        self.state, info = patch_solve(
-                            self.instance,
-                            self.base_tracker,
-                            self.state,
-                            changed,
-                            self.dedup,
-                        )
-                    mode = str(info["mode"])
-                    reused = int(info["reused_steps"])
-                    extended = int(info["extended_steps"])
+                with obs.span("serve.full_solve"):
+                    self.state = warm_solve(
+                        self.instance, self.base_tracker, self.dedup
+                    )
+                mode = "full"
             span["mode"] = mode
         self.counters[mode] += 1
         self.events_processed += 1
@@ -305,13 +260,10 @@ class PlacementService:
         obs.count("repro_serve_events_total", 1, mode=mode)
         return EventResult(
             event=event,
-            action=action,
             mode=mode,
             hit_ratio=self.state.hit_ratio,
             latency_s=latency_s,
             changed_columns=int(changed.size),
-            reused_steps=reused,
-            extended_steps=extended,
         )
 
     def process_trace(self, trace) -> List[EventResult]:
@@ -332,11 +284,8 @@ class ServiceSession:
         scenario,
         solver: str = "gen",
         engine: str = "dense",
-        policy: Optional[ResolvePolicy] = None,
     ) -> None:
-        self.service = PlacementService(
-            scenario, solver=solver, engine=engine, policy=policy
-        )
+        self.service = PlacementService(scenario, solver=solver, engine=engine)
 
     @property
     def hit_ratio(self) -> float:

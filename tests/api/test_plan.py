@@ -83,7 +83,13 @@ def _sweep_plan(**overrides):
 
 
 def _study_plan(**overrides):
-    """A non-sweep plan: no axis, so no sweep-only knob such as scale."""
+    """A non-sweep plan: no axis, so no sweep-only knob such as scale.
+
+    A study draws no topologies either, so it keeps the default
+    ``num_topologies``.
+    """
+    if overrides.get("study") is not None:
+        overrides = {"num_topologies": 20, **overrides}
     return _sweep_plan(**{"sweep": None, "scale": 1.0, **overrides})
 
 
@@ -118,6 +124,24 @@ class TestNonSweepPlansRejectGridKnobs:
     def test_scale(self, kind):
         with pytest.raises(ConfigurationError, match="scale"):
             _study_plan(scale=0.5, **self.KINDS[kind])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_num_realizations(self, kind):
+        with pytest.raises(ConfigurationError, match="num_realizations"):
+            _study_plan(num_realizations=5, **self.KINDS[kind])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_sample_strata(self, kind):
+        with pytest.raises(ConfigurationError, match="sample_strata"):
+            _study_plan(sample_strata=2, **self.KINDS[kind])
+
+    @pytest.mark.parametrize("kind", ["mobility", "replacement"])
+    def test_num_topologies_on_studies(self, kind):
+        with pytest.raises(ConfigurationError, match="num_topologies"):
+            _study_plan(num_topologies=7, **self.KINDS[kind])
+
+    def test_comparison_keeps_num_topologies(self):
+        assert _study_plan(num_topologies=7).num_topologies == 7
 
 
 class TestPlanValidation:

@@ -135,56 +135,6 @@ class TestInterleavedDeltasMatchFreshBuild:
         assert_trackers_identical(tracker, reference)
 
 
-class TestBulkMark:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_sequential_marks(self, delta_scenario, engine, seed):
-        scenario = delta_scenario
-        rng = np.random.default_rng(seed)
-        num_pairs = int(rng.integers(1, 12))
-        pairs = [
-            (
-                int(rng.integers(scenario.instance.num_servers)),
-                int(rng.integers(scenario.instance.num_models)),
-            )
-            for _ in range(num_pairs)
-        ]
-        bulk = CoverageTracker(private_instance(scenario), engine=engine)
-        touched = bulk.bulk_mark(pairs)
-        sequential = CoverageTracker(private_instance(scenario), engine=engine)
-        for pair in pairs:
-            sequential.mark_served(*pair)
-        assert_trackers_identical(bulk, sequential)
-        assert np.array_equal(touched, np.unique(touched))
-
-    def test_empty_pairs_is_noop(self, delta_scenario):
-        tracker = CoverageTracker(private_instance(delta_scenario))
-        reference = CoverageTracker(private_instance(delta_scenario))
-        assert tracker.bulk_mark([]).size == 0
-        assert_trackers_identical(tracker, reference)
-
-
-class TestAdoptColumns:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_composes_two_exact_halves(self, delta_scenario, engine):
-        scenario = delta_scenario
-        base = CoverageTracker(private_instance(scenario), engine=engine)
-        donor = base.clone()
-        donor.scale_model(2, 1.7)
-        donor.mark_served(1, 2)
-        donor.mark_served(0, 5)
-        composed = base.clone()
-        composed.adopt_columns(donor, np.array([2, 5], dtype=np.intp))
-        assert np.array_equal(
-            composed.gain_matrix()[:, [2, 5]], donor.gain_matrix()[:, [2, 5]]
-        )
-        assert np.array_equal(
-            composed.gain_matrix()[:, [0, 1, 3]],
-            base.gain_matrix()[:, [0, 1, 3]],
-        )
-        assert np.array_equal(composed.served[:, 2], donor.served[:, 2])
-
-
 class TestDeltaBookkeeping:
     def test_clone_is_independent(self, delta_scenario):
         tracker = CoverageTracker(private_instance(delta_scenario))
@@ -192,6 +142,29 @@ class TestDeltaBookkeeping:
         clone.mark_served(0, 1)
         assert not tracker.served.any()
         assert tracker.instance is clone.instance
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_marks_match_dense_masks(self, delta_scenario, seed):
+        """Sparse marks scatter through the flat entry index; the served
+        mask and unserved mass must equal the dense engine's exactly."""
+        rng = np.random.default_rng(seed)
+        dense = CoverageTracker(private_instance(delta_scenario), engine="dense")
+        sparse = CoverageTracker(private_instance(delta_scenario), engine="sparse")
+        for _ in range(12):
+            pair = (
+                int(rng.integers(delta_scenario.instance.num_servers)),
+                int(rng.integers(delta_scenario.instance.num_models)),
+            )
+            dense.mark_served(*pair)
+            sparse.mark_served(*pair)
+            assert np.array_equal(sparse.served, dense.served)
+            assert np.array_equal(
+                sparse.unserved_demand(), dense.unserved_demand()
+            )
+        clone = sparse.clone()
+        clone.mark_served(0, 0)
+        clone.mark_served(1, 1)
+        assert np.array_equal(sparse.served, dense.served)
 
     def test_update_user_returns_changed_columns_only(self, delta_scenario):
         instance = private_instance(delta_scenario)

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.serve import PlacementService, ResolvePolicy, serve_http
+from repro.serve import PlacementService, serve_http
 from repro.serve.events import Event
 from repro.serve.http import metrics_exposition
 from repro.sim.config import ScenarioConfig
@@ -65,23 +65,23 @@ class TestExposition:
         assert parsed["repro_serve_event_seconds_count"][key] == 1
         assert parsed["repro_serve_events_total"][key] == 1
 
-    def test_counters_survive_full_every_resolves(self, scenario):
-        # Reset semantics: a policy-mandated full solve increments the
-        # counters like any other event — it never zeroes them.
-        service = PlacementService(
-            scenario, policy=ResolvePolicy(full_every=2)
-        )
+    def test_counters_accumulate_across_resolves(self, scenario):
+        # Reset semantics: every event increments exactly one counter and
+        # nothing ever zeroes them.
+        service = PlacementService(scenario)
         for user in range(3):
             service.process(Event(kind="user_depart", user=user))
             service.process(Event(kind="user_arrive", user=user))
+        service.process(Event(kind="user_arrive", user=0))  # already present
         stats = service.stats()
-        assert stats["events_processed"] == 6
-        assert stats["full"] >= 3  # every 2nd event forced full
+        assert stats["events_processed"] == 7
+        assert stats["noop"] >= 1
+        assert stats["replay"] == stats["fallback"] == 0
         modes = ("replay", "fallback", "full", "noop")
-        assert sum(stats[mode] for mode in modes) == 6
+        assert sum(stats[mode] for mode in modes) == 7
         parsed = obs.parse_prometheus(metrics_exposition(service))
         resolves = parsed["repro_serve_resolves_total"]
-        assert sum(resolves.values()) == 6
+        assert sum(resolves.values()) == 7
 
 
 class TestHTTP:
@@ -133,10 +133,7 @@ class TestHTTP:
 class TestServeSpans:
     def test_event_spans_annotate_mode(self, scenario):
         obs.enable(metrics=True, tracing=True)
-        # full_every=1 pins the resolve mode so the span args are exact.
-        service = PlacementService(
-            scenario, policy=ResolvePolicy(full_every=1)
-        )
+        service = PlacementService(scenario)
         service.process(Event(kind="user_depart", user=3))
         spans = {record[0]: record for record in obs.tracer().spans}
         assert spans["serve.event"][6]["mode"] == "full"

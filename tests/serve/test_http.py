@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -11,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro.serve import (
+    Event,
     PlacementService,
     generate_event_trace,
     resolve_from_scratch,
@@ -195,3 +197,89 @@ class TestBodyLength:
         assert status == 413
         assert str(MAX_BODY_BYTES) in payload["error"]
         assert http_server.service.events_processed == 0
+
+
+class TestConcurrentClients:
+    def test_posts_and_routes_in_parallel(self, micro_scenario):
+        """Writers depart distinct users (the events commute) while
+        readers route; the end state equals a from-scratch solve."""
+        instance = micro_scenario.instance
+        service = PlacementService(micro_scenario, engine="sparse")
+        server = serve_http(service, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        errors = []
+        answers = []
+        groups = [(0, 3), (1, 4), (2, 5)]
+
+        def writer(users):
+            try:
+                for user in users:
+                    post_json(
+                        server,
+                        "/events",
+                        {"events": [{"kind": "user_depart", "user": user}]},
+                    )
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def reader(offset):
+            try:
+                for step in range(15):
+                    user = (offset + step) % instance.num_users
+                    model = (offset * 5 + step) % instance.num_models
+                    answer = get_json(server, f"/route?user={user}&model={model}")
+                    answers.append((user, model, answer))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        clients = [threading.Thread(target=writer, args=(g,)) for g in groups]
+        clients += [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        # Frequent thread switches make an unlocked read-modify-write in
+        # the handlers far more likely to interleave.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        try:
+            assert not errors, errors
+            assert not any(client.is_alive() for client in clients)
+            assert len(answers) == 45
+            feasible = instance.feasible
+            for user, model, answer in answers:
+                assert answer["user"] == user and answer["model"] == model
+                if answer["hit"]:
+                    server_index = answer["server"]
+                    assert 0 <= server_index < instance.num_servers
+                    assert feasible[server_index, user, model]
+                else:
+                    assert answer["server"] is None
+            events = [
+                Event(kind="user_depart", user=user)
+                for group in groups
+                for user in group
+            ]
+            final = resolve_from_scratch(
+                micro_scenario, events, solver="gen", engine="sparse"
+            )[-1]
+            payload = get_json(server, "/placement")
+            assert payload["hit_ratio"] == final.hit_ratio
+            assert payload["servers"] == {
+                str(m): final.placement.models_on(m)
+                for m in range(instance.num_servers)
+            }
+            assert get_json(server, "/status")["events_processed"] == 6
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()

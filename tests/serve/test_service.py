@@ -1,4 +1,4 @@
-"""The resident service: construction, routing, policy, session API."""
+"""The resident service: construction, routing, re-solve, session API."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.errors import ServeError
 from repro.serve import (
     Event,
     PlacementService,
-    ResolvePolicy,
     ServiceSession,
     generate_event_trace,
 )
@@ -95,13 +94,13 @@ class TestProcess:
         assert service.counters["noop"] == 2
         assert service.hit_ratio == before
 
-    def test_capacity_event_forces_full(self, micro_scenario):
+    def test_capacity_event_resolves(self, micro_scenario):
         service = PlacementService(micro_scenario)
         capacity = int(np.asarray(service.instance.capacities)[0] // 2)
         result = service.process(
             Event(kind="capacity_change", server=0, capacity_bytes=capacity)
         )
-        assert result.action == "full" and result.mode == "full"
+        assert result.mode == "full"
 
     def test_counters_track_modes(self, serve_scenario):
         service = PlacementService(serve_scenario, engine="sparse")
@@ -112,7 +111,8 @@ class TestProcess:
         assert sum(service.counters.values()) == 20
         assert len(service.hit_ratios) == 21  # initial solve + one per event
         modes = {result.mode for result in results}
-        assert modes <= {"replay", "fallback", "full", "noop"}
+        assert modes <= {"full", "noop"}
+        assert service.counters["replay"] == service.counters["fallback"] == 0
 
     def test_hit_ratio_stays_consistent_with_placement(self, serve_scenario):
         service = PlacementService(serve_scenario)
@@ -124,19 +124,20 @@ class TestProcess:
             )
             assert result.hit_ratio == pytest.approx(recomputed, abs=1e-12)
 
-    def test_full_policy_always_full(self, micro_scenario):
-        service = PlacementService(
-            micro_scenario, policy=ResolvePolicy(mode="full")
-        )
+    def test_demand_event_resolves(self, micro_scenario):
+        service = PlacementService(micro_scenario)
         result = service.process(Event(kind="user_depart", user=1))
-        assert result.action == "full"
+        assert result.mode == "full"
         assert service.counters["full"] == 1
 
     def test_event_result_to_dict(self, micro_scenario):
         service = PlacementService(micro_scenario)
         payload = service.process(Event(kind="user_depart", user=2)).to_dict()
         assert payload["event"] == {"kind": "user_depart", "user": 2}
-        assert payload["action"] in {"patch", "full"}
+        assert set(payload) == {
+            "event", "mode", "hit_ratio", "latency_s", "changed_columns"
+        }
+        assert payload["mode"] == "full"
         assert payload["latency_s"] >= 0
 
 
@@ -148,7 +149,7 @@ class TestStatus:
         assert status["engine"] == "sparse"
         assert status["num_models"] == micro_scenario.instance.num_models
         assert status["events_processed"] == 0
-        assert status["policy"]["mode"] == "auto"
+        assert "policy" not in status
 
     def test_placement_dict(self, micro_scenario):
         service = PlacementService(micro_scenario)
@@ -159,25 +160,6 @@ class TestStatus:
             assert np.array_equal(
                 np.flatnonzero(matrix[int(server)]), np.asarray(models)
             )
-
-
-class TestPolicy:
-    def test_validation(self):
-        with pytest.raises(ServeError):
-            ResolvePolicy(mode="sometimes")
-        with pytest.raises(ServeError):
-            ResolvePolicy(full_every=-1)
-        with pytest.raises(ServeError):
-            ResolvePolicy(max_changed_fraction=0.0)
-
-    def test_choose_rules(self):
-        policy = ResolvePolicy(full_every=3, max_changed_fraction=0.5)
-        assert policy.choose(0, 1, 10, capacity_changed=True) == "full"
-        assert policy.choose(0, 1, 10, capacity_changed=False) == "patch"
-        assert policy.choose(2, 1, 10, capacity_changed=False) == "full"
-        assert policy.choose(0, 6, 10, capacity_changed=False) == "full"
-        assert ResolvePolicy(mode="patch").choose(2, 9, 10, False) == "patch"
-        assert ResolvePolicy(mode="full").choose(0, 0, 10, False) == "full"
 
 
 class TestServiceSession:
@@ -225,7 +207,7 @@ class TestStatsCounters:
         )
         assert mode_total == len(results)
         for result in results:
-            assert result.mode in ("replay", "fallback", "full", "noop")
+            assert result.mode in ("full", "noop")
 
     def test_stats_matches_status_counters(self, serve_scenario):
         service = PlacementService(serve_scenario)
