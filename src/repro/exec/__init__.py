@@ -3,7 +3,8 @@
 The layer between a declarative :class:`~repro.api.plan.ExperimentPlan`
 and the solvers: *where* its task grid runs
 (:mod:`repro.exec.backends` — serial, or fault-tolerant long-lived
-worker processes; bit-identical either way),
+worker processes in :mod:`repro.exec.process`; bit-identical either
+way),
 *whether it needs to run at all* (:mod:`repro.exec.store` — a
 content-addressed cache of full results and per-task partials, keyed on
 the canonical serialised plan plus a code-version salt), and *what
@@ -22,62 +23,55 @@ Entry points:
 * ``python -m repro sweep --plan plan.json --backend process
   --retries 3 --cache-dir .cache`` — the CLI front end (resumable,
   cache-hitting, crash-surviving).
+
+Every public name resolves on first access (a PEP 562 module
+``__getattr__``), so a serial run without a store imports only
+:mod:`repro.exec.backends` and :mod:`repro.exec.executor`: never
+:mod:`repro.exec.process` (with :mod:`multiprocessing` and
+:mod:`socket`), the fault layer or the artifact store.
 """
 
-from repro.exec.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.exec.executor import (
-    ExecutionReport,
-    PlanTask,
-    build_plan_tasks,
-    default_backend,
-    execute_plan,
-)
-from repro.exec.faults import (
-    ArtifactChaos,
-    ChaosPolicy,
-    ExecutionError,
-    FaultStats,
-    TaskError,
-    TaskTimeout,
-    WorkerLost,
-)
-from repro.exec.retry import NO_RETRY, RetryPolicy, default_retry_policy
-from repro.exec.store import (
-    CODE_VERSION_SALT,
-    ArtifactStore,
-    canonical_plan_payload,
-    plan_cache_key,
-)
+from importlib import import_module
 
-__all__ = [
-    "BACKEND_NAMES",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "make_backend",
-    "ArtifactStore",
-    "plan_cache_key",
-    "canonical_plan_payload",
-    "CODE_VERSION_SALT",
-    "execute_plan",
-    "ExecutionReport",
-    "PlanTask",
-    "build_plan_tasks",
-    "default_backend",
-    "ExecutionError",
-    "TaskError",
-    "WorkerLost",
-    "TaskTimeout",
-    "FaultStats",
-    "ChaosPolicy",
-    "ArtifactChaos",
-    "RetryPolicy",
-    "NO_RETRY",
-    "default_retry_policy",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BACKEND_NAMES": "backends",
+    "ExecutionBackend": "backends",
+    "SerialBackend": "backends",
+    "ProcessBackend": "process",
+    "make_backend": "backends",
+    "ArtifactStore": "store",
+    "plan_cache_key": "store",
+    "canonical_plan_payload": "store",
+    "CODE_VERSION_SALT": "store",
+    "execute_plan": "executor",
+    "ExecutionReport": "executor",
+    "PlanTask": "executor",
+    "build_plan_tasks": "executor",
+    "default_backend": "executor",
+    "ExecutionError": "faults",
+    "TaskError": "faults",
+    "WorkerLost": "faults",
+    "TaskTimeout": "faults",
+    "FaultStats": "faults",
+    "ChaosPolicy": "faults",
+    "ArtifactChaos": "faults",
+    "RetryPolicy": "retry",
+    "NO_RETRY": "retry",
+    "default_retry_policy": "retry",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

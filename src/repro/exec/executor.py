@@ -31,22 +31,28 @@ With an :class:`~repro.exec.store.ArtifactStore` attached:
 
 Granularity: one task per (point, topology) or run is what makes
 per-task caching and fine-grained resume possible. It costs no library
-traffic: :class:`~repro.exec.backends.ProcessBackend` workers inherit
+traffic: :class:`~repro.exec.process.ProcessBackend` workers inherit
 every payload at fork and receive only task indices.
+
+A serial run without a store imports neither the process backend nor the
+store: :func:`default_backend` and :func:`execute_plan` import them at
+the point of use.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.api.plan import ExperimentPlan, resolve_axis
 from repro.api.registry import SOLVERS, SolverRegistry
-from repro.exec.backends import ExecutionBackend, ProcessBackend, SerialBackend
-from repro.exec.store import ArtifactStore, plan_cache_key
+from repro.exec.backends import ExecutionBackend, SerialBackend
 from repro.utils.stats import SeriesStats
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.exec.store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -171,9 +177,13 @@ class ExecutionReport:
 def default_backend(plan: ExperimentPlan) -> ExecutionBackend:
     """The backend a plan implies on its own: ``workers`` decides.
 
-    The only place that maps ``plan.workers`` to a backend.
+    The only place that maps ``plan.workers`` to a backend. The process
+    backend's module is imported here, on first use, so a serial run
+    never loads it.
     """
     if plan.workers > 1:
+        from repro.exec.process import ProcessBackend
+
         return ProcessBackend(workers=plan.workers)
     return SerialBackend()
 
@@ -416,6 +426,8 @@ def execute_plan(
 
     key: Optional[str] = None
     if store is not None:
+        from repro.exec.store import plan_cache_key
+
         key = plan_cache_key(plan)
         report.plan_key = key
         cached = store.load_result(key, registry)

@@ -35,15 +35,14 @@ Typical use::
         ...
     print(obs.registry().to_prometheus())
     obs.export.write_chrome_trace(obs.tracer(), "trace.json")
+
+The exporters (:mod:`repro.obs.export`: ``export`` and the names it
+defines) resolve on first access through a PEP 562 module
+``__getattr__``, so a run that writes no trace never imports them.
 """
 
-from repro.obs import export
-from repro.obs.export import (
-    chrome_trace,
-    parse_prometheus,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from importlib import import_module
+
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     Counter,
@@ -104,3 +103,22 @@ __all__ = [
     "wrap_task",
     "write_chrome_trace",
 ]
+
+#: Names of :mod:`repro.obs.export`, imported on first access.
+_EXPORT_NAMES = (
+    "chrome_trace",
+    "parse_prometheus",
+    "validate_chrome_trace",
+    "write_chrome_trace",
+)
+
+
+def __getattr__(name: str):
+    if name == "export" or name in _EXPORT_NAMES:
+        export = import_module("repro.obs.export")
+        return export if name == "export" else getattr(export, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

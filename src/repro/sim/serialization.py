@@ -13,7 +13,6 @@ tested in ``tests/sim/test_serialization.py``).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -246,6 +245,8 @@ def result_set_content_json(source) -> str:
 
 def experiment_to_csv(result: ExperimentResult) -> str:
     """Serialise a reproduced figure to CSV (one row per sweep point)."""
+    import csv  # only CSV output needs it; the JSON paths do not
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     algorithms = list(result.series)

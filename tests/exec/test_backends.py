@@ -26,14 +26,12 @@ from repro.errors import ConfigurationError
 from repro.exec.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     check_backend_name,
     make_backend,
-    recv_frame,
-    send_frame,
 )
 from repro.exec.faults import ChaosPolicy, TaskError, WorkerLost
+from repro.exec.process import ProcessBackend, recv_frame, send_frame
 from repro.exec.retry import NO_RETRY, RetryPolicy
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -294,7 +292,7 @@ class TestProcessBackend:
         pids = _run_script(
             """
             import multiprocessing, os
-            from repro.exec.backends import ProcessBackend
+            from repro.exec.process import ProcessBackend
 
             def square(value):
                 return value * value
@@ -344,16 +342,16 @@ class TestProcessBackend:
         # Workers fork after the spy is installed, so their own sends
         # land in their copy of `sent`; the parent's list sees only
         # parent-to-worker frames.
-        from repro.exec import backends
+        from repro.exec import process
 
         sent = []
-        real_send = backends.send_frame
+        real_send = process.send_frame
 
         def spy(sock, message):
             sent.append(message)
             real_send(sock, message)
 
-        monkeypatch.setattr(backends, "send_frame", spy)
+        monkeypatch.setattr(process, "send_frame", spy)
         library = list(range(100_000))  # would be ~500 KB as a pickle
         payloads = [(library, index) for index in range(4)]
         backend = ProcessBackend(workers=2, **FAST)
@@ -562,7 +560,7 @@ class TestProcessTransientFailures:
         lines = _run_script(
             """
             import os, signal, subprocess, time
-            from repro.exec.backends import ProcessBackend
+            from repro.exec.process import ProcessBackend
 
             def slow_square(value):
                 time.sleep(0.02)

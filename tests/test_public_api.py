@@ -73,6 +73,7 @@ class TestPublicApi:
             "repro.sim.experiments",
             "repro.exec",
             "repro.exec.backends",
+            "repro.exec.process",
             "repro.exec.store",
             "repro.exec.executor",
             "repro.utils.charts",
