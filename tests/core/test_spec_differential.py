@@ -1,0 +1,196 @@
+"""Differential test of Spec's Algorithm 2 against the seed Spec.
+
+Hypothesis draws small chain-structured libraries with adversarial
+sub-problems: exactly tied utilities (so combination bounds tie), zero
+utility columns, capacity 0, and a capacity equal to some ``d_N`` plus
+one eligible model's specific weight (an exact fit). Every traversal
+configuration — no pool or a 2- or 3-thread pool, knapsack memo on or
+off, LP prefix pruning on or off — must return exactly the
+``(mass, selection)`` of :class:`~repro.core.reference.ReferenceSpec`,
+and whole solves must match it placement for placement.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.dp import ValueDpTables, enumerate_shared_combinations
+from repro.core.placement import PlacementInstance
+from repro.core.reference import (
+    ReferenceSpec,
+    reference_enumerate_shared_combinations,
+)
+from repro.core.spec import TrimCachingSpec
+from repro.models.blocks import ParameterBlock
+from repro.models.library import ModelLibrary
+from repro.models.model import Model
+
+#: Utility/demand values: repeats make exact ties, zeros make dead
+#: columns, and the 1e-7 entry blows the rounded table at every ε drawn
+#: here, so the fallback chain runs too.
+TIED_VALUES = [0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 1e-7]
+#: Demand values for whole solves: the same shape, all dyadic, so every
+#: per-server utility is an exact sum. The seed Spec sums a server's
+#: utilities user by user while ``CoverageTracker`` keeps the einsum's
+#: bits; on inexact sums (demand column ``[0.5, 0.5, 1e-7]``) the two
+#: differ in the last ulp before Algorithm 2 runs. The sub-problem test
+#: above covers inexact utilities with both solvers fed the same ones.
+DYADIC_VALUES = [0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 2.0**-24]
+
+
+@st.composite
+def chain_libraries(draw):
+    """A prefix-sharing library: 1-2 roots, each a chain of shared
+    blocks; every model takes a prefix (possibly empty) of one root plus
+    one exclusive specific block."""
+    blocks = []
+    block_id = 0
+    root_prefixes = []
+    for _ in range(draw(st.integers(1, 2))):
+        prefix = []
+        for _ in range(draw(st.integers(1, 3))):
+            blocks.append(ParameterBlock(block_id, draw(st.integers(1, 20))))
+            prefix.append(block_id)
+            block_id += 1
+        root_prefixes.append(prefix)
+    models = []
+    for model_id in range(draw(st.integers(1, 6))):
+        root = root_prefixes[draw(st.integers(0, len(root_prefixes) - 1))]
+        level = draw(st.integers(0, len(root)))
+        blocks.append(ParameterBlock(block_id, draw(st.integers(1, 20))))
+        models.append(Model(model_id, tuple(root[:level]) + (block_id,)))
+        block_id += 1
+    return ModelLibrary(blocks, models)
+
+
+def _specific_weights(library):
+    shared = library.shared_block_ids
+    return [
+        library.blocks_size(library.model(model_id).block_set - shared)
+        for model_id in library.model_ids
+    ]
+
+
+@st.composite
+def subproblems(draw):
+    """``(instance, utilities, mode, epsilon)`` for one server."""
+    library = draw(chain_libraries())
+    mode = draw(st.sampled_from(["auto", "exhaustive"]))
+    num_models = library.num_models
+    utilities = np.array(
+        draw(
+            st.lists(
+                st.sampled_from(TIED_VALUES),
+                min_size=num_models,
+                max_size=num_models,
+            )
+        )
+    )
+    combos = enumerate_shared_combinations(library, mode, cache=False)
+    row = draw(st.integers(0, len(combos) - 1))
+    combo = combos[row]
+    shared = library.shared_block_ids
+    eligible = [
+        index
+        for index, model_id in enumerate(library.model_ids)
+        if library.model(model_id).block_set & shared <= combo.blocks
+    ]
+    exact_fit = combo.size_bytes
+    if eligible:
+        exact_fit += _specific_weights(library)[draw(st.sampled_from(eligible))]
+    capacity = draw(
+        st.one_of(st.just(0), st.just(exact_fit), st.integers(0, 100))
+    )
+    demand = np.ones((1, num_models))
+    feasible = np.ones((1, 1, num_models), dtype=bool)
+    instance = PlacementInstance(library, demand, feasible, [capacity])
+    epsilon = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    return instance, utilities, mode, epsilon
+
+
+@st.composite
+def whole_instances(draw):
+    """A chain library, tied/zero dyadic demand, random feasibility and
+    capacities (0 included) over 1-3 servers."""
+    library = draw(chain_libraries())
+    num_models = library.num_models
+    num_servers = draw(st.integers(1, 3))
+    num_users = draw(st.integers(1, 3))
+    demand = np.array(
+        [
+            [draw(st.sampled_from(DYADIC_VALUES)) for _ in range(num_models)]
+            for _ in range(num_users)
+        ]
+    )
+    if not demand.any():
+        demand[0, 0] = 1.0  # an instance needs some demand
+    feasible = np.array(
+        [
+            [
+                [draw(st.booleans()) for _ in range(num_models)]
+                for _ in range(num_users)
+            ]
+            for _ in range(num_servers)
+        ],
+        dtype=bool,
+    )
+    capacities = [draw(st.integers(0, 100)) for _ in range(num_servers)]
+    return PlacementInstance(library, demand, feasible, capacities)
+
+
+class TestSubproblemDifferential:
+    @given(subproblems())
+    @settings(max_examples=120, deadline=None)
+    def test_every_traversal_matches_reference(self, case):
+        instance, utilities, mode, epsilon = case
+        expected = ReferenceSpec(epsilon=epsilon, combinations=mode).solve_subproblem(
+            instance,
+            0,
+            utilities,
+            reference_enumerate_shared_combinations(instance.library, mode),
+        )
+        combos = enumerate_shared_combinations(instance.library, mode, cache=False)
+        with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
+            for pool in (None, two, three):
+                for knapsack_cache in (True, False):
+                    for prefix_prune in (True, False):
+                        spec = TrimCachingSpec(
+                            epsilon=epsilon,
+                            combinations=mode,
+                            knapsack_cache=knapsack_cache,
+                            prefix_prune=prefix_prune,
+                        )
+                        tables = (
+                            ValueDpTables(epsilon) if knapsack_cache else None
+                        )
+                        got = spec.solve_subproblem(
+                            instance, 0, utilities, combos, pool=pool, tables=tables
+                        )
+                        assert got == expected, (
+                            pool and pool._max_workers,
+                            knapsack_cache,
+                            prefix_prune,
+                        )
+
+
+class TestWholeSolveDifferential:
+    @given(whole_instances(), st.sampled_from([0.05, 0.1, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    def test_value_dp_matches_reference(self, instance, epsilon):
+        got = TrimCachingSpec(epsilon=epsilon).solve(instance)
+        expected = ReferenceSpec(epsilon=epsilon).solve(instance)
+        assert got.placement == expected.placement
+        assert got.stats["per_server_mass"] == expected.stats["per_server_mass"]
+
+    @given(whole_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_matches_reference(self, instance):
+        got = TrimCachingSpec(epsilon=0.0).solve(instance)
+        expected = ReferenceSpec(epsilon=0.0, backend="exact").solve(instance)
+        assert got.stats["backend"] == "exact"
+        assert got.placement == expected.placement
+        assert got.stats["per_server_mass"] == expected.stats["per_server_mass"]
