@@ -8,10 +8,15 @@ The Spec solver decomposes each per-server sub-problem **P2.1m** into:
 2. for each combination, a 0/1 knapsack over the eligible models' specific
    blocks within the capacity left after caching ``N``.
 
-Four interchangeable knapsack backends are provided:
+Four interchangeable knapsack backends are provided, all behind one
+input check (``_validate_knapsack``):
 
 * :func:`knapsack_value_dp` — the paper's rounded DP over utility values
-  (eq. 16/19): ``(1 - ε)``-optimal, polynomial in ``1/ε``;
+  (eq. 16/19): ``(1 - ε)``-optimal, polynomial in ``1/ε``. It is a
+  one-shot solve of :class:`ValueDpTables`, the one implementation of
+  the rounded DP's fill and backtrack; Spec keeps one table object per
+  solve so a filtered sub-instance that recurs across combinations and
+  servers pays for its fill once;
 * :func:`knapsack_weight_dp` — DP over quantised weights: exact up to the
   conservative ceiling of item sizes to the quantum;
 * :func:`knapsack_branch_and_bound` — exact, no quantisation; the ε = 0
@@ -19,11 +24,8 @@ Four interchangeable knapsack backends are provided:
 * :func:`knapsack_best_first` — the same exact search driven by a
   priority queue instead of depth-first recursion: it expands only nodes
   whose LP bound beats the incumbent, which collapses the node count on
-  the wide-value instances that blow up the rounded DP.
-
-:class:`ValueDpTables` memoises the capacity-independent part of the
-rounded DP so a Spec solve that re-poses the same filtered sub-instance
-across combinations and servers pays for the table fill once.
+  the wide-value instances that blow up the rounded DP. Both exact
+  searches share one item order and one LP bound.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -214,6 +216,9 @@ class CombinationSet(Sequence[SharedCombination]):
         return eligible
 
 
+#: The combination-set modes :func:`enumerate_shared_combinations` takes.
+COMBINATION_MODES = ("auto", "prefix", "exhaustive")
+
 #: Per-library memo of enumerated combination sets. Libraries are
 #: logically immutable and compared by identity, so weak keying is exact;
 #: entries vanish with their library. A sweep that shares one library
@@ -261,7 +266,7 @@ def enumerate_shared_combinations(
     SolverError
         If the resulting ``A`` would exceed ``max_combinations``.
     """
-    if mode not in ("auto", "prefix", "exhaustive"):
+    if mode not in COMBINATION_MODES:
         raise SolverError(f"unknown combination mode {mode!r}")
     if cache:
         per_library = _COMBINATION_CACHE.setdefault(library, {})
@@ -347,15 +352,23 @@ def enumerate_shared_combinations(
 # ----------------------------------------------------------------------
 def _validate_knapsack(
     values: Sequence[float], weights: Sequence[int], capacity: int
-) -> None:
-    if len(values) != len(weights):
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a knapsack instance, shared by every backend so all of them
+    reject the same inputs with the same errors. Returns the original
+    indices, values and weights of the items that can enter a solution:
+    positive value, weight within the capacity."""
+    all_values = np.asarray(values, dtype=float)
+    all_weights = np.asarray(weights, dtype=np.int64)
+    if all_values.shape[0] != all_weights.shape[0]:
         raise SolverError("values and weights must have equal length")
     if capacity < 0:
         raise SolverError(f"capacity must be non-negative, got {capacity}")
-    if any(v < 0 for v in values):
+    if all_values.size and float(all_values.min()) < 0:
         raise SolverError("knapsack values must be non-negative")
-    if any(w < 0 for w in weights):
+    if all_weights.size and int(all_weights.min()) < 0:
         raise SolverError("knapsack weights must be non-negative")
+    original = ((all_values > 0) & (all_weights <= capacity)).nonzero()[0]
+    return original, all_values[original], all_weights[original]
 
 
 def knapsack_value_dp(
@@ -370,14 +383,9 @@ def knapsack_value_dp(
     Values are rounded to integers ``⌊v / (ε · v_min)⌋`` (``v_min`` =
     smallest positive value), then ``T[w] = minimal weight achieving
     rounded value w`` is filled item by item. Guarantees total value at
-    least ``(1 - ε)`` of the optimum.
-
-    Each item's state sweep is one numpy slice-shift update (the shifted
-    candidate row is materialised before the masked write, which gives
-    exactly the 0/1 semantics of the seed's descending Python loop), and
-    instead of a dense ``(items × states)`` take matrix the backtrack
-    uses a compact per-item record of the improved state indices.
-    Selections are bit-identical to the seed implementation (retained as
+    least ``(1 - ε)`` of the optimum. A one-shot :class:`ValueDpTables`
+    solve that memoises nothing; selections are bit-identical to the
+    seed implementation (retained as
     :func:`repro.core.reference.reference_knapsack_value_dp`).
 
     Returns ``(true_value_of_selection, selected_indices)``.
@@ -385,57 +393,12 @@ def knapsack_value_dp(
     Raises
     ------
     SolverError
-        If ``epsilon <= 0`` (use the exact backends instead) or the DP
-        table would exceed ``max_states``.
+        If ``epsilon`` is not a finite positive number (use the exact
+        backends for ε = 0), or the DP table would exceed ``max_states``.
     """
-    _validate_knapsack(values, weights, capacity)
-    if epsilon <= 0:
-        raise SolverError("knapsack_value_dp requires epsilon > 0")
-    items = [
-        (index, float(values[index]), int(weights[index]))
-        for index in range(len(values))
-        if values[index] > 0 and weights[index] <= capacity
-    ]
-    if not items:
-        return 0.0, []
-    v_min = min(value for _, value, _ in items)
-    unit = epsilon * v_min
-    rounded = [max(1, int(math.floor(value / unit))) for _, value, _ in items]
-    total_rounded = sum(rounded)
-    if (total_rounded + 1) * len(items) > max_states:
-        raise SolverError(
-            f"value DP needs {(total_rounded + 1) * len(items)} states "
-            f"(> {max_states}); increase epsilon or use another backend"
-        )
-
-    min_weight = np.full(total_rounded + 1, np.inf)
-    min_weight[0] = 0.0
-    # Per item: the state indices whose minimal weight this item improved
-    # (all the backtrack needs — the compact form of the take matrix).
-    improved_states: List[np.ndarray] = []
-    reachable = 0
-    for (_, _, weight), value_units in zip(items, rounded):
-        reachable = min(reachable + value_units, total_rounded)
-        shifted = min_weight[: reachable - value_units + 1] + weight
-        segment = min_weight[value_units : reachable + 1]
-        improved = shifted < segment
-        np.copyto(segment, shifted, where=improved)
-        improved_states.append(np.flatnonzero(improved) + value_units)
-
-    best_units = int(np.flatnonzero(min_weight <= capacity)[-1])
-    selected: List[int] = []
-    units = best_units
-    for item_pos in range(len(items) - 1, -1, -1):
-        states = improved_states[item_pos]
-        pos = int(np.searchsorted(states, units))
-        if pos < len(states) and states[pos] == units:
-            selected.append(items[item_pos][0])
-            units -= rounded[item_pos]
-    if units != 0:
-        raise SolverError("value DP backtrack failed (internal error)")
-    selected.reverse()
-    true_value = float(sum(values[index] for index in selected))
-    return true_value, selected
+    return ValueDpTables(epsilon, max_states, max_entries=0).solve(
+        values, weights, capacity
+    )
 
 
 def knapsack_weight_dp(
@@ -451,14 +414,17 @@ def knapsack_weight_dp(
     a returned selection always fits the true capacity). With byte-exact
     weights and ``quantum=1`` this is the textbook exact DP.
     """
-    _validate_knapsack(values, weights, capacity)
+    original, item_values, item_weights = _validate_knapsack(
+        values, weights, capacity
+    )
     if quantum <= 0:
         raise SolverError(f"quantum must be positive, got {quantum}")
     cap_units = capacity // quantum
     items = [
-        (index, float(values[index]), -(-int(weights[index]) // quantum))
-        for index in range(len(values))
-        if values[index] > 0
+        (index, value, -(-weight // quantum))
+        for index, value, weight in zip(
+            original.tolist(), item_values.tolist(), item_weights.tolist()
+        )
     ]
     items = [item for item in items if item[2] <= cap_units]
     if not items:
@@ -492,6 +458,41 @@ def knapsack_weight_dp(
     return true_value, selected
 
 
+def _density_ordered_items(
+    values: Sequence[float], weights: Sequence[int], capacity: int
+) -> List[Tuple[int, float, int]]:
+    """The exact searches' items: ``(index, value, weight)`` of every
+    item that can enter a solution, in decreasing value density."""
+    original, item_values, item_weights = _validate_knapsack(
+        values, weights, capacity
+    )
+    items = list(zip(original.tolist(), item_values.tolist(), item_weights.tolist()))
+    items.sort(key=lambda item: item[1] / max(item[2], 1e-12), reverse=True)
+    return items
+
+
+def _lp_bound(
+    items: Sequence[Tuple[int, float, int]],
+    position: int,
+    value: float,
+    remaining: int,
+) -> float:
+    """Fractional (LP) relaxation bound of a search node: ``value`` plus
+    the density-ordered ``items[position:]`` packed into ``remaining``,
+    the first one that does not fit taken fractionally."""
+    upper = value
+    for idx in range(position, len(items)):
+        _, item_value, item_weight = items[idx]
+        if item_weight <= remaining:
+            upper += item_value
+            remaining -= item_weight
+        else:
+            if item_weight > 0:
+                upper += item_value * remaining / item_weight
+            break
+    return upper
+
+
 def knapsack_branch_and_bound(
     values: Sequence[float],
     weights: Sequence[int],
@@ -503,33 +504,11 @@ def knapsack_branch_and_bound(
     (LP) relaxation as the pruning bound. Exponential worst case but fast
     at the sub-problem sizes Spec produces; the ε = 0 reference solver.
     """
-    _validate_knapsack(values, weights, capacity)
-    items = [
-        (index, float(values[index]), int(weights[index]))
-        for index in range(len(values))
-        if values[index] > 0 and weights[index] <= capacity
-    ]
-    if not items:
-        return 0.0, []
-    items.sort(key=lambda item: item[1] / max(item[2], 1e-12), reverse=True)
-
+    items = _density_ordered_items(values, weights, capacity)
     n = len(items)
     best_value = 0.0
     best_set: List[int] = []
     chosen: List[int] = []
-
-    def bound(position: int, value: float, remaining: int) -> float:
-        upper = value
-        for idx in range(position, n):
-            _, item_value, item_weight = items[idx]
-            if item_weight <= remaining:
-                upper += item_value
-                remaining -= item_weight
-            else:
-                if item_weight > 0:
-                    upper += item_value * remaining / item_weight
-                break
-        return upper
 
     def dfs(position: int, value: float, remaining: int) -> None:
         nonlocal best_value, best_set
@@ -540,7 +519,7 @@ def knapsack_branch_and_bound(
             return
         # No slack: a node whose bound exceeds the incumbent at all may
         # hold a strictly better completion.
-        if bound(position, value, remaining) <= best_value:
+        if _lp_bound(items, position, value, remaining) <= best_value:
             return
         index, item_value, item_weight = items[position]
         if item_weight <= remaining:
@@ -562,12 +541,12 @@ def knapsack_best_first(
     """Exact 0/1 knapsack via best-first branch and bound.
 
     Explores the same include-first decision tree as
-    :func:`knapsack_branch_and_bound` (items in decreasing value density,
-    fractional LP relaxation as the bound) but pops nodes from a priority
-    queue ordered by bound instead of recursing depth-first. Only nodes
-    whose bound exceeds the optimum are ever expanded, so the node count
-    collapses on instances where depth-first churns — exactly the
-    wide-value-spread instances that overflow the rounded value DP.
+    :func:`knapsack_branch_and_bound` (same item order, same LP bound)
+    but pops nodes from a priority queue ordered by bound instead of
+    recursing depth-first. Only nodes whose bound exceeds the optimum
+    are ever expanded, so the node count collapses on instances where
+    depth-first churns — exactly the wide-value-spread instances that
+    overflow the rounded value DP.
 
     The queue is tie-broken on the DFS preorder path (include = 0 sorts
     before exclude = 1), and the incumbent keeps the preorder-earliest
@@ -584,30 +563,8 @@ def knapsack_best_first(
         knapsack is exponential in the worst case; the Spec fallback
         chain catches the budget overrun and drops to the quantised DP.
     """
-    _validate_knapsack(values, weights, capacity)
-    items = [
-        (index, float(values[index]), int(weights[index]))
-        for index in range(len(values))
-        if values[index] > 0 and weights[index] <= capacity
-    ]
-    if not items:
-        return 0.0, []
-    items.sort(key=lambda item: item[1] / max(item[2], 1e-12), reverse=True)
+    items = _density_ordered_items(values, weights, capacity)
     n = len(items)
-
-    def bound(position: int, value: float, remaining: int) -> float:
-        upper = value
-        for idx in range(position, n):
-            _, item_value, item_weight = items[idx]
-            if item_weight <= remaining:
-                upper += item_value
-                remaining -= item_weight
-            else:
-                if item_weight > 0:
-                    upper += item_value * remaining / item_weight
-                break
-        return upper
-
     best_value = 0.0
     best_set: Tuple[int, ...] = ()
     # Sentinel larger than every real path (paths start with 0 or 1).
@@ -616,7 +573,7 @@ def knapsack_best_first(
     # Heap entry: (-bound, preorder path, position, value, remaining,
     # chosen original indices). Python's tuple comparison gives us
     # best-bound-first with preorder tie-breaks for free.
-    root = (-bound(0, 0.0, capacity), (), 0, 0.0, capacity, ())
+    root = (-_lp_bound(items, 0, 0.0, capacity), (), 0, 0.0, capacity, ())
     heap: List[Tuple[float, Tuple[int, ...], int, float, int, Tuple[int, ...]]] = [root]
     while heap:
         neg_bound, path, position, value, remaining, chosen = heapq.heappop(heap)
@@ -647,7 +604,7 @@ def knapsack_best_first(
             heapq.heappush(
                 heap,
                 (
-                    -bound(position + 1, include_value, include_remaining),
+                    -_lp_bound(items, position + 1, include_value, include_remaining),
                     path + (0,),
                     position + 1,
                     include_value,
@@ -658,7 +615,7 @@ def knapsack_best_first(
         heapq.heappush(
             heap,
             (
-                -bound(position + 1, value, remaining),
+                -_lp_bound(items, position + 1, value, remaining),
                 path + (1,),
                 position + 1,
                 value,
@@ -675,8 +632,9 @@ _TABLE_BLOWN = "blown"
 
 
 class ValueDpTables:
-    """Memoised capacity-independent :func:`knapsack_value_dp` tables.
+    """The rounded value DP of :func:`knapsack_value_dp`, memoised.
 
+    The one implementation of the paper's rounded DP fill and backtrack.
     The rounded table ``min_weight[units]`` depends only on the
     *filtered* item list (positive value, weight ≤ capacity) and
     ``epsilon`` — the capacity enters through the item filter and the
@@ -685,15 +643,16 @@ class ValueDpTables:
     servers (utilities only change for models whose demand an earlier
     placement already served), so keying the fill on the filtered
     ``(values, weights)`` bytes turns repeat calls into a backtrack.
+    At most ``max_entries`` tables are kept; ``max_entries=0`` memoises
+    nothing (a one-shot solve, which is what
+    :func:`knapsack_value_dp` runs).
 
-    :meth:`solve` replicates ``knapsack_value_dp``'s arithmetic exactly —
-    same rounding, same slice-shift fill, same backtrack, same
-    ``true_value`` accumulation order — so selections are byte-identical
-    (asserted by the equivalence tests). Each table keeps two things for
-    the per-capacity step: the suffix minimum of ``min_weight``, so the
-    best reachable value under a capacity is one binary search, and a
-    packed per-item decision bitset over the states, so the backtrack
-    tests one bit per item.
+    Each table keeps two things for the per-capacity step: the suffix
+    minimum of ``min_weight``, so the best reachable value under a
+    capacity is one binary search, and a packed per-item decision
+    bitset over the states (the seed's take matrix), so the backtrack
+    tests one bit per item. Selections are byte-identical to the seed
+    DP (asserted by the equivalence tests).
     """
 
     def __init__(
@@ -702,8 +661,10 @@ class ValueDpTables:
         max_states: int = 5_000_000,
         max_entries: int = 100_000,
     ) -> None:
-        if epsilon <= 0:
-            raise SolverError("ValueDpTables requires epsilon > 0")
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise SolverError(
+                f"the rounded value DP requires a finite epsilon > 0, got {epsilon}"
+            )
         self.epsilon = epsilon
         self.max_states = max_states
         self.max_entries = max_entries
@@ -713,13 +674,16 @@ class ValueDpTables:
 
     # ------------------------------------------------------------------
     def _fill(self, filtered_values: np.ndarray, filtered_weights: np.ndarray):
-        """The capacity-independent part of ``knapsack_value_dp``.
+        """The capacity-independent part of the DP.
 
         Returns ``(suffix_min, decisions, row_bytes, rounded)``:
         ``suffix_min[u]`` is the least weight reaching *at least* ``u``
         rounded units (non-decreasing), and bit ``u`` of item ``j``'s
         ``row_bytes``-long row in ``decisions`` (little bit order) is set
-        iff item ``j`` improved state ``u`` — the seed's take matrix.
+        iff item ``j`` improved state ``u``. Each item's state sweep is
+        one slice-shift update; the shifted candidate row is
+        materialised before the masked write, which gives exactly the
+        0/1 semantics of the seed's descending Python loop.
         """
         count = filtered_values.shape[0]
         v_min = float(filtered_values.min())
@@ -763,27 +727,16 @@ class ValueDpTables:
     def solve(
         self, values: Sequence[float], weights: Sequence[int], capacity: int
     ) -> Tuple[float, List[int]]:
-        """``knapsack_value_dp(values, weights, capacity)``, memoised.
+        """Solve one instance; returns ``(true_value, selected_indices)``.
 
-        Raises :class:`SolverError` exactly when the uncached call
-        would: negative inputs, mismatched lengths, or a rounded table
-        past ``max_states``.
+        Raises :class:`SolverError` on negative inputs, mismatched
+        lengths, or a rounded table past ``max_states``.
         """
-        all_values = np.asarray(values, dtype=float)
-        all_weights = np.asarray(weights, dtype=np.int64)
-        if all_values.shape[0] != all_weights.shape[0]:
-            raise SolverError("values and weights must have equal length")
-        if capacity < 0:
-            raise SolverError(f"capacity must be non-negative, got {capacity}")
-        if all_values.size and float(all_values.min()) < 0:
-            raise SolverError("knapsack values must be non-negative")
-        if all_weights.size and int(all_weights.min()) < 0:
-            raise SolverError("knapsack weights must be non-negative")
-        original = ((all_values > 0) & (all_weights <= capacity)).nonzero()[0]
+        original, filtered_values, filtered_weights = _validate_knapsack(
+            values, weights, capacity
+        )
         if original.size == 0:
             return 0.0, []
-        filtered_values = all_values[original]
-        filtered_weights = all_weights[original]
         key = (filtered_values.tobytes(), filtered_weights.tobytes())
         entry = self._tables.get(key)
         if entry is None:

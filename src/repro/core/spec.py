@@ -24,29 +24,32 @@ output bit:
 * each server's candidate bounds are one sequential ``np.cumsum``,
   bit-equal to the seed's left-to-right Python sum, so the traversal
   order and its tie-breaks are the seed's;
-* the combination set and the per-library sub-problem context
-  (eligibility matrix, specific weights) are memoised per library object,
-  so a sweep that fixes the library across topologies pays for them once;
-* ``workers=N`` fans each sub-problem's knapsack batch over a thread
-  pool. Every knapsack is deterministic given its (values, weights,
-  capacity), cross-worker pruning uses a strictly-weaker bound than the
-  serial incumbent, and the reduction replays the serial first-strict-
-  improvement rule in combination order — so the selected models are
-  byte-identical to the serial traversal (asserted by the equivalence
-  tests), merely computed concurrently.
+* the combination set is memoised per library object and the
+  sub-problem context (eligibility matrix, specific weights) per
+  combination set, so a sweep that fixes the library across topologies
+  pays for them once;
+* one traversal, :meth:`TrimCachingSpec._traverse`, walks the candidate
+  combinations in chunks: one chunk inline, or with ``workers=N`` one
+  chunk per thread of a pool. Every knapsack is deterministic given its
+  (values, weights, capacity), cross-chunk pruning uses a strictly-weaker
+  bound than the chunk's own incumbent, and the reduction replays the
+  first-strict-improvement rule in combination order — so the selected
+  models do not depend on the chunk count (asserted by the equivalence
+  tests).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dp import (
+    COMBINATION_MODES,
     KNAPSACK_BACKENDS,
     CombinationSet,
     ValueDpTables,
@@ -61,15 +64,9 @@ from repro.errors import ConfigurationError, SolverError
 
 
 class _SubproblemContext:
-    """Per-solve precomputation shared by all per-server sub-problems.
-
-    The seed implementation rebuilt, *per server*, each model's shared
-    block set, its specific-block weight and — per combination — the
-    eligible model list via Python subset checks (``O(M · |A| · I)`` set
-    walks overall). All of that is server-independent, so it is built
-    once per solve here, with eligibility as a dense ``(|A|, I)`` matrix
-    read straight off the combination set's level matrix.
-    """
+    """Server-independent precomputation shared by every sub-problem:
+    specific weights, and eligibility as a dense ``(|A|, I)`` matrix read
+    off the combination set's level matrix."""
 
     def __init__(self, instance: PlacementInstance, combos: CombinationSet) -> None:
         index = instance.block_index
@@ -101,11 +98,22 @@ def _sequential_row_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.cumsum(mask * values, axis=1)[:, -1]
 
 
-#: Per-library memo of sub-problem contexts, keyed by the combination
-#: settings. The context depends only on library structure (block
-#: membership, sizes) and the combination set — both fixed per library —
-#: so instances sharing a library (every sweep topology) reuse it.
-_CONTEXT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Sub-problem contexts by the combination set they derive from. A
+#: combination set belongs to one library, so every instance on it
+#: (every sweep topology) reuses the context; the entry dies with it.
+_CONTEXTS: "weakref.WeakKeyDictionary[CombinationSet, _SubproblemContext]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _subproblem_context(
+    instance: PlacementInstance, combos: CombinationSet
+) -> _SubproblemContext:
+    """The context of ``combos`` on ``instance``'s library, memoised."""
+    context = _CONTEXTS.get(combos)
+    if context is None:
+        context = _CONTEXTS[combos] = _SubproblemContext(instance, combos)
+    return context
 
 
 class TrimCachingSpec:
@@ -123,18 +131,20 @@ class TrimCachingSpec:
         ``epsilon > 0`` and ``"exact"`` for ``epsilon == 0``.
     combinations:
         Combination-set mode passed to
-        :func:`~repro.core.dp.enumerate_shared_combinations`.
+        :func:`~repro.core.dp.enumerate_shared_combinations`:
+        ``"auto"``, ``"prefix"`` or ``"exhaustive"``.
     max_combinations:
-        Abort threshold for ``|A|`` (the general case blows this up —
-        exactly why Algorithm 3 exists).
+        Abort threshold for ``|A|``, at least 1 (the general case blows
+        this up — exactly why Algorithm 3 exists).
     server_order:
         Order in which sub-problems are solved: ``"index"`` (the paper),
         ``"capacity"`` (largest first) or ``"coverage"`` (most associated
         users first) — exposed for the ablation study.
     workers:
-        Fan each sub-problem's knapsack batch across this many threads.
-        ``None``/``1`` keeps the serial traversal; any value produces
-        byte-identical selections (see the module docstring).
+        Split each sub-problem's traversal into this many chunks, one
+        per thread of a pool. ``None``/``1`` runs one chunk inline; any
+        value produces byte-identical selections (see the module
+        docstring).
     engine:
         Coverage engine for the successive ``I2`` bookkeeping:
         ``"dense"`` (bit-pinned to the seed), ``"sparse"`` (O(nnz) CSR
@@ -148,18 +158,21 @@ class TrimCachingSpec:
         branch-and-bound first and only drops to the legacy rungs if its
         node budget overruns.
     knapsack_cache:
-        Memoise the rounded value-DP tables per filtered sub-instance
-        across combinations and servers (byte-identical selections;
-        disable only to benchmark the uncached traversal).
+        Whether ``value_dp`` knapsacks share one
+        :class:`~repro.core.dp.ValueDpTables` per solve, memoising each
+        filtered sub-instance's table across combinations and servers.
+        Off, each knapsack runs the same DP on a one-shot table.
+        Byte-identical selections either way; disable only to benchmark
+        the unmemoised traversal.
     prefix_prune:
         Skip knapsacks whose density-ordered LP prefix bound — a
         conservative upper bound on the combo's optimum — cannot
         strictly beat the incumbent mass. Selection-transparent;
         disable only for benchmarking.
     reuse_library_cache:
-        Memoise the combination set and sub-problem context per library
-        (identical outputs; disable only to benchmark the uncached
-        pipeline).
+        Memoise the combination set per library, and with it the
+        sub-problem context (identical outputs; disable only to
+        benchmark the uncached pipeline).
     """
 
     name = "TrimCaching Spec"
@@ -178,7 +191,7 @@ class TrimCachingSpec:
         prefix_prune: bool = True,
         reuse_library_cache: bool = True,
     ) -> None:
-        if epsilon < 0 or epsilon > 1:
+        if not 0 <= epsilon <= 1:  # also rejects NaN
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
         if backend is None:
             backend = "exact" if epsilon == 0 else "value_dp"
@@ -189,6 +202,14 @@ class TrimCachingSpec:
         if backend == "value_dp" and epsilon == 0:
             raise ConfigurationError(
                 "value_dp requires epsilon > 0; use backend='exact' for ε=0"
+            )
+        if combinations not in COMBINATION_MODES:
+            raise ConfigurationError(
+                f"combinations must be auto|prefix|exhaustive, got {combinations!r}"
+            )
+        if max_combinations < 1:
+            raise ConfigurationError(
+                f"max_combinations must be >= 1, got {max_combinations}"
             )
         if server_order not in ("index", "capacity", "coverage"):
             raise ConfigurationError(
@@ -228,20 +249,6 @@ class TrimCachingSpec:
             servers.sort(key=lambda m: -int(coverage[m]))
         return servers
 
-    def _context_for(
-        self, instance: PlacementInstance, combos: CombinationSet
-    ) -> _SubproblemContext:
-        """The sub-problem context, memoised per library when enabled."""
-        if not self.reuse_library_cache:
-            return _SubproblemContext(instance, combos)
-        per_library: Dict = _CONTEXT_CACHE.setdefault(instance.library, {})
-        key = (self.combinations, self.max_combinations)
-        context = per_library.get(key)
-        if context is None:
-            context = _SubproblemContext(instance, combos)
-            per_library[key] = context
-        return context
-
     def _run_knapsack(
         self,
         values: Sequence[float],
@@ -249,37 +256,37 @@ class TrimCachingSpec:
         capacity: int,
         tables: Optional[ValueDpTables] = None,
     ) -> Tuple[float, List[int]]:
-        solver = KNAPSACK_BACKENDS[self.backend]
-        if self.backend == "value_dp":
-            try:
-                if tables is not None:
-                    return tables.solve(values, weights, capacity)
-                return solver(values, weights, capacity, epsilon=self.epsilon)
-            except SolverError:
-                # The rounded value table blew up (wide demand spread at a
-                # small ε, typical for Zipf demand).
-                if self.fallback == "best_first":
-                    # Best-first expands only nodes whose LP bound beats
-                    # the incumbent — exact, and usually far cheaper than
-                    # the quantised DP on exactly these instances. Its
-                    # node budget bails out to the legacy rungs.
-                    try:
-                        return KNAPSACK_BACKENDS["best_first"](
-                            values, weights, capacity
-                        )
-                    except SolverError:
-                        pass
-                # Legacy chain: the weight-quantised DP at ~800 capacity
-                # units — exact up to <=1.25% capacity slack — and
-                # finally branch-and-bound.
+        """One combination's knapsack. ``value_dp`` solves through
+        ``tables`` (one-shot when absent) and falls back along the
+        configured chain when the rounded table blows up."""
+        if self.backend != "value_dp":
+            return KNAPSACK_BACKENDS[self.backend](values, weights, capacity)
+        if tables is None:
+            tables = ValueDpTables(self.epsilon, max_entries=0)
+        try:
+            return tables.solve(values, weights, capacity)
+        except SolverError:
+            # The rounded value table blew up (wide demand spread at a
+            # small ε, typical for Zipf demand).
+            if self.fallback == "best_first":
+                # Best-first expands only nodes whose LP bound beats
+                # the incumbent — exact, and usually far cheaper than
+                # the quantised DP on exactly these instances. Its
+                # node budget bails out to the legacy rungs.
                 try:
-                    quantum = max(1, capacity // 800)
-                    return KNAPSACK_BACKENDS["weight_dp"](
-                        values, weights, capacity, quantum=quantum
-                    )
+                    return KNAPSACK_BACKENDS["best_first"](values, weights, capacity)
                 except SolverError:
-                    return KNAPSACK_BACKENDS["exact"](values, weights, capacity)
-        return solver(values, weights, capacity)
+                    pass
+            # Legacy chain: the weight-quantised DP at ~800 capacity
+            # units — exact up to <=1.25% capacity slack — and
+            # finally branch-and-bound.
+            try:
+                quantum = max(1, capacity // 800)
+                return KNAPSACK_BACKENDS["weight_dp"](
+                    values, weights, capacity, quantum=quantum
+                )
+            except SolverError:
+                return KNAPSACK_BACKENDS["exact"](values, weights, capacity)
 
     # ------------------------------------------------------------------
     def solve_subproblem(
@@ -306,13 +313,14 @@ class TrimCachingSpec:
             specific weights). Built on the fly when absent; ``solve``
             builds it once and shares it across all servers.
         pool:
-            Thread pool for the knapsack batch; ``None`` runs the serial
-            traversal. ``solve`` owns one pool per call when
-            ``workers > 1``. Both paths select identical models.
+            Thread pool that runs the traversal's chunks; ``None`` runs
+            one chunk inline. ``solve`` owns one pool per call when
+            ``workers > 1``. The selection does not depend on it.
         tables:
-            Memoised value-DP tables shared across combinations and
-            servers; ``solve`` owns one per call when
-            ``knapsack_cache`` is enabled. ``None`` solves uncached.
+            The value-DP tables every ``value_dp`` knapsack solves
+            through; ``solve`` owns one per call, memoising when
+            ``knapsack_cache`` is on. ``None`` gives each knapsack a
+            one-shot table. Ignored by the other backends.
 
         Returns
         -------
@@ -352,45 +360,20 @@ class TrimCachingSpec:
                 capacity - context.combo_sizes[candidate_rows],
             ).tolist()
 
-        def run_rank(rank: int) -> Tuple[float, List[int]]:
-            pos = order[rank]
+        def run_position(pos: int) -> Tuple[float, List[int]]:
             eligible = positive[candidate_eligible[pos]]
             combo_capacity = capacity - int(
                 context.combo_sizes[candidate_rows[pos]]
             )
-            if tables is not None and self.backend == "value_dp":
-                mass, chosen = self._run_knapsack(
-                    utilities[eligible],
-                    context.specific_weight[eligible],
-                    combo_capacity,
-                    tables=tables,
-                )
-            else:
-                mass, chosen = self._run_knapsack(
-                    utilities[eligible].tolist(),
-                    context.specific_weight[eligible].tolist(),
-                    combo_capacity,
-                )
+            mass, chosen = self._run_knapsack(
+                utilities[eligible],
+                context.specific_weight[eligible],
+                combo_capacity,
+                tables,
+            )
             return mass, eligible[chosen].tolist() if chosen else []
 
-        if pool is not None and len(order) > 1:
-            return self._traverse_parallel(bounds, order, run_rank, pool, lp_guard)
-
-        best_mass = 0.0
-        best_selection: List[int] = []
-        for rank, pos in enumerate(order.tolist()):
-            if bounds[pos] <= best_mass:
-                break  # sorted: no later combo can beat the incumbent
-            if lp_guard is not None and lp_guard[pos] <= best_mass:
-                # The combo's knapsack optimum is at most its LP prefix
-                # bound: it cannot strictly improve, and only strict
-                # improvements ever change the selection. Skip it.
-                continue
-            mass, selection = run_rank(rank)
-            if mass > best_mass:
-                best_mass = mass
-                best_selection = selection
-        return best_mass, best_selection
+        return self._traverse(bounds, order.tolist(), run_position, pool, lp_guard)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -439,51 +422,48 @@ class TrimCachingSpec:
         return (prefix_value + break_value) * (1.0 + 1e-9)
 
     # ------------------------------------------------------------------
-    def _traverse_parallel(
+    def _traverse(
         self,
         bounds: Sequence[float],
-        order: np.ndarray,
-        run_rank,
-        pool: ThreadPoolExecutor,
-        lp_guard: Optional[np.ndarray] = None,
+        order: Sequence[int],
+        run_position: Callable[[int], Tuple[float, List[int]]],
+        pool: Optional[ThreadPoolExecutor],
+        lp_guard: Optional[Sequence[float]],
     ) -> Tuple[float, List[int]]:
-        """Fan the knapsack batch over ``pool``, byte-identical reduce.
+        """Walk the candidates in ``order`` (descending ``bounds``);
+        the first strict improvement wins.
 
-        Ranks are dealt round-robin so every worker sees a descending
-        subsequence of bounds. Pruning is provably conservative:
-
-        * within a chunk, ``bound <= local incumbent`` prunes — the
-          incumbent was achieved by an *earlier* rank, exactly the serial
-          stopping rule restricted to a subsequence;
-        * across chunks, only the strict ``bound < shared incumbent``
-          prunes, because an equal-bound combo could still tie the final
-          mass at an earlier rank and serial keeps the earliest winner.
-
-        The LP prefix guards are applied per rank with the same two
-        rules (``<=`` local, strict ``<`` shared) but *skip* instead of
-        break — they are not sorted along the traversal. A skipped combo
-        either cannot strictly beat an earlier-rank incumbent or cannot
-        be the maximal mass at all, so the replay below is unaffected.
-
-        The earliest rank achieving the maximal mass is therefore always
-        computed, and the in-order first-strict-improvement scan below
-        returns exactly the serial traversal's selection.
+        Ranks are dealt round-robin into chunks — one inline without a
+        pool, else one per worker — so every chunk sees descending
+        bounds. Pruning is conservative: within a chunk,
+        ``bound <= local incumbent`` stops it (that incumbent came from
+        an *earlier* rank); across chunks only the strict
+        ``bound < shared incumbent`` does, since an equal-bound combo
+        could still tie the final mass at an earlier rank. The LP prefix
+        guards use the same two rules but skip instead of stop, as they
+        are not sorted. So the earliest rank reaching the maximal mass is
+        always computed, and the in-order scan at the end returns the
+        same selection for every chunk count. With one chunk the two
+        incumbents coincide.
         """
-        # Chunk count only shapes the work split — any value reduces to
-        # the same selection — so a private-attr fallback is harmless.
-        num_workers = max(
-            self.workers or getattr(pool, "_max_workers", 0) or 1, 1
-        )
+        num_chunks = 1
+        if pool is not None and len(order) > 1:
+            # Chunk count only shapes the work split — any value reduces
+            # to the same selection — so a private-attr fallback is
+            # harmless.
+            num_chunks = max(
+                self.workers or getattr(pool, "_max_workers", 0) or 1, 1
+            )
         # Plain cell, racy check-then-set: a stale or lost update can only
         # LOWER the observed incumbent, which weakens pruning (extra
-        # knapsacks run) but can never prune a combo the serial traversal
-        # would have computed — correctness needs no atomicity here.
+        # knapsacks run) but can never prune a combo that could be the
+        # earliest maximal one — correctness needs no atomicity here.
         shared_best = [0.0]
 
         def run_chunk(start: int) -> List[Tuple[int, float, List[int]]]:
             results: List[Tuple[int, float, List[int]]] = []
             local_best = 0.0
-            for rank in range(start, len(order), num_workers):
+            for rank in range(start, len(order), num_chunks):
                 pos = order[rank]
                 bound = bounds[pos]
                 if bound <= local_best or bound < shared_best[0]:
@@ -492,7 +472,7 @@ class TrimCachingSpec:
                     lp_guard[pos] <= local_best or lp_guard[pos] < shared_best[0]
                 ):
                     continue
-                mass, selection = run_rank(rank)
+                mass, selection = run_position(pos)
                 results.append((rank, mass, selection))
                 if mass > local_best:
                     local_best = mass
@@ -500,13 +480,12 @@ class TrimCachingSpec:
                     shared_best[0] = mass
             return results
 
-        futures = [
-            pool.submit(run_chunk, start) for start in range(num_workers)
-        ]
-        merged: List[Tuple[int, float, List[int]]] = []
-        for future in futures:
-            merged.extend(future.result())
-        merged.sort(key=lambda entry: entry[0])
+        if num_chunks == 1:
+            merged = run_chunk(0)
+        else:
+            futures = [pool.submit(run_chunk, start) for start in range(num_chunks)]
+            merged = [entry for future in futures for entry in future.result()]
+            merged.sort(key=lambda entry: entry[0])
         best_mass = 0.0
         best_selection: List[int] = []
         for _, mass, selection in merged:
@@ -535,7 +514,7 @@ class TrimCachingSpec:
                     cache=self.reuse_library_cache,
                 )
             with obs.span("solve.spec.context"):
-                context = self._context_for(instance, combos)
+                context = _subproblem_context(instance, combos)
             placement = instance.new_placement()
             tracker = CoverageTracker(instance, engine=self.engine)
             per_server_mass: List[float] = []
@@ -607,6 +586,11 @@ class SpecConfig:
     knapsack_cache: bool = True
     prefix_prune: bool = True
     reuse_library_cache: bool = True
+
+    def __post_init__(self) -> None:
+        # Bad settings fail when a plan is declared or loaded, not when
+        # it runs.
+        self.build()
 
     def build(self) -> "TrimCachingSpec":
         """Construct the solver (constructor performs validation)."""

@@ -75,13 +75,23 @@ def canonical_plan_payload(plan) -> Dict[str, Any]:
 
 
 def plan_cache_key(plan) -> str:
-    """Content address of a plan: SHA-256 hex of salt + canonical JSON."""
+    """Content address of a plan: SHA-256 hex of salt, seed fingerprint
+    and canonical JSON.
+
+    Scenario seeds derive from the interpreter's int-tuple hash, which
+    the salt does not cover. The fingerprint (the seeds of cell 0) makes
+    an interpreter whose hash differs miss instead of being served
+    results for other scenarios.
+    """
+    from repro.sim.runner import scenario_seed, study_seed
+
     canonical = json.dumps(
         canonical_plan_payload(plan), sort_keys=True, separators=(",", ":")
     )
+    fingerprint = f"{scenario_seed(0, 0, 0)},{study_seed(0, 0)}"
     digest = hashlib.sha256()
     digest.update(CODE_VERSION_SALT.encode("utf-8"))
-    digest.update(b"\n")
+    digest.update(f"\n{fingerprint}\n".encode("utf-8"))
     digest.update(canonical.encode("utf-8"))
     return digest.hexdigest()
 

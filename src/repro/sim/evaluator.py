@@ -254,7 +254,6 @@ class PlacementEvaluator:
         num_realizations: int = 1000,
         seed: SeedLike = None,
         engine: str = "sparse",
-        use_order_hint: bool = True,
     ) -> MonteCarloResult:
         """Average hit ratio over Rayleigh fading realisations.
 
@@ -270,14 +269,12 @@ class PlacementEvaluator:
         engines draw the same RNG stream and produce bit-identical
         realised hit ratios.
 
-        ``use_order_hint`` (sparse engine only) seeds every
-        realisation's per-user server sort with the topology's
-        *expected* order — fading rarely upends the ranking, so the
-        adaptive stable sort runs on nearly-sorted data, amortising the
-        per-realisation argsort across the whole run. The hint cannot
-        change a bit of the result (the sort is still an exact sort of
-        the faded values); the flag exists for benchmarking the
-        unhinted path.
+        The sparse engine seeds every realisation's per-user server sort
+        with the topology's *expected* order — fading rarely upends the
+        ranking, so the adaptive stable sort runs on nearly-sorted data,
+        amortising the per-realisation argsort across the whole run. The
+        hint cannot change a bit of the result (the sort is still an
+        exact sort of the faded values).
         """
         if num_realizations < 1:
             raise ValueError("num_realizations must be at least 1")
@@ -293,11 +290,7 @@ class PlacementEvaluator:
         shape = (topology.num_servers, topology.num_users)
         placement_matrix = placement.matrix
         total_demand = instance.total_demand
-        hint = (
-            latency.expected_server_order()
-            if engine == "sparse" and use_order_hint
-            else None
-        )
+        hint = latency.expected_server_order() if engine == "sparse" else None
         for _ in range(num_realizations):
             gains = ChannelModel.sample_rayleigh_gains(shape, rng)
             rates = topology.faded_rates(gains)

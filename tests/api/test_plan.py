@@ -259,6 +259,21 @@ class TestPlanJsonRoundTrip:
         with pytest.raises(ConfigurationError, match="invalid plan JSON"):
             plan_from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("combinations", "magic"),
+            ("max_combinations", 0),
+            ("epsilon", float("nan")),
+        ],
+    )
+    def test_bad_spec_config_rejected_on_load(self, field, value):
+        payload = plan_to_dict(_sweep_plan())
+        (spec,) = [s for s in payload["solvers"] if s["solver"] == "spec"]
+        spec["config"][field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            plan_from_dict(payload)
+
     def test_unknown_study_type_rejected(self):
         payload = plan_to_dict(_study_plan(study=MobilitySpec()))
         payload["study"]["type"] = "teleportation"

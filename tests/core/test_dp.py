@@ -244,6 +244,13 @@ class TestValueDp:
         with pytest.raises(SolverError):
             knapsack_value_dp([1.0], [1], 1, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(SolverError, match="finite epsilon"):
+            knapsack_value_dp([1.0], [1], 1, epsilon=epsilon)
+        with pytest.raises(SolverError, match="finite epsilon"):
+            ValueDpTables(epsilon=epsilon)
+
     def test_state_blowup_guarded(self):
         # Huge value spread at tiny epsilon exceeds max_states.
         values = [1e-9] + [1.0] * 10

@@ -9,7 +9,7 @@ from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.gen import TrimCachingGen
 from repro.core.objective import hit_ratio, placement_is_feasible
 from repro.core.placement import PlacementInstance
-from repro.core.spec import TrimCachingSpec
+from repro.core.spec import SpecConfig, TrimCachingSpec
 from repro.data.resnet import RESNET18
 from repro.errors import ConfigurationError, SolverError
 from repro.models.blocks import ParameterBlock
@@ -90,6 +90,23 @@ class TestConstruction:
     def test_value_dp_needs_positive_epsilon(self):
         with pytest.raises(ConfigurationError):
             TrimCachingSpec(epsilon=0.0, backend="value_dp")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epsilon": float("nan")},
+            {"combinations": "magic"},
+            {"max_combinations": 0},
+            {"max_combinations": -5},
+        ],
+    )
+    def test_bad_settings_rejected_when_built(self, kwargs):
+        """Before, these constructed: NaN ε silently ran every knapsack
+        on the weight-DP fallback, and a bad mode failed at solve time."""
+        with pytest.raises(ConfigurationError):
+            TrimCachingSpec(**kwargs)
+        with pytest.raises(ConfigurationError):
+            SpecConfig(**kwargs)
 
     def test_unknown_backend_and_order(self):
         with pytest.raises(ConfigurationError):

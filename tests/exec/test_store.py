@@ -5,6 +5,7 @@ edit misses, reorder-invariant fields hit), concurrent-writer safety of
 the atomic writes, and corrupt-entry resilience.
 """
 
+import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,6 +37,26 @@ def make_plan(**overrides):
 class TestPlanCacheKey:
     def test_deterministic(self):
         assert plan_cache_key(make_plan()) == plan_cache_key(make_plan())
+
+    def test_folds_the_pinned_seed_fingerprint(self):
+        """The key covers ``scenario_seed(0, 0, 0)`` and
+        ``study_seed(0, 0)``, whose values tests/sim/test_seeds.py pins."""
+        plan = make_plan()
+        canonical = json.dumps(
+            canonical_plan_payload(plan), sort_keys=True, separators=(",", ":")
+        )
+        text = f"{CODE_VERSION_SALT}\n360982090,397586535\n{canonical}"
+        assert plan_cache_key(plan) == hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", ["scenario_seed", "study_seed"])
+    def test_other_seed_derivation_misses(self, monkeypatch, name):
+        """An interpreter whose tuple hash differs draws other scenarios:
+        its key must differ too."""
+        import repro.sim.runner as runner
+
+        base_key = plan_cache_key(make_plan())
+        monkeypatch.setattr(runner, name, lambda *args: 12345)
+        assert plan_cache_key(make_plan()) != base_key
 
     def test_is_sha256_hex(self):
         key = plan_cache_key(make_plan())
