@@ -358,7 +358,12 @@ def _validate_knapsack(
     indices, values and weights of the items that can enter a solution:
     positive value, weight within the capacity."""
     all_values = np.asarray(values, dtype=float)
-    all_weights = np.asarray(weights, dtype=np.int64)
+    all_weights = np.asarray(weights)
+    if all_weights.dtype.kind != "i":
+        integral = all_weights.astype(np.int64)
+        if (integral != all_weights).any():
+            raise SolverError("knapsack weights must be integers")
+        all_weights = integral
     if all_values.shape[0] != all_weights.shape[0]:
         raise SolverError("values and weights must have equal length")
     if capacity < 0:

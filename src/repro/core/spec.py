@@ -106,16 +106,6 @@ _CONTEXTS: "weakref.WeakKeyDictionary[CombinationSet, _SubproblemContext]" = (
 )
 
 
-def _subproblem_context(
-    instance: PlacementInstance, combos: CombinationSet
-) -> _SubproblemContext:
-    """The context of ``combos`` on ``instance``'s library, memoised."""
-    context = _CONTEXTS.get(combos)
-    if context is None:
-        context = _CONTEXTS[combos] = _SubproblemContext(instance, combos)
-    return context
-
-
 class TrimCachingSpec:
     """Algorithms 1+2: successive greedy with combination-indexed DP.
 
@@ -473,9 +463,11 @@ class TrimCachingSpec:
                 ):
                     continue
                 mass, selection = run_position(pos)
-                results.append((rank, mass, selection))
                 if mass > local_best:
+                    # Only a chunk's strict improvements can be the
+                    # earliest maximal rank; the rest need no record.
                     local_best = mass
+                    results.append((rank, mass, selection))
                 if mass > shared_best[0]:
                     shared_best[0] = mass
             return results
@@ -514,7 +506,9 @@ class TrimCachingSpec:
                     cache=self.reuse_library_cache,
                 )
             with obs.span("solve.spec.context"):
-                context = _subproblem_context(instance, combos)
+                context = _CONTEXTS.get(combos)
+                if context is None:
+                    context = _CONTEXTS[combos] = _SubproblemContext(instance, combos)
             placement = instance.new_placement()
             tracker = CoverageTracker(instance, engine=self.engine)
             per_server_mass: List[float] = []

@@ -316,6 +316,22 @@ class TestValidation:
         with pytest.raises(SolverError):
             knapsack_branch_and_bound([1.0], [1], -5)
 
+    @pytest.mark.parametrize("backend", sorted(KNAPSACK_BACKENDS))
+    def test_every_backend_rejects_the_same_inputs(self, backend):
+        solve = KNAPSACK_BACKENDS[backend]
+        bad_inputs = [
+            ([1.0], [1, 2], 5),
+            ([-1.0], [1], 5),
+            ([1.0], [-1], 5),
+            ([1.0], [1], -5),
+            # Truncated to 2, this item would "fit" and overfill by 0.5.
+            ([1.0], [2.5], 2),
+        ]
+        for values, weights, capacity in bad_inputs:
+            with pytest.raises(SolverError):
+                solve(values, weights, capacity)
+        assert solve([1.0], [2.0], 2) == solve([1.0], [2], 2)
+
 
 # ----------------------------------------------------------------------
 # Combination enumeration
