@@ -352,28 +352,37 @@ def enumerate_shared_combinations(
 # ----------------------------------------------------------------------
 def _validate_knapsack(
     values: Sequence[float], weights: Sequence[int], capacity: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a knapsack instance, shared by every backend so all of them
-    reject the same inputs with the same errors. Returns the original
-    indices, values and weights of the items that can enter a solution:
-    positive value, weight within the capacity."""
-    all_values = np.asarray(values, dtype=float)
+) -> List[Tuple[int, float, int]]:
+    """Check a knapsack instance and return ``(index, value, weight)`` of
+    every item that can enter a solution (positive value, weight within
+    the capacity), in input order.
+
+    The one input check of every backend, so all of them reject the same
+    inputs with the same errors. It works on lists: Spec's knapsacks
+    hold a median of 9-13 items, where a numpy call per check costs
+    more than the whole list pass.
+    """
+    all_values = np.asarray(values, dtype=float).tolist()
     all_weights = np.asarray(weights)
     if all_weights.dtype.kind != "i":
         integral = all_weights.astype(np.int64)
         if (integral != all_weights).any():
             raise SolverError("knapsack weights must be integers")
         all_weights = integral
-    if all_values.shape[0] != all_weights.shape[0]:
+    all_weights = all_weights.tolist()
+    if len(all_values) != len(all_weights):
         raise SolverError("values and weights must have equal length")
     if capacity < 0:
         raise SolverError(f"capacity must be non-negative, got {capacity}")
-    if all_values.size and float(all_values.min()) < 0:
+    if all_values and min(all_values) < 0:
         raise SolverError("knapsack values must be non-negative")
-    if all_weights.size and int(all_weights.min()) < 0:
+    if all_weights and min(all_weights) < 0:
         raise SolverError("knapsack weights must be non-negative")
-    original = ((all_values > 0) & (all_weights <= capacity)).nonzero()[0]
-    return original, all_values[original], all_weights[original]
+    return [
+        item
+        for item in zip(range(len(all_values)), all_values, all_weights)
+        if item[1] > 0 and item[2] <= capacity
+    ]
 
 
 def knapsack_value_dp(
@@ -419,17 +428,12 @@ def knapsack_weight_dp(
     a returned selection always fits the true capacity). With byte-exact
     weights and ``quantum=1`` this is the textbook exact DP.
     """
-    original, item_values, item_weights = _validate_knapsack(
-        values, weights, capacity
-    )
+    items = _validate_knapsack(values, weights, capacity)
     if quantum <= 0:
         raise SolverError(f"quantum must be positive, got {quantum}")
     cap_units = capacity // quantum
     items = [
-        (index, value, -(-weight // quantum))
-        for index, value, weight in zip(
-            original.tolist(), item_values.tolist(), item_weights.tolist()
-        )
+        (index, value, -(-weight // quantum)) for index, value, weight in items
     ]
     items = [item for item in items if item[2] <= cap_units]
     if not items:
@@ -468,10 +472,7 @@ def _density_ordered_items(
 ) -> List[Tuple[int, float, int]]:
     """The exact searches' items: ``(index, value, weight)`` of every
     item that can enter a solution, in decreasing value density."""
-    original, item_values, item_weights = _validate_knapsack(
-        values, weights, capacity
-    )
-    items = list(zip(original.tolist(), item_values.tolist(), item_weights.tolist()))
+    items = _validate_knapsack(values, weights, capacity)
     items.sort(key=lambda item: item[1] / max(item[2], 1e-12), reverse=True)
     return items
 
@@ -647,7 +648,7 @@ class ValueDpTables:
     the same filtered sub-instance recurs across combinations and
     servers (utilities only change for models whose demand an earlier
     placement already served), so keying the fill on the filtered
-    ``(values, weights)`` bytes turns repeat calls into a backtrack.
+    ``(values, weights)`` tuples turns repeat calls into a backtrack.
     At most ``max_entries`` tables are kept; ``max_entries=0`` memoises
     nothing (a one-shot solve, which is what
     :func:`knapsack_value_dp` runs).
@@ -675,10 +676,10 @@ class ValueDpTables:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self._tables: Dict[Tuple[bytes, bytes], tuple] = {}
+        self._tables: Dict[Tuple[Tuple[float, ...], Tuple[int, ...]], tuple] = {}
 
     # ------------------------------------------------------------------
-    def _fill(self, filtered_values: np.ndarray, filtered_weights: np.ndarray):
+    def _fill(self, values: Tuple[float, ...], weights: Tuple[int, ...]):
         """The capacity-independent part of the DP.
 
         Returns ``(suffix_min, decisions, row_bytes, rounded)``:
@@ -690,10 +691,9 @@ class ValueDpTables:
         materialised before the masked write, which gives exactly the
         0/1 semantics of the seed's descending Python loop.
         """
-        count = filtered_values.shape[0]
-        v_min = float(filtered_values.min())
-        unit = self.epsilon * v_min
-        ratio = np.floor(filtered_values / unit)
+        count = len(values)
+        unit = self.epsilon * min(values)
+        ratio = np.floor(np.array(values) / unit)
         # Beyond 2**53 the float ratios stop being the exact floors the
         # seed's integer arithmetic produces — but any such instance is
         # astronomically past max_states, so the blown marker is exact.
@@ -715,9 +715,7 @@ class ValueDpTables:
         min_weight[0] = 0.0
         decisions = np.zeros((count, total_rounded + 1), dtype=bool)
         reachable = 0
-        for item, (weight, value_units) in enumerate(
-            zip(filtered_weights.tolist(), rounded)
-        ):
+        for item, (weight, value_units) in enumerate(zip(weights, rounded)):
             reachable = min(reachable + value_units, total_rounded)
             shifted = min_weight[: reachable - value_units + 1] + weight
             segment = min_weight[value_units : reachable + 1]
@@ -737,12 +735,11 @@ class ValueDpTables:
         Raises :class:`SolverError` on negative inputs, mismatched
         lengths, or a rounded table past ``max_states``.
         """
-        original, filtered_values, filtered_weights = _validate_knapsack(
-            values, weights, capacity
-        )
-        if original.size == 0:
+        items = _validate_knapsack(values, weights, capacity)
+        if not items:
             return 0.0, []
-        key = (filtered_values.tobytes(), filtered_weights.tobytes())
+        original, filtered_values, filtered_weights = zip(*items)
+        key = (filtered_values, filtered_weights)
         entry = self._tables.get(key)
         if entry is None:
             self.misses += 1
@@ -766,8 +763,8 @@ class ValueDpTables:
         if units != 0:
             raise SolverError("value DP backtrack failed (internal error)")
         selected_positions.reverse()
-        selected = original[selected_positions].tolist()
-        true_value = float(sum(filtered_values[selected_positions].tolist()))
+        selected = [original[pos] for pos in selected_positions]
+        true_value = float(sum([filtered_values[pos] for pos in selected_positions]))
         return true_value, selected
 
 
