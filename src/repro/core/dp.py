@@ -30,6 +30,7 @@ input check (``_validate_knapsack``):
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -410,9 +411,9 @@ def knapsack_value_dp(
         If ``epsilon`` is not a finite positive number (use the exact
         backends for ε = 0), or the DP table would exceed ``max_states``.
     """
-    return ValueDpTables(epsilon, max_states, max_entries=0).solve(
-        values, weights, capacity
-    )
+    return ValueDpTables(
+        epsilon, capacity, max_states=max_states, max_entries=0
+    ).solve(values, weights, capacity)
 
 
 def knapsack_weight_dp(
@@ -637,17 +638,62 @@ def knapsack_best_first(
 _TABLE_BLOWN = "blown"
 
 
+def _lp_units(
+    rounded: Sequence[int], weights: Sequence[int], capacity: float
+) -> int:
+    """The fractional-knapsack (LP) bound on rounded units at ``capacity``.
+
+    Items go in decreasing density ``r / w`` (zero-weight items first
+    and whole), and the first item that does not fit counts for the
+    fraction that does, rounded up. Every selection that fits
+    ``capacity`` reaches at most this many units. Integer weights make
+    ``⌊capacity⌋`` the same budget; an infinite one bounds nothing.
+
+    The order is exact. Python's int division is correctly rounded,
+    hence monotone, so distinct float densities order the items as the
+    exact ones do. Only when two floats are equal, which may hide an
+    exact difference, are the items sorted by the cross products
+    ``r_a·w_b`` against ``r_b·w_a``.
+    """
+    if not math.isfinite(capacity):
+        return sum(rounded)
+    keys = [-r / w if w else -math.inf for r, w in zip(rounded, weights)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if len(set(keys)) < len(keys):
+        order.sort(
+            key=functools.cmp_to_key(
+                lambda a, b: rounded[b] * weights[a] - rounded[a] * weights[b]
+            )
+        )
+    remaining = math.floor(capacity)
+    units = 0
+    for item in order:
+        weight = weights[item]
+        if weight <= remaining:
+            units += rounded[item]
+            remaining -= weight
+        else:
+            units += -(-rounded[item] * remaining // weight)
+            break
+    return units
+
+
 class ValueDpTables:
     """The rounded value DP of :func:`knapsack_value_dp`, memoised.
 
     The one implementation of the paper's rounded DP fill and backtrack.
     The rounded table ``min_weight[units]`` depends only on the
-    *filtered* item list (positive value, weight ≤ capacity) and
-    ``epsilon`` — the capacity enters through the item filter and the
-    final best-units/backtrack step, not the fill. Within one Spec solve
-    the same filtered sub-instance recurs across combinations and
-    servers (utilities only change for models whose demand an earlier
-    placement already served), so keying the fill on the filtered
+    *filtered* item list (positive value, weight ≤ capacity),
+    ``epsilon`` and the table's ``capacity`` — the largest capacity any
+    call may ask for. A table is filled only up to the LP bound on
+    rounded units at ``capacity``: every state above it weighs more than
+    ``capacity``, and no state is read from a higher one, so every state
+    a call can reach, its decision bits and the backtrack are exactly
+    the uncapped DP's. A call at any capacity up to ``capacity`` reads
+    the same table; a larger one is refused. Within one Spec solve the
+    same filtered sub-instance recurs across combinations and servers
+    (utilities only change for models whose demand an earlier placement
+    already served), so keying the fill on the filtered
     ``(values, weights)`` tuples turns repeat calls into a backtrack.
     At most ``max_entries`` tables are kept; ``max_entries=0`` memoises
     nothing (a one-shot solve, which is what
@@ -664,6 +710,7 @@ class ValueDpTables:
     def __init__(
         self,
         epsilon: float,
+        capacity: float,
         max_states: int = 5_000_000,
         max_entries: int = 100_000,
     ) -> None:
@@ -672,6 +719,7 @@ class ValueDpTables:
                 f"the rounded value DP requires a finite epsilon > 0, got {epsilon}"
             )
         self.epsilon = epsilon
+        self.capacity = capacity
         self.max_states = max_states
         self.max_entries = max_entries
         self.hits = 0
@@ -680,16 +728,17 @@ class ValueDpTables:
 
     # ------------------------------------------------------------------
     def _fill(self, values: Tuple[float, ...], weights: Tuple[int, ...]):
-        """The capacity-independent part of the DP.
+        """The part of the DP every call up to ``capacity`` shares.
 
         Returns ``(suffix_min, decisions, row_bytes, rounded)``:
         ``suffix_min[u]`` is the least weight reaching *at least* ``u``
         rounded units (non-decreasing), and bit ``u`` of item ``j``'s
         ``row_bytes``-long row in ``decisions`` (little bit order) is set
-        iff item ``j`` improved state ``u``. Each item's state sweep is
-        one slice-shift update; the shifted candidate row is
-        materialised before the masked write, which gives exactly the
-        0/1 semantics of the seed's descending Python loop.
+        iff item ``j`` improved state ``u``, for the states ``u`` up to
+        the LP bound at ``capacity``. Each item's state sweep is one
+        slice-shift update; the shifted candidate row is materialised
+        before the masked write, which gives exactly the 0/1 semantics
+        of the seed's descending Python loop.
         """
         count = len(values)
         unit = self.epsilon * min(values)
@@ -705,18 +754,24 @@ class ValueDpTables:
             )
         rounded = np.maximum(ratio, 1.0).astype(np.int64).tolist()
         total_rounded = sum(rounded)
+        # The uncapped width decides the blow-up, so the same instances
+        # fall back to the other backends whatever the capacity.
         if (total_rounded + 1) * count > self.max_states:
             return (
                 _TABLE_BLOWN,
                 f"value DP needs {(total_rounded + 1) * count} states "
                 f"(> {self.max_states}); increase epsilon or use another backend",
             )
-        min_weight = np.full(total_rounded + 1, np.inf)
+        # Every item fits ``capacity`` alone (the key is filtered to a
+        # call capacity no larger), so ``top`` is at least each item's
+        # units and every sweep below is non-empty.
+        top = min(total_rounded, _lp_units(rounded, weights, self.capacity))
+        min_weight = np.full(top + 1, np.inf)
         min_weight[0] = 0.0
-        decisions = np.zeros((count, total_rounded + 1), dtype=bool)
+        decisions = np.zeros((count, top + 1), dtype=bool)
         reachable = 0
         for item, (weight, value_units) in enumerate(zip(weights, rounded)):
-            reachable = min(reachable + value_units, total_rounded)
+            reachable = min(reachable + value_units, top)
             shifted = min_weight[: reachable - value_units + 1] + weight
             segment = min_weight[value_units : reachable + 1]
             improved = decisions[item, value_units : reachable + 1]
@@ -733,9 +788,14 @@ class ValueDpTables:
         """Solve one instance; returns ``(true_value, selected_indices)``.
 
         Raises :class:`SolverError` on negative inputs, mismatched
-        lengths, or a rounded table past ``max_states``.
+        lengths, a capacity above the table's, or a rounded table past
+        ``max_states``.
         """
         items = _validate_knapsack(values, weights, capacity)
+        if capacity > self.capacity:
+            raise SolverError(
+                f"capacity {capacity} exceeds the tables' capacity {self.capacity}"
+            )
         if not items:
             return 0.0, []
         original, filtered_values, filtered_weights = zip(*items)

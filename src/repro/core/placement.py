@@ -204,10 +204,6 @@ class PlacementInstance:
         except KeyError:
             raise PlacementError(f"model id {model_id} not in instance") from None
 
-    def blocks_of(self, model_index: int) -> FrozenSet[int]:
-        """Block ids of the model at dense index ``model_index``."""
-        return self.model_blocks[model_index]
-
     def marginal_storage(
         self, model_index: int, cached_blocks: AbstractSet[int]
     ) -> int:

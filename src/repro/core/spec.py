@@ -28,6 +28,11 @@ output bit:
   sub-problem context (eligibility matrix, specific weights) per
   combination set, so a sweep that fixes the library across topologies
   pays for them once;
+* a combination is a candidate only if some positive-utility eligible
+  model's specific weight fits ``Q_m - d_N``. Any other combination's
+  knapsack has no item and returns 0.0, which is never a strict
+  improvement. The rank bounds still sum every eligible model, so the
+  survivors keep their order and ties;
 * one traversal, :meth:`TrimCachingSpec._traverse`, walks the candidate
   combinations in chunks: one chunk inline, or with ``workers=N`` one
   chunk per thread of a pool. Every knapsack is deterministic given its
@@ -149,9 +154,11 @@ class TrimCachingSpec:
         node budget overruns.
     knapsack_cache:
         Whether ``value_dp`` knapsacks share one
-        :class:`~repro.core.dp.ValueDpTables` per solve, memoising each
-        filtered sub-instance's table across combinations and servers.
-        Off, each knapsack runs the same DP on a one-shot table.
+        :class:`~repro.core.dp.ValueDpTables` per solve, built for the
+        largest server capacity and memoising each filtered
+        sub-instance's table across combinations and servers. Off, each
+        knapsack runs the same DP on a one-shot table built for its own
+        capacity.
         Byte-identical selections either way; disable only to benchmark
         the unmemoised traversal.
     prefix_prune:
@@ -252,7 +259,7 @@ class TrimCachingSpec:
         if self.backend != "value_dp":
             return KNAPSACK_BACKENDS[self.backend](values, weights, capacity)
         if tables is None:
-            tables = ValueDpTables(self.epsilon, max_entries=0)
+            tables = ValueDpTables(self.epsilon, capacity, max_entries=0)
         try:
             return tables.solve(values, weights, capacity)
         except SolverError:
@@ -308,7 +315,8 @@ class TrimCachingSpec:
             ``workers > 1``. The selection does not depend on it.
         tables:
             The value-DP tables every ``value_dp`` knapsack solves
-            through; ``solve`` owns one per call, memoising when
+            through, built for a capacity of at least this server's;
+            ``solve`` owns one per call, memoising when
             ``knapsack_cache`` is on. ``None`` gives each knapsack a
             one-shot table. Ignored by the other backends.
 
@@ -320,17 +328,24 @@ class TrimCachingSpec:
             context = _SubproblemContext(instance, combos)
         capacity = int(instance.capacities[server])
 
-        # Candidate combos: fit the capacity and can serve some positive
-        # utility. Each candidate's utility sum over its eligible models
-        # is an upper bound on what its knapsack can achieve; traversing
-        # high-potential combos first lets the bound prune the rest. This
-        # changes nothing about which combo wins — only how many
-        # knapsacks actually run. Zero-utility models can neither be
-        # eligible nor move a bound, so only positive columns are kept.
+        # Candidate combos: fit the capacity and have a positive-utility
+        # eligible model whose specific weight fits what is left. The
+        # knapsack of any other combo has no item and returns 0.0, which
+        # is never a strict improvement, so dropping it changes no
+        # selection. Each candidate's utility sum over all its eligible
+        # models is an upper bound on what its knapsack can achieve;
+        # traversing high-potential combos first lets the bound prune
+        # the rest. This changes nothing about which combo wins — only
+        # how many knapsacks actually run. Zero-utility models can
+        # neither be eligible nor move a bound, so only positive columns
+        # are kept.
         positive = np.flatnonzero(utilities > 0.0)
         fitting = np.flatnonzero(context.combo_sizes <= capacity)
         eligible_pos = context.eligible[np.ix_(fitting, positive)]
-        has_item = eligible_pos.any(axis=1)
+        residual = capacity - context.combo_sizes[fitting]
+        positive_weights = context.specific_weight[positive]
+        fits = positive_weights <= residual[:, None]
+        has_item = (eligible_pos & fits).any(axis=1)
         candidate_rows = fitting[has_item]
         if len(candidate_rows) == 0:
             return 0.0, []
@@ -345,9 +360,9 @@ class TrimCachingSpec:
         if self.prefix_prune and len(candidate_rows) > 1:
             lp_guard = self._prefix_guards(
                 positive_utilities,
-                context.specific_weight[positive],
+                positive_weights,
                 candidate_eligible,
-                capacity - context.combo_sizes[candidate_rows],
+                residual[has_item],
             ).tolist()
 
         def run_position(pos: int) -> Tuple[float, List[int]]:
@@ -514,7 +529,10 @@ class TrimCachingSpec:
             per_server_mass: List[float] = []
             tables: Optional[ValueDpTables] = None
             if self.knapsack_cache and self.backend == "value_dp":
-                tables = ValueDpTables(self.epsilon)
+                # Every knapsack's capacity is some Q_m - d_N <= max Q_m.
+                tables = ValueDpTables(
+                    self.epsilon, int(instance.capacities.max(initial=0))
+                )
             pool: Optional[ThreadPoolExecutor] = None
             if self.workers is not None and self.workers > 1:
                 pool = ThreadPoolExecutor(max_workers=self.workers)

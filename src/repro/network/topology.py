@@ -252,11 +252,6 @@ class NetworkTopology:
         """``(M, K)`` expected bandwidth shares ``B̄_{m,k}`` (0 if not associated)."""
         return self._allocations[0]
 
-    @property
-    def power_allocation(self) -> np.ndarray:
-        """``(M, K)`` expected power shares ``P̄_{m,k}`` (0 if not associated)."""
-        return self._allocations[1]
-
     def _compute_expected_rates(self) -> np.ndarray:
         bandwidth, power = self._allocations
         rates = np.zeros_like(self._distances)

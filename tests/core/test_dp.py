@@ -15,7 +15,9 @@ from repro.core.dp import (
     knapsack_branch_and_bound,
     knapsack_value_dp,
     knapsack_weight_dp,
+    _lp_units,
 )
+from repro.core.reference import reference_knapsack_value_dp
 from repro.errors import SolverError
 from repro.models.blocks import ParameterBlock
 from repro.models.finetune import FineTuner, make_resnet_root
@@ -161,20 +163,20 @@ class TestValueDpTables:
         """The memoised tables replicate ``knapsack_value_dp`` exactly:
         same value, same selection, for every instance."""
         values, weights, capacity = instance
-        tables = ValueDpTables(epsilon=0.1)
+        tables = ValueDpTables(epsilon=0.1, capacity=capacity)
         expected = knapsack_value_dp(values, weights, capacity, 0.1)
         assert tables.solve(values, weights, capacity) == expected
         # Second call is a cache hit and still byte-identical.
         assert tables.solve(values, weights, capacity) == expected
 
     def test_hit_miss_accounting(self):
-        tables = ValueDpTables(epsilon=0.1)
+        tables = ValueDpTables(epsilon=0.1, capacity=3)
         tables.solve([1.0, 2.0], [1, 2], 3)
         assert (tables.hits, tables.misses) == (0, 1)
         tables.solve([1.0, 2.0], [1, 2], 3)
         assert (tables.hits, tables.misses) == (1, 1)
         # A different capacity that keeps the same filtered item set
-        # reuses the fill (the table is capacity-independent).
+        # reuses the fill (every call up to the tables' capacity does).
         tables.solve([1.0, 2.0], [1, 2], 2)
         assert (tables.hits, tables.misses) == (2, 1)
         # Capacity 1 filters out the weight-2 item: a new key.
@@ -184,14 +186,14 @@ class TestValueDpTables:
     def test_capacity_variation_matches_uncached(self):
         values = [3.0, 4.0, 5.0, 6.0]
         weights = [2, 3, 4, 5]
-        tables = ValueDpTables(epsilon=0.1)
+        tables = ValueDpTables(epsilon=0.1, capacity=14)
         for capacity in range(0, 15):
             assert tables.solve(values, weights, capacity) == knapsack_value_dp(
                 values, weights, capacity, 0.1
             )
 
     def test_blown_table_raises_and_is_cached(self):
-        tables = ValueDpTables(epsilon=0.001, max_states=100)
+        tables = ValueDpTables(epsilon=0.001, capacity=11, max_states=100)
         values = [1e-9] + [1.0] * 10
         weights = [1] * 11
         with pytest.raises(SolverError):
@@ -203,10 +205,10 @@ class TestValueDpTables:
 
     def test_epsilon_zero_rejected(self):
         with pytest.raises(SolverError):
-            ValueDpTables(epsilon=0.0)
+            ValueDpTables(epsilon=0.0, capacity=1)
 
     def test_validation_matches_uncached(self):
-        tables = ValueDpTables(epsilon=0.1)
+        tables = ValueDpTables(epsilon=0.1, capacity=5)
         with pytest.raises(SolverError):
             tables.solve([1.0], [1, 2], 5)
         with pytest.raises(SolverError):
@@ -217,10 +219,89 @@ class TestValueDpTables:
             tables.solve([1.0], [1], -5)
 
     def test_max_entries_bounds_cache(self):
-        tables = ValueDpTables(epsilon=0.1, max_entries=2)
+        tables = ValueDpTables(epsilon=0.1, capacity=2, max_entries=2)
         for index in range(5):
             tables.solve([1.0 + index], [1], 2)
         assert len(tables._tables) == 2
+
+
+@st.composite
+def capped_instances(draw):
+    """``(values, weights, table_capacity, epsilon)`` for the LP cap.
+
+    Zero weights, zero values, a scaled copy of an item (a tied
+    density) and a table capacity equal to some subset's weight (an
+    exact fit) are all drawn.
+    """
+    count = draw(st.integers(1, 8))
+    quarters = st.integers(0, 40).map(lambda n: n / 4.0)
+    values = draw(st.lists(quarters, min_size=count, max_size=count))
+    weights = draw(st.lists(st.integers(0, 30), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        factor = draw(st.integers(2, 3))
+        values.append(values[0] * factor)
+        weights.append(weights[0] * factor)
+    exact_fit = sum(weight for weight in weights if draw(st.booleans()))
+    capacity = draw(st.one_of(st.just(exact_fit), st.integers(0, 60)))
+    epsilon = draw(st.sampled_from([0.05, 0.1, 0.3]))
+    return values, weights, capacity, epsilon
+
+
+class TestLpCappedTables:
+    @given(capped_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_every_capacity_up_to_the_cap_matches_uncapped_dp(self, instance):
+        """A table built at capacity ``C`` answers every call capacity
+        ``0..C`` exactly like the seed's uncapped DP, memo on or off."""
+        values, weights, table_capacity, epsilon = instance
+        for max_entries in (100, 0):
+            tables = ValueDpTables(epsilon, table_capacity, max_entries=max_entries)
+            for capacity in range(table_capacity + 1):
+                assert tables.solve(values, weights, capacity) == (
+                    reference_knapsack_value_dp(values, weights, capacity, epsilon)
+                ), (max_entries, capacity)
+
+    def test_fill_stops_at_lp_bound(self):
+        # Rounded units [10, 10, 10, 10]. At capacity 10 the LP takes
+        # the zero-weight item whole, the weight-4 item whole and 6/8 of
+        # a weight-8 one, 7.5 units rounded up: 28 units, not all 40.
+        values, weights = [1.0] * 4, [0, 4, 8, 8]
+        tables = ValueDpTables(0.1, 10)
+        assert tables.solve(values, weights, 10) == (
+            reference_knapsack_value_dp(values, weights, 10, 0.1)
+        )
+        [(suffix_min, *_)] = tables._tables.values()
+        assert len(suffix_min) == 29
+
+    def test_lp_order_is_exact_where_float_densities_tie(self):
+        # Both densities read 1.0 as floats, but 10**17 + 1 units over
+        # 10**17 bytes is denser. Taking the other item first would give
+        # a bound of 10**17 units, one short of taking this one alone.
+        rounded, weights = [10**17, 10**17 + 1], [10**17, 10**17]
+        assert rounded[0] / weights[0] == rounded[1] / weights[1]
+        assert _lp_units(rounded, weights, 10**17) == 10**17 + 1
+
+    def test_capacity_above_the_tables_raises(self):
+        tables = ValueDpTables(0.1, 5)
+        with pytest.raises(SolverError, match="exceeds"):
+            tables.solve([1.0], [1], 6)
+        with pytest.raises(SolverError, match="exceeds"):
+            tables.solve([], [], 6)
+
+    def test_state_limit_reads_the_uncapped_width(self):
+        # Ten items of 10 rounded units: the uncapped table has
+        # 101 * 10 = 1010 states, the one capped at capacity 5 only
+        # 11 * 10. The limit still refuses it, so the same instances
+        # fall back to the other backends as before the cap.
+        values, weights = [1.0] * 10, [5] * 10
+        with pytest.raises(SolverError, match="1010 states"):
+            ValueDpTables(0.1, 5, max_states=500).solve(values, weights, 5)
+        with pytest.raises(SolverError, match="1010 states"):
+            knapsack_value_dp(values, weights, 5, 0.1, max_states=500)
+        assert knapsack_value_dp(values, weights, 5, 0.1, max_states=1010) == (
+            1.0,
+            [0],
+        )
 
 
 class TestValueDp:
@@ -249,7 +330,7 @@ class TestValueDp:
         with pytest.raises(SolverError, match="finite epsilon"):
             knapsack_value_dp([1.0], [1], 1, epsilon=epsilon)
         with pytest.raises(SolverError, match="finite epsilon"):
-            ValueDpTables(epsilon=epsilon)
+            ValueDpTables(epsilon=epsilon, capacity=1)
 
     def test_state_blowup_guarded(self):
         # Huge value spread at tiny epsilon exceeds max_states.

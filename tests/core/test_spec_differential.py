@@ -2,8 +2,9 @@
 
 Hypothesis draws small chain-structured libraries with adversarial
 sub-problems: exactly tied utilities (so combination bounds tie), zero
-utility columns, capacity 0, and a capacity equal to some ``d_N`` plus
-one eligible model's specific weight (an exact fit). Every traversal
+utility columns, capacity 0, a capacity equal to some ``d_N`` plus
+one eligible model's specific weight (an exact fit), and one that leaves
+``N`` less than every eligible specific weight (no item fits). Every traversal
 configuration — no pool or a 2- or 3-thread pool, knapsack memo on or
 off, LP prefix pruning on or off — must return exactly the
 ``(mass, selection)`` of :class:`~repro.core.reference.ReferenceSpec`,
@@ -99,11 +100,16 @@ def subproblems(draw):
         for index, model_id in enumerate(library.model_ids)
         if library.model(model_id).block_set & shared <= combo.blocks
     ]
-    exact_fit = combo.size_bytes
+    exact_fit = no_fit = combo.size_bytes
     if eligible:
-        exact_fit += _specific_weights(library)[draw(st.sampled_from(eligible))]
+        eligible_weights = [_specific_weights(library)[i] for i in eligible]
+        exact_fit += draw(st.sampled_from(eligible_weights))
+        # Specific blocks weigh at least 1, so ``N`` itself still fits.
+        no_fit += min(eligible_weights) - 1
     capacity = draw(
-        st.one_of(st.just(0), st.just(exact_fit), st.integers(0, 100))
+        st.one_of(
+            st.just(0), st.just(exact_fit), st.just(no_fit), st.integers(0, 100)
+        )
     )
     demand = np.ones((1, num_models))
     feasible = np.ones((1, 1, num_models), dtype=bool)
@@ -142,6 +148,22 @@ def whole_instances(draw):
     return PlacementInstance(library, demand, feasible, capacities)
 
 
+class _SpyTables(ValueDpTables):
+    """Value-DP tables that record every knapsack they are asked for."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def solve(self, values, weights, capacity):
+        self.calls.append((list(values), list(weights), capacity))
+        return super().solve(values, weights, capacity)
+
+
+def _has_fitting_item(values, weights, capacity):
+    return any(v > 0 and w <= capacity for v, w in zip(values, weights))
+
+
 class TestSubproblemDifferential:
     @given(subproblems())
     @settings(max_examples=120, deadline=None)
@@ -165,7 +187,9 @@ class TestSubproblemDifferential:
                             prefix_prune=prefix_prune,
                         )
                         tables = (
-                            ValueDpTables(epsilon) if knapsack_cache else None
+                            ValueDpTables(epsilon, int(instance.capacities[0]))
+                            if knapsack_cache
+                            else None
                         )
                         got = spec.solve_subproblem(
                             instance, 0, utilities, combos, pool=pool, tables=tables
@@ -175,6 +199,47 @@ class TestSubproblemDifferential:
                             knapsack_cache,
                             prefix_prune,
                         )
+
+
+    @given(subproblems())
+    @settings(max_examples=120, deadline=None)
+    def test_no_knapsack_runs_without_a_fitting_item(self, case):
+        instance, utilities, mode, epsilon = case
+        combos = enumerate_shared_combinations(instance.library, mode, cache=False)
+        tables = _SpyTables(epsilon, int(instance.capacities[0]))
+        spec = TrimCachingSpec(epsilon=epsilon, combinations=mode, prefix_prune=False)
+        spec.solve_subproblem(instance, 0, utilities, combos, tables=tables)
+        for call in tables.calls:
+            assert _has_fitting_item(*call), call
+
+    def test_no_fit_combination_is_skipped(self):
+        # Block 0 (10 bytes) is shared by models 0 and 2, which add 5
+        # and 6 specific bytes; model 1 is 3 specific bytes alone. At
+        # capacity 12 the combination {0} ranks first (bound 3.0) but
+        # leaves 2, less than every specific weight, so only {} runs a
+        # knapsack.
+        library = ModelLibrary(
+            [ParameterBlock(b, size) for b, size in enumerate((10, 5, 3, 6))],
+            [Model(0, (0, 1)), Model(1, (2,)), Model(2, (0, 3))],
+        )
+        instance = PlacementInstance(
+            library, np.ones((1, 3)), np.ones((1, 1, 3), dtype=bool), [12]
+        )
+        utilities = np.array([1.0, 1.0, 1.0])
+        combos = enumerate_shared_combinations(library, cache=False)
+        assert len(combos) == 2
+        tables = _SpyTables(0.1, 12)
+        got = TrimCachingSpec().solve_subproblem(
+            instance, 0, utilities, combos, tables=tables
+        )
+        assert [capacity for *_, capacity in tables.calls] == [12]
+        assert got == ReferenceSpec().solve_subproblem(
+            instance,
+            0,
+            utilities,
+            reference_enumerate_shared_combinations(library, "auto"),
+        )
+        assert got == (1.0, [1])
 
 
 class TestWholeSolveDifferential:
