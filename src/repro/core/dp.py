@@ -8,8 +8,9 @@ The Spec solver decomposes each per-server sub-problem **P2.1m** into:
 2. for each combination, a 0/1 knapsack over the eligible models' specific
    blocks within the capacity left after caching ``N``.
 
-Four interchangeable knapsack backends are provided, all behind one
-input check (``_validate_knapsack``):
+Four interchangeable knapsack backends are provided, each public
+function behind one input check (``_validate_knapsack``) that also
+drops the items that cannot enter a solution:
 
 * :func:`knapsack_value_dp` — the paper's rounded DP over utility values
   (eq. 16/19): ``(1 - ε)``-optimal, polynomial in ``1/ε``. It is a
@@ -26,6 +27,10 @@ input check (``_validate_knapsack``):
   whose LP bound beats the incumbent, which collapses the node count on
   the wide-value instances that blow up the rounded DP. Both exact
   searches share one item order and one LP bound.
+
+Spec filters its items itself, once per sub-problem, and hands every
+backend only those; its rounded DP goes straight to
+:meth:`ValueDpTables.solve`, which takes filtered items only.
 """
 
 from __future__ import annotations
@@ -358,10 +363,11 @@ def _validate_knapsack(
     every item that can enter a solution (positive value, weight within
     the capacity), in input order.
 
-    The one input check of every backend, so all of them reject the same
-    inputs with the same errors. It works on lists: Spec's knapsacks
-    hold a median of 9-13 items, where a numpy call per check costs
-    more than the whole list pass.
+    The input check of every public backend function, so all of them
+    reject the same inputs with the same errors. Its output is the
+    filtered-item contract :meth:`ValueDpTables.solve` takes: the
+    values and weights of these items, whose positions
+    :func:`knapsack_value_dp` maps back to input indices.
     """
     all_values = np.asarray(values, dtype=float).tolist()
     all_weights = np.asarray(weights)
@@ -411,9 +417,11 @@ def knapsack_value_dp(
         If ``epsilon`` is not a finite positive number (use the exact
         backends for ε = 0), or the DP table would exceed ``max_states``.
     """
-    return ValueDpTables(
-        epsilon, capacity, max_states=max_states, max_entries=0
-    ).solve(values, weights, capacity)
+    tables = ValueDpTables(epsilon, capacity, max_states=max_states, max_entries=0)
+    items = _validate_knapsack(values, weights, capacity)
+    original, item_values, item_weights = zip(*items) if items else ((), (), ())
+    value, positions = tables.solve(item_values, item_weights, capacity)
+    return value, [original[pos] for pos in positions]
 
 
 def knapsack_weight_dp(
@@ -634,7 +642,8 @@ def knapsack_best_first(
 
 
 #: Sentinel cached for filtered instances whose rounded table overflows
-#: ``max_states`` — repeat calls re-raise without re-deriving the count.
+#: ``max_states`` — repeat calls re-raise without re-deriving the count
+#: (a hit, never a second miss).
 _TABLE_BLOWN = "blown"
 
 
@@ -682,8 +691,10 @@ class ValueDpTables:
     """The rounded value DP of :func:`knapsack_value_dp`, memoised.
 
     The one implementation of the paper's rounded DP fill and backtrack.
-    The rounded table ``min_weight[units]`` depends only on the
-    *filtered* item list (positive value, weight ≤ capacity),
+    :meth:`solve` takes *filtered* items only: equal-length values and
+    weights, every value positive and every weight in ``0..`` the call
+    capacity, as :func:`_validate_knapsack` leaves them. The rounded
+    table ``min_weight[units]`` depends only on that item list,
     ``epsilon`` and the table's ``capacity`` — the largest capacity any
     call may ask for. A table is filled only up to the LP bound on
     rounded units at ``capacity``: every state above it weighs more than
@@ -698,6 +709,12 @@ class ValueDpTables:
     At most ``max_entries`` tables are kept; ``max_entries=0`` memoises
     nothing (a one-shot solve, which is what
     :func:`knapsack_value_dp` runs).
+
+    The items are the memo key, so the whole contract is checked on a
+    miss, before the fill. A hit checks only what depends on the call:
+    its capacity is at most the table's, and at least the heaviest
+    cached item (an item list filtered for a larger capacity may not
+    fit a smaller one).
 
     Each table keeps two things for the per-capacity step: the suffix
     minimum of ``min_weight``, so the best reachable value under a
@@ -785,47 +802,71 @@ class ValueDpTables:
     def solve(
         self, values: Sequence[float], weights: Sequence[int], capacity: int
     ) -> Tuple[float, List[int]]:
-        """Solve one instance; returns ``(true_value, selected_indices)``.
+        """Solve one filtered instance; returns ``(true_value,
+        selected_positions)``, positions into ``values``.
 
-        Raises :class:`SolverError` on negative inputs, mismatched
-        lengths, a capacity above the table's, or a rounded table past
+        Raises :class:`SolverError` on items outside the filtered-item
+        contract, a capacity above the table's, or a rounded table past
         ``max_states``.
         """
-        items = _validate_knapsack(values, weights, capacity)
         if capacity > self.capacity:
             raise SolverError(
                 f"capacity {capacity} exceeds the tables' capacity {self.capacity}"
             )
-        if not items:
-            return 0.0, []
-        original, filtered_values, filtered_weights = zip(*items)
-        key = (filtered_values, filtered_weights)
+        key = (tuple(values), tuple(weights))
         entry = self._tables.get(key)
         if entry is None:
+            heaviest = _check_filtered(key[0], key[1], capacity)
+            if not key[0]:
+                return 0.0, []
             self.misses += 1
-            entry = self._fill(filtered_values, filtered_weights)
+            entry = self._fill(*key) + (heaviest,)
             if len(self._tables) < self.max_entries:
                 self._tables[key] = entry
         else:
             self.hits += 1
+            if entry[-1] > capacity:
+                raise SolverError(
+                    f"knapsack item of weight {entry[-1]} exceeds capacity {capacity}"
+                )
         if entry[0] is _TABLE_BLOWN:
             raise SolverError(entry[1])
-        suffix_min, decisions, row_bytes, rounded = entry
+        suffix_min, decisions, row_bytes, rounded, _ = entry
 
         # The largest u with min_weight[u] <= capacity is the largest u
         # whose suffix minimum fits (suffix_min[0] = 0 always does).
         units = int(suffix_min.searchsorted(capacity, side="right")) - 1
-        selected_positions: List[int] = []
+        selected: List[int] = []
         for item_pos in range(len(rounded) - 1, -1, -1):
             if decisions[item_pos * row_bytes + (units >> 3)] >> (units & 7) & 1:
-                selected_positions.append(item_pos)
+                selected.append(item_pos)
                 units -= rounded[item_pos]
         if units != 0:
             raise SolverError("value DP backtrack failed (internal error)")
-        selected_positions.reverse()
-        selected = [original[pos] for pos in selected_positions]
-        true_value = float(sum([filtered_values[pos] for pos in selected_positions]))
+        selected.reverse()
+        true_value = float(sum([key[0][pos] for pos in selected]))
         return true_value, selected
+
+
+def _check_filtered(
+    values: Sequence[float], weights: Sequence[int], capacity: int
+) -> int:
+    """Check the filtered-item contract of :meth:`ValueDpTables.solve`;
+    returns the heaviest weight (0 for no items)."""
+    if len(values) != len(weights):
+        raise SolverError("values and weights must have equal length")
+    if capacity < 0:
+        raise SolverError(f"capacity must be non-negative, got {capacity}")
+    if not all(value > 0 for value in values):
+        raise SolverError("filtered knapsack values must be positive")
+    if weights and min(weights) < 0:
+        raise SolverError("knapsack weights must be non-negative")
+    heaviest = max(weights, default=0)
+    if heaviest > capacity:
+        raise SolverError(
+            f"knapsack item of weight {heaviest} exceeds capacity {capacity}"
+        )
+    return heaviest
 
 
 #: Backend registry used by the Spec solver.

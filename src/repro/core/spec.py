@@ -33,6 +33,12 @@ output bit:
   knapsack has no item and returns 0.0, which is never a strict
   improvement. The rank bounds still sum every eligible model, so the
   survivors keep their order and ties;
+* the same mask is each candidate's knapsack item list, turned once per
+  sub-problem into plain lists of item columns in input order. A
+  knapsack call gathers its items from them, and a memoised table
+  turns it into a key lookup and a backtrack; every backend sees the
+  items its own input check would keep, in the same order, so its
+  selection is unchanged;
 * one traversal, :meth:`TrimCachingSpec._traverse`, walks the candidate
   combinations in chunks: one chunk inline, or with ``workers=N`` one
   chunk per thread of a pool. Every knapsack is deterministic given its
@@ -71,7 +77,12 @@ from repro.errors import ConfigurationError, SolverError
 class _SubproblemContext:
     """Server-independent precomputation shared by every sub-problem:
     specific weights, and eligibility as a dense ``(|A|, I)`` matrix read
-    off the combination set's level matrix."""
+    off the combination set's level matrix.
+
+    The specific weights are every knapsack's weights, so they are
+    checked here, once: integers and non-negative, else
+    :class:`SolverError` before any knapsack runs.
+    """
 
     def __init__(self, instance: PlacementInstance, combos: CombinationSet) -> None:
         index = instance.block_index
@@ -83,6 +94,10 @@ class _SubproblemContext:
         self.specific_weight = (
             index.model_sizes - index.member[:, shared_cols] @ index.sizes[shared_cols]
         )
+        if self.specific_weight.dtype.kind not in "iu":
+            raise SolverError("knapsack weights must be integers")
+        if (self.specific_weight < 0).any():
+            raise SolverError("knapsack weights must be non-negative")
         #: ``d_N`` per combination.
         self.combo_sizes = combos.sizes
         #: ``(|A|, I)`` bool: are ALL of model i's shared blocks in N?
@@ -253,9 +268,11 @@ class TrimCachingSpec:
         capacity: int,
         tables: Optional[ValueDpTables] = None,
     ) -> Tuple[float, List[int]]:
-        """One combination's knapsack. ``value_dp`` solves through
-        ``tables`` (one-shot when absent) and falls back along the
-        configured chain when the rounded table blows up."""
+        """One combination's knapsack over its filtered items (positive
+        values, weights within ``capacity``); returns positions into
+        them. ``value_dp`` solves through ``tables`` (one-shot when
+        absent) and falls back along the configured chain when the
+        rounded table blows up."""
         if self.backend != "value_dp":
             return KNAPSACK_BACKENDS[self.backend](values, weights, capacity)
         if tables is None:
@@ -344,10 +361,9 @@ class TrimCachingSpec:
         eligible_pos = context.eligible[np.ix_(fitting, positive)]
         residual = capacity - context.combo_sizes[fitting]
         positive_weights = context.specific_weight[positive]
-        fits = positive_weights <= residual[:, None]
-        has_item = (eligible_pos & fits).any(axis=1)
-        candidate_rows = fitting[has_item]
-        if len(candidate_rows) == 0:
+        items = eligible_pos & (positive_weights <= residual[:, None])
+        has_item = items.any(axis=1)
+        if not has_item.any():
             return 0.0, []
         candidate_eligible = eligible_pos[has_item]
         positive_utilities = utilities[positive]
@@ -356,27 +372,39 @@ class TrimCachingSpec:
         # like the seed's stable list sort.
         order = np.argsort(-bounds, kind="stable")
         bounds = bounds.tolist()
+        candidate_residual = residual[has_item]
         lp_guard = None
-        if self.prefix_prune and len(candidate_rows) > 1:
+        if self.prefix_prune and len(bounds) > 1:
             lp_guard = self._prefix_guards(
                 positive_utilities,
                 positive_weights,
                 candidate_eligible,
-                residual[has_item],
+                candidate_residual,
             ).tolist()
 
+        # Every candidate's knapsack items, filtered here once: the
+        # row-major nonzeros list each candidate's item columns in input
+        # order, which is the order the backends' own input check keeps.
+        # A knapsack only gathers its columns from these lists; at the
+        # larger capacities most candidates are pruned, so no per-item
+        # list is built for all of them.
+        rows, cols = np.nonzero(items[has_item])
+        starts = [0] + np.bincount(rows, minlength=len(bounds)).cumsum().tolist()
+        cols = cols.tolist()
+        values = positive_utilities.tolist()
+        weights = positive_weights.tolist()
+        models = positive.tolist()
+        capacities = candidate_residual.tolist()
+
         def run_position(pos: int) -> Tuple[float, List[int]]:
-            eligible = positive[candidate_eligible[pos]]
-            combo_capacity = capacity - int(
-                context.combo_sizes[candidate_rows[pos]]
-            )
+            picks = cols[starts[pos] : starts[pos + 1]]
             mass, chosen = self._run_knapsack(
-                utilities[eligible],
-                context.specific_weight[eligible],
-                combo_capacity,
+                tuple([values[col] for col in picks]),
+                tuple([weights[col] for col in picks]),
+                capacities[pos],
                 tables,
             )
-            return mass, eligible[chosen].tolist() if chosen else []
+            return mass, [models[picks[item]] for item in chosen]
 
         return self._traverse(bounds, order.tolist(), run_position, pool, lp_guard)
 

@@ -156,6 +156,24 @@ class TestBestFirst:
             knapsack_best_first([-1.0], [1], 5)
 
 
+def solve_filtered(tables, values, weights, capacity):
+    """``tables.solve`` on the items that can enter a solution (positive
+    value, weight within ``capacity``), its positions mapped back to
+    input indices: what :func:`knapsack_value_dp` does with a one-shot
+    table."""
+    kept = [
+        index
+        for index, (value, weight) in enumerate(zip(values, weights))
+        if value > 0 and weight <= capacity
+    ]
+    value, positions = tables.solve(
+        tuple(values[index] for index in kept),
+        tuple(weights[index] for index in kept),
+        capacity,
+    )
+    return value, [kept[pos] for pos in positions]
+
+
 class TestValueDpTables:
     @given(edge_knapsack_instances)
     @settings(max_examples=100, deadline=None)
@@ -165,22 +183,22 @@ class TestValueDpTables:
         values, weights, capacity = instance
         tables = ValueDpTables(epsilon=0.1, capacity=capacity)
         expected = knapsack_value_dp(values, weights, capacity, 0.1)
-        assert tables.solve(values, weights, capacity) == expected
+        assert solve_filtered(tables, values, weights, capacity) == expected
         # Second call is a cache hit and still byte-identical.
-        assert tables.solve(values, weights, capacity) == expected
+        assert solve_filtered(tables, values, weights, capacity) == expected
 
     def test_hit_miss_accounting(self):
         tables = ValueDpTables(epsilon=0.1, capacity=3)
-        tables.solve([1.0, 2.0], [1, 2], 3)
+        solve_filtered(tables, [1.0, 2.0], [1, 2], 3)
         assert (tables.hits, tables.misses) == (0, 1)
-        tables.solve([1.0, 2.0], [1, 2], 3)
+        solve_filtered(tables, [1.0, 2.0], [1, 2], 3)
         assert (tables.hits, tables.misses) == (1, 1)
         # A different capacity that keeps the same filtered item set
         # reuses the fill (every call up to the tables' capacity does).
-        tables.solve([1.0, 2.0], [1, 2], 2)
+        solve_filtered(tables, [1.0, 2.0], [1, 2], 2)
         assert (tables.hits, tables.misses) == (2, 1)
         # Capacity 1 filters out the weight-2 item: a new key.
-        tables.solve([1.0, 2.0], [1, 2], 1)
+        solve_filtered(tables, [1.0, 2.0], [1, 2], 1)
         assert (tables.hits, tables.misses) == (2, 2)
 
     def test_capacity_variation_matches_uncached(self):
@@ -188,9 +206,9 @@ class TestValueDpTables:
         weights = [2, 3, 4, 5]
         tables = ValueDpTables(epsilon=0.1, capacity=14)
         for capacity in range(0, 15):
-            assert tables.solve(values, weights, capacity) == knapsack_value_dp(
-                values, weights, capacity, 0.1
-            )
+            assert solve_filtered(
+                tables, values, weights, capacity
+            ) == knapsack_value_dp(values, weights, capacity, 0.1)
 
     def test_blown_table_raises_and_is_cached(self):
         tables = ValueDpTables(epsilon=0.001, capacity=11, max_states=100)
@@ -257,7 +275,7 @@ class TestLpCappedTables:
         for max_entries in (100, 0):
             tables = ValueDpTables(epsilon, table_capacity, max_entries=max_entries)
             for capacity in range(table_capacity + 1):
-                assert tables.solve(values, weights, capacity) == (
+                assert solve_filtered(tables, values, weights, capacity) == (
                     reference_knapsack_value_dp(values, weights, capacity, epsilon)
                 ), (max_entries, capacity)
 
@@ -302,6 +320,58 @@ class TestLpCappedTables:
             1.0,
             [0],
         )
+
+
+class TestFilteredItemContract:
+    """``ValueDpTables.solve`` takes filtered items and returns
+    positions into them; anything else is refused."""
+
+    @pytest.mark.parametrize(
+        "values, weights, capacity, match",
+        [
+            ((1.0, 2.0), (1,), 5, "equal length"),
+            ((1.0, 0.0), (1, 2), 5, "positive"),
+            ((1.0, -2.0), (1, 2), 5, "positive"),
+            ((1.0, 2.0), (1, -2), 5, "non-negative"),
+            ((1.0, 2.0), (1, 4), 3, "weight 4 exceeds capacity 3"),
+            ((1.0,), (1,), 6, "tables' capacity 5"),
+            ((), (), -1, "non-negative"),
+        ],
+    )
+    def test_refused(self, values, weights, capacity, match):
+        tables = ValueDpTables(0.1, 5)
+        with pytest.raises(SolverError, match=match):
+            tables.solve(values, weights, capacity)
+        # Nothing was filled or cached for a refused call.
+        assert (tables.hits, tables.misses, tables._tables) == (0, 0, {})
+
+    def test_memo_hit_at_a_smaller_capacity_checks_the_weights(self):
+        tables = ValueDpTables(0.1, 5)
+        assert tables.solve((1.0, 2.0), (1, 4), 5) == (3.0, [0, 1])
+        # The same key at capacity 4 still fits every cached item.
+        assert tables.solve((1.0, 2.0), (1, 4), 4) == (2.0, [1])
+        # At capacity 3 the weight-4 item no longer fits: a hit, refused.
+        with pytest.raises(SolverError, match="weight 4 exceeds capacity 3"):
+            tables.solve((1.0, 2.0), (1, 4), 3)
+        assert (tables.hits, tables.misses) == (2, 1)
+
+    def test_memo_hit_on_a_blown_table_checks_the_weights_first(self):
+        tables = ValueDpTables(0.001, 11, max_states=100)
+        values, weights = (1e-9,) + (1.0,) * 10, (1,) * 10 + (11,)
+        with pytest.raises(SolverError, match="states"):
+            tables.solve(values, weights, 11)
+        with pytest.raises(SolverError, match="weight 11 exceeds capacity 10"):
+            tables.solve(values, weights, 10)
+        assert (tables.hits, tables.misses) == (1, 1)
+
+    def test_positions_index_the_filtered_items(self):
+        # Item 0 cannot enter (value 0): the table sees items 1 and 2 at
+        # positions 0 and 1, and the public function maps them back.
+        values, weights = [0.0, 3.0, 4.0], [1, 2, 3]
+        tables = ValueDpTables(0.1, 5)
+        assert tables.solve((3.0, 4.0), (2, 3), 5) == (7.0, [0, 1])
+        assert knapsack_value_dp(values, weights, 5, 0.1) == (7.0, [1, 2])
+        assert knapsack_value_dp(values, weights, 0, 0.1) == (0.0, [])
 
 
 class TestValueDp:

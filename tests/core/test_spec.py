@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dp import ValueDpTables, enumerate_shared_combinations
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.gen import TrimCachingGen
 from repro.core.objective import hit_ratio, placement_is_feasible
@@ -413,3 +414,77 @@ class TestGuards:
         solver = TrimCachingSpec(epsilon=0.1, max_combinations=1)
         with pytest.raises(SolverError):
             solver.solve(instance)
+
+
+def _shared_root_library():
+    """Block 0 (10 bytes) shared by models 0 and 2, which add 5 and 6
+    specific bytes; model 1 is 3 specific bytes alone. A fresh library
+    each call, so no per-library memo carries over between tests."""
+    return ModelLibrary(
+        [ParameterBlock(b, size) for b, size in enumerate((10, 5, 3, 6))],
+        [Model(0, (0, 1)), Model(1, (2,)), Model(2, (0, 3))],
+    )
+
+
+def _spy_on_tables(monkeypatch):
+    """Record every ``ValueDpTables.solve`` call's arguments."""
+    calls = []
+    solve = ValueDpTables.solve
+
+    def record(self, *args):
+        calls.append(args)
+        return solve(self, *args)
+
+    monkeypatch.setattr(ValueDpTables, "solve", record)
+    return calls
+
+
+class TestKnapsackInputs:
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            (lambda sizes: sizes.astype(float), "integers"),
+            (lambda sizes: sizes - 100, "non-negative"),
+        ],
+        ids=["float", "negative"],
+    )
+    def test_bad_specific_weights_refused_before_any_knapsack(
+        self, monkeypatch, tamper, match
+    ):
+        instance = PlacementInstance(
+            _shared_root_library(),
+            np.ones((1, 3)),
+            np.ones((1, 1, 3), dtype=bool),
+            [30],
+        )
+        index = instance.block_index
+        monkeypatch.setattr(index, "model_sizes", tamper(index.model_sizes))
+        calls = _spy_on_tables(monkeypatch)
+        with pytest.raises(SolverError, match=match):
+            TrimCachingSpec().solve(instance)
+        combos = enumerate_shared_combinations(instance.library, cache=False)
+        with pytest.raises(SolverError, match=match):
+            TrimCachingSpec().solve_subproblem(
+                instance, 0, np.ones(3), combos, tables=ValueDpTables(0.1, 30)
+            )
+        assert calls == []
+
+    def test_blown_table_counts_one_miss_then_one_hit(self, monkeypatch):
+        # Each server alone serves one user, who wants all three models;
+        # the 1e-7 utility blows the rounded table of the combination
+        # {0}. Server 0 fills it (a miss), server 1 asks for the same
+        # items (a hit); both fall back, and neither call counts twice.
+        demand = np.array([[1e-7, 1.0, 1.0], [1e-7, 1.0, 1.0]])
+        feasible = np.zeros((2, 2, 3), dtype=bool)
+        feasible[0, 0] = feasible[1, 1] = True
+        instance = PlacementInstance(
+            _shared_root_library(), demand, feasible, [30, 30]
+        )
+        calls = _spy_on_tables(monkeypatch)
+        result = TrimCachingSpec().solve(instance)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert calls[0][1] == (5, 3, 6) and calls[0][2] == 20
+        stats = result.stats
+        assert (stats["knapsack_cache_hits"], stats["knapsack_cache_misses"]) == (1, 1)
+        # The fallback cached every model on both servers.
+        assert result.placement.matrix.sum() == 6

@@ -9,6 +9,11 @@ configuration — no pool or a 2- or 3-thread pool, knapsack memo on or
 off, LP prefix pruning on or off — must return exactly the
 ``(mass, selection)`` of :class:`~repro.core.reference.ReferenceSpec`,
 and whole solves must match it placement for placement.
+
+Spec filters each sub-problem's knapsack items once and hands every
+backend only the items that can enter a solution. For every backend and
+fallback, a sub-problem must equal the same backend run on the full,
+unfiltered eligible arrays, whose indices are mapped back to models.
 """
 
 from __future__ import annotations
@@ -19,13 +24,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dp import ValueDpTables, enumerate_shared_combinations
+from repro.core.dp import (
+    KNAPSACK_BACKENDS,
+    ValueDpTables,
+    enumerate_shared_combinations,
+    knapsack_best_first,
+    knapsack_branch_and_bound,
+    knapsack_value_dp,
+    knapsack_weight_dp,
+)
 from repro.core.placement import PlacementInstance
 from repro.core.reference import (
     ReferenceSpec,
     reference_enumerate_shared_combinations,
 )
 from repro.core.spec import TrimCachingSpec
+from repro.errors import SolverError
 from repro.models.blocks import ParameterBlock
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
@@ -240,6 +254,94 @@ class TestSubproblemDifferential:
             reference_enumerate_shared_combinations(library, "auto"),
         )
         assert got == (1.0, [1])
+
+
+def _unfiltered_knapsack(spec, max_states, values, weights, capacity):
+    """``spec``'s knapsack on unfiltered items, through the public backend
+    functions and their own input check, with the fallback chain."""
+    if spec.backend != "value_dp":
+        return KNAPSACK_BACKENDS[spec.backend](values, weights, capacity)
+    try:
+        return knapsack_value_dp(
+            values, weights, capacity, spec.epsilon, max_states=max_states
+        )
+    except SolverError:
+        if spec.fallback == "best_first":
+            try:
+                return knapsack_best_first(values, weights, capacity)
+            except SolverError:
+                pass
+        try:
+            return knapsack_weight_dp(
+                values, weights, capacity, quantum=max(1, capacity // 800)
+            )
+        except SolverError:
+            return knapsack_branch_and_bound(values, weights, capacity)
+
+
+def _unfiltered_subproblem(spec, max_states, instance, utilities, mode):
+    """Algorithm 2 with every knapsack on the full eligible arrays: each
+    fitting combination in stable descending-bound order, its positive
+    eligible models' utilities and specific weights as they are, the
+    selection mapped back through those models. The first strict
+    improvement wins; no pruning, which never changes it."""
+    library = instance.library
+    capacity = int(instance.capacities[0])
+    weights = _specific_weights(library)
+    shared_of = [blocks & library.shared_block_ids for blocks in instance.model_blocks]
+    positive = [index for index in range(library.num_models) if utilities[index] > 0]
+    candidates = []
+    for combo in reference_enumerate_shared_combinations(library, mode):
+        if combo.size_bytes > capacity:
+            continue
+        eligible = [index for index in positive if shared_of[index] <= combo.blocks]
+        bound = float(sum(utilities[index] for index in eligible))
+        candidates.append((bound, combo.size_bytes, eligible))
+    candidates.sort(key=lambda candidate: -candidate[0])
+    best = (0.0, [])
+    for _, size, eligible in candidates:
+        mass, chosen = _unfiltered_knapsack(
+            spec,
+            max_states,
+            utilities[eligible],
+            np.array([weights[index] for index in eligible], dtype=np.int64),
+            capacity - size,
+        )
+        if mass > best[0]:
+            best = (mass, [eligible[pos] for pos in chosen])
+    return best
+
+
+class TestBackendDifferential:
+    @given(
+        subproblems(),
+        st.sampled_from(["value_dp", "weight_dp", "exact"]),
+        st.sampled_from(["weight_dp", "best_first"]),
+        # 40 states blow most rounded tables here, so the fallback chain
+        # runs on healthy utilities too, not only on the 1e-7 one.
+        st.sampled_from([5_000_000, 40]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_filtered_items_match_the_unfiltered_backend(
+        self, case, backend, fallback, max_states
+    ):
+        instance, utilities, mode, epsilon = case
+        spec = TrimCachingSpec(
+            epsilon=epsilon, backend=backend, combinations=mode, fallback=fallback
+        )
+        expected = _unfiltered_subproblem(spec, max_states, instance, utilities, mode)
+        combos = enumerate_shared_combinations(instance.library, mode, cache=False)
+        capacity = int(instance.capacities[0])
+        with ThreadPoolExecutor(2) as two:
+            for pool in (None, two):
+                for max_entries in (100_000, 0):
+                    tables = ValueDpTables(
+                        epsilon, capacity, max_states=max_states, max_entries=max_entries
+                    )
+                    got = spec.solve_subproblem(
+                        instance, 0, utilities, combos, pool=pool, tables=tables
+                    )
+                    assert got == expected, (pool is not None, max_entries)
 
 
 class TestWholeSolveDifferential:

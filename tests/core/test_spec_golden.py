@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import run_plan
 from repro.core.spec import TrimCachingSpec
+from repro.sim.experiments import fig4a_plan
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
@@ -61,6 +63,25 @@ def spec_placement(name):
 def test_spec_placement_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())
     assert spec_placement(name) == golden[name]
+
+
+def test_knapsack_memo_counts_at_fig4a_smallest_capacity(monkeypatch):
+    """Spec's memo counts on one fixed solve: Fig. 4a's 0.5 GB point,
+    seed 0, topology 0. They move if the set of knapsacks Spec runs, or
+    the way a hit, a miss or a blown table is counted, changes."""
+    stats = []
+    solve = TrimCachingSpec.solve
+
+    def record(self, instance):
+        result = solve(self, instance)
+        stats.append(result.stats)
+        return result
+
+    monkeypatch.setattr(TrimCachingSpec, "solve", record)
+    run_plan(fig4a_plan(num_topologies=1, capacities_gb=(0.5,), seed=0))
+    [solve_stats] = stats
+    assert solve_stats["knapsack_cache_hits"] == 479
+    assert solve_stats["knapsack_cache_misses"] == 134
 
 
 if __name__ == "__main__":
