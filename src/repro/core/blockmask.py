@@ -21,13 +21,15 @@ maintenance of marginal-size tables is bit-stable.
 :class:`ServerBlockCache` maintains those per-server masks plus an
 ``(M, I)`` marginal-size table updated by exact integer deltas as models
 are placed: caching blocks ``F`` lowers every model's marginal by
-``sizes[F] @ member_t[F]`` (exact int64 against bool rows).
+``sizes[F] @ member_t[F]`` (exact int64 against bool rows). A resident
+cache (the serving layer's) also keeps those deltas for reuse by its
+clones.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -154,6 +156,16 @@ class BlockMaskIndex:
         return int(self.sizes[self.member[indices].any(axis=0)].sum())
 
 
+#: Byte budget of one resident delta table (see
+#: :meth:`ServerBlockCache.resident`); once its entries would exceed it,
+#: new deltas are computed but no longer stored.
+DELTA_TABLE_BYTES = 4 << 20
+
+#: A block delta: ``(fresh positions or None, bytes added, (I,) drop in
+#: every model's marginal)``.
+_Delta = Tuple[Optional[np.ndarray], int, Optional[np.ndarray]]
+
+
 class ServerBlockCache:
     """Mutable per-server cached-block state for the greedy engines.
 
@@ -167,6 +179,22 @@ class ServerBlockCache:
     its newly cached blocks, and each model's marginal shrinks by exactly
     the sizes of the new blocks it contains. All arithmetic is integer,
     so the table is always exactly equal to a from-scratch recompute.
+
+    Delta table. What an add changes — the fresh block positions, the
+    bytes added and the ``(I,)`` drop in every marginal — depends only on
+    the model and on which of its blocks the server already holds. A
+    cache built by :meth:`resident` keeps those integer results in a
+    table keyed on ``(model, already-cached pattern)``, and every
+    :meth:`clone` of it shares that table, so a pattern met by any clone
+    costs two scatters on every later clone instead of the
+    ``int64 @ bool`` product over the fresh blocks' rows. The values are
+    exact integers, so a hit changes no bit. The table pays off only
+    where the same adds recur across solves: the resident service
+    re-solves every event on a clone of one unplaced cache, and its adds
+    repeat almost entirely. Within one solve a pattern rarely recurs, so
+    a plain cache keeps no table; nor does :class:`BlockMaskIndex`, which
+    every worker keeps alive for each library it touched. The table stops
+    growing at :data:`DELTA_TABLE_BYTES`.
     """
 
     def __init__(self, index: BlockMaskIndex, num_servers: int) -> None:
@@ -174,6 +202,28 @@ class ServerBlockCache:
         self.masks = np.zeros((num_servers, index.num_blocks), dtype=bool)
         self.used = np.zeros(num_servers, dtype=np.int64)
         self.extras = np.tile(index.model_sizes, (num_servers, 1))
+        #: ``(model, already-pattern bytes) -> delta``, shared by clones;
+        #: ``None`` keeps no table.
+        self._deltas: Optional[Dict[Tuple[int, bytes], _Delta]] = None
+        self._delta_limit = 0
+
+    @classmethod
+    def resident(cls, index: BlockMaskIndex, num_servers: int) -> "ServerBlockCache":
+        """An empty cache whose :meth:`clone` copies share one delta table."""
+        cache = cls(index, num_servers)
+        cache._deltas = {}
+        cache._delta_limit = DELTA_TABLE_BYTES // (8 * max(1, index.num_models))
+        return cache
+
+    def clone(self) -> "ServerBlockCache":
+        """A copy with its own masks, usage and marginals; the index and
+        the delta table (if any) are shared."""
+        new = object.__new__(ServerBlockCache)
+        new.__dict__.update(self.__dict__)
+        new.masks = self.masks.copy()
+        new.used = self.used.copy()
+        new.extras = self.extras.copy()
+        return new
 
     @classmethod
     def from_placement(
@@ -201,27 +251,47 @@ class ServerBlockCache:
 
     def add(self, server: int, model_index: int) -> int:
         """Cache a model's blocks on a server; returns the bytes added."""
-        index = self.index
-        positions = index.model_positions[model_index]
+        positions = self.index.model_positions[model_index]
         mask_row = self.masks[server]
         already = mask_row[positions]
+        deltas = self._deltas
+        if deltas is None:
+            fresh, added, drop = self._delta(model_index, positions, already)
+        else:
+            key = (model_index, already.tobytes())
+            entry = deltas.get(key)
+            if entry is None:
+                entry = self._delta(model_index, positions, already)
+                if len(deltas) < self._delta_limit:
+                    deltas[key] = entry
+            fresh, added, drop = entry
+        if fresh is None:
+            return 0
+        mask_row[fresh] = True
+        self.extras[server] -= drop
+        self.used[server] += added
+        return added
+
+    def _delta(
+        self, model_index: int, positions: np.ndarray, already: np.ndarray
+    ) -> _Delta:
+        """What adding the model changes, given which blocks are cached."""
+        index = self.index
         if not already.any():
-            # None of the blocks were cached: the delta is the model's
+            # None of the blocks were cached: the drop is the model's
             # memoised full overlap (identical integers to the general
             # path with ``already`` all false).
-            mask_row[positions] = True
-            added = int(index.model_sizes[model_index])
-            self.extras[server] -= index.full_overlap(model_index)
-            self.used[server] += added
-            return added
+            return (
+                positions,
+                int(index.model_sizes[model_index]),
+                index.full_overlap(model_index),
+            )
         # Every model containing one of the newly cached blocks gets
         # exactly that block's size cheaper on this server.
         fresh = positions[~already]
         if fresh.size == 0:
-            return 0
-        mask_row[fresh] = True
+            return None, 0, None
         fresh_sizes = index.sizes[fresh]
-        added = int(fresh_sizes.sum())
-        self.extras[server] -= fresh_sizes @ index.member_t[fresh]
-        self.used[server] += added
-        return added
+        drop = fresh_sizes @ index.member_t[fresh]
+        drop.setflags(write=False)
+        return fresh, int(fresh_sizes.sum()), drop

@@ -647,6 +647,15 @@ def knapsack_best_first(
 _TABLE_BLOWN = "blown"
 
 
+class TableBlownError(SolverError):
+    """The rounded value-DP table would exceed ``max_states``.
+
+    The one :class:`SolverError` of :meth:`ValueDpTables.solve` that a
+    caller may answer with another backend; a broken filtered-item
+    contract or a failed backtrack is a plain :class:`SolverError`.
+    """
+
+
 def _lp_units(
     rounded: Sequence[int], weights: Sequence[int], capacity: float
 ) -> int:
@@ -806,8 +815,8 @@ class ValueDpTables:
         selected_positions)``, positions into ``values``.
 
         Raises :class:`SolverError` on items outside the filtered-item
-        contract, a capacity above the table's, or a rounded table past
-        ``max_states``.
+        contract or a capacity above the table's, and
+        :class:`TableBlownError` on a rounded table past ``max_states``.
         """
         if capacity > self.capacity:
             raise SolverError(
@@ -830,7 +839,7 @@ class ValueDpTables:
                     f"knapsack item of weight {entry[-1]} exceeds capacity {capacity}"
                 )
         if entry[0] is _TABLE_BLOWN:
-            raise SolverError(entry[1])
+            raise TableBlownError(entry[1])
         suffix_min, decisions, row_bytes, rounded, _ = entry
 
         # The largest u with min_weight[u] <= capacity is the largest u

@@ -14,8 +14,9 @@ ServerBlockCache` (exact integer marginal-storage table):
   per step (per-server stable argsort, exactly the seed's scan order).
 * ``accelerated=True`` (default) — :func:`greedy_place`, the one greedy
   loop in the repo: Gen runs it with a block cache, Independent Caching
-  without one (full model sizes), and the resident service on a clone of
-  its warm tracker. It keeps an ``(M, I)`` candidate matrix holding each
+  without one (full model sizes), and the resident service on clones of
+  its warm tracker and of its resident block cache (whose delta table
+  the clones share). It keeps an ``(M, I)`` candidate matrix holding each
   pair's gain where the pair's marginal bytes fit and ``-1`` elsewhere.
   A step is one ``argmax`` over it; placing (m, i) only changes row ``m``
   of the storage table and remaining capacity and column ``i`` of the

@@ -153,6 +153,11 @@ class CoverageTracker:
     ``engine="sparse"``
         ``O(nnz of the column)`` per refresh via the instance's CSR
         artifact (a bincount over the column's feasible entries). The
+        tracker reads prebuilt views of the CSR
+        (:meth:`~repro.core.sparse.SparseFeasibility.column_views`: per
+        column, its servers and flat ``(K, I)`` indices), which every
+        clone shares; a mark is two scatters over the pair's entries,
+        one gather over the column's and one ``np.bincount``. The
         ``served``/``unserved_demand`` state stays *exactly* equal to the
         dense engine's (boolean updates and exact zeroing only), but the
         gain sums reduce fewer terms than the einsum and may differ from
@@ -183,17 +188,18 @@ class CoverageTracker:
         if engine == "sparse":
             sparse = instance.sparse_feasible
             self._sparse = sparse
-            num_servers = instance.num_servers
+            self._num_servers = instance.num_servers
+            # Read-only CSR views shared by every clone: per-column
+            # (servers, flat index) slices for the refresh, and the flat
+            # index plus pair bounds for a mark's scatters.
+            self._columns = sparse.column_views()
+            self._entry_flat = sparse.entry_flat_index()
+            self._pair_indptr = sparse.pair_indptr
             self._gains = np.zeros(
-                (num_servers, instance.num_models), dtype=float
+                (instance.num_servers, instance.num_models), dtype=float
             )
             for model_index in range(instance.num_models):
-                servers, users = sparse.column_entries(model_index)
-                self._gains[:, model_index] = np.bincount(
-                    servers,
-                    weights=self._weighted[users, model_index],
-                    minlength=num_servers,
-                )
+                self._refresh_column(model_index)
         else:
             self._sparse = None
             self._gains = np.einsum(
@@ -231,17 +237,12 @@ class CoverageTracker:
         same bits) as the initial build.
         """
         if self._sparse is not None:
-            sparse = self._sparse
-            # Same entries in the same order as the (servers, users)
-            # column view, gathered flat (entry_flat_index[j] addresses
-            # weighted[users[j], model_index]) — identical bincount input.
-            num_servers = self.instance.num_servers
-            start = sparse.pair_indptr[model_index * num_servers]
-            stop = sparse.pair_indptr[(model_index + 1) * num_servers]
+            # The column's entries in storage order, gathered flat
+            # (flat[j] addresses weighted[users[j], model_index]):
+            # np.bincount sums each server's entries in that order.
+            servers, flat = self._columns[model_index]
             self._gains[:, model_index] = np.bincount(
-                sparse.entry_servers[start:stop],
-                weights=self._wflat[sparse.entry_flat_index()[start:stop]],
-                minlength=num_servers,
+                servers, weights=self._wflat[flat], minlength=self._num_servers
             )
             return
         # Column views of the same arrays the full einsum would reduce:
@@ -255,7 +256,23 @@ class CoverageTracker:
     def mark_served(self, server: int, model_index: int) -> None:
         """Record that (server, model) is now cached."""
         if self._sparse is not None:
-            self._mark_served_sparse(server, model_index)
+            # O(column nnz): two scatters over the pair's entries, then
+            # the column refresh (one gather, one bincount). No
+            # all-served early-out: on the greedy path the chosen pair
+            # always has positive gain (some pair user unserved), so the
+            # check would be pure per-mark overhead; re-marking a fully
+            # served pair just recomputes the same column bits. The flat
+            # indices address exactly (pair_users, model_index) in both
+            # (K, I) buffers; newly served users' remaining mass becomes
+            # exactly 0.0, as in the dense engine.
+            row = model_index * self._num_servers + server
+            start, stop = self._pair_indptr[row : row + 2].tolist()
+            if start == stop:
+                return
+            flat = self._entry_flat[start:stop]
+            self._sflat[flat] = True
+            self._wflat[flat] = 0.0
+            self._refresh_column(model_index)
             return
         feas = self.instance.feasible[server, :, model_index]
         served_col = self.served[:, model_index]
@@ -266,25 +283,6 @@ class CoverageTracker:
         # Still-unserved entries keep their exact bits; newly served ones
         # become exactly 0.0 — identical to recomputing demand * ~served.
         self._weighted[:, model_index][newly] = 0.0
-        self._refresh_column(model_index)
-
-    def _mark_served_sparse(self, server: int, model_index: int) -> None:
-        """O(column nnz) refresh over the CSR artifact."""
-        sparse = self._sparse
-        row = model_index * self.instance.num_servers + server
-        start, stop = sparse.pair_indptr[row : row + 2].tolist()
-        if start == stop:
-            return
-        # No all-served early-out: on the greedy path the chosen pair
-        # always has positive gain (some pair user unserved), so the
-        # check would be pure per-mark overhead; re-marking a fully
-        # served pair just recomputes the same column bits. The flat
-        # indices address exactly (pair_users, model_index) in both
-        # (K, I) buffers; newly served users' remaining mass becomes
-        # exactly 0.0, as in the dense engine.
-        flat = sparse.entry_flat_index()[start:stop]
-        self._sflat[flat] = True
-        self._wflat[flat] = 0.0
         self._refresh_column(model_index)
 
     # ------------------------------------------------------------------
@@ -302,9 +300,9 @@ class CoverageTracker:
         clone never touch the original. Bitwise, a clone is the tracker.
         """
         new = object.__new__(CoverageTracker)
-        new.instance = self.instance
-        new.engine = self.engine
-        new._sparse = self._sparse
+        # Shares the read-only references (instance, CSR views) ...
+        new.__dict__.update(self.__dict__)
+        # ... and copies the mutable state.
         new.served = self.served.copy()
         new._sflat = new.served.reshape(-1)
         new._weighted = self._weighted.copy()

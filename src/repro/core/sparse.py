@@ -24,7 +24,9 @@ view, because every hot operation touches one model column at a time:
 
 A per-user view (``user_indptr`` / ``user_servers`` / ``user_models``,
 sorted by ``(user, model, server)``) is derived lazily for consumers that
-iterate requests instead of placements.
+iterate requests instead of placements, and so are per-column slice views
+(:meth:`SparseFeasibility.column_views`) for the coverage tracker's
+column refresh.
 
 Exactness
 ---------
@@ -39,7 +41,7 @@ tested where it is made, not here.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +78,7 @@ class SparseFeasibility:
         self._coverage_counts: Optional[np.ndarray] = None
         self._entry_flat: Optional[np.ndarray] = None
         self._entry_pair: Optional[np.ndarray] = None
+        self._column_views: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -316,6 +319,29 @@ class SparseFeasibility:
                 self.entry_users.astype(np.int64) * num_models + models
             )
         return self._entry_flat
+
+    def column_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per model column, ``(entry_servers, entry_flat_index)`` views.
+
+        Entry ``i`` holds the slices of :attr:`entry_servers` and
+        :meth:`entry_flat_index` over model ``i``'s entries, in storage
+        order — the same entries :meth:`column_entries` returns. Built
+        once and cached (the bundle is immutable), so the coverage
+        tracker's per-mark column refresh is a list lookup instead of
+        ``pair_indptr`` arithmetic and two fresh slices.
+        """
+        if self._column_views is None:
+            num_servers, _, num_models = self.shape
+            bounds = self.pair_indptr[
+                np.arange(num_models + 1) * num_servers
+            ].tolist()
+            flat = self.entry_flat_index()
+            servers = self.entry_servers
+            self._column_views = [
+                (servers[start:stop], flat[start:stop])
+                for start, stop in zip(bounds[:-1], bounds[1:])
+            ]
+        return self._column_views
 
     def entry_pair_index(self) -> np.ndarray:
         """``(nnz,)`` int64 pair row (``model * M + server``) of every

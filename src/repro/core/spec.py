@@ -63,6 +63,7 @@ from repro.core.dp import (
     COMBINATION_MODES,
     KNAPSACK_BACKENDS,
     CombinationSet,
+    TableBlownError,
     ValueDpTables,
     enumerate_shared_combinations,
 )
@@ -279,9 +280,10 @@ class TrimCachingSpec:
             tables = ValueDpTables(self.epsilon, capacity, max_entries=0)
         try:
             return tables.solve(values, weights, capacity)
-        except SolverError:
+        except TableBlownError:
             # The rounded value table blew up (wide demand spread at a
-            # small ε, typical for Zipf demand).
+            # small ε, typical for Zipf demand). Only that falls back:
+            # any other SolverError here is a broken item contract.
             if self.fallback == "best_first":
                 # Best-first expands only nodes whose LP bound beats
                 # the incumbent — exact, and usually far cheaper than

@@ -2,11 +2,12 @@
 
 After every event the service runs :func:`warm_solve`: the solvers' own
 greedy (:func:`~repro.core.gen.greedy_place`) over a clone of the
-resident base tracker. The base tracker is kept in sync with the
-instance's demand by column refreshes, so its clone equals a fresh
-``CoverageTracker(instance)`` bit for bit: the answer *is* a solve of the
-mutated scenario from scratch, minus the feasibility rebuild and the
-tracker's initial gain kernel. Exactness is enforced by the pinned
+resident base tracker (and, for Gen, of the resident unplaced block
+cache, whose delta table the clones share). The base tracker is kept
+in sync with the instance's demand by column refreshes, so its clone
+equals a fresh ``CoverageTracker(instance)`` bit for bit: the answer
+*is* a solve of the mutated scenario from scratch, minus the
+feasibility rebuild and the tracker's initial gain kernel. Exactness is enforced by the pinned
 equivalence suite in ``tests/serve/``; :func:`resolve_from_scratch` is the
 reference it compares against (it re-derives feasibility, instance and
 solve per event, sharing the instance mutators so the demand bits match).
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,25 +57,26 @@ class SolveState:
 
 
 def warm_solve(
-    instance: PlacementInstance, base_tracker: CoverageTracker, dedup: bool
+    instance: PlacementInstance,
+    base_tracker: CoverageTracker,
+    base_cache: Optional[ServerBlockCache],
 ) -> SolveState:
     """Solve ``instance`` with the greedy over a clone of ``base_tracker``.
 
-    ``dedup`` selects Gen's deduplicated storage (a fresh block cache);
-    otherwise Independent's full model sizes. The hit ratio mirrors each
-    solver's own computation so serve answers are ``==`` to
-    ``SolverResult.hit_ratio``: Gen reads the tracker, Independent
-    recomputes from the placement.
+    ``base_cache`` set selects Gen's deduplicated storage: the greedy
+    runs on a clone of that unplaced block cache, so a resident cache
+    (:meth:`ServerBlockCache.resident`) lends every re-solve its shared
+    delta table. ``None`` selects Independent's full model sizes. The
+    hit ratio mirrors each solver's own computation so serve answers are
+    ``==`` to ``SolverResult.hit_ratio``: Gen reads the tracker,
+    Independent recomputes from the placement.
     """
     tracker = base_tracker.clone()
-    cache = (
-        ServerBlockCache(instance.block_index, instance.num_servers)
-        if dedup
-        else None
-    )
-    placement, _ = greedy_place(instance, tracker, cache)
-    ratio = tracker.hit_ratio() if dedup else hit_ratio(instance, placement)
-    return SolveState(placement=placement, hit_ratio=ratio)
+    if base_cache is None:
+        placement, _ = greedy_place(instance, tracker)
+        return SolveState(placement, hit_ratio(instance, placement))
+    placement, _ = greedy_place(instance, tracker, base_cache.clone())
+    return SolveState(placement, tracker.hit_ratio())
 
 
 def _solver_for(solver: str, engine: str):

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
+from repro.core.blockmask import ServerBlockCache
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
 from repro.errors import ServeError
@@ -107,7 +108,6 @@ class PlacementService:
         self.scenario = scenario
         self.solver = solver
         self.engine = engine
-        self.dedup = solver == "gen"
         source = scenario.instance
         # Private copies: the instance constructor shares float/int64
         # arrays it is given, and events mutate them in place.
@@ -122,16 +122,26 @@ class PlacementService:
         # column refreshes after every mutation — a clone of it always
         # equals a fresh CoverageTracker(instance) bit for bit.
         self.base_tracker = CoverageTracker(self.instance, engine=engine)
+        # Unplaced block cache (Gen only): every re-solve runs on a clone
+        # of it, and the clones share its delta table, so the block adds
+        # that recur from event to event are computed once per service.
+        self.base_cache: Optional[ServerBlockCache] = (
+            ServerBlockCache.resident(
+                self.instance.block_index, self.instance.num_servers
+            )
+            if solver == "gen"
+            else None
+        )
         if engine == "sparse":
             # Force the CSR bundle's lazily cached derived indices now so
-            # the first event does not pay their construction cost.
+            # the first event does not pay their construction cost (the
+            # tracker has built its flat index and column views).
             sparse = self.instance.sparse_feasible
-            sparse.entry_flat_index()
             sparse.entry_pair_index()
             sparse.user_view()
         start = time.perf_counter()
         self.state: SolveState = warm_solve(
-            self.instance, self.base_tracker, self.dedup
+            self.instance, self.base_tracker, self.base_cache
         )
         self.initial_solve_s = time.perf_counter() - start
         self.events_processed = 0
@@ -248,7 +258,7 @@ class PlacementService:
             else:
                 with obs.span("serve.full_solve"):
                     self.state = warm_solve(
-                        self.instance, self.base_tracker, self.dedup
+                        self.instance, self.base_tracker, self.base_cache
                     )
                 mode = "full"
             span["mode"] = mode

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blockmask import BlockMaskIndex, ServerBlockCache
+from repro.core.gen import greedy_place
+from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
 from repro.models.blocks import ParameterBlock
 from repro.models.generators import (
@@ -299,3 +303,149 @@ class TestIndexStructure:
             expected = sorted(pos_of[block_id] for block_id in model.block_ids)
             assert index.model_positions[i].tolist() == expected
             assert np.flatnonzero(member[i]).tolist() == expected
+
+
+class _ArrayLibrary:
+    """The arrays :class:`BlockMaskIndex` reads from a library, built
+    directly, so blocks may have size 0 (``ParameterBlock`` refuses it)."""
+
+    def __init__(self, sizes, models):
+        self.block_size_array = np.asarray(sizes, dtype=np.int64)
+        self.block_id_array = np.arange(len(sizes), dtype=np.int64)
+        self.num_blocks = len(sizes)
+        self.num_models = len(models)
+        indptr = np.zeros(len(models) + 1, dtype=np.int64)
+        np.cumsum([len(m) for m in models], out=indptr[1:])
+        positions = np.asarray([b for m in models for b in m], dtype=np.int64)
+        self.membership = (indptr, positions)
+        self.model_size_array = np.asarray(
+            [int(self.block_size_array[m].sum()) for m in models], dtype=np.int64
+        )
+
+
+@st.composite
+def _delta_table_case(draw):
+    """A block library (zero-size blocks allowed, one model built from a
+    subset of another's blocks) and per-clone add sequences."""
+    num_blocks = draw(st.integers(1, 10))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 50)),
+            min_size=num_blocks,
+            max_size=num_blocks,
+        )
+    )
+    block_sets = st.lists(
+        st.integers(0, num_blocks - 1), min_size=1, max_size=num_blocks, unique=True
+    ).map(sorted)
+    models = draw(st.lists(block_sets, min_size=1, max_size=6))
+    parent = draw(st.sampled_from(models))
+    models.append(sorted(draw(st.sets(st.sampled_from(parent), min_size=1))))
+    num_servers = draw(st.integers(1, 3))
+    step = st.tuples(
+        st.integers(0, num_servers - 1), st.integers(0, len(models) - 1)
+    )
+    sequences = draw(
+        st.lists(st.lists(step, max_size=14), min_size=2, max_size=4)
+    )
+    return sizes, models, num_servers, sequences
+
+
+class TestSharedDeltaTable:
+    """Clones of one resident cache share its delta table; every clone
+    must stay exactly equal to a from-scratch recompute, and the base
+    cache must never change."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_delta_table_case())
+    def test_clones_match_recompute_after_every_add(self, case):
+        sizes, models, num_servers, sequences = case
+        index = BlockMaskIndex(_ArrayLibrary(sizes, models))
+        base = ServerBlockCache.resident(index, num_servers)
+        snapshot = (base.masks.copy(), base.used.copy(), base.extras.copy())
+        clones = [base.clone() for _ in sequences]
+        placed = [np.zeros((num_servers, len(models)), dtype=bool) for _ in clones]
+        # Interleave the clones so one clone's stored deltas are read
+        # by the others.
+        for turn in range(max(len(sequence) for sequence in sequences)):
+            for clone, sequence, mask in zip(clones, sequences, placed):
+                if turn >= len(sequence):
+                    continue
+                server, model_index = sequence[turn]
+                expected = int(clone.extras[server, model_index])
+                assert clone.add(server, model_index) == expected
+                mask[server, model_index] = True
+                assert np.array_equal(
+                    clone.extras[server],
+                    index.marginal_sizes(clone.masks[server]),
+                )
+                assert clone.used[server] == index.union_size(
+                    np.flatnonzero(mask[server])
+                )
+                assert np.array_equal(
+                    clone.masks[server], index.member[mask[server]].any(axis=0)
+                )
+        for clone, mask in zip(clones, placed):
+            plain = ServerBlockCache.from_placement(index, mask)
+            assert np.array_equal(clone.masks, plain.masks)
+            assert np.array_equal(clone.used, plain.used)
+            assert np.array_equal(clone.extras, plain.extras)
+        assert np.array_equal(base.masks, snapshot[0])
+        assert np.array_equal(base.used, snapshot[1])
+        assert np.array_equal(base.extras, snapshot[2])
+
+    def test_full_table_stops_storing_and_stays_exact(self, monkeypatch):
+        from repro.core import blockmask
+
+        rng = np.random.default_rng(6)
+        instance = random_instance(rng, num_models=8, num_blocks=12)
+        index = instance.block_index
+        # Room for two deltas.
+        monkeypatch.setattr(blockmask, "DELTA_TABLE_BYTES", 2 * 8 * index.num_models)
+        base = ServerBlockCache.resident(index, instance.num_servers)
+        steps = [
+            (int(rng.integers(instance.num_servers)), int(rng.integers(8)))
+            for _ in range(30)
+        ]
+        for _ in range(2):
+            clone = base.clone()
+            placed = np.zeros((instance.num_servers, 8), dtype=bool)
+            for server, model_index in steps:
+                clone.add(server, model_index)
+                placed[server, model_index] = True
+            plain = ServerBlockCache.from_placement(index, placed)
+            assert np.array_equal(clone.extras, plain.extras)
+            assert np.array_equal(clone.used, plain.used)
+            assert len(base._deltas) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_greedy_on_clones_equals_plain_cache_at_exact_fit(self, seed):
+        # Each server's capacity is exactly one model's size, so the
+        # greedy's `<=` fit test is met at equality; re-solves on clones
+        # of one resident cache (demand rescaled between them) must
+        # place exactly what a plain cache places.
+        rng = np.random.default_rng(seed)
+        instance = random_instance(rng)
+        for server in range(instance.num_servers):
+            model_index = int(rng.integers(instance.num_models))
+            instance.set_capacity(server, int(instance.model_sizes[model_index]))
+        index = instance.block_index
+        base = ServerBlockCache.resident(index, instance.num_servers)
+        for _ in range(3):
+            instance.demand[...] = rng.random(instance.demand.shape) + 0.01
+            clone = base.clone()
+            shared, _ = greedy_place(
+                instance, CoverageTracker(instance), clone
+            )
+            plain = ServerBlockCache(index, instance.num_servers)
+            alone, _ = greedy_place(
+                instance, CoverageTracker(instance), plain
+            )
+            assert np.array_equal(shared.matrix, alone.matrix)
+            assert np.array_equal(clone.extras, plain.extras)
+            assert np.array_equal(clone.used, plain.used)
+        assert not base.masks.any() and not base.used.any()
+        assert np.array_equal(
+            base.extras, np.tile(index.model_sizes, (instance.num_servers, 1))
+        )

@@ -61,6 +61,24 @@ class TestRoundTrip:
             rebuilt[servers, users] = True
             assert (rebuilt == dense[:, :, model_index]).all()
 
+    def test_column_views_are_the_column_entries_in_order(self):
+        rng = np.random.default_rng(3)
+        for dense in (
+            random_dense(rng, 4, 25, 6),
+            np.zeros((0, 3, 4), dtype=bool),
+            np.zeros((3, 4, 5), dtype=bool),
+        ):
+            sparse = SparseFeasibility.from_dense(dense)
+            views = sparse.column_views()
+            assert len(views) == dense.shape[2]
+            assert sparse.column_views() is views
+            for model_index, (servers, flat) in enumerate(views):
+                expected_servers, users = sparse.column_entries(model_index)
+                assert servers.tolist() == expected_servers.tolist()
+                assert flat.tolist() == (
+                    users.astype(np.int64) * dense.shape[2] + model_index
+                ).tolist()
+
     def test_user_view_matches_dense(self):
         rng = np.random.default_rng(3)
         dense = random_dense(rng, 5, 15, 7)
@@ -314,3 +332,46 @@ class TestServedMatrixBlock:
         sparse = SparseFeasibility.from_dense(np.ones((2, 5, 3), dtype=bool))
         with pytest.raises(PlacementError):
             sparse.served_matrix_block(np.ones((2, 4), dtype=bool), 0, 5)
+
+
+class TestSparseTrackerBits:
+    """The sparse tracker's gains are each server's column entries
+    summed one by one in storage order, bit for bit: the contract that
+    lets the column refresh be any kernel that keeps that order."""
+
+    @staticmethod
+    def sequential_gains(tracker, instance):
+        sparse = instance.sparse_feasible
+        weighted = tracker.unserved_demand()
+        gains = np.zeros((instance.num_servers, instance.num_models))
+        for model_index in range(instance.num_models):
+            servers, users = sparse.column_entries(model_index)
+            sums = [0.0] * instance.num_servers
+            for server, user in zip(servers.tolist(), users.tolist()):
+                sums[server] += float(weighted[user, model_index])
+            gains[:, model_index] = sums
+        return gains
+
+    def test_gains_after_marks_equal_the_sequential_sums(self):
+        from repro.core.objective import CoverageTracker
+
+        config = ScenarioConfig(num_servers=5, num_users=30, num_models=12,
+                                requests_per_user=6)
+        instance = build_scenario(config, seed=9).instance
+        tracker = CoverageTracker(instance, engine="sparse")
+        assert np.array_equal(
+            tracker.gain_matrix(), self.sequential_gains(tracker, instance)
+        )
+        clone = tracker.clone()
+        rng = np.random.default_rng(4)
+        for _ in range(15):
+            server = int(rng.integers(instance.num_servers))
+            model_index = int(rng.integers(instance.num_models))
+            clone.mark_served(server, model_index)
+            assert np.array_equal(
+                clone.gain_matrix(), self.sequential_gains(clone, instance)
+            )
+        assert np.array_equal(
+            tracker.gain_matrix(), self.sequential_gains(tracker, instance)
+        )
+        assert not tracker.served.any()

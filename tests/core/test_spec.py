@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dp import ValueDpTables, enumerate_shared_combinations
+from repro.core.dp import (
+    TableBlownError,
+    ValueDpTables,
+    enumerate_shared_combinations,
+)
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.gen import TrimCachingGen
 from repro.core.objective import hit_ratio, placement_is_feasible
@@ -488,3 +492,44 @@ class TestKnapsackInputs:
         assert (stats["knapsack_cache_hits"], stats["knapsack_cache_misses"]) == (1, 1)
         # The fallback cached every model on both servers.
         assert result.placement.matrix.sum() == 6
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            (lambda v, w, c: (v + (1.0,), w + (c + 1,)), "exceeds capacity"),
+            (lambda v, w, c: (v + (0.0,), w + (0,)), "must be positive"),
+            (lambda v, w, c: (v, w[:-1]), "equal length"),
+        ],
+        ids=["overweight", "zero-value", "length"],
+    )
+    def test_item_contract_error_is_not_taken_for_a_blown_table(
+        self, monkeypatch, tamper, match
+    ):
+        # A broken filtered-item contract inside Spec's own knapsack
+        # items must surface, not be answered by the fallback backends.
+        solve = ValueDpTables.solve
+        calls = []
+
+        def broken(self, values, weights, capacity):
+            calls.append(capacity)
+            return solve(self, *tamper(values, weights, capacity), capacity)
+
+        monkeypatch.setattr(ValueDpTables, "solve", broken)
+        instance = PlacementInstance(
+            _shared_root_library(),
+            np.ones((1, 3)),
+            np.ones((1, 1, 3), dtype=bool),
+            [30],
+        )
+        combos = enumerate_shared_combinations(instance.library, cache=False)
+        with pytest.raises(SolverError, match=match) as raised:
+            TrimCachingSpec().solve_subproblem(
+                instance, 0, np.ones(3), combos, tables=ValueDpTables(0.1, 30)
+            )
+        assert not isinstance(raised.value, TableBlownError)
+        assert len(calls) == 1
+
+    def test_blown_table_is_its_own_error(self):
+        tables = ValueDpTables(epsilon=0.001, capacity=11, max_states=100)
+        with pytest.raises(TableBlownError):
+            tables.solve((1e-9,) + (1.0,) * 10, (1,) * 11, 11)
