@@ -18,8 +18,6 @@ import time
 
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
 from repro.api.plan import plan_from_json, plan_to_json
-from repro.core.gen import GenConfig
-from repro.core.independent import IndependentConfig
 from repro.sim.serialization import result_set_from_json, result_set_to_json
 
 
@@ -38,8 +36,8 @@ def bench(quick: bool) -> dict:
         name="bench api sweep",
         sweep=SweepSpec("capacity", points),
         solvers=(
-            SolverSpec("gen", config=GenConfig(engine="sparse")),
-            SolverSpec("independent", config=IndependentConfig(engine="sparse")),
+            SolverSpec("gen"),
+            SolverSpec("independent"),
         ),
         base=params,
         num_topologies=num_topologies,

@@ -1,7 +1,7 @@
-"""Tracked perf bench: seed vs vectorised solver engine.
+"""Tracked perf bench: seed vs vectorised solvers.
 
 Times the retained seed implementations (:mod:`repro.core.reference`)
-against the vectorised engine on paper-scale instances and writes the
+against the vectorised solvers on paper-scale instances and writes the
 results to ``BENCH_solvers.json`` so the perf trajectory is tracked in
 the repository from PR 1 onward.
 
@@ -17,9 +17,10 @@ Covered:
 * the sparse feasibility artifact — CSR vs dense construction at paper
   scale (identical indicator asserted);
 * the end-to-end sweep pipeline at paper scale (``M=30, K=500``, ≥8
-  topologies): seed engines on the dense serial path vs the PR-1 dense
-  engines vs the sparse CSR path, serial and ``workers=N`` — all four
-  asserted bit-identical series, wall-clock recorded;
+  topologies): seed solvers on the dense serial path vs the solvers on
+  dense feasibility vs on the sparse CSR feasibility, serial and
+  ``workers=N`` — all four asserted bit-identical series, wall-clock
+  recorded;
 * the artifact store — cold vs warm execution of the same plan through
   ``repro.exec`` (the warm run is a pure content-addressed cache hit;
   byte-identical result JSON asserted, wall-clock ratio tracked);
@@ -63,8 +64,7 @@ import numpy as np
 
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec
 from repro.core.dp import knapsack_value_dp, knapsack_weight_dp
-from repro.core.gen import GenConfig, TrimCachingGen
-from repro.core.independent import IndependentConfig
+from repro.core.gen import TrimCachingGen
 from repro.core.reference import (
     ReferenceGen,
     ReferenceSpec,
@@ -368,22 +368,15 @@ def sweep_benchmarks(quick: bool, workers: int):
         SolverSpec("reference-gen", label="Gen"),
         SolverSpec("reference-independent", label="Independent"),
     )
-    dense_algos = (
+    # The dense and sparse runs differ only in the feasibility form.
+    new_algos = (
         SolverSpec("gen", label="Gen"),
         SolverSpec("independent", label="Independent"),
     )
-    sparse_algos = (
-        SolverSpec("gen", label="Gen", config=GenConfig(engine="sparse")),
-        SolverSpec(
-            "independent",
-            label="Independent",
-            config=IndependentConfig(engine="sparse"),
-        ),
-    )
     seed_s, seed_result = run(seed_algos, "dense", 1)
-    dense_s, dense_result = run(dense_algos, "dense", 1)
-    sparse_s, sparse_result = run(sparse_algos, "sparse", 1)
-    parallel_s, parallel_result = run(sparse_algos, "sparse", workers)
+    dense_s, dense_result = run(new_algos, "dense", 1)
+    sparse_s, sparse_result = run(new_algos, "sparse", 1)
+    parallel_s, parallel_result = run(new_algos, "sparse", workers)
     identical = all(
         (seed_result.series[a].means == other.series[a].means).all()
         and (seed_result.series[a].stds == other.series[a].stds).all()
@@ -445,8 +438,8 @@ def cache_benchmarks(quick: bool, workers: int):
             "capacity", (0.15, 0.3) if quick else (0.15, 0.3, 0.6)
         ),
         solvers=(
-            SolverSpec("gen", config=GenConfig(engine="sparse")),
-            SolverSpec("independent", config=IndependentConfig(engine="sparse")),
+            SolverSpec("gen"),
+            SolverSpec("independent"),
         ),
         base=params,
         num_topologies=2 if quick else 8,
@@ -696,14 +689,10 @@ def serve_benchmarks(quick: bool):
     events = list(generate_event_trace(scenario, num_events, seed=trace_seed))
 
     # Stateless baseline: per-event rebuild + solve, best over passes.
-    scratch = resolve_from_scratch(
-        scenario, events, solver="gen", engine="sparse"
-    )
+    scratch = resolve_from_scratch(scenario, events, solver="gen")
     scratch_s = np.array([record.seconds for record in scratch])
     for _ in range(scratch_passes - 1):
-        again = resolve_from_scratch(
-            scenario, events, solver="gen", engine="sparse"
-        )
+        again = resolve_from_scratch(scenario, events, solver="gen")
         scratch_s = np.minimum(
             scratch_s, [record.seconds for record in again]
         )
@@ -714,7 +703,7 @@ def serve_benchmarks(quick: bool):
     service = None
     initial_solve_s = float("inf")
     for pass_index in range(serve_passes):
-        service = PlacementService(scenario, solver="gen", engine="sparse")
+        service = PlacementService(scenario, solver="gen")
         initial_solve_s = min(initial_solve_s, service.initial_solve_s)
         pass_results = service.process_trace(events)
         latencies = np.array([result.latency_s for result in pass_results])
@@ -774,7 +763,6 @@ def serve_benchmarks(quick: bool):
                 "scratch_passes": scratch_passes,
             },
             "solver": "gen",
-            "engine": "sparse",
             "counters": counters,
             "initial_solve_s": initial_solve_s,
             "resident_median_s": float(np.median(resident_s)),
@@ -823,12 +811,8 @@ def obs_benchmarks(quick: bool):
         name="obs bench sweep",
         sweep=SweepSpec("capacity", tuple(points)),
         solvers=(
-            SolverSpec("gen", label="Gen", config=GenConfig(engine="sparse")),
-            SolverSpec(
-                "independent",
-                label="Independent",
-                config=IndependentConfig(engine="sparse"),
-            ),
+            SolverSpec("gen", label="Gen"),
+            SolverSpec("independent", label="Independent"),
         ),
         base=params,
         num_topologies=num_topologies,

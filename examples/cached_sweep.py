@@ -22,8 +22,6 @@ Run with::
 import tempfile
 
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec
-from repro.core.gen import GenConfig
-from repro.core.independent import IndependentConfig
 from repro.exec import (
     ArtifactStore,
     ProcessBackend,
@@ -56,8 +54,8 @@ def main() -> None:
         name="Cached sweep — hit ratio vs. capacity",
         sweep=SweepSpec(axis="capacity", points=(0.3, 0.6)),
         solvers=(
-            SolverSpec("gen", config=GenConfig(engine="sparse")),
-            SolverSpec("independent", config=IndependentConfig(engine="sparse")),
+            SolverSpec("gen"),
+            SolverSpec("independent"),
         ),
         base={
             "library_case": "special",

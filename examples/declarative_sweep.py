@@ -20,8 +20,6 @@ from repro.api import (
     SweepSpec,
     run_plan,
 )
-from repro.core.gen import GenConfig
-from repro.core.independent import IndependentConfig
 
 
 def main() -> None:
@@ -29,10 +27,8 @@ def main() -> None:
         name="Demand-skew sensitivity — hit ratio vs. Zipf exponent",
         sweep=SweepSpec(axis="zipf_exponent", points=(0.2, 0.6, 1.0, 1.4)),
         solvers=(
-            SolverSpec("gen", config=GenConfig(engine="sparse")),
-            SolverSpec(
-                "independent", config=IndependentConfig(engine="sparse")
-            ),
+            SolverSpec("gen"),
+            SolverSpec("independent"),
             SolverSpec("top-popularity"),
         ),
         base={

@@ -57,13 +57,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. The Python session API, checked against the stateless reference.
     # ------------------------------------------------------------------
-    session = ServiceSession(scenario, solver="gen", engine="sparse")
+    session = ServiceSession(scenario, solver="gen")
     print(f"initial hit ratio: {session.hit_ratio:.4f}")
 
     results = session.apply(trace)
-    reference = resolve_from_scratch(
-        scenario, trace, solver="gen", engine="sparse"
-    )
+    reference = resolve_from_scratch(scenario, trace, solver="gen")
     for result, record in zip(results, reference):
         assert result.hit_ratio == record.hit_ratio  # the pinned contract
     assert np.array_equal(
@@ -95,9 +93,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The HTTP transport: same events over the wire, same answers.
     # ------------------------------------------------------------------
-    server = serve_http(
-        PlacementService(scenario, solver="gen", engine="sparse")
-    )
+    server = serve_http(PlacementService(scenario, solver="gen"))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.port}"

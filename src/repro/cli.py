@@ -8,7 +8,7 @@ Usage::
     python -m repro table1
     python -m repro solvers
     python -m repro sweep --axis capacity --algos spec,gen,independent
-    python -m repro sweep --axis users --points 10,30,50 --engine sparse
+    python -m repro sweep --axis users --points 10,30,50
     python -m repro sweep --plan plan.json --backend process --cache-dir .cache
     python -m repro sweep --plan plan.json --backend process --retries 3 \
         --chaos kill-worker:2
@@ -35,7 +35,6 @@ import dataclasses
 import sys
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.objective import COVERAGE_ENGINES
 from repro.sim import experiments
 
 
@@ -155,7 +154,7 @@ def _serve(args: argparse.Namespace) -> str:
     if not args.no_obs:
         obs.enable(metrics=True, tracing=args.trace is not None)
     scenario, seed = _serve_scenario(args)
-    service = PlacementService(scenario, solver=args.solver, engine=args.engine)
+    service = PlacementService(scenario, solver=args.solver)
     server = serve_http(
         service, host=args.host, port=args.port, verbose=args.verbose
     )
@@ -163,7 +162,7 @@ def _serve(args: argparse.Namespace) -> str:
     # Smoke tests and scripts parse these lines (hence port on its own
     # line, flushed before the blocking serve loop starts).
     print(
-        f"serving {args.solver}/{args.engine} "
+        f"serving {args.solver} "
         f"M={instance.num_servers} K={instance.num_users} "
         f"I={instance.num_models} seed={seed} "
         f"hit_ratio={service.hit_ratio:.6f}",
@@ -203,19 +202,13 @@ def _parse_points(text: str) -> List[float]:
         raise ConfigurationError(f"invalid --points value: {exc}") from exc
 
 
-def _generic_solver_spec(name: str, engine: str, epsilon: float):
-    """A SolverSpec for ``name`` with engine/epsilon applied when supported."""
+def _generic_solver_spec(name: str, epsilon: float):
+    """A SolverSpec for ``name`` with ``epsilon`` applied when supported."""
     from repro.api import SOLVERS, SolverSpec
 
     config = SOLVERS.config(name)
-    field_names = {f.name for f in dataclasses.fields(config)}
-    updates = {}
-    if "engine" in field_names:
-        updates["engine"] = engine
-    if "epsilon" in field_names:
-        updates["epsilon"] = epsilon
-    if updates:
-        config = dataclasses.replace(config, **updates)
+    if "epsilon" in {f.name for f in dataclasses.fields(config)}:
+        config = dataclasses.replace(config, epsilon=epsilon)
     return SolverSpec(name, config=config)
 
 
@@ -230,7 +223,6 @@ _GRID_FLAGS = {
     "evaluation": "expected",
     "realizations": 200,
     "scale": None,
-    "engine": "dense",
     "epsilon": 0.1,
     "servers": None,
     "users": None,
@@ -331,7 +323,7 @@ def _build_cli_plan(args: argparse.Namespace):
         or f"Sweep — {args.axis} ({args.case} case, scale={scale})",
         sweep=SweepSpec(args.axis, tuple(points)),
         solvers=tuple(
-            _generic_solver_spec(name, args.engine, args.epsilon)
+            _generic_solver_spec(name, args.epsilon)
             for name in algos
         ),
         base=base,
@@ -524,18 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="number of worker processes for the topology fan-out "
                 "(bit-identical series for any value)",
             )
-            p.add_argument(
-                "--engine",
-                choices=COVERAGE_ENGINES,
-                default="dense",
-                help="coverage engine: dense (bit-pinned to the seed), "
-                "sparse (O(nnz) CSR walks) or auto (sparse on "
-                "sparse-primary instances, dense otherwise)",
-            )
             add_sweep_outputs(p)
-            flags = (
-                "topologies", "seed", "evaluation", "scale", "workers", "engine"
-            )
+            flags = ("topologies", "seed", "evaluation", "scale", "workers")
         elif kind == "comparison":
             add_common(p, topologies=5)
             flags = ("topologies", "seed")
@@ -639,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallelism (backend width / plan workers field); "
         "defaults to the plan's own setting",
     )
-    p.add_argument("--engine", choices=COVERAGE_ENGINES, default=None)
     p.add_argument(
         "--epsilon",
         type=float,
@@ -751,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, help="Scenario seed (overrides the plan's).")
     p.add_argument("--solver", choices=("gen", "independent"), default="gen")
-    p.add_argument("--engine", choices=("dense", "sparse"), default="sparse")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--port",

@@ -1,4 +1,4 @@
-"""Dense block-membership bitmasks for the vectorised solver engine.
+"""Dense block-membership bitmasks for the vectorised solvers.
 
 The set-based storage accounting on :class:`~repro.core.placement.
 PlacementInstance` (``marginal_storage``/``dedup_storage``) walks Python
@@ -66,7 +66,7 @@ class BlockMaskIndex:
         )
         self.member[rows, positions] = True
         #: per model, the sorted block *positions* it occupies (the sparse
-        #: row of ``member`` — the greedy engines touch only these).
+        #: row of ``member`` — the greedy solvers touch only these).
         #: Stable (timsort): linear on the sorted rows libraries emit, and
         #: it does not page in numpy's SIMD quicksort (~0.1 MB of RSS).
         order = np.argsort(rows * num_blocks + positions, kind="stable")
@@ -167,7 +167,7 @@ _Delta = Tuple[Optional[np.ndarray], int, Optional[np.ndarray]]
 
 
 class ServerBlockCache:
-    """Mutable per-server cached-block state for the greedy engines.
+    """Mutable per-server cached-block state for the greedy solvers.
 
     Maintains, for each server:
 

@@ -7,7 +7,7 @@ optimal (Theorem 3) — not constant, matching Proposition 2.
 
 Two implementations with provably identical output are provided, both
 driven by the incremental :class:`~repro.core.objective.CoverageTracker`
-(maintained gain matrix) and :class:`~repro.core.blockmask.
+(maintained gain matrix, one CSR kernel) and :class:`~repro.core.blockmask.
 ServerBlockCache` (exact integer marginal-storage table):
 
 * ``accelerated=False`` — the literal algorithm: re-scan all (m, i) pairs
@@ -39,10 +39,28 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.blockmask import ServerBlockCache
-from repro.core.objective import CoverageTracker, check_engine
+from repro.core.objective import CoverageTracker
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import ConfigurationError
+
+#: Values the inert ``engine`` field of :class:`GenConfig`,
+#: :class:`~repro.core.spec.SpecConfig` and
+#: :class:`~repro.core.independent.IndependentConfig` accepts. The
+#: coverage tracker has one kernel, so the field selects nothing; it
+#: stays only so saved plans, and the plan digests the repo benchmark
+#: records, keep loading. It leaves with the benchmark change of ROADMAP
+#: item 2.
+PLAN_ENGINES = ("dense", "sparse", "auto")
+
+
+def check_plan_engine(engine: str) -> None:
+    """Refuse an ``engine`` value that no saved plan carries."""
+    if engine not in PLAN_ENGINES:
+        raise ConfigurationError(
+            f"engine must be {'|'.join(PLAN_ENGINES)}, got {engine!r}"
+        )
+
 
 # Gains are sums of non-negative products (demand x indicator), so a true
 # zero gain is exactly 0.0 and strict comparisons need no epsilon floor.
@@ -111,7 +129,7 @@ class TrimCachingGen:
     Parameters
     ----------
     accelerated:
-        Use the vectorised argmax engine (identical output, faster).
+        Use the vectorised masked-argmax loop (identical output, faster).
     fill_zero_gain:
         The paper's loop runs "until no server can cache any model", which
         would also cache models with zero marginal gain. Those placements
@@ -125,15 +143,9 @@ class TrimCachingGen:
         self,
         accelerated: bool = True,
         fill_zero_gain: bool = False,
-        engine: str = "dense",
     ) -> None:
-        check_engine(engine, ConfigurationError)
         self.accelerated = accelerated
         self.fill_zero_gain = fill_zero_gain
-        #: Coverage engine: ``"dense"`` (bit-pinned to the seed),
-        #: ``"sparse"`` (O(nnz) CSR walks) or ``"auto"`` (sparse on
-        #: sparse-primary instances, dense otherwise).
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def solve(self, instance: PlacementInstance) -> SolverResult:
@@ -141,7 +153,7 @@ class TrimCachingGen:
         from repro import obs
 
         start = time.perf_counter()
-        with obs.span("solve.gen", engine=self.engine) as handle:
+        with obs.span("solve.gen") as handle:
             if self.accelerated:
                 placement, steps, tracker = self._solve_vectorized(instance)
             else:
@@ -172,7 +184,7 @@ class TrimCachingGen:
         self, instance: PlacementInstance
     ) -> Tuple[Placement, int, CoverageTracker]:
         placement = instance.new_placement()
-        tracker = CoverageTracker(instance, engine=self.engine)
+        tracker = CoverageTracker(instance)
         cache = ServerBlockCache(instance.block_index, instance.num_servers)
         steps = 0
         while True:
@@ -214,8 +226,8 @@ class TrimCachingGen:
     ) -> Tuple[Placement, int, CoverageTracker]:
         from repro import obs
 
-        with obs.span("solve.gen.tracker_init", engine=self.engine):
-            tracker = CoverageTracker(instance, engine=self.engine)
+        with obs.span("solve.gen.tracker_init"):
+            tracker = CoverageTracker(instance)
         cache = ServerBlockCache(instance.block_index, instance.num_servers)
         # One span brackets the whole loop (a per-step span would cost
         # more than the masked argmax it measures).
@@ -258,12 +270,15 @@ class GenConfig:
 
     accelerated: bool = True
     fill_zero_gain: bool = False
+    #: Inert (see :data:`PLAN_ENGINES`): recorded in plans, not built.
     engine: str = "dense"
+
+    def __post_init__(self) -> None:
+        check_plan_engine(self.engine)
 
     def build(self) -> "TrimCachingGen":
         """Construct the solver (constructor performs validation)."""
         return TrimCachingGen(
             accelerated=self.accelerated,
             fill_zero_gain=self.fill_zero_gain,
-            engine=self.engine,
         )

@@ -8,6 +8,7 @@ TrimCaching Gen's; only the storage accounting differs — which isolates
 the benefit of parameter sharing, as the paper intends.
 
 The solver runs Gen's greedy loop, :func:`~repro.core.gen.greedy_place`,
+over the same :class:`~repro.core.objective.CoverageTracker` gains but
 with no block cache, so every pair's marginal bytes are the model's full
 size. ``np.argmax`` returns the first row-major maximiser — the same
 lowest-server-then-lowest-model tie-break as the seed's per-step rescan,
@@ -21,34 +22,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.gen import greedy_place
-from repro.core.objective import CoverageTracker, check_engine, hit_ratio
+from repro.core.gen import check_plan_engine, greedy_place
+from repro.core.objective import CoverageTracker, hit_ratio
 from repro.core.placement import PlacementInstance
 from repro.core.result import SolverResult
-from repro.errors import ConfigurationError
 
 
 class IndependentCaching:
-    """Greedy content placement without parameter-sharing awareness.
-
-    Parameters
-    ----------
-    engine:
-        Coverage engine: ``"dense"`` (bit-pinned to the seed),
-        ``"sparse"`` (O(nnz) CSR walks) or ``"auto"`` (sparse on
-        sparse-primary instances, dense otherwise).
-    """
+    """Greedy content placement without parameter-sharing awareness."""
 
     name = "Independent Caching"
-
-    def __init__(self, engine: str = "dense") -> None:
-        check_engine(engine, ConfigurationError)
-        self.engine = engine
 
     def solve(self, instance: PlacementInstance) -> SolverResult:
         """Greedy: best (server, model) pair under knapsack storage."""
         start = time.perf_counter()
-        tracker = CoverageTracker(instance, engine=self.engine)
+        tracker = CoverageTracker(instance)
         placement, steps = greedy_place(instance, tracker)
         return SolverResult(
             placement=placement,
@@ -66,8 +54,13 @@ class IndependentConfig:
     Registered in :data:`repro.api.SOLVERS` under ``"independent"``.
     """
 
+    #: Inert (see :data:`~repro.core.gen.PLAN_ENGINES`): recorded in
+    #: plans, not built.
     engine: str = "dense"
 
+    def __post_init__(self) -> None:
+        check_plan_engine(self.engine)
+
     def build(self) -> "IndependentCaching":
-        """Construct the solver (constructor performs validation)."""
-        return IndependentCaching(engine=self.engine)
+        """Construct the solver."""
+        return IndependentCaching()

@@ -1,19 +1,12 @@
 """Objective ``U(X)`` (eq. 2), storage cost ``g_m`` (eq. 7), feasibility.
 
-Also provides :class:`CoverageTracker`, the incremental-evaluation engine
-shared by the greedy solvers: it maintains which (user, model) requests are
-already served and answers marginal-gain queries in vectorised form. The
-tracker has two engines over the same state:
-
-* ``"dense"`` (default) — column refreshes run the einsum kernel on
-  column views, bit-identical to the frozen seed's from-scratch
-  recompute (:mod:`repro.core.reference`);
-* ``"sparse"`` — column refreshes walk only the CSR nonzeros, ``O(nnz)``
-  instead of ``O(M·K)``.
-
-``"auto"`` resolves to ``"sparse"`` on sparse-primary instances and to
-``"dense"`` otherwise; :data:`COVERAGE_ENGINES` is the one list of
-accepted engine names.
+Also provides :class:`CoverageTracker`, the incremental-evaluation kernel
+shared by Gen, Spec's successive ``I2`` bookkeeping and Independent
+Caching: it maintains which (user, model) requests are already served and
+answers marginal-gain queries in vectorised form. Its gains are
+``np.bincount`` sums over the instance's CSR feasibility artifact,
+``O(nnz)``, bit-identical to the per-server sums of the frozen seed
+tracker (:class:`~repro.core.reference.ReferenceCoverageTracker`).
 
 :func:`served_matrix` picks the O(nnz) walk automatically whenever the
 instance carries the CSR artifact — boolean output, so the sparse walk is
@@ -28,19 +21,6 @@ import numpy as np
 
 from repro.core.placement import Placement, PlacementInstance
 from repro.errors import PlacementError
-
-
-#: Coverage engines accepted by :class:`CoverageTracker` and by every
-#: solver that builds one; ``"auto"`` resolves per instance.
-COVERAGE_ENGINES = ("dense", "sparse", "auto")
-
-
-def check_engine(engine: str, error: type = PlacementError) -> None:
-    """Raise ``error`` unless ``engine`` is one of :data:`COVERAGE_ENGINES`."""
-    if engine not in COVERAGE_ENGINES:
-        raise error(
-            f"engine must be {'|'.join(COVERAGE_ENGINES)}, got {engine!r}"
-        )
 
 
 def _check_shapes(instance: PlacementInstance, placement: Placement) -> None:
@@ -60,12 +40,12 @@ def served_matrix(
 
     ``feasible`` overrides the instance's ``I1`` tensor (used when
     evaluating a placement under faded rates instead of expected rates).
-    Without an override, a sparse-primary instance is walked in O(nnz)
-    via its CSR artifact; the result is exactly the dense einsum's.
+    Without an override, an instance that carries its CSR artifact is
+    walked in O(nnz); the result is exactly the dense einsum's.
     """
     _check_shapes(instance, placement)
     if feasible is None:
-        if instance.has_sparse or instance.is_sparse_primary:
+        if instance.has_sparse:
             return instance.sparse_feasible.served_matrix(placement.matrix)
         feas = instance.feasible
     else:
@@ -135,46 +115,32 @@ class CoverageTracker:
     All gains are *unnormalised* (probability mass, not ratio); divide by
     ``instance.total_demand`` to convert.
 
+    The gains are sums over the instance's CSR feasibility artifact
+    (:class:`~repro.core.sparse.SparseFeasibility`): the gain of (m, i)
+    is ``np.bincount`` of the unserved mass of the pair's feasible users,
+    which adds them one by one in ascending user order. On every instance
+    with two or more models that is the sum
+    :meth:`ReferenceCoverageTracker.server_gains
+    <repro.core.reference.ReferenceCoverageTracker.server_gains>` takes
+    over the dense tensor, and the gains equal it bit for bit (with one
+    model, numpy sums the reference's contiguous column pairwise).
+
     The ``(M, I)`` gain matrix is *maintained* rather than recomputed:
     caching (m, i) only changes column ``i`` (the users it newly serves
     stop counting toward every server that could reach them), so
-    :meth:`mark_served` refreshes that one column instead of running the
-    full ``O(M·K·I)`` einsum. Two refresh engines are available:
-
-    ``engine="dense"`` (default)
-        ``O(M·K)`` per refresh; runs the same einsum kernel on column
-        *views* of the same arrays the full recompute would use
-        (identical dtypes and stride patterns, hence identical
-        accumulation order), which keeps the maintained matrix
-        bit-identical to the seed's from-scratch recompute — greedy
-        tie-breaking is unaffected. Enforced by the equivalence tests
-        against :mod:`repro.core.reference`, which assert exact equality.
-
-    ``engine="sparse"``
-        ``O(nnz of the column)`` per refresh via the instance's CSR
-        artifact (a bincount over the column's feasible entries). The
-        tracker reads prebuilt views of the CSR
-        (:meth:`~repro.core.sparse.SparseFeasibility.column_views`: per
-        column, its servers and flat ``(K, I)`` indices), which every
-        clone shares; a mark is two scatters over the pair's entries,
-        one gather over the column's and one ``np.bincount``. The
-        ``served``/``unserved_demand`` state stays *exactly* equal to the
-        dense engine's (boolean updates and exact zeroing only), but the
-        gain sums reduce fewer terms than the einsum and may differ from
-        it in final ulps — so greedy placements are pinned to the seed at
-        the placement level (empirically identical on the equivalence
-        grids) rather than bit-by-bit through the gains.
-
-    ``engine="auto"`` picks ``"sparse"`` for sparse-primary instances and
-    ``"dense"`` for the rest.
+    :meth:`mark_served` refreshes that one column, ``O(nnz of the
+    column)``. The tracker reads prebuilt views of the CSR
+    (:meth:`~repro.core.sparse.SparseFeasibility.column_views`: per
+    column, its servers and flat ``(K, I)`` indices), which every clone
+    shares; a mark is two scatters over the pair's entries, one gather
+    over the column's and one ``np.bincount``. The ``served`` and
+    ``unserved_demand`` state changes by boolean updates and exact
+    zeroing only.
     """
 
-    def __init__(self, instance: PlacementInstance, engine: str = "dense") -> None:
-        check_engine(engine)
-        if engine == "auto":
-            engine = "sparse" if instance.is_sparse_primary else "dense"
+    def __init__(self, instance: PlacementInstance) -> None:
+        sparse = instance.sparse_feasible
         self.instance = instance
-        self.engine = engine
         self.served = np.zeros(
             (instance.num_users, instance.num_models), dtype=bool
         )
@@ -185,26 +151,33 @@ class CoverageTracker:
         # entry_flat_index.
         self._wflat = self._weighted.reshape(-1)
         self._sflat = self.served.reshape(-1)
-        if engine == "sparse":
-            sparse = instance.sparse_feasible
-            self._sparse = sparse
-            self._num_servers = instance.num_servers
-            # Read-only CSR views shared by every clone: per-column
-            # (servers, flat index) slices for the refresh, and the flat
-            # index plus pair bounds for a mark's scatters.
-            self._columns = sparse.column_views()
-            self._entry_flat = sparse.entry_flat_index()
-            self._pair_indptr = sparse.pair_indptr
-            self._gains = np.zeros(
-                (instance.num_servers, instance.num_models), dtype=float
-            )
-            for model_index in range(instance.num_models):
-                self._refresh_column(model_index)
-        else:
-            self._sparse = None
-            self._gains = np.einsum(
-                "mki,ki->mi", instance.feasible, self._weighted
-            )
+        self._num_servers = instance.num_servers
+        # Read-only CSR views shared by every clone: per-column
+        # (servers, flat index) slices for a mark's refresh, the flat
+        # index and pair bounds for its scatters, and every entry's pair
+        # row for whole-matrix sums.
+        self._columns = sparse.column_views()
+        self._entry_flat = sparse.entry_flat_index()
+        self._entry_pair = sparse.entry_pair_index()
+        self._pair_indptr = sparse.pair_indptr
+        self._gains = np.ascontiguousarray(self._pair_sums().T)
+
+    def _pair_sums(self, entries: Optional[np.ndarray] = None) -> np.ndarray:
+        """``(I, M)`` unserved mass per (model, server) pair, summed over
+        the CSR entries at positions ``entries`` (all when ``None``).
+
+        One ``np.bincount`` binned by pair row: it adds strictly in input
+        order, so each pair's entries, taken in storage order, sum
+        exactly as the pair's own sum would.
+        """
+        pairs, flat = self._entry_pair, self._entry_flat
+        if entries is not None:
+            pairs, flat = pairs[entries], flat[entries]
+        return np.bincount(
+            pairs,
+            weights=self._wflat[flat],
+            minlength=self.instance.num_models * self._num_servers,
+        ).reshape(self.instance.num_models, self._num_servers)
 
     def unserved_demand(self) -> np.ndarray:
         """``(K, I)`` demand mass not yet served."""
@@ -228,62 +201,34 @@ class CoverageTracker:
         ``self.served``)."""
         return self._gains[server].copy()
 
-    def _refresh_column(self, model_index: int) -> None:
-        """Re-run this engine's exact gain kernel for one column.
-
-        This is the single refresh primitive: :meth:`mark_served` and the
-        demand-delta operations both end here, so a refreshed column is
-        always the product of the same kernel (same accumulation order,
-        same bits) as the initial build.
-        """
-        if self._sparse is not None:
-            # The column's entries in storage order, gathered flat
-            # (flat[j] addresses weighted[users[j], model_index]):
-            # np.bincount sums each server's entries in that order.
-            servers, flat = self._columns[model_index]
-            self._gains[:, model_index] = np.bincount(
-                servers, weights=self._wflat[flat], minlength=self._num_servers
-            )
-            return
-        # Column views of the same arrays the full einsum would reduce:
-        # same kernel, same accumulation order, same bits.
-        self._gains[:, model_index] = np.einsum(
-            "mk,k->m",
-            self.instance.feasible[:, :, model_index],
-            self._weighted[:, model_index],
-        )
-
     def mark_served(self, server: int, model_index: int) -> None:
-        """Record that (server, model) is now cached."""
-        if self._sparse is not None:
-            # O(column nnz): two scatters over the pair's entries, then
-            # the column refresh (one gather, one bincount). No
-            # all-served early-out: on the greedy path the chosen pair
-            # always has positive gain (some pair user unserved), so the
-            # check would be pure per-mark overhead; re-marking a fully
-            # served pair just recomputes the same column bits. The flat
-            # indices address exactly (pair_users, model_index) in both
-            # (K, I) buffers; newly served users' remaining mass becomes
-            # exactly 0.0, as in the dense engine.
-            row = model_index * self._num_servers + server
-            start, stop = self._pair_indptr[row : row + 2].tolist()
-            if start == stop:
-                return
-            flat = self._entry_flat[start:stop]
-            self._sflat[flat] = True
-            self._wflat[flat] = 0.0
-            self._refresh_column(model_index)
+        """Record that (server, model) is now cached.
+
+        ``O(column nnz)``: two scatters over the pair's entries, then the
+        column refresh (one gather, one bincount). No all-served
+        early-out: on the greedy path the chosen pair always has positive
+        gain (some pair user unserved), so the check would be pure
+        per-mark overhead; re-marking a fully served pair just recomputes
+        the same column bits. The flat indices address exactly
+        ``(pair_users, model_index)`` in both ``(K, I)`` buffers; newly
+        served users' remaining mass becomes exactly 0.0.
+        """
+        row = model_index * self._num_servers + server
+        start, stop = self._pair_indptr[row : row + 2].tolist()
+        if start == stop:
             return
-        feas = self.instance.feasible[server, :, model_index]
-        served_col = self.served[:, model_index]
-        newly = feas > served_col  # feasible and not yet served
-        if not newly.any():
-            return
-        served_col |= feas
-        # Still-unserved entries keep their exact bits; newly served ones
-        # become exactly 0.0 — identical to recomputing demand * ~served.
-        self._weighted[:, model_index][newly] = 0.0
-        self._refresh_column(model_index)
+        flat = self._entry_flat[start:stop]
+        self._sflat[flat] = True
+        self._wflat[flat] = 0.0
+        # The column's entries in storage order, gathered flat:
+        # np.bincount sums each server's entries in that order, exactly
+        # as _pair_sums does for the whole matrix.
+        servers, column_flat = self._columns[model_index]
+        self._gains[:, model_index] = np.bincount(
+            servers,
+            weights=self._wflat[column_flat],
+            minlength=self._num_servers,
+        )
 
     # ------------------------------------------------------------------
     # Delta operations (the serving layer's warm re-solve). The coverage
@@ -318,79 +263,36 @@ class CoverageTracker:
         Per column: ``weighted = demand * ~served`` recomputed elementwise
         (the constructor's expression, restricted to the column — still
         unserved entries get ``d * 1.0 == d`` bit-exactly, served ones
-        ``d * 0.0 == +0.0``), then the engine's exact column kernel. The
-        result equals a fresh tracker build on the mutated demand followed
+        ``d * 0.0 == +0.0``), then the columns' gains from one
+        :meth:`_pair_sums` over their entries. The result equals a fresh tracker build on the mutated demand followed
         by replaying this tracker's mark sequence, bit for bit.
 
         ``user``, when given, promises that only that user's demand row
         changed: the elementwise resync is restricted to that row (the
         other rows' recompute would reproduce their bits unchanged).
         """
-        demand = self.instance.demand
-        if self._sparse is not None:
-            cols = np.asarray(columns, dtype=np.intp)
-            if cols.size == 0:
-                return
-            # Batched form of the per-column loop below, one kernel run
-            # for the whole column set. Bit-identical: the multiply is
-            # elementwise, and np.bincount accumulates strictly in input
-            # order, so concatenating the columns' CSR entries (each
-            # column's order preserved) yields the same per-bin partial
-            # sums as one bincount per column.
-            if user is None:
-                self._weighted[:, cols] = (
-                    demand[:, cols] * ~self.served[:, cols]
-                )
-            else:
-                self._weighted[user, cols] = (
-                    demand[user, cols] * ~self.served[user, cols]
-                )
-            sparse = self._sparse
-            num_servers = self.instance.num_servers
-            # Each column's entries are one contiguous range of the CSR
-            # arrays (sorted by (model, server, user)), so the per-column
-            # concatenation is a union of ranges — built below as
-            # cumsum-of-ones with jumps at range boundaries, skipping
-            # empty columns.
-            indptr = sparse.pair_indptr
-            starts = indptr[cols * num_servers]
-            lengths = indptr[(cols + 1) * num_servers] - starts
-            total = int(lengths.sum())
-            if total == 0:
-                self._gains[:, cols] = 0.0
-                return
-            # pos[j] walks each column's contiguous entry range in order:
-            # a global arange shifted per column so it starts at the
-            # column's range start (columns with no entries contribute
-            # nothing via the zero-length repeat).
-            offsets = starts - np.cumsum(lengths) + lengths
-            col_ids = np.repeat(np.arange(cols.size), lengths)
-            pos = np.arange(total, dtype=np.int64) + offsets[col_ids]
-            # One bincount over the global (model, server) pair bins: each
-            # pair's entries arrive in the same order as its own bincount
-            # would see them, so the per-bin partial sums are identical.
-            sums = np.bincount(
-                sparse.entry_pair_index()[pos],
-                weights=self._wflat[sparse.entry_flat_index()[pos]],
-                minlength=self.instance.num_models * num_servers,
-            )
-            self._gains[:, cols] = sums.reshape(
-                self.instance.num_models, num_servers
-            )[cols].T
+        cols = np.asarray(columns, dtype=np.intp)
+        if cols.size == 0:
             return
-        for column in columns:
-            column = int(column)
-            if user is None:
-                np.multiply(
-                    demand[:, column],
-                    ~self.served[:, column],
-                    out=self._weighted[:, column],
-                )
-            else:
-                self._weighted[user, column] = demand[user, column] * (
-                    ~self.served[user, column]
-                )
-            self._refresh_column(column)
+        demand = self.instance.demand
+        if user is None:
+            self._weighted[:, cols] = demand[:, cols] * ~self.served[:, cols]
+        else:
+            self._weighted[user, cols] = (
+                demand[user, cols] * ~self.served[user, cols]
+            )
+        # Each column's entries are one contiguous range of the CSR
+        # arrays (sorted by (model, server, user)); pos walks those
+        # ranges in order — a global arange shifted per column so it
+        # starts at the column's range start (columns with no entries
+        # contribute nothing via the zero-length repeat).
+        num_servers = self._num_servers
+        starts = self._pair_indptr[cols * num_servers]
+        lengths = self._pair_indptr[(cols + 1) * num_servers] - starts
+        offsets = starts - np.cumsum(lengths) + lengths
+        col_ids = np.repeat(np.arange(cols.size), lengths)
+        pos = np.arange(int(lengths.sum()), dtype=np.int64) + offsets[col_ids]
+        self._gains[:, cols] = self._pair_sums(pos)[cols].T
 
     def update_user(self, user: int, demand_row: np.ndarray) -> np.ndarray:
         """Set one user's demand row and refresh the affected columns.

@@ -12,7 +12,7 @@ tensor or as a :class:`~repro.core.sparse.SparseFeasibility` CSR artifact
 form arrives is the primary representation; the other is derived lazily
 and cached, so dense-only consumers (the frozen seed reference solvers,
 Monte-Carlo evaluation under faded rates) and O(nnz) sparse consumers
-(the sparse coverage engine, ``served_matrix`` walks) share one instance.
+(the coverage tracker, ``served_matrix`` walks) share one instance.
 The two representations encode bit-identical indicator tensors.
 
 :class:`Placement` is the decision ``X``: a boolean ``(M, I)`` matrix with
@@ -78,7 +78,6 @@ class PlacementInstance:
         capacities: Sequence[int],
     ) -> None:
         demand = np.asarray(demand, dtype=float)
-        self._sparse_primary = isinstance(feasible, SparseFeasibility)
         if isinstance(feasible, SparseFeasibility):
             self._feasible_sparse: Optional[SparseFeasibility] = feasible
             self._feasible_dense: Optional[np.ndarray] = None
@@ -179,15 +178,6 @@ class PlacementInstance:
         return self._feasible_sparse
 
     @property
-    def is_sparse_primary(self) -> bool:
-        """Was this instance built from a CSR artifact?
-
-        ``engine="auto"`` consumers use this to pick the O(nnz) walks
-        without forcing densification.
-        """
-        return self._sparse_primary
-
-    @property
     def has_sparse(self) -> bool:
         """Is the CSR representation already materialised?"""
         return self._feasible_sparse is not None
@@ -230,8 +220,7 @@ class PlacementInstance:
     def block_index(self) -> BlockMaskIndex:
         """Dense block-membership bitmask index (built lazily, cached).
 
-        Backs the vectorised storage accounting used by the solver
-        engines; :meth:`marginal_storage`/:meth:`dedup_storage` above are
+        Backs the vectorised storage accounting used by the solvers; :meth:`marginal_storage`/:meth:`dedup_storage` above are
         the equivalent set-based reference paths. The index depends only
         on the library, so it is memoised per library object — instances
         sharing a library (every topology of a sweep point) share it.

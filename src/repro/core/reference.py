@@ -1,6 +1,6 @@
 """Frozen seed implementations of the solver hot paths.
 
-When the vectorised engine (blockmask tables, incremental coverage
+When the vectorised solvers (blockmask tables, incremental coverage
 tracking, slice-shift DP) replaced the original pure-Python inner loops,
 the originals were moved here *verbatim* so that
 

@@ -32,11 +32,9 @@ Exactness
 ---------
 All boolean/integer queries (``to_dense``, ``served_matrix`` walks,
 coverage counts) are *exactly* equal to their dense counterparts — there
-is no floating-point accumulation in this module. Float reductions over
-the sparse structure (the sparse :class:`~repro.core.objective.
-CoverageTracker` engine) sum fewer terms than the dense einsum and may
-therefore differ from it in final ulps; that trade-off is documented and
-tested where it is made, not here.
+is no floating-point accumulation in this module. The float reductions
+over the sparse structure (the :class:`~repro.core.objective.
+CoverageTracker` gains) are documented and tested where they are made.
 """
 
 from __future__ import annotations

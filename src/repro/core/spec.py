@@ -5,6 +5,10 @@ parameter blocks (models fine-tuned from a few pre-trained roots).
 Algorithm 1 decomposes P1.1 into one sub-problem **P2.1m** per server,
 solved *successively*: the indicator ``I2`` removes requests already served
 by earlier servers, so per-server hit masses add up exactly (eq. 12).
+The ``I2`` bookkeeping is :class:`~repro.core.objective.CoverageTracker`,
+whose per-server utilities are the seed's user-by-user sums bit for bit,
+so Spec's per-server masses equal :class:`~repro.core.reference.
+ReferenceSpec`'s on inexact demand too.
 Algorithm 2 solves each sub-problem by traversing shared-block
 combinations ``N ∈ A`` and running a knapsack over the eligible models'
 specific blocks within ``Q_m - d_N``.
@@ -67,7 +71,8 @@ from repro.core.dp import (
     ValueDpTables,
     enumerate_shared_combinations,
 )
-from repro.core.objective import CoverageTracker, check_engine, hit_ratio
+from repro.core.gen import check_plan_engine
+from repro.core.objective import CoverageTracker, hit_ratio
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import ConfigurationError, SolverError
@@ -156,11 +161,6 @@ class TrimCachingSpec:
         per thread of a pool. ``None``/``1`` runs one chunk inline; any
         value produces byte-identical selections (see the module
         docstring).
-    engine:
-        Coverage engine for the successive ``I2`` bookkeeping:
-        ``"dense"`` (bit-pinned to the seed), ``"sparse"`` (O(nnz) CSR
-        walks) or ``"auto"`` (sparse on sparse-primary instances, dense
-        otherwise).
     fallback:
         What ``value_dp`` falls back to when its rounded table blows up:
         ``"weight_dp"`` keeps the legacy quantised-DP → branch-and-bound
@@ -198,7 +198,6 @@ class TrimCachingSpec:
         max_combinations: int = 200_000,
         server_order: str = "index",
         workers: Optional[int] = None,
-        engine: str = "dense",
         fallback: str = "weight_dp",
         knapsack_cache: bool = True,
         prefix_prune: bool = True,
@@ -230,7 +229,6 @@ class TrimCachingSpec:
             )
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        check_engine(engine, ConfigurationError)
         if fallback not in ("weight_dp", "best_first"):
             raise ConfigurationError(
                 f"fallback must be weight_dp|best_first, got {fallback!r}"
@@ -241,7 +239,6 @@ class TrimCachingSpec:
         self.max_combinations = max_combinations
         self.server_order = server_order
         self.workers = workers
-        self.engine = engine
         self.fallback = fallback
         self.knapsack_cache = knapsack_cache
         self.prefix_prune = prefix_prune
@@ -253,12 +250,7 @@ class TrimCachingSpec:
         if self.server_order == "capacity":
             servers.sort(key=lambda m: -int(instance.capacities[m]))
         elif self.server_order == "coverage":
-            if instance.has_sparse or instance.is_sparse_primary:
-                # Integer counting over the CSR — exactly the dense
-                # any/sum, without densifying the tensor.
-                coverage = instance.sparse_feasible.server_coverage_counts()
-            else:
-                coverage = instance.feasible.any(axis=2).sum(axis=1)
+            coverage = instance.sparse_feasible.server_coverage_counts()
             servers.sort(key=lambda m: -int(coverage[m]))
         return servers
 
@@ -537,7 +529,7 @@ class TrimCachingSpec:
         from repro import obs
 
         start = time.perf_counter()
-        with obs.span("solve.spec", backend=self.backend, engine=self.engine):
+        with obs.span("solve.spec", backend=self.backend):
             if not instance.library.specific_blocks_are_exclusive():
                 raise SolverError(
                     "Spec requires specific blocks to be model-exclusive "
@@ -555,7 +547,7 @@ class TrimCachingSpec:
                 if context is None:
                     context = _CONTEXTS[combos] = _SubproblemContext(instance, combos)
             placement = instance.new_placement()
-            tracker = CoverageTracker(instance, engine=self.engine)
+            tracker = CoverageTracker(instance)
             per_server_mass: List[float] = []
             tables: Optional[ValueDpTables] = None
             if self.knapsack_cache and self.backend == "value_dp":
@@ -623,6 +615,8 @@ class SpecConfig:
     max_combinations: int = 200_000
     server_order: str = "index"
     workers: Optional[int] = None
+    #: Inert (see :data:`~repro.core.gen.PLAN_ENGINES`): recorded in
+    #: plans, not built.
     engine: str = "dense"
     fallback: str = "weight_dp"
     knapsack_cache: bool = True
@@ -632,6 +626,7 @@ class SpecConfig:
     def __post_init__(self) -> None:
         # Bad settings fail when a plan is declared or loaded, not when
         # it runs.
+        check_plan_engine(self.engine)
         self.build()
 
     def build(self) -> "TrimCachingSpec":
@@ -643,7 +638,6 @@ class SpecConfig:
             max_combinations=self.max_combinations,
             server_order=self.server_order,
             workers=self.workers,
-            engine=self.engine,
             fallback=self.fallback,
             knapsack_cache=self.knapsack_cache,
             prefix_prune=self.prefix_prune,

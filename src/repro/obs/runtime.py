@@ -106,7 +106,7 @@ def tracer() -> Tracer:
 def span(name: str, **args: Any):
     """A span context manager; the shared no-op when tracing is off.
 
-    >>> with obs.span("solve.gen", engine="sparse") as handle:
+    >>> with obs.span("solve.spec", backend="value_dp") as handle:
     ...     handle["steps"] = steps  # post-hoc annotation
     """
     state = _STATE

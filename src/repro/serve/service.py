@@ -93,21 +93,20 @@ class PlacementService:
         ``"gen"`` (deduplicated storage, the paper's Algorithm 3) or
         ``"independent"`` (knapsack storage baseline).
     engine:
-        Tracker engine, ``"dense"`` or ``"sparse"`` (see
-        :data:`~repro.serve.resolver.SERVE_ENGINES`; ``"auto"`` is not
-        served).
+        Only ``"sparse"`` is accepted, and it selects nothing (see
+        :data:`~repro.serve.resolver.SERVE_ENGINES`, which documents when
+        the keyword leaves).
     """
 
     def __init__(
         self,
         scenario,
         solver: str = "gen",
-        engine: str = "dense",
+        engine: str = "sparse",
     ) -> None:
         check_serve_config(solver, engine)
         self.scenario = scenario
         self.solver = solver
-        self.engine = engine
         source = scenario.instance
         # Private copies: the instance constructor shares float/int64
         # arrays it is given, and events mutate them in place.
@@ -121,7 +120,7 @@ class PlacementService:
         # Unmarked tracker, kept in sync with the instance's demand by
         # column refreshes after every mutation — a clone of it always
         # equals a fresh CoverageTracker(instance) bit for bit.
-        self.base_tracker = CoverageTracker(self.instance, engine=engine)
+        self.base_tracker = CoverageTracker(self.instance)
         # Unplaced block cache (Gen only): every re-solve runs on a clone
         # of it, and the clones share its delta table, so the block adds
         # that recur from event to event are computed once per service.
@@ -132,13 +131,10 @@ class PlacementService:
             if solver == "gen"
             else None
         )
-        if engine == "sparse":
-            # Force the CSR bundle's lazily cached derived indices now so
-            # the first event does not pay their construction cost (the
-            # tracker has built its flat index and column views).
-            sparse = self.instance.sparse_feasible
-            sparse.entry_pair_index()
-            sparse.user_view()
+        # Build the CSR bundle's lazily cached per-user view now, so the
+        # first route() does not pay for it (the tracker has built the
+        # indices it reads).
+        self.instance.sparse_feasible.user_view()
         start = time.perf_counter()
         self.state: SolveState = warm_solve(
             self.instance, self.base_tracker, self.base_cache
@@ -191,7 +187,6 @@ class PlacementService:
         instance = self.instance
         return {
             "solver": self.solver,
-            "engine": self.engine,
             "num_servers": instance.num_servers,
             "num_users": instance.num_users,
             "num_models": instance.num_models,
@@ -293,7 +288,7 @@ class ServiceSession:
         self,
         scenario,
         solver: str = "gen",
-        engine: str = "dense",
+        engine: str = "sparse",
     ) -> None:
         self.service = PlacementService(scenario, solver=solver, engine=engine)
 

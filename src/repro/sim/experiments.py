@@ -85,29 +85,20 @@ def _scaled_requests(scale: float) -> int:
     return min(PAPER_REQUESTS_PER_USER, _scaled_library(scale))
 
 
-# The reproduced figures deliberately run the solvers' default
-# engine="dense": its coverage gains are bit-pinned to the frozen seed
-# (repro.core.reference), so every figure stays exactly reproducible
-# against earlier revisions. The sparse-primary instances densify lazily
-# here — the price of that pinning; pass engine="sparse"/"auto" (as the
-# sweep benchmark and the ``--engine`` CLI flag do) to trade it for the
-# O(nnz) engine.
-def special_solvers(
-    epsilon: float = 0.1, engine: str = "dense"
-) -> Sequence[SolverSpec]:
+def special_solvers(epsilon: float = 0.1) -> Sequence[SolverSpec]:
     """The special-case comparison set: Spec vs. Gen vs. Independent."""
     return (
-        SolverSpec("spec", config=SpecConfig(epsilon=epsilon, engine=engine)),
-        SolverSpec("gen", config=GenConfig(engine=engine)),
-        SolverSpec("independent", config=IndependentConfig(engine=engine)),
+        SolverSpec("spec", config=SpecConfig(epsilon=epsilon)),
+        SolverSpec("gen", config=GenConfig()),
+        SolverSpec("independent", config=IndependentConfig()),
     )
 
 
-def general_solvers(engine: str = "dense") -> Sequence[SolverSpec]:
+def general_solvers() -> Sequence[SolverSpec]:
     """The general-case comparison set: Gen vs. Independent."""
     return (
-        SolverSpec("gen", config=GenConfig(engine=engine)),
-        SolverSpec("independent", config=IndependentConfig(engine=engine)),
+        SolverSpec("gen", config=GenConfig()),
+        SolverSpec("independent", config=IndependentConfig()),
     )
 
 
@@ -227,7 +218,6 @@ def fig4a_plan(
     seed: int = 0,
     scale: float = DEFAULT_SCALE,
     workers: int = 1,
-    engine: str = "dense",
 ) -> ExperimentPlan:
     """Fig. 4(a): special case, hit ratio vs. capacity (M=10, I=30).
 
@@ -237,7 +227,7 @@ def fig4a_plan(
     return ExperimentPlan(
         name="Fig. 4(a) — special case: cache hit ratio vs. capacity Q",
         sweep=SweepSpec("capacity", tuple(capacities_gb)),
-        solvers=special_solvers(engine=engine),
+        solvers=special_solvers(),
         base=_paper_base("special", scale, num_servers=10),
         num_topologies=num_topologies,
         evaluation=evaluation,
@@ -256,13 +246,12 @@ def fig4b_plan(
     seed: int = 0,
     scale: float = DEFAULT_SCALE,
     workers: int = 1,
-    engine: str = "dense",
 ) -> ExperimentPlan:
     """Fig. 4(b): special case, hit ratio vs. M (Q=1 GB, I=30)."""
     return ExperimentPlan(
         name="Fig. 4(b) — special case: cache hit ratio vs. number of edge servers M",
         sweep=SweepSpec("servers", tuple(server_counts)),
-        solvers=special_solvers(engine=engine),
+        solvers=special_solvers(),
         base=_paper_base("special", scale, storage_bytes=int(1 * scale * GB)),
         num_topologies=num_topologies,
         evaluation=evaluation,
@@ -281,13 +270,12 @@ def fig4c_plan(
     seed: int = 0,
     scale: float = DEFAULT_SCALE,
     workers: int = 1,
-    engine: str = "dense",
 ) -> ExperimentPlan:
     """Fig. 4(c): special case, hit ratio vs. K (Q=1 GB, M=10)."""
     return ExperimentPlan(
         name="Fig. 4(c) — special case: cache hit ratio vs. number of users K",
         sweep=SweepSpec("users", tuple(user_counts)),
-        solvers=special_solvers(engine=engine),
+        solvers=special_solvers(),
         base=_paper_base(
             "special",
             scale,
@@ -311,13 +299,12 @@ def fig5a_plan(
     seed: int = 0,
     scale: float = DEFAULT_SCALE,
     workers: int = 1,
-    engine: str = "dense",
 ) -> ExperimentPlan:
     """Fig. 5(a): general case, hit ratio vs. capacity (M=10, I=30)."""
     return ExperimentPlan(
         name="Fig. 5(a) — general case: cache hit ratio vs. capacity Q",
         sweep=SweepSpec("capacity", tuple(capacities_gb)),
-        solvers=general_solvers(engine=engine),
+        solvers=general_solvers(),
         base=_paper_base("general", scale, num_servers=10),
         num_topologies=num_topologies,
         evaluation=evaluation,
@@ -336,13 +323,12 @@ def fig5b_plan(
     seed: int = 0,
     scale: float = DEFAULT_SCALE,
     workers: int = 1,
-    engine: str = "dense",
 ) -> ExperimentPlan:
     """Fig. 5(b): general case, hit ratio vs. M (Q=1 GB, I=30)."""
     return ExperimentPlan(
         name="Fig. 5(b) — general case: cache hit ratio vs. number of edge servers M",
         sweep=SweepSpec("servers", tuple(server_counts)),
-        solvers=general_solvers(engine=engine),
+        solvers=general_solvers(),
         base=_paper_base("general", scale, storage_bytes=int(1 * scale * GB)),
         num_topologies=num_topologies,
         evaluation=evaluation,
@@ -361,13 +347,12 @@ def fig5c_plan(
     seed: int = 0,
     scale: float = DEFAULT_SCALE,
     workers: int = 1,
-    engine: str = "dense",
 ) -> ExperimentPlan:
     """Fig. 5(c): general case, hit ratio vs. K (Q=1 GB, M=10)."""
     return ExperimentPlan(
         name="Fig. 5(c) — general case: cache hit ratio vs. number of users K",
         sweep=SweepSpec("users", tuple(user_counts)),
-        solvers=general_solvers(engine=engine),
+        solvers=general_solvers(),
         base=_paper_base(
             "general",
             scale,

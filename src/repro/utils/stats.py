@@ -62,8 +62,7 @@ class RunningStats:
         one chunk of per-user hit masses at a time this way. Count, min
         and max are exact; mean and variance agree with sequential
         :meth:`add` calls to floating-point accuracy (the summation
-        order differs, so final ulps may differ — same caveat the sparse
-        objective engine documents).
+        order differs, so final ulps may differ).
         """
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:

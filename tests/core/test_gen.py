@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.bounds import gamma_bound
-from repro.core.gen import TrimCachingGen
+from repro.core.gen import GenConfig, TrimCachingGen
 from repro.core.exhaustive import ExhaustiveSearch
+from repro.core.independent import IndependentCaching, IndependentConfig
 from repro.core.objective import (
-    CoverageTracker,
     hit_ratio,
     placement_is_feasible,
     storage_used,
 )
 from repro.core.placement import Placement
-from repro.core.spec import TrimCachingSpec
-from repro.errors import ConfigurationError, PlacementError
+from repro.core.spec import SpecConfig, TrimCachingSpec
+from repro.errors import ConfigurationError
 
 from tests.core.test_submodular import small_instances
-
-ENGINES = ("dense", "sparse")
 
 
 class TestBasicBehaviour:
@@ -42,8 +40,7 @@ class TestBasicBehaviour:
         assert storage_used(tiny_instance, result.placement, 0) == 20_000_000
 
     @pytest.mark.parametrize("accelerated", [True, False])
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_zero_capacity_places_nothing(self, tiny_library, engine, accelerated):
+    def test_zero_capacity_places_nothing(self, tiny_library, accelerated):
         from tests.conftest import make_instance
 
         instance = make_instance(
@@ -52,9 +49,7 @@ class TestBasicBehaviour:
             np.ones((2, 2, 3), dtype=bool),
             [0, 0],
         )
-        result = TrimCachingGen(accelerated=accelerated, engine=engine).solve(
-            instance
-        )
+        result = TrimCachingGen(accelerated=accelerated).solve(instance)
         assert result.placement.total_placements() == 0
         assert result.hit_ratio == 0.0
 
@@ -259,46 +254,37 @@ def gain_tie_instance():
 
 
 class TestEngines:
-    """Cross-engine pins: tie-break, auto resolution, rejection."""
+    """The tie-break pin, and the inert plan-level ``engine`` field."""
 
     @pytest.mark.parametrize("accelerated", [True, False])
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_gain_ties_resolve_to_lowest_server_then_model(
-        self, engine, accelerated
-    ):
+    def test_gain_ties_resolve_to_lowest_server_then_model(self, accelerated):
         from repro.core.reference import ReferenceGen
 
         instance = gain_tie_instance()
-        result = TrimCachingGen(accelerated=accelerated, engine=engine).solve(
-            instance
-        )
+        result = TrimCachingGen(accelerated=accelerated).solve(instance)
         assert result.placement.models_on(0) == [0]
         assert result.placement.models_on(1) == [2]
         reference = ReferenceGen(accelerated=accelerated).solve(instance)
         assert result.placement == reference.placement
         assert result.hit_ratio == reference.hit_ratio
 
-    def test_auto_resolves_by_instance(self, tiny_instance, tight_scenario):
-        sparse_primary = tight_scenario.instance
-        assert sparse_primary.is_sparse_primary
-        assert not tiny_instance.is_sparse_primary
-        assert CoverageTracker(sparse_primary, engine="auto").engine == "sparse"
-        assert CoverageTracker(tiny_instance, engine="auto").engine == "dense"
-        for instance, resolved in (
-            (sparse_primary, "sparse"),
-            (tiny_instance, "dense"),
-        ):
-            auto = TrimCachingGen(engine="auto").solve(instance)
-            explicit = TrimCachingGen(engine=resolved).solve(instance)
-            assert auto.placement == explicit.placement
-            assert auto.hit_ratio == explicit.hit_ratio
+    @pytest.mark.parametrize("config_cls", [GenConfig, SpecConfig, IndependentConfig])
+    @pytest.mark.parametrize("engine", ["dense", "sparse", "auto"])
+    def test_configs_accept_saved_engine_values(self, config_cls, engine):
+        """Saved plans name an engine; it loads and builds the one kernel."""
+        config = config_cls(engine=engine)
+        assert config.engine == engine
+        assert not hasattr(config.build(), "engine")
 
+    @pytest.mark.parametrize("config_cls", [GenConfig, SpecConfig, IndependentConfig])
     @pytest.mark.parametrize("engine", ["compiled", "magic"])
-    def test_tracker_rejects_unknown_engine(self, tiny_instance, engine):
-        with pytest.raises(PlacementError, match=r"dense\|sparse\|auto"):
-            CoverageTracker(tiny_instance, engine=engine)
-
-    @pytest.mark.parametrize("solver", [TrimCachingGen, TrimCachingSpec])
-    def test_solvers_reject_compiled(self, solver):
+    def test_configs_reject_unknown_engine(self, config_cls, engine):
         with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
-            solver(engine="compiled")
+            config_cls(engine=engine)
+
+    @pytest.mark.parametrize(
+        "solver", [TrimCachingGen, TrimCachingSpec, IndependentCaching]
+    )
+    def test_solvers_take_no_engine(self, solver):
+        with pytest.raises(TypeError):
+            solver(engine="sparse")

@@ -38,8 +38,6 @@ from repro.models.model import Model
 #: Demand values with exact repeats (gain ties) and inexact sums.
 TIED_INEXACT_VALUES = [0.0, 0.1, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-7]
 
-ENGINES = ("dense", "sparse")
-
 
 @st.composite
 def general_libraries(draw):
@@ -132,24 +130,20 @@ def greedy_instances(draw):
 
 
 class TestGreedyDifferential:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("accelerated", [True, False])
     @given(instance=greedy_instances())
     @settings(max_examples=200, deadline=None)
-    def test_gen_matches_reference(self, engine, accelerated, instance):
-        got = TrimCachingGen(accelerated=accelerated, engine=engine).solve(
-            instance
-        )
+    def test_gen_matches_reference(self, accelerated, instance):
+        got = TrimCachingGen(accelerated=accelerated).solve(instance)
         expected = ReferenceGen(accelerated=False).solve(instance)
         assert got.placement == expected.placement
         assert got.hit_ratio == expected.hit_ratio
         assert got.stats["greedy_steps"] == expected.stats["greedy_steps"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @given(instance=greedy_instances())
     @settings(max_examples=200, deadline=None)
-    def test_independent_matches_reference(self, engine, instance):
-        got = IndependentCaching(engine=engine).solve(instance)
+    def test_independent_matches_reference(self, instance):
+        got = IndependentCaching().solve(instance)
         expected = ReferenceIndependent().solve(instance)
         assert got.placement == expected.placement
         assert got.hit_ratio == expected.hit_ratio

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.gen import TrimCachingGen
-from repro.core.independent import IndependentCaching
+from repro.core.independent import IndependentCaching, IndependentConfig
+from repro.core.placement import PlacementInstance
 from repro.core.objective import (
     hit_ratio,
     independent_storage_used,
@@ -13,8 +14,18 @@ from repro.core.objective import (
 )
 from repro.errors import ConfigurationError
 
-from tests.core.test_gen import ENGINES, gain_tie_instance
+from tests.core.test_gen import gain_tie_instance
 from tests.core.test_submodular import small_instances
+
+
+def sparse_primary_copy(instance):
+    """The same instance, built from its CSR feasibility artifact."""
+    return PlacementInstance(
+        instance.library,
+        instance.demand,
+        instance.sparse_feasible,
+        instance.capacities,
+    )
 
 
 class TestBasics:
@@ -38,8 +49,7 @@ class TestBasics:
             hit_ratio(tiny_instance, result.placement)
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_zero_capacity(self, tiny_library, engine):
+    def test_zero_capacity(self, tiny_library):
         from tests.conftest import make_instance
 
         instance = make_instance(
@@ -48,7 +58,7 @@ class TestBasics:
             np.ones((2, 2, 3), dtype=bool),
             [0, 0],
         )
-        result = IndependentCaching(engine=engine).solve(instance)
+        result = IndependentCaching().solve(instance)
         assert result.placement.total_placements() == 0
         assert result.hit_ratio == 0.0
 
@@ -94,37 +104,33 @@ class TestMaskedArgmaxPort:
 
     @given(small_instances())
     @settings(max_examples=25, deadline=None)
-    def test_sparse_engine_identical(self, instance):
+    def test_sparse_primary_instance_identical(self, instance):
         dense = IndependentCaching().solve(instance)
-        sparse = IndependentCaching(engine="sparse").solve(instance)
+        sparse = IndependentCaching().solve(sparse_primary_copy(instance))
         assert dense.placement == sparse.placement
 
 
 class TestEngines:
-    """Cross-engine pins: tie-break, auto resolution, rejection."""
+    """Tie-break pin, feasibility forms, the inert ``engine`` field."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_gain_ties_resolve_to_lowest_server_then_model(self, engine):
+    def test_gain_ties_resolve_to_lowest_server_then_model(self):
         from repro.core.reference import ReferenceIndependent
 
         instance = gain_tie_instance()
-        result = IndependentCaching(engine=engine).solve(instance)
+        result = IndependentCaching().solve(instance)
         assert result.placement.models_on(0) == [0]
         assert result.placement.models_on(1) == [2]
         reference = ReferenceIndependent().solve(instance)
         assert result.placement == reference.placement
         assert result.hit_ratio == reference.hit_ratio
 
-    def test_auto_resolves_by_instance(self, tiny_instance, tight_scenario):
-        for instance, resolved in (
-            (tight_scenario.instance, "sparse"),
-            (tiny_instance, "dense"),
-        ):
-            auto = IndependentCaching(engine="auto").solve(instance)
-            explicit = IndependentCaching(engine=resolved).solve(instance)
-            assert auto.placement == explicit.placement
-            assert auto.hit_ratio == explicit.hit_ratio
+    def test_feasibility_form_does_not_matter(self, tiny_instance):
+        """A dense-primary instance and its CSR-primary copy solve alike."""
+        dense = IndependentCaching().solve(tiny_instance)
+        sparse = IndependentCaching().solve(sparse_primary_copy(tiny_instance))
+        assert dense.placement == sparse.placement
+        assert dense.hit_ratio == sparse.hit_ratio
 
-    def test_rejects_compiled(self):
+    def test_config_rejects_compiled(self):
         with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
-            IndependentCaching(engine="compiled")
+            IndependentConfig(engine="compiled")

@@ -4,8 +4,9 @@ The seed implementations (pure-Python inner loops) are retained verbatim
 in :mod:`repro.core.reference`; these tests pin the vectorised engine to
 them:
 
-* the incremental :class:`CoverageTracker` maintains a gain matrix that
-  is **bit-identical** to the reference's full einsum recompute;
+* the incremental :class:`CoverageTracker` maintains a gain matrix whose
+  every server row is **bit-identical** to the reference's per-server
+  sum (:meth:`ReferenceCoverageTracker.server_gains`);
 * ``TrimCachingGen`` — lazy/vectorised and naive — produces placements
   identical to the seed naive greedy (the literal Algorithm 3, whose
   einsum gains define the canonical tie-breaking);
@@ -93,27 +94,47 @@ def random_tracker_instance(rng) -> PlacementInstance:
     return PlacementInstance(library, demand, feasible, capacities)
 
 
+def reference_row(ref, server):
+    """The left-to-right sum of ``server``'s unserved mass, per model.
+
+    That is :meth:`ReferenceCoverageTracker.server_gains` whenever the
+    instance has two or more models. With one model the ``(K, 1)``
+    product is contiguous along users and numpy reduces it pairwise, so
+    the reference's sum is not left to right; ``np.add.accumulate``
+    gives the left-to-right one there.
+    """
+    if ref.instance.num_models > 1:
+        return ref.server_gains(server)
+    terms = ref.instance.feasible[server] * ref.unserved_demand()
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def assert_rows_equal_reference(new, ref):
+    gains = new.gain_matrix()
+    for server in range(ref.instance.num_servers):
+        assert np.array_equal(gains[server], reference_row(ref, server))
+        assert np.array_equal(new.server_gains(server), gains[server])
+
+
 class TestTrackerBitEquality:
-    def test_maintained_gains_bit_identical(self):
-        """Column refreshes reproduce the full einsum bit for bit."""
+    def test_gain_rows_bit_identical_to_reference_server_sums(self):
+        """The build and every column refresh reproduce the reference's
+        per-server sums bit for bit: both add a server's users one by
+        one in user order."""
         rng = np.random.default_rng(0)
         for _ in range(30):
             instance = random_tracker_instance(rng)
             new = CoverageTracker(instance)
             ref = ReferenceCoverageTracker(instance)
-            assert (new.gain_matrix() == ref.gain_matrix()).all()
+            assert_rows_equal_reference(new, ref)
             for _ in range(25):
                 server = int(rng.integers(0, instance.num_servers))
                 model = int(rng.integers(0, instance.num_models))
                 new.mark_served(server, model)
                 ref.mark_served(server, model)
                 assert (new.served == ref.served).all()
-                assert (new.gain_matrix() == ref.gain_matrix()).all()
                 assert (new.unserved_demand() == ref.unserved_demand()).all()
-                assert new.gain(server, model) == ref.gain(server, model)
-                assert (
-                    new.server_gains(server) == ref.server_gains(server)
-                ).all()
+                assert_rows_equal_reference(new, ref)
 
     def test_placed_pair_gain_is_exact_zero(self):
         """mark_served zeroes the pair's own gain exactly (the vectorised
@@ -183,9 +204,9 @@ class TestIndependentEquivalence:
 class TestSparseEquivalence:
     """The CSR feasibility/coverage path pinned against the dense seed.
 
-    The sparse engine's ``served``/``unserved_demand`` state is exactly
-    the dense engine's; its gain sums reduce only the CSR nonzeros and so
-    may differ from the einsum in final ulps — placements, hit ratios and
+    The tracker's ``served``/``unserved_demand`` state is exactly the
+    seed's; its gain sums reduce only the CSR nonzeros and so may differ
+    from the seed's einsum in final ulps — placements, hit ratios and
     the zero/positive gain structure must still match exactly.
     """
 
@@ -193,13 +214,11 @@ class TestSparseEquivalence:
         rng = np.random.default_rng(11)
         for _ in range(20):
             instance = random_tracker_instance(rng)
-            dense = CoverageTracker(instance, engine="dense")
-            sparse = CoverageTracker(instance, engine="sparse")
+            sparse = CoverageTracker(instance)
             ref = ReferenceCoverageTracker(instance)
             for _ in range(15):
                 server = int(rng.integers(0, instance.num_servers))
                 model = int(rng.integers(0, instance.num_models))
-                dense.mark_served(server, model)
                 sparse.mark_served(server, model)
                 ref.mark_served(server, model)
                 assert (sparse.served == ref.served).all()
@@ -211,16 +230,19 @@ class TestSparseEquivalence:
                 # Same terms, possibly different reduction grouping.
                 assert np.allclose(gains_sparse, gains_ref, rtol=1e-12, atol=0.0)
                 # Zero structure is exact: a pair with no reachable mass
-                # reads exactly 0.0 in both engines (the argmax stopping
-                # rule depends on it).
+                # reads exactly 0.0 in both (the argmax stopping rule
+                # depends on it).
                 assert ((gains_sparse == 0.0) == (gains_ref == 0.0)).all()
-                assert sparse.hit_ratio() == dense.hit_ratio()
+                assert sparse.hit_ratio() == float(
+                    (instance.demand * ref.served).sum()
+                    / instance.total_demand
+                )
 
     @pytest.mark.parametrize("case,storage,seed", SCENARIO_GRID)
     def test_sparse_gen_matches_seed(self, case, storage, seed):
         sparse_instance = grid_instance(case, storage, seed)
-        assert sparse_instance.is_sparse_primary
-        result = TrimCachingGen(engine="sparse").solve(sparse_instance)
+        assert sparse_instance.has_sparse
+        result = TrimCachingGen().solve(sparse_instance)
         seed_result = ReferenceGen(accelerated=False).solve(
             grid_instance(case, storage, seed, feasibility="dense")
         )
@@ -233,9 +255,7 @@ class TestSparseEquivalence:
     )
     def test_sparse_spec_matches_seed(self, storage, seed):
         sparse_instance = grid_instance("special", storage, seed)
-        result = TrimCachingSpec(epsilon=0.1, engine="sparse").solve(
-            sparse_instance
-        )
+        result = TrimCachingSpec(epsilon=0.1).solve(sparse_instance)
         ref = ReferenceSpec(epsilon=0.1).solve(
             grid_instance("special", storage, seed, feasibility="dense")
         )
@@ -245,7 +265,7 @@ class TestSparseEquivalence:
     @pytest.mark.parametrize("case,storage,seed", SCENARIO_GRID[:8])
     def test_sparse_independent_matches_seed(self, case, storage, seed):
         sparse_instance = grid_instance(case, storage, seed)
-        result = IndependentCaching(engine="sparse").solve(sparse_instance)
+        result = IndependentCaching().solve(sparse_instance)
         ref = ReferenceIndependent().solve(
             grid_instance(case, storage, seed, feasibility="dense")
         )

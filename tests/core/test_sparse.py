@@ -150,11 +150,11 @@ class TestSparsePrimaryInstance:
             ScenarioConfig(num_servers=4, num_users=20, num_models=10), seed=5
         )
         instance = scenario.instance
-        assert instance.is_sparse_primary
+        assert instance.has_sparse
         dense_scenario = build_scenario(
             scenario.config, seed=5, feasibility="dense"
         )
-        assert not dense_scenario.instance.is_sparse_primary
+        assert not dense_scenario.instance.has_sparse
         assert (instance.feasible == dense_scenario.instance.feasible).all()
         assert instance.feasible_shape == dense_scenario.instance.feasible_shape
 
@@ -335,7 +335,7 @@ class TestServedMatrixBlock:
 
 
 class TestSparseTrackerBits:
-    """The sparse tracker's gains are each server's column entries
+    """The tracker's gains are each server's column entries
     summed one by one in storage order, bit for bit: the contract that
     lets the column refresh be any kernel that keeps that order."""
 
@@ -358,7 +358,7 @@ class TestSparseTrackerBits:
         config = ScenarioConfig(num_servers=5, num_users=30, num_models=12,
                                 requests_per_user=6)
         instance = build_scenario(config, seed=9).instance
-        tracker = CoverageTracker(instance, engine="sparse")
+        tracker = CoverageTracker(instance)
         assert np.array_equal(
             tracker.gain_matrix(), self.sequential_gains(tracker, instance)
         )

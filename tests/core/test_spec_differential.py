@@ -21,6 +21,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,13 +49,6 @@ from repro.models.model import Model
 #: columns, and the 1e-7 entry blows the rounded table at every ε drawn
 #: here, so the fallback chain runs too.
 TIED_VALUES = [0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 1e-7]
-#: Demand values for whole solves: the same shape, all dyadic, so every
-#: per-server utility is an exact sum. The seed Spec sums a server's
-#: utilities user by user while ``CoverageTracker`` keeps the einsum's
-#: bits; on inexact sums (demand column ``[0.5, 0.5, 1e-7]``) the two
-#: differ in the last ulp before Algorithm 2 runs. The sub-problem test
-#: above covers inexact utilities with both solvers fed the same ones.
-DYADIC_VALUES = [0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 2.0**-24]
 
 
 @st.composite
@@ -134,7 +128,7 @@ def subproblems(draw):
 
 @st.composite
 def whole_instances(draw):
-    """A chain library, tied/zero dyadic demand, random feasibility and
+    """A chain library, tied/zero inexact demand, random feasibility and
     capacities (0 included) over 1-3 servers."""
     library = draw(chain_libraries())
     num_models = library.num_models
@@ -142,7 +136,7 @@ def whole_instances(draw):
     num_users = draw(st.integers(1, 3))
     demand = np.array(
         [
-            [draw(st.sampled_from(DYADIC_VALUES)) for _ in range(num_models)]
+            [draw(st.sampled_from(TIED_VALUES)) for _ in range(num_models)]
             for _ in range(num_users)
         ]
     )
@@ -345,6 +339,23 @@ class TestBackendDifferential:
 
 
 class TestWholeSolveDifferential:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_inexact_utility_is_the_reference_sum(self, epsilon):
+        """Three users' demand ``[0.5, 0.5, 1e-7]`` sums inexactly; both
+        solvers add it user by user, so the masses are equal bit for bit
+        (``1.0000001``)."""
+        library = ModelLibrary([ParameterBlock(0, 10)], [Model(0, (0,))])
+        demand = np.array([[0.5], [0.5], [1e-7]])
+        feasible = np.ones((1, 3, 1), dtype=bool)
+        instance = PlacementInstance(library, demand, feasible, [10])
+        got = TrimCachingSpec(epsilon=epsilon).solve(instance)
+        backend = "exact" if epsilon == 0 else "value_dp"
+        expected = ReferenceSpec(epsilon=epsilon, backend=backend).solve(instance)
+        assert got.placement == expected.placement
+        assert got.placement.models_on(0) == [0]
+        assert got.stats["per_server_mass"] == expected.stats["per_server_mass"]
+        assert got.stats["per_server_mass"] == [0.5 + 0.5 + 1e-7]
+
     @given(whole_instances(), st.sampled_from([0.05, 0.1, 0.3]))
     @settings(max_examples=60, deadline=None)
     def test_value_dp_matches_reference(self, instance, epsilon):

@@ -3,9 +3,8 @@
 The pinned property: any interleaving of add/remove-user deltas (with
 placement marks mixed in) leaves the gain matrix, the served mask, and
 the unserved-demand state **bit-identical** to a tracker built fresh on
-the final demand matrix with the same marks replayed — for both the
-dense and the sparse engine. The serving layer's exactness guarantee
-rests on this.
+the final demand matrix with the same marks replayed. The serving
+layer's exactness guarantee rests on this.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ from hypothesis import strategies as st
 
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
+from repro.core.reference import ReferenceCoverageTracker
 from repro.errors import PlacementError
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
-
-ENGINES = ("dense", "sparse")
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +74,13 @@ _ops = st.lists(
 
 
 class TestInterleavedDeltasMatchFreshBuild:
-    @pytest.mark.parametrize("engine", ENGINES)
     @given(ops=_ops)
     @settings(max_examples=40, deadline=None)
-    def test_any_interleaving_is_bit_identical(
-        self, delta_scenario, engine, ops
-    ):
+    def test_any_interleaving_is_bit_identical(self, delta_scenario, ops):
         scenario = delta_scenario
         original = scenario.demand
         instance = private_instance(scenario)
-        tracker = CoverageTracker(instance, engine=engine)
+        tracker = CoverageTracker(instance)
         num_users = instance.num_users
         num_servers = instance.num_servers
         num_models = instance.num_models
@@ -117,17 +112,16 @@ class TestInterleavedDeltasMatchFreshBuild:
                 scenario.instance.capacities, dtype=np.int64
             ).copy(),
         )
-        fresh = CoverageTracker(fresh_instance, engine=engine)
+        fresh = CoverageTracker(fresh_instance)
         for pair in marks:
             fresh.mark_served(*pair)
         assert_trackers_identical(tracker, fresh)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_remove_then_add_restores_exactly(self, delta_scenario, engine):
+    def test_remove_then_add_restores_exactly(self, delta_scenario):
         scenario = delta_scenario
         instance = private_instance(scenario)
-        tracker = CoverageTracker(instance, engine=engine)
-        reference = CoverageTracker(private_instance(scenario), engine=engine)
+        tracker = CoverageTracker(instance)
+        reference = CoverageTracker(private_instance(scenario))
         for user in (0, 3, 7):
             tracker.remove_user(user)
         for user in (7, 0, 3):
@@ -144,12 +138,12 @@ class TestDeltaBookkeeping:
         assert tracker.instance is clone.instance
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sparse_marks_match_dense_masks(self, delta_scenario, seed):
-        """Sparse marks scatter through the flat entry index; the served
-        mask and unserved mass must equal the dense engine's exactly."""
+    def test_marks_match_reference_masks(self, delta_scenario, seed):
+        """Marks scatter through the flat entry index; the served mask and
+        unserved mass must equal the dense seed tracker's exactly."""
         rng = np.random.default_rng(seed)
-        dense = CoverageTracker(private_instance(delta_scenario), engine="dense")
-        sparse = CoverageTracker(private_instance(delta_scenario), engine="sparse")
+        dense = ReferenceCoverageTracker(private_instance(delta_scenario))
+        sparse = CoverageTracker(private_instance(delta_scenario))
         for _ in range(12):
             pair = (
                 int(rng.integers(delta_scenario.instance.num_servers)),
@@ -186,21 +180,20 @@ class TestDeltaBookkeeping:
             tracker.scale_model(0, -0.5)
 
     def test_refresh_matches_fresh_build_after_mutation(self, delta_scenario):
-        """refresh_columns == rebuilding on mutated demand (both engines)."""
-        for engine in ENGINES:
-            instance = private_instance(delta_scenario)
-            tracker = CoverageTracker(instance, engine=engine)
-            tracker.mark_served(2, 4)
-            changed = instance.scale_demand_column(4, 0.25)
-            tracker.refresh_columns(changed)
-            fresh_instance = PlacementInstance(
-                library=delta_scenario.library,
-                demand=instance.demand.copy(),
-                feasible=delta_scenario.instance.sparse_feasible,
-                capacities=np.asarray(
-                    delta_scenario.instance.capacities, dtype=np.int64
-                ).copy(),
-            )
-            fresh = CoverageTracker(fresh_instance, engine=engine)
-            fresh.mark_served(2, 4)
-            assert_trackers_identical(tracker, fresh)
+        """refresh_columns == rebuilding on mutated demand."""
+        instance = private_instance(delta_scenario)
+        tracker = CoverageTracker(instance)
+        tracker.mark_served(2, 4)
+        changed = instance.scale_demand_column(4, 0.25)
+        tracker.refresh_columns(changed)
+        fresh_instance = PlacementInstance(
+            library=delta_scenario.library,
+            demand=instance.demand.copy(),
+            feasible=delta_scenario.instance.sparse_feasible,
+            capacities=np.asarray(
+                delta_scenario.instance.capacities, dtype=np.int64
+            ).copy(),
+        )
+        fresh = CoverageTracker(fresh_instance)
+        fresh.mark_served(2, 4)
+        assert_trackers_identical(tracker, fresh)

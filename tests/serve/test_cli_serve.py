@@ -68,7 +68,6 @@ class TestServeCommand:
             status = fetch(port, "/status")
             assert status["num_servers"] == 3
             assert status["num_users"] == 12
-            assert status["engine"] == "sparse"  # CLI default
             reply = post(
                 port,
                 "/events",
@@ -100,14 +99,11 @@ class TestServeCommand:
         )
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(plan_to_json(plan))
-        process, port = start_server(
-            ["--plan", str(plan_path), "--engine", "dense"], tmp_path
-        )
+        process, port = start_server(["--plan", str(plan_path)], tmp_path)
         try:
             status = fetch(port, "/status")
             assert status["num_users"] == 12
             assert status["num_models"] == 9
-            assert status["engine"] == "dense"
         finally:
             process.terminate()
             process.wait(timeout=10)

@@ -20,11 +20,7 @@ from repro.core.objective import CoverageTracker
 from repro.errors import ReproError
 from repro.serve import Event, PlacementService, resolve_from_scratch
 
-PAIRS = [
-    (solver, engine)
-    for solver in ("gen", "independent")
-    for engine in ("dense", "sparse")
-]
+SOLVERS = ("gen", "independent")
 
 
 def _event_batches(scenario):
@@ -80,17 +76,15 @@ def _event_batches(scenario):
 
 
 def _assert_tracker_fresh(service):
-    fresh = CoverageTracker(service.instance, engine=service.engine)
+    fresh = CoverageTracker(service.instance)
     base = service.base_tracker
     assert np.array_equal(base.served, fresh.served)
     assert np.array_equal(base.unserved_demand(), fresh.unserved_demand())
     assert np.array_equal(base.gain_matrix(), fresh.gain_matrix())
 
 
-@pytest.mark.parametrize("solver,engine", PAIRS)
-def test_service_equals_scratch_after_every_event(
-    micro_scenario, solver, engine
-):
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_service_equals_scratch_after_every_event(micro_scenario, solver):
     batches = _event_batches(micro_scenario)
 
     @settings(
@@ -100,7 +94,7 @@ def test_service_equals_scratch_after_every_event(
     )
     @given(steps=st.lists(batches, min_size=1, max_size=5))
     def check(steps):
-        service = PlacementService(micro_scenario, solver=solver, engine=engine)
+        service = PlacementService(micro_scenario, solver=solver)
         accepted = []
         observed = []
         for event in (event for batch in steps for event in batch):
@@ -119,9 +113,7 @@ def test_service_equals_scratch_after_every_event(
             _assert_tracker_fresh(service)
             assert sum(service.counters.values()) == service.events_processed
         assert service.events_processed == len(accepted)
-        records = resolve_from_scratch(
-            micro_scenario, accepted, solver=solver, engine=engine
-        )
+        records = resolve_from_scratch(micro_scenario, accepted, solver=solver)
         for step, (record, (ratio, matrix)) in enumerate(zip(records, observed)):
             assert ratio == record.hit_ratio, (step, accepted[step])
             assert np.array_equal(matrix, record.placement.matrix), (

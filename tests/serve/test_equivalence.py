@@ -2,7 +2,7 @@
 
 After any seeded event sequence, the service's placement and objective
 must be ``==``-identical (no tolerance) to solving the mutated scenario
-from scratch — for every solver × engine pair, including capacity
+from scratch — for every solver, including capacity
 changes and extreme popularity swings.
 """
 
@@ -19,65 +19,62 @@ from repro.serve import (
 )
 
 SOLVERS = ("gen", "independent")
-ENGINES = ("dense", "sparse")
 
-every_pair = pytest.mark.parametrize(
-    "solver,engine", [(s, e) for s in SOLVERS for e in ENGINES]
-)
+every_solver = pytest.mark.parametrize("solver", SOLVERS)
 
 
-def assert_service_matches_scratch(scenario, trace, solver, engine):
+def assert_service_matches_scratch(scenario, trace, solver):
     """Run the trace through the service and the stateless reference."""
-    service = PlacementService(scenario, solver=solver, engine=engine)
+    service = PlacementService(scenario, solver=solver)
     results = service.process_trace(trace)
-    records = resolve_from_scratch(scenario, trace, solver=solver, engine=engine)
+    records = resolve_from_scratch(scenario, trace, solver=solver)
     assert len(results) == len(records)
     for step, (result, record) in enumerate(zip(results, records)):
         assert result.hit_ratio == record.hit_ratio, (
             f"hit ratio diverged at event {step} ({trace[step].kind}): "
             f"served {result.hit_ratio!r} != scratch {record.hit_ratio!r} "
-            f"[solver={solver} engine={engine}]"
+            f"[solver={solver}]"
         )
     assert np.array_equal(
         service.state.placement.matrix, records[-1].placement.matrix
-    ), f"final placement diverged [solver={solver} engine={engine}]"
+    ), f"final placement diverged [solver={solver}]"
     return service
 
 
 class TestPinnedEquivalence:
-    @every_pair
-    def test_mixed_trace_grid(self, serve_scenario, solver, engine):
+    @every_solver
+    def test_mixed_trace_grid(self, serve_scenario, solver):
         trace = generate_event_trace(serve_scenario, 30, seed=17)
         service = assert_service_matches_scratch(
-            serve_scenario, trace, solver, engine
+            serve_scenario, trace, solver
         )
         assert service.counters["full"] > 0
 
     @pytest.mark.parametrize("seed", [1, 23, 61])
-    @every_pair
-    def test_multiple_seeds(self, serve_scenario, solver, engine, seed):
+    @every_solver
+    def test_multiple_seeds(self, serve_scenario, solver, seed):
         trace = generate_event_trace(serve_scenario, 25, seed=seed)
-        assert_service_matches_scratch(serve_scenario, trace, solver, engine)
+        assert_service_matches_scratch(serve_scenario, trace, solver)
 
-    @every_pair
-    def test_capacity_heavy_trace(self, serve_scenario, solver, engine):
+    @every_solver
+    def test_capacity_heavy_trace(self, serve_scenario, solver):
         """Capacity steps dominate the trace."""
         trace = generate_event_trace(
             serve_scenario, 20, seed=37, weights=(0.1, 0.1, 0.7, 0.1)
         )
         assert sum(e.kind == "capacity_change" for e in trace) >= 10
-        assert_service_matches_scratch(serve_scenario, trace, solver, engine)
+        assert_service_matches_scratch(serve_scenario, trace, solver)
 
-    @every_pair
-    def test_churn_only_trace(self, serve_scenario, solver, engine):
+    @every_solver
+    def test_churn_only_trace(self, serve_scenario, solver):
         """Arrivals and departures only."""
         trace = generate_event_trace(
             serve_scenario, 30, seed=41, weights=(0.5, 0.5, 0.0, 0.0)
         )
-        assert_service_matches_scratch(serve_scenario, trace, solver, engine)
+        assert_service_matches_scratch(serve_scenario, trace, solver)
 
-    @every_pair
-    def test_popularity_swings(self, serve_scenario, solver, engine):
+    @every_solver
+    def test_popularity_swings(self, serve_scenario, solver):
         """Hand-built extreme popularity swings (factors far from 1)."""
         events = [
             Event(kind="popularity_update", model=0, factor=5.0),
@@ -87,10 +84,10 @@ class TestPinnedEquivalence:
             Event(kind="user_arrive", user=2),
             Event(kind="popularity_update", model=7, factor=3.0),
         ]
-        assert_service_matches_scratch(serve_scenario, events, solver, engine)
+        assert_service_matches_scratch(serve_scenario, events, solver)
 
-    @every_pair
-    def test_capacity_then_churn_interleaved(self, serve_scenario, solver, engine):
+    @every_solver
+    def test_capacity_then_churn_interleaved(self, serve_scenario, solver):
         """Capacity shifts between churn events."""
         original = np.asarray(serve_scenario.instance.capacities, dtype=np.int64)
         events = [
@@ -110,4 +107,4 @@ class TestPinnedEquivalence:
             Event(kind="user_arrive", user=9),
             Event(kind="user_depart", user=30),
         ]
-        assert_service_matches_scratch(serve_scenario, events, solver, engine)
+        assert_service_matches_scratch(serve_scenario, events, solver)

@@ -24,7 +24,7 @@ from repro.serve.http import MAX_BODY_BYTES
 @pytest.fixture
 def http_server(micro_scenario):
     """A live server on an ephemeral port; stopped at teardown."""
-    service = PlacementService(micro_scenario, engine="sparse")
+    service = PlacementService(micro_scenario)
     server = serve_http(service, port=0)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -88,7 +88,7 @@ class TestGet:
     def test_status(self, http_server):
         payload = get_json(http_server, "/status")
         assert payload["solver"] == "gen"
-        assert payload["engine"] == "sparse"
+        assert "engine" not in payload
         assert payload["events_processed"] == 0
         assert 0.0 < payload["hit_ratio"] <= 1.0
 
@@ -144,7 +144,7 @@ class TestPostEvents:
         )
         assert payload["processed"] == 8
         records = resolve_from_scratch(
-            micro_scenario, trace, solver="gen", engine="sparse"
+            micro_scenario, trace, solver="gen"
         )
         assert payload["hit_ratio"] == records[-1].hit_ratio
 
@@ -204,7 +204,7 @@ class TestConcurrentClients:
         """Writers depart distinct users (the events commute) while
         readers route; the end state equals a from-scratch solve."""
         instance = micro_scenario.instance
-        service = PlacementService(micro_scenario, engine="sparse")
+        service = PlacementService(micro_scenario)
         server = serve_http(service, port=0)
         thread = threading.Thread(
             target=server.serve_forever,
@@ -269,7 +269,7 @@ class TestConcurrentClients:
                 for user in group
             ]
             final = resolve_from_scratch(
-                micro_scenario, events, solver="gen", engine="sparse"
+                micro_scenario, events, solver="gen"
             )[-1]
             payload = get_json(server, "/placement")
             assert payload["hit_ratio"] == final.hit_ratio

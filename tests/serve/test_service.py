@@ -21,13 +21,22 @@ class TestConstruction:
         with pytest.raises(ServeError, match="solvers"):
             PlacementService(micro_scenario, solver="spec")
 
-    @pytest.mark.parametrize("engine", ["compiled", "auto"])
+    @pytest.mark.parametrize("engine", ["compiled", "auto", "dense"])
     def test_rejects_unknown_engine(self, micro_scenario, engine):
-        with pytest.raises(ServeError, match=r"engines \('dense', 'sparse'\)"):
+        with pytest.raises(ServeError, match=r"engines \('sparse',\)"):
             PlacementService(micro_scenario, engine=engine)
 
+    def test_accepts_the_sparse_keyword(self, micro_scenario):
+        """``engine="sparse"`` selects nothing, but callers still pass it."""
+        keyword = PlacementService(micro_scenario, engine="sparse")
+        default = PlacementService(micro_scenario)
+        assert keyword.hit_ratio == default.hit_ratio
+        assert np.array_equal(
+            keyword.state.placement.matrix, default.state.placement.matrix
+        )
+
     def test_initial_solve_matches_batch_solver(self, serve_scenario):
-        service = PlacementService(serve_scenario, solver="gen", engine="dense")
+        service = PlacementService(serve_scenario, solver="gen")
         batch = TrimCachingGen(accelerated=True, fill_zero_gain=False).solve(
             serve_scenario.instance
         )
@@ -103,7 +112,7 @@ class TestProcess:
         assert result.mode == "full"
 
     def test_counters_track_modes(self, serve_scenario):
-        service = PlacementService(serve_scenario, engine="sparse")
+        service = PlacementService(serve_scenario)
         trace = generate_event_trace(serve_scenario, 20, seed=9)
         results = service.process_trace(trace)
         assert len(results) == 20
@@ -143,10 +152,10 @@ class TestProcess:
 
 class TestStatus:
     def test_status_payload(self, micro_scenario):
-        service = PlacementService(micro_scenario, engine="sparse")
+        service = PlacementService(micro_scenario)
         status = service.status()
         assert status["solver"] == "gen"
-        assert status["engine"] == "sparse"
+        assert "engine" not in status
         assert status["num_models"] == micro_scenario.instance.num_models
         assert status["events_processed"] == 0
         assert "policy" not in status
@@ -164,7 +173,7 @@ class TestStatus:
 
 class TestServiceSession:
     def test_session_round_trip(self, serve_scenario):
-        session = ServiceSession(serve_scenario, engine="sparse")
+        session = ServiceSession(serve_scenario)
         baseline = session.hit_ratio
         departed = session.depart(4)
         assert departed.event.kind == "user_depart"
@@ -190,7 +199,7 @@ class TestServiceSession:
 
 class TestStatsCounters:
     def test_stats_reflect_processed_events(self, serve_scenario):
-        session = ServiceSession(serve_scenario, engine="sparse")
+        session = ServiceSession(serve_scenario)
         stats = session.stats()
         assert stats == {
             "replay": 0,

@@ -35,7 +35,7 @@ class TestParser:
             (
                 "fig4a",
                 dict(topologies=10, seed=0, evaluation="expected",
-                     scale=None, workers=1, engine="dense"),
+                     scale=None, workers=1),
             ),
             ("fig5c", dict(topologies=10, seed=0, workers=1)),
             ("fig6a", dict(topologies=5, seed=0)),
@@ -84,12 +84,10 @@ class TestExecution:
     def test_figure_flags_reach_the_plan(self, tmp_path, capsys):
         out = tmp_path / "fig5b.json"
         argv = ["fig5b", "--topologies", "1", "--seed", "4", "--scale", "0.05",
-                "--engine", "sparse", "--json", str(out)]
+                "--json", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
-        expected = PLAN_BUILDERS["fig5b"](
-            num_topologies=1, seed=4, scale=0.05, engine="sparse"
-        )
+        expected = PLAN_BUILDERS["fig5b"](num_topologies=1, seed=4, scale=0.05)
         assert json.loads(out.read_text())["plan"] == plan_to_dict(expected)
 
     @pytest.mark.parametrize(
@@ -170,8 +168,6 @@ class TestGenericSweep:
                     "1",
                     "--scale",
                     "0.05",
-                    "--engine",
-                    "sparse",
                 ]
             )
             == 0
@@ -324,32 +320,23 @@ class TestGenericSweep:
         assert "gen" in out
         assert "TrimCaching Spec" in out
 
-    def test_fig4a_engine_flag(self, capsys):
-        assert (
-            main(
-                ["fig4a", "--topologies", "1", "--scale", "0.05", "--engine", "sparse"]
-            )
-            == 0
-        )
-        assert "Fig. 4(a)" in capsys.readouterr().out
-
-    def test_sweep_removed_compiled_engine_exits_2(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4a", "--topologies", "1", "--scale", "0.05", "--engine", "sparse"],
+            ["sweep", "--axis", "capacity", "--algos", "gen", "--engine", "dense"],
+            ["serve", "--port", "0", "--engine", "sparse"],
+        ],
+    )
+    def test_engine_flag_is_refused(self, argv, capsys):
+        """The coverage tracker has one kernel; no command takes --engine."""
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "sweep",
-                    "--axis",
-                    "capacity",
-                    "--algos",
-                    "gen",
-                    "--engine",
-                    "compiled",
-                ]
-            )
+            main(argv)
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice" in err and "compiled" in err
-        assert all(engine in err for engine in ("dense", "sparse", "auto"))
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --engine" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_sweep_bad_points_exits_2(self, capsys):
         assert (
@@ -482,8 +469,8 @@ class TestPlanFileSweep:
                     "sweep",
                     "--plan",
                     str(plan_file),
-                    "--engine",
-                    "sparse",
+                    "--epsilon",
+                    "0.2",
                     "--topologies",
                     "5",
                 ]
@@ -491,7 +478,7 @@ class TestPlanFileSweep:
             == 2
         )
         err = capsys.readouterr().err
-        assert "--engine" in err and "--topologies" in err
+        assert "--epsilon" in err and "--topologies" in err
         assert (
             main(
                 ["sweep", "--plan", str(plan_file), "--rng-scheme", "v2"]
