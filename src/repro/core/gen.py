@@ -277,7 +277,7 @@ class GenConfig:
         check_plan_engine(self.engine)
 
     def build(self) -> "TrimCachingGen":
-        """Construct the solver (constructor performs validation)."""
+        """Construct the solver."""
         return TrimCachingGen(
             accelerated=self.accelerated,
             fill_zero_gain=self.fill_zero_gain,

@@ -6,7 +6,8 @@ Caching: it maintains which (user, model) requests are already served and
 answers marginal-gain queries in vectorised form. Its gains are
 ``np.bincount`` sums over the instance's CSR feasibility artifact,
 ``O(nnz)``, bit-identical to the per-server sums of the frozen seed
-tracker (:class:`~repro.core.reference.ReferenceCoverageTracker`).
+tracker (:class:`~repro.core.reference.ReferenceCoverageTracker`) on
+instances with two or more models.
 
 :func:`served_matrix` picks the O(nnz) walk automatically whenever the
 instance carries the CSR artifact — boolean output, so the sparse walk is

@@ -6,9 +6,9 @@ Algorithm 1 decomposes P1.1 into one sub-problem **P2.1m** per server,
 solved *successively*: the indicator ``I2`` removes requests already served
 by earlier servers, so per-server hit masses add up exactly (eq. 12).
 The ``I2`` bookkeeping is :class:`~repro.core.objective.CoverageTracker`,
-whose per-server utilities are the seed's user-by-user sums bit for bit,
-so Spec's per-server masses equal :class:`~repro.core.reference.
-ReferenceSpec`'s on inexact demand too.
+whose per-server utilities are the seed's user-by-user sums bit for bit
+on instances with two or more models, so Spec's per-server masses equal
+:class:`~repro.core.reference.ReferenceSpec`'s on inexact demand too.
 Algorithm 2 solves each sub-problem by traversing shared-block
 combinations ``N ∈ A`` and running a knapsack over the eligible models'
 specific blocks within ``Q_m - d_N``.

@@ -276,7 +276,7 @@ class TestEngines:
         assert config.engine == engine
         assert not hasattr(config.build(), "engine")
 
-    @pytest.mark.parametrize("config_cls", [GenConfig, SpecConfig, IndependentConfig])
+    @pytest.mark.parametrize("config_cls", [GenConfig, SpecConfig])
     @pytest.mark.parametrize("engine", ["compiled", "magic"])
     def test_configs_reject_unknown_engine(self, config_cls, engine):
         with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):

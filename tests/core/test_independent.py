@@ -88,7 +88,7 @@ class TestDominance:
 
 
 class TestMaskedArgmaxPort:
-    """The masked-argmax engine must replay the seed loop byte for byte
+    """The masked-argmax loop must replay the seed loop byte for byte
     (the scenario-grid pinning lives in test_reference_equivalence)."""
 
     @given(small_instances())
@@ -111,7 +111,7 @@ class TestMaskedArgmaxPort:
 
 
 class TestEngines:
-    """Tie-break pin, feasibility forms, the inert ``engine`` field."""
+    """Tie-break pin and the inert ``engine`` field."""
 
     def test_gain_ties_resolve_to_lowest_server_then_model(self):
         from repro.core.reference import ReferenceIndependent
@@ -124,13 +124,6 @@ class TestEngines:
         assert result.placement == reference.placement
         assert result.hit_ratio == reference.hit_ratio
 
-    def test_feasibility_form_does_not_matter(self, tiny_instance):
-        """A dense-primary instance and its CSR-primary copy solve alike."""
-        dense = IndependentCaching().solve(tiny_instance)
-        sparse = IndependentCaching().solve(sparse_primary_copy(tiny_instance))
-        assert dense.placement == sparse.placement
-        assert dense.hit_ratio == sparse.hit_ratio
-
-    def test_config_rejects_compiled(self):
+    def test_rejects_compiled(self):
         with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
             IndependentConfig(engine="compiled")
