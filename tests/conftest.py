@@ -47,6 +47,20 @@ def make_instance(
     return PlacementInstance(library, demand, feasible, capacities)
 
 
+#: The two forms an instance's feasibility can be built from: the dense
+#: ``(M, K, I)`` tensor, from which the coverage kernel derives the CSR
+#: artifact lazily, or the CSR artifact itself (what scenarios build).
+FEASIBILITY_FORMS = ("dense", "sparse")
+
+
+def in_feasibility_form(instance: PlacementInstance, form: str) -> PlacementInstance:
+    """The same instance, built from its dense tensor or its CSR artifact."""
+    feasible = instance.feasible if form == "dense" else instance.sparse_feasible
+    return PlacementInstance(
+        instance.library, instance.demand, feasible, instance.capacities
+    )
+
+
 @pytest.fixture
 def tiny_instance(tiny_library) -> PlacementInstance:
     """Two servers, two users, three models; everything feasible.

@@ -17,6 +17,7 @@ from repro.core.placement import Placement
 from repro.core.spec import SpecConfig, TrimCachingSpec
 from repro.errors import ConfigurationError
 
+from tests.conftest import FEASIBILITY_FORMS, in_feasibility_form
 from tests.core.test_submodular import small_instances
 
 
@@ -40,7 +41,10 @@ class TestBasicBehaviour:
         assert storage_used(tiny_instance, result.placement, 0) == 20_000_000
 
     @pytest.mark.parametrize("accelerated", [True, False])
-    def test_zero_capacity_places_nothing(self, tiny_library, accelerated):
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
+    def test_zero_capacity_places_nothing(
+        self, tiny_library, feasibility, accelerated
+    ):
         from tests.conftest import make_instance
 
         instance = make_instance(
@@ -49,7 +53,9 @@ class TestBasicBehaviour:
             np.ones((2, 2, 3), dtype=bool),
             [0, 0],
         )
-        result = TrimCachingGen(accelerated=accelerated).solve(instance)
+        result = TrimCachingGen(accelerated=accelerated).solve(
+            in_feasibility_form(instance, feasibility)
+        )
         assert result.placement.total_placements() == 0
         assert result.hit_ratio == 0.0
 
@@ -257,11 +263,16 @@ class TestEngines:
     """The tie-break pin, and the inert plan-level ``engine`` field."""
 
     @pytest.mark.parametrize("accelerated", [True, False])
-    def test_gain_ties_resolve_to_lowest_server_then_model(self, accelerated):
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
+    def test_gain_ties_resolve_to_lowest_server_then_model(
+        self, feasibility, accelerated
+    ):
         from repro.core.reference import ReferenceGen
 
         instance = gain_tie_instance()
-        result = TrimCachingGen(accelerated=accelerated).solve(instance)
+        result = TrimCachingGen(accelerated=accelerated).solve(
+            in_feasibility_form(instance, feasibility)
+        )
         assert result.placement.models_on(0) == [0]
         assert result.placement.models_on(1) == [2]
         reference = ReferenceGen(accelerated=accelerated).solve(instance)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from repro.core.gen import TrimCachingGen
 from repro.core.independent import IndependentCaching, IndependentConfig
-from repro.core.placement import PlacementInstance
 from repro.core.objective import (
     hit_ratio,
     independent_storage_used,
@@ -14,18 +13,9 @@ from repro.core.objective import (
 )
 from repro.errors import ConfigurationError
 
+from tests.conftest import FEASIBILITY_FORMS, in_feasibility_form
 from tests.core.test_gen import gain_tie_instance
 from tests.core.test_submodular import small_instances
-
-
-def sparse_primary_copy(instance):
-    """The same instance, built from its CSR feasibility artifact."""
-    return PlacementInstance(
-        instance.library,
-        instance.demand,
-        instance.sparse_feasible,
-        instance.capacities,
-    )
 
 
 class TestBasics:
@@ -49,7 +39,8 @@ class TestBasics:
             hit_ratio(tiny_instance, result.placement)
         )
 
-    def test_zero_capacity(self, tiny_library):
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
+    def test_zero_capacity(self, tiny_library, feasibility):
         from tests.conftest import make_instance
 
         instance = make_instance(
@@ -58,7 +49,9 @@ class TestBasics:
             np.ones((2, 2, 3), dtype=bool),
             [0, 0],
         )
-        result = IndependentCaching().solve(instance)
+        result = IndependentCaching().solve(
+            in_feasibility_form(instance, feasibility)
+        )
         assert result.placement.total_placements() == 0
         assert result.hit_ratio == 0.0
 
@@ -106,18 +99,23 @@ class TestMaskedArgmaxPort:
     @settings(max_examples=25, deadline=None)
     def test_sparse_primary_instance_identical(self, instance):
         dense = IndependentCaching().solve(instance)
-        sparse = IndependentCaching().solve(sparse_primary_copy(instance))
+        sparse = IndependentCaching().solve(
+            in_feasibility_form(instance, "sparse")
+        )
         assert dense.placement == sparse.placement
 
 
 class TestEngines:
     """Tie-break pin and the inert ``engine`` field."""
 
-    def test_gain_ties_resolve_to_lowest_server_then_model(self):
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
+    def test_gain_ties_resolve_to_lowest_server_then_model(self, feasibility):
         from repro.core.reference import ReferenceIndependent
 
         instance = gain_tie_instance()
-        result = IndependentCaching().solve(instance)
+        result = IndependentCaching().solve(
+            in_feasibility_form(instance, feasibility)
+        )
         assert result.placement.models_on(0) == [0]
         assert result.placement.models_on(1) == [2]
         reference = ReferenceIndependent().solve(instance)

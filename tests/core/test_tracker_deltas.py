@@ -3,8 +3,9 @@
 The pinned property: any interleaving of add/remove-user deltas (with
 placement marks mixed in) leaves the gain matrix, the served mask, and
 the unserved-demand state **bit-identical** to a tracker built fresh on
-the final demand matrix with the same marks replayed. The serving
-layer's exactness guarantee rests on this.
+the final demand matrix with the same marks replayed, whether the
+tracker's instance was built from the CSR artifact or the dense tensor.
+The serving layer's exactness guarantee rests on this.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
 
+from tests.conftest import FEASIBILITY_FORMS
+
 
 @pytest.fixture(scope="module")
 def delta_scenario():
@@ -36,13 +39,19 @@ def delta_scenario():
     return build_scenario(config, seed=29)
 
 
-def private_instance(scenario) -> PlacementInstance:
-    """A mutation-safe copy, built the way the serving layer builds one."""
+def private_instance(scenario, feasibility: str = "sparse") -> PlacementInstance:
+    """A mutation-safe copy, built the way the serving layer builds one.
+
+    ``feasibility="dense"`` builds it from the dense tensor instead, so
+    the tracker derives the CSR artifact itself.
+    """
     source = scenario.instance
     return PlacementInstance(
         library=scenario.library,
         demand=scenario.demand.copy(),
-        feasible=source.sparse_feasible,
+        feasible=(
+            source.sparse_feasible if feasibility == "sparse" else source.feasible
+        ),
         capacities=np.asarray(source.capacities, dtype=np.int64).copy(),
     )
 
@@ -74,12 +83,15 @@ _ops = st.lists(
 
 
 class TestInterleavedDeltasMatchFreshBuild:
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
     @given(ops=_ops)
     @settings(max_examples=40, deadline=None)
-    def test_any_interleaving_is_bit_identical(self, delta_scenario, ops):
+    def test_any_interleaving_is_bit_identical(
+        self, delta_scenario, feasibility, ops
+    ):
         scenario = delta_scenario
         original = scenario.demand
-        instance = private_instance(scenario)
+        instance = private_instance(scenario, feasibility)
         tracker = CoverageTracker(instance)
         num_users = instance.num_users
         num_servers = instance.num_servers
@@ -117,9 +129,10 @@ class TestInterleavedDeltasMatchFreshBuild:
             fresh.mark_served(*pair)
         assert_trackers_identical(tracker, fresh)
 
-    def test_remove_then_add_restores_exactly(self, delta_scenario):
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
+    def test_remove_then_add_restores_exactly(self, delta_scenario, feasibility):
         scenario = delta_scenario
-        instance = private_instance(scenario)
+        instance = private_instance(scenario, feasibility)
         tracker = CoverageTracker(instance)
         reference = CoverageTracker(private_instance(scenario))
         for user in (0, 3, 7):

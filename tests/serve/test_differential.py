@@ -6,7 +6,8 @@ requester of a model departs (a zero-demand column), popularity factor
 event the service must equal a from-scratch solve of the mutated
 scenario (``==``, no tolerance), its resident base tracker must equal a
 fresh tracker on the mutated instance, and its counters must add up to
-the events processed.
+the events processed. Both feasibility forms of the scenario's instance
+(CSR artifact and dense tensor) are exercised.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from repro.core.objective import CoverageTracker
 from repro.errors import ReproError
 from repro.serve import Event, PlacementService, resolve_from_scratch
 
-SOLVERS = ("gen", "independent")
+from tests.conftest import FEASIBILITY_FORMS
+
+PAIRS = [
+    (solver, feasibility)
+    for solver in ("gen", "independent")
+    for feasibility in FEASIBILITY_FORMS
+]
 
 
 def _event_batches(scenario):
@@ -83,8 +90,11 @@ def _assert_tracker_fresh(service):
     assert np.array_equal(base.gain_matrix(), fresh.gain_matrix())
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_service_equals_scratch_after_every_event(micro_scenario, solver):
+@pytest.mark.parametrize("solver,feasibility", PAIRS)
+def test_service_equals_scratch_after_every_event(
+    micro_scenarios, solver, feasibility
+):
+    micro_scenario = micro_scenarios[feasibility]
     batches = _event_batches(micro_scenario)
 
     @settings(
