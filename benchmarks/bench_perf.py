@@ -547,8 +547,8 @@ def scenario_benchmarks(quick: bool):
     honesty (feasibility construction is scheme-independent and
     dominates the remainder).
     """
-    from repro.network.geometry import uniform_points
-    from repro.network.users import User, users_from_batch
+    from repro.network.geometry import uniform_coords, uniform_points
+    from repro.network.users import User, UserBatch
     from repro.sim.scenario import _build_demand
     from repro.utils.rng import RngFactory
 
@@ -566,11 +566,13 @@ def scenario_benchmarks(quick: bool):
         """The draws `rng_scheme` governs, exactly as build_scenario
         sequences them: per-user QoS vectors, then the demand matrix."""
         factory = RngFactory(7)
-        positions = uniform_points(
-            config.num_users, config.area_side_m, factory.child("user-positions")
-        )
         qos_rng = factory.child("qos")
         if config.rng_scheme == "v2":
+            positions = uniform_coords(
+                config.num_users,
+                config.area_side_m,
+                factory.child("user-positions"),
+            )
             deadlines = qos_rng.uniform(
                 config.deadline_range_s[0],
                 config.deadline_range_s[1],
@@ -581,10 +583,17 @@ def scenario_benchmarks(quick: bool):
                 config.inference_latency_range_s[1],
                 size=(config.num_users, config.num_models),
             )
-            users = users_from_batch(
+            users = UserBatch(
                 positions, deadlines, inference, config.active_probability
             )
         else:
+            # The seed's per-user loop, word for word: the target is
+            # defined against it.
+            positions = uniform_points(
+                config.num_users,
+                config.area_side_m,
+                factory.child("user-positions"),
+            )
             users = [
                 User(
                     user_id=index,

@@ -8,7 +8,9 @@ not agree on which model is "most popular"); each user's row sums to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +37,10 @@ class ZipfPopularity:
     per_user_permutation: bool = True
 
     def __post_init__(self) -> None:
-        if self.exponent < 0:
+        if not (math.isfinite(self.exponent) and self.exponent >= 0):
             raise ConfigurationError(
-                f"Zipf exponent must be non-negative, got {self.exponent}"
+                f"Zipf exponent must be finite and non-negative, got "
+                f"{self.exponent}"
             )
 
     def probabilities(
@@ -63,53 +66,34 @@ class ZipfPopularity:
         return matrix
 
     def probabilities_batched(
-        self, num_users: int, num_models: int, seed: SeedLike = None
-    ) -> np.ndarray:
-        """Batched ``p_{k,i}`` draw — the ``rng_scheme="v2"`` path.
-
-        One ``rng.permuted`` pass shuffles every user's rank assignment
-        at once instead of K per-user ``rng.permutation`` calls. Each
-        row is an independent uniform permutation of the same Zipf
-        weights, so the matrix is distributed exactly like
-        :meth:`probabilities`'s — but it consumes the stream in a
-        different layout, so the two methods differ draw-by-draw for
-        the same seed (which is why the scheme is versioned).
-        """
-        if num_users < 1 or num_models < 1:
-            raise ConfigurationError(
-                "num_users and num_models must both be at least 1"
-            )
-        rng = as_generator(seed)
-        base = self._base_weights(num_models)
-        if self.per_user_permutation:
-            ranks = np.tile(np.arange(num_models), (num_users, 1))
-            return base[rng.permuted(ranks, axis=1)]
-        shared = base[rng.permutation(num_models)]
-        return np.tile(shared, (num_users, 1))
-
-    def probabilities_batched_chunked(
         self,
         num_users: int,
         num_models: int,
-        chunk_size: int,
         seed: SeedLike = None,
+        chunk_size: Optional[int] = None,
     ) -> np.ndarray:
-        """Row-blocked :meth:`probabilities_batched`: same matrix, bounded temporaries.
+        """Batched ``p_{k,i}`` draw — the ``rng_scheme="v2"`` path.
 
-        ``rng.permuted`` shuffles each row with its own independent
-        Fisher-Yates pass, so permuting a block of rows consumes exactly
-        the stream the full call would have spent on those rows — the
-        result equals :meth:`probabilities_batched` bit for bit for any
-        ``chunk_size``, while the tiled rank scratch stays
-        ``(chunk_size, num_models)`` instead of ``(num_users,
-        num_models)``. With a shared global ranking there is a single
-        permutation draw and nothing to chunk.
+        ``rng.permuted`` shuffles every user's rank assignment in one
+        pass per block of ``chunk_size`` rows (``None``: one block of all
+        users) instead of K per-user ``rng.permutation`` calls. Each row
+        is an independent uniform permutation of the same Zipf weights,
+        so the matrix is distributed exactly like :meth:`probabilities`'s
+        — but it consumes the stream in a different layout, so the two
+        methods differ draw-by-draw for the same seed (which is why the
+        scheme is versioned).
+
+        Each row gets its own Fisher-Yates pass, so a block consumes
+        exactly the stream the full call would have spent on its rows:
+        the matrix is the same bit for bit for any ``chunk_size``, while
+        the tiled rank scratch is one block. With a shared global ranking
+        there is a single permutation draw and nothing to block.
         """
         if num_users < 1 or num_models < 1:
             raise ConfigurationError(
                 "num_users and num_models must both be at least 1"
             )
-        if chunk_size < 1:
+        if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be at least 1, got {chunk_size}"
             )
@@ -117,13 +101,13 @@ class ZipfPopularity:
         base = self._base_weights(num_models)
         matrix = np.empty((num_users, num_models))
         if self.per_user_permutation:
-            for start in range(0, num_users, chunk_size):
-                stop = min(start + chunk_size, num_users)
+            step = chunk_size or num_users
+            for start in range(0, num_users, step):
+                stop = min(start + step, num_users)
                 ranks = np.tile(np.arange(num_models), (stop - start, 1))
                 matrix[start:stop] = base[rng.permuted(ranks, axis=1)]
         else:
-            shared = base[rng.permutation(num_models)]
-            matrix[:] = shared
+            matrix[:] = base[rng.permutation(num_models)]
         return matrix
 
     def _base_weights(self, num_models: int) -> np.ndarray:

@@ -24,10 +24,6 @@ class Point:
     x: float
     y: float
 
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other``."""
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
     def as_array(self) -> np.ndarray:
         """The point as a length-2 float array."""
         return np.array([self.x, self.y], dtype=float)

@@ -8,14 +8,10 @@ together and exposes the matrices the latency model and solvers consume:
 * expected per-pair rates ``C̄_{m,k}`` for associated pairs (eq. 1), with
   bandwidth/power split across each server's expected active users.
 
-The user population may arrive as a sequence of :class:`User` objects
-(the classic path) or as an array-backed
-:class:`~repro.network.users.UserBatch` (the chunked/streaming pipeline).
-Either way the derived matrices are computed from the same coordinate and
-QoS arrays with identical arithmetic, so the two representations yield
-bit-identical distances, allocations and rates; ``topology.users``
-materialises :class:`User` views lazily when a batch-backed topology
-meets a per-user consumer.
+The user population is one :class:`~repro.network.users.UserBatch`:
+every matrix is computed from its coordinate and QoS arrays, and
+``topology.users`` materialises frozen :class:`User` views only when a
+per-user reader asks.
 
 Topologies are immutable; mobility produces new instances via
 :meth:`NetworkTopology.with_user_positions`.
@@ -23,14 +19,14 @@ Topologies are immutable; mobility produces new instances via
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.network.backhaul import Backhaul
 from repro.network.channel import ChannelModel
-from repro.network.geometry import Point, pairwise_distances_coords
+from repro.network.geometry import pairwise_distances_coords
 from repro.network.servers import EdgeServer
 from repro.network.users import User, UserBatch
 
@@ -43,10 +39,8 @@ class NetworkTopology:
     servers:
         The ``M`` edge servers; ids must equal their list position.
     users:
-        The ``K`` users — a sequence of :class:`User` (ids must equal
-        their list position, and all QoS vectors must cover the same
-        number of models) or a :class:`UserBatch` (already validated,
-        ids implicitly dense).
+        The ``K`` users as a :class:`UserBatch` (validated, ids
+        implicitly dense).
     channel:
         Channel model used for expected/faded rates.
     backhaul:
@@ -56,12 +50,18 @@ class NetworkTopology:
     def __init__(
         self,
         servers: Sequence[EdgeServer],
-        users: Union[Sequence[User], UserBatch],
+        users: UserBatch,
         channel: Optional[ChannelModel] = None,
         backhaul: Optional[Backhaul] = None,
     ) -> None:
         if not servers:
             raise TopologyError("topology requires at least one server")
+        if not isinstance(users, UserBatch):
+            raise TopologyError(
+                f"users must be a UserBatch, got {type(users).__name__}: "
+                "build a UserBatch from (K, 2) positions and (K, I) "
+                "deadline and inference arrays"
+            )
         if len(users) == 0:
             raise TopologyError("topology requires at least one user")
         for index, server in enumerate(servers):
@@ -69,31 +69,8 @@ class NetworkTopology:
                 raise TopologyError(
                     f"server at position {index} has id {server.server_id}"
                 )
-        if isinstance(users, UserBatch):
-            self._batch: Optional[UserBatch] = users
-            self._users: Optional[Tuple[User, ...]] = None
-            self._num_users = len(users)
-            self._num_models = users.num_models
-            user_coords = users.positions
-        else:
-            num_models = users[0].num_models
-            for index, user in enumerate(users):
-                if user.user_id != index:
-                    raise TopologyError(
-                        f"user at position {index} has id {user.user_id}"
-                    )
-                if user.num_models != num_models:
-                    raise TopologyError(
-                        "all users must cover the same model count"
-                    )
-            self._batch = None
-            self._users = tuple(users)
-            self._num_users = len(self._users)
-            self._num_models = num_models
-            user_coords = np.array(
-                [u.position.as_array() for u in self._users]
-            )
-
+        self._batch = users
+        self._users: Optional[Tuple[User, ...]] = None
         self.servers: Tuple[EdgeServer, ...] = tuple(servers)
         self.channel = channel or ChannelModel()
         self.backhaul = backhaul or Backhaul()
@@ -101,7 +78,7 @@ class NetworkTopology:
         server_coords = np.array(
             [s.position.as_array() for s in self.servers]
         )
-        self._distances = pairwise_distances_coords(server_coords, user_coords)
+        self._distances = pairwise_distances_coords(server_coords, users.positions)
         # Coverage uses each server's own radius (possibly heterogeneous).
         radii = np.array([s.coverage_radius_m for s in self.servers])
         covered = self._distances <= radii[:, None]
@@ -110,8 +87,6 @@ class NetworkTopology:
         # consumers (request sim, reports); built lazily from the mask.
         self._servers_of_user: Optional[List[List[int]]] = None
         self._users_of_server: Optional[List[List[int]]] = None
-        self._deadlines_matrix: Optional[np.ndarray] = None
-        self._inference_matrix: Optional[np.ndarray] = None
         self._allocations = self._compute_allocations()
         self._expected_rates = self._compute_expected_rates()
 
@@ -120,20 +95,18 @@ class NetworkTopology:
     # ------------------------------------------------------------------
     @property
     def users(self) -> Tuple[User, ...]:
-        """The ``K`` users as frozen :class:`User` objects.
+        """The ``K`` users as frozen :class:`User` views.
 
-        Batch-backed topologies materialise (and cache) the views on
-        first access — per-user consumers keep working, array consumers
+        Materialised (and cached) on first access, so array readers
         never pay for K Python objects.
         """
         if self._users is None:
-            assert self._batch is not None
             self._users = tuple(self._batch.to_users())
         return self._users
 
     @property
-    def user_batch(self) -> Optional[UserBatch]:
-        """The backing :class:`UserBatch`, if this topology has one."""
+    def user_batch(self) -> UserBatch:
+        """The :class:`UserBatch` this topology holds."""
         return self._batch
 
     @property
@@ -144,12 +117,12 @@ class NetworkTopology:
     @property
     def num_users(self) -> int:
         """``K``."""
-        return self._num_users
+        return len(self._batch)
 
     @property
     def num_models(self) -> int:
         """``I`` (inferred from the users' QoS vectors)."""
-        return self._num_models
+        return self._batch.num_models
 
     @property
     def distances(self) -> np.ndarray:
@@ -166,41 +139,20 @@ class NetworkTopology:
     # ------------------------------------------------------------------
     @property
     def deadlines_matrix(self) -> np.ndarray:
-        """``(K, I)`` deadlines ``T̄_{k,i}``.
-
-        Batch-backed topologies return the batch array itself; object
-        populations stack their rows (the rows are often views of one
-        batched draw, so the values are bit-identical either way).
-        """
-        if self._deadlines_matrix is None:
-            if self._batch is not None:
-                self._deadlines_matrix = self._batch.deadlines_s
-            else:
-                self._deadlines_matrix = np.stack(
-                    [u.deadlines_s for u in self._users]
-                )
-        return self._deadlines_matrix
+        """``(K, I)`` deadlines ``T̄_{k,i}`` (the batch array itself)."""
+        return self._batch.deadlines_s
 
     @property
     def inference_matrix(self) -> np.ndarray:
         """``(K, I)`` on-device inference latencies ``t_{k,i}``."""
-        if self._inference_matrix is None:
-            if self._batch is not None:
-                self._inference_matrix = self._batch.inference_latency_s
-            else:
-                self._inference_matrix = np.stack(
-                    [u.inference_latency_s for u in self._users]
-                )
-        return self._inference_matrix
+        return self._batch.inference_latency_s
 
     @property
     def active_probabilities(self) -> np.ndarray:
         """``(K,)`` per-user activity probabilities ``p_A``."""
-        if self._batch is not None:
-            return np.full(
-                self._num_users, self._batch.active_probability, dtype=float
-            )
-        return np.array([u.active_probability for u in self._users])
+        return np.full(
+            self.num_users, self._batch.active_probability, dtype=float
+        )
 
     def servers_of_user(self, user_id: int) -> List[int]:
         """The paper's ``M_k``: servers covering user ``user_id``."""
@@ -246,11 +198,6 @@ class NetworkTopology:
         )
         power = np.where(self._covered, total_p[:, None] / expected_active, 0.0)
         return bandwidth, power
-
-    @property
-    def bandwidth_allocation(self) -> np.ndarray:
-        """``(M, K)`` expected bandwidth shares ``B̄_{m,k}`` (0 if not associated)."""
-        return self._allocations[0]
 
     def _compute_expected_rates(self) -> np.ndarray:
         bandwidth, power = self._allocations
@@ -305,8 +252,13 @@ class NetworkTopology:
                 f"positions must have shape ({self.num_users}, 2), "
                 f"got {positions.shape}"
             )
-        coords = positions.tolist()
-        moved = [user.moved_to(Point(*xy)) for user, xy in zip(self.users, coords)]
+        batch = self._batch
+        moved = UserBatch(
+            positions,
+            batch.deadlines_s,
+            batch.inference_latency_s,
+            batch.active_probability,
+        )
         return NetworkTopology(self.servers, moved, self.channel, self.backhaul)
 
     # ------------------------------------------------------------------

@@ -4,6 +4,10 @@ Each user ``k`` carries a per-model QoS deadline ``T̄_{k,i}`` (the paper
 draws them uniformly from [0.5, 1] s) and a per-model on-device inference
 latency ``t_{k,i}``. The deadline covers downloading *plus* inference
 (eqs. 4-5).
+
+A population is one :class:`UserBatch`: ``(K, 2)`` positions and the
+``(K, I)`` QoS matrices every consumer reads. :class:`User` is the
+frozen per-user view a batch materialises on request.
 """
 
 from __future__ import annotations
@@ -46,18 +50,7 @@ class User:
             raise ConfigurationError("user_id must be non-negative")
         deadlines = np.asarray(self.deadlines_s, dtype=float)
         inference = np.asarray(self.inference_latency_s, dtype=float)
-        if deadlines.ndim != 1 or inference.ndim != 1:
-            raise ConfigurationError("deadlines and inference latency must be 1-D")
-        if deadlines.shape != inference.shape:
-            raise ConfigurationError(
-                "deadlines and inference latency must have equal length"
-            )
-        if np.any(deadlines <= 0):
-            raise ConfigurationError("deadlines must be positive")
-        if np.any(inference < 0):
-            raise ConfigurationError("inference latency must be non-negative")
-        if not 0 < self.active_probability <= 1:
-            raise ConfigurationError("active_probability must be in (0, 1]")
+        _validate_qos(deadlines, inference, self.active_probability, ndim=1)
         object.__setattr__(self, "deadlines_s", deadlines)
         object.__setattr__(self, "inference_latency_s", inference)
 
@@ -66,63 +59,53 @@ class User:
         """Number of models the QoS vectors cover."""
         return int(self.deadlines_s.shape[0])
 
-    def download_budget_s(self) -> np.ndarray:
-        """Remaining time for pure downloading: ``T̄_{k,i} - t_{k,i}``.
 
-        May contain non-positive entries for (user, model) pairs whose
-        inference alone already exceeds the deadline — those pairs can
-        never be cache hits.
-        """
-        return self.deadlines_s - self.inference_latency_s
-
-    def moved_to(self, position: Point) -> "User":
-        """A copy of this user at a new position (mobility support)."""
-        return User(
-            user_id=self.user_id,
-            position=position,
-            deadlines_s=self.deadlines_s,
-            inference_latency_s=self.inference_latency_s,
-            active_probability=self.active_probability,
-        )
-
-
-def _validate_batch_arrays(
+def _validate_qos(
     deadlines: np.ndarray,
     inference: np.ndarray,
     active_probability: float,
+    ndim: int,
 ) -> None:
-    """The invariants ``User.__post_init__`` enforces, batch-vectorised."""
-    if deadlines.ndim != 2 or inference.ndim != 2:
+    """The QoS invariants of one user (``ndim=1``) or a batch (``ndim=2``).
+
+    ``min``/``max`` propagate NaN, so one pair of reductions per matrix
+    rejects NaN and ±inf entries along with out-of-range ones.
+    """
+    if deadlines.ndim != ndim or inference.ndim != ndim:
         raise ConfigurationError(
-            "batched deadlines and inference latency must be 2-D"
+            f"deadlines and inference latency must be {ndim}-D"
         )
     if deadlines.shape != inference.shape:
         raise ConfigurationError(
             "deadlines and inference latency must have equal shape"
         )
-    if np.any(deadlines <= 0):
-        raise ConfigurationError("deadlines must be positive")
-    if np.any(inference < 0):
-        raise ConfigurationError("inference latency must be non-negative")
+    if deadlines.size and not (
+        deadlines.min() > 0 and deadlines.max() < np.inf
+    ):
+        raise ConfigurationError("deadlines must be finite and positive")
+    if inference.size and not (
+        inference.min() >= 0 and inference.max() < np.inf
+    ):
+        raise ConfigurationError(
+            "inference latency must be finite and non-negative"
+        )
     if not 0 < active_probability <= 1:
         raise ConfigurationError("active_probability must be in (0, 1]")
 
 
 class UserBatch:
-    """An array-backed user population: no per-user Python objects.
+    """The user population, array-backed: no per-user Python objects.
 
-    The chunked/streaming scenario pipeline's counterpart of a
-    ``list[User]``: positions are one ``(K, 2)`` float array, the QoS
-    matrices are the batched ``(K, I)`` draws themselves, and
-    ``active_probability`` is the shared scalar the config prescribes.
-    Every invariant ``User.__post_init__`` enforces is validated once,
-    vectorised over the whole batch.
+    Positions are one ``(K, 2)`` float array, the QoS matrices are the
+    ``(K, I)`` draws themselves, and ``active_probability`` is the shared
+    scalar the config prescribes. Every invariant ``User.__post_init__``
+    enforces is validated once, vectorised over the whole batch, and
+    positions must be finite.
 
-    :class:`~repro.network.topology.NetworkTopology` consumes a batch
-    directly (distances/allocations/rates from the arrays, bit-identical
-    to the ``Point``/``User`` path); :meth:`user` / :meth:`to_users`
-    materialise frozen :class:`User` views lazily for the per-user
-    consumers (mobility, request simulation) that still want objects.
+    :class:`~repro.network.topology.NetworkTopology` holds one batch and
+    derives distances, allocations and rates from its arrays;
+    :meth:`user` / :meth:`to_users` materialise frozen :class:`User`
+    views for per-user readers.
     """
 
     def __init__(
@@ -137,7 +120,9 @@ class UserBatch:
         inference = np.asarray(inference_latency_s, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ConfigurationError("positions must be a (K, 2) array")
-        _validate_batch_arrays(deadlines, inference, active_probability)
+        if not np.isfinite(positions).all():
+            raise ConfigurationError("positions must be finite")
+        _validate_qos(deadlines, inference, active_probability, ndim=2)
         if positions.shape[0] != deadlines.shape[0]:
             raise ConfigurationError(
                 "positions must list one entry per batched QoS row"
@@ -186,37 +171,3 @@ class UserBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"UserBatch(K={len(self)}, I={self.num_models})"
-
-
-def users_from_batch(
-    positions,
-    deadlines_s: np.ndarray,
-    inference_latency_s: np.ndarray,
-    active_probability: float = 0.5,
-) -> "list[User]":
-    """Build a user population from batched ``(K, I)`` QoS matrices.
-
-    The ``rng_scheme="v2"`` counterpart of the per-user constructor
-    loop: every invariant ``User.__post_init__`` enforces is checked
-    here once, vectorised over the whole batch, and the frozen
-    instances are then assembled directly (each user's QoS vectors are
-    row views of the batch matrices). User ids are dense from 0, like
-    the construction loop in :func:`~repro.sim.scenario.build_scenario`.
-    """
-    deadlines = np.asarray(deadlines_s, dtype=float)
-    inference = np.asarray(inference_latency_s, dtype=float)
-    _validate_batch_arrays(deadlines, inference, active_probability)
-    if len(positions) != deadlines.shape[0]:
-        raise ConfigurationError(
-            "positions must list one entry per batched QoS row"
-        )
-    users = []
-    for index, position in enumerate(positions):
-        user = object.__new__(User)
-        object.__setattr__(user, "user_id", index)
-        object.__setattr__(user, "position", position)
-        object.__setattr__(user, "deadlines_s", deadlines[index])
-        object.__setattr__(user, "inference_latency_s", inference[index])
-        object.__setattr__(user, "active_probability", active_probability)
-        users.append(user)
-    return users

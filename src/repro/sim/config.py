@@ -70,15 +70,13 @@ class ScenarioConfig:
     #: plan identities like any other config field.
     rng_scheme: str = "v1"
     #: User-block size for the chunked/streaming scenario pipeline.
-    #: ``None`` (default) builds the whole population in one pass.
-    #: When set, demand/QoS/geometry/feasibility are assembled in user
-    #: blocks of this many rows and the per-user Python ``User`` objects
-    #: are never materialised (they stay available lazily on the
-    #: topology). Requires ``rng_scheme="v2"``: only the batched draw
-    #: order makes a chunk a row range of the full draw, so the chunked
-    #: build is bit-identical to the unchunked one for *any* chunk size
-    #: — v1's per-user stream could never be split without changing
-    #: results.
+    #: ``None`` (default) draws v2 demand as one block of all K users and
+    #: builds feasibility in one pass. When set, demand and feasibility
+    #: are assembled in user blocks of this many rows. Requires
+    #: ``rng_scheme="v2"``: only the batched draw order makes a chunk a
+    #: row range of the full draw, so the chunked build is bit-identical
+    #: to the unchunked one for *any* chunk size — v1's per-user stream
+    #: could never be split without changing results.
     chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -109,8 +107,7 @@ class ScenarioConfig:
         check_interval("inference_latency_range_s", self.inference_latency_range_s)
         if self.inference_latency_range_s[0] < 0:
             raise ConfigurationError("inference latency must be non-negative")
-        if self.zipf_exponent < 0:
-            raise ConfigurationError("zipf_exponent must be non-negative")
+        check_positive("zipf_exponent", self.zipf_exponent, strict=False)
         if self.requests_per_user is not None:
             check_positive("requests_per_user", self.requests_per_user)
             if self.requests_per_user > self.num_models:

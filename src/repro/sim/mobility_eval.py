@@ -129,7 +129,7 @@ class MobilityStudy:
             return self._cached[1]
         topology = self.scenario.topology
         frames = self.model.trajectory(
-            np.array([user.position.as_array() for user in topology.users]),
+            topology.user_batch.positions,
             slots[-1],
             seed,
         )

@@ -92,9 +92,7 @@ class RequestSimulator:
 
         num_servers = topology.num_servers
         num_users = topology.num_users
-        active_prob = np.array(
-            [user.active_probability for user in topology.users]
-        )
+        active_prob = topology.active_probabilities
         # Per-user request distribution (rows of the demand matrix).
         demand = instance.demand
         row_sums = demand.sum(axis=1)

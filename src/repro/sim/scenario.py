@@ -11,6 +11,10 @@ CSR artifact (the ``(M, K, I)`` float latency tensor is never
 materialised) and the dense boolean tensor is derived lazily only if a
 dense consumer asks for it. The CSR encodes a bit-identical indicator,
 so this is purely a representation change.
+
+Under both RNG schemes the user population is one
+:class:`~repro.network.users.UserBatch` of ``(K, 2)`` positions and
+``(K, I)`` QoS matrices; no per-user ``User`` object is built.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.network.geometry import uniform_coords, uniform_points
 from repro.network.latency import LatencyModel
 from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
-from repro.network.users import User, UserBatch, users_from_batch
+from repro.network.users import UserBatch
 from repro.sim.config import ScenarioConfig
 from repro.utils.rng import RngFactory
 
@@ -101,8 +105,6 @@ def _build_demand(config: ScenarioConfig, rng) -> np.ndarray:
     distributions in batched passes (:func:`_build_demand_v2`).
     """
     if config.rng_scheme == "v2":
-        if config.chunk_size is not None:
-            return _build_demand_v2_chunked(config, rng, config.chunk_size)
         return _build_demand_v2(config, rng)
     popularity = ZipfPopularity(
         exponent=config.zipf_exponent,
@@ -122,66 +124,39 @@ def _build_demand(config: ScenarioConfig, rng) -> np.ndarray:
 
 
 def _build_demand_v2(config: ScenarioConfig, rng) -> np.ndarray:
-    """Batched Zipf demand (``rng_scheme="v2"``).
+    """Batched Zipf demand (``rng_scheme="v2"``), in user blocks.
 
-    The per-user subset draw is one ``rng.permuted`` pass: each row of a
-    tiled ``arange`` is shuffled independently and its first
-    ``requests_per_user`` entries are that user's subset — an ordered
-    uniform sample without replacement, exactly the distribution of the
-    v1 per-user ``rng.choice(..., replace=False)`` calls. A single
-    ``put_along_axis`` gather then scatters the compact Zipf rows into
+    Each user's subset is the head of one ``rng.permuted`` row shuffle of
+    ``arange(I)``: an ordered uniform sample without replacement, exactly
+    the distribution of the v1 per-user ``rng.choice(..., replace=False)``
+    calls. A ``put_along_axis`` gather scatters the compact Zipf rows into
     the full demand matrix.
+
+    ``config.chunk_size`` rows form a block (``None``: one block of all
+    K). ``rng.permuted`` shuffles each row with its own pass, so a block
+    consumes exactly the stream the whole matrix would spend on its rows
+    and every block size gives the same matrix — provided the *stage*
+    order holds: all popularity rows first, then all subset permutations.
+    The compact Zipf rows persist between the two stages; the tiled
+    shuffle scratch is one block.
     """
     popularity = ZipfPopularity(
         exponent=config.zipf_exponent,
         per_user_permutation=config.per_user_popularity,
     )
+    num_users, chunk_size = config.num_users, config.chunk_size
     if config.requests_per_user is None:
         return popularity.probabilities_batched(
-            config.num_users, config.num_models, rng
+            num_users, config.num_models, rng, chunk_size
         )
     subset_size = config.requests_per_user
     compact = popularity.probabilities_batched(
-        config.num_users, subset_size, rng
+        num_users, subset_size, rng, chunk_size
     )
-    shuffled = rng.permuted(
-        np.tile(np.arange(config.num_models), (config.num_users, 1)), axis=1
-    )
-    chosen = shuffled[:, :subset_size]
-    demand = np.zeros((config.num_users, config.num_models))
-    np.put_along_axis(demand, chosen, compact, axis=1)
-    return demand
-
-
-def _build_demand_v2_chunked(
-    config: ScenarioConfig, rng, chunk_size: int
-) -> np.ndarray:
-    """Row-blocked :func:`_build_demand_v2` — identical matrix.
-
-    Per-row draws (``rng.permuted`` shuffles, row gathers) consume the
-    stream row by row, so running them over user blocks reproduces the
-    full-matrix calls exactly — provided the *stage* order is preserved:
-    the unchunked build draws ALL popularity rows first, then ALL subset
-    permutations, so the chunked build loops users within each stage
-    rather than interleaving stages per chunk. The tiled shuffle scratch
-    shrinks from ``(K, I)`` to ``(chunk_size, I)``; the compact Zipf rows
-    must persist between the stages, which is the price of bit-identity.
-    """
-    popularity = ZipfPopularity(
-        exponent=config.zipf_exponent,
-        per_user_permutation=config.per_user_popularity,
-    )
-    if config.requests_per_user is None:
-        return popularity.probabilities_batched_chunked(
-            config.num_users, config.num_models, chunk_size, rng
-        )
-    subset_size = config.requests_per_user
-    compact = popularity.probabilities_batched_chunked(
-        config.num_users, subset_size, chunk_size, rng
-    )
-    demand = np.zeros((config.num_users, config.num_models))
-    for start in range(0, config.num_users, chunk_size):
-        stop = min(start + chunk_size, config.num_users)
+    demand = np.zeros((num_users, config.num_models))
+    step = chunk_size or num_users
+    for start in range(0, num_users, step):
+        stop = min(start + step, num_users)
         shuffled = rng.permuted(
             np.tile(np.arange(config.num_models), (stop - start, 1)), axis=1
         )
@@ -261,64 +236,33 @@ def build_scenario(
         for index, position in enumerate(server_positions)
     ]
 
-    user_pos_rng = factory.child("user-positions")
-    if chunked:
-        # Raw coordinates only: same uniform draw as uniform_points,
-        # without K Point objects. The batch path below keeps the whole
-        # population array-backed end to end.
-        user_coords = uniform_coords(
-            config.num_users, config.area_side_m, user_pos_rng
-        )
-        user_positions = None
-    else:
-        user_positions = uniform_points(
-            config.num_users, config.area_side_m, user_pos_rng
-        )
+    user_coords = uniform_coords(
+        config.num_users, config.area_side_m, factory.child("user-positions")
+    )
     qos_rng = factory.child("qos")
+    shape = (config.num_users, config.num_models)
     if config.rng_scheme == "v2":
-        # Batched QoS: one (K, I) uniform block per quantity instead of
-        # two K-long loops of per-user draws, then the batch-validated
-        # constructor. Same distributions, different stream layout. The
-        # matrices are retained by the topology either way, so the
-        # chunked build draws them whole too (chunking the draw would
-        # be stream-identical but save nothing).
-        deadlines = qos_rng.uniform(
-            config.deadline_range_s[0],
-            config.deadline_range_s[1],
-            size=(config.num_users, config.num_models),
-        )
+        # Batched QoS: one (K, I) uniform block per quantity. Same
+        # distributions as v1, different stream layout.
+        deadlines = qos_rng.uniform(*config.deadline_range_s, size=shape)
         inference = qos_rng.uniform(
-            config.inference_latency_range_s[0],
-            config.inference_latency_range_s[1],
-            size=(config.num_users, config.num_models),
+            *config.inference_latency_range_s, size=shape
         )
-        if chunked:
-            users: "UserBatch | list[User]" = UserBatch(
-                user_coords, deadlines, inference, config.active_probability
-            )
-        else:
-            users = users_from_batch(
-                user_positions, deadlines, inference, config.active_probability
-            )
     else:
-        users = [
-            User(
-                user_id=index,
-                position=position,
-                deadlines_s=qos_rng.uniform(
-                    config.deadline_range_s[0],
-                    config.deadline_range_s[1],
-                    size=config.num_models,
-                ),
-                inference_latency_s=qos_rng.uniform(
-                    config.inference_latency_range_s[0],
-                    config.inference_latency_range_s[1],
-                    size=config.num_models,
-                ),
-                active_probability=config.active_probability,
+        # The seed's per-user order: user k's deadlines, then its
+        # inference times, written into preallocated rows.
+        deadlines = np.empty(shape)
+        inference = np.empty(shape)
+        for user in range(config.num_users):
+            deadlines[user] = qos_rng.uniform(
+                *config.deadline_range_s, size=config.num_models
             )
-            for index, position in enumerate(user_positions)
-        ]
+            inference[user] = qos_rng.uniform(
+                *config.inference_latency_range_s, size=config.num_models
+            )
+    users = UserBatch(
+        user_coords, deadlines, inference, config.active_probability
+    )
 
     from repro import obs
 

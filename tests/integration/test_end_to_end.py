@@ -113,7 +113,7 @@ class TestHandBuiltPipeline:
         from repro.network.geometry import Point
         from repro.network.servers import EdgeServer
         from repro.network.topology import NetworkTopology
-        from repro.network.users import User
+        from repro.network.users import UserBatch
 
         root = make_resnet_root(RESNET18)
         tuner = FineTuner()
@@ -127,15 +127,11 @@ class TestHandBuiltPipeline:
                 server_id=1, position=Point(600, 0), storage_bytes=int(0.1 * GB)
             ),
         ]
-        users = [
-            User(
-                user_id=k,
-                position=Point(100 + 400 * k, 0),
-                deadlines_s=np.full(4, 1.0),
-                inference_latency_s=np.full(4, 0.1),
-            )
-            for k in range(2)
-        ]
+        users = UserBatch(
+            np.array([[100.0, 0.0], [500.0, 0.0]]),
+            np.full((2, 4), 1.0),
+            np.full((2, 4), 0.1),
+        )
         topology = NetworkTopology(servers, users, backhaul=Backhaul())
         sizes = np.array(
             [library.model_size(i) for i in library.model_ids], dtype=float

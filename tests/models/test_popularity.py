@@ -47,6 +47,11 @@ class TestZipfPopularity:
         with pytest.raises(ConfigurationError):
             ZipfPopularity(exponent=-0.1)
 
+    @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponent_rejected(self, exponent):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ZipfPopularity(exponent=exponent)
+
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ConfigurationError):
             ZipfPopularity().probabilities(0, 5)

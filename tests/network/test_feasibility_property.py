@@ -21,7 +21,7 @@ from repro.network.geometry import Point
 from repro.network.latency import LatencyModel
 from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
-from repro.network.users import User
+from repro.network.users import UserBatch
 from repro.utils.units import MB
 
 SERVER_SPOTS = [(0.0, 0.0), (300.0, 0.0), (0.0, 300.0)]
@@ -36,15 +36,7 @@ def _topology(servers, users, deadlines, inference):
             EdgeServer(server_id=index, position=Point(*spot))
             for index, spot in enumerate(servers)
         ],
-        [
-            User(
-                user_id=index,
-                position=Point(*spot),
-                deadlines_s=deadlines[index],
-                inference_latency_s=inference[index],
-            )
-            for index, spot in enumerate(users)
-        ],
+        UserBatch(np.array(users, dtype=float), deadlines, inference),
     )
 
 

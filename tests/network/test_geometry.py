@@ -14,9 +14,6 @@ from repro.network.geometry import (
 
 
 class TestPoint:
-    def test_distance(self):
-        assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
     def test_as_array(self):
         assert (Point(1.5, 2.5).as_array() == np.array([1.5, 2.5])).all()
 

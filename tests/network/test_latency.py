@@ -10,25 +10,20 @@ from repro.network.geometry import Point
 from repro.network.latency import LatencyModel
 from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
-from repro.network.users import User
+from repro.network.users import UserBatch
 from repro.utils.units import GBPS, MB
 
 
 def build(server_positions, user_positions, deadlines, inference, backhaul=None):
-    num_models = len(deadlines[0])
     servers = [
         EdgeServer(server_id=index, position=pos)
         for index, pos in enumerate(server_positions)
     ]
-    users = [
-        User(
-            user_id=index,
-            position=pos,
-            deadlines_s=np.array(deadlines[index], dtype=float),
-            inference_latency_s=np.array(inference[index], dtype=float),
-        )
-        for index, pos in enumerate(user_positions)
-    ]
+    users = UserBatch(
+        np.array([[p.x, p.y] for p in user_positions], dtype=float),
+        np.array(deadlines, dtype=float),
+        np.array(inference, dtype=float),
+    )
     return NetworkTopology(servers, users, backhaul=backhaul or Backhaul())
 
 

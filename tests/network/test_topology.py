@@ -8,8 +8,7 @@ from repro.network.channel import ChannelModel
 from repro.network.geometry import Point
 from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
-from repro.network.users import User
-from repro.utils.units import MHZ
+from repro.network.users import User, UserBatch
 
 
 def make_topology(
@@ -22,15 +21,12 @@ def make_topology(
         EdgeServer(server_id=index, position=pos, coverage_radius_m=radius)
         for index, pos in enumerate(server_positions)
     ]
-    users = [
-        User(
-            user_id=index,
-            position=pos,
-            deadlines_s=np.full(num_models, 1.0),
-            inference_latency_s=np.full(num_models, 0.1),
-        )
-        for index, pos in enumerate(user_positions)
-    ]
+    num_users = len(user_positions)
+    users = UserBatch(
+        np.array([[p.x, p.y] for p in user_positions], dtype=float).reshape(-1, 2),
+        np.full((num_users, num_models), 1.0),
+        np.full((num_users, num_models), 0.1),
+    )
     return NetworkTopology(servers, users)
 
 
@@ -60,18 +56,8 @@ class TestAssociation:
 
 
 class TestAllocation:
-    def test_bandwidth_split_among_associated(self):
-        topo = make_topology(
-            [Point(0, 0)], [Point(50, 0), Point(100, 0)], radius=275.0
-        )
-        bandwidth = topo.bandwidth_allocation
-        # Two associated users, p_A = 0.5: each gets B / 1.
-        assert bandwidth[0, 0] == pytest.approx(400 * MHZ / 1.0)
-        assert bandwidth[0, 1] == pytest.approx(400 * MHZ / 1.0)
-
     def test_non_associated_gets_zero(self):
         topo = make_topology([Point(0, 0)], [Point(5000, 0)])
-        assert topo.bandwidth_allocation[0, 0] == 0.0
         assert topo.expected_rates[0, 0] == 0.0
 
 
@@ -99,14 +85,7 @@ class TestRates:
 class TestValidation:
     def test_id_position_mismatch(self):
         servers = [EdgeServer(server_id=1, position=Point(0, 0))]
-        users = [
-            User(
-                user_id=0,
-                position=Point(0, 0),
-                deadlines_s=np.array([1.0]),
-                inference_latency_s=np.array([0.1]),
-            )
-        ]
+        users = UserBatch(np.zeros((1, 2)), np.ones((1, 1)), np.full((1, 1), 0.1))
         with pytest.raises(TopologyError):
             NetworkTopology(servers, users)
 
@@ -116,13 +95,10 @@ class TestValidation:
         with pytest.raises(TopologyError):
             make_topology([Point(0, 0)], [])
 
-    def test_inconsistent_model_counts(self):
+    def test_user_list_refused(self):
         servers = [EdgeServer(server_id=0, position=Point(0, 0))]
-        users = [
-            User(0, Point(0, 0), np.ones(2), np.full(2, 0.1)),
-            User(1, Point(1, 1), np.ones(3), np.full(3, 0.1)),
-        ]
-        with pytest.raises(TopologyError):
+        users = [User(0, Point(0, 0), np.ones(2), np.full(2, 0.1))]
+        with pytest.raises(TopologyError, match="UserBatch"):
             NetworkTopology(servers, users)
 
 

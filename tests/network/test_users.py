@@ -25,23 +25,6 @@ class TestUser:
         assert user.num_models == 2
         assert user.active_probability == 0.5
 
-    def test_download_budget(self):
-        user = make_user()
-        assert user.download_budget_s() == pytest.approx([0.4, 0.8])
-
-    def test_budget_can_be_negative(self):
-        user = make_user(
-            deadlines_s=np.array([0.5]), inference_latency_s=np.array([0.9])
-        )
-        assert user.download_budget_s()[0] < 0
-
-    def test_moved_to_preserves_qos(self):
-        user = make_user()
-        moved = user.moved_to(Point(5, 5))
-        assert moved.position == Point(5, 5)
-        assert (moved.deadlines_s == user.deadlines_s).all()
-        assert moved.user_id == user.user_id
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             make_user(user_id=-1)
@@ -56,66 +39,8 @@ class TestUser:
         with pytest.raises(ConfigurationError):
             make_user(deadlines_s=np.ones((2, 2)), inference_latency_s=np.ones((2, 2)))
 
-
-class TestUsersFromBatch:
-    """The batched constructor behind ``rng_scheme="v2"``."""
-
-    def _batch(self, num_users=3, num_models=4):
-        rng = np.random.default_rng(0)
-        positions = [Point(float(i), float(i)) for i in range(num_users)]
-        deadlines = rng.uniform(0.5, 1.0, size=(num_users, num_models))
-        inference = rng.uniform(0.05, 0.15, size=(num_users, num_models))
-        return positions, deadlines, inference
-
-    def test_equivalent_to_per_user_constructor(self):
-        from repro.network.users import users_from_batch
-
-        positions, deadlines, inference = self._batch()
-        batched = users_from_batch(positions, deadlines, inference, 0.5)
-        looped = [
-            User(
-                user_id=index,
-                position=positions[index],
-                deadlines_s=deadlines[index],
-                inference_latency_s=inference[index],
-                active_probability=0.5,
-            )
-            for index in range(len(positions))
-        ]
-        assert len(batched) == len(looped)
-        for a, b in zip(batched, looped):
-            assert a.user_id == b.user_id
-            assert a.position == b.position
-            assert (a.deadlines_s == b.deadlines_s).all()
-            assert (a.inference_latency_s == b.inference_latency_s).all()
-            assert a.active_probability == b.active_probability
-
-    def test_instances_behave_like_users(self):
-        from repro.network.users import users_from_batch
-
-        positions, deadlines, inference = self._batch()
-        user = users_from_batch(positions, deadlines, inference)[1]
-        assert user.num_models == 4
-        assert user.download_budget_s() == pytest.approx(
-            deadlines[1] - inference[1]
-        )
-        moved = user.moved_to(Point(9, 9))
-        assert moved.position == Point(9, 9)
-        assert (moved.deadlines_s == user.deadlines_s).all()
-
-    def test_validation_matches_post_init(self):
-        from repro.network.users import users_from_batch
-
-        positions, deadlines, inference = self._batch()
-        with pytest.raises(ConfigurationError):
-            users_from_batch(positions, deadlines[0], inference[0])
-        with pytest.raises(ConfigurationError):
-            users_from_batch(positions, deadlines[:, :2], inference)
-        with pytest.raises(ConfigurationError):
-            users_from_batch(positions[:-1], deadlines, inference)
-        with pytest.raises(ConfigurationError):
-            users_from_batch(positions, deadlines * 0.0, inference)
-        with pytest.raises(ConfigurationError):
-            users_from_batch(positions, deadlines, inference - 1.0)
-        with pytest.raises(ConfigurationError):
-            users_from_batch(positions, deadlines, inference, 0.0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["deadlines_s", "inference_latency_s"])
+    def test_rejects_non_finite_qos(self, field, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_user(**{field: np.array([0.5, bad])})

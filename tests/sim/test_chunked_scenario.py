@@ -80,14 +80,14 @@ class TestChunkedPopularity:
         full = popularity.probabilities_batched(
             19, 8, np.random.default_rng(2)
         )
-        chunked = popularity.probabilities_batched_chunked(
-            19, 8, chunk_size, np.random.default_rng(2)
+        chunked = popularity.probabilities_batched(
+            19, 8, np.random.default_rng(2), chunk_size=chunk_size
         )
         assert np.array_equal(full, chunked)
 
     def test_rejects_bad_chunk(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
-            ZipfPopularity().probabilities_batched_chunked(5, 3, 0)
+            ZipfPopularity().probabilities_batched(5, 3, 0, chunk_size=0)
 
 
 class TestChunkedValidation:
@@ -110,10 +110,18 @@ class TestChunkedValidation:
 
 
 class TestLazyUsers:
-    def test_users_stay_unmaterialised(self):
-        scenario = build_scenario(BASE.with_overrides(chunk_size=8), seed=2)
-        topology = scenario.topology
-        assert topology.user_batch is not None
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BASE.with_overrides(rng_scheme="v1"),
+            BASE,
+            BASE.with_overrides(chunk_size=8),
+        ],
+        ids=["v1", "v2", "v2-chunked"],
+    )
+    def test_users_stay_unmaterialised(self, config):
+        topology = build_scenario(config, seed=2).topology
+        assert isinstance(topology.user_batch, UserBatch)
         assert topology._users is None  # no User objects built yet
 
     def test_lazy_users_match_eager_build(self):
@@ -149,6 +157,28 @@ class TestUserBatch:
             UserBatch(**{**good, "positions": np.zeros((3, 3))})
         with pytest.raises(ConfigurationError, match="active_probability"):
             UserBatch(**good, active_probability=0.0)
+        with pytest.raises(ConfigurationError, match="2-D"):
+            UserBatch(
+                **{
+                    **good,
+                    "deadlines_s": np.ones(4),
+                    "inference_latency_s": np.zeros(4),
+                }
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["positions", "deadlines_s", "inference_latency_s"]
+    )
+    def test_rejects_non_finite_entries(self, field, bad):
+        arrays = dict(
+            positions=np.zeros((3, 2)),
+            deadlines_s=np.ones((3, 4)),
+            inference_latency_s=np.zeros((3, 4)),
+        )
+        arrays[field][1, 1] = bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            UserBatch(**arrays)
 
     def test_user_views_share_rows(self):
         batch = UserBatch(

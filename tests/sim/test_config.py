@@ -1,5 +1,8 @@
 """Tests for ScenarioConfig validation and defaults."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -51,6 +54,26 @@ class TestValidation:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in fields(ScenarioConfig) if isinstance(f.default, float)],
+    )
+    def test_rejects_non_finite_floats(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize(
+        "field", ["deadline_range_s", "inference_latency_range_s"]
+    )
+    def test_rejects_non_finite_interval_ends(self, field, end, bad):
+        interval = list(getattr(ScenarioConfig(), field))
+        interval[end] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioConfig(**{field: tuple(interval)})
 
     def test_zero_storage_allowed(self):
         assert ScenarioConfig(storage_bytes=0).storage_bytes == 0
