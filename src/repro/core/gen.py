@@ -79,6 +79,18 @@ def greedy_place(
     (Gen; the cache is updated in place); ``None``: full model sizes
     (Independent). ``tracker`` is marked in place and must start
     unmarked. Returns the placement and the number of steps.
+
+    A step is one ``argmax`` over preallocated candidate values
+    ``where(fit, gains, -1)``, refreshed in place on the placed pair's
+    column and row. Two invariants keep that exact:
+
+    * *Stop test.* Gains are ``>= 0`` and misfits hold ``-1``, so
+      ``values[argmax] <= 0`` holds exactly when the best pair misfits or
+      gains nothing — the two-part test of the literal scan.
+    * *Column refresh.* Placing (s, m) changes only column m of the gains
+      and row s of the fits. Outside row s the column's fits are
+      unchanged, so ``values[:, m] >= 0`` is already its fit mask; row s
+      is then rewritten whole from its marginals.
     """
     placement = instance.new_placement()
     gains = tracker.gain_matrix_view()
@@ -90,35 +102,31 @@ def greedy_place(
     placed = placement.matrix
     num_models = instance.num_models
 
-    # Candidate values `where(fit, gains, -1)`. Placed pairs need no mask
-    # of their own — marking (m, i) served zeroes gains[m, i] exactly
-    # (every product in its column refresh is 0.0), so `> 0` can never
-    # re-select them; the scalar check stops when no fitting pair has
-    # positive gain. A placement at (s, m) changes only column m of the
-    # gains, row s of the marginals and remaining[s]: refreshing that row
-    # and column leaves every entry equal to a full rebuild.
+    # Placed pairs need no mask of their own: marking (m, i) served
+    # zeroes gains[m, i] exactly (every product in its column refresh is
+    # 0.0), so the stop test can never re-select them.
     values = np.where(extras <= remaining[:, None], gains, -1.0)
+    column_fit = np.empty(values.shape[0], dtype=bool)
+    row_fit = np.empty(num_models, dtype=bool)
     steps = 0
     while True:
         flat = int(values.argmax())
-        server, model_index = divmod(flat, num_models)
-        if (
-            gains[server, model_index] <= 0.0
-            or extras[server, model_index] > remaining[server]
-        ):
+        if values.item(flat) <= 0.0:
             break
+        server, model_index = divmod(flat, num_models)
         placed[server, model_index] = True
         if cache is not None:
             remaining[server] -= cache.add(server, model_index)
         else:
             remaining[server] -= sizes[model_index]
         tracker.mark_served(server, model_index)
-        values[:, model_index] = np.where(
-            extras[:, model_index] <= remaining, gains[:, model_index], -1.0
-        )
-        values[server] = np.where(
-            extras[server] <= remaining[server], gains[server], -1.0
-        )
+        column = values[:, model_index]
+        np.greater_equal(column, 0.0, out=column_fit)
+        np.copyto(column, gains[:, model_index], where=column_fit)
+        row = values[server]
+        np.less_equal(extras[server], remaining[server], out=row_fit)
+        row.fill(-1.0)
+        np.copyto(row, gains[server], where=row_fit)
         steps += 1
     return placement, steps
 

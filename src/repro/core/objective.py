@@ -130,11 +130,16 @@ class CoverageTracker:
     caching (m, i) only changes column ``i`` (the users it newly serves
     stop counting toward every server that could reach them), so
     :meth:`mark_served` refreshes that one column, ``O(nnz of the
-    column)``. The tracker reads prebuilt views of the CSR
-    (:meth:`~repro.core.sparse.SparseFeasibility.column_views`: per
-    column, its servers and flat ``(K, I)`` indices), which every clone
-    shares; a mark is two scatters over the pair's entries, one gather
-    over the column's and one ``np.bincount``. The ``served`` and
+    column)``. One column kernel fills every column at construction and
+    refreshes them after a mark and in :meth:`refresh_columns`: it
+    gathers the column's unserved mass in storage order through prebuilt
+    CSR views (:meth:`~repro.core.sparse.SparseFeasibility.column_views`:
+    per column, its intp servers and flat ``(K, I)`` indices, shared by
+    every clone) and sums it with one ``np.bincount`` by server. So a
+    refreshed column equals a rebuilt one bit for bit, and building
+    holds no per-entry temporary larger than one column. A mark is two
+    scatters over the pair's entries (bounds read from a list of
+    ``pair_indptr``) plus the kernel. The ``served`` and
     ``unserved_demand`` state changes by boolean updates and exact
     zeroing only.
     """
@@ -154,31 +159,27 @@ class CoverageTracker:
         self._sflat = self.served.reshape(-1)
         self._num_servers = instance.num_servers
         # Read-only CSR views shared by every clone: per-column
-        # (servers, flat index) slices for a mark's refresh, the flat
-        # index and pair bounds for its scatters, and every entry's pair
-        # row for whole-matrix sums.
+        # (servers, flat index) slices for the column kernel, and the
+        # flat index and pair bounds (a list: a mark reads two Python
+        # ints) for a mark's scatters.
         self._columns = sparse.column_views()
         self._entry_flat = sparse.entry_flat_index()
-        self._entry_pair = sparse.entry_pair_index()
-        self._pair_indptr = sparse.pair_indptr
-        self._gains = np.ascontiguousarray(self._pair_sums().T)
+        self._pair_bounds = sparse.pair_indptr.tolist()
+        self._gains = np.empty((self._num_servers, instance.num_models))
+        for column in range(instance.num_models):
+            self._refresh_column(column)
 
-    def _pair_sums(self, entries: Optional[np.ndarray] = None) -> np.ndarray:
-        """``(I, M)`` unserved mass per (model, server) pair, summed over
-        the CSR entries at positions ``entries`` (all when ``None``).
-
-        One ``np.bincount`` binned by pair row: it adds strictly in input
-        order, so each pair's entries, taken in storage order, sum
-        exactly as the pair's own sum would.
-        """
-        pairs, flat = self._entry_pair, self._entry_flat
-        if entries is not None:
-            pairs, flat = pairs[entries], flat[entries]
-        return np.bincount(
-            pairs,
-            weights=self._wflat[flat],
-            minlength=self.instance.num_models * self._num_servers,
-        ).reshape(self.instance.num_models, self._num_servers)
+    def _refresh_column(self, model_index: int) -> None:
+        """Recompute column ``model_index`` of the gains from the unserved
+        mass: one gather of the column's entries in storage order, one
+        ``np.bincount`` by server, which sums each server's entries in
+        that order."""
+        servers, column_flat = self._columns[model_index]
+        self._gains[:, model_index] = np.bincount(
+            servers,
+            weights=self._wflat[column_flat],
+            minlength=self._num_servers,
+        )
 
     def unserved_demand(self) -> np.ndarray:
         """``(K, I)`` demand mass not yet served."""
@@ -215,21 +216,14 @@ class CoverageTracker:
         served users' remaining mass becomes exactly 0.0.
         """
         row = model_index * self._num_servers + server
-        start, stop = self._pair_indptr[row : row + 2].tolist()
+        start = self._pair_bounds[row]
+        stop = self._pair_bounds[row + 1]
         if start == stop:
             return
         flat = self._entry_flat[start:stop]
         self._sflat[flat] = True
         self._wflat[flat] = 0.0
-        # The column's entries in storage order, gathered flat:
-        # np.bincount sums each server's entries in that order, exactly
-        # as _pair_sums does for the whole matrix.
-        servers, column_flat = self._columns[model_index]
-        self._gains[:, model_index] = np.bincount(
-            servers,
-            weights=self._wflat[column_flat],
-            minlength=self._num_servers,
-        )
+        self._refresh_column(model_index)
 
     # ------------------------------------------------------------------
     # Delta operations (the serving layer's warm re-solve). The coverage
@@ -264,9 +258,11 @@ class CoverageTracker:
         Per column: ``weighted = demand * ~served`` recomputed elementwise
         (the constructor's expression, restricted to the column — still
         unserved entries get ``d * 1.0 == d`` bit-exactly, served ones
-        ``d * 0.0 == +0.0``), then the columns' gains from one
-        :meth:`_pair_sums` over their entries. The result equals a fresh tracker build on the mutated demand followed
-        by replaying this tracker's mark sequence, bit for bit.
+        ``d * 0.0 == +0.0``), then the column kernel on each listed column
+        in turn. The result equals a fresh tracker build on the mutated
+        demand followed by replaying this tracker's mark sequence, bit for
+        bit, whatever the order of ``columns``; a repeated column is
+        recomputed, never added twice.
 
         ``user``, when given, promises that only that user's demand row
         changed: the elementwise resync is restricted to that row (the
@@ -282,18 +278,8 @@ class CoverageTracker:
             self._weighted[user, cols] = (
                 demand[user, cols] * ~self.served[user, cols]
             )
-        # Each column's entries are one contiguous range of the CSR
-        # arrays (sorted by (model, server, user)); pos walks those
-        # ranges in order — a global arange shifted per column so it
-        # starts at the column's range start (columns with no entries
-        # contribute nothing via the zero-length repeat).
-        num_servers = self._num_servers
-        starts = self._pair_indptr[cols * num_servers]
-        lengths = self._pair_indptr[(cols + 1) * num_servers] - starts
-        offsets = starts - np.cumsum(lengths) + lengths
-        col_ids = np.repeat(np.arange(cols.size), lengths)
-        pos = np.arange(int(lengths.sum()), dtype=np.int64) + offsets[col_ids]
-        self._gains[:, cols] = self._pair_sums(pos)[cols].T
+        for column in cols.tolist():
+            self._refresh_column(column)
 
     def update_user(self, user: int, demand_row: np.ndarray) -> np.ndarray:
         """Set one user's demand row and refresh the affected columns.

@@ -20,7 +20,8 @@ view, because every hot operation touches one model column at a time:
   pair_indptr[i * M + m + 1]]``;
 * ``entry_users`` — ``(nnz,)`` int32 user index of every entry;
 * ``entry_servers`` — ``(nnz,)`` int32 server index of every entry
-  (the expansion of ``pair_indptr``, precomputed for bincount reduces).
+  (the expansion of ``pair_indptr``, precomputed for bincount reduces;
+  the per-column views hold an intp copy, ``np.bincount``'s own width).
 
 A per-user view (``user_indptr`` / ``user_servers`` / ``user_models``,
 sorted by ``(user, model, server)``) is derived lazily for consumers that
@@ -75,7 +76,6 @@ class SparseFeasibility:
         self._user_view: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._coverage_counts: Optional[np.ndarray] = None
         self._entry_flat: Optional[np.ndarray] = None
-        self._entry_pair: Optional[np.ndarray] = None
         self._column_views: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     # ------------------------------------------------------------------
@@ -319,14 +319,15 @@ class SparseFeasibility:
         return self._entry_flat
 
     def column_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per model column, ``(entry_servers, entry_flat_index)`` views.
+        """Per model column, ``(servers, entry_flat_index)`` views.
 
-        Entry ``i`` holds the slices of :attr:`entry_servers` and
-        :meth:`entry_flat_index` over model ``i``'s entries, in storage
-        order — the same entries :meth:`column_entries` returns. Built
-        once and cached (the bundle is immutable), so the coverage
-        tracker's per-mark column refresh is a list lookup instead of
-        ``pair_indptr`` arithmetic and two fresh slices.
+        Entry ``i`` holds model ``i``'s entries in storage order — the
+        same entries :meth:`column_entries` returns — as slices of one
+        intp copy of :attr:`entry_servers` and of
+        :meth:`entry_flat_index`. Built once and cached (the bundle is
+        immutable), so the coverage tracker's per-column kernel is a list
+        lookup, and its ``np.bincount`` reads native-width bins instead
+        of casting an int32 column on every call.
         """
         if self._column_views is None:
             num_servers, _, num_models = self.shape
@@ -334,24 +335,12 @@ class SparseFeasibility:
                 np.arange(num_models + 1) * num_servers
             ].tolist()
             flat = self.entry_flat_index()
-            servers = self.entry_servers
+            servers = self.entry_servers.astype(np.intp)
             self._column_views = [
                 (servers[start:stop], flat[start:stop])
                 for start, stop in zip(bounds[:-1], bounds[1:])
             ]
         return self._column_views
-
-    def entry_pair_index(self) -> np.ndarray:
-        """``(nnz,)`` int64 pair row (``model * M + server``) of every
-        entry — the expansion of ``pair_indptr``. Lazily cached.
-        """
-        if self._entry_pair is None:
-            num_servers, _, num_models = self.shape
-            self._entry_pair = np.repeat(
-                np.arange(num_models * num_servers, dtype=np.int64),
-                np.diff(self.pair_indptr),
-            )
-        return self._entry_pair
 
     def to_dense(self) -> np.ndarray:
         """Scatter back to the dense ``(M, K, I)`` boolean tensor (exact)."""

@@ -14,6 +14,7 @@ kind); :mod:`repro.serve.http` exposes the same service over stdlib HTTP.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -79,6 +80,22 @@ class RouteResult:
         }
 
 
+def _index_arg(name: str, value: object, bound: int) -> int:
+    """``value`` as a Python int in ``[0, bound)``, else :class:`ServeError`."""
+    if type(value) is not int:
+        if isinstance(value, bool):
+            raise ServeError(f"{name} must be an integer, got {value!r}")
+        try:
+            value = operator.index(value)  # type: ignore[arg-type]
+        except TypeError:
+            raise ServeError(
+                f"{name} must be an integer, got {value!r}"
+            ) from None
+    if not 0 <= value < bound:  # type: ignore[operator]
+        raise ServeError(f"{name} {value} out of range [0, {bound})")
+    return value  # type: ignore[return-value]
+
+
 class PlacementService:
     """A long-lived solver: one scenario, resident state, an event stream.
 
@@ -131,10 +148,23 @@ class PlacementService:
             if solver == "gen"
             else None
         )
-        # Build the CSR bundle's lazily cached per-user view now, so the
-        # first route() does not pay for it (the tracker has built the
-        # indices it reads).
-        self.instance.sparse_feasible.user_view()
+        # route()'s view of the CSR bundle: each (user, model) request's
+        # feasible servers are one run of the per-user entries (sorted
+        # by user, model, server), bounded at row ``user * I + model``.
+        indptr, user_models, user_servers = (
+            self.instance.sparse_feasible.user_view()
+        )
+        num_users = self.instance.num_users
+        num_models = self.instance.num_models
+        requests = np.repeat(
+            np.arange(num_users) * num_models, np.diff(indptr)
+        ) + user_models
+        run_indptr = np.zeros(num_users * num_models + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(requests, minlength=num_users * num_models),
+            out=run_indptr[1:],
+        )
+        self._routes = (num_users, num_models, run_indptr, user_servers)
         start = time.perf_counter()
         self.state: SolveState = warm_solve(
             self.instance, self.base_tracker, self.base_cache
@@ -160,25 +190,23 @@ class PlacementService:
         return self.state.hit_ratio
 
     def route(self, user: int, model: int) -> RouteResult:
-        """Which server serves ``user``'s request for ``model`` now?"""
-        instance = self.instance
-        if not 0 <= user < instance.num_users:
-            raise ServeError(f"user {user} out of range [0, {instance.num_users})")
-        if not 0 <= model < instance.num_models:
-            raise ServeError(
-                f"model {model} out of range [0, {instance.num_models})"
-            )
-        indptr, user_models, user_servers = (
-            instance.sparse_feasible.user_view()
-        )
-        span = slice(int(indptr[user]), int(indptr[user + 1]))
-        mask = user_models[span] == model
-        servers = user_servers[span][mask]
-        if servers.size:
+        """Which server serves ``user``'s request for ``model`` now?
+
+        ``user`` and ``model`` must be integers (any ``__index__`` type
+        but ``bool``) inside the instance; anything else is a
+        :class:`ServeError`. The result holds Python ints.
+        """
+        num_users, num_models, run_indptr, user_servers = self._routes
+        user = _index_arg("user", user, num_users)
+        model = _index_arg("model", model, num_models)
+        row = user * num_models + model
+        start, stop = run_indptr.item(row), run_indptr.item(row + 1)
+        if start != stop:
+            servers = user_servers[start:stop]
             cached = servers[self.state.placement.matrix[servers, model]]
             if cached.size:
-                # Entries are sorted by (user, model, server): first hit
-                # is the lowest feasible caching server.
+                # Each run is sorted by server: the first hit is the
+                # lowest feasible caching server.
                 return RouteResult(user, model, int(cached[0]), True)
         return RouteResult(user, model, None, False)
 

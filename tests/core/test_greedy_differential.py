@@ -148,3 +148,28 @@ class TestGreedyDifferential:
         assert got.placement == expected.placement
         assert got.hit_ratio == expected.hit_ratio
         assert got.stats["greedy_steps"] == expected.stats["greedy_steps"]
+
+    @pytest.mark.parametrize("accelerated", [True, False])
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_full_server_still_takes_a_fully_shared_model(
+        self, accelerated, sparse
+    ):
+        """Model 0 fills server 0 to exactly 0 remaining bytes; model 1's
+        blocks are all inside it (marginal 0) and it still gains, so it is
+        cached at exact capacity. Model 2 needs a byte more and is not."""
+        library = ModelLibrary(
+            [ParameterBlock(0, 10), ParameterBlock(1, 5), ParameterBlock(2, 1)],
+            [Model(0, (0, 1)), Model(1, (0,)), Model(2, (1, 2))],
+        )
+        demand = np.array([[0.5, 0.3, 0.2], [0.4, 0.1, 0.5]])
+        feasible = np.zeros((2, 2, 3), dtype=bool)
+        feasible[0] = True  # server 1 reaches nobody
+        if sparse:
+            feasible = SparseFeasibility.from_dense(feasible)
+        instance = PlacementInstance(library, demand, feasible, [15, 15])
+        got = TrimCachingGen(accelerated=accelerated).solve(instance)
+        expected = ReferenceGen(accelerated=False).solve(instance)
+        assert got.placement.models_on(0) == [0, 1]
+        assert got.placement == expected.placement
+        assert got.hit_ratio == expected.hit_ratio
+        assert got.stats["greedy_steps"] == expected.stats["greedy_steps"]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
 from repro.core.reference import ReferenceCoverageTracker
+from repro.core.sparse import SparseFeasibility
 from repro.errors import PlacementError
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
@@ -209,4 +210,93 @@ class TestDeltaBookkeeping:
         )
         fresh = CoverageTracker(fresh_instance)
         fresh.mark_served(2, 4)
+        assert_trackers_identical(tracker, fresh)
+
+    def test_repeated_column_is_not_counted_twice(self, delta_scenario):
+        """Refreshing a column twice in one call recomputes it; it does
+        not add the column's entries twice."""
+        tracker = CoverageTracker(private_instance(delta_scenario))
+        expected = tracker.gain_matrix()
+        tracker.refresh_columns([3, 3])
+        assert np.array_equal(tracker.gain_matrix(), expected)
+
+
+#: Model columns blanked out of the column-kernel scenario's feasibility,
+#: so its refreshes meet columns with no entries at all.
+EMPTY_COLUMNS = (0, 5)
+
+
+def blanked_instance(scenario, feasibility: str) -> PlacementInstance:
+    """``private_instance`` with :data:`EMPTY_COLUMNS` unreachable."""
+    feasible = scenario.instance.feasible.copy()
+    feasible[:, :, list(EMPTY_COLUMNS)] = False
+    return PlacementInstance(
+        library=scenario.library,
+        demand=scenario.demand.copy(),
+        feasible=(
+            feasible
+            if feasibility == "dense"
+            else SparseFeasibility.from_dense(feasible)
+        ),
+        capacities=np.asarray(scenario.instance.capacities, dtype=np.int64).copy(),
+    )
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
+    @given(
+        marks=st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+            max_size=12,
+        ),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 10_000),
+                st.integers(0, 10_000),
+                st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.7]),
+            ),
+            max_size=10,
+        ),
+        extra_columns=st.lists(st.integers(0, 10_000), max_size=8),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_refresh_equals_fresh_build(
+        self, delta_scenario, feasibility, marks, edits, extra_columns,
+        order_seed,
+    ):
+        """After marks and demand edits, refreshing any column list that
+        covers the edited columns (unsorted, repeated, empty columns
+        included) leaves the gains equal to a fresh tracker's."""
+        instance = blanked_instance(delta_scenario, feasibility)
+        tracker = CoverageTracker(instance)
+        num_servers = instance.num_servers
+        num_users = instance.num_users
+        num_models = instance.num_models
+        pairs = [(a % num_servers, b % num_models) for a, b in marks]
+        for pair in pairs:
+            tracker.mark_served(*pair)
+        edited = []
+        for user, model, value in edits:
+            instance.demand[user % num_users, model % num_models] = value
+            edited.append(model % num_models)
+        assert instance.demand.sum() > 0  # the fresh instance needs some
+        columns = (
+            edited
+            + [column % num_models for column in extra_columns]
+            + list(EMPTY_COLUMNS)
+        )
+        columns += columns[: len(columns) // 2]  # repeats
+        np.random.default_rng(order_seed).shuffle(columns)
+        tracker.refresh_columns(columns)
+
+        fresh_instance = PlacementInstance(
+            library=instance.library,
+            demand=instance.demand.copy(),
+            feasible=instance.sparse_feasible,
+            capacities=instance.capacities.copy(),
+        )
+        fresh = CoverageTracker(fresh_instance)
+        for pair in pairs:
+            fresh.mark_served(*pair)
         assert_trackers_identical(tracker, fresh)

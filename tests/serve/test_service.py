@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,29 @@ class TestRoute:
         service = PlacementService(micro_scenario)
         payload = service.route(0, 0).to_dict()
         assert set(payload) == {"user", "model", "server", "hit"}
+
+    @pytest.mark.parametrize(
+        "user, model",
+        [(1.5, 2), (True, 2), (np.True_, 2), ("1", 2), (None, 2),
+         (1, 2.0), (1, False), (1, np.float64(2.0))],
+    )
+    def test_route_refuses_non_integer_ids(self, micro_scenario, user, model):
+        service = PlacementService(micro_scenario)
+        with pytest.raises(ServeError, match="must be an integer"):
+            service.route(user, model)
+
+    def test_route_takes_numpy_ints_and_answers_python_ints(
+        self, serve_scenario
+    ):
+        service = PlacementService(serve_scenario)
+        instance = service.instance
+        for user in range(0, instance.num_users, 7):
+            for model in range(0, instance.num_models, 5):
+                result = service.route(np.int64(user), np.int32(model))
+                assert result == service.route(user, model)
+                assert type(result.user) is int and type(result.model) is int
+                assert result.server is None or type(result.server) is int
+                json.dumps(result.to_dict())
 
 
 class TestProcess:
