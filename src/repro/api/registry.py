@@ -116,11 +116,6 @@ class SolverRegistry:
             return _register(config_cls)
         return _register
 
-    def unregister(self, name: str) -> None:
-        """Remove an entry (mainly for tests of third-party plugins)."""
-        self._entries.pop(name, None)
-        self._label_cache.pop(name, None)
-
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
         """All registered solver names, sorted."""

@@ -29,7 +29,7 @@ clones.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,42 +119,7 @@ class BlockMaskIndex:
         """``B``."""
         return int(self.member.shape[1])
 
-    def empty_mask(self) -> np.ndarray:
-        """A fresh all-false ``(B,)`` block mask."""
-        return np.zeros(self.num_blocks, dtype=bool)
-
-    def mask_of(self, model_index: int) -> np.ndarray:
-        """``(B,)`` bool membership row of one model (a view)."""
-        return self.member[model_index]
-
-    def mask_from_ids(self, block_ids: Iterable[int]) -> np.ndarray:
-        """``(B,)`` bool mask from explicit block ids."""
-        mask = self.empty_mask()
-        positions = [self.block_pos[b] for b in block_ids]
-        if positions:
-            mask[positions] = True
-        return mask
-
-    def ids_from_mask(self, mask: np.ndarray) -> FrozenSet[int]:
-        """Block ids set by a ``(B,)`` mask (round-trip helper)."""
-        return frozenset(int(b) for b in self.block_ids[mask])
-
     # ------------------------------------------------------------------
-    def marginal_size(self, model_index: int, cached_mask: np.ndarray) -> int:
-        """Bytes needed to add one model on top of ``cached_mask``."""
-        return int((self.member[model_index] & ~cached_mask) @ self.sizes)
-
-    def marginal_sizes(self, cached_mask: np.ndarray) -> np.ndarray:
-        """``(I,)`` int64 marginal bytes of *every* model at once."""
-        return (self.member & ~cached_mask) @ self.sizes
-
-    def union_size(self, model_indices: Iterable[int]) -> int:
-        """Deduplicated footprint of a set of models (``g_m``)."""
-        indices = list(model_indices)
-        if not indices:
-            return 0
-        return int(self.sizes[self.member[indices].any(axis=0)].sum())
-
 
 #: Byte budget of one resident delta table (see
 #: :meth:`ServerBlockCache.resident`); once its entries would exceed it,

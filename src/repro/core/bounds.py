@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.core.placement import PlacementInstance
 from repro.errors import ConfigurationError
 
@@ -66,9 +64,3 @@ def gamma_bound(instance: PlacementInstance) -> int:
             for server in range(instance.num_servers)
         )
     )
-
-
-def gen_guarantee(instance: PlacementInstance) -> float:
-    """The 1/Γ factor of Theorem 3 for this instance (0 if Γ = 0)."""
-    gamma = gamma_bound(instance)
-    return 1.0 / gamma if gamma > 0 else 0.0

@@ -106,6 +106,8 @@ def greedy_place(
     # zeroes gains[m, i] exactly (every product in its column refresh is
     # 0.0), so the stop test can never re-select them.
     values = np.where(extras <= remaining[:, None], gains, -1.0)
+    if values.size == 0:  # no servers: argmax has nothing to choose from
+        return placement, 0
     column_fit = np.empty(values.shape[0], dtype=bool)
     row_fit = np.empty(num_models, dtype=bool)
     steps = 0

@@ -281,32 +281,6 @@ class CoverageTracker:
         for column in cols.tolist():
             self._refresh_column(column)
 
-    def update_user(self, user: int, demand_row: np.ndarray) -> np.ndarray:
-        """Set one user's demand row and refresh the affected columns.
-
-        O(sum of changed-column costs): only columns whose demand entry
-        actually changed are touched. Returns those column indices.
-        """
-        changed = self.instance.set_demand_row(user, demand_row)
-        self.refresh_columns(changed, user=user)
-        return changed
-
-    def add_user(self, user: int, demand_row: np.ndarray) -> np.ndarray:
-        """(Re-)activate a user with the given demand row (delta op)."""
-        return self.update_user(user, demand_row)
-
-    def remove_user(self, user: int) -> np.ndarray:
-        """Deactivate a user: zero their demand row (delta op)."""
-        return self.update_user(
-            user, np.zeros(self.instance.num_models, dtype=float)
-        )
-
-    def scale_model(self, model_index: int, factor: float) -> np.ndarray:
-        """Scale one model's demand column (popularity drift delta op)."""
-        changed = self.instance.scale_demand_column(model_index, factor)
-        self.refresh_columns(changed)
-        return changed
-
     def mark_server_models(self, server: int, model_indices: Iterable[int]) -> None:
         """Record a whole per-server caching decision at once."""
         for model_index in model_indices:

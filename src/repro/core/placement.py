@@ -125,9 +125,6 @@ class PlacementInstance:
         self.total_demand = float(total)
         #: dense index -> library model id (ascending id order).
         self.index_to_model_id: Tuple[int, ...] = tuple(library.model_ids)
-        self._model_id_to_index: Dict[int, int] = {
-            model_id: index for index, model_id in enumerate(self.index_to_model_id)
-        }
         #: dense index -> the model's block-id frozenset.
         self.model_blocks: Tuple[FrozenSet[int], ...] = tuple(
             model.block_set for model in library.models()
@@ -181,18 +178,6 @@ class PlacementInstance:
     def has_sparse(self) -> bool:
         """Is the CSR representation already materialised?"""
         return self._feasible_sparse is not None
-
-    @property
-    def feasibility_density(self) -> float:
-        """``nnz / (M·K·I)`` of the indicator."""
-        return self.sparse_feasible.density
-
-    def index_of(self, model_id: int) -> int:
-        """Dense index of a library model id."""
-        try:
-            return self._model_id_to_index[model_id]
-        except KeyError:
-            raise PlacementError(f"model id {model_id} not in instance") from None
 
     def marginal_storage(
         self, model_index: int, cached_blocks: AbstractSet[int]
@@ -328,16 +313,6 @@ class Placement:
         self.matrix = matrix
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_server_sets(
-        cls, num_servers: int, num_models: int, server_sets: Dict[int, Iterable[int]]
-    ) -> "Placement":
-        """Build from ``{server: model indices}``."""
-        matrix = np.zeros((num_servers, num_models), dtype=bool)
-        for server, indices in server_sets.items():
-            for index in indices:
-                matrix[server, index] = True
-        return cls(matrix)
 
     @property
     def num_servers(self) -> int:
@@ -352,10 +327,6 @@ class Placement:
     def models_on(self, server: int) -> List[int]:
         """Dense model indices cached on ``server``."""
         return np.flatnonzero(self.matrix[server]).tolist()
-
-    def servers_with(self, model_index: int) -> List[int]:
-        """Servers caching the model at ``model_index``."""
-        return np.flatnonzero(self.matrix[:, model_index]).tolist()
 
     def add(self, server: int, model_index: int) -> None:
         """Cache one model on one server (idempotent)."""

@@ -224,6 +224,8 @@ class ReferenceIndependent:
             # A model fits iff its full size fits the remaining capacity.
             fits = instance.model_sizes[None, :] <= remaining[:, None]
             gains[~fits] = -1.0
+            if gains.size == 0:  # no servers (the seed's argmax raised here)
+                break
             flat = int(np.argmax(gains))
             server, model_index = divmod(flat, instance.num_models)
             if gains[server, model_index] <= 0.0:

@@ -148,8 +148,3 @@ def resnet_layer_table(spec: ResNetSpec, num_classes: int = 100) -> List[LayerSp
         LayerSpec("fc", spec.feature_dim * num_classes + num_classes)
     )
     return layers
-
-
-def total_params(spec: ResNetSpec, num_classes: int = 100) -> int:
-    """Total scalar parameter count of the network."""
-    return sum(layer.params for layer in resnet_layer_table(spec, num_classes))

@@ -118,16 +118,6 @@ class FaultStats:
         self.re_dispatched += other.re_dispatched
         self.degraded += other.degraded
 
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view (for reports and JSON)."""
-        return {
-            "retries": self.retries,
-            "workers_lost": self.workers_lost,
-            "re_dispatched": self.re_dispatched,
-            "degraded": self.degraded,
-        }
-
-
 # ----------------------------------------------------------------------
 # Deterministic chaos
 # ----------------------------------------------------------------------

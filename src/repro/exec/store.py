@@ -153,9 +153,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Full results
     # ------------------------------------------------------------------
-    def has_result(self, key: str) -> bool:
-        """Is a full result cached under ``key``?"""
-        return self.result_path(key).is_file()
 
     def load_result(self, key: str, registry=None):
         """The cached :class:`ResultSet`, or ``None`` on any miss.

@@ -268,11 +268,6 @@ class FineTuner:
         """Convenience wrapper computing the adapter size from a spec."""
         return self.lora(parent, name, lora_adapter_params(spec, rank))
 
-    def add_root_as_model(self, root: PretrainedRoot, name: Optional[str] = None) -> Model:
-        """Publish a pre-trained root itself as a downloadable model."""
-        block_ids = self._root_prefix(root, root.num_layers)
-        return self._add_model(name or root.name, list(block_ids), root=root.name)
-
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------

@@ -33,7 +33,6 @@ from typing import (
     Iterable,
     List,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -345,10 +344,6 @@ class ModelLibrary:
         """The shared blocks of one model."""
         return self.model(model_id).block_set & self.shared_block_ids
 
-    def specific_blocks_of(self, model_id: int) -> FrozenSet[int]:
-        """The specific (exclusive) blocks of one model."""
-        return self.model(model_id).block_set - self.shared_block_ids
-
     # ------------------------------------------------------------------
     # Storage accounting
     # ------------------------------------------------------------------
@@ -370,35 +365,6 @@ class ModelLibrary:
             return int(self._model_sizes[self._model_pos[model_id]])
         except KeyError:
             raise LibraryError(f"unknown model id {model_id}") from None
-
-    def specific_size_of(self, model_id: int) -> int:
-        """Size of one model's specific blocks only."""
-        return self.blocks_size(self.specific_blocks_of(model_id))
-
-    def union_blocks(self, model_ids: Iterable[int]) -> Set[int]:
-        """The union of block ids across ``model_ids``."""
-        union: Set[int] = set()
-        for model_id in model_ids:
-            union |= self.model(model_id).block_set
-        return union
-
-    def deduplicated_size(self, model_ids: Iterable[int]) -> int:
-        """Storage to hold ``model_ids`` with shared blocks stored once.
-
-        This is ``g_m`` (eq. 7) evaluated on one server's cached set.
-        """
-        return self.blocks_size(self.union_blocks(model_ids))
-
-    def independent_size(self, model_ids: Iterable[int]) -> int:
-        """Storage if every model is stored in full (no deduplication)."""
-        return sum(self.model_size(i) for i in model_ids)
-
-    def marginal_size(self, model_id: int, cached_blocks: AbstractSet[int]) -> int:
-        """Extra bytes needed to add ``model_id`` given ``cached_blocks``."""
-        sizes = self.block_sizes_by_id
-        return sum(
-            sizes[b] for b in self.model(model_id).block_ids if b not in cached_blocks
-        )
 
     def sharing_stats(self) -> SharingStats:
         """Library-wide sharing summary (used by Table I reporting)."""

@@ -61,10 +61,6 @@ class Model:
         """Number of parameter blocks in the model."""
         return len(self.block_ids)
 
-    def contains_block(self, block_id: int) -> bool:
-        """Whether the model includes ``block_id``."""
-        return block_id in self._block_set
-
     def __str__(self) -> str:
         label = self.name or f"model{self.model_id}"
         return f"{label}[{self.num_blocks} blocks]"

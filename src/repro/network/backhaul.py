@@ -45,17 +45,3 @@ class Backhaul:
             )
         key = (min(server_a, server_b), max(server_a, server_b))
         return self.overrides.get(key, self.default_rate_bps)
-
-    def transfer_time_s(self, num_bytes: int, server_a: int, server_b: int) -> float:
-        """Time to move ``num_bytes`` between two servers."""
-        if num_bytes < 0:
-            raise ConfigurationError("num_bytes must be non-negative")
-        return 8.0 * num_bytes / self.rate(server_a, server_b)
-
-    def set_rate(self, server_a: int, server_b: int, rate_bps: float) -> None:
-        """Install a symmetric per-pair rate override."""
-        if rate_bps <= 0:
-            raise ConfigurationError("rate_bps must be positive")
-        if server_a == server_b:
-            raise ConfigurationError("cannot set a self-link rate")
-        self.overrides[(min(server_a, server_b), max(server_a, server_b))] = rate_bps

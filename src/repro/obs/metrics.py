@@ -121,10 +121,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
     def state(self) -> float:
         return self.value
 

@@ -18,6 +18,9 @@ the mutated demand/capacity arrays are bit-identical on both sides.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -43,6 +46,23 @@ _REQUIRED = {
     "popularity_update": ("model", "factor"),
 }
 
+#: Event fields that hold integers (ids and a byte count).
+_INTEGER_FIELDS = ("user", "server", "model", "capacity_bytes")
+
+
+def as_index(name: str, value: object) -> int:
+    """``value`` as a Python int, else :class:`ServeError`.
+
+    Any ``__index__`` integer (``int``, ``np.int64``, ...) except ``bool``
+    is accepted; floats, strings and booleans are refused, never truncated.
+    """
+    if isinstance(value, bool):
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise ServeError(f"{name} must be an integer, got {value!r}") from None
+
 
 @dataclass(frozen=True)
 class Event:
@@ -53,6 +73,12 @@ class Event:
     * ``user_arrive`` / ``user_depart`` — ``user``;
     * ``capacity_change`` — ``server`` and ``capacity_bytes`` (absolute);
     * ``popularity_update`` — ``model`` and ``factor`` (multiplicative).
+
+    ``user``, ``server``, ``model`` and ``capacity_bytes`` must be
+    integers (see :func:`as_index`) and are stored as Python ints;
+    ``factor`` must be a finite real and is stored as a float. Ranges
+    are checked against the live instance by
+    :meth:`~repro.serve.service.PlacementService.process`.
     """
 
     kind: str
@@ -70,6 +96,20 @@ class Event:
         for field in _REQUIRED[self.kind]:
             if getattr(self, field) is None:
                 raise ServeError(f"{self.kind} event requires {field!r}")
+        for field in _INTEGER_FIELDS:
+            value = getattr(self, field)
+            if value is not None and type(value) is not int:
+                object.__setattr__(self, field, as_index(field, value))
+        factor = self.factor
+        if factor is None:
+            return
+        if type(factor) is not float:
+            if isinstance(factor, bool) or not isinstance(factor, numbers.Real):
+                raise ServeError(f"factor must be a finite real, got {factor!r}")
+            factor = float(factor)
+            object.__setattr__(self, "factor", factor)
+        if not math.isfinite(factor):
+            raise ServeError(f"factor must be a finite real, got {factor!r}")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload (only the fields the kind uses)."""
@@ -80,7 +120,7 @@ class Event:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Event":
-        """Inverse of :meth:`to_dict` (tolerates extra keys)."""
+        """Inverse of :meth:`to_dict` (tolerates extra keys, coerces nothing)."""
         if not isinstance(payload, dict):
             raise ServeError(f"event payload must be an object, got {payload!r}")
         kind = payload.get("kind")
@@ -92,11 +132,7 @@ class Event:
         for field in _REQUIRED[kind]:
             if field not in payload:
                 raise ServeError(f"{kind} event requires {field!r}")
-            value = payload[field]
-            if field == "factor":
-                kwargs[field] = float(value)  # type: ignore[arg-type]
-            else:
-                kwargs[field] = int(value)  # type: ignore[arg-type]
+            kwargs[field] = payload[field]
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
@@ -160,19 +196,19 @@ def apply_event(instance, event: Event, original_demand: np.ndarray):
     """
     if event.kind == "user_depart":
         row = np.zeros(instance.num_models, dtype=float)
-        return instance.set_demand_row(int(event.user), row), False
+        return instance.set_demand_row(event.user, row), False
     if event.kind == "user_arrive":
-        user = int(event.user)
+        user = event.user
         if not 0 <= user < original_demand.shape[0]:
             raise ServeError(f"user {user} out of range")
         return instance.set_demand_row(user, original_demand[user].copy()), False
     if event.kind == "popularity_update":
         return (
-            instance.scale_demand_column(int(event.model), float(event.factor)),
+            instance.scale_demand_column(event.model, event.factor),
             False,
         )
     # capacity_change
-    instance.set_capacity(int(event.server), int(event.capacity_bytes))
+    instance.set_capacity(event.server, event.capacity_bytes)
     return np.empty(0, dtype=np.intp), True
 
 

@@ -14,7 +14,6 @@ kind); :mod:`repro.serve.http` exposes the same service over stdlib HTTP.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -25,8 +24,8 @@ from repro import obs
 from repro.core.blockmask import ServerBlockCache
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
-from repro.errors import ServeError
-from repro.serve.events import Event, apply_event
+from repro.errors import PlacementError, ServeError
+from repro.serve.events import Event, apply_event, as_index
 from repro.serve.resolver import SolveState, check_serve_config, warm_solve
 
 
@@ -83,14 +82,7 @@ class RouteResult:
 def _index_arg(name: str, value: object, bound: int) -> int:
     """``value`` as a Python int in ``[0, bound)``, else :class:`ServeError`."""
     if type(value) is not int:
-        if isinstance(value, bool):
-            raise ServeError(f"{name} must be an integer, got {value!r}")
-        try:
-            value = operator.index(value)  # type: ignore[arg-type]
-        except TypeError:
-            raise ServeError(
-                f"{name} must be an integer, got {value!r}"
-            ) from None
+        value = as_index(name, value)
     if not 0 <= value < bound:  # type: ignore[operator]
         raise ServeError(f"{name} {value} out of range [0, {bound})")
     return value  # type: ignore[return-value]
@@ -258,12 +250,29 @@ class PlacementService:
 
     # ------------------------------------------------------------------
     def process(self, event: Event) -> EventResult:
-        """Apply one event and, if it changed anything, re-solve."""
+        """Apply one event and, if it changed anything, re-solve.
+
+        An event the instance refuses (an id out of range, a negative
+        capacity, a change that would zero total demand) raises
+        :class:`ServeError` before anything is mutated or counted.
+        """
+        instance = self.instance
+        if event.kind == "capacity_change":
+            _index_arg("server", event.server, instance.num_servers)
+        elif event.kind == "popularity_update":
+            _index_arg("model", event.model, instance.num_models)
+        else:
+            _index_arg("user", event.user, instance.num_users)
         start = time.perf_counter()
         with obs.span("serve.event", kind=event.kind) as span:
-            changed, capacity_changed = apply_event(
-                self.instance, event, self._original_demand
-            )
+            try:
+                changed, capacity_changed = apply_event(
+                    instance, event, self._original_demand
+                )
+            except PlacementError as exc:
+                # The instance mutators check before they write (or
+                # restore what they wrote), so nothing has changed.
+                raise ServeError(str(exc)) from exc
             if changed.size:
                 # User events touch a single demand row; telling the
                 # tracker lets it restrict the weighted resync to that row

@@ -8,13 +8,15 @@ re-draws instantaneous rates per realisation, recomputes the feasibility
 indicator, and averages the realised hit ratio.
 
 Per realisation the feasibility indicator is rebuilt as a
-:class:`~repro.core.sparse.SparseFeasibility` CSR artifact by default
-(``engine="sparse"``) and scored via the sparse ``served_matrix`` walk —
-the dense ``(M, K, I)`` tensor is never materialised, dropping the
-``O(M·K·I)`` inner loop per realisation. The CSR encodes the identical
-indicator and the walk reproduces the dense einsum's booleans exactly,
-so the realised hit ratios are **bit-identical** to ``engine="dense"``
-(asserted by the test suite).
+:class:`~repro.core.sparse.SparseFeasibility` CSR artifact and scored via
+the sparse ``served_matrix`` walk — the dense ``(M, K, I)`` tensor is
+never materialised, so there is no ``O(M·K·I)`` inner loop per
+realisation. The CSR encodes the identical indicator and the walk
+reproduces the dense einsum's booleans exactly, so each realised hit
+ratio is **bit-identical** to scoring the dense
+:meth:`~repro.network.latency.LatencyModel.feasibility` tensor with
+:func:`~repro.core.objective.hit_ratio` on the same RNG stream (asserted
+by the test suite).
 """
 
 from __future__ import annotations
@@ -253,35 +255,26 @@ class PlacementEvaluator:
         placement: Placement,
         num_realizations: int = 1000,
         seed: SeedLike = None,
-        engine: str = "sparse",
     ) -> MonteCarloResult:
         """Average hit ratio over Rayleigh fading realisations.
 
         Each realisation draws i.i.d. ``|h|² ~ Exp(1)`` gains per
         (server, user) pair, recomputes instantaneous rates and the
-        feasibility indicator, and scores the *fixed* placement against
-        it.
+        feasibility indicator as a CSR artifact, and scores the *fixed*
+        placement by walking only the placed pairs' user lists. Each
+        realised hit ratio is bit-identical to
+        ``hit_ratio(instance, placement, latency.feasibility(rates))`` on
+        the same draw.
 
-        ``engine="sparse"`` (default) rebuilds the indicator as a CSR
-        artifact and walks only the placed pairs' user lists;
-        ``engine="dense"`` materialises the ``(M, K, I)`` tensor per
-        realisation (the pre-sparse path, kept for pinning). Both
-        engines draw the same RNG stream and produce bit-identical
-        realised hit ratios.
-
-        The sparse engine seeds every realisation's per-user server sort
-        with the topology's *expected* order — fading rarely upends the
-        ranking, so the adaptive stable sort runs on nearly-sorted data,
+        Every realisation's per-user server sort is seeded with the
+        topology's *expected* order — fading rarely upends the ranking,
+        so the adaptive stable sort runs on nearly-sorted data,
         amortising the per-realisation argsort across the whole run. The
         hint cannot change a bit of the result (the sort is still an
         exact sort of the faded values).
         """
         if num_realizations < 1:
             raise ValueError("num_realizations must be at least 1")
-        if engine not in ("sparse", "dense"):
-            raise ValueError(
-                f"engine must be 'sparse' or 'dense', got {engine!r}"
-            )
         rng = as_generator(seed)
         topology = self.scenario.topology
         latency = self.scenario.latency_model
@@ -290,22 +283,13 @@ class PlacementEvaluator:
         shape = (topology.num_servers, topology.num_users)
         placement_matrix = placement.matrix
         total_demand = instance.total_demand
-        hint = latency.expected_server_order() if engine == "sparse" else None
+        hint = latency.expected_server_order()
         for _ in range(num_realizations):
             gains = ChannelModel.sample_rayleigh_gains(shape, rng)
             rates = topology.faded_rates(gains)
-            if engine == "sparse":
-                # Same elementwise feasibility arithmetic, CSR-shaped;
-                # the sparse walk returns exactly the dense einsum's
-                # booleans, so the realised ratio's bits match "dense".
-                sparse = latency.feasibility_sparse(rates, server_order_hint=hint)
-                served = sparse.served_matrix(placement_matrix)
-                stats.add(
-                    float((instance.demand * served).sum() / total_demand)
-                )
-            else:
-                feasible = latency.feasibility(rates)
-                stats.add(hit_ratio(instance, placement, feasible))
+            sparse = latency.feasibility_sparse(rates, server_order_hint=hint)
+            served = sparse.served_matrix(placement_matrix)
+            stats.add(float((instance.demand * served).sum() / total_demand))
         return MonteCarloResult(
             mean=stats.mean, std=stats.std, num_realizations=num_realizations
         )

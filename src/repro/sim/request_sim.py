@@ -18,8 +18,8 @@ Two uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -52,11 +52,6 @@ class RequestLog:
         if len(self.latencies_s) == 0:
             return float("nan")
         return float(self.latencies_s.mean())
-
-    def busiest_server(self) -> int:
-        """Server that served the most hits."""
-        return int(np.argmax(self.server_load))
-
 
 class RequestSimulator:
     """Simulate slotted request arrivals against a fixed placement.

@@ -1,14 +1,12 @@
-"""Persist placements, experiment results and executed plans.
+"""Persist experiment results and executed plans.
 
-Operators need placement decisions to outlive the process that computed
-them (the cloud pushes models in an offline stage, §III-A), and
-reproduced figures should be comparable across runs. This module
-round-trips :class:`~repro.core.placement.Placement` objects,
-:class:`~repro.sim.runner.ExperimentResult` series and executed-plan
-:class:`~repro.api.run.ResultSet` payloads as JSON (and exports series
-as CSV). Every ``*_to_json`` here has a matching ``*_from_json`` and the
-``to_json → from_json → to_json`` composition is the identity (property-
-tested in ``tests/sim/test_serialization.py``).
+Reproduced figures should be comparable across runs. This module
+round-trips :class:`~repro.sim.runner.ExperimentResult` series and
+executed-plan :class:`~repro.api.run.ResultSet` payloads as JSON (and
+exports series as CSV). ``result_set_to_json`` has a matching
+``result_set_from_json`` and the ``to_json → from_json → to_json``
+composition is the identity (property-tested in
+``tests/sim/test_serialization.py``).
 """
 
 from __future__ import annotations
@@ -18,65 +16,14 @@ import json
 import math
 from typing import Any, Dict, Optional
 
-from repro.core.placement import Placement
-from repro.errors import PlacementError, ReproError
+from repro.errors import ReproError
 from repro.sim.runner import ExperimentResult
 from repro.utils.stats import SeriesStats
 
-#: Format tag embedded in every serialised placement.
-_PLACEMENT_FORMAT = "trimcaching-placement-v1"
 #: Format tag embedded in every serialised experiment result.
 _EXPERIMENT_FORMAT = "trimcaching-experiment-v1"
 #: Format tag embedded in every serialised executed plan (ResultSet).
 _RESULT_SET_FORMAT = "trimcaching-result-set-v1"
-
-
-def placement_to_dict(placement: Placement) -> Dict[str, Any]:
-    """A JSON-ready description of a placement."""
-    return {
-        "format": _PLACEMENT_FORMAT,
-        "num_servers": placement.num_servers,
-        "num_models": placement.num_models,
-        "servers": {
-            str(server): placement.models_on(server)
-            for server in range(placement.num_servers)
-            if placement.models_on(server)
-        },
-    }
-
-
-def placement_from_dict(payload: Dict[str, Any]) -> Placement:
-    """Rebuild a placement from :func:`placement_to_dict` output."""
-    if payload.get("format") != _PLACEMENT_FORMAT:
-        raise PlacementError(
-            f"unrecognised placement payload format: {payload.get('format')!r}"
-        )
-    try:
-        num_servers = int(payload["num_servers"])
-        num_models = int(payload["num_models"])
-        servers = payload["servers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlacementError(f"malformed placement payload: {exc}") from exc
-    placement = Placement.from_server_sets(
-        num_servers,
-        num_models,
-        {int(server): indices for server, indices in servers.items()},
-    )
-    return placement
-
-
-def placement_to_json(placement: Placement) -> str:
-    """Serialise a placement to a JSON string."""
-    return json.dumps(placement_to_dict(placement), indent=1, sort_keys=True)
-
-
-def placement_from_json(text: str) -> Placement:
-    """Parse a placement from :func:`placement_to_json` output."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PlacementError(f"invalid placement JSON: {exc}") from exc
-    return placement_from_dict(payload)
 
 
 def _extremum(value: float) -> Optional[float]:
@@ -155,20 +102,6 @@ def experiment_from_dict(payload: Dict[str, Any]) -> ExperimentResult:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"malformed experiment payload: {exc}") from exc
-
-
-def experiment_to_json(result: ExperimentResult) -> str:
-    """Serialise a reproduced figure to JSON."""
-    return json.dumps(experiment_to_dict(result), indent=1, sort_keys=True)
-
-
-def experiment_from_json(text: str) -> ExperimentResult:
-    """Parse a reproduced figure from :func:`experiment_to_json` output."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"invalid experiment JSON: {exc}") from exc
-    return experiment_from_dict(payload)
 
 
 def result_set_to_dict(result) -> Dict[str, Any]:

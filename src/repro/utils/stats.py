@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -286,19 +286,6 @@ def aggregate_series(
     for run in runs:
         series.add_run(run)
     return series
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """One-shot mean/std/min/max summary of a sample."""
-    stats = RunningStats()
-    stats.extend(values)
-    return {
-        "count": float(stats.count),
-        "mean": stats.mean,
-        "std": stats.std,
-        "min": stats.minimum if stats.count else float("nan"),
-        "max": stats.maximum if stats.count else float("nan"),
-    }
 
 
 def relative_gain(candidate: float, baseline: float) -> float:

@@ -57,12 +57,3 @@ def format_table(
     lines.append("-+-".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in rendered)
     return "\n".join(lines)
-
-
-def format_mapping(mapping: dict, *, title: Optional[str] = None) -> str:
-    """Render a flat mapping as a two-column key/value table."""
-    return format_table(
-        ["key", "value"],
-        [[key, value] for key, value in mapping.items()],
-        title=title,
-    )

@@ -154,12 +154,6 @@ class TestThirdPartyRegistration:
         with pytest.raises(ConfigurationError, match="build"):
             registry.register("no-build", NoBuild)
 
-    def test_unregister(self):
-        registry = SolverRegistry()
-        registry.register("gen", GenConfig)
-        registry.unregister("gen")
-        assert "gen" not in registry
-
 
 class TestLazyLabels:
     def test_registration_does_not_instantiate(self):

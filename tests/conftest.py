@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacementInstance
+from repro.core.placement import Placement, PlacementInstance
 from repro.models.blocks import ParameterBlock
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
@@ -45,6 +45,14 @@ def make_instance(
 ) -> PlacementInstance:
     """Thin helper so tests construct instances in one line."""
     return PlacementInstance(library, demand, feasible, capacities)
+
+
+def placement_of(num_servers: int, num_models: int, server_sets) -> Placement:
+    """A placement from ``{server: model indices}``."""
+    matrix = np.zeros((num_servers, num_models), dtype=bool)
+    for server, indices in server_sets.items():
+        matrix[server, list(indices)] = True
+    return Placement(matrix)
 
 
 #: The two forms an instance's feasibility can be built from: the dense

@@ -8,6 +8,8 @@ from repro.core.gen import TrimCachingGen
 from repro.core.objective import hit_ratio
 from repro.core.placement import Placement
 
+from tests.conftest import placement_of
+
 
 class TestAnalyzePlacement:
     def test_hit_ratio_matches_objective(self, tight_scenario):
@@ -26,7 +28,7 @@ class TestAnalyzePlacement:
         assert total == pytest.approx(1.0)
 
     def test_server_summaries(self, tiny_instance):
-        placement = Placement.from_server_sets(2, 3, {0: [0, 1]})
+        placement = placement_of(2, 3, {0: [0, 1]})
         report = analyze_placement(tiny_instance, placement)
         server0 = report.servers[0]
         assert server0.num_models == 2
@@ -36,7 +38,7 @@ class TestAnalyzePlacement:
         assert report.servers[1].num_models == 0
 
     def test_replication_counts(self, tiny_instance):
-        placement = Placement.from_server_sets(2, 3, {0: [0], 1: [0, 2]})
+        placement = placement_of(2, 3, {0: [0], 1: [0, 2]})
         report = analyze_placement(tiny_instance, placement)
         assert report.replication.tolist() == [2, 0, 1]
         assert report.mean_replication == pytest.approx(1.5)
@@ -59,7 +61,7 @@ class TestAnalyzePlacement:
         feasible = np.zeros((1, 2, 3), dtype=bool)
         feasible[0, :, 0] = True  # only model 0 ever reachable
         instance = make_instance(tiny_library, demand, feasible, [10**9])
-        placement = Placement.from_server_sets(1, 3, {0: [0, 1, 2]})
+        placement = placement_of(1, 3, {0: [0, 1, 2]})
         report = analyze_placement(instance, placement)
         assert report.hit_ratio == pytest.approx(1 / 3)
         assert report.unserved_uncached == 0.0

@@ -41,14 +41,27 @@ def random_instance(rng, num_models=8, num_blocks=20, num_servers=3):
     return PlacementInstance(library, demand, feasible, capacities)
 
 
+def marginal_sizes(index, cached_mask):
+    """``(I,)`` marginal bytes of every model on top of ``cached_mask``."""
+    return (index.member & ~cached_mask) @ index.sizes
+
+
+def union_size(index, model_indices):
+    """Deduplicated footprint of a set of models (``g_m``)."""
+    indices = list(model_indices)
+    if not indices:
+        return 0
+    return int(index.sizes[index.member[indices].any(axis=0)].sum())
+
+
 class TestBlockMaskIndex:
     def test_membership_matches_model_blocks(self, tiny_instance):
         index = tiny_instance.block_index
         for model_index in range(tiny_instance.num_models):
-            mask = index.mask_of(model_index)
-            assert index.ids_from_mask(mask) == tiny_instance.model_blocks[
-                model_index
-            ]
+            mask = index.member[model_index]
+            assert frozenset(index.block_ids[mask].tolist()) == (
+                tiny_instance.model_blocks[model_index]
+            )
 
     def test_model_sizes_match_library(self, tiny_instance):
         index = tiny_instance.block_index
@@ -65,12 +78,11 @@ class TestBlockMaskIndex:
                     index.block_ids, size=rng.integers(0, 10), replace=False
                 )
             )
-            cached_mask = index.mask_from_ids(cached_ids)
-            vectorised = index.marginal_sizes(cached_mask)
+            cached_mask = np.isin(index.block_ids, list(cached_ids))
+            vectorised = marginal_sizes(index, cached_mask)
             for model_index in range(instance.num_models):
                 expected = instance.marginal_storage(model_index, cached_ids)
                 assert vectorised[model_index] == expected
-                assert index.marginal_size(model_index, cached_mask) == expected
 
     def test_union_size_matches_dedup(self):
         rng = np.random.default_rng(1)
@@ -85,7 +97,7 @@ class TestBlockMaskIndex:
                     replace=False,
                 )
             ]
-            assert index.union_size(subset) == instance.dedup_storage(subset)
+            assert union_size(index, subset) == instance.dedup_storage(subset)
 
     def test_block_index_cached_on_instance(self, tiny_instance):
         assert tiny_instance.block_index is tiny_instance.block_index
@@ -168,10 +180,10 @@ class TestPaperScaleCache:
             partial += 0 < added < index.model_sizes[model_index]
             placed[server, model_index] = True
             assert np.array_equal(
-                cache.extras[server], index.marginal_sizes(cache.masks[server])
+                cache.extras[server], marginal_sizes(index, cache.masks[server])
             )
-            assert cache.used[server] == index.union_size(
-                np.flatnonzero(placed[server])
+            assert cache.used[server] == union_size(
+                index, np.flatnonzero(placed[server])
             )
         assert partial > 0 and readds > 0
         rebuilt = ServerBlockCache.from_placement(index, placed)
@@ -377,10 +389,10 @@ class TestSharedDeltaTable:
                 mask[server, model_index] = True
                 assert np.array_equal(
                     clone.extras[server],
-                    index.marginal_sizes(clone.masks[server]),
+                    marginal_sizes(index, clone.masks[server]),
                 )
-                assert clone.used[server] == index.union_size(
-                    np.flatnonzero(mask[server])
+                assert clone.used[server] == union_size(
+                    index, np.flatnonzero(mask[server])
                 )
                 assert np.array_equal(
                     clone.masks[server], index.member[mask[server]].any(axis=0)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from repro.core.bounds import (
     gamma_bound,
-    gen_guarantee,
     max_models_per_server,
     spec_guarantee,
 )
@@ -49,7 +48,8 @@ class TestGammaBound:
         """U(greedy) >= U(opt)/Γ with the (over-estimated) Γ."""
         greedy = TrimCachingGen().solve(instance)
         optimal = ExhaustiveSearch().solve(instance)
-        guarantee = gen_guarantee(instance)
+        gamma = gamma_bound(instance)
+        guarantee = 1.0 / gamma if gamma > 0 else 0.0
         assert greedy.hit_ratio >= guarantee * optimal.hit_ratio - 1e-9
 
     def test_zero_capacity_gives_zero_gamma(self, tiny_library):
@@ -64,10 +64,7 @@ class TestGammaBound:
             [0],
         )
         assert gamma_bound(instance) == 0
-        assert gen_guarantee(instance) == 0.0
 
     def test_guarantee_shrinks_with_scale(self, tiny_instance, tight_scenario):
         """Theorem 3's point: the bound degrades as the instance grows."""
-        assert gen_guarantee(tight_scenario.instance) <= gen_guarantee(
-            tiny_instance
-        )
+        assert gamma_bound(tight_scenario.instance) >= gamma_bound(tiny_instance)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.objective import hit_ratio, placement_is_feasible
-from repro.core.placement import Placement
 from repro.errors import SolverError
 
+from tests.conftest import placement_of
 from tests.core.test_submodular import small_instances
 
 
@@ -28,7 +28,7 @@ def true_brute_force(instance):
                     feasible_subsets.append(subset)
         per_server_choices.append(feasible_subsets)
     for combo in itertools.product(*per_server_choices):
-        placement = Placement.from_server_sets(
+        placement = placement_of(
             num_servers, num_models, dict(enumerate(combo))
         )
         best = max(best, hit_ratio(instance, placement))

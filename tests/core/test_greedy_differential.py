@@ -8,7 +8,8 @@ adversarial instances:
   (``0.1 + 0.2``), so gains carry rounding error;
 * exact gain ties — repeated demand values over identical feasibility;
 * zero-demand columns and model columns no user can be served;
-* instances with no feasible request at all (``nnz == 0``);
+* instances with no feasible request at all (``nnz == 0``), and with no
+  servers at all (``M == 0``);
 * exact-fit capacities — a server holds exactly the deduplicated or the
   full footprint of some model set.
 
@@ -71,7 +72,7 @@ def general_libraries(draw):
 def greedy_instances(draw):
     library = draw(general_libraries())
     num_models = library.num_models
-    num_servers = draw(st.integers(1, 3))
+    num_servers = draw(st.integers(0, 3))
     num_users = draw(st.integers(1, 4))
 
     value = draw(
@@ -99,7 +100,7 @@ def greedy_instances(draw):
             for _ in range(num_servers)
         ],
         dtype=bool,
-    )
+    ).reshape(num_servers, num_users, num_models)
     for column in draw(st.sets(st.integers(0, num_models - 1))):
         feasible[:, :, column] = False
     if draw(st.integers(0, 9)) == 0:

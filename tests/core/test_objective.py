@@ -15,6 +15,8 @@ from repro.core.placement import Placement
 from repro.errors import PlacementError
 from repro.utils.units import MB
 
+from tests.conftest import placement_of
+
 
 class TestHitRatio:
     def test_empty_placement_is_zero(self, tiny_instance):
@@ -26,12 +28,12 @@ class TestHitRatio:
 
     def test_equation_2_by_hand(self, tiny_instance):
         # Cache model 0 on server 0 only: serves p[0,0]+p[1,0] = 0.6 of 2.
-        placement = Placement.from_server_sets(2, 3, {0: [0]})
+        placement = placement_of(2, 3, {0: [0]})
         assert hit_ratio(tiny_instance, placement) == pytest.approx(0.6 / 2.0)
 
     def test_duplicate_placement_counted_once(self, tiny_instance):
-        single = Placement.from_server_sets(2, 3, {0: [0]})
-        double = Placement.from_server_sets(2, 3, {0: [0], 1: [0]})
+        single = placement_of(2, 3, {0: [0]})
+        double = placement_of(2, 3, {0: [0], 1: [0]})
         assert hit_ratio(tiny_instance, double) == pytest.approx(
             hit_ratio(tiny_instance, single)
         )
@@ -43,11 +45,11 @@ class TestHitRatio:
         from tests.conftest import make_instance
 
         instance = make_instance(tiny_library, demand, feasible, [100 * MB])
-        placement = Placement.from_server_sets(1, 3, {0: [0, 1, 2]})
+        placement = placement_of(1, 3, {0: [0, 1, 2]})
         assert hit_ratio(instance, placement) == pytest.approx(0.5)
 
     def test_feasibility_override(self, tiny_instance):
-        placement = Placement.from_server_sets(2, 3, {0: [0]})
+        placement = placement_of(2, 3, {0: [0]})
         none_feasible = np.zeros_like(tiny_instance.feasible)
         assert hit_ratio(tiny_instance, placement, none_feasible) == 0.0
 
@@ -62,25 +64,25 @@ class TestHitRatio:
 
 class TestStorage:
     def test_deduplicated(self, tiny_instance):
-        placement = Placement.from_server_sets(2, 3, {0: [0, 1]})
+        placement = placement_of(2, 3, {0: [0, 1]})
         assert storage_used(tiny_instance, placement, 0) == 20 * MB
         assert storage_used(tiny_instance, placement, 1) == 0
 
     def test_independent(self, tiny_instance):
-        placement = Placement.from_server_sets(2, 3, {0: [0, 1]})
+        placement = placement_of(2, 3, {0: [0, 1]})
         assert independent_storage_used(tiny_instance, placement, 0) == 30 * MB
 
     def test_feasibility_dedup_vs_knapsack(self, tiny_instance):
         # Server 0 capacity is 20 MB: models 0+1 fit deduplicated but not
         # under knapsack accounting.
-        placement = Placement.from_server_sets(2, 3, {0: [0, 1]})
+        placement = placement_of(2, 3, {0: [0, 1]})
         assert placement_is_feasible(tiny_instance, placement, deduplicate=True)
         assert not placement_is_feasible(
             tiny_instance, placement, deduplicate=False
         )
 
     def test_over_capacity_infeasible(self, tiny_instance):
-        placement = Placement.from_server_sets(2, 3, {1: [0, 2]})  # 25 MB > 10
+        placement = placement_of(2, 3, {1: [0, 2]})  # 25 MB > 10
         assert not placement_is_feasible(tiny_instance, placement)
 
 

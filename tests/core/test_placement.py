@@ -7,6 +7,8 @@ from repro.core.placement import Placement, PlacementInstance
 from repro.errors import PlacementError
 from repro.utils.units import MB
 
+from tests.conftest import placement_of
+
 
 class TestPlacementInstance:
     def test_shapes(self, tiny_instance):
@@ -17,9 +19,6 @@ class TestPlacementInstance:
 
     def test_index_mapping(self, tiny_instance):
         assert tiny_instance.index_to_model_id == (0, 1, 2)
-        assert tiny_instance.index_of(2) == 2
-        with pytest.raises(PlacementError):
-            tiny_instance.index_of(99)
 
     def test_index_mapping_non_contiguous_ids(self, tiny_library):
         sub = tiny_library.subset([1, 2])
@@ -27,7 +26,6 @@ class TestPlacementInstance:
         feasible = np.ones((1, 1, 2), dtype=bool)
         instance = PlacementInstance(sub, demand, feasible, [100 * MB])
         assert instance.index_to_model_id == (1, 2)
-        assert instance.index_of(2) == 1
 
     def test_model_sizes(self, tiny_instance):
         assert tiny_instance.model_sizes.tolist() == [15 * MB, 15 * MB, 10 * MB]
@@ -79,14 +77,8 @@ class TestPlacement:
         placement.add(0, 1)
         assert placement.contains(0, 1)
         assert placement.models_on(0) == [1]
-        assert placement.servers_with(1) == [0]
         placement.remove(0, 1)
         assert placement.total_placements() == 0
-
-    def test_from_server_sets(self):
-        placement = Placement.from_server_sets(2, 3, {0: [0, 2], 1: [1]})
-        assert placement.models_on(0) == [0, 2]
-        assert placement.models_on(1) == [1]
 
     def test_copy_is_independent(self, tiny_instance):
         placement = tiny_instance.new_placement()
@@ -95,14 +87,14 @@ class TestPlacement:
         assert placement.total_placements() == 0
 
     def test_equality(self):
-        a = Placement.from_server_sets(1, 2, {0: [1]})
-        b = Placement.from_server_sets(1, 2, {0: [1]})
-        c = Placement.from_server_sets(1, 2, {0: [0]})
+        a = placement_of(1, 2, {0: [1]})
+        b = placement_of(1, 2, {0: [1]})
+        c = placement_of(1, 2, {0: [0]})
         assert a == b
         assert a != c
 
     def test_frozen_form_hashable(self):
-        placement = Placement.from_server_sets(2, 3, {0: [1], 1: [0, 2]})
+        placement = placement_of(2, 3, {0: [1], 1: [0, 2]})
         frozen = placement.frozen()
         assert hash(frozen)
         assert frozen[1] == frozenset({0, 2})

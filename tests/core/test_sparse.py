@@ -170,7 +170,6 @@ class TestSparsePrimaryInstance:
         sparse = instance.sparse_feasible
         assert instance.has_sparse
         assert (sparse.to_dense() == instance.feasible).all()
-        assert instance.feasibility_density == sparse.density
 
     def test_shape_validation_with_sparse_input(self, tiny_library):
         sparse = SparseFeasibility.from_dense(np.ones((2, 2, 4), dtype=bool))

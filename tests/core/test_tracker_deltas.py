@@ -1,7 +1,8 @@
 """Delta operations on :class:`CoverageTracker` (the serving layer's core).
 
 The pinned property: any interleaving of add/remove-user deltas (with
-placement marks mixed in) leaves the gain matrix, the served mask, and
+placement marks mixed in), applied the way the serving layer applies
+them (mutate ``instance.demand``, then ``refresh_columns``), leaves the gain matrix, the served mask, and
 the unserved-demand state **bit-identical** to a tracker built fresh on
 the final demand matrix with the same marks replayed, whether the
 tracker's instance was built from the CSR artifact or the dense tensor.
@@ -57,6 +58,18 @@ def private_instance(scenario, feasibility: str = "sparse") -> PlacementInstance
     )
 
 
+def set_user(tracker: CoverageTracker, user: int, row: np.ndarray) -> np.ndarray:
+    """Set one user's demand row and re-sync the tracker (the serve path)."""
+    changed = tracker.instance.set_demand_row(user, row)
+    tracker.refresh_columns(changed, user=user)
+    return changed
+
+
+def remove_user(tracker: CoverageTracker, user: int) -> np.ndarray:
+    """Zero one user's demand row and re-sync the tracker."""
+    return set_user(tracker, user, np.zeros(tracker.instance.num_models))
+
+
 def assert_trackers_identical(actual: CoverageTracker, expected: CoverageTracker):
     """Bitwise equality of all tracker state (no tolerance)."""
     assert np.array_equal(actual.served, expected.served)
@@ -105,11 +118,11 @@ class TestInterleavedDeltasMatchFreshBuild:
                 user = a % num_users
                 if active[user] and active.sum() == 1:
                     continue  # total demand must stay positive
-                tracker.remove_user(user)
+                remove_user(tracker, user)
                 active[user] = False
             elif opcode == 1:
                 user = a % num_users
-                tracker.add_user(user, original[user].copy())
+                set_user(tracker, user, original[user].copy())
                 active[user] = True
             else:
                 pair = (a % num_servers, b % num_models)
@@ -137,9 +150,9 @@ class TestInterleavedDeltasMatchFreshBuild:
         tracker = CoverageTracker(instance)
         reference = CoverageTracker(private_instance(scenario))
         for user in (0, 3, 7):
-            tracker.remove_user(user)
+            remove_user(tracker, user)
         for user in (7, 0, 3):
-            tracker.add_user(user, scenario.demand[user].copy())
+            set_user(tracker, user, scenario.demand[user].copy())
         assert_trackers_identical(tracker, reference)
 
 
@@ -174,24 +187,24 @@ class TestDeltaBookkeeping:
         clone.mark_served(1, 1)
         assert np.array_equal(sparse.served, dense.served)
 
-    def test_update_user_returns_changed_columns_only(self, delta_scenario):
+    def test_set_demand_row_returns_changed_columns_only(self, delta_scenario):
         instance = private_instance(delta_scenario)
         tracker = CoverageTracker(instance)
         row = instance.demand[4].copy()
         nonzero = np.flatnonzero(row)
         assert nonzero.size  # scenario gives every user some demand
-        changed = tracker.remove_user(4)
+        changed = remove_user(tracker, 4)
         assert np.array_equal(changed, nonzero)
-        assert tracker.update_user(4, np.zeros_like(row)).size == 0
+        assert set_user(tracker, 4, np.zeros_like(row)).size == 0
 
-    def test_scale_model_factor_one_is_noop(self, delta_scenario):
-        tracker = CoverageTracker(private_instance(delta_scenario))
-        assert tracker.scale_model(3, 1.0).size == 0
+    def test_scale_demand_column_factor_one_is_noop(self, delta_scenario):
+        instance = private_instance(delta_scenario)
+        assert instance.scale_demand_column(3, 1.0).size == 0
 
-    def test_scale_model_rejects_bad_factor(self, delta_scenario):
-        tracker = CoverageTracker(private_instance(delta_scenario))
+    def test_scale_demand_column_rejects_bad_factor(self, delta_scenario):
+        instance = private_instance(delta_scenario)
         with pytest.raises(PlacementError):
-            tracker.scale_model(0, -0.5)
+            instance.scale_demand_column(0, -0.5)
 
     def test_refresh_matches_fresh_build_after_mutation(self, delta_scenario):
         """refresh_columns == rebuilding on mutated demand."""

@@ -13,8 +13,12 @@ from repro.data.resnet import (
     RESNET50,
     LayerSpec,
     resnet_layer_table,
-    total_params,
 )
+
+
+def total_params(spec, num_classes=100):
+    """Total scalar parameter count over the layer table."""
+    return sum(layer.params for layer in resnet_layer_table(spec, num_classes))
 
 
 class TestTensorCounts:

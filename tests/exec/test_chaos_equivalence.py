@@ -153,7 +153,7 @@ class TestChaosEquivalence:
             store=store,
         )
         assert_content_identical(chaotic, serial_reference)
-        assert store.has_result(plan_cache_key(plan))
+        assert store.result_path(plan_cache_key(plan)).is_file()
         warm, warm_report = execute_plan(
             plan, backend=SerialBackend(), store=store
         )

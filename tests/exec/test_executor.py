@@ -170,7 +170,7 @@ class TestFullResultCache:
         store = ArtifactStore(tmp_path)
         execute_plan(plan, store=store)
         key = plan_cache_key(plan)
-        assert store.has_result(key)
+        assert store.result_path(key).is_file()
         assert store.completed_tasks(key) == set()
 
     def test_run_plan_wrapper_accepts_store(self, tmp_path):
@@ -179,7 +179,7 @@ class TestFullResultCache:
         first = run_plan(plan, store=store)
         second = run_plan(plan, store=store)
         assert second.to_json() == first.to_json()
-        assert store.has_result(plan_cache_key(plan))
+        assert store.result_path(plan_cache_key(plan)).is_file()
 
     def test_comparison_kind_caches_whole_results(self, tmp_path):
         plan = ExperimentPlan(
@@ -210,7 +210,7 @@ class TestResume:
             )
         # The completed prefix survived the kill...
         assert len(store.completed_tasks(key)) == killed_after
-        assert not store.has_result(key)
+        assert not store.result_path(key).is_file()
 
         # ...and the resumed run executes only the remainder.
         counting = CountingBackend()

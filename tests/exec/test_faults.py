@@ -1,5 +1,7 @@
 """Tests for the failure taxonomy and the deterministic chaos harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
@@ -41,7 +43,7 @@ class TestFaultStats:
     def test_defaults_are_clean(self):
         stats = FaultStats()
         assert not stats.any()
-        assert stats.as_dict() == {
+        assert dataclasses.asdict(stats) == {
             "retries": 0,
             "workers_lost": 0,
             "re_dispatched": 0,

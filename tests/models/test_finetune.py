@@ -153,16 +153,6 @@ class TestLora:
             FineTuner().lora(root18, name="x", adapter_params=0)
 
 
-class TestRootAsModel:
-    def test_root_published(self, root18):
-        tuner = FineTuner()
-        model = tuner.add_root_as_model(root18)
-        child = tuner.freeze_bottom(root18, 30, name="child")
-        assert child.block_ids[:30] == model.block_ids[:30]
-        library = tuner.build()
-        assert library.model_size(model.model_id) == root18.total_size_bytes
-
-
 class TestBuild:
     def test_empty_build_rejected(self):
         with pytest.raises(LibraryError):

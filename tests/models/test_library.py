@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.placement import PlacementInstance
 from repro.errors import LibraryError
 from repro.models.blocks import ParameterBlock
 from repro.models.library import ModelLibrary
@@ -174,25 +175,11 @@ class TestStorageAccounting:
         assert tiny_library.model_size(0) == 15 * MB
         assert tiny_library.model_size(2) == 10 * MB
 
-    def test_deduplicated_vs_independent(self, tiny_library):
-        # Models 0 and 1 share block 0 (10 MB): dedup saves exactly that.
-        assert tiny_library.independent_size([0, 1]) == 30 * MB
-        assert tiny_library.deduplicated_size([0, 1]) == 20 * MB
-
-    def test_dedup_never_exceeds_independent(self, tiny_library):
+    def test_dedup_never_exceeds_independent(self, tiny_instance):
         for subset in ([0], [1], [2], [0, 1], [0, 2], [0, 1, 2]):
-            assert tiny_library.deduplicated_size(
-                subset
-            ) <= tiny_library.independent_size(subset)
-
-    def test_marginal_size(self, tiny_library):
-        # Adding model 1 when block 0 is already cached costs only 5 MB.
-        assert tiny_library.marginal_size(1, {0}) == 5 * MB
-        assert tiny_library.marginal_size(1, set()) == 15 * MB
-
-    def test_specific_size_of(self, tiny_library):
-        assert tiny_library.specific_size_of(0) == 5 * MB
-        assert tiny_library.specific_size_of(2) == 10 * MB
+            assert tiny_instance.dedup_storage(subset) <= int(
+                tiny_instance.model_sizes[subset].sum()
+            )
 
     def test_sharing_stats(self, tiny_library):
         stats = tiny_library.sharing_stats()
@@ -243,6 +230,13 @@ def test_dedup_savings_equals_shared_size(shared_size, specific_sizes):
         blocks.append(ParameterBlock(index, size))
         models.append(Model(index - 1, (0, index)))
     library = ModelLibrary(blocks, models)
-    ids = library.model_ids
-    saved = library.independent_size(ids) - library.deduplicated_size(ids)
+    num_models = len(models)
+    instance = PlacementInstance(
+        library,
+        np.full((1, num_models), 0.1),
+        np.ones((1, 1, num_models), dtype=bool),
+        [0],
+    )
+    indices = range(num_models)
+    saved = int(instance.model_sizes.sum()) - instance.dedup_storage(indices)
     assert saved == (len(specific_sizes) - 1) * shared_size

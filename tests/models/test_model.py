@@ -29,10 +29,5 @@ class TestModel:
         with pytest.raises(LibraryError):
             Model(0, (1, 1))
 
-    def test_contains_block(self):
-        model = Model(0, (5, 7))
-        assert model.contains_block(5)
-        assert not model.contains_block(6)
-
     def test_str(self):
         assert "2 blocks" in str(Model(0, (1, 2), name="x"))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.backhaul import Backhaul
-from repro.utils.units import GB, GBPS
+from repro.utils.units import GBPS
 
 
 class TestBackhaul:
@@ -12,30 +12,18 @@ class TestBackhaul:
         assert Backhaul().rate(0, 1) == 10 * GBPS
 
     def test_symmetric_overrides(self):
-        backhaul = Backhaul()
-        backhaul.set_rate(2, 5, 1 * GBPS)
+        backhaul = Backhaul(overrides={(2, 5): 1 * GBPS})
         assert backhaul.rate(2, 5) == 1 * GBPS
         assert backhaul.rate(5, 2) == 1 * GBPS
         assert backhaul.rate(0, 1) == 10 * GBPS
-
-    def test_transfer_time(self):
-        backhaul = Backhaul(default_rate_bps=10 * GBPS)
-        # 100 MB over 10 Gbps = 0.08 s.
-        assert backhaul.transfer_time_s(100_000_000, 0, 1) == pytest.approx(0.08)
 
     def test_self_link_rejected(self):
         backhaul = Backhaul()
         with pytest.raises(ConfigurationError):
             backhaul.rate(3, 3)
-        with pytest.raises(ConfigurationError):
-            backhaul.set_rate(3, 3, 1 * GBPS)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Backhaul(default_rate_bps=0)
         with pytest.raises(ConfigurationError):
             Backhaul(overrides={(0, 1): -1.0})
-        with pytest.raises(ConfigurationError):
-            Backhaul().set_rate(0, 1, 0.0)
-        with pytest.raises(ConfigurationError):
-            Backhaul().transfer_time_s(-1, 0, 1)

@@ -53,11 +53,38 @@ class TestEventValidation:
         }
         assert Event.from_dict(payload) == event
 
-    def test_from_dict_tolerates_extra_keys_and_coerces(self):
+    def test_from_dict_tolerates_extra_keys(self):
         event = Event.from_dict(
-            {"kind": "popularity_update", "model": "3", "factor": "1.5", "x": 1}
+            {"kind": "popularity_update", "model": 3, "factor": 1.5, "x": 1}
         )
         assert event == Event(kind="popularity_update", model=3, factor=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "user_depart", "user": 1.5},
+            {"kind": "user_depart", "user": True},
+            {"kind": "user_arrive", "user": np.float64(1.0)},
+            {"kind": "popularity_update", "model": "3", "factor": 1.5},
+            {"kind": "capacity_change", "server": 0, "capacity_bytes": 2.0},
+            {"kind": "popularity_update", "model": 3, "factor": "1.5"},
+            {"kind": "popularity_update", "model": 3, "factor": True},
+            {"kind": "popularity_update", "model": 3, "factor": float("inf")},
+        ],
+    )
+    def test_non_integer_ids_and_bad_factors_refused(self, kwargs):
+        with pytest.raises(ServeError):
+            Event(**kwargs)
+        with pytest.raises(ServeError):
+            Event.from_dict(kwargs)
+
+    def test_numpy_values_stored_as_python_numbers(self):
+        event = Event(
+            kind="popularity_update", model=np.int64(3), factor=np.float32(0.5)
+        )
+        assert type(event.model) is int and type(event.factor) is float
+        assert event == Event(kind="popularity_update", model=3, factor=0.5)
+        json.dumps(event.to_dict())
 
     def test_from_dict_rejects_non_dict_and_missing(self):
         with pytest.raises(ServeError):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.objective import CoverageTracker
 from repro.core.objective import hit_ratio as batch_hit_ratio
 from repro.errors import ServeError
 from repro.serve import (
@@ -16,6 +17,8 @@ from repro.serve import (
     generate_event_trace,
 )
 from repro.core.gen import TrimCachingGen
+
+from tests.core.test_tracker_deltas import assert_trackers_identical
 
 
 class TestConstruction:
@@ -157,6 +160,53 @@ class TestProcess:
                 service.instance, service.state.placement
             )
             assert result.hit_ratio == pytest.approx(recomputed, abs=1e-12)
+
+    # micro_scenario is M=3, K=12, I=9: the last four payloads are out of
+    # range, the rest carry a non-integer id, a bool or a bad factor.
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "user_depart", "user": 1.5},
+            {"kind": "user_depart", "user": True},
+            {"kind": "user_arrive", "user": "1"},
+            {"kind": "capacity_change", "server": 0.5, "capacity_bytes": 10},
+            {"kind": "capacity_change", "server": 0, "capacity_bytes": 1e6},
+            {"kind": "popularity_update", "model": 2.7, "factor": 2.0},
+            {"kind": "popularity_update", "model": 1, "factor": "2"},
+            {"kind": "popularity_update", "model": 1, "factor": float("nan")},
+            {"kind": "user_depart", "user": 12},
+            {"kind": "user_depart", "user": -1},
+            {"kind": "capacity_change", "server": 3, "capacity_bytes": 10},
+            {"kind": "popularity_update", "model": 9, "factor": 2.0},
+        ],
+    )
+    @pytest.mark.parametrize("build", ["from_dict", "constructor"])
+    def test_refused_event_changes_nothing(self, micro_scenario, payload, build):
+        service = PlacementService(micro_scenario)
+        instance = service.instance
+        demand = instance.demand.copy()
+        capacities = np.asarray(instance.capacities).copy()
+        counters = dict(service.counters)
+        before = service.hit_ratio
+        with pytest.raises(ServeError):
+            service.process(
+                Event.from_dict(payload) if build == "from_dict" else Event(**payload)
+            )
+        assert np.array_equal(instance.demand, demand)
+        assert np.array_equal(instance.capacities, capacities)
+        assert service.counters == counters
+        assert service.events_processed == 0
+        assert service.hit_ratio == before
+        assert_trackers_identical(service.base_tracker, CoverageTracker(instance))
+
+    def test_refused_change_raises_serve_error(self, micro_scenario):
+        """A change the instance refuses is a ServeError, applied nowhere."""
+        service = PlacementService(micro_scenario)
+        with pytest.raises(ServeError, match="non-negative"):
+            service.process(
+                Event(kind="capacity_change", server=0, capacity_bytes=-1)
+            )
+        assert service.events_processed == 0
 
     def test_demand_event_resolves(self, micro_scenario):
         service = PlacementService(micro_scenario)

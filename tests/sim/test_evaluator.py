@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.gen import TrimCachingGen
 from repro.core.objective import hit_ratio
+from repro.network.channel import ChannelModel
 from repro.sim.evaluator import PlacementEvaluator
+from repro.utils.rng import as_generator
+from repro.utils.stats import RunningStats
 
 
 @pytest.fixture(scope="module")
@@ -72,30 +75,36 @@ class TestMonteCarloEvaluation:
                 tight_scenario.instance.new_placement(), 0
             )
 
-    def test_invalid_engine(self, tight_scenario):
-        evaluator = PlacementEvaluator(tight_scenario)
-        with pytest.raises(ValueError, match="engine"):
-            evaluator.monte_carlo_hit_ratio(
-                tight_scenario.instance.new_placement(), 5, engine="cusparse"
-            )
+
+def dense_reference(scenario, placement, num_realizations, seed):
+    """The pre-CSR Monte-Carlo loop: score the dense ``(M, K, I)`` tensor.
+
+    Draws the same RNG stream as ``monte_carlo_hit_ratio`` and scores each
+    realisation with :func:`hit_ratio` on ``latency.feasibility(rates)``.
+    """
+    rng = as_generator(seed)
+    topology = scenario.topology
+    shape = (topology.num_servers, topology.num_users)
+    stats = RunningStats()
+    for _ in range(num_realizations):
+        gains = ChannelModel.sample_rayleigh_gains(shape, rng)
+        feasible = scenario.latency_model.feasibility(topology.faded_rates(gains))
+        stats.add(hit_ratio(scenario.instance, placement, feasible))
+    return stats
 
 
-class TestMonteCarloSparseEngine:
-    """The CSR walk per fading realisation is pinned to the dense path."""
+class TestMonteCarloMatchesDenseReference:
+    """The CSR walk per fading realisation is pinned to the dense tensor."""
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_bit_identical_to_dense(self, tight_scenario, seed):
         result = TrimCachingGen().solve(tight_scenario.instance)
         evaluator = PlacementEvaluator(tight_scenario)
-        dense = evaluator.monte_carlo_hit_ratio(
-            result.placement, 40, seed=seed, engine="dense"
-        )
-        sparse = evaluator.monte_carlo_hit_ratio(
-            result.placement, 40, seed=seed, engine="sparse"
-        )
+        dense = dense_reference(tight_scenario, result.placement, 40, seed)
+        sparse = evaluator.monte_carlo_hit_ratio(result.placement, 40, seed=seed)
         # Bit-identical, not approximately equal: the sparse walk
         # reproduces the dense einsum's booleans exactly and both
-        # engines consume the same RNG stream.
+        # loops consume the same RNG stream.
         assert sparse.mean == dense.mean
         assert sparse.std == dense.std
 
@@ -110,22 +119,7 @@ class TestMonteCarloSparseEngine:
         )
         result = TrimCachingGen().solve(scenario.instance)
         evaluator = PlacementEvaluator(scenario)
-        dense = evaluator.monte_carlo_hit_ratio(
-            result.placement, 30, seed=2, engine="dense"
-        )
-        sparse = evaluator.monte_carlo_hit_ratio(
-            result.placement, 30, seed=2, engine="sparse"
-        )
+        dense = dense_reference(scenario, result.placement, 30, 2)
+        sparse = evaluator.monte_carlo_hit_ratio(result.placement, 30, seed=2)
         assert sparse.mean == dense.mean
         assert sparse.std == dense.std
-
-    def test_empty_placement_zero_on_both_engines(self, tight_scenario):
-        evaluator = PlacementEvaluator(tight_scenario)
-        empty = tight_scenario.instance.new_placement()
-        for engine in ("dense", "sparse"):
-            assert (
-                evaluator.monte_carlo_hit_ratio(
-                    empty, 10, seed=0, engine=engine
-                ).mean
-                == 0.0
-            )

@@ -55,7 +55,6 @@ class TestLogContents:
         scenario, result = solved
         log = RequestSimulator(scenario).run(result.placement, 500, seed=3)
         assert int(log.server_load.sum()) == log.num_hits
-        assert 0 <= log.busiest_server() < scenario.num_servers
 
     def test_reproducible(self, solved):
         scenario, result = solved

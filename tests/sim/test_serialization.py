@@ -1,51 +1,24 @@
-"""Tests for placement / experiment serialization."""
+"""Tests for experiment and result-set serialization."""
 
 import json
 
 import pytest
 
-from repro.core.gen import TrimCachingGen
-from repro.core.placement import Placement
-from repro.errors import PlacementError
 from repro.sim.serialization import (
+    experiment_from_dict,
     experiment_to_csv,
     experiment_to_dict,
-    experiment_to_json,
-    placement_from_json,
-    placement_to_json,
 )
 
 
-class TestPlacementRoundTrip:
-    def test_round_trip(self, tight_scenario):
-        placement = TrimCachingGen().solve(tight_scenario.instance).placement
-        restored = placement_from_json(placement_to_json(placement))
-        assert restored == placement
+def to_json(result):
+    """An experiment's dict form as JSON text."""
+    return json.dumps(experiment_to_dict(result), indent=1, sort_keys=True)
 
-    def test_empty_placement(self):
-        placement = Placement.from_server_sets(3, 4, {})
-        restored = placement_from_json(placement_to_json(placement))
-        assert restored == placement
-        assert restored.num_servers == 3
-        assert restored.num_models == 4
 
-    def test_json_is_stable(self, tight_scenario):
-        placement = TrimCachingGen().solve(tight_scenario.instance).placement
-        assert placement_to_json(placement) == placement_to_json(placement)
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(PlacementError):
-            placement_from_json(json.dumps({"format": "something-else"}))
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(PlacementError):
-            placement_from_json(
-                json.dumps({"format": "trimcaching-placement-v1"})
-            )
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(PlacementError):
-            placement_from_json("{not json")
+def from_json(text):
+    """Rebuild an experiment from :func:`to_json` text."""
+    return experiment_from_dict(json.loads(text))
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +61,7 @@ class TestExperimentExport:
         assert payload["metadata"]["num_topologies"] == 2
 
     def test_json_parses(self, small_result):
-        payload = json.loads(experiment_to_json(small_result))
+        payload = json.loads(to_json(small_result))
         assert payload["x_label"] == "Q (GB, paper scale)"
 
     def test_csv_shape(self, small_result):
@@ -101,9 +74,8 @@ class TestExperimentExport:
 
 class TestExperimentRoundTrip:
     def test_from_json_rebuilds_series(self, small_result):
-        from repro.sim.serialization import experiment_from_json
 
-        restored = experiment_from_json(experiment_to_json(small_result))
+        restored = from_json(to_json(small_result))
         assert restored.name == small_result.name
         assert restored.x_label == small_result.x_label
         assert list(restored.series) == list(small_result.series)
@@ -119,19 +91,17 @@ class TestExperimentRoundTrip:
             ).all()
 
     def test_to_json_from_json_to_json_is_identity(self, small_result):
-        from repro.sim.serialization import experiment_from_json
 
-        text = experiment_to_json(small_result)
-        assert experiment_to_json(experiment_from_json(text)) == text
+        text = to_json(small_result)
+        assert to_json(from_json(text)) == text
 
     def test_extrema_travel_with_the_series(self, small_result):
         """min/max are serialised and restored — no NaN placeholder."""
-        from repro.sim.serialization import experiment_from_json
 
         payload = experiment_to_dict(small_result)
         for moments in payload["series"].values():
             assert "min" in moments and "max" in moments
-        restored = experiment_from_json(experiment_to_json(small_result))
+        restored = from_json(to_json(small_result))
         for algo in small_result.series:
             assert (
                 restored.series[algo].minima
@@ -146,13 +116,12 @@ class TestExperimentRoundTrip:
         """Pre-extrema payloads still load; extrema report NaN."""
         import math
 
-        from repro.sim.serialization import experiment_from_json
 
-        payload = json.loads(experiment_to_json(small_result))
+        payload = json.loads(to_json(small_result))
         for moments in payload["series"].values():
             moments.pop("min")
             moments.pop("max")
-        restored = experiment_from_json(json.dumps(payload))
+        restored = from_json(json.dumps(payload))
         stats = restored.series["Gen"].stat_at(0)
         assert math.isnan(stats.minimum)
         assert math.isnan(stats.maximum)
@@ -162,7 +131,6 @@ class TestExperimentRoundTrip:
         import math
 
         from repro.sim.runner import ExperimentResult
-        from repro.sim.serialization import experiment_from_json
         from repro.utils.stats import SeriesStats
 
         # A legacy-restored series (NaN placeholders) and an empty one
@@ -172,14 +140,14 @@ class TestExperimentRoundTrip:
             name="n", x_label="x", x_values=[1.0],
             series={"a": legacy, "b": SeriesStats([1.0])},
         )
-        text = experiment_to_json(result)
+        text = to_json(result)
         assert "NaN" not in text and "Infinity" not in text
         json.loads(text, parse_constant=lambda _: pytest.fail("non-RFC token"))
         # Round trip is still the identity, with the placeholders back.
-        restored = experiment_from_json(text)
+        restored = from_json(text)
         assert math.isnan(restored.series["a"].stat_at(0).minimum)
         assert restored.series["b"].stat_at(0).minimum == math.inf
-        assert experiment_to_json(restored) == text
+        assert to_json(restored) == text
 
     def test_property_round_trip_identity(self):
         """to_json -> from_json -> to_json is the identity for arbitrary
@@ -188,7 +156,6 @@ class TestExperimentRoundTrip:
         from hypothesis import strategies as st
 
         from repro.sim.runner import ExperimentResult
-        from repro.sim.serialization import experiment_from_json
         from repro.utils.stats import SeriesStats
 
         @settings(max_examples=50, deadline=None)
@@ -222,28 +189,19 @@ class TestExperimentRoundTrip:
                 series={"algo": series},
                 metadata={"seed": 0},
             )
-            text = experiment_to_json(result)
-            assert experiment_to_json(experiment_from_json(text)) == text
+            text = to_json(result)
+            assert to_json(from_json(text)) == text
 
         check()
 
     def test_bad_format_rejected(self):
         from repro.errors import ReproError
-        from repro.sim.serialization import experiment_from_json
 
         with pytest.raises(ReproError, match="format"):
-            experiment_from_json(json.dumps({"format": "nope"}))
-
-    def test_invalid_json_rejected(self):
-        from repro.errors import ReproError
-        from repro.sim.serialization import experiment_from_json
-
-        with pytest.raises(ReproError, match="invalid experiment JSON"):
-            experiment_from_json("{not json")
+            experiment_from_dict({"format": "nope"})
 
     def test_malformed_payload_rejected(self):
         from repro.errors import ReproError
-        from repro.sim.serialization import experiment_from_dict
 
         with pytest.raises(ReproError, match="malformed"):
             experiment_from_dict({"format": "trimcaching-experiment-v1"})

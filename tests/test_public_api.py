@@ -1,10 +1,69 @@
 """Tests that the public API surface stays importable and coherent."""
 
+import ast
 import importlib
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Where a use of a ``src/repro`` name counts: the package itself (a
+#: package ``__init__`` re-export is a use), the figure and perf
+#: benchmarks, the examples, CI and the README. Tests do not count.
+CALLER_PATHS = (
+    "src",
+    "benchmarks",
+    "perfbench",
+    "examples",
+    ".github/workflows",
+    "README.md",
+)
+
+#: Defs no caller path names, each kept for a stated reason.
+UNCALLED_ALLOWED = {
+    "do_GET": "http.server dispatches GET requests to it by name",
+    "do_POST": "http.server dispatches POST requests to it by name",
+    "is_submodular_exhaustive": "test oracle; moves to the tests with core/reference.py",
+    "is_submodular_sampled": "test oracle; moves to the tests with core/reference.py",
+    "is_monotone_sampled": "test oracle; moves to the tests with core/reference.py",
+    "objective_set_function": "test oracle; moves to the tests with core/reference.py",
+    "storage_set_function": "test oracle; moves to the tests with core/reference.py",
+    "placement_ground_set": "test oracle; moves to the tests with core/reference.py",
+    "confidence_interval": "kept until the per-point error bars decide on it",
+}
+
+
+def _caller_word_counts() -> Counter:
+    """Identifier-like words over every text file in ``CALLER_PATHS``."""
+    words: Counter = Counter()
+    for entry in CALLER_PATHS:
+        root = REPO / entry
+        files = [root] if root.is_file() else sorted(root.rglob("*"))
+        for path in files:
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            words.update(re.findall(r"\w+", text))
+    return words
+
+
+def _src_defs():
+    """``(path, line, name)`` of every def and class in ``src/repro``."""
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                yield path.relative_to(REPO), node.lineno, node.name
 
 
 class TestPublicApi:
@@ -117,3 +176,31 @@ class TestPublicApi:
             solver = solver_cls()
             assert isinstance(solver.name, str) and solver.name
             assert callable(solver.solve)
+
+
+def test_every_src_def_has_a_caller():
+    """No ``src/repro`` def or class is reachable from tests alone.
+
+    A name counts as used when it appears in a caller path anywhere but
+    on a ``def``/``class`` line of that name, so two same-named defs
+    do not vouch for each other. Dunder methods are called by protocol.
+    """
+    words = _caller_word_counts()
+    defs = [
+        (path, line, name)
+        for path, line, name in _src_defs()
+        if not re.fullmatch(r"__\w+__", name)
+    ]
+    for _, _, name in defs:
+        words[name] -= 1
+    uncalled = {name for _, _, name in defs if words[name] <= 0}
+    unexpected = sorted(
+        f"{path}:{line} {name}"
+        for path, line, name in defs
+        if name in uncalled - set(UNCALLED_ALLOWED)
+    )
+    assert not unexpected, "defs with no caller outside the tests:\n" + (
+        "\n".join(unexpected)
+    )
+    stale = sorted(set(UNCALLED_ALLOWED) - uncalled)
+    assert not stale, f"allowlisted names that are gone or now called: {stale}"

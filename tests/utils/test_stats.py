@@ -13,7 +13,6 @@ from repro.utils.stats import (
     aggregate_series,
     average_relative_gain,
     relative_gain,
-    summarize,
 )
 
 
@@ -76,13 +75,6 @@ class TestSeriesStats:
 
 
 class TestSummaries:
-    def test_summarize(self):
-        out = summarize([1.0, 2.0, 3.0])
-        assert out["count"] == 3
-        assert out["mean"] == pytest.approx(2.0)
-        assert out["min"] == 1.0
-        assert out["max"] == 3.0
-
     def test_relative_gain_matches_paper_convention(self):
         # "33.93% higher than baseline" style.
         assert relative_gain(0.6698, 0.5) == pytest.approx(0.3396)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import format_mapping, format_table
+from repro.utils.tables import format_table
 
 
 class TestFormatTable:
@@ -39,9 +39,3 @@ class TestFormatTable:
         out = format_table(["a"], [])
         assert out.splitlines()[0] == "a"
 
-
-class TestFormatMapping:
-    def test_renders_pairs(self):
-        out = format_mapping({"alpha": 1, "beta": 2})
-        assert "alpha" in out and "beta" in out
-        assert out.splitlines()[0].startswith("key")
