@@ -11,7 +11,7 @@ unreachable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

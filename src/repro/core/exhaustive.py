@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Set
 
 import numpy as np
 
 from repro.core.objective import hit_ratio
-from repro.core.placement import Placement, PlacementInstance
+from repro.core.placement import PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import SolverError
 

@@ -26,7 +26,6 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.dp import (
-    KNAPSACK_BACKENDS,
     SharedCombination,
     _chains_are_nested,
     _distinct_shared_sets,

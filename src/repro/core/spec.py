@@ -73,7 +73,7 @@ from repro.core.dp import (
 )
 from repro.core.gen import check_plan_engine
 from repro.core.objective import CoverageTracker, hit_ratio
-from repro.core.placement import Placement, PlacementInstance
+from repro.core.placement import PlacementInstance
 from repro.core.result import SolverResult
 from repro.errors import ConfigurationError, SolverError
 

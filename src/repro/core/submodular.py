@@ -14,10 +14,10 @@ they can also *refute* submodularity for functions that should fail.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from repro.core.objective import hit_ratio
-from repro.core.placement import Placement, PlacementInstance
+from repro.core.placement import PlacementInstance
 from repro.utils.rng import SeedLike, as_generator
 
 SetFunction = Callable[[FrozenSet], float]

@@ -22,9 +22,7 @@ Both builders are deterministic given an RNG and truncate to a requested
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.data.cifar100 import (
     CIFAR100_TAXONOMY,

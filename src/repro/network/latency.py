@@ -63,11 +63,14 @@ class LatencyModel:
     def _backhaul_matrix(self) -> np.ndarray:
         """Per-bit transfer time between every ordered server pair."""
         num = self.topology.num_servers
-        per_bit = np.zeros((num, num))
-        for a in range(num):
-            for b in range(num):
-                if a != b:
-                    per_bit[a, b] = 1.0 / self.topology.backhaul.rate(a, b)
+        backhaul = self.topology.backhaul
+        per_bit = np.full((num, num), 1.0 / backhaul.default_rate_bps)
+        # ``Backhaul.rate`` looks a pair up as ``(min, max)``; any other
+        # key (unordered, a self-pair, past the last server) is never read.
+        for (a, b), rate in backhaul.overrides.items():
+            if 0 <= a < b < num:
+                per_bit[a, b] = per_bit[b, a] = 1.0 / rate
+        np.fill_diagonal(per_bit, 0.0)
         return per_bit
 
     # ------------------------------------------------------------------

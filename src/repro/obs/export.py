@@ -16,7 +16,7 @@ exposition.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.obs.trace import Tracer
 

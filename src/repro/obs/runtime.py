@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, Tracer
 
 __all__ = [

@@ -18,9 +18,12 @@ just :mod:`http.server`. Endpoints:
 ``POST /events``
     Body ``{"events": [{...}, ...]}`` (event dicts, see
     :mod:`repro.serve.events`) or a serialised :class:`EventTrace`
-    payload. Events are applied in order under the server's lock; the
+    payload. Every event's ids are checked before any is applied; the
+    events are then applied in order under the server's lock, and the
     response carries one result summary per event and the final hit
-    ratio.
+    ratio. A refusal (an id out of range refuses the whole batch; a
+    change that would zero total demand stops it there) answers 400
+    with ``processed``, the number of events applied before it.
 
 Errors return ``{"error": ...}`` with status 400 (bad request / domain
 error), 404 (unknown path) or 413 (a declared body over
@@ -190,19 +193,28 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             entries = self._event_entries(payload)
             events = [Event.from_dict(entry) for entry in entries]
-            with lock:
-                results = [service.process(event) for event in events]
-                final_ratio = service.hit_ratio
-            self._reply(
-                200,
-                {
-                    "processed": len(results),
-                    "hit_ratio": final_ratio,
-                    "results": [result.to_dict() for result in results],
-                },
-            )
         except ReproError as exc:
             self._error(400, str(exc))
+            return
+        results = []
+        try:
+            with lock:
+                for event in events:
+                    service.check_ids(event)
+                for event in events:
+                    results.append(service.process(event))
+                final_ratio = service.hit_ratio
+        except ReproError as exc:
+            self._reply(400, {"error": str(exc), "processed": len(results)})
+            return
+        self._reply(
+            200,
+            {
+                "processed": len(results),
+                "hit_ratio": final_ratio,
+                "results": [result.to_dict() for result in results],
+            },
+        )
 
     @staticmethod
     def _event_entries(payload: object) -> list:

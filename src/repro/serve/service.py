@@ -249,13 +249,10 @@ class PlacementService:
         }
 
     # ------------------------------------------------------------------
-    def process(self, event: Event) -> EventResult:
-        """Apply one event and, if it changed anything, re-solve.
-
-        An event the instance refuses (an id out of range, a negative
-        capacity, a change that would zero total demand) raises
-        :class:`ServeError` before anything is mutated or counted.
-        """
+    def check_ids(self, event: Event) -> None:
+        """Raise :class:`ServeError` if ``event`` names an id outside the
+        instance; events never change the instance's shape, so a batch
+        can be checked whole before any of it is applied."""
         instance = self.instance
         if event.kind == "capacity_change":
             _index_arg("server", event.server, instance.num_servers)
@@ -263,6 +260,16 @@ class PlacementService:
             _index_arg("model", event.model, instance.num_models)
         else:
             _index_arg("user", event.user, instance.num_users)
+
+    def process(self, event: Event) -> EventResult:
+        """Apply one event and, if it changed anything, re-solve.
+
+        An event the instance refuses (an id out of range, a negative
+        capacity, a change that would zero total demand) raises
+        :class:`ServeError` before anything is mutated or counted.
+        """
+        self.check_ids(event)
+        instance = self.instance
         start = time.perf_counter()
         with obs.span("serve.event", kind=event.kind) as span:
             try:

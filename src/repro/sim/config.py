@@ -7,7 +7,7 @@ sensitivity can be tested (see DESIGN.md §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError

@@ -10,7 +10,6 @@ cloud link — the user-facing metric a hit ratio ultimately stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -146,19 +146,21 @@ class TestSharedTrajectory:
     """Each run walks its trajectory once, whatever the solver count."""
 
     @pytest.fixture
-    def steps(self, monkeypatch):
+    def slots(self, monkeypatch):
+        """Slots walked, summed over every ``trajectory`` call."""
         from repro.network.mobility import MobilityModel
 
-        calls = []
-        step = MobilityModel.step
+        walked = []
+        trajectory = MobilityModel.trajectory
         monkeypatch.setattr(
             MobilityModel,
-            "step",
-            lambda self, seed=None: calls.append(1) or step(self, seed),
+            "trajectory",
+            lambda self, positions, num_slots, seed=None: walked.append(num_slots)
+            or trajectory(self, positions, num_slots, seed),
         )
-        return calls
+        return walked
 
-    def test_mobility_steps_once_per_slot(self, steps):
+    def test_mobility_steps_once_per_slot(self, slots):
         plan = ExperimentPlan(
             name="two solvers",
             solvers=(SolverSpec("gen"), SolverSpec("independent")),
@@ -167,9 +169,9 @@ class TestSharedTrajectory:
         )
         result = run_plan(plan)
         assert len(result.series) == 2
-        assert len(steps) == 2 * 60
+        assert sum(slots) == 2 * 60
 
-    def test_replacement_steps_once_per_slot(self, steps):
+    def test_replacement_steps_once_per_slot(self, slots):
         plan = ExperimentPlan(
             name="three thresholds",
             solvers=(SolverSpec("gen"),),
@@ -180,7 +182,7 @@ class TestSharedTrajectory:
         )
         result = run_plan(plan)
         assert result.replacement().thresholds == [0.0, 0.9, 1.0]
-        assert len(steps) == 2 * 60
+        assert sum(slots) == 2 * 60
 
 
 class TestCustomScenarios:

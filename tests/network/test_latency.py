@@ -102,6 +102,38 @@ class TestRelayPath:
         assert not model.feasibility()[0, 0, 0]
 
 
+class TestBackhaulMatrix:
+    """The per-bit matrix reads overrides exactly as ``Backhaul.rate`` does."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {(0, 2): 1 * GBPS},
+            {(2, 0): 1 * GBPS},  # unordered: rate(0, 2) looks up (0, 2)
+            {(1, 1): 1 * GBPS},  # self-pair: never looked up
+            {(1, 4): 1 * GBPS, (-1, 2): 3 * GBPS},  # out of range
+            {(0, 1): 2 * GBPS, (1, 0): 5 * GBPS, (1, 3): 7 * GBPS, (3, 3): 4 * GBPS},
+        ],
+    )
+    def test_equals_rate_loop(self, overrides):
+        backhaul = Backhaul(default_rate_bps=9 * GBPS, overrides=overrides)
+        topo = build(
+            [Point(0, 0), Point(300, 0), Point(0, 300), Point(300, 300)],
+            [Point(100, 100)],
+            [[1.0]],
+            [[0.1]],
+            backhaul,
+        )
+        per_bit = LatencyModel(topo, np.array([50 * MB]))._backhaul_per_bit
+        expected = np.zeros((4, 4))
+        for a in range(4):
+            for b in range(4):
+                if a != b:
+                    expected[a, b] = 1.0 / backhaul.rate(a, b)
+        assert per_bit.tobytes() == expected.tobytes()
+
+
 class TestWithFadedRates:
     def test_deep_fade_breaks_feasibility(self):
         topo = build([Point(0, 0)], [Point(100, 0)], [[1.0]], [[0.1]])

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network import mobility
+from repro.network.geometry import reflect_into_square
 from repro.network.mobility import (
     BIKE,
     DEFAULT_CLASSES,
@@ -108,6 +110,47 @@ class TestTrajectory:
     def test_positions_shape_rejected(self, shape):
         with pytest.raises(ConfigurationError, match=r"shape \(K, 2\)"):
             MobilityModel(1000.0).trajectory(np.zeros(shape), num_slots=1)
+
+
+def reference_step(model, rng):
+    """The per-slot step the block walk replaced, kept as its reference."""
+    dt = model.slot_duration_s
+    rates = model._rate_low + model._rate_span * rng.random(model._rate_low.shape)
+    change = rates * dt
+    model.speed = np.minimum(np.maximum(model.speed + change[:, 0], 0.0), model.max_speed)
+    model.orientation = (model.orientation + change[:, 1]) % (2.0 * np.pi)
+    moved = model.positions.copy()
+    moved[:, 0] += model.speed * np.cos(model.orientation) * dt
+    moved[:, 1] += model.speed * np.sin(model.orientation) * dt
+    model.positions = reflect_into_square(moved, model.side_length)
+    return model.positions
+
+
+class TestBlockWalk:
+    """``trajectory`` walks slots in blocks; ``step`` walks one slot."""
+
+    BLOCK = 4
+
+    @pytest.mark.parametrize("num_users", [1, 10, 37])
+    @pytest.mark.parametrize("num_slots", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_trajectory_equals_start_then_steps(self, monkeypatch, num_users, num_slots):
+        # A block of exactly BLOCK slots at this K, so the seams fall inside
+        # these short walks; the 200 m side makes users reflect early.
+        monkeypatch.setattr(mobility, "_BLOCK_USER_SLOTS", self.BLOCK * num_users)
+        positions = np.random.default_rng(num_users).uniform(0.0, 200.0, (num_users, 2))
+        walked, walked_rng = MobilityModel(200.0), np.random.default_rng(11)
+        frames = walked.trajectory(positions, num_slots, walked_rng)
+        assert frames.shape == (num_slots + 1, num_users, 2)
+        for advance in (MobilityModel.step, reference_step):
+            stepped, rng = MobilityModel(200.0), np.random.default_rng(11)
+            stepped.start(positions, rng)
+            expected = [stepped.positions.copy()]
+            expected += [advance(stepped, rng).copy() for _ in range(num_slots)]
+            for frame, want in zip(frames, expected):
+                assert frame.tobytes() == want.tobytes()
+            assert walked.speed.tobytes() == stepped.speed.tobytes()
+            assert walked.orientation.tobytes() == stepped.orientation.tobytes()
+            assert walked_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestGoldenTrajectory:

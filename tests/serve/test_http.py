@@ -175,6 +175,27 @@ class TestPostEvents:
         )
         assert "unknown event kind" in payload["error"]
 
+    def test_bad_id_refuses_the_whole_batch(self, http_server):
+        before = get_json(http_server, "/status")
+        payload = post_json(
+            http_server,
+            "/events",
+            [{"kind": "user_depart", "user": 1}, {"kind": "user_depart", "user": 99}],
+            expect_status=400,
+        )
+        assert "user 99 out of range" in payload["error"]
+        assert payload["processed"] == 0
+        after = get_json(http_server, "/status")
+        assert after["events_processed"] == 0
+        assert after["hit_ratio"] == before["hit_ratio"]
+
+    def test_apply_time_refusal_reports_processed(self, http_server):
+        num_users = http_server.service.instance.num_users
+        departures = [{"kind": "user_depart", "user": k} for k in range(num_users)]
+        payload = post_json(http_server, "/events", departures, expect_status=400)
+        assert payload["processed"] == num_users - 1
+        assert get_json(http_server, "/status")["events_processed"] == num_users - 1
+
     def test_post_unknown_path_is_404(self, http_server):
         payload = post_json(http_server, "/other", {}, expect_status=404)
         assert "unknown path" in payload["error"]

@@ -61,12 +61,13 @@ class TestSharedSnapshots:
     """A study walks its trajectory once per (horizon, seed)."""
 
     def test_snapshots_reused_across_placements(self, small_scenario, monkeypatch):
-        steps = []
-        step = MobilityModel.step
+        slots = []
+        trajectory = MobilityModel.trajectory
         monkeypatch.setattr(
             MobilityModel,
-            "step",
-            lambda self, seed=None: steps.append(1) or step(self, seed),
+            "trajectory",
+            lambda self, positions, num_slots, seed=None: slots.append(num_slots)
+            or trajectory(self, positions, num_slots, seed),
         )
         study = MobilityStudy(small_scenario, sample_every=6)
         gen = TrimCachingGen().solve(small_scenario.instance).placement
@@ -74,10 +75,10 @@ class TestSharedSnapshots:
         study.run(gen, horizon_s=120.0, seed=5)
         first = study.snapshots(120.0, seed=5)
         study.run(empty, horizon_s=120.0, seed=5)
-        assert len(steps) == 24
+        assert sum(slots) == 24
         assert study.snapshots(120.0, seed=5) is first
         study.run(gen, horizon_s=120.0, seed=6)
-        assert len(steps) == 48
+        assert sum(slots) == 48
 
     def test_matches_fresh_study(self, small_scenario):
         gen = TrimCachingGen().solve(small_scenario.instance).placement

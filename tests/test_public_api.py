@@ -204,3 +204,27 @@ def test_every_src_def_has_a_caller():
     )
     stale = sorted(set(UNCALLED_ALLOWED) - uncalled)
     assert not stale, f"allowlisted names that are gone or now called: {stale}"
+
+
+def test_every_src_import_is_read():
+    """Each module-level import in a ``src/repro`` module is read there.
+
+    Package ``__init__`` modules are skipped: their imports are the
+    re-exports. ``from __future__`` imports are compiler directives.
+    """
+    unread = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.relative_to(REPO)}:{node.lineno} {name}")
+    assert not unread, "imports never read in their module:\n" + "\n".join(unread)
