@@ -1,53 +1,42 @@
-"""Tracked perf bench: seed vs vectorised solvers.
+"""Gated speed targets: seven ratios, each timed on its own guarded pair.
 
-Times the retained seed implementations (:mod:`repro.core.reference`)
-against the vectorised solvers on paper-scale instances and writes the
-results to ``BENCH_solvers.json`` so the perf trajectory is tracked in
-the repository from PR 1 onward.
+Each target times two ways of computing one answer, asserts the two
+answers ``==`` on the timed pair, and holds the ratio to its bound:
 
-Covered:
+* ``gen`` >= 5x: :class:`TrimCachingGen` vs the seed lazy greedy
+  (:class:`ReferenceGen`) on ``gen_paper_tight`` (``M=30, K=200,
+  I=120``, 0.06 GB); placements ``==``.
+* ``sweep`` >= 2x: a capacity sweep (``M=30, K=500, I=300``, 8
+  topologies x 3 points), the ``reference-*`` solvers on dense
+  feasibility vs the solvers on sparse feasibility, both serial;
+  series ``==``.
+* ``spec_kernel`` >= 1.5x: :class:`TrimCachingSpec` at its defaults vs
+  ``knapsack_cache=False, prefix_prune=False``; placements ``==``.
+* ``scenario`` >= 3x: the RNG-governed scenario stage, ``rng_scheme``
+  v1 (the seed's per-user loop) vs v2. The streams differ, so the guard
+  is the demand matrix's shape and row sums, not ``==``.
+* ``serve`` >= 10x (``--quick``: 2x): median per-event speedup of a
+  resident :class:`PlacementService` over :func:`resolve_from_scratch`
+  on a seeded trace; every post-event hit ratio ``==``. Not met at
+  paper scale; the target stays.
+* ``obs_enabled_overhead`` <= 5%: a sweep's slowdown with metrics and
+  tracing on; series ``==`` with obs off.
+* ``obs_disabled_overhead`` <= 1%: that sweep's span count times the
+  cost of one disabled ``obs.span`` call, over the sweep.
 
-* TrimCaching Gen — seed lazy + seed naive vs vectorised + new naive,
-  on an ``M=30, K=200, I=120`` instance (byte-identical placements are
-  asserted, not just timed);
-* TrimCaching Spec — seed vs vectorised candidate construction, plus the
-  ``workers=N`` knapsack-batch fan-out (byte-identical placements);
-* both DP backends — the rounded value DP (seed Python loop vs numpy
-  slice-shift) and the weight DP (unchanged; timed for the trajectory);
-* the sparse feasibility artifact — CSR vs dense construction at paper
-  scale (identical indicator asserted);
-* the end-to-end sweep pipeline at paper scale (``M=30, K=500``, ≥8
-  topologies): seed solvers on the dense serial path vs the solvers on
-  dense feasibility vs on the sparse CSR feasibility, serial and
-  ``workers=N`` — all four asserted bit-identical series, wall-clock
-  recorded;
-* the artifact store — cold vs warm execution of the same plan through
-  ``repro.exec`` (the warm run is a pure content-addressed cache hit;
-  byte-identical result JSON asserted, wall-clock ratio tracked);
-* the kernel-level Spec path — LP prefix prune + memoised value-DP
-  tables vs the prior traversal at paper density (byte-identical
-  placements asserted; target >= 1.5x);
-* the batched scenario build — ``rng_scheme="v2"`` vs the seed's
-  per-user loops on the RNG-governed stage at ``K=500, I=300``
-  (target >= 3x);
-* the serving layer — a resident ``repro.serve.PlacementService``
-  re-solving a seeded 80-event trace on its warm tracker vs the
-  stateless rebuild-and-re-solve path on the same events (every post-event hit
-  ratio asserted ``==`` and the final placement byte-identical; target
-  >= 10x median per-event speedup at paper scale), plus sustained
-  ``route`` query throughput;
-* the observability layer — the sweep bench path with ``repro.obs``
-  off vs fully on (metrics + tracing): identical series asserted,
-  enabled slowdown measured (target <= 5%) and the disabled no-op cost
-  bounded from the recorded span count (target <= 1%).
+Each CPU-bound pair is timed by :func:`alternating_min_cpu` (min-of-N
+``time.process_time``, the two sides in turn); serve compares the
+per-event latencies both paths measure themselves, best over passes.
+Results go to ``--output`` (default ``BENCH_solvers.json``): ``meta``
+holds each target and whether it is met, and each section has its own
+key. Every other top-level key already in the file (``bench_scale.py``
+writes ``scale``) is written back unchanged.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf.py            # full
     PYTHONPATH=src python benchmarks/bench_perf.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/bench_perf.py --strict   # fail <5x
-    PYTHONPATH=src python benchmarks/bench_perf.py --workers 4
-    PYTHONPATH=src python benchmarks/bench_perf.py --section kernels,scenario
+    PYTHONPATH=src python benchmarks/bench_perf.py --strict   # exit 1 if unmet
 """
 
 from __future__ import annotations
@@ -58,18 +47,15 @@ import os
 import platform
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec
-from repro.core.dp import knapsack_value_dp, knapsack_weight_dp
 from repro.core.gen import TrimCachingGen
-from repro.core.reference import (
-    ReferenceGen,
-    ReferenceSpec,
-    reference_knapsack_value_dp,
-)
+from repro.core.reference import ReferenceGen
 from repro.core.spec import TrimCachingSpec
 from repro.exec import execute_plan
 from repro.serve.events import generate_event_trace
@@ -79,50 +65,39 @@ from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
 
-#: The Gen acceptance target: vectorised vs seed lazy on the tight
-#: paper-scale instance.
+# The seven targets, as the module docstring lists them.
 GEN_TARGET_SPEEDUP = 5.0
-
-#: The sweep acceptance target: end-to-end, seed path -> sparse path.
 SWEEP_TARGET_SPEEDUP = 2.0
-
-#: The Spec kernel-level acceptance target: prefix-pruned + memoised DP
-#: tables vs the prior traversal, paper density.
 SPEC_KERNEL_TARGET_SPEEDUP = 1.5
-
-#: The scenario acceptance target: batched ``rng_scheme="v2"`` vs the
-#: seed's per-user loops on the RNG-governed build stage (K=500, I=300).
 SCENARIO_TARGET_SPEEDUP = 3.0
-
-#: The serving acceptance target: median per-event speedup of the
-#: resident service's warm re-solve over the stateless rebuild-and-re-solve
-#: baseline, paper scale (M=30, K=200, I=120, 80-event trace).
 SERVE_TARGET_SPEEDUP = 10.0
-
-#: The quick-mode serving sanity bar: at CI-smoke scale the stateless
-#: rebuild is cheap, so the resident service only has to clearly beat
-#: it, not hit the paper-scale ratio.
-SERVE_QUICK_TARGET_SPEEDUP = 2.0
-
-#: Observability acceptance: the estimated cost of the disabled
-#: instrumentation (no-op span calls) on the sweep bench path, as a
-#: fraction of its wall clock.
+SERVE_QUICK_TARGET_SPEEDUP = 2.0  # at smoke scale a stateless rebuild is cheap
+OBS_ENABLED_OVERHEAD_TARGET = 0.05
 OBS_DISABLED_OVERHEAD_TARGET = 0.01
 
-#: Observability acceptance: measured slowdown of the same sweep with
-#: metrics + tracing fully enabled.
-OBS_ENABLED_OVERHEAD_TARGET = 0.05
 
+@dataclass(frozen=True)
+class Gate:
+    """One target: a measured ``value`` held against its ``bound``."""
 
-def timeit(fn, min_time: float, min_reps: int = 3):
-    """Best-of-mean timing: run ``fn`` for ``min_time`` seconds."""
-    fn()  # warm-up (also builds instance-level caches for both sides)
-    start = time.perf_counter()
-    reps = 0
-    while time.perf_counter() - start < min_time or reps < min_reps:
-        result = fn()
-        reps += 1
-    return (time.perf_counter() - start) / reps, result
+    name: str
+    label: str
+    value: float
+    bound: float
+    at_most: bool = False  # an overhead fraction; otherwise a speedup
+
+    @property
+    def met(self) -> bool:
+        if self.at_most:
+            return self.value <= self.bound
+        return self.value >= self.bound
+
+    def line(self) -> str:
+        if self.at_most:
+            measured = f"{self.value:.4%} (target <= {self.bound:.0%})"
+        else:
+            measured = f"{self.value:.2f}x (target >= {self.bound}x)"
+        return f"{self.label}: {measured} — {'MET' if self.met else 'NOT MET'}"
 
 
 def alternating_min_cpu(fns, min_time: float, min_reps: int = 5):
@@ -148,971 +123,369 @@ def alternating_min_cpu(fns, min_time: float, min_reps: int = 5):
     return list(zip(best, results))
 
 
-def gen_benchmarks(quick: bool):
-    """Seed-vs-new Gen timings on paper-scale instances."""
-    budget = 0.3 if quick else 2.0
-    specs = [
-        # The acceptance instance: tight capacity, the regime where the
-        # seed's lazy greedy churns hardest on parked pairs.
-        ("gen_paper_tight", dict(num_servers=30, num_users=200, num_models=120,
-                                 requests_per_user=30,
-                                 storage_bytes=int(0.06 * GB)), 1),
-        ("gen_paper_mid", dict(num_servers=30, num_users=200, num_models=120,
-                               requests_per_user=30,
-                               storage_bytes=int(0.12 * GB)), 42),
-    ]
-    if quick:
-        specs = [
-            ("gen_quick", dict(num_servers=8, num_users=48, num_models=30,
-                               requests_per_user=12,
-                               storage_bytes=int(0.06 * GB)), 1),
-        ]
-    results = {}
-    for name, params, seed in specs:
-        instance = build_scenario(ScenarioConfig(**params), seed=seed).instance
-        seed_lazy_s, seed_lazy = timeit(
-            lambda: ReferenceGen(accelerated=True).solve(instance), budget
-        )
-        seed_naive_s, seed_naive = timeit(
-            lambda: ReferenceGen(accelerated=False).solve(instance), budget
-        )
-        new_s, new = timeit(
-            lambda: TrimCachingGen(accelerated=True).solve(instance), budget
-        )
-        new_naive_s, new_naive = timeit(
-            lambda: TrimCachingGen(accelerated=False).solve(instance), budget
-        )
-        identical = (
-            new.placement == seed_naive.placement
-            and new.placement == seed_lazy.placement
-            and new.placement == new_naive.placement
-        )
-        assert identical, f"{name}: placements diverge from the seed"
-        results[name] = {
-            "instance": {**params, "seed": seed},
-            "greedy_steps": new.stats["greedy_steps"],
-            "hit_ratio": round(new.hit_ratio, 6),
-            "seed_lazy_s": seed_lazy_s,
-            "seed_naive_s": seed_naive_s,
-            "new_accelerated_s": new_s,
-            "new_naive_s": new_naive_s,
-            "speedup_vs_seed_lazy": seed_lazy_s / new_s,
-            "speedup_vs_seed_naive": seed_naive_s / new_s,
-            "placements_identical": identical,
-        }
-        print(
-            f"{name}: seed lazy {seed_lazy_s * 1e3:.2f} ms, "
-            f"seed naive {seed_naive_s * 1e3:.2f} ms, "
-            f"new {new_s * 1e3:.2f} ms "
-            f"({seed_lazy_s / new_s:.1f}x vs lazy, "
-            f"{seed_naive_s / new_s:.1f}x vs naive), identical placements"
-        )
-    return results
-
-
-def spec_benchmarks(quick: bool, workers: int):
-    """Seed-vs-new Spec timings on a special-case instance."""
-    budget = 0.3 if quick else 2.0
-    params = dict(
+def instance_params(quick: bool, storage_gb: float, **extra):
+    """``M=30, K=200, I=120`` with 30 requests a user (quick: 8/48/30/12)."""
+    return dict(
         num_servers=8 if quick else 30,
         num_users=48 if quick else 200,
         num_models=30 if quick else 120,
         requests_per_user=12 if quick else 30,
-        storage_bytes=int(0.12 * GB),
-        library_case="special",
+        storage_bytes=int(storage_gb * GB),
+        **extra,
     )
-    name = "spec_quick" if quick else "spec_paper"
-    instance = build_scenario(ScenarioConfig(**params), seed=42).instance
-    seed_s, seed_result = timeit(
-        lambda: ReferenceSpec(epsilon=0.1).solve(instance), budget, min_reps=2
-    )
-    new_s, new_result = timeit(
-        lambda: TrimCachingSpec(epsilon=0.1).solve(instance), budget, min_reps=2
-    )
-    parallel_s, parallel_result = timeit(
-        lambda: TrimCachingSpec(epsilon=0.1, workers=workers).solve(instance),
-        budget,
-        min_reps=2,
-    )
-    identical = (
-        new_result.placement == seed_result.placement
-        and parallel_result.placement == seed_result.placement
-    )
-    assert identical, "Spec placements diverge from the seed"
-    print(
-        f"{name}: seed {seed_s * 1e3:.2f} ms, new {new_s * 1e3:.2f} ms "
-        f"({seed_s / new_s:.1f}x), workers={workers} "
-        f"{parallel_s * 1e3:.2f} ms, identical placements"
-    )
-    return {
-        name: {
-            "instance": {**params, "seed": 42},
-            "hit_ratio": round(new_result.hit_ratio, 6),
-            "seed_s": seed_s,
-            "new_s": new_s,
-            "new_parallel_s": parallel_s,
-            "parallel_workers": workers,
-            "speedup": seed_s / new_s,
-            "placements_identical": identical,
-        }
-    }
 
 
-def dp_benchmarks(quick: bool):
-    """Seed-vs-new knapsack backend timings on one synthetic batch."""
-    rng = np.random.default_rng(0)
-    num_items = 12 if quick else 30
-    batch = []
-    for _ in range(10 if quick else 50):
-        # Values in [1, 10]: bounds the rounded-value table so the DP
-        # never trips its state guard at epsilon=0.1.
-        values = (1.0 + rng.random(num_items) * 9.0).tolist()
-        weights = rng.integers(1, 1000, size=num_items).tolist()
-        batch.append((values, weights, int(num_items * 300)))
-
-    def run(solver, **kwargs):
-        def call():
-            out = []
-            for values, weights, capacity in batch:
-                out.append(solver(values, weights, capacity, **kwargs))
-            return out
-
-        return call
-
-    budget = 0.3 if quick else 1.5
-    seed_value_s, seed_sel = timeit(
-        run(reference_knapsack_value_dp, epsilon=0.1), budget
-    )
-    new_value_s, new_sel = timeit(run(knapsack_value_dp, epsilon=0.1), budget)
-    assert new_sel == seed_sel, "value DP selections diverge from the seed"
-    # weight DP was vectorised in the seed already — unchanged code, one
-    # timing recorded under both labels to keep the trajectory uniform.
-    weight_s, _ = timeit(run(knapsack_weight_dp, quantum=100), budget)
-    print(
-        f"value_dp: seed {seed_value_s * 1e3:.2f} ms, "
-        f"new {new_value_s * 1e3:.2f} ms "
-        f"({seed_value_s / new_value_s:.1f}x), identical selections; "
-        f"weight_dp {weight_s * 1e3:.2f} ms (unchanged)"
-    )
-    return {
-        "knapsack_value_dp": {
-            "batch": {"instances": len(batch), "items": num_items},
-            "seed_s": seed_value_s,
-            "new_s": new_value_s,
-            "speedup": seed_value_s / new_value_s,
-            "selections_identical": True,
-        },
-        "knapsack_weight_dp": {
-            "batch": {"instances": len(batch), "items": num_items},
-            "seed_s": weight_s,
-            "new_s": weight_s,
-            "speedup": 1.0,
-            "note": "unchanged since seed (already vectorised)",
-        },
-    }
-
-
-def sparse_benchmarks(quick: bool):
-    """CSR vs dense feasibility construction (identical indicator)."""
-    params = dict(
+def sweep_params(quick: bool, num_users: int = 500, num_models: int = 300):
+    """The special-case sweep base the sweep, scenario and obs pairs use."""
+    return dict(
         num_servers=8 if quick else 30,
-        num_users=60 if quick else 500,
-        num_models=30 if quick else 300,
+        num_users=60 if quick else num_users,
+        num_models=30 if quick else num_models,
         requests_per_user=12 if quick else 30,
         deadline_range_s=(1.0, 2.0),
         library_case="special",
     )
-    budget = 0.3 if quick else 1.5
-    scenario = build_scenario(
-        ScenarioConfig(**params), seed=7, feasibility="dense"
-    )
-    dense_s, dense = timeit(lambda: scenario.latency_model.feasibility(), budget)
-    sparse_s, sparse = timeit(
-        lambda: scenario.latency_model.feasibility_sparse(), budget
-    )
-    identical = bool((sparse.to_dense() == dense).all())
-    assert identical, "sparse feasibility diverges from dense"
-    print(
-        f"feasibility (M={params['num_servers']}, K={params['num_users']}, "
-        f"I={params['num_models']}): dense {dense_s * 1e3:.2f} ms, "
-        f"CSR {sparse_s * 1e3:.2f} ms ({dense_s / sparse_s:.1f}x), "
-        f"density {sparse.density:.2%}, identical indicator"
-    )
-    return {
-        "feasibility_build": {
-            "instance": {**params, "seed": 7},
-            "nnz": sparse.nnz,
-            "density": sparse.density,
-            "dense_s": dense_s,
-            "sparse_s": sparse_s,
-            "speedup": dense_s / sparse_s,
-            "indicator_identical": identical,
-        }
-    }
 
 
-def sweep_benchmarks(quick: bool, workers: int):
-    """End-to-end paper-scale sweep: seed path vs dense vs sparse vs parallel.
-
-    One wall-clock measurement per pipeline configuration (a sweep is a
-    long-running batch; repetition noise is small against its length).
-    All four configurations must produce bit-identical hit-ratio series.
-    """
-    params = dict(
-        num_servers=8 if quick else 30,
-        num_users=60 if quick else 500,
-        num_models=30 if quick else 300,
-        requests_per_user=12 if quick else 30,
-        deadline_range_s=(1.0, 2.0),
-        library_case="special",
-    )
-    num_topologies = 2 if quick else 8
-    points = [0.15, 0.3] if quick else [0.15, 0.3, 0.6]
-
-    def run(solvers, feasibility, sweep_workers):
-        plan = ExperimentPlan(
-            name="bench sweep",
-            sweep=SweepSpec("capacity", tuple(points)),
-            solvers=solvers,
-            base=params,
-            num_topologies=num_topologies,
-            seed=7,
-            scale=1.0,
-            feasibility=feasibility,
-            workers=sweep_workers,
-        )
-        start = time.perf_counter()
-        result, _ = execute_plan(plan)
-        return time.perf_counter() - start, result
-
-    # Same labels on every path, so the identity assert compares like
-    # with like; the seed path runs the registered reference solvers.
-    seed_algos = (
-        SolverSpec("reference-gen", label="Gen"),
-        SolverSpec("reference-independent", label="Independent"),
-    )
-    # The dense and sparse runs differ only in the feasibility form.
-    new_algos = (
-        SolverSpec("gen", label="Gen"),
-        SolverSpec("independent", label="Independent"),
-    )
-    seed_s, seed_result = run(seed_algos, "dense", 1)
-    dense_s, dense_result = run(new_algos, "dense", 1)
-    sparse_s, sparse_result = run(new_algos, "sparse", 1)
-    parallel_s, parallel_result = run(new_algos, "sparse", workers)
-    identical = all(
-        (seed_result.series[a].means == other.series[a].means).all()
-        and (seed_result.series[a].stds == other.series[a].stds).all()
-        for a in seed_result.series
-        for other in (dense_result, sparse_result, parallel_result)
-    )
-    assert identical, "sweep series diverge across pipeline configurations"
-    best_new_s = min(sparse_s, parallel_s)
-    print(
-        f"sweep (M={params['num_servers']}, K={params['num_users']}, "
-        f"I={params['num_models']}, {num_topologies} topologies x "
-        f"{len(points)} points): seed-dense-serial {seed_s:.2f} s, "
-        f"dense-serial {dense_s:.2f} s, sparse-serial {sparse_s:.2f} s, "
-        f"sparse-parallel(w={workers}) {parallel_s:.2f} s — "
-        f"sparse vs dense {dense_s / sparse_s:.2f}x, "
-        f"end-to-end {seed_s / best_new_s:.2f}x, identical series"
-    )
-    return {
-        "paper_sweep": {
-            "instance": {**params, "seed": 7},
-            "num_topologies": num_topologies,
-            "sweep_points_gb": points,
-            "cpu_count": os.cpu_count(),
-            "parallel_workers": workers,
-            "seed_dense_serial_s": seed_s,
-            "dense_serial_s": dense_s,
-            "sparse_serial_s": sparse_s,
-            "sparse_parallel_s": parallel_s,
-            "speedup_sparse_vs_dense": dense_s / sparse_s,
-            "speedup_parallel_vs_serial": sparse_s / parallel_s,
-            "speedup_end_to_end": seed_s / best_new_s,
-            "series_identical": identical,
-        }
-    }
-
-
-def cache_benchmarks(quick: bool, workers: int):
-    """Cold vs warm execution of one plan through the artifact store.
-
-    The warm run must be a pure cache hit (no tasks executed) returning
-    a byte-identical result set; the tracked number is how much faster
-    "don't recompute" is than the cold sparse pipeline.
-    """
-    import tempfile
-
-    from repro.exec import ArtifactStore, ProcessBackend, SerialBackend
-
-    params = dict(
-        num_servers=8 if quick else 30,
-        num_users=60 if quick else 500,
-        num_models=30 if quick else 300,
-        requests_per_user=12 if quick else 30,
-        deadline_range_s=(1.0, 2.0),
-        library_case="special",
-    )
-    plan = ExperimentPlan(
-        name="bench cache sweep",
-        sweep=SweepSpec(
-            "capacity", (0.15, 0.3) if quick else (0.15, 0.3, 0.6)
-        ),
+def sweep_plan(params, points, num_topologies, prefix="", feasibility="sparse"):
+    """Gen + Independent over capacity ``points``; ``prefix="reference-"``
+    runs the seed solvers under the same labels."""
+    return ExperimentPlan(
+        name="bench sweep",
+        sweep=SweepSpec("capacity", points),
         solvers=(
-            SolverSpec("gen"),
-            SolverSpec("independent"),
+            SolverSpec(f"{prefix}gen", label="Gen"),
+            SolverSpec(f"{prefix}independent", label="Independent"),
         ),
         base=params,
-        num_topologies=2 if quick else 8,
+        num_topologies=num_topologies,
         seed=7,
         scale=1.0,
+        feasibility=feasibility,
     )
-    backend = SerialBackend() if workers <= 1 else ProcessBackend(workers)
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ArtifactStore(tmp)
-        start = time.perf_counter()
-        cold, cold_report = execute_plan(plan, backend=backend, store=store)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm, warm_report = execute_plan(plan, backend=backend, store=store)
-        warm_s = time.perf_counter() - start
-    assert warm_report.cache == "hit", "warm run was not a pure cache hit"
-    assert warm_report.tasks_run == 0
-    identical = warm.to_json() == cold.to_json()
-    assert identical, "warm result set diverges from the cold run"
-    print(
-        f"cache (M={params['num_servers']}, K={params['num_users']}, "
-        f"I={params['num_models']}, {plan.num_topologies} topologies x "
-        f"{len(plan.sweep.points)} points): cold {cold_s:.2f} s "
-        f"({cold_report.tasks_run} tasks), warm {warm_s * 1e3:.1f} ms "
-        f"(hit) — {cold_s / warm_s:.0f}x, byte-identical result"
+
+
+def same_series(left, right) -> bool:
+    return all(
+        (left.series[a].means == right.series[a].means).all()
+        and (left.series[a].stds == right.series[a].stds).all()
+        for a in left.series
     )
-    return {
-        "plan_sweep": {
-            "instance": {**params, "seed": 7},
-            "num_topologies": plan.num_topologies,
-            "sweep_points_gb": list(plan.sweep.points),
-            "backend": backend.name,
-            "tasks": cold_report.tasks_total,
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "speedup_warm_vs_cold": cold_s / warm_s,
-            "warm_is_pure_hit": warm_report.cache == "hit",
-            "result_bytes_identical": identical,
-        }
-    }
 
 
-def kernels_benchmarks(quick: bool, workers: int):
-    """The kernel-level Spec path.
+def gen_section(quick: bool):
+    """Vectorised Gen vs the seed lazy greedy; placements ``==``."""
+    name, seed = "gen_quick" if quick else "gen_paper_tight", 1
+    params = instance_params(quick, 0.06)
+    instance = build_scenario(ScenarioConfig(**params), seed=seed).instance
+    (seed_s, seed_result), (new_s, new) = alternating_min_cpu(
+        [
+            lambda: ReferenceGen(accelerated=True).solve(instance),
+            lambda: TrimCachingGen(accelerated=True).solve(instance),
+        ],
+        0.3 if quick else 2.0,
+    )
+    assert new.placement == seed_result.placement, f"{name}: placements diverge"
+    speedup = seed_s / new_s
+    record = {name: {
+        "instance": {**params, "seed": seed},
+        "greedy_steps": new.stats["greedy_steps"],
+        "hit_ratio": round(new.hit_ratio, 6),
+        "seed_lazy_s": seed_s,
+        "new_accelerated_s": new_s,
+        "speedup_vs_seed_lazy": speedup,
+    }}
+    gate = Gate("gen", f"Gen ({name}) vs seed lazy", speedup, GEN_TARGET_SPEEDUP)
+    return record, [gate]
 
-    ``spec_kernel`` — Spec with the LP prefix prune + memoised value-DP
-    tables (the defaults) vs the prior traversal (both knobs off) on the
-    paper-density instance; byte-identical placements asserted, target
-    ``SPEC_KERNEL_TARGET_SPEEDUP``.
+
+def sweep_section(quick: bool):
+    """Seed solvers on dense feasibility vs solvers on sparse; serial.
+
+    Both sides run in this process, so ``process_time`` sees all of
+    their work; the series are asserted ``==``.
     """
-    budget = 0.3 if quick else 2.0
-    params = dict(
-        num_servers=8 if quick else 30,
-        num_users=48 if quick else 200,
-        num_models=30 if quick else 120,
-        requests_per_user=12 if quick else 30,
-        storage_bytes=int(0.12 * GB),
-        library_case="special",
+    params = sweep_params(quick)
+    num_topologies = 2 if quick else 8
+    points = (0.15, 0.3) if quick else (0.15, 0.3, 0.6)
+
+    seed_plan = sweep_plan(params, points, num_topologies, "reference-", "dense")
+    plan = sweep_plan(params, points, num_topologies)
+    (seed_s, seed_result), (sparse_s, sparse_result) = alternating_min_cpu(
+        [lambda: execute_plan(seed_plan)[0], lambda: execute_plan(plan)[0]],
+        0.3 if quick else 0.0,
+        min_reps=2,
     )
+    assert same_series(seed_result, sparse_result), "sweep series diverge"
+    speedup = seed_s / sparse_s
+    record = {"paper_sweep": {
+        "instance": {**params, "seed": 7},
+        "num_topologies": num_topologies,
+        "sweep_points_gb": list(points),
+        "seed_dense_serial_s": seed_s,
+        "sparse_serial_s": sparse_s,
+        "speedup_end_to_end": speedup,
+    }}
+    gate = Gate("sweep", "Sweep, seed dense -> sparse", speedup, SWEEP_TARGET_SPEEDUP)
+    return record, [gate]
+
+
+def kernels_section(quick: bool):
+    """Spec at its defaults vs the prior traversal; placements ``==``."""
+    params = instance_params(quick, 0.12, library_case="special")
     name = "spec_kernel_quick" if quick else "spec_kernel"
     instance = build_scenario(ScenarioConfig(**params), seed=42).instance
-    legacy_s, legacy_result = timeit(
-        lambda: TrimCachingSpec(
-            epsilon=0.1, knapsack_cache=False, prefix_prune=False
-        ).solve(instance),
-        budget,
-        min_reps=2,
+    (legacy_s, legacy), (new_s, new) = alternating_min_cpu(
+        [
+            lambda: TrimCachingSpec(
+                epsilon=0.1, knapsack_cache=False, prefix_prune=False
+            ).solve(instance),
+            lambda: TrimCachingSpec(epsilon=0.1).solve(instance),
+        ],
+        0.3 if quick else 2.0,
+        min_reps=3,
     )
-    new_s, new_result = timeit(
-        lambda: TrimCachingSpec(epsilon=0.1).solve(instance),
-        budget,
-        min_reps=2,
-    )
-    identical = new_result.placement == legacy_result.placement
-    assert identical, "kernel-level Spec placements diverge"
+    assert new.placement == legacy.placement, f"{name}: placements diverge"
     speedup = legacy_s / new_s
-    print(
-        f"{name}: prior traversal {legacy_s * 1e3:.2f} ms, "
-        f"pruned+cached {new_s * 1e3:.2f} ms ({speedup:.2f}x, "
-        f"target {SPEC_KERNEL_TARGET_SPEEDUP}x), "
-        f"{new_result.stats['knapsack_cache_hits']} table hits / "
-        f"{new_result.stats['knapsack_cache_misses']} misses, "
-        f"identical placements"
-    )
-    return {
-        name: {
-            "instance": {**params, "seed": 42},
-            "hit_ratio": round(new_result.hit_ratio, 6),
-            "legacy_traversal_s": legacy_s,
-            "pruned_cached_s": new_s,
-            "speedup": speedup,
-            "knapsack_cache_hits": new_result.stats["knapsack_cache_hits"],
-            "knapsack_cache_misses": new_result.stats["knapsack_cache_misses"],
-            "placements_identical": identical,
-        },
-    }
+    record = {name: {
+        "instance": {**params, "seed": 42},
+        "hit_ratio": round(new.hit_ratio, 6),
+        "legacy_traversal_s": legacy_s,
+        "pruned_cached_s": new_s,
+        "speedup": speedup,
+        "knapsack_cache_hits": new.stats["knapsack_cache_hits"],
+        "knapsack_cache_misses": new.stats["knapsack_cache_misses"],
+    }}
+    gate = Gate("spec_kernel", f"Spec kernel ({name}) vs prior traversal",
+                speedup, SPEC_KERNEL_TARGET_SPEEDUP)
+    return record, [gate]
 
 
-def scenario_benchmarks(quick: bool):
-    """Batched scenario build (``rng_scheme="v2"``) vs the seed loops.
+def scenario_section(quick: bool):
+    """The RNG-governed scenario stage, ``rng_scheme`` v1 vs v2.
 
-    Times the RNG-governed stage of :func:`build_scenario` — popularity/
-    demand draws plus per-user QoS construction, the code the scheme
-    versioning covers — under both schemes, and the end-to-end build for
-    honesty (feasibility construction is scheme-independent and
-    dominates the remainder). Each pair of stages is timed as min-of-N
-    CPU-time samples taken in alternation (:func:`alternating_min_cpu`):
-    the stages last ~10-30 ms, and wall-clock means of them swung the
-    ratio across the 3x target from run to run.
+    The schemes draw different streams, so there is no ``==`` guard;
+    both must build a demand matrix of the same shape whose rows sum
+    to one.
     """
     from repro.network.geometry import uniform_coords, uniform_points
     from repro.network.users import User, UserBatch
     from repro.sim.scenario import _build_demand
     from repro.utils.rng import RngFactory
 
-    params = dict(
-        num_servers=8 if quick else 30,
-        num_users=60 if quick else 500,
-        num_models=30 if quick else 300,
-        requests_per_user=12 if quick else 30,
-        deadline_range_s=(1.0, 2.0),
-        library_case="special",
-    )
-    budget = 0.3 if quick else 1.5
+    params = sweep_params(quick)
 
     def rng_stage(config):
-        """The draws `rng_scheme` governs, exactly as build_scenario
-        sequences them: per-user QoS vectors, then the demand matrix."""
+        """The draws ``rng_scheme`` governs, in build_scenario's order:
+        user positions and QoS vectors, then the demand matrix."""
         factory = RngFactory(7)
         qos_rng = factory.child("qos")
+        deadline, inference = (
+            config.deadline_range_s, config.inference_latency_range_s
+        )
+        area, users_rng = config.area_side_m, factory.child("user-positions")
         if config.rng_scheme == "v2":
-            positions = uniform_coords(
-                config.num_users,
-                config.area_side_m,
-                factory.child("user-positions"),
-            )
-            deadlines = qos_rng.uniform(
-                config.deadline_range_s[0],
-                config.deadline_range_s[1],
-                size=(config.num_users, config.num_models),
-            )
-            inference = qos_rng.uniform(
-                config.inference_latency_range_s[0],
-                config.inference_latency_range_s[1],
-                size=(config.num_users, config.num_models),
-            )
+            shape = (config.num_users, config.num_models)
             users = UserBatch(
-                positions, deadlines, inference, config.active_probability
+                uniform_coords(config.num_users, area, users_rng),
+                qos_rng.uniform(*deadline, size=shape),
+                qos_rng.uniform(*inference, size=shape),
+                config.active_probability,
             )
         else:
-            # The seed's per-user loop, word for word: the target is
-            # defined against it.
-            positions = uniform_points(
-                config.num_users,
-                config.area_side_m,
-                factory.child("user-positions"),
-            )
+            # The seed's per-user loop: the target is defined against it.
+            positions = uniform_points(config.num_users, area, users_rng)
+            per_user = config.num_models
             users = [
                 User(
                     user_id=index,
                     position=position,
-                    deadlines_s=qos_rng.uniform(
-                        config.deadline_range_s[0],
-                        config.deadline_range_s[1],
-                        size=config.num_models,
-                    ),
+                    deadlines_s=qos_rng.uniform(*deadline, size=per_user),
                     inference_latency_s=qos_rng.uniform(
-                        config.inference_latency_range_s[0],
-                        config.inference_latency_range_s[1],
-                        size=config.num_models,
+                        *inference, size=per_user
                     ),
                     active_probability=config.active_probability,
                 )
                 for index, position in enumerate(positions)
             ]
-        demand = _build_demand(config, factory.child("demand"))
-        return users, demand
+        return users, _build_demand(config, factory.child("demand"))
 
     v1_config = ScenarioConfig(**params)
     v2_config = ScenarioConfig(**params, rng_scheme="v2")
-    (v1_stage_s, (_, v1_demand)), (v2_stage_s, (_, v2_demand)) = (
-        alternating_min_cpu(
-            [lambda: rng_stage(v1_config), lambda: rng_stage(v2_config)],
-            2 * budget,
-        )
+    (v1_s, (_, v1_demand)), (v2_s, (_, v2_demand)) = alternating_min_cpu(
+        [lambda: rng_stage(v1_config), lambda: rng_stage(v2_config)],
+        0.6 if quick else 3.0,
     )
-    # Same library, same per-row Zipf weights: the schemes agree on the
-    # demand support statistics even though the streams differ.
     assert v1_demand.shape == v2_demand.shape
     assert np.allclose(v1_demand.sum(axis=1), 1.0)
     assert np.allclose(v2_demand.sum(axis=1), 1.0)
-    library = build_scenario(v1_config, seed=7).library
-    (v1_build_s, _), (v2_build_s, _) = alternating_min_cpu(
-        [
-            lambda: build_scenario(v1_config, seed=7, library=library),
-            lambda: build_scenario(v2_config, seed=7, library=library),
-        ],
-        2 * budget,
-        min_reps=2,
-    )
-    speedup = v1_stage_s / v2_stage_s
-    print(
-        f"scenario (K={params['num_users']}, I={params['num_models']}): "
-        f"RNG stage v1 {v1_stage_s * 1e3:.2f} ms, v2 "
-        f"{v2_stage_s * 1e3:.2f} ms ({speedup:.2f}x, target "
-        f"{SCENARIO_TARGET_SPEEDUP}x); full build v1 "
-        f"{v1_build_s * 1e3:.2f} ms, v2 {v2_build_s * 1e3:.2f} ms "
-        f"({v1_build_s / v2_build_s:.2f}x end-to-end)"
-    )
-    return {
-        "scenario_build": {
-            "instance": {**params, "seed": 7},
-            "v1_rng_stage_s": v1_stage_s,
-            "v2_rng_stage_s": v2_stage_s,
-            "speedup_rng_stage": speedup,
-            "v1_full_build_s": v1_build_s,
-            "v2_full_build_s": v2_build_s,
-            "speedup_full_build": v1_build_s / v2_build_s,
-            "note": (
-                "full build includes the scheme-independent feasibility "
-                "construction; the target applies to the RNG stage"
-            ),
-        }
-    }
+    speedup = v1_s / v2_s
+    record = {"scenario_build": {
+        "instance": {**params, "seed": 7},
+        "v1_rng_stage_s": v1_s,
+        "v2_rng_stage_s": v2_s,
+        "speedup_rng_stage": speedup,
+    }}
+    gate = Gate("scenario", "Scenario RNG stage", speedup, SCENARIO_TARGET_SPEEDUP)
+    return record, [gate]
 
 
-def serve_benchmarks(quick: bool):
-    """Resident service vs stateless re-solve on a seeded event stream.
+def serve_section(quick: bool):
+    """Resident service vs stateless re-solve on one seeded trace.
 
-    Both sides process the *same* mutated-scenario sequence: the
-    resident :class:`PlacementService` refreshes the changed tracker
-    columns and re-runs the greedy on a clone of its warm tracker per
-    event, the baseline rebuilds latency/feasibility and solves from
-    scratch per event. Every post-event hit ratio is asserted ``==``
-    (and the final placements byte-identical) before anything is timed
-    as a speedup — the serving layer's pinned exactness contract.
-
-    Per-event latencies are the best over several full passes of the
-    trace (fresh service each pass), matching the best-of timing the
-    other sections use to shed single-core container noise; the scratch
-    baseline gets the same treatment, so the ratio is noise-damped on
-    both sides.
+    Both sides process the same mutated-scenario sequence. Every
+    post-event hit ratio is asserted ``==`` and the final placements
+    equal before the per-event latencies (best over passes, a fresh
+    service each pass) are compared.
     """
     if quick:
-        key = "serve_quick"
+        key, seed, num_events, passes = "serve_quick", 7, 40, 2
         params = dict(num_servers=6, num_users=40, num_models=24,
                       requests_per_user=8, storage_bytes=int(0.12 * GB))
-        seed, num_events, trace_seed = 7, 40, 2
-        scratch_passes, serve_passes, route_budget = 2, 2, 0.1
         target = SERVE_QUICK_TARGET_SPEEDUP
     else:
-        key = "serve_paper"
-        params = dict(num_servers=30, num_users=200, num_models=120,
-                      requests_per_user=30,
-                      storage_bytes=int(0.06 * GB))
-        seed, num_events, trace_seed = 1, 80, 2
-        scratch_passes, serve_passes, route_budget = 2, 3, 0.3
+        key, seed, num_events, passes = "serve_paper", 1, 80, 3
+        params = instance_params(False, 0.06)
         target = SERVE_TARGET_SPEEDUP
-
     scenario = build_scenario(ScenarioConfig(**params), seed=seed)
-    events = list(generate_event_trace(scenario, num_events, seed=trace_seed))
+    events = list(generate_event_trace(scenario, num_events, seed=2))
 
-    # Stateless baseline: per-event rebuild + solve, best over passes.
-    scratch = resolve_from_scratch(scenario, events, solver="gen")
-    scratch_s = np.array([record.seconds for record in scratch])
-    for _ in range(scratch_passes - 1):
-        again = resolve_from_scratch(scenario, events, solver="gen")
-        scratch_s = np.minimum(
-            scratch_s, [record.seconds for record in again]
-        )
-
-    resident_s = None
-    modes: list = []
-    counters: dict = {}
-    service = None
-    initial_solve_s = float("inf")
-    for pass_index in range(serve_passes):
+    scratch_s = np.full(num_events, np.inf)
+    resident_s = np.full(num_events, np.inf)
+    for _ in range(passes):
+        scratch = resolve_from_scratch(scenario, events, solver="gen")
+        scratch_s = np.minimum(scratch_s, [r.seconds for r in scratch])
         service = PlacementService(scenario, solver="gen")
-        initial_solve_s = min(initial_solve_s, service.initial_solve_s)
-        pass_results = service.process_trace(events)
-        latencies = np.array([result.latency_s for result in pass_results])
-        resident_s = (
-            latencies if resident_s is None else np.minimum(resident_s, latencies)
+        served = service.process_trace(events)
+        resident_s = np.minimum(resident_s, [r.latency_s for r in served])
+        for record, result in zip(scratch, served):
+            assert record.hit_ratio == result.hit_ratio
+        assert np.array_equal(
+            service.state.placement.matrix, scratch[-1].placement.matrix
         )
-        if pass_index == 0:
-            modes = [result.mode for result in pass_results]
-            counters = dict(service.counters)
-            # The pinned equivalence contract, re-checked here so the
-            # reported speedup can never come from a divergent answer.
-            for record, result in zip(scratch, pass_results):
-                assert record.hit_ratio == result.hit_ratio
-            assert np.array_equal(
-                service.state.placement.matrix, scratch[-1].placement.matrix
-            )
 
-    ratios = scratch_s / resident_s
-    median_event_speedup = float(np.median(ratios))
-    ratio_of_medians = float(np.median(scratch_s) / np.median(resident_s))
-    mode_arr = np.array(modes)
-    mode_median_latency_s = {
-        mode: float(np.median(resident_s[mode_arr == mode]))
-        for mode in ("full", "noop")
-        if (mode_arr == mode).any()
-    }
-
-    # Sustained read-side throughput: route() against the live placement.
-    rng = np.random.default_rng(0)
-    route_users = rng.integers(0, scenario.instance.num_users, size=512)
-    route_models = rng.integers(0, scenario.instance.num_models, size=512)
-    route_pairs = [
-        (int(user), int(model))
-        for user, model in zip(route_users, route_models)
-    ]
-    route_s, _ = timeit(
-        lambda: [service.route(user, model) for user, model in route_pairs],
-        route_budget,
-    )
-    route_queries_per_s = len(route_pairs) / route_s
-
-    print(
-        f"serve ({key}: M={params['num_servers']}, K={params['num_users']}, "
-        f"I={params['num_models']}, {num_events} events): resident median "
-        f"{np.median(resident_s) * 1e3:.2f} ms, scratch median "
-        f"{np.median(scratch_s) * 1e3:.2f} ms — {median_event_speedup:.2f}x "
-        f"median per-event (target {target}x); "
-        f"route {route_queries_per_s:,.0f} q/s"
-    )
-    return {
-        key: {
-            "instance": {**params, "seed": seed},
-            "trace": {
-                "num_events": num_events,
-                "seed": trace_seed,
-                "serve_passes": serve_passes,
-                "scratch_passes": scratch_passes,
-            },
-            "solver": "gen",
-            "counters": counters,
-            "initial_solve_s": initial_solve_s,
-            "resident_median_s": float(np.median(resident_s)),
-            "resident_p90_s": float(np.percentile(resident_s, 90)),
-            "scratch_median_s": float(np.median(scratch_s)),
-            "mode_median_latency_s": mode_median_latency_s,
-            "speedup_median_event": median_event_speedup,
-            "speedup_ratio_of_medians": ratio_of_medians,
-            "route_queries_per_s": route_queries_per_s,
-        }
-    }
+    speedup = float(np.median(scratch_s / resident_s))
+    record = {key: {
+        "instance": {**params, "seed": seed},
+        "trace": {"num_events": num_events, "seed": 2, "passes": passes},
+        "solver": "gen",
+        "counters": dict(service.counters),
+        "resident_median_s": float(np.median(resident_s)),
+        "resident_p90_s": float(np.percentile(resident_s, 90)),
+        "scratch_median_s": float(np.median(scratch_s)),
+        "speedup_median_event": speedup,
+    }}
+    return record, [Gate("serve", f"Serve ({key}) per event", speedup, target)]
 
 
-def obs_benchmarks(quick: bool):
-    """Observability overhead on the sweep bench path.
+def obs_section(quick: bool):
+    """A sweep with obs off vs metrics + tracing on; series ``==``.
 
-    Three numbers, all against the same serial sparse sweep:
-
-    * ``disabled_overhead_est`` — instrumentation cost when obs is off.
-      The disabled path cannot be timed differentially (the no-op calls
-      are ~ns against a multi-second sweep, far below run-to-run noise),
-      so it is *bounded* instead: the span count an enabled run records
-      (== the number of ``obs.span`` calls the disabled run makes)
-      times the measured cost of one disabled span call.
-    * ``enabled_overhead`` — measured: best-of-N enabled wall clock over
-      best-of-N disabled, minus one (clamped at 0; at quick scale the
-      difference sits inside scheduler noise).
-    * series identity: the enabled and disabled sweeps must produce
-      ``==``-identical hit-ratio series — telemetry never touches a
-      result byte.
+    The disabled path's cost (~ns per no-op span against a sweep of
+    seconds) is below any differential timing, so it is bounded
+    instead: the enabled run's span count (the number of ``obs.span``
+    calls the disabled run makes) times the CPU cost of one no-op call.
     """
-    from repro import obs
-
-    params = dict(
-        num_servers=8 if quick else 30,
-        num_users=60 if quick else 200,
-        num_models=30 if quick else 120,
-        requests_per_user=12 if quick else 30,
-        deadline_range_s=(1.0, 2.0),
-        library_case="special",
-    )
+    params = sweep_params(quick, num_users=200, num_models=120)
     num_topologies = 2 if quick else 4
-    points = [0.15, 0.3]
-    passes = 2 if quick else 3
-    plan = ExperimentPlan(
-        name="obs bench sweep",
-        sweep=SweepSpec("capacity", tuple(points)),
-        solvers=(
-            SolverSpec("gen", label="Gen"),
-            SolverSpec("independent", label="Independent"),
-        ),
-        base=params,
-        num_topologies=num_topologies,
-        seed=7,
-        scale=1.0,
-    )
+    plan = sweep_plan(params, (0.15, 0.3), num_topologies)
+    spans = []
 
-    def run_sweep():
-        start = time.perf_counter()
-        result, _ = execute_plan(plan)
-        return time.perf_counter() - start, result
+    def enabled():
+        obs.enable(metrics=True, tracing=True)
+        try:
+            result = execute_plan(plan)[0]
+            spans[:] = [len(obs.tracer().spans)]
+        finally:
+            obs.disable()
+        return result
 
     obs.disable()
-    disabled_s, disabled_result = float("inf"), None
-    for _ in range(passes):
-        elapsed, disabled_result = run_sweep()
-        disabled_s = min(disabled_s, elapsed)
-    enabled_s, enabled_result, span_count, metric_count = (
-        float("inf"),
-        None,
-        0,
-        0,
+    (disabled_s, dark), (enabled_s, lit) = alternating_min_cpu(
+        [lambda: execute_plan(plan)[0], enabled],
+        0.3 if quick else 0.0,
+        min_reps=3,
     )
-    for _ in range(passes):
-        obs.enable(metrics=True, tracing=True)
-        elapsed, enabled_result = run_sweep()
-        enabled_s = min(enabled_s, elapsed)
-        span_count = len(obs.tracer().spans)
-        metric_count = len(obs.registry())
-        obs.disable()
-    identical = all(
-        (disabled_result.series[a].means == enabled_result.series[a].means).all()
-        and (disabled_result.series[a].stds == enabled_result.series[a].stds).all()
-        for a in disabled_result.series
-    )
-    assert identical, "obs on/off sweeps diverge — telemetry leaked into results"
+    assert same_series(dark, lit), "obs on/off sweeps diverge"
 
-    # Cost of one disabled obs.span call (attribute check + shared noop).
     reps = 200_000
-    probe = obs.span  # obs is disabled here
-    start = time.perf_counter()
+    began = time.process_time()
     for _ in range(reps):
-        with probe("obs.bench.noop"):
+        with obs.span("obs.bench.noop"):
             pass
-    noop_span_s = (time.perf_counter() - start) / reps
-    disabled_overhead = span_count * noop_span_s / disabled_s
+    noop_span_s = (time.process_time() - began) / reps
+    disabled_overhead = spans[0] * noop_span_s / disabled_s
     enabled_overhead = max(0.0, enabled_s / disabled_s - 1.0)
-    print(
-        f"obs (M={params['num_servers']}, K={params['num_users']}, "
-        f"I={params['num_models']}, {num_topologies} topologies x "
-        f"{len(points)} points): disabled {disabled_s:.2f} s, enabled "
-        f"{enabled_s:.2f} s ({enabled_overhead:.2%} overhead, target "
-        f"{OBS_ENABLED_OVERHEAD_TARGET:.0%}); {span_count} spans, noop "
-        f"span {noop_span_s * 1e9:.0f} ns -> disabled est "
-        f"{disabled_overhead:.4%} (target {OBS_DISABLED_OVERHEAD_TARGET:.0%}); "
-        f"identical series"
-    )
-    return {
-        "sweep_overhead": {
-            "instance": {**params, "seed": 7},
-            "num_topologies": num_topologies,
-            "sweep_points_gb": points,
-            "passes": passes,
-            "disabled_s": disabled_s,
-            "enabled_s": enabled_s,
-            "enabled_overhead": enabled_overhead,
-            "enabled_overhead_target": OBS_ENABLED_OVERHEAD_TARGET,
-            "spans_recorded": span_count,
-            "metric_series": metric_count,
-            "noop_span_ns": noop_span_s * 1e9,
-            "disabled_overhead_est": disabled_overhead,
-            "disabled_overhead_target": OBS_DISABLED_OVERHEAD_TARGET,
-            "series_identical": identical,
-        }
-    }
+    record = {"sweep_overhead": {
+        "instance": {**params, "seed": 7},
+        "num_topologies": num_topologies,
+        "sweep_points_gb": [0.15, 0.3],
+        "disabled_s": disabled_s,
+        "enabled_s": enabled_s,
+        "enabled_overhead": enabled_overhead,
+        "spans_recorded": spans[0],
+        "noop_span_ns": noop_span_s * 1e9,
+        "disabled_overhead_est": disabled_overhead,
+    }}
+    gates = [
+        Gate("obs_enabled_overhead", "Obs enabled slowdown",
+             enabled_overhead, OBS_ENABLED_OVERHEAD_TARGET, at_most=True),
+        Gate("obs_disabled_overhead", "Obs disabled estimate",
+             disabled_overhead, OBS_DISABLED_OVERHEAD_TARGET, at_most=True),
+    ]
+    return record, gates
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small instances (CI smoke run)"
-    )
+    parser = argparse.ArgumentParser(description="Time the seven speed targets.")
+    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
     parser.add_argument(
         "--strict",
         action="store_true",
-        help=f"exit non-zero if Gen speedup < {GEN_TARGET_SPEEDUP}x",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for the parallel sweep / Spec entries",
+        help="exit 1 if a target is unmet (full mode only)",
     )
     parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_solvers.json",
-        help="where to write the JSON results",
-    )
-    section_names = (
-        "gen",
-        "spec",
-        "dp",
-        "sparse",
-        "sweep",
-        "cache",
-        "kernels",
-        "scenario",
-        "serve",
-        "obs",
-    )
-    parser.add_argument(
-        "--section",
-        action="append",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help="run only these sections (repeatable / comma-separated; "
-        f"choices: {', '.join(section_names)}; default: all). A partial "
-        "run merges into an existing output file, keeping the other "
-        "sections' previous numbers",
+        help="results file; keys this script does not write are kept",
     )
     args = parser.parse_args(argv)
 
-    if args.section is None:
-        selected = list(section_names)
-    else:
-        selected = [
-            token.strip()
-            for entry in args.section
-            for token in entry.split(",")
-            if token.strip()
-        ]
-        unknown = sorted(set(selected) - set(section_names))
-        if unknown:
-            parser.error(
-                f"unknown --section {', '.join(unknown)} "
-                f"(choices: {', '.join(section_names)})"
-            )
-
-    runners = {
-        "gen": lambda: gen_benchmarks(args.quick),
-        "spec": lambda: spec_benchmarks(args.quick, args.workers),
-        "dp": lambda: dp_benchmarks(args.quick),
-        "sparse": lambda: sparse_benchmarks(args.quick),
-        "sweep": lambda: sweep_benchmarks(args.quick, args.workers),
-        "cache": lambda: cache_benchmarks(args.quick, args.workers),
-        "kernels": lambda: kernels_benchmarks(args.quick, args.workers),
-        "scenario": lambda: scenario_benchmarks(args.quick),
-        "serve": lambda: serve_benchmarks(args.quick),
-        "obs": lambda: obs_benchmarks(args.quick),
+    # Looked up at call time, in run order; each is an output key.
+    sections = {
+        "gen": gen_section,
+        "sweep": sweep_section,
+        "kernels": kernels_section,
+        "scenario": scenario_section,
+        "serve": serve_section,
+        "obs": obs_section,
     }
+    meta = {
+        "quick": args.quick,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+    }
+    results = {"meta": meta}
+    gates = []
+    for name, section in sections.items():
+        results[name], section_gates = section(args.quick)
+        for gate in section_gates:
+            meta[f"{gate.name}_target"] = gate.bound
+            meta[f"{gate.name}_target_met"] = gate.met
+            print(gate.line(), flush=True)
+        gates.extend(section_gates)
 
-    # A partial --section run merges into the existing file so the
-    # untouched sections keep their previous numbers (and target flags).
-    results = {}
-    if args.section is not None and args.output.exists():
-        try:
-            results = json.loads(args.output.read_text())
-        except (OSError, ValueError):
-            results = {}
-    results.setdefault("meta", {})
-    results["meta"].update(
-        {
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "gen_target_speedup": GEN_TARGET_SPEEDUP,
-            "sweep_target_speedup": SWEEP_TARGET_SPEEDUP,
-            "spec_kernel_target_speedup": SPEC_KERNEL_TARGET_SPEEDUP,
-            "scenario_target_speedup": SCENARIO_TARGET_SPEEDUP,
-            "serve_target_speedup": SERVE_TARGET_SPEEDUP,
-            "obs_disabled_overhead_target": OBS_DISABLED_OVERHEAD_TARGET,
-            "obs_enabled_overhead_target": OBS_ENABLED_OVERHEAD_TARGET,
-        }
-    )
-    for name in section_names:
-        if name in selected:
-            results[name] = runners[name]()
-
-    checks = []
-    if "gen" in selected:
-        gen_key = "gen_quick" if args.quick else "gen_paper_tight"
-        speedup = results["gen"][gen_key]["speedup_vs_seed_lazy"]
-        met = speedup >= GEN_TARGET_SPEEDUP
-        results["meta"]["gen_target_met"] = bool(met)
-        checks.append(
-            (f"Gen acceptance ({gen_key}): {speedup:.1f}x vs seed lazy",
-             GEN_TARGET_SPEEDUP, met)
-        )
-    if "sweep" in selected:
-        sweep_speedup = results["sweep"]["paper_sweep"]["speedup_end_to_end"]
-        met = sweep_speedup >= SWEEP_TARGET_SPEEDUP
-        results["meta"]["sweep_target_met"] = bool(met)
-        checks.append(
-            (f"Sweep acceptance: {sweep_speedup:.1f}x end-to-end "
-             "(seed path -> sparse path)", SWEEP_TARGET_SPEEDUP, met)
-        )
-    if "kernels" in selected:
-        kernel_key = "spec_kernel_quick" if args.quick else "spec_kernel"
-        kernel_speedup = results["kernels"][kernel_key]["speedup"]
-        met = kernel_speedup >= SPEC_KERNEL_TARGET_SPEEDUP
-        results["meta"]["spec_kernel_target_met"] = bool(met)
-        checks.append(
-            (f"Spec kernel acceptance ({kernel_key}): {kernel_speedup:.2f}x "
-             "vs prior traversal", SPEC_KERNEL_TARGET_SPEEDUP, met)
-        )
-    if "scenario" in selected:
-        scenario_speedup = results["scenario"]["scenario_build"][
-            "speedup_rng_stage"
-        ]
-        met = scenario_speedup >= SCENARIO_TARGET_SPEEDUP
-        results["meta"]["scenario_target_met"] = bool(met)
-        checks.append(
-            (f"Scenario acceptance: {scenario_speedup:.2f}x RNG stage "
-             "(v1 -> v2)", SCENARIO_TARGET_SPEEDUP, met)
-        )
-
-    if "serve" in selected:
-        serve_key = "serve_quick" if args.quick else "serve_paper"
-        serve_speedup = results["serve"][serve_key]["speedup_median_event"]
-        serve_target = (
-            SERVE_QUICK_TARGET_SPEEDUP if args.quick else SERVE_TARGET_SPEEDUP
-        )
-        met = serve_speedup >= serve_target
-        if not args.quick:
-            # The quick run's small instances cannot hit the paper-scale
-            # ratio; the pinned flag is full-scale only.
-            results["meta"]["serve_target_met"] = bool(met)
-        checks.append(
-            (f"Serve acceptance ({serve_key}): {serve_speedup:.1f}x median "
-             "per-event resident vs stateless re-solve", serve_target, met)
-        )
-
-    if "obs" in selected:
-        entry = results["obs"]["sweep_overhead"]
-        met = (
-            entry["disabled_overhead_est"] <= OBS_DISABLED_OVERHEAD_TARGET
-            and entry["enabled_overhead"] <= OBS_ENABLED_OVERHEAD_TARGET
-        )
-        if not args.quick:
-            # Quick instances are too small to damp scheduler noise in
-            # the enabled/disabled ratio; the pinned flag is full-scale.
-            results["meta"]["obs_target_met"] = bool(met)
-        print(
-            f"Obs acceptance: disabled est "
-            f"{entry['disabled_overhead_est']:.4%} "
-            f"(target <= {OBS_DISABLED_OVERHEAD_TARGET:.0%}), enabled "
-            f"{entry['enabled_overhead']:.2%} "
-            f"(target <= {OBS_ENABLED_OVERHEAD_TARGET:.0%}) — "
-            f"{'MET' if met else 'NOT MET'}"
-        )
-
+    # Keep every top-level key another script wrote (``scale``).
+    if args.output.exists():
+        previous = json.loads(args.output.read_text())
+        for key, value in previous.items():
+            results.setdefault(key, value)
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.output}")
-    for label, target, met in checks:
-        print(f"{label} — target {target}x {'MET' if met else 'NOT MET'}")
-    if (
-        args.strict
-        and not args.quick
-        and not all(met for _, _, met in checks)
-    ):
+    if args.strict and not args.quick and not all(g.met for g in gates):
         return 1
     return 0
 

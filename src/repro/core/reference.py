@@ -7,7 +7,9 @@ the originals were moved here *verbatim* so that
 * the equivalence test suite can assert the new paths produce
   **bit-identical placements** (same tie-breaking) on randomized
   instances, and
-* ``benchmarks/bench_perf.py`` can record seed-vs-new timings.
+* ``benchmarks/bench_perf.py`` can time two speed gates against
+  them: Gen (:class:`ReferenceGen`) and the sweep (the
+  ``reference-gen``/``reference-independent`` registry solvers).
 
 Nothing here should be "improved": this module is the behavioural
 baseline. Production code lives in :mod:`repro.core.objective`,

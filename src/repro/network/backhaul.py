@@ -9,10 +9,12 @@ and extensions can model heterogeneous links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.utils.units import GBPS
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -24,18 +26,46 @@ class Backhaul:
     default_rate_bps:
         ``C_{m,m'}`` for every pair without an override.
     overrides:
-        Optional per-(m, m') symmetric rate overrides.
+        Optional per-(m, m') symmetric rate overrides. Keys are pairs of
+        distinct non-negative server ids in either order; they are
+        stored as ``(min, max)``, and two orders of one pair must carry
+        the same rate.
     """
 
     default_rate_bps: float = 10 * GBPS
     overrides: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.default_rate_bps <= 0:
-            raise ConfigurationError("default_rate_bps must be positive")
+        check_positive("default_rate_bps", self.default_rate_bps)
+        normalised: Dict[Tuple[int, int], float] = {}
         for pair, rate in self.overrides.items():
-            if rate <= 0:
-                raise ConfigurationError(f"override rate for {pair} must be positive")
+            if not (
+                isinstance(pair, tuple)
+                and len(pair) == 2
+                and all(
+                    isinstance(server, Integral)
+                    and not isinstance(server, bool)
+                    and server >= 0
+                    for server in pair
+                )
+            ):
+                raise ConfigurationError(
+                    f"override key {pair!r} must be a pair of non-negative "
+                    "integer server ids"
+                )
+            if pair[0] == pair[1]:
+                raise ConfigurationError(
+                    f"override key {pair!r} pairs a server with itself"
+                )
+            check_positive(f"override rate for {pair}", rate)
+            key = (int(min(pair)), int(max(pair)))
+            if normalised.get(key, rate) != rate:
+                raise ConfigurationError(
+                    f"overrides give the pair {key} two rates: "
+                    f"{normalised[key]} and {rate}"
+                )
+            normalised[key] = rate
+        self.overrides = normalised
 
     def rate(self, server_a: int, server_b: int) -> float:
         """Rate of the link between two (distinct) servers, in bits/s."""

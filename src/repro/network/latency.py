@@ -65,11 +65,10 @@ class LatencyModel:
         num = self.topology.num_servers
         backhaul = self.topology.backhaul
         per_bit = np.full((num, num), 1.0 / backhaul.default_rate_bps)
-        # ``Backhaul.rate`` looks a pair up as ``(min, max)``; any other
-        # key (unordered, a self-pair, past the last server) is never read.
+        # ``Backhaul`` stores each override as a ``(min, max)`` pair of
+        # distinct ids, and the topology refuses ids past the last server.
         for (a, b), rate in backhaul.overrides.items():
-            if 0 <= a < b < num:
-                per_bit[a, b] = per_bit[b, a] = 1.0 / rate
+            per_bit[a, b] = per_bit[b, a] = 1.0 / rate
         np.fill_diagonal(per_bit, 0.0)
         return per_bit
 

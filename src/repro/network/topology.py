@@ -74,6 +74,12 @@ class NetworkTopology:
         self.servers: Tuple[EdgeServer, ...] = tuple(servers)
         self.channel = channel or ChannelModel()
         self.backhaul = backhaul or Backhaul()
+        for pair in self.backhaul.overrides:
+            if pair[1] >= len(self.servers):
+                raise TopologyError(
+                    f"backhaul override {pair} names a server past the "
+                    f"last of {len(self.servers)}"
+                )
 
         server_coords = np.array(
             [s.position.as_array() for s in self.servers]

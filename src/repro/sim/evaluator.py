@@ -32,6 +32,7 @@ from repro.network.channel import ChannelModel
 from repro.sim.scenario import Scenario
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.stats import RunningStats
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -74,8 +75,7 @@ class EvalSpec:
                 f"sample_users must be at least 2 per stratum "
                 f"({2 * self.strata}), got {self.sample_users}"
             )
-        if self.z <= 0:
-            raise ValueError(f"z must be positive, got {self.z}")
+        check_positive("z", self.z)
 
 
 @dataclass

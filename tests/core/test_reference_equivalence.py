@@ -174,6 +174,27 @@ class TestGenEquivalence:
         seed_lazy = ReferenceGen(accelerated=True).solve(instance)
         assert vectorised.placement == seed_lazy.placement
 
+    @pytest.mark.parametrize("storage,seed", [(0.06, 1), (0.12, 42)])
+    def test_every_path_agrees_at_paper_scale(self, storage, seed):
+        """``M=30, K=200, I=120``: the seed's lazy and naive greedy and
+        both new paths place the same (the instances the Gen speed gate
+        has timed)."""
+        config = ScenarioConfig(
+            num_servers=30,
+            num_users=200,
+            num_models=120,
+            requests_per_user=30,
+            storage_bytes=int(storage * GB),
+        )
+        instance = build_scenario(config, seed=seed).instance
+        vectorised = TrimCachingGen(accelerated=True).solve(instance)
+        for other in (
+            TrimCachingGen(accelerated=False),
+            ReferenceGen(accelerated=False),
+            ReferenceGen(accelerated=True),
+        ):
+            assert other.solve(instance).placement == vectorised.placement
+
 
 class TestSpecEquivalence:
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.network.backhaul import Backhaul
 from repro.network.channel import ChannelModel
 from repro.network.geometry import Point
@@ -105,26 +105,20 @@ class TestRelayPath:
 class TestBackhaulMatrix:
     """The per-bit matrix reads overrides exactly as ``Backhaul.rate`` does."""
 
+    SERVERS = [Point(0, 0), Point(300, 0), Point(0, 300), Point(300, 300)]
+
     @pytest.mark.parametrize(
         "overrides",
         [
             {},
             {(0, 2): 1 * GBPS},
-            {(2, 0): 1 * GBPS},  # unordered: rate(0, 2) looks up (0, 2)
-            {(1, 1): 1 * GBPS},  # self-pair: never looked up
-            {(1, 4): 1 * GBPS, (-1, 2): 3 * GBPS},  # out of range
-            {(0, 1): 2 * GBPS, (1, 0): 5 * GBPS, (1, 3): 7 * GBPS, (3, 3): 4 * GBPS},
+            {(2, 0): 1 * GBPS},  # stored as (0, 2): rate(0, 2) reads it
+            {(0, 1): 2 * GBPS, (1, 0): 2 * GBPS, (1, 3): 7 * GBPS},
         ],
     )
     def test_equals_rate_loop(self, overrides):
         backhaul = Backhaul(default_rate_bps=9 * GBPS, overrides=overrides)
-        topo = build(
-            [Point(0, 0), Point(300, 0), Point(0, 300), Point(300, 300)],
-            [Point(100, 100)],
-            [[1.0]],
-            [[0.1]],
-            backhaul,
-        )
+        topo = build(self.SERVERS, [Point(100, 100)], [[1.0]], [[0.1]], backhaul)
         per_bit = LatencyModel(topo, np.array([50 * MB]))._backhaul_per_bit
         expected = np.zeros((4, 4))
         for a in range(4):
@@ -132,6 +126,24 @@ class TestBackhaulMatrix:
                 if a != b:
                     expected[a, b] = 1.0 / backhaul.rate(a, b)
         assert per_bit.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {(1, 1): 1 * GBPS},  # self-pair
+            {(-1, 2): 3 * GBPS},  # negative id
+            {(0, 1): 2 * GBPS, (1, 0): 5 * GBPS},  # one pair, two rates
+            {(3, 3): 4 * GBPS},
+        ],
+    )
+    def test_bad_override_keys_refused(self, overrides):
+        with pytest.raises(ConfigurationError):
+            Backhaul(default_rate_bps=9 * GBPS, overrides=overrides)
+
+    def test_override_past_last_server_refused(self):
+        backhaul = Backhaul(overrides={(1, 4): 1 * GBPS})
+        with pytest.raises(TopologyError, match="past the last of 4"):
+            build(self.SERVERS, [Point(100, 100)], [[1.0]], [[0.1]], backhaul)
 
 
 class TestWithFadedRates:

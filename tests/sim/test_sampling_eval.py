@@ -133,8 +133,9 @@ class TestSampledEvaluation:
             EvalSpec(sample_users=10, strata=0)
         with pytest.raises(ValueError, match="at least 2 per stratum"):
             EvalSpec(sample_users=5, strata=4)
-        with pytest.raises(ValueError, match="z"):
-            EvalSpec(sample_users=10, strata=2, z=0.0)
+        for z in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="z"):
+                EvalSpec(sample_users=10, strata=2, z=z)
 
     def test_too_many_strata_for_population(self, solved):
         scenario, placement = solved
