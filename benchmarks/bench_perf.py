@@ -4,10 +4,10 @@ Each target times two ways of computing one answer, asserts the two
 answers ``==`` on the timed pair, and holds the ratio to its bound:
 
 * ``gen`` >= 5x: :class:`TrimCachingGen` vs the seed lazy greedy
-  (:class:`ReferenceGen`) on ``gen_paper_tight`` (``M=30, K=200,
+  (``ReferenceGen``) on ``gen_paper_tight`` (``M=30, K=200,
   I=120``, 0.06 GB); placements ``==``.
 * ``sweep`` >= 2x: a capacity sweep (``M=30, K=500, I=300``, 8
-  topologies x 3 points), the ``reference-*`` solvers on dense
+  topologies x 3 points), the seed ``reference-*`` solvers on dense
   feasibility vs the solvers on sparse feasibility, both serial;
   series ``==``.
 * ``spec_kernel`` >= 1.5x: :class:`TrimCachingSpec` at its defaults vs
@@ -24,18 +24,26 @@ answers ``==`` on the timed pair, and holds the ratio to its bound:
 * ``obs_disabled_overhead`` <= 1%: that sweep's span count times the
   cost of one disabled ``obs.span`` call, over the sweep.
 
+The seed side of the Gen and sweep pairs is the test oracles in
+``tests/oracles/reference.py``: ``ReferenceGen``, and the
+``reference-gen``/``reference-independent`` solvers of its
+``ORACLE_SOLVERS`` registry. The script puts ``tests/`` on ``sys.path``
+to load them.
+
 Each CPU-bound pair is timed by :func:`alternating_min_cpu` (min-of-N
 ``time.process_time``, the two sides in turn); serve compares the
 per-event latencies both paths measure themselves, best over passes.
-Results go to ``--output`` (default ``BENCH_solvers.json``): ``meta``
-holds each target and whether it is met, and each section has its own
-key. Every other top-level key already in the file (``bench_scale.py``
-writes ``scale``) is written back unchanged.
+Results go to ``--output`` (full mode's default ``BENCH_solvers.json``;
+``--quick`` needs an explicit ``--output``, so a smoke run never
+replaces the recorded full-size sections): ``meta`` holds each target
+and whether it is met, and each section has its own key. Every other
+top-level key already in the file (``bench_scale.py`` writes ``scale``)
+is written back unchanged.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf.py            # full
-    PYTHONPATH=src python benchmarks/bench_perf.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/bench_perf.py --quick --output q.json  # CI smoke
     PYTHONPATH=src python benchmarks/bench_perf.py --strict   # exit 1 if unmet
 """
 
@@ -55,7 +63,6 @@ import numpy as np
 from repro import obs
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec
 from repro.core.gen import TrimCachingGen
-from repro.core.reference import ReferenceGen
 from repro.core.spec import TrimCachingSpec
 from repro.exec import execute_plan
 from repro.serve.events import generate_event_trace
@@ -64,6 +71,11 @@ from repro.serve.service import PlacementService
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles import ORACLE_SOLVERS  # noqa: E402
+from oracles.reference import ReferenceGen  # noqa: E402
 
 # The seven targets, as the module docstring lists them.
 GEN_TARGET_SPEEDUP = 5.0
@@ -212,7 +224,10 @@ def sweep_section(quick: bool):
     seed_plan = sweep_plan(params, points, num_topologies, "reference-", "dense")
     plan = sweep_plan(params, points, num_topologies)
     (seed_s, seed_result), (sparse_s, sparse_result) = alternating_min_cpu(
-        [lambda: execute_plan(seed_plan)[0], lambda: execute_plan(plan)[0]],
+        [
+            lambda: execute_plan(seed_plan, ORACLE_SOLVERS)[0],
+            lambda: execute_plan(plan)[0],
+        ],
         0.3 if quick else 0.0,
         min_reps=2,
     )
@@ -447,10 +462,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_solvers.json",
-        help="results file; keys this script does not write are kept",
+        help="results file (default BENCH_solvers.json; --quick needs one); "
+        "keys this script does not write are kept",
     )
     args = parser.parse_args(argv)
+    if args.output is None:
+        if args.quick:
+            parser.error("--quick needs --output: the default "
+                         "BENCH_solvers.json records full-size runs")
+        args.output = REPO_ROOT / "BENCH_solvers.json"
 
     # Looked up at call time, in run order; each is an output key.
     sections = {

@@ -24,13 +24,11 @@ from repro.core import (
     TrimCachingGen,
     TrimCachingSpec,
     hit_ratio,
-    placement_is_feasible,
     storage_used,
 )
 from repro.core.result import SolverResult
 from repro.errors import (
     ConfigurationError,
-    InfeasibleError,
     LibraryError,
     PlacementError,
     ReproError,
@@ -94,7 +92,6 @@ __all__ = [
     "LibraryError",
     "TopologyError",
     "PlacementError",
-    "InfeasibleError",
     "SolverError",
     # library substrate
     "ParameterBlock",
@@ -123,7 +120,6 @@ __all__ = [
     "SolverResult",
     "hit_ratio",
     "storage_used",
-    "placement_is_feasible",
     "TrimCachingSpec",
     "TrimCachingGen",
     "IndependentCaching",

@@ -37,7 +37,6 @@ from repro.api.plan import (
     ReplacementSpec,
     SolverSpec,
     SweepSpec,
-    axis_names,
     plan_from_dict,
     plan_from_json,
     plan_to_dict,
@@ -53,7 +52,6 @@ __all__ = [
     "SolverEntry",
     "AxisSpec",
     "NAMED_AXES",
-    "axis_names",
     "resolve_axis",
     "SolverSpec",
     "SweepSpec",

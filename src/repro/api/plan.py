@@ -135,15 +135,6 @@ _UNSWEEPABLE_FIELDS = _TUPLE_FIELDS | frozenset(
 )
 
 
-def axis_names() -> List[str]:
-    """All named axes plus every directly sweepable config field."""
-    return sorted(NAMED_AXES) + sorted(
-        f.name
-        for f in dataclasses.fields(ScenarioConfig)
-        if f.name not in _UNSWEEPABLE_FIELDS
-    )
-
-
 def resolve_axis(name: str) -> AxisSpec:
     """Look up a named axis, or wrap a raw ``ScenarioConfig`` field."""
     if name in NAMED_AXES:

@@ -34,9 +34,6 @@ from repro.core import (
     GenConfig,
     IndependentConfig,
     RandomConfig,
-    ReferenceGenConfig,
-    ReferenceIndependentConfig,
-    ReferenceSpecConfig,
     SpecConfig,
     TopPopularityConfig,
 )
@@ -238,19 +235,4 @@ SOLVERS.register(
     "top-popularity",
     TopPopularityConfig,
     summary="Popularity-only top-k placement baseline",
-)
-SOLVERS.register(
-    "reference-gen",
-    ReferenceGenConfig,
-    summary="Seed TrimCaching Gen (bit-pinned reference loops)",
-)
-SOLVERS.register(
-    "reference-independent",
-    ReferenceIndependentConfig,
-    summary="Seed Independent Caching (bit-pinned reference loops)",
-)
-SOLVERS.register(
-    "reference-spec",
-    ReferenceSpecConfig,
-    summary="Seed TrimCaching Spec (bit-pinned reference loops)",
 )

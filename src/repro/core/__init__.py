@@ -15,7 +15,6 @@
   small instances (used by the Fig. 6 study and the test suite).
 """
 
-from repro.core.analysis import PlacementReport, analyze_placement
 from repro.core.blockmask import BlockMaskIndex, ServerBlockCache
 from repro.core.bounds import gamma_bound, spec_guarantee
 from repro.core.exhaustive import ExhaustiveConfig, ExhaustiveSearch
@@ -27,20 +26,7 @@ from repro.core.extras import (
     TopPopularityConfig,
     TopPopularityPlacement,
 )
-from repro.core.reference import (
-    ReferenceGen,
-    ReferenceGenConfig,
-    ReferenceIndependent,
-    ReferenceIndependentConfig,
-    ReferenceSpec,
-    ReferenceSpecConfig,
-)
-from repro.core.objective import (
-    CoverageTracker,
-    hit_ratio,
-    placement_is_feasible,
-    storage_used,
-)
+from repro.core.objective import CoverageTracker, hit_ratio, storage_used
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.sparse import SparseFeasibility
 from repro.core.spec import SpecConfig, TrimCachingSpec
@@ -51,7 +37,6 @@ __all__ = [
     "SparseFeasibility",
     "hit_ratio",
     "storage_used",
-    "placement_is_feasible",
     "CoverageTracker",
     "BlockMaskIndex",
     "ServerBlockCache",
@@ -61,20 +46,12 @@ __all__ = [
     "ExhaustiveSearch",
     "RandomPlacement",
     "TopPopularityPlacement",
-    "ReferenceGen",
-    "ReferenceIndependent",
-    "ReferenceSpec",
     "SpecConfig",
     "GenConfig",
     "IndependentConfig",
     "ExhaustiveConfig",
     "RandomConfig",
     "TopPopularityConfig",
-    "ReferenceGenConfig",
-    "ReferenceIndependentConfig",
-    "ReferenceSpecConfig",
     "gamma_bound",
     "spec_guarantee",
-    "analyze_placement",
-    "PlacementReport",
 ]

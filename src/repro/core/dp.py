@@ -406,8 +406,8 @@ def knapsack_value_dp(
     rounded value w`` is filled item by item. Guarantees total value at
     least ``(1 - ε)`` of the optimum. A one-shot :class:`ValueDpTables`
     solve that memoises nothing; selections are bit-identical to the
-    seed implementation (retained as
-    :func:`repro.core.reference.reference_knapsack_value_dp`).
+    seed implementation (retained as ``reference_knapsack_value_dp`` in
+    ``tests/oracles/reference.py``).
 
     Returns ``(true_value_of_selection, selected_indices)``.
 

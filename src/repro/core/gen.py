@@ -25,9 +25,9 @@ ServerBlockCache` (exact integer marginal-storage table):
   ``np.argmax`` returns the first (row-major) maximiser: the same
   lowest-server-then-lowest-model tie-break as the literal scan.
 
-The seed implementations are retained verbatim in
-:mod:`repro.core.reference`; the equivalence tests assert bit-identical
-placements against them.
+The seed implementations are retained verbatim as test oracles in
+``tests/oracles/reference.py``; the equivalence tests assert
+bit-identical placements against them.
 """
 
 from __future__ import annotations

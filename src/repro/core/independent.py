@@ -12,9 +12,9 @@ over the same :class:`~repro.core.objective.CoverageTracker` gains but
 with no block cache, so every pair's marginal bytes are the model's full
 size. ``np.argmax`` returns the first row-major maximiser — the same
 lowest-server-then-lowest-model tie-break as the seed's per-step rescan,
-whose implementation is retained verbatim as
-:class:`~repro.core.reference.ReferenceIndependent` and pinned byte-
-identical by the equivalence tests.
+whose implementation is retained verbatim as ``ReferenceIndependent``
+in ``tests/oracles/reference.py`` and pinned byte-identical by the
+equivalence tests.
 """
 
 from __future__ import annotations

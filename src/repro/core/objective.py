@@ -1,4 +1,4 @@
-"""Objective ``U(X)`` (eq. 2), storage cost ``g_m`` (eq. 7), feasibility.
+"""Objective ``U(X)`` (eq. 2) and storage cost ``g_m`` (eq. 7).
 
 Also provides :class:`CoverageTracker`, the incremental-evaluation kernel
 shared by Gen, Spec's successive ``I2`` bookkeeping and Independent
@@ -6,8 +6,8 @@ Caching: it maintains which (user, model) requests are already served and
 answers marginal-gain queries in vectorised form. Its gains are
 ``np.bincount`` sums over the instance's CSR feasibility artifact,
 ``O(nnz)``, bit-identical to the per-server sums of the frozen seed
-tracker (:class:`~repro.core.reference.ReferenceCoverageTracker`) on
-instances with two or more models.
+tracker (``ReferenceCoverageTracker`` in ``tests/oracles/reference.py``)
+on instances with two or more models.
 
 :func:`served_matrix` picks the O(nnz) walk automatically whenever the
 instance carries the CSR artifact — boolean output, so the sparse walk is
@@ -75,35 +75,6 @@ def storage_used(instance: PlacementInstance, placement: Placement, server: int)
     return instance.dedup_storage(placement.models_on(server))
 
 
-def independent_storage_used(
-    instance: PlacementInstance, placement: Placement, server: int
-) -> int:
-    """Bytes used on ``server`` when models are stored without sharing."""
-    _check_shapes(instance, placement)
-    return int(sum(instance.model_sizes[i] for i in placement.models_on(server)))
-
-
-def placement_is_feasible(
-    instance: PlacementInstance,
-    placement: Placement,
-    *,
-    deduplicate: bool = True,
-) -> bool:
-    """Does the placement respect every server's capacity?
-
-    ``deduplicate=False`` applies the Independent-Caching storage
-    accounting (full model sizes, knapsack constraint).
-    """
-    for server in range(instance.num_servers):
-        if deduplicate:
-            used = storage_used(instance, placement, server)
-        else:
-            used = independent_storage_used(instance, placement, server)
-        if used > instance.capacities[server]:
-            return False
-    return True
-
-
 class CoverageTracker:
     """Incremental coverage bookkeeping for greedy solvers.
 
@@ -120,11 +91,10 @@ class CoverageTracker:
     (:class:`~repro.core.sparse.SparseFeasibility`): the gain of (m, i)
     is ``np.bincount`` of the unserved mass of the pair's feasible users,
     which adds them one by one in ascending user order. On every instance
-    with two or more models that is the sum
-    :meth:`ReferenceCoverageTracker.server_gains
-    <repro.core.reference.ReferenceCoverageTracker.server_gains>` takes
-    over the dense tensor, and the gains equal it bit for bit (with one
-    model, numpy sums the reference's contiguous column pairwise).
+    with two or more models that is the sum the seed tracker's
+    ``ReferenceCoverageTracker.server_gains`` (``tests/oracles/reference.py``)
+    takes over the dense tensor, and the gains equal it bit for bit (with
+    one model, numpy sums the reference's contiguous column pairwise).
 
     The ``(M, I)`` gain matrix is *maintained* rather than recomputed:
     caching (m, i) only changes column ``i`` (the users it newly serves

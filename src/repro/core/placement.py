@@ -10,8 +10,8 @@ Feasibility may be supplied either as the dense ``(M, K, I)`` boolean
 tensor or as a :class:`~repro.core.sparse.SparseFeasibility` CSR artifact
 (what :func:`~repro.sim.scenario.build_scenario` now produces). Whichever
 form arrives is the primary representation; the other is derived lazily
-and cached, so dense-only consumers (the frozen seed reference solvers,
-Monte-Carlo evaluation under faded rates) and O(nnz) sparse consumers
+and cached, so dense-only consumers (the frozen seed solvers in
+``tests/oracles/reference.py``, Monte-Carlo evaluation under faded rates) and O(nnz) sparse consumers
 (the coverage tracker, ``served_matrix`` walks) share one instance.
 The two representations encode bit-identical indicator tensors.
 

@@ -4,7 +4,6 @@ from repro.data.cifar100 import (
     CIFAR100_TAXONOMY,
     all_classes,
     classes_of,
-    superclass_of,
     superclasses,
 )
 from repro.data.resnet import (
@@ -21,7 +20,6 @@ __all__ = [
     "CIFAR100_TAXONOMY",
     "all_classes",
     "classes_of",
-    "superclass_of",
     "superclasses",
     "RESNET18",
     "RESNET34",

@@ -92,17 +92,3 @@ def all_classes() -> List[str]:
     return [
         cls for superclass in superclasses() for cls in CIFAR100_TAXONOMY[superclass]
     ]
-
-
-def superclass_of(cls: str) -> str:
-    """Return the superclass containing class ``cls``.
-
-    Raises
-    ------
-    KeyError
-        If ``cls`` is not a CIFAR-100 class.
-    """
-    for superclass, members in CIFAR100_TAXONOMY.items():
-        if cls in members:
-            return superclass
-    raise KeyError(f"unknown CIFAR-100 class: {cls!r}")

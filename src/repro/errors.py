@@ -28,10 +28,6 @@ class PlacementError(ReproError, ValueError):
     """A placement decision is inconsistent with its problem instance."""
 
 
-class InfeasibleError(ReproError, RuntimeError):
-    """A solver could not produce any feasible placement."""
-
-
 class SolverError(ReproError, RuntimeError):
     """A solver failed for an internal reason (state blow-up, bad inputs)."""
 

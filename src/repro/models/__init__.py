@@ -8,7 +8,7 @@ generators matching the paper's §VII-A construction, Zipf request
 popularity, and the accuracy-vs-frozen-layers curve behind Fig. 1.
 """
 
-from repro.models.accuracy import AccuracyCurve, accuracy_after_freezing
+from repro.models.accuracy import AccuracyCurve
 from repro.models.blocks import ParameterBlock
 from repro.models.finetune import (
     FineTuner,
@@ -24,7 +24,7 @@ from repro.models.generators import (
 )
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
-from repro.models.popularity import ZipfPopularity, uniform_popularity
+from repro.models.popularity import ZipfPopularity
 
 __all__ = [
     "ParameterBlock",
@@ -39,7 +39,5 @@ __all__ = [
     "build_special_case_library",
     "build_general_case_library",
     "ZipfPopularity",
-    "uniform_popularity",
     "AccuracyCurve",
-    "accuracy_after_freezing",
 ]

@@ -82,13 +82,3 @@ TRANSPORTATION_CURVE = AccuracyCurve(
 ANIMAL_CURVE = AccuracyCurve(
     base_accuracy=0.952, max_drop=0.055, sharpness=3.2, total_layers=107
 )
-
-
-def accuracy_after_freezing(n_frozen: int, task: str = "transportation") -> float:
-    """Look up the calibrated Fig.-1 curve for one of the paper's tasks."""
-    curves = {"transportation": TRANSPORTATION_CURVE, "animal": ANIMAL_CURVE}
-    if task not in curves:
-        raise ConfigurationError(
-            f"task must be one of {sorted(curves)}, got {task!r}"
-        )
-    return curves[task].accuracy(n_frozen)

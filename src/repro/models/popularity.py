@@ -115,10 +115,3 @@ class ZipfPopularity:
         ranks = np.arange(1, num_models + 1, dtype=float)
         weights = ranks ** (-self.exponent)
         return weights / weights.sum()
-
-
-def uniform_popularity(num_users: int, num_models: int) -> np.ndarray:
-    """Uniform ``p_{k,i}`` matrix (every model equally likely)."""
-    if num_users < 1 or num_models < 1:
-        raise ConfigurationError("num_users and num_models must both be at least 1")
-    return np.full((num_users, num_models), 1.0 / num_models)

@@ -9,7 +9,7 @@ indicator ``I1[m,k,i]``, plus the §VII-E user mobility model.
 
 from repro.network.backhaul import Backhaul
 from repro.network.channel import ChannelModel
-from repro.network.geometry import Point, coverage_sets, pairwise_distances, uniform_points
+from repro.network.geometry import Point, pairwise_distances, uniform_points
 from repro.network.latency import LatencyModel
 from repro.network.mobility import MobilityClass, MobilityModel
 from repro.network.servers import EdgeServer
@@ -20,7 +20,6 @@ __all__ = [
     "Point",
     "uniform_points",
     "pairwise_distances",
-    "coverage_sets",
     "ChannelModel",
     "EdgeServer",
     "User",

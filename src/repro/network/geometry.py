@@ -9,7 +9,7 @@ coverage sets ``M_k`` / ``K_m`` induced by a server coverage radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -85,37 +85,6 @@ def pairwise_distances(
     src = np.array([p.as_array() for p in sources])
     dst = np.array([p.as_array() for p in targets])
     return pairwise_distances_coords(src, dst)
-
-
-def coverage_sets(
-    distances: np.ndarray, radius: float
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Coverage relations induced by ``radius``.
-
-    Parameters
-    ----------
-    distances:
-        ``(M, K)`` server-to-user distance matrix.
-    radius:
-        Server coverage radius in metres.
-
-    Returns
-    -------
-    (servers_of_user, users_of_server):
-        ``servers_of_user[k]`` is the paper's ``M_k`` (servers covering
-        user ``k``); ``users_of_server[m]`` is ``K_m``.
-    """
-    if radius <= 0:
-        raise ConfigurationError(f"radius must be positive, got {radius}")
-    num_servers, num_users = distances.shape
-    covered = distances <= radius
-    servers_of_user = [
-        [m for m in range(num_servers) if covered[m, k]] for k in range(num_users)
-    ]
-    users_of_server = [
-        [k for k in range(num_users) if covered[m, k]] for m in range(num_servers)
-    ]
-    return servers_of_user, users_of_server
 
 
 def reflect_into_square(coords: np.ndarray, side_length: float) -> np.ndarray:

@@ -19,7 +19,7 @@ Topologies are immutable; mobility produces new instances via
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class NetworkTopology:
         radii = np.array([s.coverage_radius_m for s in self.servers])
         covered = self._distances <= radii[:, None]
         self._covered = covered
-        # M_k / K_m as Python lists are only needed by list-oriented
-        # consumers (request sim, reports); built lazily from the mask.
-        self._servers_of_user: Optional[List[List[int]]] = None
-        self._users_of_server: Optional[List[List[int]]] = None
         self._allocations = self._compute_allocations()
         self._expected_rates = self._compute_expected_rates()
 
@@ -159,26 +155,6 @@ class NetworkTopology:
         return np.full(
             self.num_users, self._batch.active_probability, dtype=float
         )
-
-    def servers_of_user(self, user_id: int) -> List[int]:
-        """The paper's ``M_k``: servers covering user ``user_id``."""
-        self._check_user(user_id)
-        if self._servers_of_user is None:
-            self._servers_of_user = [
-                np.flatnonzero(self._covered[:, k]).tolist()
-                for k in range(self.num_users)
-            ]
-        return list(self._servers_of_user[user_id])
-
-    def users_of_server(self, server_id: int) -> List[int]:
-        """The paper's ``K_m``: users covered by server ``server_id``."""
-        self._check_server(server_id)
-        if self._users_of_server is None:
-            self._users_of_server = [
-                np.flatnonzero(self._covered[m]).tolist()
-                for m in range(self.num_servers)
-            ]
-        return list(self._users_of_server[server_id])
 
     # ------------------------------------------------------------------
     # Radio resources
@@ -268,14 +244,6 @@ class NetworkTopology:
         return NetworkTopology(self.servers, moved, self.channel, self.backhaul)
 
     # ------------------------------------------------------------------
-    def _check_user(self, user_id: int) -> None:
-        if not 0 <= user_id < self.num_users:
-            raise TopologyError(f"unknown user id {user_id}")
-
-    def _check_server(self, server_id: int) -> None:
-        if not 0 <= server_id < self.num_servers:
-            raise TopologyError(f"unknown server id {server_id}")
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"NetworkTopology(M={self.num_servers}, K={self.num_users}, "

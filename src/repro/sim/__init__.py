@@ -8,10 +8,8 @@ paper figure/table.
 
 from repro.sim.config import ScenarioConfig
 from repro.sim.evaluator import PlacementEvaluator
-from repro.sim.latency_report import LatencyAnalyzer, LatencyReport
 from repro.sim.mobility_eval import MobilityStudy
 from repro.sim.replacement import ReplacementPolicy, ReplacementTrace
-from repro.sim.request_sim import RequestLog, RequestSimulator
 from repro.sim.runner import (
     AlgorithmComparison,
     ExperimentResult,
@@ -32,8 +30,4 @@ __all__ = [
     "ReplacementAblation",
     "ReplacementPolicy",
     "ReplacementTrace",
-    "LatencyAnalyzer",
-    "LatencyReport",
-    "RequestSimulator",
-    "RequestLog",
 ]

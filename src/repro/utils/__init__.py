@@ -1,7 +1,7 @@
 """Shared low-level utilities: RNG management, units, stats, tables."""
 
 from repro.utils.rng import RngFactory, as_generator
-from repro.utils.stats import RunningStats, SeriesStats, aggregate_series
+from repro.utils.stats import RunningStats, SeriesStats
 from repro.utils.tables import format_table
 from repro.utils.units import (
     GB,
@@ -12,21 +12,14 @@ from repro.utils.units import (
     MHZ,
     dbm_to_watts,
     format_size,
-    watts_to_dbm,
 )
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_probability,
-    check_type,
-)
+from repro.utils.validation import check_in_range, check_positive
 
 __all__ = [
     "RngFactory",
     "as_generator",
     "RunningStats",
     "SeriesStats",
-    "aggregate_series",
     "format_table",
     "GB",
     "GBPS",
@@ -35,10 +28,7 @@ __all__ = [
     "MBPS",
     "MHZ",
     "dbm_to_watts",
-    "watts_to_dbm",
     "format_size",
     "check_in_range",
     "check_positive",
-    "check_probability",
-    "check_type",
 ]

@@ -277,17 +277,6 @@ class SeriesStats:
         )
 
 
-def aggregate_series(
-    x_values: Sequence[float],
-    runs: Sequence[Sequence[float]],
-) -> SeriesStats:
-    """Build a :class:`SeriesStats` from a list of per-run sweeps."""
-    series = SeriesStats(x_values)
-    for run in runs:
-        series.add_run(run)
-    return series
-
-
 def relative_gain(candidate: float, baseline: float) -> float:
     """Relative improvement of ``candidate`` over ``baseline``.
 

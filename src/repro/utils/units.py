@@ -10,8 +10,6 @@ Storage constants are decimal (as used by the paper's "GB"), not binary.
 
 from __future__ import annotations
 
-import math
-
 #: One kilobyte in bytes (decimal).
 KB: int = 1_000
 #: One megabyte in bytes (decimal).
@@ -35,19 +33,6 @@ def dbm_to_watts(dbm: float) -> float:
     1.0
     """
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    """Convert a power level in watts to dBm.
-
-    Raises
-    ------
-    ValueError
-        If ``watts`` is not strictly positive (dBm is undefined there).
-    """
-    if watts <= 0:
-        raise ValueError(f"power must be positive to express in dBm, got {watts}")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 def format_size(num_bytes: float) -> str:

@@ -8,26 +8,11 @@ dataclasses short and their error messages consistent.
 from __future__ import annotations
 
 import math
-from typing import Any, Tuple, Type, Union
+from typing import Any, Tuple, Union
 
 from repro.errors import ConfigurationError
 
 Number = Union[int, float]
-
-
-def check_type(
-    name: str, value: Any, expected: Union[Type, Tuple[Type, ...]]
-) -> Any:
-    """Ensure ``value`` is an instance of ``expected``; return it."""
-    if not isinstance(value, expected):
-        if isinstance(expected, tuple):
-            names = " or ".join(t.__name__ for t in expected)
-        else:
-            names = expected.__name__
-        raise ConfigurationError(
-            f"{name} must be {names}, got {type(value).__name__}"
-        )
-    return value
 
 
 def _check_finite_number(name: str, value: Any) -> None:
@@ -71,11 +56,6 @@ def check_in_range(
                 f"{name} must be in ({low}, {high}), got {value}"
             )
     return value
-
-
-def check_probability(name: str, value: Number) -> Number:
-    """Ensure ``value`` is a probability in [0, 1]; return it."""
-    return check_in_range(name, value, 0.0, 1.0)
 
 
 def check_interval(name: str, interval: Tuple[Number, Number]) -> Tuple[Number, Number]:

@@ -4,12 +4,34 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.api import SOLVERS, SolverRegistry
+from repro.api import (
+    SOLVERS,
+    ExperimentPlan,
+    SolverRegistry,
+    SolverSpec,
+    SweepSpec,
+    plan_from_json,
+    plan_to_json,
+)
 from repro.core.gen import GenConfig, TrimCachingGen
 from repro.core.spec import SpecConfig
 from repro.errors import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
+
+from tests.oracles import ORACLE_SOLVERS
+from tests.oracles.reference import (
+    ReferenceGenConfig,
+    ReferenceIndependentConfig,
+    ReferenceSpecConfig,
+)
+
+#: Each seed solver's registered name and config class.
+SEED_SOLVERS = [
+    ("reference-gen", ReferenceGenConfig),
+    ("reference-independent", ReferenceIndependentConfig),
+    ("reference-spec", ReferenceSpecConfig),
+]
 
 
 @pytest.fixture(scope="module")
@@ -35,21 +57,24 @@ class TestBuiltinRegistrations:
             "exhaustive",
             "random",
             "top-popularity",
-            "reference-gen",
-            "reference-independent",
-            "reference-spec",
         ):
             assert expected in names
+        assert not [name for name in names if name.startswith("reference-")]
 
     def test_names_sorted(self):
         assert SOLVERS.names() == sorted(SOLVERS.names())
 
-    def test_every_registered_solver_constructs_and_solves(self, tiny_instance):
+    @pytest.mark.parametrize(
+        "registry", [SOLVERS, ORACLE_SOLVERS], ids=["default", "oracle"]
+    )
+    def test_every_registered_solver_constructs_and_solves(
+        self, tiny_instance, registry
+    ):
         """Guards against registry/implementation drift: every name must
         build a working solver end to end."""
-        assert len(SOLVERS.names()) > 0
-        for name in SOLVERS.names():
-            solver = SOLVERS.create(name)
+        assert len(registry.names()) > 0
+        for name in registry.names():
+            solver = registry.create(name)
             result = solver.solve(tiny_instance)
             assert 0.0 <= result.hit_ratio <= 1.0, name
             assert result.placement is not None, name
@@ -72,6 +97,40 @@ class TestBuiltinRegistrations:
         table = SOLVERS.to_table()
         for name in SOLVERS.names():
             assert name in table
+
+
+class TestOracleSolvers:
+    """The seed solvers are test oracles, registered only in the tests."""
+
+    def saved_plan(self, name: str, config_cls) -> str:
+        return plan_to_json(
+            ExperimentPlan(
+                name="seed solver",
+                sweep=SweepSpec("capacity", (0.2,)),
+                solvers=(SolverSpec(name, config=config_cls()),),
+                num_topologies=1,
+            )
+        )
+
+    def test_oracle_registry_holds_the_seed_solvers(self):
+        assert ORACLE_SOLVERS.names() == [name for name, _ in SEED_SOLVERS]
+
+    @pytest.mark.parametrize(
+        "name, config_cls", SEED_SOLVERS, ids=[name for name, _ in SEED_SOLVERS]
+    )
+    def test_saved_plan_naming_a_seed_solver_is_refused_on_load(
+        self, name, config_cls
+    ):
+        with pytest.raises(ConfigurationError, match=f"unknown solver '{name}'"):
+            plan_from_json(self.saved_plan(name, config_cls))
+
+    @pytest.mark.parametrize(
+        "name, config_cls", SEED_SOLVERS, ids=[name for name, _ in SEED_SOLVERS]
+    )
+    def test_saved_plan_loads_with_the_oracle_registry(self, name, config_cls):
+        plan = plan_from_json(self.saved_plan(name, config_cls), ORACLE_SOLVERS)
+        assert plan.solvers[0].solver == name
+        assert plan.solvers[0].config == config_cls()
 
 
 class TestCreate:

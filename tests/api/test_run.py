@@ -18,6 +18,8 @@ from repro.sim.runner import (
     ReplacementAblation,
 )
 
+from tests.oracles import ORACLE_SOLVERS
+
 _TINY_BASE = {
     "library_case": "special",
     "num_servers": 2,
@@ -201,23 +203,19 @@ class TestCustomScenarios:
         assert len(result.x_values) == 2
 
     def test_baseline_solvers_in_a_sweep(self):
-        plan = ExperimentPlan(
-            name="baselines",
-            sweep=SweepSpec("capacity", (0.2,)),
-            solvers=(
-                SolverSpec("random"),
-                SolverSpec("top-popularity"),
-                SolverSpec("reference-gen"),
-            ),
-            base=_TINY_BASE,
-            num_topologies=1,
-        )
-        result = run_plan(plan)
-        assert set(result.series) == {
-            "Random",
-            "Top popularity",
-            "TrimCaching Gen (reference)",
-        }
+        def plan(*solvers):
+            return ExperimentPlan(
+                name="baselines",
+                sweep=SweepSpec("capacity", (0.2,)),
+                solvers=tuple(SolverSpec(name) for name in solvers),
+                base=_TINY_BASE,
+                num_topologies=1,
+            )
+
+        baselines = run_plan(plan("random", "top-popularity"))
+        assert set(baselines.series) == {"Random", "Top popularity"}
+        seed = run_plan(plan("reference-gen"), ORACLE_SOLVERS)
+        assert set(seed.series) == {"TrimCaching Gen (reference)"}
 
 
 class TestReviewRegressions:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.dp import CombinationSet, enumerate_shared_combinations
 from repro.core.placement import PlacementInstance
-from repro.core.reference import (
+from tests.oracles.reference import (
     ReferenceSpec,
     reference_enumerate_shared_combinations,
 )

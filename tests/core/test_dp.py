@@ -17,7 +17,7 @@ from repro.core.dp import (
     knapsack_weight_dp,
     _lp_units,
 )
-from repro.core.reference import reference_knapsack_value_dp
+from tests.oracles.reference import reference_knapsack_value_dp
 from repro.errors import SolverError
 from repro.models.blocks import ParameterBlock
 from repro.models.finetune import FineTuner, make_resnet_root

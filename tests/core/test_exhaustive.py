@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.exhaustive import ExhaustiveSearch
-from repro.core.objective import hit_ratio, placement_is_feasible
+from repro.core.objective import hit_ratio
 from repro.errors import SolverError
 
 from tests.conftest import placement_of
 from tests.core.test_submodular import small_instances
+from tests.oracles.capacity import placement_is_feasible
 
 
 def true_brute_force(instance):

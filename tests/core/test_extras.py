@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.extras import RandomPlacement, TopPopularityPlacement
 from repro.core.gen import TrimCachingGen
-from repro.core.objective import placement_is_feasible
+
+from tests.oracles.capacity import placement_is_feasible
 
 
 class TestRandomPlacement:

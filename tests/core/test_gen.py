@@ -8,17 +8,14 @@ from repro.core.bounds import gamma_bound
 from repro.core.gen import GenConfig, TrimCachingGen
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.independent import IndependentCaching, IndependentConfig
-from repro.core.objective import (
-    hit_ratio,
-    placement_is_feasible,
-    storage_used,
-)
+from repro.core.objective import hit_ratio, storage_used
 from repro.core.placement import Placement
 from repro.core.spec import SpecConfig, TrimCachingSpec
 from repro.errors import ConfigurationError
 
 from tests.conftest import FEASIBILITY_FORMS, in_feasibility_form
 from tests.core.test_submodular import small_instances
+from tests.oracles.capacity import placement_is_feasible
 
 
 class TestBasicBehaviour:
@@ -267,7 +264,7 @@ class TestEngines:
     def test_gain_ties_resolve_to_lowest_server_then_model(
         self, feasibility, accelerated
     ):
-        from repro.core.reference import ReferenceGen
+        from tests.oracles.reference import ReferenceGen
 
         instance = gain_tie_instance()
         result = TrimCachingGen(accelerated=accelerated).solve(

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.gen import TrimCachingGen
 from repro.core.independent import IndependentCaching
 from repro.core.placement import PlacementInstance
-from repro.core.reference import ReferenceGen, ReferenceIndependent
+from tests.oracles.reference import ReferenceGen, ReferenceIndependent
 from repro.core.sparse import SparseFeasibility
 from repro.models.blocks import ParameterBlock
 from repro.models.library import ModelLibrary

@@ -6,16 +6,13 @@ from hypothesis import given, settings
 
 from repro.core.gen import TrimCachingGen
 from repro.core.independent import IndependentCaching, IndependentConfig
-from repro.core.objective import (
-    hit_ratio,
-    independent_storage_used,
-    placement_is_feasible,
-)
+from repro.core.objective import hit_ratio
 from repro.errors import ConfigurationError
 
 from tests.conftest import FEASIBILITY_FORMS, in_feasibility_form
 from tests.core.test_gen import gain_tie_instance
 from tests.core.test_submodular import small_instances
+from tests.oracles.capacity import independent_storage_used, placement_is_feasible
 
 
 class TestBasics:
@@ -87,7 +84,7 @@ class TestMaskedArgmaxPort:
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
     def test_identical_to_reference(self, instance):
-        from repro.core.reference import ReferenceIndependent
+        from tests.oracles.reference import ReferenceIndependent
 
         new = IndependentCaching().solve(instance)
         ref = ReferenceIndependent().solve(instance)
@@ -110,7 +107,7 @@ class TestEngines:
 
     @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
     def test_gain_ties_resolve_to_lowest_server_then_model(self, feasibility):
-        from repro.core.reference import ReferenceIndependent
+        from tests.oracles.reference import ReferenceIndependent
 
         instance = gain_tie_instance()
         result = IndependentCaching().solve(

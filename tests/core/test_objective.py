@@ -6,8 +6,6 @@ import pytest
 from repro.core.objective import (
     CoverageTracker,
     hit_ratio,
-    independent_storage_used,
-    placement_is_feasible,
     served_matrix,
     storage_used,
 )
@@ -16,6 +14,7 @@ from repro.errors import PlacementError
 from repro.utils.units import MB
 
 from tests.conftest import placement_of
+from tests.oracles.capacity import independent_storage_used, placement_is_feasible
 
 
 class TestHitRatio:

@@ -26,7 +26,7 @@ from repro.core.gen import TrimCachingGen
 from repro.core.independent import IndependentCaching
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
-from repro.core.reference import (
+from tests.oracles.reference import (
     ReferenceCoverageTracker,
     ReferenceGen,
     ReferenceIndependent,

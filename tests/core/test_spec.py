@@ -12,7 +12,7 @@ from repro.core.dp import (
 )
 from repro.core.exhaustive import ExhaustiveSearch
 from repro.core.gen import TrimCachingGen
-from repro.core.objective import hit_ratio, placement_is_feasible
+from repro.core.objective import hit_ratio
 from repro.core.placement import PlacementInstance
 from repro.core.spec import SpecConfig, TrimCachingSpec
 from repro.data.resnet import RESNET18
@@ -21,6 +21,8 @@ from repro.models.blocks import ParameterBlock
 from repro.models.finetune import FineTuner, make_resnet_root
 from repro.models.library import ModelLibrary
 from repro.models.model import Model
+
+from tests.oracles.capacity import placement_is_feasible
 
 
 # ----------------------------------------------------------------------

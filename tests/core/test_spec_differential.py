@@ -35,7 +35,7 @@ from repro.core.dp import (
     knapsack_weight_dp,
 )
 from repro.core.placement import PlacementInstance
-from repro.core.reference import (
+from tests.oracles.reference import (
     ReferenceSpec,
     reference_enumerate_shared_combinations,
 )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.placement import PlacementInstance
-from repro.core.submodular import (
+from tests.oracles.submodular import (
     is_monotone_sampled,
     is_submodular_exhaustive,
     is_submodular_sampled,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
-from repro.core.reference import ReferenceCoverageTracker
+from tests.oracles.reference import ReferenceCoverageTracker
 from repro.core.sparse import SparseFeasibility
 from repro.errors import PlacementError
 from repro.sim.config import ScenarioConfig

@@ -16,7 +16,6 @@ from repro import (
     hit_ratio,
     make_resnet_root,
     make_transformer_root,
-    placement_is_feasible,
 )
 from repro.data.resnet import RESNET18
 from repro.data.transformer import TINY_LLM
@@ -24,6 +23,8 @@ from repro.models.popularity import ZipfPopularity
 from repro.network.latency import LatencyModel
 from repro.sim.mobility_eval import MobilityStudy
 from repro.utils.units import GB, MB
+
+from tests.oracles.capacity import placement_is_feasible
 
 
 class TestScenarioPipeline:

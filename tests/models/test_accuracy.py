@@ -8,7 +8,6 @@ from repro.models.accuracy import (
     ANIMAL_CURVE,
     TRANSPORTATION_CURVE,
     AccuracyCurve,
-    accuracy_after_freezing,
 )
 
 
@@ -63,8 +62,3 @@ class TestValidation:
             AccuracyCurve(0.9, 0.1, 0.0, 10)
         with pytest.raises(ConfigurationError):
             AccuracyCurve(0.9, 0.1, 1.0, 0)
-
-    def test_task_lookup(self):
-        assert accuracy_after_freezing(0, "animal") == ANIMAL_CURVE.accuracy(0)
-        with pytest.raises(ConfigurationError):
-            accuracy_after_freezing(0, "weather")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.models.popularity import ZipfPopularity, uniform_popularity
+from repro.models.popularity import ZipfPopularity
 
 
 class TestZipfPopularity:
@@ -68,16 +68,6 @@ class TestZipfPopularity:
         )
         assert matrix.sum(axis=1) == pytest.approx(np.ones(2))
         assert (matrix >= 0).all()
-
-
-class TestUniformPopularity:
-    def test_values(self):
-        matrix = uniform_popularity(3, 4)
-        assert matrix == pytest.approx(np.full((3, 4), 0.25))
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            uniform_popularity(0, 1)
 
 
 class TestProbabilitiesBatched:

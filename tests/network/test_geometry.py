@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.geometry import (
     Point,
-    coverage_sets,
     pairwise_distances,
     reflect_into_square,
     uniform_points,
@@ -52,18 +51,6 @@ class TestPairwiseDistances:
 
     def test_empty_inputs(self):
         assert pairwise_distances([], [Point(0, 0)]).shape == (0, 1)
-
-
-class TestCoverageSets:
-    def test_coverage_relation(self):
-        distances = np.array([[100.0, 300.0], [50.0, 200.0]])
-        servers_of_user, users_of_server = coverage_sets(distances, radius=250.0)
-        assert servers_of_user == [[0, 1], [1]]
-        assert users_of_server == [[0], [0, 1]]
-
-    def test_invalid_radius(self):
-        with pytest.raises(ConfigurationError):
-            coverage_sets(np.zeros((1, 1)), radius=0.0)
 
 
 class TestReflectIntoSquare:

@@ -36,23 +36,17 @@ class TestAssociation:
             [Point(0, 0), Point(1000, 0)],
             [Point(100, 0), Point(900, 0), Point(500, 0)],
         )
-        assert topo.servers_of_user(0) == [0]
-        assert topo.servers_of_user(1) == [1]
-        assert topo.servers_of_user(2) == []  # covered by nobody
-        assert topo.users_of_server(0) == [0]
+        # User 2 is covered by nobody.
+        assert topo.coverage_mask.tolist() == [
+            [True, False, False],
+            [False, True, False],
+        ]
 
     def test_overlapping_coverage(self):
         topo = make_topology(
             [Point(0, 0), Point(200, 0)], [Point(100, 0)], radius=275.0
         )
-        assert topo.servers_of_user(0) == [0, 1]
-
-    def test_unknown_ids(self):
-        topo = make_topology([Point(0, 0)], [Point(1, 1)])
-        with pytest.raises(TopologyError):
-            topo.servers_of_user(9)
-        with pytest.raises(TopologyError):
-            topo.users_of_server(9)
+        assert topo.coverage_mask[:, 0].tolist() == [True, True]
 
 
 class TestAllocation:
@@ -106,10 +100,10 @@ class TestWithUserPositions:
     def test_recomputes_everything(self):
         topo = make_topology([Point(0, 0)], [Point(50, 0)])
         moved = topo.with_user_positions(np.array([[5000.0, 0.0]]))
-        assert moved.servers_of_user(0) == []
+        assert not moved.coverage_mask[:, 0].any()
         assert moved.expected_rates[0, 0] == 0.0
         # Original untouched.
-        assert topo.servers_of_user(0) == [0]
+        assert topo.coverage_mask[:, 0].tolist() == [True]
 
     def test_wrong_count_rejected(self):
         topo = make_topology([Point(0, 0)], [Point(50, 0)])

@@ -9,7 +9,8 @@ the originals were moved here *verbatim* so that
   instances, and
 * ``benchmarks/bench_perf.py`` can time two speed gates against
   them: Gen (:class:`ReferenceGen`) and the sweep (the
-  ``reference-gen``/``reference-independent`` registry solvers).
+  ``reference-gen``/``reference-independent`` solvers of
+  ``ORACLE_SOLVERS`` in this package).
 
 Nothing here should be "improved": this module is the behavioural
 baseline. Production code lives in :mod:`repro.core.objective`,
@@ -46,6 +47,15 @@ class ReferenceCoverageTracker:
 
     Recomputes the full ``O(M·K·I)`` einsum on every ``gain_matrix`` call
     instead of maintaining it incrementally.
+
+    :meth:`server_gains` is a left-to-right sum over users only when the
+    instance has two or more models. With one model,
+    ``(feasible[m] * weighted).sum(axis=0)`` reduces a contiguous
+    ``(K, 1)`` axis, which numpy sums pairwise, so on a one-model
+    instance with more than 8 feasible users a row can differ from
+    :class:`~repro.core.objective.CoverageTracker`'s in the last ulp, and
+    :class:`ReferenceSpec`'s per-server masses with it. The bit tests
+    compare one-model rows with ``np.add.accumulate`` instead.
     """
 
     def __init__(self, instance: PlacementInstance) -> None:
@@ -505,7 +515,7 @@ class ReferenceSpec:
 class ReferenceGenConfig:
     """Typed constructor knobs of :class:`ReferenceGen` (seed Gen).
 
-    Registered in :data:`repro.api.SOLVERS` under ``"reference-gen"``.
+    Registered in ``ORACLE_SOLVERS`` under ``"reference-gen"``.
     """
 
     accelerated: bool = True
@@ -519,8 +529,7 @@ class ReferenceGenConfig:
 class ReferenceIndependentConfig:
     """Typed constructor knobs of :class:`ReferenceIndependent`.
 
-    Registered in :data:`repro.api.SOLVERS` under
-    ``"reference-independent"``.
+    Registered in ``ORACLE_SOLVERS`` under ``"reference-independent"``.
     """
 
     def build(self) -> "ReferenceIndependent":
@@ -532,7 +541,7 @@ class ReferenceIndependentConfig:
 class ReferenceSpecConfig:
     """Typed constructor knobs of :class:`ReferenceSpec` (seed Spec).
 
-    Registered in :data:`repro.api.SOLVERS` under ``"reference-spec"``.
+    Registered in ``ORACLE_SOLVERS`` under ``"reference-spec"``.
     """
 
     epsilon: float = 0.1

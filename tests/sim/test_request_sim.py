@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.gen import TrimCachingGen
 from repro.errors import ConfigurationError
-from repro.sim.request_sim import RequestLog, RequestSimulator
+from tests.oracles.request_sim import RequestLog, RequestSimulator
 
 
 @pytest.fixture(scope="module")

@@ -28,11 +28,16 @@ def bench(monkeypatch):
     return module
 
 
-def stub_sections(monkeypatch, bench, unmet=()):
-    """Replace every section; a gate named in ``unmet`` misses its bound."""
+def stub_sections(monkeypatch, bench, unmet=(), ran=None):
+    """Replace every section; a gate named in ``unmet`` misses its bound.
+
+    Each stub that runs appends its name to ``ran`` when one is given.
+    """
     for name in SECTIONS:
 
         def section(quick, name=name):
+            if ran is not None:
+                ran.append(name)
             value = 0.0 if name in unmet else 100.0
             gate = bench.Gate(name, f"stub {name}", value, 1.0)
             return {f"{name}_record": {"value": value, "quick": quick}}, [gate]
@@ -64,6 +69,23 @@ class TestOutputFile:
         assert written["gen"] == {"gen_record": {"value": 100.0, "quick": False}}
         assert "stale" not in written["meta"]
         assert set(written) == {"meta", "scale", *SECTIONS}
+
+    def test_quick_without_output_is_refused_before_any_section_runs(
+        self, bench, monkeypatch, tmp_path
+    ):
+        # The default output path resolves under tmp_path.
+        monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+        recorded = tmp_path / "BENCH_solvers.json"
+        recorded.write_text('{"gen": {"gen_paper_tight": {}}}\n')
+        before = recorded.read_bytes()
+        ran = []
+        stub_sections(monkeypatch, bench, ran=ran)
+
+        with pytest.raises(SystemExit) as stop:
+            bench.main(["--quick"])
+        assert stop.value.code == 2
+        assert ran == []
+        assert recorded.read_bytes() == before
 
     def test_meta_records_every_gate(self, bench, monkeypatch, tmp_path):
         output = tmp_path / "bench.json"

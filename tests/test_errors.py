@@ -6,7 +6,6 @@ from repro.core.placement import Placement
 from repro.core.result import SolverResult
 from repro.errors import (
     ConfigurationError,
-    InfeasibleError,
     LibraryError,
     PlacementError,
     ReproError,
@@ -23,7 +22,6 @@ class TestHierarchy:
             LibraryError,
             TopologyError,
             PlacementError,
-            InfeasibleError,
             SolverError,
         ],
     )
@@ -35,8 +33,7 @@ class TestHierarchy:
             assert issubclass(exc, ValueError)
 
     def test_runtime_errors(self):
-        for exc in (InfeasibleError, SolverError):
-            assert issubclass(exc, RuntimeError)
+        assert issubclass(SolverError, RuntimeError)
 
     def test_catch_all(self):
         with pytest.raises(ReproError):

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,14 +30,100 @@ CALLER_PATHS = (
 UNCALLED_ALLOWED = {
     "do_GET": "http.server dispatches GET requests to it by name",
     "do_POST": "http.server dispatches POST requests to it by name",
-    "is_submodular_exhaustive": "test oracle; moves to the tests with core/reference.py",
-    "is_submodular_sampled": "test oracle; moves to the tests with core/reference.py",
-    "is_monotone_sampled": "test oracle; moves to the tests with core/reference.py",
-    "objective_set_function": "test oracle; moves to the tests with core/reference.py",
-    "storage_set_function": "test oracle; moves to the tests with core/reference.py",
-    "placement_ground_set": "test oracle; moves to the tests with core/reference.py",
     "confidence_interval": "kept until the per-point error bars decide on it",
 }
+
+
+#: Every module of ``src/repro``; each must import on its own.
+MODULES = [
+    "repro.__main__",
+    "repro.errors",
+    "repro.api",
+    "repro.api.plan",
+    "repro.api.registry",
+    "repro.api.run",
+    "repro.core",
+    "repro.core.placement",
+    "repro.core.blockmask",
+    "repro.core.objective",
+    "repro.core.spec",
+    "repro.core.gen",
+    "repro.core.dp",
+    "repro.core.independent",
+    "repro.core.exhaustive",
+    "repro.core.extras",
+    "repro.core.bounds",
+    "repro.core.result",
+    "repro.core.sparse",
+    "repro.models",
+    "repro.models.blocks",
+    "repro.models.model",
+    "repro.models.library",
+    "repro.models.finetune",
+    "repro.models.generators",
+    "repro.models.popularity",
+    "repro.models.accuracy",
+    "repro.network",
+    "repro.network.geometry",
+    "repro.network.channel",
+    "repro.network.servers",
+    "repro.network.users",
+    "repro.network.topology",
+    "repro.network.backhaul",
+    "repro.network.latency",
+    "repro.network.mobility",
+    "repro.sim",
+    "repro.sim.config",
+    "repro.sim.scenario",
+    "repro.sim.evaluator",
+    "repro.sim.mobility_eval",
+    "repro.sim.replacement",
+    "repro.sim.serialization",
+    "repro.sim.runner",
+    "repro.sim.experiments",
+    "repro.exec",
+    "repro.exec.backends",
+    "repro.exec.process",
+    "repro.exec.store",
+    "repro.exec.executor",
+    "repro.exec.faults",
+    "repro.exec.retry",
+    "repro.obs",
+    "repro.obs.export",
+    "repro.obs.metrics",
+    "repro.obs.runtime",
+    "repro.obs.trace",
+    "repro.serve",
+    "repro.serve.events",
+    "repro.serve.http",
+    "repro.serve.resolver",
+    "repro.serve.service",
+    "repro.utils.charts",
+    "repro.data",
+    "repro.data.resnet",
+    "repro.data.cifar100",
+    "repro.data.transformer",
+    "repro.utils",
+    "repro.utils.rng",
+    "repro.utils.stats",
+    "repro.utils.tables",
+    "repro.utils.units",
+    "repro.utils.validation",
+    "repro.cli",
+]
+
+#: Modules that left the package: the test oracles, now in
+#: ``tests/oracles``, and code that no user path ran.
+REMOVED_MODULES = [
+    "repro.core.analysis",
+    "repro.core.reference",
+    "repro.core.submodular",
+    "repro.sim.latency_report",
+    "repro.sim.request_sim",
+]
+
+#: Third-party packages the test oracles may import (see ``tests/oracles``).
+ORACLE_IMPORTS_ALLOWED = {"numpy", "repro"}
 
 
 def _caller_word_counts() -> Counter:
@@ -84,68 +172,24 @@ class TestPublicApi:
         result = TrimCachingGen().solve(scenario.instance)
         assert 0.0 <= result.hit_ratio <= 1.0
 
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.core",
-            "repro.core.placement",
-            "repro.core.blockmask",
-            "repro.core.objective",
-            "repro.core.reference",
-            "repro.core.spec",
-            "repro.core.gen",
-            "repro.core.dp",
-            "repro.core.independent",
-            "repro.core.exhaustive",
-            "repro.core.extras",
-            "repro.core.submodular",
-            "repro.core.bounds",
-            "repro.core.result",
-            "repro.core.analysis",
-            "repro.models",
-            "repro.models.blocks",
-            "repro.models.model",
-            "repro.models.library",
-            "repro.models.finetune",
-            "repro.models.generators",
-            "repro.models.popularity",
-            "repro.models.accuracy",
-            "repro.network",
-            "repro.network.geometry",
-            "repro.network.channel",
-            "repro.network.servers",
-            "repro.network.users",
-            "repro.network.topology",
-            "repro.network.backhaul",
-            "repro.network.latency",
-            "repro.network.mobility",
-            "repro.sim",
-            "repro.sim.config",
-            "repro.sim.scenario",
-            "repro.sim.evaluator",
-            "repro.sim.mobility_eval",
-            "repro.sim.replacement",
-            "repro.sim.latency_report",
-            "repro.sim.request_sim",
-            "repro.sim.serialization",
-            "repro.sim.runner",
-            "repro.sim.experiments",
-            "repro.exec",
-            "repro.exec.backends",
-            "repro.exec.process",
-            "repro.exec.store",
-            "repro.exec.executor",
-            "repro.utils.charts",
-            "repro.data",
-            "repro.data.resnet",
-            "repro.data.cifar100",
-            "repro.data.transformer",
-            "repro.utils",
-            "repro.cli",
-        ],
-    )
+    @pytest.mark.parametrize("module", MODULES)
     def test_every_module_imports(self, module):
         assert importlib.import_module(module) is not None
+
+    def test_module_list_covers_the_package(self):
+        src = REPO / "src"
+        found = set()
+        for path in src.rglob("*.py"):
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            found.add(".".join(parts))
+        assert len(MODULES) == len(set(MODULES))
+        assert set(MODULES) == found - {"repro"}
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_removed_module_stays_out_of_the_package(self, module):
+        assert importlib.util.find_spec(module) is None
 
     @pytest.mark.parametrize(
         "module",
@@ -228,3 +272,25 @@ def test_every_src_import_is_read():
                 if name not in read:
                     unread.append(f"{path.relative_to(REPO)}:{node.lineno} {name}")
     assert not unread, "imports never read in their module:\n" + "\n".join(unread)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((REPO / "tests" / "oracles").glob("*.py")),
+    ids=lambda path: path.stem,
+)
+def test_oracle_imports_only_numpy_and_repro(path):
+    """``bench_perf.py`` loads the oracles where only numpy is installed."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.append(node.module.split(".")[0])
+    outside = sorted(
+        root
+        for root in set(roots)
+        if root not in sys.stdlib_module_names and root not in ORACLE_IMPORTS_ALLOWED
+    )
+    assert not outside, f"{path.name} imports {outside}"

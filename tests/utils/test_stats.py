@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.utils.stats import (
     RunningStats,
     SeriesStats,
-    aggregate_series,
     average_relative_gain,
     relative_gain,
 )
@@ -68,10 +67,6 @@ class TestSeriesStats:
         series = SeriesStats([1, 2])
         with pytest.raises(ValueError):
             series.add_run([0.1])
-
-    def test_aggregate_series(self):
-        series = aggregate_series([1, 2], [[1.0, 2.0], [3.0, 4.0]])
-        assert series.means == pytest.approx([2.0, 3.0])
 
 
 class TestSummaries:

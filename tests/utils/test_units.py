@@ -13,7 +13,6 @@ from repro.utils.units import (
     dbm_to_watts,
     format_rate,
     format_size,
-    watts_to_dbm,
 )
 
 
@@ -34,16 +33,6 @@ class TestPowerConversion:
         assert dbm_to_watts(0.0) == pytest.approx(1e-3)
         # The paper's 43 dBm transmit power is ~20 W.
         assert dbm_to_watts(43.0) == pytest.approx(19.95, rel=1e-3)
-
-    def test_roundtrip(self):
-        for dbm in (-50.0, 0.0, 17.0, 43.0):
-            assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm)
-
-    def test_nonpositive_watts_rejected(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(0.0)
-        with pytest.raises(ValueError):
-            watts_to_dbm(-1.0)
 
 
 class TestFormatting:

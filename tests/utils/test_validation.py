@@ -1,5 +1,7 @@
 """Tests for argument-validation helpers."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,19 +9,7 @@ from repro.utils.validation import (
     check_in_range,
     check_interval,
     check_positive,
-    check_probability,
-    check_type,
 )
-
-
-class TestCheckType:
-    def test_accepts(self):
-        assert check_type("x", 1, int) == 1
-        assert check_type("x", "s", (int, str)) == "s"
-
-    def test_rejects_with_message(self):
-        with pytest.raises(ConfigurationError, match="x must be int"):
-            check_type("x", "s", int)
 
 
 class TestCheckPositive:
@@ -41,6 +31,11 @@ class TestCheckPositive:
         with pytest.raises(ConfigurationError):
             check_positive("x", "1")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            check_positive("x", value, strict=False)
+
 
 class TestCheckInRange:
     def test_inclusive(self):
@@ -55,13 +50,16 @@ class TestCheckInRange:
         with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
             check_in_range("x", 2, 0, 1)
 
+    def test_exclusive_upper_bound(self):
+        assert check_in_range("x", 0.5, 0, 1, inclusive=False) == 0.5
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+            check_in_range("x", 1, 0, 1, inclusive=False)
 
-class TestCheckProbability:
-    def test_bounds(self):
-        assert check_probability("p", 0.0) == 0.0
-        assert check_probability("p", 1.0) == 1.0
-        with pytest.raises(ConfigurationError):
-            check_probability("p", 1.5)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        # An infinite bound must not admit an infinite value either.
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            check_in_range("x", value, 0, math.inf)
 
 
 class TestCheckInterval:
@@ -71,6 +69,13 @@ class TestCheckInterval:
     def test_unordered(self):
         with pytest.raises(ConfigurationError):
             check_interval("r", (1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "interval", [(math.nan, 1.0), (0.0, math.inf)], ids=["nan-low", "inf-high"]
+    )
+    def test_non_finite_end_rejected(self, interval):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            check_interval("r", interval)
 
     def test_not_a_pair(self):
         with pytest.raises(ConfigurationError):
