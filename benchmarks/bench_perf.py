@@ -27,8 +27,9 @@ answers ``==`` on the timed pair, and holds the ratio to its bound:
 The seed side of the Gen and sweep pairs is the test oracles in
 ``tests/oracles/reference.py``: ``ReferenceGen``, and the
 ``reference-gen``/``reference-independent`` solvers of its
-``ORACLE_SOLVERS`` registry. The script puts ``tests/`` on ``sys.path``
-to load them.
+``ORACLE_SOLVERS`` registry. The script puts the repo root on
+``sys.path`` and imports them as ``tests.oracles``, the name pytest
+gives them, so a process that also runs the tests holds one copy.
 
 Each CPU-bound pair is timed by :func:`alternating_min_cpu` (min-of-N
 ``time.process_time``, the two sides in turn); serve compares the
@@ -73,9 +74,10 @@ from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tests"))
-from oracles import ORACLE_SOLVERS  # noqa: E402
-from oracles.reference import ReferenceGen  # noqa: E402
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles import ORACLE_SOLVERS  # noqa: E402
+from tests.oracles.reference import ReferenceGen  # noqa: E402
 
 # The seven targets, as the module docstring lists them.
 GEN_TARGET_SPEEDUP = 5.0

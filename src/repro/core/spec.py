@@ -44,18 +44,24 @@ output bit:
   turns it into a key lookup and a backtrack; every backend sees the
   items its own input check would keep, in the same order, so its
   selection is unchanged;
-* one traversal, :meth:`TrimCachingSpec._traverse`, walks the candidate
-  combinations in chunks: one chunk inline, or with ``workers=N`` one
-  chunk per thread of a pool. Every knapsack is deterministic given its
-  (values, weights, capacity), cross-chunk pruning uses a strictly-weaker
-  bound than the chunk's own incumbent, and the reduction replays the
-  first-strict-improvement rule in combination order — so the selected
-  models do not depend on the chunk count (asserted by the equivalence
-  tests).
+* one traversal, :meth:`TrimCachingSpec._traverse`, visits the
+  candidates best-bound-first: by descending LP prefix guard, ties in
+  rank order (a candidate's rank is its place in the descending
+  utility-sum bound order, the seed's walk). The winner is the earliest
+  rank reaching the maximal mass, which is what the seed's
+  first-strict-improvement walk returned. Every backend returns a
+  feasible selection, so a mass never exceeds its guard or its bound;
+  a chunk therefore stops at the first guard that cannot beat its
+  incumbent, and the incumbent rises early, so most of the list is
+  never run. With ``workers=N`` the visits are dealt into one chunk per
+  thread of a pool; every knapsack is deterministic given its (values,
+  weights, capacity), so the selected models do not depend on the
+  chunk count (asserted by the equivalence tests).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -179,10 +185,11 @@ class TrimCachingSpec:
         Byte-identical selections either way; disable only to benchmark
         the unmemoised traversal.
     prefix_prune:
-        Skip knapsacks whose density-ordered LP prefix bound — a
-        conservative upper bound on the combo's optimum — cannot
-        strictly beat the incumbent mass. Selection-transparent;
-        disable only for benchmarking.
+        Visit the candidates by their density-ordered LP prefix bound —
+        a conservative upper bound on the combo's optimum — best first,
+        and stop once it cannot beat the incumbent. Off, the utility-sum
+        bound orders and stops the walk instead (the seed's order).
+        Selection-transparent; disable only for benchmarking.
     reuse_library_cache:
         Memoise the combination set per library, and with it the
         sub-problem context (identical outputs; disable only to
@@ -345,10 +352,11 @@ class TrimCachingSpec:
         # knapsack of any other combo has no item and returns 0.0, which
         # is never a strict improvement, so dropping it changes no
         # selection. Each candidate's utility sum over all its eligible
-        # models is an upper bound on what its knapsack can achieve;
-        # traversing high-potential combos first lets the bound prune
-        # the rest. This changes nothing about which combo wins — only
-        # how many knapsacks actually run. Zero-utility models can
+        # models is an upper bound on what its knapsack can achieve, and
+        # its descending order is the candidates' rank; the traversal
+        # uses it (and the LP guard) to skip knapsacks that cannot win.
+        # This changes nothing about which combo wins — only how many
+        # knapsacks actually run. Zero-utility models can
         # neither be eligible nor move a bound, so only positive columns
         # are kept.
         positive = np.flatnonzero(utilities > 0.0)
@@ -375,7 +383,7 @@ class TrimCachingSpec:
                 positive_weights,
                 candidate_eligible,
                 candidate_residual,
-            ).tolist()
+            )
 
         # Every candidate's knapsack items, filtered here once: the
         # row-major nonzeros list each candidate's item columns in input
@@ -458,21 +466,35 @@ class TrimCachingSpec:
         pool: Optional[ThreadPoolExecutor],
         lp_guard: Optional[Sequence[float]],
     ) -> Tuple[float, List[int]]:
-        """Walk the candidates in ``order`` (descending ``bounds``);
-        the first strict improvement wins.
+        """Run the candidates best-guard-first; return the maximal mass
+        reached at the earliest *rank*, with its selection.
 
-        Ranks are dealt round-robin into chunks — one inline without a
-        pool, else one per worker — so every chunk sees descending
-        bounds. Pruning is conservative: within a chunk,
-        ``bound <= local incumbent`` stops it (that incumbent came from
-        an *earlier* rank); across chunks only the strict
-        ``bound < shared incumbent`` does, since an equal-bound combo
-        could still tie the final mass at an earlier rank. The LP prefix
-        guards use the same two rules but skip instead of stop, as they
-        are not sorted. So the earliest rank reaching the maximal mass is
-        always computed, and the in-order scan at the end returns the
-        same selection for every chunk count. With one chunk the two
-        incumbents coincide.
+        A candidate's rank is its index in ``order`` (descending
+        ``bounds``, ties in combination order); the seed walked the
+        ranks in turn and kept the first strict improvement, which is
+        the earliest rank reaching the maximal mass. The visit order
+        here is descending ``lp_guard`` (``bounds`` without it), ties in
+        rank order — best-bound-first, so the incumbent rises early and
+        the rest of the list breaks off.
+
+        Both bounds hold for every backend. Each returns a feasible
+        selection (``weight_dp`` rounds weights up), so its mass is at
+        most the LP guard, whose relative margin covers float error.
+        The DP backends add the chosen values in item order, and a
+        sequential float sum of some of a list of non-negative terms
+        never exceeds the sum of all of them, so the mass is at most the
+        utility-sum bound too. An incumbent is a ``(mass, rank)`` pair,
+        and a candidate can beat it only if a bound of its is larger, or
+        equal at an earlier rank. A chunk stops at the first guard that
+        cannot (the guards descend, and equal guards come in rank
+        order), and skips a candidate whose utility-sum bound cannot.
+
+        Visits are dealt round-robin into chunks — one inline without a
+        pool, else one per worker. Each chunk prunes against the
+        stronger of its own incumbent and a shared one; both are pairs
+        some candidate reached, so the winner is never pruned, and the
+        reduction (maximal mass, then earliest rank) returns the same
+        selection for every chunk count.
         """
         num_chunks = 1
         if pool is not None and len(order) > 1:
@@ -482,32 +504,40 @@ class TrimCachingSpec:
             num_chunks = max(
                 self.workers or getattr(pool, "_max_workers", 0) or 1, 1
             )
-        # Plain cell, racy check-then-set: a stale or lost update can only
-        # LOWER the observed incumbent, which weakens pruning (extra
-        # knapsacks run) but can never prune a combo that could be the
-        # earliest maximal one — correctness needs no atomicity here.
-        shared_best = [0.0]
+        if lp_guard is None:
+            guards, visits = bounds, range(len(order))
+        else:
+            guard_array = np.asarray(lp_guard, dtype=float)
+            # Stable on the negated guard: ties keep rank order.
+            visits = np.argsort(-guard_array[order], kind="stable").tolist()
+            guards = guard_array.tolist()
+        # An incumbent is the key ``(mass, -rank)``: larger is better.
+        # The start, rank -1 at mass 0.0, makes a mass of 0.0 never beat
+        # it. The shared one is read without the lock; the lock only
+        # keeps a concurrent update from replacing it with a weaker one.
+        shared_best = [(0.0, 1)]
+        shared_lock = threading.Lock()
 
-        def run_chunk(start: int) -> List[Tuple[int, float, List[int]]]:
-            results: List[Tuple[int, float, List[int]]] = []
-            local_best = 0.0
-            for rank in range(start, len(order), num_chunks):
+        def run_chunk(start: int) -> List[Tuple[Tuple[float, int], List[int]]]:
+            results: List[Tuple[Tuple[float, int], List[int]]] = []
+            local_best = (0.0, 1)
+            for rank in visits[start::num_chunks]:
+                best = max(local_best, shared_best[0])
                 pos = order[rank]
-                bound = bounds[pos]
-                if bound <= local_best or bound < shared_best[0]:
-                    break  # bounds descend within the chunk
-                if lp_guard is not None and (
-                    lp_guard[pos] <= local_best or lp_guard[pos] < shared_best[0]
-                ):
+                # No incumbent holds this rank yet, so ``<=`` means
+                # "cannot beat".
+                if (guards[pos], -rank) <= best:
+                    break  # guards descend within the chunk
+                if (bounds[pos], -rank) <= best:
                     continue
                 mass, selection = run_position(pos)
-                if mass > local_best:
-                    # Only a chunk's strict improvements can be the
-                    # earliest maximal rank; the rest need no record.
-                    local_best = mass
-                    results.append((rank, mass, selection))
-                if mass > shared_best[0]:
-                    shared_best[0] = mass
+                if (mass, -rank) > local_best:
+                    # Only what beats the chunk's incumbent can be the
+                    # winner; the rest need no record.
+                    local_best = (mass, -rank)
+                    results.append((local_best, selection))
+                    with shared_lock:
+                        shared_best[0] = max(shared_best[0], local_best)
             return results
 
         if num_chunks == 1:
@@ -515,14 +545,10 @@ class TrimCachingSpec:
         else:
             futures = [pool.submit(run_chunk, start) for start in range(num_chunks)]
             merged = [entry for future in futures for entry in future.result()]
-            merged.sort(key=lambda entry: entry[0])
-        best_mass = 0.0
-        best_selection: List[int] = []
-        for _, mass, selection in merged:
-            if mass > best_mass:
-                best_mass = mass
-                best_selection = selection
-        return best_mass, best_selection
+        if not merged:
+            return 0.0, []
+        (mass, _), selection = max(merged, key=lambda entry: entry[0])
+        return mass, selection
 
     # ------------------------------------------------------------------
     def solve(self, instance: PlacementInstance) -> SolverResult:
@@ -531,11 +557,6 @@ class TrimCachingSpec:
 
         start = time.perf_counter()
         with obs.span("solve.spec", backend=self.backend):
-            if not instance.library.specific_blocks_are_exclusive():
-                raise SolverError(
-                    "Spec requires specific blocks to be model-exclusive "
-                    "(additive DP weights); this library violates that"
-                )
             with obs.span("solve.spec.combinations"):
                 combos = enumerate_shared_combinations(
                     instance.library,

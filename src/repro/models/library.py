@@ -3,8 +3,8 @@
 :class:`ModelLibrary` owns the parameter blocks ``J`` and models ``I`` and
 answers every structural query the solvers need:
 
-* ``I_j`` — which models contain block ``j`` (:meth:`models_with_block`);
-* shared vs. specific block classification;
+* shared block classification (a block in more than one model; every
+  other block is specific);
 * deduplicated storage footprints (union of block sizes), the quantity the
   submodular constraint (6b) is built from;
 * marginal storage cost of adding one model to a cached block set.
@@ -14,8 +14,8 @@ positions* ``0..B-1`` (ascending block id): ids and int64 sizes, plus
 name and origin lists. The model -> block membership is one CSR pair
 (``indptr``, block positions in each model's forward order) over the
 models in ascending id order. Owner counts come from one ``bincount``
-and model sizes from one ``reduceat``. :class:`ParameterBlock` objects,
-the ``I_j`` sets and the id lookup tables are built only on access. A
+and model sizes from one ``reduceat``. :class:`ParameterBlock` objects
+and the id lookup tables are built only on access. A
 library pickles as its block columns and models alone; the receiver
 re-derives everything else.
 """
@@ -216,18 +216,6 @@ class ModelLibrary:
     def _model_pos(self) -> Dict[int, int]:
         return {model_id: pos for pos, model_id in enumerate(self._model_ids.tolist())}
 
-    @cached_property
-    def _owners(self) -> List[FrozenSet[int]]:
-        """Per block position, the ids of the models containing it."""
-        rows = np.repeat(self._model_ids, np.diff(self._indptr))
-        order = np.argsort(self._positions, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(self._owner_counts)))
-        owners = rows[order].tolist()
-        return [
-            frozenset(owners[start:stop])
-            for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        ]
-
     def _position_of(self, block_id: int) -> int:
         try:
             return self._block_pos[block_id]
@@ -326,19 +314,10 @@ class ModelLibrary:
     # ------------------------------------------------------------------
     # Sharing structure
     # ------------------------------------------------------------------
-    def models_with_block(self, block_id: int) -> FrozenSet[int]:
-        """``I_j``: ids of models containing ``block_id``."""
-        return self._owners[self._position_of(block_id)]
-
     @cached_property
     def shared_block_ids(self) -> FrozenSet[int]:
         """Blocks contained in more than one model (paper's shared blocks)."""
         return frozenset(self._block_ids[self._owner_counts > 1].tolist())
-
-    @property
-    def specific_block_ids(self) -> FrozenSet[int]:
-        """Blocks contained in at most one model."""
-        return frozenset(self._block_ids[self._owner_counts <= 1].tolist())
 
     def shared_blocks_of(self, model_id: int) -> FrozenSet[int]:
         """The shared blocks of one model."""
@@ -379,20 +358,8 @@ class ModelLibrary:
         )
 
     # ------------------------------------------------------------------
-    # Structure checks and derived libraries
+    # Derived libraries
     # ------------------------------------------------------------------
-    def specific_blocks_are_exclusive(self) -> bool:
-        """True when every non-shared block belongs to at most one model.
-
-        Holds by definition of "shared" (zero-owner orphan blocks are
-        allowed); retained as a cheap invariant check plus a readable name
-        for the condition the Spec solver relies on (the DP treats
-        specific sizes as additive).
-        """
-        return all(
-            len(self.models_with_block(b)) <= 1 for b in self.specific_block_ids
-        )
-
     def subset(self, model_ids: Sequence[int]) -> "ModelLibrary":
         """A new library restricted to ``model_ids`` (blocks pruned).
 

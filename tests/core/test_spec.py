@@ -23,6 +23,7 @@ from repro.models.library import ModelLibrary
 from repro.models.model import Model
 
 from tests.oracles.capacity import placement_is_feasible
+from tests.oracles.reference import specific_blocks_are_exclusive
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +407,7 @@ class TestGuards:
         blocks = [ParameterBlock(0, 5), ParameterBlock(1, 5)]
         models = [Model(0, (0, 1)), Model(1, (0,))]
         library = ModelLibrary(blocks, models)
-        assert library.specific_blocks_are_exclusive()
+        assert specific_blocks_are_exclusive(library)
 
     def test_combination_explosion_guarded(self):
         tuner = FineTuner()

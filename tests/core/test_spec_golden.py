@@ -80,8 +80,8 @@ def test_knapsack_memo_counts_at_fig4a_smallest_capacity(monkeypatch):
     monkeypatch.setattr(TrimCachingSpec, "solve", record)
     run_plan(fig4a_plan(num_topologies=1, capacities_gb=(0.5,), seed=0))
     [solve_stats] = stats
-    assert solve_stats["knapsack_cache_hits"] == 479
-    assert solve_stats["knapsack_cache_misses"] == 134
+    assert solve_stats["knapsack_cache_hits"] == 271
+    assert solve_stats["knapsack_cache_misses"] == 102
 
 
 if __name__ == "__main__":

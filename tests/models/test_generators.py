@@ -12,6 +12,8 @@ from repro.models.generators import (
     build_special_case_library,
 )
 
+from tests.oracles.reference import specific_blocks_are_exclusive
+
 
 class TestSpecialCase:
     def test_default_paper_scale(self):
@@ -52,7 +54,7 @@ class TestSpecialCase:
 
     def test_specific_blocks_exclusive(self):
         library = build_special_case_library(SpecialCaseConfig(num_models=30), seed=0)
-        assert library.specific_blocks_are_exclusive()
+        assert specific_blocks_are_exclusive(library)
 
     def test_substantial_savings(self):
         library = build_special_case_library(SpecialCaseConfig(num_models=30), seed=0)

@@ -14,6 +14,8 @@ from repro.models.library import ModelLibrary
 from repro.models.model import Model
 from repro.utils.units import MB
 
+from tests.oracles.reference import specific_blocks_are_exclusive
+
 
 def library_from(spec):
     """Build a library from {model_id: {block_id: size}} shorthand."""
@@ -139,12 +141,12 @@ class TestArrays:
             )
 
     def test_pickle_round_trip(self, tiny_library):
-        tiny_library.models_with_block(0)  # build a lazy table first
+        tiny_library.shared_block_ids  # build a lazy table first
         clone = pickle.loads(pickle.dumps(tiny_library))
+        assert "shared_block_ids" not in vars(clone)  # re-derived, not shipped
         assert clone.blocks() == tiny_library.blocks()
         assert clone.models() == tiny_library.models()
-        assert clone.shared_block_ids == tiny_library.shared_block_ids
-        assert clone.models_with_block(0) == frozenset({0, 1})
+        assert clone.shared_block_ids == frozenset({0})
         with pytest.raises(ValueError):
             clone.block_size_array[0] = 1
 
@@ -152,22 +154,24 @@ class TestArrays:
 class TestSharingStructure:
     def test_shared_vs_specific(self, tiny_library):
         assert tiny_library.shared_block_ids == frozenset({0})
-        assert tiny_library.specific_block_ids == frozenset({1, 2, 3, 4})
+        blocks = set(tiny_library.block_id_array.tolist())
+        assert blocks - tiny_library.shared_block_ids == {1, 2, 3, 4}
 
-    def test_models_with_block(self, tiny_library):
-        assert tiny_library.models_with_block(0) == frozenset({0, 1})
-        assert tiny_library.models_with_block(3) == frozenset({2})
+    def test_shared_block_ids_is_lazy(self, tiny_library):
+        assert "shared_block_ids" not in vars(tiny_library)
+        assert tiny_library.shared_block_ids == frozenset({0})
+        assert "shared_block_ids" in vars(tiny_library)
 
-    def test_models_with_unknown_block(self, tiny_library):
+    def test_unknown_block(self, tiny_library):
         with pytest.raises(LibraryError):
-            tiny_library.models_with_block(99)
+            tiny_library.block_size(99)
 
     def test_shared_blocks_of(self, tiny_library):
         assert tiny_library.shared_blocks_of(0) == frozenset({0})
         assert tiny_library.shared_blocks_of(2) == frozenset()
 
     def test_specific_blocks_are_exclusive(self, tiny_library):
-        assert tiny_library.specific_blocks_are_exclusive()
+        assert specific_blocks_are_exclusive(tiny_library)
 
 
 class TestStorageAccounting:

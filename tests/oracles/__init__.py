@@ -13,8 +13,9 @@ None of this is a user path, so none of it ships in ``repro``:
 :data:`ORACLE_SOLVERS` registers the three seed solvers, so a plan can
 run them through :func:`repro.api.run_plan` or
 :func:`repro.exec.execute_plan`. The package imports only numpy and
-``repro``; ``benchmarks/bench_perf.py`` loads it with ``tests/`` on
-``sys.path`` for the seed side of its Gen and sweep gates.
+``repro``; ``benchmarks/bench_perf.py`` imports it as ``tests.oracles``
+(the repo root on ``sys.path``) for the seed side of its Gen and sweep
+gates.
 """
 
 from repro.api import SolverRegistry

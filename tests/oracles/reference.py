@@ -42,6 +42,19 @@ from repro.core.result import SolverResult
 from repro.errors import SolverError
 
 
+def specific_blocks_are_exclusive(library: ModelLibrary) -> bool:
+    """True when every block outside ``library.shared_block_ids`` has at
+    most one owner, counted afresh from the CSR membership.
+
+    The seed library's check, which the seed Spec ran before every
+    solve (the DP treats specific sizes as additive).
+    """
+    _, positions = library.membership
+    owners = np.bincount(positions, minlength=library.num_blocks)
+    specific = ~np.isin(library.block_id_array, sorted(library.shared_block_ids))
+    return bool((owners[specific] <= 1).all())
+
+
 class ReferenceCoverageTracker:
     """The seed :class:`~repro.core.objective.CoverageTracker`.
 
@@ -474,7 +487,7 @@ class ReferenceSpec:
         from repro.core.objective import hit_ratio
 
         start = time.perf_counter()
-        if not instance.library.specific_blocks_are_exclusive():
+        if not specific_blocks_are_exclusive(instance.library):
             raise SolverError(
                 "Spec requires specific blocks to be model-exclusive "
                 "(additive DP weights); this library violates that"

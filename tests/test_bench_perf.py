@@ -149,3 +149,13 @@ class TestTargets:
         with pytest.raises(SystemExit) as stop:
             bench.main([flag, "2"])
         assert stop.value.code == 2
+
+
+class TestOracleImport:
+    def test_oracles_load_once_next_to_an_oracle_test(self, bench):
+        from tests.oracles import ORACLE_SOLVERS
+        from tests.oracles.reference import ReferenceGen
+
+        assert "oracles" not in sys.modules
+        assert bench.ORACLE_SOLVERS is ORACLE_SOLVERS
+        assert bench.ReferenceGen is ReferenceGen
