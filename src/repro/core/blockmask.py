@@ -1,26 +1,33 @@
-"""Dense block-membership bitmasks for the vectorised solvers.
+"""Dense block-class bitmasks for the vectorised solvers.
 
 The set-based storage accounting on :class:`~repro.core.placement.
 PlacementInstance` (``marginal_storage``/``dedup_storage``) walks Python
 frozensets per (server, model) probe — fine for reference code, but it is
 the inner loop of every greedy solver. :class:`BlockMaskIndex` replaces
-those walks with dense numpy arrays over *block positions* ``0..B-1``,
-read straight off the library's arrays
-(:attr:`~repro.models.library.ModelLibrary.membership`) by scatter:
+those walks with dense numpy arrays over *block classes*.
 
-* ``member`` — ``(I, B)`` bool: does model ``i`` contain block ``b``?
-* ``sizes`` — ``(B,)`` int64 block sizes.
-* ``member_t`` — ``(B, I)`` bool, the transposed membership (scattered
-  on first use): row ``b`` lists which models contain block ``b``.
+A block class is the set of blocks owned by exactly the same set of
+models. A server caches whole models, so it holds all of a class's
+blocks or none of them, and the deduplicated footprint ``g_m(X_m)`` of
+eq. (7) — the byte sum of the union of cached blocks — equals the byte
+sum of the union of cached classes, where a class weighs the exact int64
+sum of its blocks' sizes. So every marginal, drop and footprint below is
+the same integer the per-block sums give. A paper-scale general-case
+library (I=300) has ~3,400 blocks but ~440 classes. ``block_class``
+maps each block to its class.
 
-With a per-server cached-block mask ``c`` (``(B,)`` bool) the marginal
+* ``member`` — ``(I, C)`` bool: does model ``i`` own class ``c``?
+* ``member_t`` — ``(C, I)`` bool, its transpose: the owners of class ``c``.
+* ``sizes`` — ``(C,)`` int64 class sizes.
+
+With a per-server cached-class mask ``c`` (``(C,)`` bool) the marginal
 storage of *every* model at once is the single integer matvec
 ``(member & ~c) @ sizes`` — exact (no float drift), so incremental
 maintenance of marginal-size tables is bit-stable.
 
 :class:`ServerBlockCache` maintains those per-server masks plus an
 ``(M, I)`` marginal-size table updated by exact integer deltas as models
-are placed: caching blocks ``F`` lowers every model's marginal by
+are placed: caching classes ``F`` lowers every model's marginal by
 ``sizes[F] @ member_t[F]`` (exact int64 against bool rows). A resident
 cache (the serving layer's) also keeps those deltas for reuse by its
 clones.
@@ -28,69 +35,71 @@ clones.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.models.library import ModelLibrary
 
+#: Models per word of a block's owner-set key: each owner adds a distinct
+#: power of two below ``2**52``, so every float64 sum is an exact integer.
+_OWNER_BITS = 52
+
 
 class BlockMaskIndex:
-    """Immutable dense index of model -> block membership.
+    """Immutable dense index of model -> block-class membership.
 
     Parameters
     ----------
     library:
         The model library. Dense model index ``i`` is the ``i``-th model
-        id in ascending order (``PlacementInstance.index_to_model_id``);
-        block position ``b`` is the ``b``-th block id in ascending order.
-        Unreferenced blocks occupy a column that no model sets.
+        id in ascending order (``PlacementInstance.index_to_model_id``).
+        Unreferenced blocks form the class no model owns.
     """
 
     def __init__(self, library: ModelLibrary) -> None:
-        self._membership = library.membership
-        indptr, positions = self._membership
-        #: block position -> block id (ascending id order).
-        self.block_ids: np.ndarray = library.block_id_array
-        #: ``(B,)`` block sizes in bytes, aligned with ``block_ids``.
-        self.sizes: np.ndarray = library.block_size_array
-        #: ``(I,)`` full model sizes ``D_i`` (sum of member block sizes).
-        self.model_sizes: np.ndarray = library.model_size_array
+        indptr, positions = library.membership
         num_models = library.num_models
         num_blocks = library.num_blocks
-        rows = np.repeat(np.arange(num_models), np.diff(indptr))
-        #: ``(I, B)`` bool membership matrix.
-        self.member: np.ndarray = np.zeros(
-            (num_models, num_blocks), dtype=bool
+        counts = np.diff(indptr)
+        models = np.arange(num_models)
+        # Each block's owner set as a column of exact integer words, from
+        # the CSR in one bincount; blocks with equal columns form a class.
+        words = num_models // _OWNER_BITS + 1
+        owner_keys = np.bincount(
+            np.repeat(models // _OWNER_BITS * num_blocks, counts) + positions,
+            weights=np.repeat(np.ldexp(1.0, models % _OWNER_BITS), counts),
+            minlength=words * num_blocks,
+        ).reshape(words, num_blocks)
+        order = np.lexsort(owner_keys)
+        sorted_keys = np.take(owner_keys, order, axis=1)
+        starts = np.ones(num_blocks, dtype=bool)
+        np.any(sorted_keys[:, 1:] != sorted_keys[:, :-1], axis=0, out=starts[1:])
+        #: ``(B,)`` class of each block position.
+        self.block_class: np.ndarray = np.empty(num_blocks, dtype=np.intp)
+        self.block_class[order] = np.cumsum(starts) - 1
+        #: ``(C,)`` exact int64 class sizes in bytes.
+        self.sizes: np.ndarray = np.add.reduceat(
+            library.block_size_array[order], np.flatnonzero(starts)
         )
-        self.member[rows, positions] = True
-        #: per model, the sorted block *positions* it occupies (the sparse
-        #: row of ``member`` — the greedy solvers touch only these).
-        #: Stable (timsort): linear on the sorted rows libraries emit, and
-        #: it does not page in numpy's SIMD quicksort (~0.1 MB of RSS).
-        order = np.argsort(rows * num_blocks + positions, kind="stable")
-        self.model_positions: List[np.ndarray] = np.split(
-            positions[order], indptr[1:-1]
-        )
+        #: ``(I,)`` full model sizes ``D_i`` (sum of member block sizes).
+        self.model_sizes: np.ndarray = library.model_size_array
+        #: ``(I, C)`` bool membership matrix.
+        self.member: np.ndarray = np.zeros((num_models, self.sizes.size), dtype=bool)
+        self.member[np.repeat(models, counts), self.block_class[positions]] = True
+        #: ``(C, I)`` bool transposed membership. Bool, not int64: 1/8
+        #: the bytes, and a worker keeps alive the index of every library
+        #: it has touched.
+        self.member_t: np.ndarray = np.ascontiguousarray(self.member.T)
+        #: per model, the sorted classes it owns (the sparse row of
+        #: ``member`` — the greedy solvers touch only these).
+        owned = np.flatnonzero(self.member)
+        ends = np.searchsorted(owned, (models + 1) * self.sizes.size).tolist()
+        owned %= self.sizes.size
+        self.model_positions: List[np.ndarray] = [
+            owned[start:end] for start, end in zip([0] + ends, ends)
+        ]
         self._full_overlap: List[Optional[np.ndarray]] = [None] * num_models
-
-    @cached_property
-    def block_pos(self) -> Dict[int, int]:
-        """Block id -> block position."""
-        return {block_id: pos for pos, block_id in enumerate(self.block_ids.tolist())}
-
-    @cached_property
-    def member_t(self) -> np.ndarray:
-        """``(B, I)`` bool transposed membership (built on first use)."""
-        # Bool, not int64: 1/8 the bytes, and a worker keeps alive the
-        # index of every library it has touched. Scattered from the CSR
-        # like ``member``: a strided copy of ``member.T`` is 4x slower.
-        indptr, positions = self._membership
-        rows = np.repeat(np.arange(self.num_models), np.diff(indptr))
-        member_t = np.zeros((self.num_blocks, self.num_models), dtype=bool)
-        member_t[positions, rows] = True
-        return member_t
 
     def full_overlap(self, model_index: int) -> np.ndarray:
         """``(I,)`` int64 byte overlap of every model with one model.
@@ -115,19 +124,18 @@ class BlockMaskIndex:
         return int(self.member.shape[0])
 
     @property
-    def num_blocks(self) -> int:
-        """``B``."""
+    def num_classes(self) -> int:
+        """``C``, the number of block classes."""
         return int(self.member.shape[1])
 
-    # ------------------------------------------------------------------
 
 #: Byte budget of one resident delta table (see
 #: :meth:`ServerBlockCache.resident`); once its entries would exceed it,
 #: new deltas are computed but no longer stored.
 DELTA_TABLE_BYTES = 4 << 20
 
-#: A block delta: ``(fresh positions or None, bytes added, (I,) drop in
-#: every model's marginal)``.
+#: A delta: ``(fresh classes or None, bytes added, (I,) drop in every
+#: model's marginal)``.
 _Delta = Tuple[Optional[np.ndarray], int, Optional[np.ndarray]]
 
 
@@ -136,23 +144,23 @@ class ServerBlockCache:
 
     Maintains, for each server:
 
-    * ``masks[m]`` — ``(B,)`` bool: blocks currently cached;
+    * ``masks[m]`` — ``(C,)`` bool: block classes currently cached;
     * ``used[m]`` — deduplicated bytes currently used;
     * ``extras[m]`` — ``(I,)`` int64: marginal bytes of every model.
 
     ``extras`` is updated *incrementally*: adding a model contributes only
-    its newly cached blocks, and each model's marginal shrinks by exactly
-    the sizes of the new blocks it contains. All arithmetic is integer,
+    its newly cached classes, and each model's marginal shrinks by
+    exactly the sizes of the new classes it owns. All arithmetic is integer,
     so the table is always exactly equal to a from-scratch recompute.
 
-    Delta table. What an add changes — the fresh block positions, the
-    bytes added and the ``(I,)`` drop in every marginal — depends only on
-    the model and on which of its blocks the server already holds. A
+    Delta table. What an add changes — the fresh classes, the bytes
+    added and the ``(I,)`` drop in every marginal — depends only on the
+    model and on which of its classes the server already holds. A
     cache built by :meth:`resident` keeps those integer results in a
     table keyed on ``(model, already-cached pattern)``, and every
     :meth:`clone` of it shares that table, so a pattern met by any clone
     costs two scatters on every later clone instead of the
-    ``int64 @ bool`` product over the fresh blocks' rows. The values are
+    ``int64 @ bool`` product over the fresh classes' rows. The values are
     exact integers, so a hit changes no bit. The table pays off only
     where the same adds recur across solves: the resident service
     re-solves every event on a clone of one unplaced cache, and its adds
@@ -164,7 +172,7 @@ class ServerBlockCache:
 
     def __init__(self, index: BlockMaskIndex, num_servers: int) -> None:
         self.index = index
-        self.masks = np.zeros((num_servers, index.num_blocks), dtype=bool)
+        self.masks = np.zeros((num_servers, index.num_classes), dtype=bool)
         self.used = np.zeros(num_servers, dtype=np.int64)
         self.extras = np.tile(index.model_sizes, (num_servers, 1))
         #: ``(model, already-pattern bytes) -> delta``, shared by clones;
@@ -240,10 +248,10 @@ class ServerBlockCache:
     def _delta(
         self, model_index: int, positions: np.ndarray, already: np.ndarray
     ) -> _Delta:
-        """What adding the model changes, given which blocks are cached."""
+        """What adding the model changes, given which classes are cached."""
         index = self.index
         if not already.any():
-            # None of the blocks were cached: the drop is the model's
+            # None of its classes were cached: the drop is the model's
             # memoised full overlap (identical integers to the general
             # path with ``already`` all false).
             return (
@@ -251,8 +259,8 @@ class ServerBlockCache:
                 int(index.model_sizes[model_index]),
                 index.full_overlap(model_index),
             )
-        # Every model containing one of the newly cached blocks gets
-        # exactly that block's size cheaper on this server.
+        # Every model owning one of the newly cached classes gets
+        # exactly that class's size cheaper on this server.
         fresh = positions[~already]
         if fresh.size == 0:
             return None, 0, None

@@ -203,12 +203,18 @@ class PlacementInstance:
 
     @property
     def block_index(self) -> BlockMaskIndex:
-        """Dense block-membership bitmask index (built lazily, cached).
+        """Dense block-class bitmask index (built lazily, cached).
 
-        Backs the vectorised storage accounting used by the solvers; :meth:`marginal_storage`/:meth:`dedup_storage` above are
-        the equivalent set-based reference paths. The index depends only
-        on the library, so it is memoised per library object — instances
-        sharing a library (every topology of a sweep point) share it.
+        A block class is the set of blocks owned by exactly the same
+        models. Models are cached whole, so a server holds a class
+        entirely or not at all, and the union of cached classes weighs
+        exactly what eq. (7)'s union of cached blocks weighs: the
+        index's integer sums equal :meth:`marginal_storage`/
+        :meth:`dedup_storage` above, the set-based reference paths.
+        Being shared (more than one owner) is a property of a whole
+        class. The index depends only on the library, so it is memoised
+        per library object — instances sharing a library (every
+        topology of a sweep point) share it.
         """
         if self._block_index is None:
             cached = _BLOCK_INDEX_CACHE.get(self.library)

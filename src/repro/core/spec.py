@@ -38,12 +38,12 @@ output bit:
   knapsack has no item and returns 0.0, which is never a strict
   improvement. The rank bounds still sum every eligible model, so the
   survivors keep their order and ties;
-* the same mask is each candidate's knapsack item list, turned once per
-  sub-problem into plain lists of item columns in input order. A
-  knapsack call gathers its items from them, and a memoised table
-  turns it into a key lookup and a backtrack; every backend sees the
-  items its own input check would keep, in the same order, so its
-  selection is unchanged;
+* the same mask is each candidate's knapsack item list: a visited
+  candidate's row becomes a plain list of item columns in input order,
+  and a pruned one's is never read. A knapsack call gathers its items
+  from it, and a memoised table turns it into a key lookup and a
+  backtrack; every backend sees the items its own input check would
+  keep, in the same order, so its selection is unchanged;
 * one traversal, :meth:`TrimCachingSpec._traverse`, visits the
   candidates best-bound-first: by descending LP prefix guard, ties in
   rank order (a candidate's rank is its place in the descending
@@ -99,13 +99,14 @@ class _SubproblemContext:
 
     def __init__(self, instance: PlacementInstance, combos: CombinationSet) -> None:
         index = instance.block_index
-        shared_ids = instance.library.shared_block_ids
-        shared_cols = [index.block_pos[b] for b in sorted(shared_ids)]
+        # A block's owners are its class's, so a class is shared (more
+        # than one owner) as a whole; each class counts once.
+        shared = np.count_nonzero(index.member_t, axis=1) > 1
         #: ``D_N(i) = D_i - d_{N,i}`` — the specific-block footprint,
         #: independent of N because a model is only eligible when ALL its
         #: shared blocks are in N.
         self.specific_weight = (
-            index.model_sizes - index.member[:, shared_cols] @ index.sizes[shared_cols]
+            index.model_sizes - index.member[:, shared] @ index.sizes[shared]
         )
         if self.specific_weight.dtype.kind not in "iu":
             raise SolverError("knapsack weights must be integers")
@@ -114,6 +115,7 @@ class _SubproblemContext:
         #: ``d_N`` per combination.
         self.combo_sizes = combos.sizes
         #: ``(|A|, I)`` bool: are ALL of model i's shared blocks in N?
+        shared_ids = instance.library.shared_block_ids
         self.eligible = combos.eligibility(
             [blocks & shared_ids for blocks in instance.model_blocks]
         )
@@ -385,22 +387,18 @@ class TrimCachingSpec:
                 candidate_residual,
             )
 
-        # Every candidate's knapsack items, filtered here once: the
-        # row-major nonzeros list each candidate's item columns in input
-        # order, which is the order the backends' own input check keeps.
-        # A knapsack only gathers its columns from these lists; at the
-        # larger capacities most candidates are pruned, so no per-item
-        # list is built for all of them.
-        rows, cols = np.nonzero(items[has_item])
-        starts = [0] + np.bincount(rows, minlength=len(bounds)).cumsum().tolist()
-        cols = cols.tolist()
+        # Every candidate's knapsack items are its row of the filtered
+        # mask, listed in input order, which is the order the backends'
+        # own input check keeps. Most candidates are pruned, so a row's
+        # columns are read only when the traversal visits it.
+        candidate_items = items[has_item]
         values = positive_utilities.tolist()
         weights = positive_weights.tolist()
         models = positive.tolist()
         capacities = candidate_residual.tolist()
 
         def run_position(pos: int) -> Tuple[float, List[int]]:
-            picks = cols[starts[pos] : starts[pos + 1]]
+            picks = candidate_items[pos].nonzero()[0].tolist()
             mass, chosen = self._run_knapsack(
                 tuple([values[col] for col in picks]),
                 tuple([weights[col] for col in picks]),

@@ -283,11 +283,6 @@ class ModelLibrary:
     # model rows are ascending model ids)
     # ------------------------------------------------------------------
     @property
-    def block_id_array(self) -> np.ndarray:
-        """``(B,)`` int64 block ids, one per block position."""
-        return self._block_ids
-
-    @property
     def block_size_array(self) -> np.ndarray:
         """``(B,)`` int64 block sizes ``D'_j``, one per block position."""
         return self._block_sizes

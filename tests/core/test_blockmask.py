@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blockmask import BlockMaskIndex, ServerBlockCache
+from repro.core.dp import enumerate_shared_combinations
 from repro.core.gen import greedy_place
 from repro.core.objective import CoverageTracker
 from repro.core.placement import PlacementInstance
+from repro.core.spec import _SubproblemContext
 from repro.models.blocks import ParameterBlock
 from repro.models.generators import (
     GeneralCaseConfig,
@@ -54,31 +56,82 @@ def union_size(index, model_indices):
     return int(index.sizes[index.member[indices].any(axis=0)].sum())
 
 
+def block_membership(library):
+    """``(I, B)`` bool model -> block membership, scattered from the
+    library's CSR."""
+    indptr, positions = library.membership
+    member = np.zeros((library.num_models, library.num_blocks), dtype=bool)
+    rows = np.repeat(np.arange(library.num_models), np.diff(indptr))
+    member[rows, positions] = True
+    return member
+
+
+def assert_classes_expand_to_blocks(index, library):
+    """The class index is a lossless grouping of the library's blocks:
+    expanding every class to its blocks gives the CSR membership back,
+    each class is non-empty and weighs its blocks' exact byte sum, and
+    no two classes have the same owners (blocks with equal owner sets
+    share one class)."""
+    assert index.block_class.shape == (library.num_blocks,)
+    assert np.array_equal(
+        index.member[:, index.block_class], block_membership(library)
+    )
+    counts = np.bincount(index.block_class, minlength=index.num_classes)
+    assert counts.size == index.num_classes and (counts > 0).all()
+    block_sizes = library.block_size_array.tolist()
+    block_class = index.block_class.tolist()
+    assert index.sizes.dtype == np.int64
+    assert index.sizes.tolist() == [
+        sum(size for size, c in zip(block_sizes, block_class) if c == cls)
+        for cls in range(index.num_classes)
+    ]
+    assert int(index.sizes.sum()) == sum(block_sizes)
+    owner_sets = {row.tobytes() for row in index.member_t}
+    assert len(owner_sets) == index.num_classes
+
+
 class TestBlockMaskIndex:
     def test_membership_matches_model_blocks(self, tiny_instance):
         index = tiny_instance.block_index
+        library = tiny_instance.library
+        block_ids = np.array(library.block_ids)
         for model_index in range(tiny_instance.num_models):
-            mask = index.member[model_index]
-            assert frozenset(index.block_ids[mask].tolist()) == (
+            owned = np.flatnonzero(index.member[model_index])
+            blocks = block_ids[np.isin(index.block_class, owned)]
+            assert frozenset(blocks.tolist()) == (
                 tiny_instance.model_blocks[model_index]
             )
+        # Block 0 is shared by models 0 and 1, blocks 1 and 2 are their
+        # heads, and blocks 3 and 4 (model 2 alone) form one class.
+        block_class = index.block_class.tolist()
+        assert index.num_classes == len(set(block_class[:4])) == 4
+        assert block_class[3] == block_class[4]
+        assert index.sizes[index.block_class].tolist() == [
+            10 * MB, 5 * MB, 5 * MB, 10 * MB, 10 * MB
+        ]
+        assert_classes_expand_to_blocks(index, library)
 
     def test_model_sizes_match_library(self, tiny_instance):
         index = tiny_instance.block_index
         assert np.array_equal(index.model_sizes, tiny_instance.model_sizes)
 
     def test_marginal_sizes_match_set_walk(self):
+        # A cache holds whole models, so the cached sets a marginal is
+        # ever taken against are unions of model block sets.
         rng = np.random.default_rng(0)
         for _ in range(25):
             instance = random_instance(rng)
             index = instance.block_index
-            cached_ids = set(
-                int(b)
-                for b in rng.choice(
-                    index.block_ids, size=rng.integers(0, 10), replace=False
-                )
+            assert_classes_expand_to_blocks(index, instance.library)
+            cached_models = rng.choice(
+                instance.num_models,
+                size=rng.integers(0, instance.num_models + 1),
+                replace=False,
             )
-            cached_mask = np.isin(index.block_ids, list(cached_ids))
+            cached_ids = set()
+            for model_index in cached_models:
+                cached_ids |= instance.model_blocks[model_index]
+            cached_mask = index.member[cached_models].any(axis=0)
             vectorised = marginal_sizes(index, cached_mask)
             for model_index in range(instance.num_models):
                 expected = instance.marginal_storage(model_index, cached_ids)
@@ -224,7 +277,8 @@ class TestCompactIndex:
         index = instance.block_index
         member_t = index.member_t
         assert member_t.dtype == bool
-        assert member_t.nbytes == index.num_blocks * index.num_models
+        assert member_t.nbytes == index.num_classes * index.num_models
+        assert index.num_classes < instance.library.num_blocks
         assert member_t.flags.c_contiguous
         assert np.array_equal(member_t, index.member.T)
 
@@ -289,7 +343,7 @@ def _shuffled_library(seed=5, num_models=12, num_blocks=40):
 
 
 class TestIndexStructure:
-    """The scattered index equals its definition on real libraries."""
+    """The class index equals its definition on real libraries."""
 
     LIBRARIES = {
         "general-I300": lambda: build_general_case_library(
@@ -307,12 +361,16 @@ class TestIndexStructure:
         index = BlockMaskIndex(library)
         member = index.member
         assert member.dtype == bool
-        assert member.shape == (library.num_models, library.num_blocks)
+        assert member.shape == (library.num_models, index.num_classes)
         assert index.member_t.dtype == bool
         assert np.array_equal(index.member_t, member.T)
-        pos_of = {block_id: pos for pos, block_id in enumerate(index.block_ids)}
+        assert_classes_expand_to_blocks(index, library)
+        pos_of = {block_id: pos for pos, block_id in enumerate(library.block_ids)}
+        block_class = index.block_class.tolist()
         for i, model in enumerate(library.models()):
-            expected = sorted(pos_of[block_id] for block_id in model.block_ids)
+            expected = sorted(
+                {block_class[pos_of[block_id]] for block_id in model.block_ids}
+            )
             assert index.model_positions[i].tolist() == expected
             assert np.flatnonzero(member[i]).tolist() == expected
 
@@ -323,7 +381,6 @@ class _ArrayLibrary:
 
     def __init__(self, sizes, models):
         self.block_size_array = np.asarray(sizes, dtype=np.int64)
-        self.block_id_array = np.arange(len(sizes), dtype=np.int64)
         self.num_blocks = len(sizes)
         self.num_models = len(models)
         indptr = np.zeros(len(models) + 1, dtype=np.int64)
@@ -461,3 +518,168 @@ class TestSharedDeltaTable:
         assert np.array_equal(
             base.extras, np.tile(index.model_sizes, (instance.num_servers, 1))
         )
+
+
+def _block_library(sizes, block_lists):
+    """A library with blocks ``0..len(sizes)-1`` and model ``i`` owning
+    ``block_lists[i]``."""
+    blocks = [ParameterBlock(b, size) for b, size in enumerate(sizes)]
+    models = [Model(i, tuple(ids)) for i, ids in enumerate(block_lists)]
+    return ModelLibrary(blocks, models)
+
+
+def _nested_library():
+    """Model ``i`` owns blocks ``0..i``, so block ``b``'s owners are
+    models ``b..7``: every block has its own owner set (C == B)."""
+    return _block_library(
+        [3, 1, 4, 1, 5, 9, 2, 6], [list(range(i + 1)) for i in range(8)]
+    )
+
+
+def _twin_library():
+    """Models 0 and 1 own exactly the same blocks."""
+    return _block_library([7, 2, 5, 3], [[0, 1, 2], [0, 1, 2], [2, 3]])
+
+
+def _collapsed_library():
+    """Four shared blocks in one class (all owned by models 0 and 1) and
+    two in another (models 2 and 3), beside one specific block each."""
+    return _block_library(
+        [10, 20, 30, 40, 5, 6, 50, 60, 7, 8],
+        [[0, 1, 2, 3, 4], [0, 1, 2, 3, 5], [6, 7, 8], [6, 7, 9]],
+    )
+
+
+def _zero_size_library():
+    """Zero-size blocks, shared and specific, beside sized ones."""
+    return _ArrayLibrary(
+        [0, 4, 0, 7, 0, 2], [[0, 1, 2], [0, 1, 3], [4, 5], [2, 4]]
+    )
+
+
+def _set_walk(library):
+    """Per model, its block-position set, and the block sizes, read off
+    the library's CSR: the reference the class index must agree with."""
+    indptr, positions = library.membership
+    blocks = [
+        frozenset(positions[indptr[i] : indptr[i + 1]].tolist())
+        for i in range(library.num_models)
+    ]
+    return blocks, library.block_size_array.tolist()
+
+
+class TestBlockClasses:
+    """Block classes on libraries where they collapse a lot, not at all,
+    or trap a per-block lookup: every storage figure equals the set walk
+    over blocks."""
+
+    LIBRARIES = {
+        "general-I300": TestIndexStructure.LIBRARIES["general-I300"],
+        "special-I30": TestIndexStructure.LIBRARIES["special-I30"],
+        "shuffled": _shuffled_library,
+        "zero-size": _zero_size_library,
+        "nested": _nested_library,
+        "twins": _twin_library,
+        "collapsed": _collapsed_library,
+    }
+
+    def test_each_block_its_own_class(self):
+        library = _nested_library()
+        index = BlockMaskIndex(library)
+        assert index.num_classes == library.num_blocks
+        assert sorted(index.block_class.tolist()) == list(range(library.num_blocks))
+        assert np.array_equal(
+            index.member[:, index.block_class], block_membership(library)
+        )
+        assert np.array_equal(
+            index.sizes[index.block_class], library.block_size_array
+        )
+
+    def test_identical_models_share_every_class(self):
+        index = BlockMaskIndex(_twin_library())
+        block_class = index.block_class.tolist()
+        assert index.num_classes == len(set(block_class)) == 3
+        assert block_class[0] == block_class[1]
+        assert index.sizes[index.block_class].tolist() == [9, 9, 5, 3]
+        assert np.array_equal(index.member[0], index.member[1])
+        assert index.full_overlap(0).tolist() == [14, 14, 5]
+
+    @pytest.mark.parametrize("name", sorted(LIBRARIES))
+    def test_cache_matches_set_walk_after_random_adds(self, name):
+        library = self.LIBRARIES[name]()
+        index = BlockMaskIndex(library)
+        assert_classes_expand_to_blocks(index, library)
+        blocks, sizes = _set_walk(library)
+        num_models = library.num_models
+        num_servers = 2
+        cache = ServerBlockCache(index, num_servers)
+        cached = [set() for _ in range(num_servers)]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        # Check every model's marginal after each add; at I=300 a
+        # sample of them keeps the set walk cheap.
+        probes = range(0, num_models, max(1, num_models // 40))
+        for _ in range(min(30, 3 * num_models)):
+            server = int(rng.integers(num_servers))
+            model_index = int(rng.integers(num_models))
+            expected = sum(sizes[b] for b in blocks[model_index] - cached[server])
+            assert cache.add(server, model_index) == expected
+            cached[server] |= blocks[model_index]
+            assert cache.used[server] == sum(sizes[b] for b in cached[server])
+            row = cache.marginal_row(server)
+            for other in probes:
+                assert row[other] == sum(
+                    sizes[b] for b in blocks[other] - cached[server]
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_delta_table_case())
+    def test_zero_size_blocks_match_set_walk(self, case):
+        sizes, models, num_servers, sequences = case
+        library = _ArrayLibrary(sizes, models)
+        index = BlockMaskIndex(library)
+        assert_classes_expand_to_blocks(index, library)
+        blocks, _ = _set_walk(library)
+        cache = ServerBlockCache(index, num_servers)
+        cached = [set() for _ in range(num_servers)]
+        for server, model_index in (step for seq in sequences for step in seq):
+            assert cache.add(server, model_index) == sum(
+                sizes[b] for b in blocks[model_index] - cached[server]
+            )
+            cached[server] |= blocks[model_index]
+            assert cache.extras[server].tolist() == [
+                sum(sizes[b] for b in owned - cached[server]) for owned in blocks
+            ]
+
+    @pytest.mark.parametrize(
+        "name", ["special-I30", "shuffled", "nested", "twins", "collapsed"]
+    )
+    def test_spec_specific_weights_match_sets(self, name):
+        library = self.LIBRARIES[name]()
+        if name == "collapsed":
+            # Several shared blocks per class: a per-block column lookup
+            # would count each class once per block.
+            index = BlockMaskIndex(library)
+            shared = sorted(library.shared_block_ids)
+            assert len(set(index.block_class[shared].tolist())) < len(shared)
+        models = library.models()
+        owners = {}
+        for model in models:
+            for block_id in model.block_ids:
+                owners[block_id] = owners.get(block_id, 0) + 1
+        shared_ids = {b for b, count in owners.items() if count > 1}
+        expected = [
+            library.model_size(model.model_id)
+            - sum(library.block_size(b) for b in model.block_set & shared_ids)
+            for model in models
+        ]
+        num_models = library.num_models
+        instance = PlacementInstance(
+            library,
+            np.ones((1, num_models)),
+            np.ones((1, 1, num_models), dtype=bool),
+            [10**6],
+        )
+        combos = enumerate_shared_combinations(library, cache=False)
+        weights = _SubproblemContext(instance, combos).specific_weight
+        assert weights.dtype == np.int64
+        assert weights.tolist() == expected

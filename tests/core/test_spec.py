@@ -23,7 +23,6 @@ from repro.models.library import ModelLibrary
 from repro.models.model import Model
 
 from tests.oracles.capacity import placement_is_feasible
-from tests.oracles.reference import specific_blocks_are_exclusive
 
 
 # ----------------------------------------------------------------------
@@ -399,16 +398,6 @@ class TestSpecOnSpecialScenario:
 
 
 class TestGuards:
-    def test_non_exclusive_specific_blocks_rejected(self):
-        # Two models share a block, a third also contains it -> still
-        # shared; but craft a library whose "specific" block appears in
-        # two models via zero-owner tricks is impossible, so instead test
-        # the library check directly on a healthy library.
-        blocks = [ParameterBlock(0, 5), ParameterBlock(1, 5)]
-        models = [Model(0, (0, 1)), Model(1, (0,))]
-        library = ModelLibrary(blocks, models)
-        assert specific_blocks_are_exclusive(library)
-
     def test_combination_explosion_guarded(self):
         tuner = FineTuner()
         root = make_resnet_root(RESNET18)

@@ -113,7 +113,6 @@ class TestArrays:
     def test_arrays_are_read_only(self, tiny_library):
         indptr, positions = tiny_library.membership
         for array in (
-            tiny_library.block_id_array,
             tiny_library.block_size_array,
             tiny_library.model_size_array,
             indptr,
@@ -124,9 +123,7 @@ class TestArrays:
 
     def test_arrays_match_objects(self, tiny_library):
         blocks = tiny_library.blocks()
-        assert tiny_library.block_id_array.tolist() == [
-            b.block_id for b in blocks
-        ]
+        assert tiny_library.block_ids == [b.block_id for b in blocks]
         assert tiny_library.block_size_array.tolist() == [
             b.size_bytes for b in blocks
         ]
@@ -134,11 +131,10 @@ class TestArrays:
             tiny_library.model_size(i) for i in tiny_library.model_ids
         ]
         indptr, positions = tiny_library.membership
+        block_ids = tiny_library.block_ids
         for row, model in enumerate(tiny_library.models()):
-            span = positions[indptr[row] : indptr[row + 1]]
-            assert tuple(tiny_library.block_id_array[span].tolist()) == (
-                model.block_ids
-            )
+            span = positions[indptr[row] : indptr[row + 1]].tolist()
+            assert tuple(block_ids[pos] for pos in span) == model.block_ids
 
     def test_pickle_round_trip(self, tiny_library):
         tiny_library.shared_block_ids  # build a lazy table first
@@ -154,7 +150,7 @@ class TestArrays:
 class TestSharingStructure:
     def test_shared_vs_specific(self, tiny_library):
         assert tiny_library.shared_block_ids == frozenset({0})
-        blocks = set(tiny_library.block_id_array.tolist())
+        blocks = set(tiny_library.block_ids)
         assert blocks - tiny_library.shared_block_ids == {1, 2, 3, 4}
 
     def test_shared_block_ids_is_lazy(self, tiny_library):
@@ -172,6 +168,14 @@ class TestSharingStructure:
 
     def test_specific_blocks_are_exclusive(self, tiny_library):
         assert specific_blocks_are_exclusive(tiny_library)
+        # Model 1 owns only the shared block, so block 1 is specific to
+        # model 0.
+        library = ModelLibrary(
+            [ParameterBlock(0, 5), ParameterBlock(1, 5)],
+            [Model(0, (0, 1)), Model(1, (0,))],
+        )
+        assert library.shared_block_ids == frozenset({0})
+        assert specific_blocks_are_exclusive(library)
 
 
 class TestStorageAccounting:

@@ -51,7 +51,7 @@ def specific_blocks_are_exclusive(library: ModelLibrary) -> bool:
     """
     _, positions = library.membership
     owners = np.bincount(positions, minlength=library.num_blocks)
-    specific = ~np.isin(library.block_id_array, sorted(library.shared_block_ids))
+    specific = ~np.isin(library.block_ids, sorted(library.shared_block_ids))
     return bool((owners[specific] <= 1).all())
 
 
