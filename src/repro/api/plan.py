@@ -23,12 +23,15 @@ Plan shapes (``plan.kind``):
   threshold-triggered re-placement loop for exactly one solver; one
   task per run.
 
-Only sweeps take ``evaluation``, ``feasibility``, ``sample_users`` and
-``scale``; the other kinds refuse them at declaration.
+Only sweeps take ``evaluation``, ``sample_users`` and ``scale``; the
+other kinds refuse them at declaration.
 
 Plans are plain data: :func:`plan_to_dict`/:func:`plan_from_dict` (and
 the JSON wrappers) round-trip them losslessly, so a plan can live in a
 file, travel over the CLI, or be attached to a result for provenance.
+The serialised form still carries a few retired keys at the one value
+they ever ran with (see ``_RETIRED_KEYS``), so the bytes of every saved
+plan, and every hash taken over them, stay as they were.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from typing import (
 )
 
 from repro.api.registry import SOLVERS, SolverRegistry
+from repro.core import GenConfig, IndependentConfig, SpecConfig
 from repro.errors import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.utils.units import GB
@@ -59,9 +63,6 @@ PLAN_FORMAT = "trimcaching-plan-v1"
 
 #: How a sweep scores placements (see ``repro.sim.runner._score_result``).
 EVALUATIONS = ("expected", "monte_carlo", "sampled")
-
-#: Instance representations ``build_scenario`` accepts.
-FEASIBILITIES = ("sparse", "dense")
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +252,6 @@ class ExperimentPlan:
     seed: int = 0
     scale: float = 1.0
     workers: int = 1
-    feasibility: str = "sparse"
     sample_users: Optional[int] = None
     sample_strata: int = 4
 
@@ -287,11 +287,6 @@ class ExperimentPlan:
                 f"evaluation must be one of {EVALUATIONS}, "
                 f"got {self.evaluation!r}"
             )
-        if self.feasibility not in FEASIBILITIES:
-            raise ConfigurationError(
-                f"feasibility must be one of {FEASIBILITIES}, "
-                f"got {self.feasibility!r}"
-            )
         if self.num_topologies < 1:
             raise ConfigurationError("num_topologies must be at least 1")
         if not 0 < self.scale <= 1:
@@ -308,7 +303,6 @@ class ExperimentPlan:
             # silently run as if these knobs were unset.
             unused = [
                 "evaluation",
-                "feasibility",
                 "sample_users",
                 "scale",
                 "num_realizations",
@@ -401,16 +395,47 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
+#: Keys that select nothing any more, per config class (and the plan
+#: itself), with the one value each ever ran with. They are written at
+#: that value, so saved plans, the artifact store's cache keys and the
+#: recorded result digests keep their bytes; a payload may carry them
+#: only at that value. The table goes when those bytes are re-recorded.
+_RETIRED_KEYS: Dict[type, Dict[str, Any]] = {
+    SpecConfig: {
+        "engine": "dense",
+        "fallback": "weight_dp",
+        "knapsack_cache": True,
+        "prefix_prune": True,
+        "reuse_library_cache": True,
+    },
+    GenConfig: {"engine": "dense"},
+    IndependentConfig: {"engine": "dense"},
+    ExperimentPlan: {"feasibility": "sparse"},
+}
+
+
+def _drop_retired(owner: type, payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """``payload`` without ``owner``'s retired keys; a retired key at any
+    other value than its written one is refused."""
+    kept = dict(payload)
+    for key, written in _RETIRED_KEYS.get(owner, {}).items():
+        if key not in kept:
+            continue
+        value = kept.pop(key)
+        if type(value) is not type(written) or value != written:
+            raise ConfigurationError(
+                f"{owner.__name__} key {key!r} is retired and only loads "
+                f"as {written!r}, got {value!r}"
+            )
+    return kept
+
+
 def _solver_to_dict(spec: SolverSpec) -> Dict[str, Any]:
-    return {
-        "solver": spec.solver,
-        "label": spec.label,
-        "config": (
-            None
-            if spec.config is None
-            else _jsonify(dataclasses.asdict(spec.config))
-        ),
-    }
+    config = None
+    if spec.config is not None:
+        config = _jsonify(dataclasses.asdict(spec.config))
+        config.update(_RETIRED_KEYS.get(type(spec.config), {}))
+    return {"solver": spec.solver, "label": spec.label, "config": config}
 
 
 def _solver_from_dict(
@@ -420,7 +445,8 @@ def _solver_from_dict(
     config_payload = payload.get("config")
     config = None
     if config_payload is not None:
-        config = registry.config(name, **config_payload)
+        config_cls = registry.entry(name).config_cls
+        config = registry.config(name, **_drop_retired(config_cls, config_payload))
     return SolverSpec(solver=name, label=payload.get("label"), config=config)
 
 
@@ -440,7 +466,7 @@ def plan_to_dict(plan: ExperimentPlan) -> Dict[str, Any]:
         "seed": plan.seed,
         "scale": plan.scale,
         "workers": plan.workers,
-        "feasibility": plan.feasibility,
+        **_RETIRED_KEYS[ExperimentPlan],
     }
     # Conditional keys: plans without sampling serialise exactly as
     # before, so existing artifact-store content hashes stay valid.
@@ -467,6 +493,7 @@ def plan_from_dict(
         raise ConfigurationError(
             f"unrecognised plan payload format: {payload.get('format')!r}"
         )
+    payload = _drop_retired(ExperimentPlan, payload)
     try:
         sweep = None
         if payload.get("sweep") is not None:
@@ -504,7 +531,6 @@ def plan_from_dict(
             seed=int(payload.get("seed", 0)),
             scale=float(payload.get("scale", 1.0)),
             workers=int(payload.get("workers", 1)),
-            feasibility=payload.get("feasibility", "sparse"),
             sample_users=(
                 None
                 if payload.get("sample_users") is None

@@ -239,14 +239,11 @@ def enumerate_shared_combinations(
     library: ModelLibrary,
     mode: str = "auto",
     max_combinations: int = 1_000_000,
-    cache: bool = True,
 ) -> CombinationSet:
     """Build the combination set ``A`` for Algorithm 2.
 
-    With ``cache=True`` (default) the result is memoised per library
-    object (treat it as immutable — every built-in path does); pass
-    ``cache=False`` to force a fresh enumeration, e.g. for benchmarking
-    the pre-cache pipeline.
+    The result is memoised per library object (treat it as immutable —
+    every built-in path does) and per ``(mode, max_combinations)``.
 
     Modes
     -----
@@ -274,16 +271,17 @@ def enumerate_shared_combinations(
     """
     if mode not in COMBINATION_MODES:
         raise SolverError(f"unknown combination mode {mode!r}")
-    if cache:
-        per_library = _COMBINATION_CACHE.setdefault(library, {})
-        key = (mode, max_combinations)
-        cached = per_library.get(key)
-        if cached is None:
-            cached = enumerate_shared_combinations(
-                library, mode, max_combinations, cache=False
-            )
-            per_library[key] = cached
-        return cached
+    per_library = _COMBINATION_CACHE.setdefault(library, {})
+    key = (mode, max_combinations)
+    if key not in per_library:
+        per_library[key] = _enumerate(library, mode, max_combinations)
+    return per_library[key]
+
+
+def _enumerate(
+    library: ModelLibrary, mode: str, max_combinations: int
+) -> CombinationSet:
+    """The enumeration behind :func:`enumerate_shared_combinations`."""
     shared = sorted(library.shared_block_ids)
     if not shared:
         return CombinationSet(
@@ -574,9 +572,8 @@ def knapsack_best_first(
     Raises
     ------
     SolverError
-        If more than ``max_nodes`` nodes are expanded. Exact 0/1
-        knapsack is exponential in the worst case; the Spec fallback
-        chain catches the budget overrun and drops to the quantised DP.
+        If more than ``max_nodes`` nodes are expanded (exact 0/1
+        knapsack is exponential in the worst case).
     """
     items = _density_ordered_items(values, weights, capacity)
     n = len(items)

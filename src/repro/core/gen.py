@@ -42,25 +42,6 @@ from repro.core.blockmask import ServerBlockCache
 from repro.core.objective import CoverageTracker
 from repro.core.placement import Placement, PlacementInstance
 from repro.core.result import SolverResult
-from repro.errors import ConfigurationError
-
-#: Values the inert ``engine`` field of :class:`GenConfig`,
-#: :class:`~repro.core.spec.SpecConfig` and
-#: :class:`~repro.core.independent.IndependentConfig` accepts. The
-#: coverage tracker has one kernel, so the field selects nothing; it
-#: stays only so saved plans, and the plan digests the repo benchmark
-#: records, keep loading. It leaves with the benchmark change of ROADMAP
-#: item 2.
-PLAN_ENGINES = ("dense", "sparse", "auto")
-
-
-def check_plan_engine(engine: str) -> None:
-    """Refuse an ``engine`` value that no saved plan carries."""
-    if engine not in PLAN_ENGINES:
-        raise ConfigurationError(
-            f"engine must be {'|'.join(PLAN_ENGINES)}, got {engine!r}"
-        )
-
 
 # Gains are sums of non-negative products (demand x indicator), so a true
 # zero gain is exactly 0.0 and strict comparisons need no epsilon floor.
@@ -280,11 +261,6 @@ class GenConfig:
 
     accelerated: bool = True
     fill_zero_gain: bool = False
-    #: Inert (see :data:`PLAN_ENGINES`): recorded in plans, not built.
-    engine: str = "dense"
-
-    def __post_init__(self) -> None:
-        check_plan_engine(self.engine)
 
     def build(self) -> "TrimCachingGen":
         """Construct the solver."""

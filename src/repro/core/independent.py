@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.gen import check_plan_engine, greedy_place
+from repro.core.gen import greedy_place
 from repro.core.objective import CoverageTracker, hit_ratio
 from repro.core.placement import PlacementInstance
 from repro.core.result import SolverResult
@@ -51,15 +51,9 @@ class IndependentCaching:
 class IndependentConfig:
     """Typed constructor knobs of :class:`IndependentCaching`.
 
-    Registered in :data:`repro.api.SOLVERS` under ``"independent"``.
+    Registered in :data:`repro.api.SOLVERS` under ``"independent"``;
+    the solver has no knobs.
     """
-
-    #: Inert (see :data:`~repro.core.gen.PLAN_ENGINES`): recorded in
-    #: plans, not built.
-    engine: str = "dense"
-
-    def __post_init__(self) -> None:
-        check_plan_engine(self.engine)
 
     def build(self) -> "IndependentCaching":
         """Construct the solver."""

@@ -110,7 +110,7 @@ class CoverageTracker:
     holds no per-entry temporary larger than one column. A mark is two
     scatters over the pair's entries (bounds read from a list of
     ``pair_indptr``) plus the kernel. The ``served`` and
-    ``unserved_demand`` state changes by boolean updates and exact
+    unserved-mass state changes by boolean updates and exact
     zeroing only.
     """
 
@@ -150,10 +150,6 @@ class CoverageTracker:
             weights=self._wflat[column_flat],
             minlength=self._num_servers,
         )
-
-    def unserved_demand(self) -> np.ndarray:
-        """``(K, I)`` demand mass not yet served."""
-        return self._weighted.copy()
 
     def gain(self, server: int, model_index: int) -> float:
         """Marginal mass served by caching ``model_index`` on ``server``."""

@@ -50,10 +50,10 @@ from repro.errors import PlacementError
 class SparseFeasibility:
     """Immutable CSR bundle over the ``I1[m, k, i]`` nonzeros.
 
-    Build via :meth:`from_dense`, from a checked COO triple via
-    :meth:`from_coo`, or from canonical ``(pair, user)`` entries via
-    :meth:`from_pairs` (the latency layer's path, which never
-    materialises the dense tensor).
+    Build via :meth:`from_dense`, from canonical ``(pair, user)``
+    entries via :meth:`from_pairs` (the latency layer's path, which
+    never materialises the dense tensor), or from per-user-block COO
+    fragments via :meth:`from_user_blocks` (the chunked build).
     """
 
     def __init__(
@@ -106,8 +106,7 @@ class SparseFeasibility:
 
         The order is the caller's guarantee and is not checked, so
         builders that emit it by construction (the dense compression and
-        the latency layer) pay no O(nnz) validation. Entries from
-        anywhere else go through :meth:`from_coo`.
+        the latency layer) pay no O(nnz) validation.
         """
         num_servers, num_users, num_models = (int(x) for x in shape)
         num_pairs = num_models * num_servers
@@ -119,60 +118,6 @@ class SparseFeasibility:
             entry_users=np.asarray(users, dtype=np.int32),
             entry_servers=np.asarray(pairs % num_servers, dtype=np.int32),
         )
-
-    @classmethod
-    def from_coo(
-        cls,
-        shape: Tuple[int, int, int],
-        models: np.ndarray,
-        servers: np.ndarray,
-        users: np.ndarray,
-    ) -> "SparseFeasibility":
-        """Build from COO index arrays sorted by ``(model, server, user)``.
-
-        The arrays must be 1-D and of equal length, every index inside
-        ``shape``, and the entries strictly increasing in
-        ``(model, server, user)`` order (sorted, no duplicates);
-        :class:`~repro.errors.PlacementError` names the first entry that
-        is not. Unsorted entries would land users in the wrong pairs and
-        a duplicate would count one request twice.
-        """
-        num_servers, num_users, num_models = (int(x) for x in shape)
-        models, servers, users = (
-            np.asarray(values, dtype=np.int64)
-            for values in (models, servers, users)
-        )
-        if models.ndim != 1 or not models.shape == servers.shape == users.shape:
-            raise PlacementError(
-                "COO models/servers/users must be 1-D and of equal length, "
-                f"got shapes {models.shape}, {servers.shape}, {users.shape}"
-            )
-        for name, values, bound in (
-            ("model", models, num_models),
-            ("server", servers, num_servers),
-            ("user", users, num_users),
-        ):
-            bad = np.flatnonzero((values < 0) | (values >= bound))
-            if bad.size:
-                raise PlacementError(
-                    f"COO entry {bad[0]} has {name} {values[bad[0]]}, "
-                    f"outside [0, {bound})"
-                )
-        pairs = models * num_servers + servers
-        codes = pairs * num_users + users
-        bad = np.flatnonzero(codes[1:] <= codes[:-1])
-        if bad.size:
-            entry = int(bad[0]) + 1
-            relation = (
-                "duplicates" if codes[entry] == codes[entry - 1] else "sorts before"
-            )
-            raise PlacementError(
-                f"COO entry {entry} (model {models[entry]}, server "
-                f"{servers[entry]}, user {users[entry]}) {relation} entry "
-                f"{entry - 1}; entries must be strictly increasing in "
-                "(model, server, user) order"
-            )
-        return cls.from_pairs(shape, pairs, users)
 
     @classmethod
     def from_user_blocks(
@@ -189,8 +134,8 @@ class SparseFeasibility:
         block ``b`` precedes every user of block ``b+1``, scattering each
         block's entries into its pairs' running offsets reproduces the
         global ``(model, server, user)`` order without any global sort:
-        the result equals :meth:`from_coo` on the concatenated, fully
-        sorted COO bit for bit, in O(nnz).
+        the result equals :meth:`from_pairs` on the concatenated, fully
+        sorted entries bit for bit, in O(nnz).
         """
         num_servers, num_users, num_models = (int(x) for x in shape)
         rows = num_models * num_servers
@@ -292,13 +237,6 @@ class SparseFeasibility:
         row = model_index * self.shape[0] + server
         return self.entry_users[self.pair_indptr[row] : self.pair_indptr[row + 1]]
 
-    def column_entries(self, model_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(servers, users)`` of every nonzero in one model column."""
-        num_servers = self.shape[0]
-        start = self.pair_indptr[model_index * num_servers]
-        stop = self.pair_indptr[(model_index + 1) * num_servers]
-        return self.entry_servers[start:stop], self.entry_users[start:stop]
-
     def entry_flat_index(self) -> np.ndarray:
         """``(nnz,)`` int64 flat index of every entry into a C-contiguous
         ``(K, I)`` user-by-model matrix (``user * I + model``).
@@ -321,8 +259,8 @@ class SparseFeasibility:
     def column_views(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per model column, ``(servers, entry_flat_index)`` views.
 
-        Entry ``i`` holds model ``i``'s entries in storage order — the
-        same entries :meth:`column_entries` returns — as slices of one
+        Entry ``i`` holds model ``i``'s entries in storage order (the
+        pairs ``i * M .. (i + 1) * M - 1``) as slices of one
         intp copy of :attr:`entry_servers` and of
         :meth:`entry_flat_index`. Built once and cached (the bundle is
         immutable), so the coverage tracker's per-column kernel is a list

@@ -56,7 +56,16 @@ output bit:
   never run. With ``workers=N`` the visits are dealt into one chunk per
   thread of a pool; every knapsack is deterministic given its (values,
   weights, capacity), so the selected models do not depend on the
-  chunk count (asserted by the equivalence tests).
+  chunk count (asserted by the equivalence tests);
+* every ``value_dp`` knapsack of a solve goes through one memoising
+  :class:`~repro.core.dp.ValueDpTables`, built for the largest server
+  capacity, so a filtered sub-instance that recurs across combinations
+  and servers pays for its fill once.
+
+Each of these is checked against the frozen seed ``ReferenceSpec``
+(``tests/oracles/reference.py``), which has none of them: placements
+``==`` (``tests/core/test_spec_differential.py`` and the equivalence
+tests).
 """
 
 from __future__ import annotations
@@ -78,7 +87,6 @@ from repro.core.dp import (
     ValueDpTables,
     enumerate_shared_combinations,
 )
-from repro.core.gen import check_plan_engine
 from repro.core.objective import CoverageTracker, hit_ratio
 from repro.core.placement import PlacementInstance
 from repro.core.result import SolverResult
@@ -170,32 +178,6 @@ class TrimCachingSpec:
         per thread of a pool. ``None``/``1`` runs one chunk inline; any
         value produces byte-identical selections (see the module
         docstring).
-    fallback:
-        What ``value_dp`` falls back to when its rounded table blows up:
-        ``"weight_dp"`` keeps the legacy quantised-DP → branch-and-bound
-        chain (the default — that chain's output is part of the pinned
-        seed series), ``"best_first"`` tries the exact best-first
-        branch-and-bound first and only drops to the legacy rungs if its
-        node budget overruns.
-    knapsack_cache:
-        Whether ``value_dp`` knapsacks share one
-        :class:`~repro.core.dp.ValueDpTables` per solve, built for the
-        largest server capacity and memoising each filtered
-        sub-instance's table across combinations and servers. Off, each
-        knapsack runs the same DP on a one-shot table built for its own
-        capacity.
-        Byte-identical selections either way; disable only to benchmark
-        the unmemoised traversal.
-    prefix_prune:
-        Visit the candidates by their density-ordered LP prefix bound —
-        a conservative upper bound on the combo's optimum — best first,
-        and stop once it cannot beat the incumbent. Off, the utility-sum
-        bound orders and stops the walk instead (the seed's order).
-        Selection-transparent; disable only for benchmarking.
-    reuse_library_cache:
-        Memoise the combination set per library, and with it the
-        sub-problem context (identical outputs; disable only to
-        benchmark the uncached pipeline).
     """
 
     name = "TrimCaching Spec"
@@ -208,10 +190,6 @@ class TrimCachingSpec:
         max_combinations: int = 200_000,
         server_order: str = "index",
         workers: Optional[int] = None,
-        fallback: str = "weight_dp",
-        knapsack_cache: bool = True,
-        prefix_prune: bool = True,
-        reuse_library_cache: bool = True,
     ) -> None:
         if not 0 <= epsilon <= 1:  # also rejects NaN
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
@@ -239,20 +217,12 @@ class TrimCachingSpec:
             )
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if fallback not in ("weight_dp", "best_first"):
-            raise ConfigurationError(
-                f"fallback must be weight_dp|best_first, got {fallback!r}"
-            )
         self.epsilon = epsilon
         self.backend = backend
         self.combinations = combinations
         self.max_combinations = max_combinations
         self.server_order = server_order
         self.workers = workers
-        self.fallback = fallback
-        self.knapsack_cache = knapsack_cache
-        self.prefix_prune = prefix_prune
-        self.reuse_library_cache = reuse_library_cache
 
     # ------------------------------------------------------------------
     def _ordered_servers(self, instance: PlacementInstance) -> List[int]:
@@ -269,35 +239,23 @@ class TrimCachingSpec:
         values: Sequence[float],
         weights: Sequence[int],
         capacity: int,
-        tables: Optional[ValueDpTables] = None,
+        tables: Optional[ValueDpTables],
     ) -> Tuple[float, List[int]]:
         """One combination's knapsack over its filtered items (positive
         values, weights within ``capacity``); returns positions into
-        them. ``value_dp`` solves through ``tables`` (one-shot when
-        absent) and falls back along the configured chain when the
-        rounded table blows up."""
+        them. ``value_dp`` solves through ``tables`` and falls back to
+        the weight DP, then branch-and-bound, when the rounded table
+        blows up."""
         if self.backend != "value_dp":
             return KNAPSACK_BACKENDS[self.backend](values, weights, capacity)
-        if tables is None:
-            tables = ValueDpTables(self.epsilon, capacity, max_entries=0)
         try:
             return tables.solve(values, weights, capacity)
         except TableBlownError:
             # The rounded value table blew up (wide demand spread at a
             # small ε, typical for Zipf demand). Only that falls back:
-            # any other SolverError here is a broken item contract.
-            if self.fallback == "best_first":
-                # Best-first expands only nodes whose LP bound beats
-                # the incumbent — exact, and usually far cheaper than
-                # the quantised DP on exactly these instances. Its
-                # node budget bails out to the legacy rungs.
-                try:
-                    return KNAPSACK_BACKENDS["best_first"](values, weights, capacity)
-                except SolverError:
-                    pass
-            # Legacy chain: the weight-quantised DP at ~800 capacity
-            # units — exact up to <=1.25% capacity slack — and
-            # finally branch-and-bound.
+            # any other SolverError here is a broken item contract. The
+            # weight-quantised DP at ~800 capacity units is exact up to
+            # <=1.25% capacity slack.
             try:
                 quantum = max(1, capacity // 800)
                 return KNAPSACK_BACKENDS["weight_dp"](
@@ -335,11 +293,10 @@ class TrimCachingSpec:
             one chunk inline. ``solve`` owns one pool per call when
             ``workers > 1``. The selection does not depend on it.
         tables:
-            The value-DP tables every ``value_dp`` knapsack solves
-            through, built for a capacity of at least this server's;
-            ``solve`` owns one per call, memoising when
-            ``knapsack_cache`` is on. ``None`` gives each knapsack a
-            one-shot table. Ignored by the other backends.
+            The memoising value-DP tables every ``value_dp`` knapsack
+            solves through, built for a capacity of at least this
+            server's; ``solve`` owns one per call. Built for this server
+            alone when absent. Ignored by the other backends.
 
         Returns
         -------
@@ -378,14 +335,8 @@ class TrimCachingSpec:
         order = np.argsort(-bounds, kind="stable")
         bounds = bounds.tolist()
         candidate_residual = residual[has_item]
-        lp_guard = None
-        if self.prefix_prune and len(bounds) > 1:
-            lp_guard = self._prefix_guards(
-                positive_utilities,
-                positive_weights,
-                candidate_eligible,
-                candidate_residual,
-            )
+        if tables is None and self.backend == "value_dp":
+            tables = ValueDpTables(self.epsilon, capacity)
 
         # Every candidate's knapsack items are its row of the filtered
         # mask, listed in input order, which is the order the backends'
@@ -407,6 +358,16 @@ class TrimCachingSpec:
             )
             return mass, [models[picks[item]] for item in chosen]
 
+        if len(bounds) == 1:
+            # Its knapsack is the whole walk: a selection is empty
+            # exactly when its mass is 0.0 (every value is positive).
+            return run_position(0)
+        lp_guard = self._prefix_guards(
+            positive_utilities,
+            positive_weights,
+            candidate_eligible,
+            candidate_residual,
+        )
         return self._traverse(bounds, order.tolist(), run_position, pool, lp_guard)
 
     # ------------------------------------------------------------------
@@ -462,7 +423,7 @@ class TrimCachingSpec:
         order: Sequence[int],
         run_position: Callable[[int], Tuple[float, List[int]]],
         pool: Optional[ThreadPoolExecutor],
-        lp_guard: Optional[Sequence[float]],
+        lp_guard: np.ndarray,
     ) -> Tuple[float, List[int]]:
         """Run the candidates best-guard-first; return the maximal mass
         reached at the earliest *rank*, with its selection.
@@ -471,9 +432,9 @@ class TrimCachingSpec:
         ``bounds``, ties in combination order); the seed walked the
         ranks in turn and kept the first strict improvement, which is
         the earliest rank reaching the maximal mass. The visit order
-        here is descending ``lp_guard`` (``bounds`` without it), ties in
-        rank order — best-bound-first, so the incumbent rises early and
-        the rest of the list breaks off.
+        here is descending ``lp_guard``, ties in rank order —
+        best-bound-first, so the incumbent rises early and the rest of
+        the list breaks off.
 
         Both bounds hold for every backend. Each returns a feasible
         selection (``weight_dp`` rounds weights up), so its mass is at
@@ -502,13 +463,9 @@ class TrimCachingSpec:
             num_chunks = max(
                 self.workers or getattr(pool, "_max_workers", 0) or 1, 1
             )
-        if lp_guard is None:
-            guards, visits = bounds, range(len(order))
-        else:
-            guard_array = np.asarray(lp_guard, dtype=float)
-            # Stable on the negated guard: ties keep rank order.
-            visits = np.argsort(-guard_array[order], kind="stable").tolist()
-            guards = guard_array.tolist()
+        # Stable on the negated guard: ties keep rank order.
+        visits = np.argsort(-lp_guard[order], kind="stable").tolist()
+        guards = lp_guard.tolist()
         # An incumbent is the key ``(mass, -rank)``: larger is better.
         # The start, rank -1 at mass 0.0, makes a mass of 0.0 never beat
         # it. The shared one is read without the lock; the lock only
@@ -557,10 +514,7 @@ class TrimCachingSpec:
         with obs.span("solve.spec", backend=self.backend):
             with obs.span("solve.spec.combinations"):
                 combos = enumerate_shared_combinations(
-                    instance.library,
-                    self.combinations,
-                    self.max_combinations,
-                    cache=self.reuse_library_cache,
+                    instance.library, self.combinations, self.max_combinations
                 )
             with obs.span("solve.spec.context"):
                 context = _CONTEXTS.get(combos)
@@ -570,7 +524,7 @@ class TrimCachingSpec:
             tracker = CoverageTracker(instance)
             per_server_mass: List[float] = []
             tables: Optional[ValueDpTables] = None
-            if self.knapsack_cache and self.backend == "value_dp":
+            if self.backend == "value_dp":
                 # Every knapsack's capacity is some Q_m - d_N <= max Q_m.
                 tables = ValueDpTables(
                     self.epsilon, int(instance.capacities.max(initial=0))
@@ -635,18 +589,10 @@ class SpecConfig:
     max_combinations: int = 200_000
     server_order: str = "index"
     workers: Optional[int] = None
-    #: Inert (see :data:`~repro.core.gen.PLAN_ENGINES`): recorded in
-    #: plans, not built.
-    engine: str = "dense"
-    fallback: str = "weight_dp"
-    knapsack_cache: bool = True
-    prefix_prune: bool = True
-    reuse_library_cache: bool = True
 
     def __post_init__(self) -> None:
         # Bad settings fail when a plan is declared or loaded, not when
         # it runs.
-        check_plan_engine(self.engine)
         self.build()
 
     def build(self) -> "TrimCachingSpec":
@@ -658,8 +604,4 @@ class SpecConfig:
             max_combinations=self.max_combinations,
             server_order=self.server_order,
             workers=self.workers,
-            fallback=self.fallback,
-            knapsack_cache=self.knapsack_cache,
-            prefix_prune=self.prefix_prune,
-            reuse_library_cache=self.reuse_library_cache,
         )

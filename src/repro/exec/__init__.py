@@ -55,7 +55,6 @@ _EXPORTS = {
     "TaskTimeout": "faults",
     "FaultStats": "faults",
     "ChaosPolicy": "faults",
-    "ArtifactChaos": "faults",
     "RetryPolicy": "retry",
     "NO_RETRY": "retry",
     "default_retry_policy": "retry",

@@ -307,7 +307,6 @@ class _PlanGrid:
             plan.evaluation,
             plan.num_realizations,
             library,
-            plan.feasibility,
             plan.sample_users,
             plan.sample_strata,
         )

@@ -21,18 +21,14 @@ result JSON under any crash schedule.
 :class:`ChaosPolicy` is the deterministic fault-injection harness: a
 seeded schedule of worker kills, dropped connections, delayed
 heartbeats and stragglers that the process backend's workers execute
-on themselves, plus :class:`ArtifactChaos` for seeded on-disk corruption
-(truncate / garbage / zero) of artifact-store files. Chaos is a test
-and CI instrument — it rides the same code paths real faults take, so
-the equivalence suite exercises exactly the recovery machinery
-production would.
+on themselves. Chaos is a test and CI instrument — it rides the same
+code paths real faults take, so the equivalence suite exercises exactly
+the recovery machinery production would.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError, ReproError
@@ -251,55 +247,3 @@ class ChaosPolicy:
         if not kwargs:
             raise ConfigurationError(f"empty chaos spec {spec!r}")
         return cls(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# On-disk chaos (artifact-store crash consistency)
-# ----------------------------------------------------------------------
-@dataclass
-class ArtifactChaos:
-    """Seeded corruption of artifact files, for crash-consistency fuzz.
-
-    Each method simulates one way a file ends up broken on disk — a
-    write truncated mid-stream, a torn/garbage block, a created-but-
-    empty file. The store contract under test: every one must read back
-    as a cache miss (``None``), never an exception, so a corrupted
-    cache degrades to recomputation.
-    """
-
-    seed: int = 0
-    _calls: int = field(default=0, repr=False)
-
-    def _fraction(self, tag: str) -> float:
-        self._calls += 1
-        digest = hashlib.sha256(
-            f"{self.seed}:{self._calls}:{tag}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
-
-    def truncate(self, path) -> int:
-        """Cut the file mid-write; returns the bytes kept."""
-        size = os.path.getsize(path)
-        keep = int(size * self._fraction("truncate"))
-        with open(path, "r+b") as handle:
-            handle.truncate(keep)
-        return keep
-
-    def corrupt(self, path) -> None:
-        """Overwrite a seeded slice of the file with garbage bytes."""
-        size = os.path.getsize(path)
-        if size == 0:
-            return
-        start = int((size - 1) * self._fraction("corrupt-start"))
-        length = max(1, int((size - start) * self._fraction("corrupt-len")))
-        junk = hashlib.sha256(
-            f"{self.seed}:junk:{start}".encode()
-        ).digest() * (length // 32 + 1)
-        with open(path, "r+b") as handle:
-            handle.seek(start)
-            handle.write(junk[:length])
-
-    def zero(self, path) -> None:
-        """Replace the file with a zero-byte husk (created, never filled)."""
-        with open(path, "wb"):
-            pass

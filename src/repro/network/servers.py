@@ -57,24 +57,3 @@ class EdgeServer:
             raise ConfigurationError("total_power_watts must be positive")
         if self.coverage_radius_m <= 0:
             raise ConfigurationError("coverage_radius_m must be positive")
-
-    def per_user_share(
-        self, num_associated_users: int, active_probability: float
-    ) -> tuple:
-        """Expected per-user ``(bandwidth_hz, power_watts)`` allocation.
-
-        With no associated users the full budget is nominally available;
-        callers never use the value in that case but a positive number
-        keeps downstream math well-defined.
-        """
-        if num_associated_users < 0:
-            raise ConfigurationError("num_associated_users must be non-negative")
-        if not 0 < active_probability <= 1:
-            raise ConfigurationError("active_probability must be in (0, 1]")
-        expected_active = max(active_probability * num_associated_users, 1e-12)
-        if num_associated_users == 0:
-            return self.total_bandwidth_hz, self.total_power_watts
-        return (
-            self.total_bandwidth_hz / expected_active,
-            self.total_power_watts / expected_active,
-        )

@@ -162,11 +162,9 @@ class NetworkTopology:
     def _compute_allocations(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-(m, k) expected bandwidth and power shares.
 
-        The vectorised form of :meth:`EdgeServer.per_user_share` applied
-        to every associated pair — identical elementwise arithmetic
-        (multiply, ``max`` floor, divide), so the shares match the former
-        per-pair loop bit for bit. Servers with no associated users keep
-        all-zero rows, exactly as the loop left them.
+        The paper's ``B̄ = B / (p_A |K_m|)`` and ``P̄ = P / (p_A |K_m|)``
+        for every associated pair (the expected active count floored at
+        ``1e-12``). Servers with no associated users keep all-zero rows.
         """
         counts = self._covered.sum(axis=1)  # |K_m| per server
         active = self.active_probabilities

@@ -254,7 +254,6 @@ def _run_sweep_slice(
         evaluation,
         num_realizations,
         library,
-        feasibility,
         sample_users,
         sample_strata,
     ) = task
@@ -263,9 +262,7 @@ def _run_sweep_slice(
     outcomes: List[Dict[str, Tuple[float, float]]] = []
     for scenario_seed in scenario_seeds:
         with obs.span("task.scenario_build"):
-            scenario = build_scenario(
-                config, scenario_seed, library=library, feasibility=feasibility
-            )
+            scenario = build_scenario(config, scenario_seed, library=library)
         per_algo: Dict[str, Tuple[float, float]] = {}
         for algo_name, solver in algorithms.items():
             with obs.span("task.solve", algo=algo_name):

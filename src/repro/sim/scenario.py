@@ -5,12 +5,12 @@ matrix and the derived :class:`~repro.core.placement.PlacementInstance`.
 Construction is fully deterministic given ``(config, seed)``; independent
 seeds yield the independent topologies the paper averages over.
 
-Instances are built *sparse-primary* by default: the feasibility
-indicator is produced as a :class:`~repro.core.sparse.SparseFeasibility`
-CSR artifact (the ``(M, K, I)`` float latency tensor is never
-materialised) and the dense boolean tensor is derived lazily only if a
-dense consumer asks for it. The CSR encodes a bit-identical indicator,
-so this is purely a representation change.
+Instances are built *sparse-primary*: the feasibility indicator is
+produced as a :class:`~repro.core.sparse.SparseFeasibility` CSR artifact
+(the ``(M, K, I)`` float latency tensor is never materialised) and the
+dense boolean tensor is derived lazily only if a dense consumer asks for
+it. The CSR encodes a bit-identical indicator, so this is purely a
+representation change.
 
 Under both RNG schemes the user population is one
 :class:`~repro.network.users.UserBatch` of ``(K, 2)`` positions and
@@ -173,7 +173,6 @@ def build_scenario(
     config: ScenarioConfig = ScenarioConfig(),
     seed: Optional[int] = 0,
     library: Optional[ModelLibrary] = None,
-    feasibility: str = "sparse",
 ) -> Scenario:
     """Materialise one snapshot of the paper's §VII-A setup.
 
@@ -187,22 +186,7 @@ def build_scenario(
     library:
         Reuse an existing library instead of generating one (the paper
         fixes the library across topologies; the sweep runner uses this).
-    feasibility:
-        ``"sparse"`` (default) stores the indicator as a CSR artifact;
-        ``"dense"`` materialises the seed's boolean tensor up front. The
-        two instances are interchangeable (bit-identical indicator);
-        ``"dense"`` exists for benchmarking the pre-sparse pipeline.
     """
-    if feasibility not in ("sparse", "dense"):
-        raise ValueError(
-            f"feasibility must be 'sparse' or 'dense', got {feasibility!r}"
-        )
-    chunked = config.rng_scheme == "v2" and config.chunk_size is not None
-    if chunked and feasibility != "sparse":
-        raise ValueError(
-            "chunk_size requires feasibility='sparse': the dense tensor "
-            "the chunked build exists to avoid cannot be materialised"
-        )
     factory = RngFactory(seed)
     if library is None:
         library = build_library(config, factory.child("library"))
@@ -277,10 +261,8 @@ def build_scenario(
         demand=demand,
         feasible=(
             latency_model.feasibility_sparse_chunked(config.chunk_size)
-            if chunked
+            if config.chunk_size is not None  # validated: rng_scheme v2
             else latency_model.feasibility_sparse()
-            if feasibility == "sparse"
-            else latency_model.feasibility()
         ),
         capacities=capacities,
     )

@@ -52,18 +52,3 @@ def format_size(num_bytes: float) -> str:
     if num_bytes >= KB:
         return f"{num_bytes / KB:.2f} KB"
     return f"{num_bytes:.0f} B"
-
-
-def format_rate(bits_per_second: float) -> str:
-    """Render a data rate as a human-readable string.
-
-    >>> format_rate(2.5e9)
-    '2.50 Gbps'
-    """
-    if bits_per_second < 0:
-        raise ValueError(f"rate must be non-negative, got {bits_per_second}")
-    if bits_per_second >= GBPS:
-        return f"{bits_per_second / GBPS:.2f} Gbps"
-    if bits_per_second >= MBPS:
-        return f"{bits_per_second / MBPS:.2f} Mbps"
-    return f"{bits_per_second:.0f} bps"

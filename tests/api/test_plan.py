@@ -18,8 +18,9 @@ from repro.api import (
     plan_to_json,
     resolve_axis,
 )
-from repro.core.gen import GenConfig
-from repro.core.spec import SpecConfig
+from repro.core.gen import GenConfig, TrimCachingGen
+from repro.core.independent import IndependentConfig
+from repro.core.spec import SpecConfig, TrimCachingSpec
 from repro.errors import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.utils.units import GB
@@ -102,11 +103,6 @@ class TestNonSweepPlansRejectGridKnobs:
     def test_evaluation(self, kind):
         with pytest.raises(ConfigurationError, match="evaluation"):
             _study_plan(evaluation="monte_carlo", **self.KINDS[kind])
-
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_feasibility(self, kind):
-        with pytest.raises(ConfigurationError, match="feasibility"):
-            _study_plan(feasibility="dense", **self.KINDS[kind])
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_sample_users(self, kind):
@@ -288,19 +284,16 @@ class TestPlanJsonRoundTrip:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         topologies=st.integers(min_value=1, max_value=100),
         scale=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
-        engine=st.sampled_from(["dense", "sparse", "auto"]),
         accelerated=st.booleans(),
     )
     def test_property_round_trip_identity(
-        self, axis, points, epsilon, seed, topologies, scale, engine, accelerated
+        self, axis, points, epsilon, seed, topologies, scale, accelerated
     ):
         plan = ExperimentPlan(
             name=f"prop {axis}",
             sweep=SweepSpec(axis, tuple(points)),
             solvers=(
-                SolverSpec(
-                    "spec", config=SpecConfig(epsilon=epsilon, engine=engine)
-                ),
+                SolverSpec("spec", config=SpecConfig(epsilon=epsilon)),
                 SolverSpec(
                     "gen", config=GenConfig(accelerated=accelerated)
                 ),
@@ -484,3 +477,111 @@ class TestSamplingFields:
             _sweep_plan(
                 evaluation="sampled", sample_users=16, sample_strata=0
             )
+
+
+#: The retired keys, per place in the payload, at their written values.
+RETIRED = {
+    "spec": {
+        "engine": "dense",
+        "fallback": "weight_dp",
+        "knapsack_cache": True,
+        "prefix_prune": True,
+        "reuse_library_cache": True,
+    },
+    "gen": {"engine": "dense"},
+    "independent": {"engine": "dense"},
+    "plan": {"feasibility": "sparse"},
+}
+
+
+def _retired_plan():
+    """A sweep with a config on each solver that has retired keys."""
+    return _sweep_plan(
+        solvers=(
+            SolverSpec("spec", config=SpecConfig(epsilon=0.2)),
+            SolverSpec("gen", config=GenConfig()),
+            SolverSpec("independent", config=IndependentConfig()),
+        )
+    )
+
+
+def _section(payload, owner):
+    """The part of a plan payload that holds ``owner``'s keys."""
+    if owner == "plan":
+        return payload
+    (spec,) = [spec for spec in payload["solvers"] if spec["solver"] == owner]
+    return spec["config"]
+
+
+class TestRetiredKeys:
+    """Knobs that select nothing stay in the plan bytes at their one
+    value; a payload may carry them only at that value."""
+
+    def test_every_figure_plan_round_trips_byte_identical(self):
+        from repro.sim.experiments import PLAN_BUILDERS
+
+        for name, builder in PLAN_BUILDERS.items():
+            text = plan_to_json(builder())
+            assert plan_to_json(plan_from_json(text)) == text, name
+
+    @pytest.mark.parametrize("owner", sorted(RETIRED))
+    def test_written_at_their_value(self, owner):
+        section = _section(plan_to_dict(_retired_plan()), owner)
+        for key, value in RETIRED[owner].items():
+            assert section[key] == value and type(section[key]) is type(value)
+
+    @pytest.mark.parametrize("owner", sorted(RETIRED))
+    def test_load_at_their_value_or_absent(self, owner):
+        plan = _retired_plan()
+        payload = plan_to_dict(plan)
+        assert plan_from_dict(payload) == plan
+        for key in RETIRED[owner]:
+            del _section(payload, owner)[key]
+        assert plan_from_dict(payload) == plan
+
+    @pytest.mark.parametrize(
+        "owner, key, value",
+        [
+            ("spec", "engine", "sparse"),
+            ("spec", "engine", "auto"),
+            ("spec", "fallback", "best_first"),
+            ("spec", "knapsack_cache", False),
+            ("spec", "knapsack_cache", 1),
+            ("spec", "prefix_prune", False),
+            ("spec", "reuse_library_cache", False),
+            ("gen", "engine", "sparse"),
+            ("independent", "engine", "compiled"),
+            ("plan", "feasibility", "dense"),
+            ("plan", "feasibility", None),
+        ],
+    )
+    def test_any_other_value_is_refused(self, owner, key, value):
+        payload = plan_to_dict(_retired_plan())
+        _section(payload, owner)[key] = value
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            plan_from_dict(payload)
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            plan_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (SpecConfig, "engine"),
+            (SpecConfig, "fallback"),
+            (SpecConfig, "knapsack_cache"),
+            (SpecConfig, "prefix_prune"),
+            (SpecConfig, "reuse_library_cache"),
+            (GenConfig, "engine"),
+            (IndependentConfig, "engine"),
+            (TrimCachingSpec, "fallback"),
+            (TrimCachingSpec, "knapsack_cache"),
+            (TrimCachingSpec, "prefix_prune"),
+            (TrimCachingSpec, "reuse_library_cache"),
+            (TrimCachingGen, "engine"),
+            (_sweep_plan, "feasibility"),
+        ],
+    )
+    def test_constructor_keyword_is_a_type_error(self, build, key):
+        value = {**RETIRED["spec"], **RETIRED["plan"]}[key]
+        with pytest.raises(TypeError):
+            build(**{key: value})

@@ -61,6 +61,13 @@ def placement_of(num_servers: int, num_models: int, server_sets) -> Placement:
 FEASIBILITY_FORMS = ("dense", "sparse")
 
 
+def unserved_mass(tracker) -> np.ndarray:
+    """A :class:`~repro.core.objective.CoverageTracker`'s ``(K, I)``
+    demand mass not yet served: private state, read here to compare
+    trackers bit for bit."""
+    return tracker._weighted
+
+
 def in_feasibility_form(instance: PlacementInstance, form: str) -> PlacementInstance:
     """The same instance, built from its dense tensor or its CSR artifact."""
     feasible = instance.feasible if form == "dense" else instance.sparse_feasible

@@ -679,7 +679,7 @@ class TestBlockClasses:
             np.ones((1, 1, num_models), dtype=bool),
             [10**6],
         )
-        combos = enumerate_shared_combinations(library, cache=False)
+        combos = enumerate_shared_combinations(library)
         weights = _SubproblemContext(instance, combos).specific_weight
         assert weights.dtype == np.int64
         assert weights.tolist() == expected

@@ -79,9 +79,7 @@ def model_shared_sets(library):
 
 
 def assert_same_as_reference(library, mode, max_combinations=1_000_000):
-    combos = enumerate_shared_combinations(
-        library, mode, max_combinations, cache=False
-    )
+    combos = enumerate_shared_combinations(library, mode, max_combinations)
     seed = reference_enumerate_shared_combinations(library, mode, max_combinations)
     assert isinstance(combos, CombinationSet)
     assert len(combos) == len(seed)
@@ -138,7 +136,7 @@ def test_count_exactly_at_max_combinations(library, mode):
     assert_same_as_reference(library, mode, max_combinations=full)
     if full > 1:
         with pytest.raises(SolverError):
-            enumerate_shared_combinations(library, mode, full - 1, cache=False)
+            enumerate_shared_combinations(library, mode, full - 1)
         with pytest.raises(SolverError):
             reference_enumerate_shared_combinations(library, mode, full - 1)
 
@@ -160,7 +158,7 @@ def test_block_outside_every_chain_is_never_eligible():
         [ParameterBlock(b, 3) for b in range(3)],
         [Model(0, (0, 1)), Model(1, (0, 2))],
     )
-    combos = enumerate_shared_combinations(library, cache=False)
+    combos = enumerate_shared_combinations(library)
     eligible = combos.eligibility([frozenset(), frozenset({0}), frozenset({0, 9})])
     assert eligible[:, 0].all()
     assert eligible[:, 1].tolist() == [False, True]
@@ -220,16 +218,15 @@ def test_exact_bound_tie_resolves_to_the_earlier_combination():
         blocks,
         [Model(0, (0, 2)), Model(1, (0, 3)), Model(2, (1, 4)), Model(3, (1, 5))],
     )
-    combos = enumerate_shared_combinations(library, cache=False)
+    combos = enumerate_shared_combinations(library)
     assert [sorted(c.blocks) for c in combos] == [[], [1], [0], [0, 1]]
     demand = np.array([[0.25, 0.0, 0.25, 0.0]])
     instance = PlacementInstance(library, demand, np.ones((1, 1, 4), bool), [15])
     utilities = demand[0]
-    for knobs in ({}, {"prefix_prune": False}, {"knapsack_cache": False}):
-        mass, selection = TrimCachingSpec(**knobs).solve_subproblem(
-            instance, 0, utilities, combos
-        )
-        assert (mass, selection) == (0.25, [2])
+    mass, selection = TrimCachingSpec().solve_subproblem(
+        instance, 0, utilities, combos
+    )
+    assert (mass, selection) == (0.25, [2])
     seed_mass, seed_selection = ReferenceSpec().solve_subproblem(
         instance, 0, utilities, reference_enumerate_shared_combinations(library)
     )

@@ -11,7 +11,6 @@ from repro.core.independent import IndependentCaching, IndependentConfig
 from repro.core.objective import hit_ratio, storage_used
 from repro.core.placement import Placement
 from repro.core.spec import SpecConfig, TrimCachingSpec
-from repro.errors import ConfigurationError
 
 from tests.conftest import FEASIBILITY_FORMS, in_feasibility_form
 from tests.core.test_submodular import small_instances
@@ -257,7 +256,7 @@ def gain_tie_instance():
 
 
 class TestEngines:
-    """The tie-break pin, and the inert plan-level ``engine`` field."""
+    """The tie-break pin, and no ``engine`` knob anywhere."""
 
     @pytest.mark.parametrize("accelerated", [True, False])
     @pytest.mark.parametrize("feasibility", FEASIBILITY_FORMS)
@@ -277,18 +276,11 @@ class TestEngines:
         assert result.hit_ratio == reference.hit_ratio
 
     @pytest.mark.parametrize("config_cls", [GenConfig, SpecConfig, IndependentConfig])
-    @pytest.mark.parametrize("engine", ["dense", "sparse", "auto"])
-    def test_configs_accept_saved_engine_values(self, config_cls, engine):
-        """Saved plans name an engine; it loads and builds the one kernel."""
-        config = config_cls(engine=engine)
-        assert config.engine == engine
-        assert not hasattr(config.build(), "engine")
-
-    @pytest.mark.parametrize("config_cls", [GenConfig, SpecConfig])
-    @pytest.mark.parametrize("engine", ["compiled", "magic"])
-    def test_configs_reject_unknown_engine(self, config_cls, engine):
-        with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
-            config_cls(engine=engine)
+    def test_configs_take_no_engine(self, config_cls):
+        """A saved plan's ``engine`` key is dropped when the plan loads
+        (``tests/api/test_plan.py``); the configs have no such field."""
+        with pytest.raises(TypeError):
+            config_cls(engine="dense")
 
     @pytest.mark.parametrize(
         "solver", [TrimCachingGen, TrimCachingSpec, IndependentCaching]

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.gen import TrimCachingGen
-from repro.core.independent import IndependentCaching, IndependentConfig
+from repro.core.independent import IndependentCaching
 from repro.core.objective import hit_ratio
-from repro.errors import ConfigurationError
 
 from tests.conftest import FEASIBILITY_FORMS, in_feasibility_form
 from tests.core.test_gen import gain_tie_instance
@@ -118,7 +117,3 @@ class TestEngines:
         reference = ReferenceIndependent().solve(instance)
         assert result.placement == reference.placement
         assert result.hit_ratio == reference.hit_ratio
-
-    def test_rejects_compiled(self):
-        with pytest.raises(ConfigurationError, match=r"dense\|sparse\|auto"):
-            IndependentConfig(engine="compiled")

@@ -21,7 +21,7 @@ library cases, several capacity regimes).
 import numpy as np
 import pytest
 
-from repro.core.dp import knapsack_value_dp
+from repro.core.dp import enumerate_shared_combinations, knapsack_value_dp
 from repro.core.gen import TrimCachingGen
 from repro.core.independent import IndependentCaching
 from repro.core.objective import CoverageTracker
@@ -41,6 +41,7 @@ from repro.models.model import Model
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
+from tests.conftest import in_feasibility_form, unserved_mass
 
 # 24 scenario instances: 2 library cases x 3 capacity regimes x 4 seeds.
 SCENARIO_GRID = [
@@ -51,7 +52,9 @@ SCENARIO_GRID = [
 ]
 
 
-def grid_instance(case, storage, seed, feasibility="sparse") -> PlacementInstance:
+def grid_instance(case, storage, seed, form="sparse") -> PlacementInstance:
+    """A grid scenario's instance; ``form="dense"`` rebuilds it from its
+    dense tensor, the seed solvers' input."""
     config = ScenarioConfig(
         num_servers=6,
         num_users=40,
@@ -60,7 +63,8 @@ def grid_instance(case, storage, seed, feasibility="sparse") -> PlacementInstanc
         storage_bytes=int(storage * GB),
         library_case=case,
     )
-    return build_scenario(config, seed=seed, feasibility=feasibility).instance
+    instance = build_scenario(config, seed=seed).instance
+    return instance if form == "sparse" else in_feasibility_form(instance, form)
 
 
 def random_tracker_instance(rng) -> PlacementInstance:
@@ -133,7 +137,7 @@ class TestTrackerBitEquality:
                 new.mark_served(server, model)
                 ref.mark_served(server, model)
                 assert (new.served == ref.served).all()
-                assert (new.unserved_demand() == ref.unserved_demand()).all()
+                assert (unserved_mass(new) == ref.unserved_demand()).all()
                 assert_rows_equal_reference(new, ref)
 
     def test_placed_pair_gain_is_exact_zero(self):
@@ -244,7 +248,7 @@ class TestSparseEquivalence:
                 ref.mark_served(server, model)
                 assert (sparse.served == ref.served).all()
                 assert (
-                    sparse.unserved_demand() == ref.unserved_demand()
+                    unserved_mass(sparse) == ref.unserved_demand()
                 ).all()
                 gains_sparse = sparse.gain_matrix()
                 gains_ref = ref.gain_matrix()
@@ -265,7 +269,7 @@ class TestSparseEquivalence:
         assert sparse_instance.has_sparse
         result = TrimCachingGen().solve(sparse_instance)
         seed_result = ReferenceGen(accelerated=False).solve(
-            grid_instance(case, storage, seed, feasibility="dense")
+            grid_instance(case, storage, seed, form="dense")
         )
         assert result.placement == seed_result.placement
         assert result.hit_ratio == seed_result.hit_ratio
@@ -278,7 +282,7 @@ class TestSparseEquivalence:
         sparse_instance = grid_instance("special", storage, seed)
         result = TrimCachingSpec(epsilon=0.1).solve(sparse_instance)
         ref = ReferenceSpec(epsilon=0.1).solve(
-            grid_instance("special", storage, seed, feasibility="dense")
+            grid_instance("special", storage, seed, form="dense")
         )
         assert result.placement == ref.placement
         assert result.hit_ratio == ref.hit_ratio
@@ -288,7 +292,7 @@ class TestSparseEquivalence:
         sparse_instance = grid_instance(case, storage, seed)
         result = IndependentCaching().solve(sparse_instance)
         ref = ReferenceIndependent().solve(
-            grid_instance(case, storage, seed, feasibility="dense")
+            grid_instance(case, storage, seed, form="dense")
         )
         assert result.placement == ref.placement
         assert result.hit_ratio == ref.hit_ratio
@@ -311,15 +315,19 @@ class TestParallelSpecEquivalence:
             == serial.stats["per_server_mass"]
         )
 
-    def test_cache_disabled_identical(self):
+    def test_memoised_combination_set_matches_seed(self):
+        """A solve that reads the per-library combination memo places
+        what the seed, which enumerates afresh every solve, places."""
         instance = grid_instance("special", 0.12, 0)
-        cached = TrimCachingSpec(epsilon=0.1).solve(instance)
-        uncached = TrimCachingSpec(
-            epsilon=0.1, reuse_library_cache=False
-        ).solve(instance)
-        assert cached.placement == uncached.placement
+        first = TrimCachingSpec(epsilon=0.1).solve(instance)
+        assert enumerate_shared_combinations(
+            instance.library, "auto", 200_000
+        ) is enumerate_shared_combinations(instance.library, "auto", 200_000)
+        memoised = TrimCachingSpec(epsilon=0.1).solve(instance)
+        seed = ReferenceSpec(epsilon=0.1).solve(instance)
+        assert memoised.placement == first.placement == seed.placement
         assert (
-            cached.stats["per_server_mass"] == uncached.stats["per_server_mass"]
+            memoised.stats["per_server_mass"] == first.stats["per_server_mass"]
         )
 
 

@@ -13,6 +13,7 @@ from repro.errors import PlacementError
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
+from tests.conftest import unserved_mass
 
 
 def random_dense(rng, num_servers=None, num_users=None, num_models=None):
@@ -56,7 +57,7 @@ class TestRoundTrip:
         dense = random_dense(rng, 4, 25, 6)
         sparse = SparseFeasibility.from_dense(dense)
         for model_index in range(6):
-            servers, users = sparse.column_entries(model_index)
+            servers, users = column_entries(sparse, model_index)
             rebuilt = np.zeros((4, 25), dtype=bool)
             rebuilt[servers, users] = True
             assert (rebuilt == dense[:, :, model_index]).all()
@@ -73,7 +74,7 @@ class TestRoundTrip:
             assert len(views) == dense.shape[2]
             assert sparse.column_views() is views
             for model_index, (servers, flat) in enumerate(views):
-                expected_servers, users = sparse.column_entries(model_index)
+                expected_servers, users = column_entries(sparse, model_index)
                 assert servers.tolist() == expected_servers.tolist()
                 assert flat.tolist() == (
                     users.astype(np.int64) * dense.shape[2] + model_index
@@ -126,7 +127,7 @@ class TestLatencyConstruction:
             requests_per_user=8,
             storage_bytes=int(0.1 * GB),
         )
-        scenario = build_scenario(config, seed=seed, feasibility="dense")
+        scenario = build_scenario(config, seed=seed)
         dense = scenario.latency_model.feasibility()
         sparse = scenario.latency_model.feasibility_sparse()
         assert (sparse.to_dense() == dense).all()
@@ -151,21 +152,21 @@ class TestSparsePrimaryInstance:
         )
         instance = scenario.instance
         assert instance.has_sparse
-        dense_scenario = build_scenario(
-            scenario.config, seed=5, feasibility="dense"
-        )
-        assert not dense_scenario.instance.has_sparse
-        assert (instance.feasible == dense_scenario.instance.feasible).all()
-        assert instance.feasible_shape == dense_scenario.instance.feasible_shape
+        dense = scenario.latency_model.feasibility()
+        assert (instance.feasible == dense).all()
+        assert instance.feasible_shape == dense.shape
 
     def test_dense_primary_lazy_sparse(self):
         rng = np.random.default_rng(6)
         scenario = build_scenario(
-            ScenarioConfig(num_servers=3, num_users=10, num_models=6),
-            seed=1,
-            feasibility="dense",
+            ScenarioConfig(num_servers=3, num_users=10, num_models=6), seed=1
         )
-        instance = scenario.instance
+        instance = PlacementInstance(
+            scenario.library,
+            scenario.demand,
+            scenario.latency_model.feasibility(),
+            scenario.instance.capacities,
+        )
         assert not instance.has_sparse
         sparse = instance.sparse_feasible
         assert instance.has_sparse
@@ -179,70 +180,23 @@ class TestSparsePrimaryInstance:
             )
 
 
+def column_entries(sparse, model_index):
+    """``(servers, users)`` of every nonzero in one model column, in
+    storage order: the pairs ``model_index * M .. (model_index + 1) * M - 1``."""
+    num_servers = sparse.shape[0]
+    start = sparse.pair_indptr[model_index * num_servers]
+    stop = sparse.pair_indptr[(model_index + 1) * num_servers]
+    return sparse.entry_servers[start:stop], sparse.entry_users[start:stop]
+
+
 def _coo_from_dense(dense):
     models, servers, users = np.nonzero(dense.transpose(2, 0, 1))
     return models, servers, users
 
 
-class TestFromCoo:
-    """from_coo accepts only canonical COO: sorted, unique, in range."""
-
-    def test_canonical_coo_matches_dense(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            dense = random_dense(rng)
-            models, servers, users = _coo_from_dense(dense)
-            built = SparseFeasibility.from_coo(
-                dense.shape, models=models, servers=servers, users=users
-            )
-            assert built == SparseFeasibility.from_dense(dense)
-
-    def test_unsorted_entries_rejected(self):
-        # Accepted unsorted, pair_users(0, 0) would read [0], not [1].
-        with pytest.raises(PlacementError, match=r"entry 1 .*sorts before"):
-            SparseFeasibility.from_coo(
-                (1, 2, 2), models=[1, 0], servers=[0, 0], users=[0, 1]
-            )
-
-    def test_duplicate_entry_rejected(self):
-        # Accepted, nnz would be 2 for one cell and its demand count twice.
-        with pytest.raises(PlacementError, match=r"entry 1 .*duplicates"):
-            SparseFeasibility.from_coo(
-                (1, 3, 1), models=[0, 0], servers=[0, 0], users=[2, 2]
-            )
-
-    def test_out_of_range_user_rejected(self):
-        # Accepted, it would only fail later with an IndexError in to_dense.
-        with pytest.raises(PlacementError, match=r"entry 1 has user 7"):
-            SparseFeasibility.from_coo(
-                (1, 3, 1), models=[0, 0], servers=[0, 0], users=[0, 7]
-            )
-
-    @pytest.mark.parametrize("field", ["models", "servers"])
-    def test_negative_index_rejected(self, field):
-        coo = {"models": [0], "servers": [0], "users": [0]}
-        coo[field] = [-1]
-        with pytest.raises(PlacementError, match="entry 0 has"):
-            SparseFeasibility.from_coo((2, 2, 2), **coo)
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(PlacementError, match="equal length"):
-            SparseFeasibility.from_coo(
-                (2, 2, 2), models=[0, 1], servers=[0], users=[0, 1]
-            )
-
-    def test_empty_coo(self):
-        built = SparseFeasibility.from_coo(
-            (2, 3, 4), models=[], servers=[], users=[]
-        )
-        assert built == SparseFeasibility.from_dense(
-            np.zeros((2, 3, 4), dtype=bool)
-        )
-
-
 class TestFromUserBlocks:
     @pytest.mark.parametrize("block_size", [1, 3, 7, 40, 64])
-    def test_matches_from_coo(self, block_size):
+    def test_matches_from_dense(self, block_size):
         rng = np.random.default_rng(11)
         dense = random_dense(rng, 5, 40, 9)
         reference = SparseFeasibility.from_dense(dense)
@@ -341,10 +295,10 @@ class TestSparseTrackerBits:
     @staticmethod
     def sequential_gains(tracker, instance):
         sparse = instance.sparse_feasible
-        weighted = tracker.unserved_demand()
+        weighted = unserved_mass(tracker)
         gains = np.zeros((instance.num_servers, instance.num_models))
         for model_index in range(instance.num_models):
-            servers, users = sparse.column_entries(model_index)
+            servers, users = column_entries(sparse, model_index)
             sums = [0.0] * instance.num_servers
             for server, user in zip(servers.tolist(), users.tolist()):
                 sums[server] += float(weighted[user, model_index])

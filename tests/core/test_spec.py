@@ -23,6 +23,7 @@ from repro.models.library import ModelLibrary
 from repro.models.model import Model
 
 from tests.oracles.capacity import placement_is_feasible
+from tests.oracles.reference import ReferenceSpec
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +231,11 @@ class TestRunKnapsackFallbackChain:
     wide_weights = [1, 4, 3, 3, 2]
     capacity = 8
 
-    def _spec(self, **kwargs):
-        return TrimCachingSpec(epsilon=0.1, **kwargs)
+    def _run(self, values, weights, capacity):
+        tables = ValueDpTables(0.1, capacity)
+        return TrimCachingSpec(epsilon=0.1)._run_knapsack(
+            values, weights, capacity, tables
+        )
 
     def test_value_dp_rung_blows_on_this_instance(self):
         from repro.core.dp import knapsack_value_dp
@@ -244,9 +248,7 @@ class TestRunKnapsackFallbackChain:
     def test_rung2_lands_on_quantised_weight_dp(self):
         from repro.core.dp import knapsack_weight_dp
 
-        result = self._spec()._run_knapsack(
-            self.wide_values, self.wide_weights, self.capacity
-        )
+        result = self._run(self.wide_values, self.wide_weights, self.capacity)
         quantum = max(1, self.capacity // 800)
         assert result == knapsack_weight_dp(
             self.wide_values, self.wide_weights, self.capacity, quantum=quantum
@@ -259,22 +261,19 @@ class TestRunKnapsackFallbackChain:
             raise SolverError("weight DP table blown (test)")
 
         monkeypatch.setitem(dp_module.KNAPSACK_BACKENDS, "weight_dp", blown)
-        result = self._spec()._run_knapsack(
-            self.wide_values, self.wide_weights, self.capacity
-        )
+        result = self._run(self.wide_values, self.wide_weights, self.capacity)
         assert result == dp_module.knapsack_branch_and_bound(
             self.wide_values, self.wide_weights, self.capacity
         )
 
     def test_all_rungs_select_identically_here(self, monkeypatch):
-        """On this instance quantum=1 keeps the weight DP exact, so all
-        three rescue rungs must return the identical selection."""
+        """On this instance quantum=1 keeps the weight DP exact, so both
+        rescue rungs and the exact best-first backend must return the
+        identical selection."""
         from repro.core import dp as dp_module
 
-        rung2 = self._spec()._run_knapsack(
-            self.wide_values, self.wide_weights, self.capacity
-        )
-        best_first = self._spec(fallback="best_first")._run_knapsack(
+        rung2 = self._run(self.wide_values, self.wide_weights, self.capacity)
+        best_first = dp_module.knapsack_best_first(
             self.wide_values, self.wide_weights, self.capacity
         )
 
@@ -282,103 +281,31 @@ class TestRunKnapsackFallbackChain:
             raise SolverError("weight DP table blown (test)")
 
         monkeypatch.setitem(dp_module.KNAPSACK_BACKENDS, "weight_dp", blown)
-        rung3 = self._spec()._run_knapsack(
-            self.wide_values, self.wide_weights, self.capacity
-        )
+        rung3 = self._run(self.wide_values, self.wide_weights, self.capacity)
         assert rung2[1] == rung3[1] == best_first[1]
         assert rung2[0] == rung3[0] == best_first[0]
-
-    def test_best_first_fallback_used_when_configured(self):
-        from repro.core.dp import knapsack_best_first
-
-        result = self._spec(fallback="best_first")._run_knapsack(
-            self.wide_values, self.wide_weights, self.capacity
-        )
-        assert result == knapsack_best_first(
-            self.wide_values, self.wide_weights, self.capacity
-        )
-
-    def test_best_first_budget_overrun_drops_to_legacy_rungs(self, monkeypatch):
-        from repro.core import dp as dp_module
-        from repro.core.dp import knapsack_weight_dp
-
-        def over_budget(*args, **kwargs):
-            raise SolverError("best-first node budget exceeded (test)")
-
-        monkeypatch.setitem(
-            dp_module.KNAPSACK_BACKENDS, "best_first", over_budget
-        )
-        result = self._spec(fallback="best_first")._run_knapsack(
-            self.wide_values, self.wide_weights, self.capacity
-        )
-        quantum = max(1, self.capacity // 800)
-        assert result == knapsack_weight_dp(
-            self.wide_values, self.wide_weights, self.capacity, quantum=quantum
-        )
 
     def test_healthy_instance_never_falls_back(self):
         from repro.core.dp import knapsack_value_dp
 
         values = [3.0, 4.0, 5.0]
         weights = [2, 3, 4]
-        assert self._spec()._run_knapsack(values, weights, 6) == (
+        assert self._run(values, weights, 6) == (
             knapsack_value_dp(values, weights, 6, 0.1)
         )
 
 
-class TestSpecKnobs:
-    def test_fallback_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrimCachingSpec(fallback="magic")
-        assert TrimCachingSpec(fallback="best_first").fallback == "best_first"
-
-    def test_knapsack_cache_off_matches_on(self, tight_scenario):
-        on = TrimCachingSpec(epsilon=0.1, knapsack_cache=True).solve(
-            tight_scenario.instance
-        )
-        off = TrimCachingSpec(epsilon=0.1, knapsack_cache=False).solve(
-            tight_scenario.instance
-        )
-        assert np.array_equal(on.placement.matrix, off.placement.matrix)
-        assert on.hit_ratio == off.hit_ratio
-        assert "knapsack_cache_hits" in on.stats
-        assert "knapsack_cache_hits" not in off.stats
-
-    def test_prefix_prune_off_matches_on(self, tight_scenario):
-        on = TrimCachingSpec(epsilon=0.1, prefix_prune=True).solve(
-            tight_scenario.instance
-        )
-        off = TrimCachingSpec(epsilon=0.1, prefix_prune=False).solve(
-            tight_scenario.instance
-        )
-        assert np.array_equal(on.placement.matrix, off.placement.matrix)
-        assert on.hit_ratio == off.hit_ratio
-
+class TestSpecAgainstSeed:
     @given(special_instances())
     @settings(max_examples=20, deadline=None)
-    def test_pruned_cached_solve_matches_plain(self, instance):
-        """Both fast-path knobs off == both on, placement-identical, on
-        random special-case instances."""
+    def test_solve_matches_seed_spec(self, instance):
+        """The memoised, best-bound-first solve places what the seed's
+        plain walk places, on random special-case instances."""
         fast = TrimCachingSpec(epsilon=0.1).solve(instance)
-        plain = TrimCachingSpec(
-            epsilon=0.1, knapsack_cache=False, prefix_prune=False
-        ).solve(instance)
+        plain = ReferenceSpec(epsilon=0.1).solve(instance)
         assert np.array_equal(fast.placement.matrix, plain.placement.matrix)
         assert fast.hit_ratio == plain.hit_ratio
-
-    def test_best_first_fallback_matches_default_on_scenario(
-        self, tight_scenario
-    ):
-        default = TrimCachingSpec(epsilon=0.1).solve(tight_scenario.instance)
-        best_first = TrimCachingSpec(epsilon=0.1, fallback="best_first").solve(
-            tight_scenario.instance
-        )
-        # Both chains are exact-or-better on these small instances; the
-        # placements may only differ if a fallback rung actually fired
-        # and disagreed — they must not here.
-        assert np.array_equal(
-            default.placement.matrix, best_first.placement.matrix
-        )
+        assert "knapsack_cache_hits" in fast.stats
 
 
 class TestSpecOnSpecialScenario:
@@ -458,7 +385,7 @@ class TestKnapsackInputs:
         calls = _spy_on_tables(monkeypatch)
         with pytest.raises(SolverError, match=match):
             TrimCachingSpec().solve(instance)
-        combos = enumerate_shared_combinations(instance.library, cache=False)
+        combos = enumerate_shared_combinations(instance.library)
         with pytest.raises(SolverError, match=match):
             TrimCachingSpec().solve_subproblem(
                 instance, 0, np.ones(3), combos, tables=ValueDpTables(0.1, 30)
@@ -513,7 +440,7 @@ class TestKnapsackInputs:
             np.ones((1, 1, 3), dtype=bool),
             [30],
         )
-        combos = enumerate_shared_combinations(instance.library, cache=False)
+        combos = enumerate_shared_combinations(instance.library)
         with pytest.raises(SolverError, match=match) as raised:
             TrimCachingSpec().solve_subproblem(
                 instance, 0, np.ones(3), combos, tables=ValueDpTables(0.1, 30)

@@ -5,15 +5,16 @@ sub-problems: exactly tied utilities (so combination bounds tie), zero
 utility columns, capacity 0, a capacity equal to some ``d_N`` plus
 one eligible model's specific weight (an exact fit), and one that leaves
 ``N`` less than every eligible specific weight (no item fits). Every traversal
-configuration — no pool or a 2- or 3-thread pool, knapsack memo on or
-off, LP prefix pruning on or off — must return exactly the
+configuration — no pool or a 2- or 3-thread pool, the caller's value-DP
+tables or the sub-problem's own — must return exactly the
 ``(mass, selection)`` of :class:`~repro.core.reference.ReferenceSpec`,
-and whole solves must match it placement for placement.
+which walks every candidate in bound order with one-shot knapsacks, and
+whole solves must match it placement for placement.
 
 Spec filters each sub-problem's knapsack items once and hands every
-backend only the items that can enter a solution. For every backend and
-fallback, a sub-problem must equal the same backend run on the full,
-unfiltered eligible arrays, whose indices are mapped back to models.
+backend only the items that can enter a solution. For every backend, a
+sub-problem must equal the same backend run on the full, unfiltered
+eligible arrays, whose indices are mapped back to models.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.core.dp import (
     KNAPSACK_BACKENDS,
     ValueDpTables,
     enumerate_shared_combinations,
-    knapsack_best_first,
     knapsack_branch_and_bound,
     knapsack_value_dp,
     knapsack_weight_dp,
@@ -99,7 +99,7 @@ def subproblems(draw):
             )
         )
     )
-    combos = enumerate_shared_combinations(library, mode, cache=False)
+    combos = enumerate_shared_combinations(library, mode)
     row = draw(st.integers(0, len(combos) - 1))
     combo = combos[row]
     shared = library.shared_block_ids
@@ -183,39 +183,29 @@ class TestSubproblemDifferential:
             utilities,
             reference_enumerate_shared_combinations(instance.library, mode),
         )
-        combos = enumerate_shared_combinations(instance.library, mode, cache=False)
+        combos = enumerate_shared_combinations(instance.library, mode)
+        spec = TrimCachingSpec(epsilon=epsilon, combinations=mode)
         with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
             for pool in (None, two, three):
-                for knapsack_cache in (True, False):
-                    for prefix_prune in (True, False):
-                        spec = TrimCachingSpec(
-                            epsilon=epsilon,
-                            combinations=mode,
-                            knapsack_cache=knapsack_cache,
-                            prefix_prune=prefix_prune,
-                        )
-                        tables = (
-                            ValueDpTables(epsilon, int(instance.capacities[0]))
-                            if knapsack_cache
-                            else None
-                        )
-                        got = spec.solve_subproblem(
-                            instance, 0, utilities, combos, pool=pool, tables=tables
-                        )
-                        assert got == expected, (
-                            pool and pool._max_workers,
-                            knapsack_cache,
-                            prefix_prune,
-                        )
+                for own_tables in (True, False):
+                    tables = (
+                        None
+                        if own_tables
+                        else ValueDpTables(epsilon, int(instance.capacities[0]))
+                    )
+                    got = spec.solve_subproblem(
+                        instance, 0, utilities, combos, pool=pool, tables=tables
+                    )
+                    assert got == expected, (pool and pool._max_workers, own_tables)
 
 
     @given(subproblems())
     @settings(max_examples=120, deadline=None)
     def test_no_knapsack_runs_without_a_fitting_item(self, case):
         instance, utilities, mode, epsilon = case
-        combos = enumerate_shared_combinations(instance.library, mode, cache=False)
+        combos = enumerate_shared_combinations(instance.library, mode)
         tables = _SpyTables(epsilon, int(instance.capacities[0]))
-        spec = TrimCachingSpec(epsilon=epsilon, combinations=mode, prefix_prune=False)
+        spec = TrimCachingSpec(epsilon=epsilon, combinations=mode)
         spec.solve_subproblem(instance, 0, utilities, combos, tables=tables)
         for call in tables.calls:
             assert _has_fitting_item(*call), call
@@ -234,7 +224,7 @@ class TestSubproblemDifferential:
             library, np.ones((1, 3)), np.ones((1, 1, 3), dtype=bool), [12]
         )
         utilities = np.array([1.0, 1.0, 1.0])
-        combos = enumerate_shared_combinations(library, cache=False)
+        combos = enumerate_shared_combinations(library)
         assert len(combos) == 2
         tables = _SpyTables(0.1, 12)
         got = TrimCachingSpec().solve_subproblem(
@@ -260,11 +250,6 @@ def _unfiltered_knapsack(spec, max_states, values, weights, capacity):
             values, weights, capacity, spec.epsilon, max_states=max_states
         )
     except SolverError:
-        if spec.fallback == "best_first":
-            try:
-                return knapsack_best_first(values, weights, capacity)
-            except SolverError:
-                pass
         try:
             return knapsack_weight_dp(
                 values, weights, capacity, quantum=max(1, capacity // 800)
@@ -309,22 +294,19 @@ def _unfiltered_subproblem(spec, max_states, instance, utilities, mode):
 class TestBackendDifferential:
     @given(
         subproblems(),
-        st.sampled_from(["value_dp", "weight_dp", "exact"]),
-        st.sampled_from(["weight_dp", "best_first"]),
+        st.sampled_from(["value_dp", "weight_dp", "exact", "best_first"]),
         # 40 states blow most rounded tables here, so the fallback chain
         # runs on healthy utilities too, not only on the 1e-7 one.
         st.sampled_from([5_000_000, 40]),
     )
     @settings(max_examples=120, deadline=None)
     def test_filtered_items_match_the_unfiltered_backend(
-        self, case, backend, fallback, max_states
+        self, case, backend, max_states
     ):
         instance, utilities, mode, epsilon = case
-        spec = TrimCachingSpec(
-            epsilon=epsilon, backend=backend, combinations=mode, fallback=fallback
-        )
+        spec = TrimCachingSpec(epsilon=epsilon, backend=backend, combinations=mode)
         expected = _unfiltered_subproblem(spec, max_states, instance, utilities, mode)
-        combos = enumerate_shared_combinations(instance.library, mode, cache=False)
+        combos = enumerate_shared_combinations(instance.library, mode)
         capacity = int(instance.capacities[0])
         with ThreadPoolExecutor(2) as two:
             for pool in (None, two):

@@ -51,17 +51,15 @@ candidate = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(candidate, min_size=1, max_size=12),
-    st.booleans(),
     st.sampled_from([1, 2, 3]),
 )
-def test_matches_the_seed_walk(candidates, with_guard, chunks):
+def test_matches_the_seed_walk(candidates, chunks):
     masses = [mass for mass, _, _ in candidates]
-    guards = [mass + slack for mass, slack, _ in candidates]
+    guards = np.array([mass + slack for mass, slack, _ in candidates])
     bounds = [mass + slack for mass, _, slack in candidates]
     order = np.argsort(-np.array(bounds), kind="stable").tolist()
-    lp_guard = np.array(guards) if with_guard else None
 
-    (mass, selection), runs = traverse(bounds, order, masses, lp_guard, chunks)
+    (mass, selection), runs = traverse(bounds, order, masses, guards, chunks)
 
     assert (mass, selection) == seed_walk(bounds, order, masses)
     assert len(runs) == len(set(runs))

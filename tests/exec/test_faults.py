@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.faults import (
-    ArtifactChaos,
     ChaosPolicy,
     ExecutionError,
     FaultStats,
@@ -14,6 +13,7 @@ from repro.exec.faults import (
     TaskTimeout,
     WorkerLost,
 )
+from tests.exec.artifact_chaos import ArtifactChaos
 
 
 class TestTaxonomy:

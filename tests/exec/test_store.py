@@ -82,13 +82,13 @@ class TestPlanCacheKey:
     def test_solver_config_edit_misses(self):
         from repro.core import GenConfig
 
-        sparse = make_plan(
+        filled = make_plan(
             solvers=(
-                SolverSpec("gen", config=GenConfig(engine="sparse")),
+                SolverSpec("gen", config=GenConfig(fill_zero_gain=True)),
                 SolverSpec("independent"),
             )
         )
-        assert plan_cache_key(sparse) != plan_cache_key(make_plan())
+        assert plan_cache_key(filled) != plan_cache_key(make_plan())
 
     def test_base_dict_insertion_order_invariant(self):
         # Reorder-invariant fields -> hit: dict key order is not content.

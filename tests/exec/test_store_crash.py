@@ -12,12 +12,12 @@ import pytest
 
 from repro.api import ExperimentPlan, SolverSpec, SweepSpec, run_plan
 from repro.exec import (
-    ArtifactChaos,
     ArtifactStore,
     execute_plan,
     plan_cache_key,
 )
 from repro.exec.backends import SerialBackend
+from tests.exec.artifact_chaos import ArtifactChaos
 
 
 def make_plan(**overrides):

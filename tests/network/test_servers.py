@@ -23,36 +23,6 @@ class TestDefaults:
         assert server.coverage_radius_m == 275.0
 
 
-class TestPerUserShare:
-    def test_paper_formula(self):
-        """B̄ = B / (p_A |K_m|), P̄ = P / (p_A |K_m|)."""
-        server = make_server()
-        bandwidth, power = server.per_user_share(10, active_probability=0.5)
-        assert bandwidth == pytest.approx(400 * MHZ / 5.0)
-        assert power == pytest.approx(dbm_to_watts(43.0) / 5.0)
-
-    def test_more_users_less_share(self):
-        server = make_server()
-        few, _ = server.per_user_share(5, 0.5)
-        many, _ = server.per_user_share(50, 0.5)
-        assert few > many
-
-    def test_no_users_full_budget(self):
-        server = make_server()
-        bandwidth, power = server.per_user_share(0, 0.5)
-        assert bandwidth == server.total_bandwidth_hz
-        assert power == server.total_power_watts
-
-    def test_validation(self):
-        server = make_server()
-        with pytest.raises(ConfigurationError):
-            server.per_user_share(-1, 0.5)
-        with pytest.raises(ConfigurationError):
-            server.per_user_share(1, 0.0)
-        with pytest.raises(ConfigurationError):
-            server.per_user_share(1, 1.5)
-
-
 class TestValidation:
     def test_bad_fields(self):
         with pytest.raises(ConfigurationError):

@@ -50,6 +50,49 @@ class TestAssociation:
 
 
 class TestAllocation:
+    def test_paper_share_formula(self):
+        """Each covered user gets B / (p_A |K_m|) and P / (p_A |K_m|)."""
+        server = EdgeServer(server_id=0, position=Point(0, 0))
+        users = UserBatch(
+            np.tile([100.0, 0.0], (10, 1)),
+            np.ones((10, 2)),
+            np.full((10, 2), 0.1),
+            active_probability=0.5,
+        )
+        topo = NetworkTopology([server], users)
+        expected_active = 0.5 * 10
+        expected = topo.channel.expected_rate(
+            np.array([server.total_power_watts / expected_active]),
+            np.array([server.total_bandwidth_hz / expected_active]),
+            np.array([100.0]),
+        )
+        assert topo.expected_rates[0] == pytest.approx(
+            np.full(10, expected[0]), rel=1e-12
+        )
+
+    def test_more_users_less_share(self):
+        """A server's budget is split over its covered users, so a crowded
+        server gives each one less bandwidth and power (and rate)."""
+        few = make_topology([Point(0, 0)], [Point(100, 0)] * 5)
+        many = make_topology([Point(0, 0)], [Point(100, 0)] * 50)
+        few_b, few_p = few._allocations
+        many_b, many_p = many._allocations
+        assert few_b[0, 0] == pytest.approx(10 * many_b[0, 0], rel=1e-12)
+        assert few_p[0, 0] == pytest.approx(10 * many_p[0, 0], rel=1e-12)
+        assert few.expected_rates[0, 0] > many.expected_rates[0, 0] > 0
+
+    def test_uncovered_users_take_no_share(self):
+        """|K_m| counts only the users a server covers: users out of its
+        range neither get a share nor dilute the covered users' one."""
+        alone = make_topology([Point(0, 0)], [Point(100, 0)])
+        with_far = make_topology(
+            [Point(0, 0)], [Point(100, 0)] + [Point(5000, 0)] * 4
+        )
+        assert with_far._allocations[0][0, 0] == alone._allocations[0][0, 0]
+        assert with_far._allocations[1][0, 0] == alone._allocations[1][0, 0]
+        assert (with_far._allocations[0][0, 1:] == 0.0).all()
+        assert with_far.expected_rates[0, 0] == alone.expected_rates[0, 0]
+
     def test_non_associated_gets_zero(self):
         topo = make_topology([Point(0, 0)], [Point(5000, 0)])
         assert topo.expected_rates[0, 0] == 0.0

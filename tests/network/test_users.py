@@ -1,11 +1,11 @@
-"""Tests for the User type."""
+"""Tests for the User type and the array-backed UserBatch."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.geometry import Point
-from repro.network.users import User
+from repro.network.users import User, UserBatch
 
 
 def make_user(**kwargs) -> User:
@@ -44,3 +44,16 @@ class TestUser:
     def test_rejects_non_finite_qos(self, field, bad):
         with pytest.raises(ConfigurationError, match="finite"):
             make_user(**{field: np.array([0.5, bad])})
+
+
+class TestUserBatch:
+    @pytest.mark.parametrize("probability", [0.0, -0.5, 1.5])
+    def test_rejects_active_probability_outside_unit_interval(self, probability):
+        # The expected active count p_A |K_m| divides each server's budget.
+        with pytest.raises(ConfigurationError, match="active_probability"):
+            UserBatch(
+                np.zeros((3, 2)),
+                np.ones((3, 2)),
+                np.full((3, 2), 0.1),
+                active_probability=probability,
+            )

@@ -8,11 +8,14 @@ sharing one built scenario across tests is safe.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
+from tests.conftest import in_feasibility_form
 
 
 #: Small, tight-storage scenario where placements are non-trivial.
@@ -33,6 +36,17 @@ MICRO_CONFIG = ScenarioConfig(
     storage_bytes=int(0.09 * GB),
 )
 
+
+def _by_form(scenario):
+    """``scenario`` keyed by feasibility form: as built, and with its
+    instance rebuilt from the dense tensor."""
+    dense = in_feasibility_form(scenario.instance, "dense")
+    return {
+        "sparse": scenario,
+        "dense": dataclasses.replace(scenario, instance=dense),
+    }
+
+
 @pytest.fixture(scope="session")
 def serve_scenario():
     """Small, tight-storage scenario where placements are non-trivial."""
@@ -42,10 +56,7 @@ def serve_scenario():
 @pytest.fixture(scope="session")
 def serve_scenarios(serve_scenario):
     """``serve_scenario`` keyed by feasibility form."""
-    return {
-        "sparse": serve_scenario,
-        "dense": build_scenario(SERVE_CONFIG, seed=7, feasibility="dense"),
-    }
+    return _by_form(serve_scenario)
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +68,4 @@ def micro_scenario():
 @pytest.fixture(scope="session")
 def micro_scenarios(micro_scenario):
     """``micro_scenario`` keyed by feasibility form."""
-    return {
-        "sparse": micro_scenario,
-        "dense": build_scenario(MICRO_CONFIG, seed=3, feasibility="dense"),
-    }
+    return _by_form(micro_scenario)

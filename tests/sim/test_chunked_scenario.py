@@ -99,11 +99,6 @@ class TestChunkedValidation:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(rng_scheme="v2", chunk_size=0)
 
-    def test_chunked_refuses_dense_feasibility(self):
-        config = BASE.with_overrides(chunk_size=8)
-        with pytest.raises(ValueError, match="sparse"):
-            build_scenario(config, seed=0, feasibility="dense")
-
     def test_config_round_trips_chunk_size(self):
         config = BASE.with_overrides(chunk_size=16)
         assert ScenarioConfig.from_dict(config.to_dict()) == config

@@ -9,6 +9,7 @@ from repro.network.channel import ChannelModel
 from repro.sim.evaluator import PlacementEvaluator
 from repro.utils.rng import as_generator
 from repro.utils.stats import RunningStats
+from tests.conftest import in_feasibility_form
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +110,18 @@ class TestMonteCarloMatchesDenseReference:
         assert sparse.std == dense.std
 
     def test_bit_identical_on_dense_primary_instance(self):
+        import dataclasses
+
         from repro.sim.config import ScenarioConfig
         from repro.sim.scenario import build_scenario
 
-        scenario = build_scenario(
-            ScenarioConfig(num_servers=3, num_users=8, num_models=9),
-            seed=21,
-            feasibility="dense",
+        built = build_scenario(
+            ScenarioConfig(num_servers=3, num_users=8, num_models=9), seed=21
         )
+        scenario = dataclasses.replace(
+            built, instance=in_feasibility_form(built.instance, "dense")
+        )
+        assert not scenario.instance.has_sparse
         result = TrimCachingGen().solve(scenario.instance)
         evaluator = PlacementEvaluator(scenario)
         dense = dense_reference(scenario, result.placement, 30, 2)

@@ -84,7 +84,6 @@ class TestSweepPlan:
             dict(num_topologies=0),
             dict(evaluation="magic"),
             dict(workers=0),
-            dict(feasibility="csc"),
         ):
             with pytest.raises(ConfigurationError):
                 capacity_plan(base, (GEN,), [0.1], **bad)
@@ -142,23 +141,3 @@ class TestParallelDeterminism:
                 serial.series[algo].means == oversubscribed.series[algo].means
             ).all()
 
-    def test_dense_feasibility_mode_matches(self):
-        """The dense-instance pipeline scores the same series (the CSR is
-        a representation change, not a behavioural one)."""
-
-        def run(feasibility):
-            return run_plan(
-                capacity_plan(
-                    dict(num_servers=2, num_users=6, num_models=6),
-                    (GEN,),
-                    [0.1, 0.2],
-                    name="mode",
-                    num_topologies=2,
-                    seed=1,
-                    feasibility=feasibility,
-                )
-            )
-
-        assert (
-            run("sparse").mean_of("Gen") == run("dense").mean_of("Gen")
-        ).all()

@@ -131,11 +131,14 @@ class TestTargets:
     def test_the_seven_bounds(self, bench):
         assert bench.GEN_TARGET_SPEEDUP == 5.0
         assert bench.SWEEP_TARGET_SPEEDUP == 2.0
-        assert bench.SPEC_KERNEL_TARGET_SPEEDUP == 1.5
+        assert bench.SWEEP_QUICK_TARGET_SPEEDUP == 1.2
+        assert bench.SPEC_KERNEL_TARGET_SPEEDUP == 30.0
+        assert bench.SPEC_KERNEL_QUICK_TARGET_SPEEDUP == 4.0
         assert bench.SCENARIO_TARGET_SPEEDUP == 3.0
         assert bench.SERVE_TARGET_SPEEDUP == 10.0
         assert bench.SERVE_QUICK_TARGET_SPEEDUP == 2.0
         assert bench.OBS_ENABLED_OVERHEAD_TARGET == 0.05
+        assert bench.OBS_ENABLED_QUICK_OVERHEAD_TARGET == 0.15
         assert bench.OBS_DISABLED_OVERHEAD_TARGET == 0.01
 
     def test_overhead_gates_hold_an_upper_bound(self, bench):
@@ -154,8 +157,9 @@ class TestTargets:
 class TestOracleImport:
     def test_oracles_load_once_next_to_an_oracle_test(self, bench):
         from tests.oracles import ORACLE_SOLVERS
-        from tests.oracles.reference import ReferenceGen
+        from tests.oracles.reference import ReferenceGen, ReferenceSpec
 
         assert "oracles" not in sys.modules
         assert bench.ORACLE_SOLVERS is ORACLE_SOLVERS
         assert bench.ReferenceGen is ReferenceGen
+        assert bench.ReferenceSpec is ReferenceSpec

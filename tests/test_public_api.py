@@ -30,6 +30,8 @@ CALLER_PATHS = (
 UNCALLED_ALLOWED = {
     "do_GET": "http.server dispatches GET requests to it by name",
     "do_POST": "http.server dispatches POST requests to it by name",
+    "log_message": "http.server logs every request through it; the override "
+    "prints only in verbose mode",
     "confidence_interval": "kept until the per-point error bars decide on it",
 }
 
@@ -126,9 +128,48 @@ REMOVED_MODULES = [
 ORACLE_IMPORTS_ALLOWED = {"numpy", "repro"}
 
 
-def _caller_word_counts() -> Counter:
-    """Identifier-like words over every text file in ``CALLER_PATHS``."""
-    words: Counter = Counter()
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _python_uses(tree: ast.AST) -> Counter:
+    """The names a module uses: loaded names and attributes, keyword
+    arguments, imported names and identifier-like string constants
+    (``getattr`` targets, names handed to a wrapper). A use inside a def
+    of that name's own body does not count, so recursion is no caller.
+    Words in comments and docstrings are not uses.
+    """
+    uses: Counter = Counter()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.keyword):
+            name = node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.fullmatch(node.value):
+                name = node.value
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                uses[part] += 1
+        if name is not None and name not in enclosing:
+            uses[name] += 1
+        if isinstance(node, _DEFS):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return uses
+
+
+def _caller_uses() -> Counter:
+    """Uses of each name over ``CALLER_PATHS``: parsed in ``.py`` files,
+    identifier-like words in the other text files (README, CI)."""
+    uses: Counter = Counter()
     for entry in CALLER_PATHS:
         root = REPO / entry
         files = [root] if root.is_file() else sorted(root.rglob("*"))
@@ -139,8 +180,11 @@ def _caller_word_counts() -> Counter:
                 text = path.read_text(encoding="utf-8")
             except UnicodeDecodeError:
                 continue
-            words.update(re.findall(r"\w+", text))
-    return words
+            if path.suffix == ".py":
+                uses.update(_python_uses(ast.parse(text)))
+            else:
+                uses.update(re.findall(r"\w+", text))
+    return uses
 
 
 def _src_defs():
@@ -148,9 +192,7 @@ def _src_defs():
     for path in sorted((REPO / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
+            if isinstance(node, _DEFS):
                 yield path.relative_to(REPO), node.lineno, node.name
 
 
@@ -225,19 +267,18 @@ class TestPublicApi:
 def test_every_src_def_has_a_caller():
     """No ``src/repro`` def or class is reachable from tests alone.
 
-    A name counts as used when it appears in a caller path anywhere but
-    on a ``def``/``class`` line of that name, so two same-named defs
-    do not vouch for each other. Dunder methods are called by protocol.
+    A name counts as used where a caller path reads it (see
+    :func:`_python_uses`); a local variable, a docstring word or a
+    def's own recursion is no use. Dunder methods are called by
+    protocol.
     """
-    words = _caller_word_counts()
+    uses = _caller_uses()
     defs = [
         (path, line, name)
         for path, line, name in _src_defs()
         if not re.fullmatch(r"__\w+__", name)
     ]
-    for _, _, name in defs:
-        words[name] -= 1
-    uncalled = {name for _, _, name in defs if words[name] <= 0}
+    uncalled = {name for _, _, name in defs if uses[name] == 0}
     unexpected = sorted(
         f"{path}:{line} {name}"
         for path, line, name in defs

@@ -11,7 +11,6 @@ from repro.utils.units import (
     MB,
     MBPS,
     dbm_to_watts,
-    format_rate,
     format_size,
 )
 
@@ -45,12 +44,3 @@ class TestFormatting:
     def test_format_size_negative_rejected(self):
         with pytest.raises(ValueError):
             format_size(-1)
-
-    def test_format_rate_scales(self):
-        assert format_rate(2.5e9) == "2.50 Gbps"
-        assert format_rate(5e6) == "5.00 Mbps"
-        assert format_rate(100) == "100 bps"
-
-    def test_format_rate_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_rate(-1.0)
