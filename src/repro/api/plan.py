@@ -414,6 +414,26 @@ _RETIRED_KEYS: Dict[type, Dict[str, Any]] = {
 }
 
 
+#: Every key :func:`plan_to_dict` writes at the top level (the retired
+#: ones aside), in a sweep entry and in a solver entry; a payload key
+#: outside these is refused by name, not ignored.
+_PLAN_KEYS = frozenset({
+    "format", "name", "kind", "solvers", "sweep", "study", "base",
+    "num_topologies", "evaluation", "num_realizations", "seed", "scale",
+    "workers", "sample_users", "sample_strata",
+})
+_SWEEP_KEYS = frozenset({"axis", "points"})
+_SOLVER_KEYS = frozenset({"solver", "label", "config"})
+
+
+def _check_keys(where: str, payload: Mapping[str, Any], known: frozenset) -> None:
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {where} key(s): {', '.join(map(repr, unknown))}"
+        )
+
+
 def _drop_retired(owner: type, payload: Mapping[str, Any]) -> Dict[str, Any]:
     """``payload`` without ``owner``'s retired keys; a retired key at any
     other value than its written one is refused."""
@@ -441,6 +461,7 @@ def _solver_to_dict(spec: SolverSpec) -> Dict[str, Any]:
 def _solver_from_dict(
     payload: Mapping[str, Any], registry: SolverRegistry
 ) -> SolverSpec:
+    _check_keys("solver entry", payload, _SOLVER_KEYS)
     name = payload["solver"]
     config_payload = payload.get("config")
     config = None
@@ -494,9 +515,11 @@ def plan_from_dict(
             f"unrecognised plan payload format: {payload.get('format')!r}"
         )
     payload = _drop_retired(ExperimentPlan, payload)
+    _check_keys("plan", payload, _PLAN_KEYS)
     try:
         sweep = None
         if payload.get("sweep") is not None:
+            _check_keys("sweep", payload["sweep"], _SWEEP_KEYS)
             sweep = SweepSpec(
                 axis=payload["sweep"]["axis"],
                 points=tuple(payload["sweep"]["points"]),

@@ -110,20 +110,18 @@ class ExhaustiveSearch:
                 )
 
         # served_masks[m][s] is the flattened (K*I,) boolean mask of
-        # requests server m serves with subset s cached.
+        # requests server m serves with subset s cached, scattered from
+        # the CSR's per-pair user lists.
         demand_flat = instance.demand.reshape(-1)
+        sparse = instance.sparse_feasible
         served_masks: List[np.ndarray] = []
         for server, subsets in enumerate(per_server):
-            masks = np.zeros((len(subsets), instance.num_users * instance.num_models), dtype=bool)
-            feas = instance.feasible[server]  # (K, I)
+            masks = np.zeros((len(subsets),) + instance.demand.shape, dtype=bool)
             for row, subset in enumerate(subsets):
-                if not subset:
-                    continue
-                mask = np.zeros_like(feas)
                 for model_index in subset:
-                    mask[:, model_index] |= feas[:, model_index]
-                masks[row] = mask.reshape(-1)
-            served_masks.append(masks)
+                    users = sparse.pair_users(server, model_index)
+                    masks[row, users, model_index] = True
+            served_masks.append(masks.reshape(len(subsets), -1))
 
         best_mass = -1.0
         best_choice: List[int] = [0] * instance.num_servers

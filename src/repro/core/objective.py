@@ -9,9 +9,9 @@ answers marginal-gain queries in vectorised form. Its gains are
 tracker (``ReferenceCoverageTracker`` in ``tests/oracles/reference.py``)
 on instances with two or more models.
 
-:func:`served_matrix` picks the O(nnz) walk automatically whenever the
-instance carries the CSR artifact — boolean output, so the sparse walk is
-*exactly* the dense einsum's result, not merely close.
+:func:`served_matrix` and :func:`hit_ratio` read the same CSR artifact,
+the instance's one stored form of ``I1``: ``served_matrix`` walks only
+the placed pairs' user lists, and its boolean output is exact.
 """
 
 from __future__ import annotations
@@ -32,40 +32,19 @@ def _check_shapes(instance: PlacementInstance, placement: Placement) -> None:
         )
 
 
-def served_matrix(
-    instance: PlacementInstance,
-    placement: Placement,
-    feasible: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def served_matrix(instance: PlacementInstance, placement: Placement) -> np.ndarray:
     """``(K, I)`` boolean: is request (k, i) served by some server?
 
-    ``feasible`` overrides the instance's ``I1`` tensor (used when
-    evaluating a placement under faded rates instead of expected rates).
-    Without an override, an instance that carries its CSR artifact is
-    walked in O(nnz); the result is exactly the dense einsum's.
+    Walks the instance's CSR artifact over the placed pairs only,
+    ``O(nnz of the placed columns)``; a placement of the wrong shape
+    raises :class:`PlacementError` there.
     """
-    _check_shapes(instance, placement)
-    if feasible is None:
-        if instance.has_sparse:
-            return instance.sparse_feasible.served_matrix(placement.matrix)
-        feas = instance.feasible
-    else:
-        feas = feasible
-        if feas.shape != instance.feasible_shape:
-            raise PlacementError(
-                f"feasibility tensor must have shape {instance.feasible_shape}"
-            )
-    # served[k, i] = OR_m (x[m, i] AND I1[m, k, i])
-    return np.einsum("mki,mi->ki", feas, placement.matrix) > 0
+    return instance.sparse_feasible.served_matrix(placement.matrix)
 
 
-def hit_ratio(
-    instance: PlacementInstance,
-    placement: Placement,
-    feasible: Optional[np.ndarray] = None,
-) -> float:
+def hit_ratio(instance: PlacementInstance, placement: Placement) -> float:
     """The expected cache hit ratio ``U(X)`` of eq. (2)."""
-    served = served_matrix(instance, placement, feasible)
+    served = served_matrix(instance, placement)
     return float((instance.demand * served).sum() / instance.total_demand)
 
 

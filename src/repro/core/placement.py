@@ -6,14 +6,14 @@ and the model library. Solvers work in *dense model indices* ``0..I-1``
 (column positions), which the instance maps to library model ids — library
 ids need not be contiguous (e.g. after :meth:`ModelLibrary.subset`).
 
-Feasibility may be supplied either as the dense ``(M, K, I)`` boolean
-tensor or as a :class:`~repro.core.sparse.SparseFeasibility` CSR artifact
-(what :func:`~repro.sim.scenario.build_scenario` now produces). Whichever
-form arrives is the primary representation; the other is derived lazily
-and cached, so dense-only consumers (the frozen seed solvers in
-``tests/oracles/reference.py``, Monte-Carlo evaluation under faded rates) and O(nnz) sparse consumers
-(the coverage tracker, ``served_matrix`` walks) share one instance.
-The two representations encode bit-identical indicator tensors.
+An instance stores feasibility in one form, the
+:class:`~repro.core.sparse.SparseFeasibility` CSR artifact (what
+:func:`~repro.sim.scenario.build_scenario` produces), and every solver
+reads it that way. A dense ``(M, K, I)`` boolean tensor is also accepted
+and compressed once at construction. :attr:`PlacementInstance.feasible`
+scatters the CSR back to a read-only dense tensor on demand, for dense
+consumers outside the package (the frozen seed solvers in
+``tests/oracles/reference.py``).
 
 :class:`Placement` is the decision ``X``: a boolean ``(M, I)`` matrix with
 set-style helpers. It is cheap to copy and hashable once frozen.
@@ -78,26 +78,17 @@ class PlacementInstance:
         capacities: Sequence[int],
     ) -> None:
         demand = np.asarray(demand, dtype=float)
-        if isinstance(feasible, SparseFeasibility):
-            self._feasible_sparse: Optional[SparseFeasibility] = feasible
-            self._feasible_dense: Optional[np.ndarray] = None
-            feasible_shape = feasible.shape
-        else:
-            feasible = np.asarray(feasible, dtype=bool)
-            if feasible.ndim != 3:
-                raise PlacementError("feasible must be a (M, K, I) tensor")
-            self._feasible_sparse = None
-            self._feasible_dense = feasible
-            feasible_shape = feasible.shape
+        if not isinstance(feasible, SparseFeasibility):
+            feasible = SparseFeasibility.from_dense(feasible)
         capacities_arr = np.asarray(capacities, dtype=np.int64)
 
         if demand.ndim != 2:
             raise PlacementError("demand must be a (K, I) matrix")
         num_users, num_models = demand.shape
-        num_servers = feasible_shape[0]
-        if feasible_shape != (num_servers, num_users, num_models):
+        num_servers = feasible.shape[0]
+        if feasible.shape != (num_servers, num_users, num_models):
             raise PlacementError(
-                f"feasible shape {feasible_shape} does not match demand {demand.shape}"
+                f"feasible shape {feasible.shape} does not match demand {demand.shape}"
             )
         if capacities_arr.ndim != 1 or capacities_arr.shape[0] != num_servers:
             raise PlacementError("capacities must have one entry per server")
@@ -115,12 +106,11 @@ class PlacementInstance:
 
         self.library = library
         self.demand = demand
+        #: The CSR feasibility artifact, the instance's one stored form.
+        self.sparse_feasible = feasible
+        self._feasible_dense: Optional[np.ndarray] = None
         #: ``(M, K, I)`` shape of the feasibility indicator.
-        self.feasible_shape: Tuple[int, int, int] = (
-            num_servers,
-            num_users,
-            num_models,
-        )
+        self.feasible_shape: Tuple[int, int, int] = feasible.shape
         self.capacities = capacities_arr
         self.total_demand = float(total)
         #: dense index -> library model id (ascending id order).
@@ -153,31 +143,14 @@ class PlacementInstance:
     # ------------------------------------------------------------------
     @property
     def feasible(self) -> np.ndarray:
-        """The dense ``(M, K, I)`` indicator (derived lazily, cached).
-
-        When the instance was built sparse-primary, the first access
-        scatters the CSR back to the identical dense tensor — existing
-        dense consumers keep working unchanged.
-        """
+        """The dense ``(M, K, I)`` indicator, scattered from the CSR on
+        first access and cached read-only (a write raises ``ValueError``
+        instead of drifting from the CSR the solvers read)."""
         if self._feasible_dense is None:
-            assert self._feasible_sparse is not None
-            self._feasible_dense = self._feasible_sparse.to_dense()
+            dense = self.sparse_feasible.to_dense()
+            dense.flags.writeable = False
+            self._feasible_dense = dense
         return self._feasible_dense
-
-    @property
-    def sparse_feasible(self) -> SparseFeasibility:
-        """The CSR feasibility artifact (derived lazily, cached)."""
-        if self._feasible_sparse is None:
-            assert self._feasible_dense is not None
-            self._feasible_sparse = SparseFeasibility.from_dense(
-                self._feasible_dense
-            )
-        return self._feasible_sparse
-
-    @property
-    def has_sparse(self) -> bool:
-        """Is the CSR representation already materialised?"""
-        return self._feasible_sparse is not None
 
     def marginal_storage(
         self, model_index: int, cached_blocks: AbstractSet[int]

@@ -7,7 +7,9 @@ requests unreachable — yet the seed pipeline materialised the full
 every topology of every sweep point. :class:`SparseFeasibility` is the
 shared sparse artifact: one immutable CSR bundle built once per scenario
 and consumed by every layer (placement instance, coverage tracking,
-objective evaluation, benchmarks).
+objective evaluation, exhaustive search, benchmarks). It is the only form
+of ``I1`` an instance stores; :meth:`SparseFeasibility.from_dense` and
+:meth:`SparseFeasibility.to_dense` convert at the edges.
 
 Layout
 ------
@@ -342,9 +344,8 @@ class SparseFeasibility:
     def served_matrix(self, placement_matrix: np.ndarray) -> np.ndarray:
         """``(K, I)`` bool: is request (k, i) served under the placement?
 
-        Walks only the placed pairs' user lists — ``O(nnz of placed
-        columns)`` instead of the dense ``O(M·K·I)`` einsum — and returns
-        exactly the same boolean matrix.
+        Walks only the placed pairs' user lists, ``O(nnz of placed
+        columns)``: ``served[k, i] = OR_m (x[m, i] AND I1[m, k, i])``.
         """
         num_servers, num_users, num_models = self.shape
         if placement_matrix.shape != (num_servers, num_models):

@@ -11,11 +11,13 @@ problem needs from the physical layer, so :class:`LatencyModel`
 precomputes *per-bit* delivery times per (m, k) pair and broadcasts them
 against model sizes.
 
-:meth:`LatencyModel.feasibility` materialises the dense tensor;
-:meth:`LatencyModel.feasibility_sparse` produces the same indicator as a
+:meth:`LatencyModel.feasibility_sparse` produces the indicator as a
 :class:`~repro.core.sparse.SparseFeasibility` CSR artifact without ever
-allocating the ``(M, K, I)`` float latency tensor. Both run the identical
-elementwise arithmetic per entry, so their nonzero sets are bit-equal.
+allocating the ``(M, K, I)`` float latency tensor; it is the one build.
+:meth:`LatencyModel.feasibility_sparse_chunked` runs it in user blocks,
+and :meth:`LatencyModel.feasibility` scatters it to the dense tensor.
+The direct ``latency <= deadline`` tensor build lives in the test
+oracles (``tests/oracles/latency.py``), which check the CSR against it.
 """
 
 from __future__ import annotations
@@ -118,20 +120,10 @@ class LatencyModel:
             per_bit[:, start:stop][uncovered] = relay[uncovered]
         return per_bit
 
-    def latency(self, rates: Optional[np.ndarray] = None) -> np.ndarray:
-        """``T_{m,k,i}`` tensor, shape ``(M, K, I)`` (``inf`` = unreachable)."""
-        per_bit = self.per_bit_delivery(rates)
-        return (
-            self.model_bits[None, None, :] * per_bit[:, :, None]
-            + self.inference[None, :, :]
-        )
-
     def feasibility(self, rates: Optional[np.ndarray] = None) -> np.ndarray:
-        """``I1[m,k,i]``: can server ``m`` serve (k, i) within deadline?"""
-        from repro import obs
-
-        with obs.span("feasibility.dense"):
-            return self.latency(rates) <= self.deadlines[None, :, :]
+        """``I1[m,k,i]`` as the dense ``(M, K, I)`` tensor: the CSR build
+        of :meth:`feasibility_sparse`, scattered back."""
+        return self.feasibility_sparse(rates).to_dense()
 
     def expected_server_order(self) -> np.ndarray:
         """Per-user server order under *expected* rates, cached.
@@ -254,9 +246,10 @@ class LatencyModel:
     ) -> SparseFeasibility:
         """``I1`` as a CSR artifact, built by binary-searched prefix cuts.
 
-        Runs exactly the elementwise arithmetic of :meth:`feasibility`
-        (same multiply/add/compare on the same values, so the nonzero set
-        is bit-identical) but holds only ``(M, K)``/``(K, I)``
+        Runs exactly the elementwise arithmetic of eqs. (4)-(5) and the
+        deadline test, ``D_i * per_bit[m, k] + t_{k,i} <= T̄_{k,i}`` (the
+        nonzero set is bit-identical to the dense ``latency <= deadline``
+        tensor), but holds only ``(M, K)``/``(K, I)``
         intermediates and the bool mask of :meth:`_block_entries`, which
         lists the entries already in CSR order, never the ``(M, K, I)``
         float latency tensor.

@@ -11,12 +11,10 @@ Per realisation the feasibility indicator is rebuilt as a
 :class:`~repro.core.sparse.SparseFeasibility` CSR artifact and scored via
 the sparse ``served_matrix`` walk — the dense ``(M, K, I)`` tensor is
 never materialised, so there is no ``O(M·K·I)`` inner loop per
-realisation. The CSR encodes the identical indicator and the walk
-reproduces the dense einsum's booleans exactly, so each realised hit
-ratio is **bit-identical** to scoring the dense
-:meth:`~repro.network.latency.LatencyModel.feasibility` tensor with
-:func:`~repro.core.objective.hit_ratio` on the same RNG stream (asserted
-by the test suite).
+realisation. Each realised hit ratio is **bit-identical** to
+:func:`~repro.core.objective.hit_ratio` on an instance built from the
+same faded CSR (asserted by the test suite, which also checks that CSR
+against the dense ``latency <= deadline`` oracle).
 """
 
 from __future__ import annotations
@@ -262,9 +260,9 @@ class PlacementEvaluator:
         (server, user) pair, recomputes instantaneous rates and the
         feasibility indicator as a CSR artifact, and scores the *fixed*
         placement by walking only the placed pairs' user lists. Each
-        realised hit ratio is bit-identical to
-        ``hit_ratio(instance, placement, latency.feasibility(rates))`` on
-        the same draw.
+        realised hit ratio is bit-identical to :func:`hit_ratio` on an
+        instance built from ``latency.feasibility_sparse(rates)`` on the
+        same draw.
 
         Every realisation's per-user server sort is seeded with the
         topology's *expected* order — fading rarely upends the ranking,

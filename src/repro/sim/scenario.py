@@ -5,12 +5,10 @@ matrix and the derived :class:`~repro.core.placement.PlacementInstance`.
 Construction is fully deterministic given ``(config, seed)``; independent
 seeds yield the independent topologies the paper averages over.
 
-Instances are built *sparse-primary*: the feasibility indicator is
-produced as a :class:`~repro.core.sparse.SparseFeasibility` CSR artifact
-(the ``(M, K, I)`` float latency tensor is never materialised) and the
-dense boolean tensor is derived lazily only if a dense consumer asks for
-it. The CSR encodes a bit-identical indicator, so this is purely a
-representation change.
+The feasibility indicator is produced as a
+:class:`~repro.core.sparse.SparseFeasibility` CSR artifact, the one form
+an instance stores (the ``(M, K, I)`` float latency tensor is never
+materialised).
 
 Under both RNG schemes the user population is one
 :class:`~repro.network.users.UserBatch` of ``(K, 2)`` positions and

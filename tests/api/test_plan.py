@@ -585,3 +585,34 @@ class TestRetiredKeys:
         value = {**RETIRED["spec"], **RETIRED["plan"]}[key]
         with pytest.raises(TypeError):
             build(**{key: value})
+
+
+class TestUnknownKeys:
+    """A key the plan format does not write is refused by name: a
+    misspelled key in a hand-written plan file must not run silently at
+    the default."""
+
+    def test_misspelled_top_level_keys_named(self):
+        from repro.sim.experiments import fig4a_plan
+
+        payload = plan_to_dict(fig4a_plan(num_topologies=3))
+        payload["num_topolgies"] = 7
+        payload["evaluaton"] = "monte_carlo"
+        with pytest.raises(
+            ConfigurationError, match="'evaluaton', 'num_topolgies'"
+        ):
+            plan_from_dict(payload)
+
+    def test_misspelled_sweep_key_named(self):
+        from repro.sim.experiments import fig4a_plan
+
+        payload = plan_to_dict(fig4a_plan(num_topologies=3))
+        payload["sweep"]["pionts"] = payload["sweep"]["points"]
+        with pytest.raises(ConfigurationError, match="sweep key.*'pionts'"):
+            plan_from_dict(payload)
+
+    def test_unknown_solver_entry_key_named(self):
+        payload = plan_to_dict(_sweep_plan())
+        payload["solvers"][0]["lable"] = "typo"
+        with pytest.raises(ConfigurationError, match="solver entry.*'lable'"):
+            plan_from_dict(payload)

@@ -55,9 +55,10 @@ def placement_of(num_servers: int, num_models: int, server_sets) -> Placement:
     return Placement(matrix)
 
 
-#: The two forms an instance's feasibility can be built from: the dense
-#: ``(M, K, I)`` tensor, from which the coverage kernel derives the CSR
-#: artifact lazily, or the CSR artifact itself (what scenarios build).
+#: The two inputs an instance's feasibility can be built from: the dense
+#: ``(M, K, I)`` tensor, which the constructor compresses to the CSR
+#: artifact, or the CSR artifact itself (what scenarios build). Either way
+#: the instance stores only the CSR, so both must solve alike.
 FEASIBILITY_FORMS = ("dense", "sparse")
 
 
@@ -69,7 +70,7 @@ def unserved_mass(tracker) -> np.ndarray:
 
 
 def in_feasibility_form(instance: PlacementInstance, form: str) -> PlacementInstance:
-    """The same instance, built from its dense tensor or its CSR artifact."""
+    """The same instance, rebuilt from its dense tensor or its CSR artifact."""
     feasible = instance.feasible if form == "dense" else instance.sparse_feasible
     return PlacementInstance(
         instance.library, instance.demand, feasible, instance.capacities

@@ -92,3 +92,54 @@ class TestEdgeCases:
         )
         result = ExhaustiveSearch().solve(instance)
         assert set(result.placement.models_on(0)) == {0, 1}
+
+    def test_nothing_feasible(self, tiny_library):
+        """nnz = 0: every per-server mask is empty and the optimum is 0."""
+        from tests.conftest import make_instance
+
+        instance = make_instance(
+            tiny_library,
+            np.full((2, 3), 0.1),
+            np.zeros((2, 2, 3), dtype=bool),
+            [40_000_000, 40_000_000],
+        )
+        assert instance.sparse_feasible.nnz == 0
+        result = ExhaustiveSearch().solve(instance)
+        assert result.hit_ratio == true_brute_force(instance) == 0.0
+
+    def test_zero_demand_column(self, tiny_library):
+        """Model 2 is requested by nobody, so caching it gains nothing;
+        only server 1 reaches any user, so the optimum is decided by
+        server 1's per-pair user lists alone."""
+        from tests.conftest import make_instance
+
+        feasible = np.zeros((2, 2, 3), dtype=bool)
+        feasible[1] = True
+        instance = make_instance(
+            tiny_library,
+            np.array([[0.125, 0.5, 0.0], [0.125, 0.25, 0.0]]),
+            feasible,
+            [15_000_000, 15_000_000],
+        )
+        result = ExhaustiveSearch().solve(instance)
+        assert result.hit_ratio == true_brute_force(instance) == 0.75
+        assert result.placement.models_on(1) == [1]
+
+    def test_capacity_equal_to_one_model_size(self, tiny_library):
+        """A capacity of exactly a model's size holds that model (the
+        storage test is ``<=``); one byte less holds nothing of it."""
+        from tests.conftest import make_instance
+
+        feasible = np.ones((2, 2, 3), dtype=bool)
+        feasible[0, 1, :] = False  # server 0 cannot reach user 1
+        demand = np.array([[0.25, 0.125, 0.5], [0.25, 0.5, 0.25]])
+        size = int(tiny_library.model_size_array[2])
+        exact = make_instance(tiny_library, demand, feasible, [size, size])
+        result = ExhaustiveSearch().solve(exact)
+        assert result.hit_ratio == true_brute_force(exact)
+        assert result.placement.models_on(0) == [2]
+        assert result.placement.models_on(1) == [2]
+        short = make_instance(tiny_library, demand, feasible, [size - 1, size])
+        result = ExhaustiveSearch().solve(short)
+        assert result.hit_ratio == true_brute_force(short)
+        assert result.placement.models_on(0) == []

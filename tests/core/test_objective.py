@@ -47,18 +47,26 @@ class TestHitRatio:
         placement = placement_of(1, 3, {0: [0, 1, 2]})
         assert hit_ratio(instance, placement) == pytest.approx(0.5)
 
-    def test_feasibility_override(self, tiny_instance):
-        placement = placement_of(2, 3, {0: [0]})
-        none_feasible = np.zeros_like(tiny_instance.feasible)
-        assert hit_ratio(tiny_instance, placement, none_feasible) == 0.0
+    def test_nothing_feasible_is_zero(self, tiny_library):
+        from tests.conftest import make_instance
+
+        instance = make_instance(
+            tiny_library,
+            np.full((2, 3), 1.0 / 3.0),
+            np.zeros((2, 2, 3), dtype=bool),
+            [100 * MB, 100 * MB],
+        )
+        placement = Placement(np.ones((2, 3), dtype=bool))
+        assert instance.sparse_feasible.nnz == 0
+        assert not served_matrix(instance, placement).any()
+        assert hit_ratio(instance, placement) == 0.0
 
     def test_shape_mismatch_rejected(self, tiny_instance):
         bad = Placement(np.zeros((3, 3), dtype=bool))
         with pytest.raises(PlacementError):
             hit_ratio(tiny_instance, bad)
-        good = tiny_instance.new_placement()
         with pytest.raises(PlacementError):
-            served_matrix(tiny_instance, good, np.zeros((1, 2, 3), dtype=bool))
+            served_matrix(tiny_instance, Placement(np.zeros((2, 4), dtype=bool)))
 
 
 class TestStorage:

@@ -41,7 +41,7 @@ from repro.models.model import Model
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
-from tests.conftest import in_feasibility_form, unserved_mass
+from tests.conftest import unserved_mass
 
 # 24 scenario instances: 2 library cases x 3 capacity regimes x 4 seeds.
 SCENARIO_GRID = [
@@ -52,9 +52,9 @@ SCENARIO_GRID = [
 ]
 
 
-def grid_instance(case, storage, seed, form="sparse") -> PlacementInstance:
-    """A grid scenario's instance; ``form="dense"`` rebuilds it from its
-    dense tensor, the seed solvers' input."""
+def grid_instance(case, storage, seed) -> PlacementInstance:
+    """A grid scenario's instance (a fresh build on every call; the seed
+    solvers read its dense ``feasible`` view)."""
     config = ScenarioConfig(
         num_servers=6,
         num_users=40,
@@ -63,8 +63,7 @@ def grid_instance(case, storage, seed, form="sparse") -> PlacementInstance:
         storage_bytes=int(storage * GB),
         library_case=case,
     )
-    instance = build_scenario(config, seed=seed).instance
-    return instance if form == "sparse" else in_feasibility_form(instance, form)
+    return build_scenario(config, seed=seed).instance
 
 
 def random_tracker_instance(rng) -> PlacementInstance:
@@ -266,10 +265,9 @@ class TestSparseEquivalence:
     @pytest.mark.parametrize("case,storage,seed", SCENARIO_GRID)
     def test_sparse_gen_matches_seed(self, case, storage, seed):
         sparse_instance = grid_instance(case, storage, seed)
-        assert sparse_instance.has_sparse
         result = TrimCachingGen().solve(sparse_instance)
         seed_result = ReferenceGen(accelerated=False).solve(
-            grid_instance(case, storage, seed, form="dense")
+            grid_instance(case, storage, seed)
         )
         assert result.placement == seed_result.placement
         assert result.hit_ratio == seed_result.hit_ratio
@@ -282,7 +280,7 @@ class TestSparseEquivalence:
         sparse_instance = grid_instance("special", storage, seed)
         result = TrimCachingSpec(epsilon=0.1).solve(sparse_instance)
         ref = ReferenceSpec(epsilon=0.1).solve(
-            grid_instance("special", storage, seed, form="dense")
+            grid_instance("special", storage, seed)
         )
         assert result.placement == ref.placement
         assert result.hit_ratio == ref.hit_ratio
@@ -292,7 +290,7 @@ class TestSparseEquivalence:
         sparse_instance = grid_instance(case, storage, seed)
         result = IndependentCaching().solve(sparse_instance)
         ref = ReferenceIndependent().solve(
-            grid_instance(case, storage, seed, form="dense")
+            grid_instance(case, storage, seed)
         )
         assert result.placement == ref.placement
         assert result.hit_ratio == ref.hit_ratio

@@ -14,6 +14,7 @@ from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import build_scenario
 from repro.utils.units import GB
 from tests.conftest import unserved_mass
+from tests.oracles.latency import dense_feasibility
 
 
 def random_dense(rng, num_servers=None, num_users=None, num_models=None):
@@ -116,7 +117,8 @@ class TestRoundTrip:
 
 
 class TestLatencyConstruction:
-    """``feasibility_sparse`` must equal the dense tensor bit for bit."""
+    """``feasibility_sparse`` must equal the oracle's dense
+    ``latency <= deadline`` tensor bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_matches_dense_feasibility(self, seed):
@@ -128,7 +130,7 @@ class TestLatencyConstruction:
             storage_bytes=int(0.1 * GB),
         )
         scenario = build_scenario(config, seed=seed)
-        dense = scenario.latency_model.feasibility()
+        dense = dense_feasibility(scenario.latency_model)
         sparse = scenario.latency_model.feasibility_sparse()
         assert (sparse.to_dense() == dense).all()
 
@@ -140,37 +142,47 @@ class TestLatencyConstruction:
         rates = scenario.topology.expected_rates * rng.rayleigh(
             scale=np.sqrt(2 / np.pi), size=scenario.topology.expected_rates.shape
         )
-        dense = scenario.latency_model.feasibility(rates)
+        dense = dense_feasibility(scenario.latency_model, rates)
         sparse = scenario.latency_model.feasibility_sparse(rates)
         assert (sparse.to_dense() == dense).all()
 
 
 class TestSparsePrimaryInstance:
-    def test_lazy_dense_identical(self):
+    def test_dense_view_identical(self):
         scenario = build_scenario(
             ScenarioConfig(num_servers=4, num_users=20, num_models=10), seed=5
         )
         instance = scenario.instance
-        assert instance.has_sparse
-        dense = scenario.latency_model.feasibility()
+        dense = dense_feasibility(scenario.latency_model)
         assert (instance.feasible == dense).all()
         assert instance.feasible_shape == dense.shape
 
-    def test_dense_primary_lazy_sparse(self):
-        rng = np.random.default_rng(6)
+    def test_dense_input_compresses_to_the_same_csr(self):
+        """An instance stores only the CSR: a dense input is compressed
+        at construction to the artifact a scenario builds directly."""
         scenario = build_scenario(
             ScenarioConfig(num_servers=3, num_users=10, num_models=6), seed=1
         )
+        dense = dense_feasibility(scenario.latency_model)
         instance = PlacementInstance(
-            scenario.library,
-            scenario.demand,
-            scenario.latency_model.feasibility(),
-            scenario.instance.capacities,
+            scenario.library, scenario.demand, dense, scenario.instance.capacities
         )
-        assert not instance.has_sparse
-        sparse = instance.sparse_feasible
-        assert instance.has_sparse
-        assert (sparse.to_dense() == instance.feasible).all()
+        assert instance.sparse_feasible == scenario.instance.sparse_feasible
+        assert 0 < instance.sparse_feasible.nnz < dense.size
+        # The caller's array is not kept: a later write does not reach it.
+        dense[:] = ~dense
+        assert instance.sparse_feasible == scenario.instance.sparse_feasible
+
+    def test_dense_view_is_read_only(self):
+        scenario = build_scenario(
+            ScenarioConfig(num_servers=3, num_users=10, num_models=6), seed=1
+        )
+        instance = scenario.instance
+        view = instance.feasible
+        assert view is instance.feasible
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = not view[0, 0, 0]
+        assert instance.sparse_feasible.to_dense().tobytes() == view.tobytes()
 
     def test_shape_validation_with_sparse_input(self, tiny_library):
         sparse = SparseFeasibility.from_dense(np.ones((2, 2, 4), dtype=bool))

@@ -44,8 +44,8 @@ def delta_scenario():
 def private_instance(scenario, feasibility: str = "sparse") -> PlacementInstance:
     """A mutation-safe copy, built the way the serving layer builds one.
 
-    ``feasibility="dense"`` builds it from the dense tensor instead, so
-    the tracker derives the CSR artifact itself.
+    ``feasibility="dense"`` builds it from the dense tensor instead, which
+    the constructor compresses to the same CSR artifact.
     """
     source = scenario.instance
     return PlacementInstance(

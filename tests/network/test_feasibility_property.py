@@ -3,8 +3,9 @@
 The CSR builders (:meth:`LatencyModel.feasibility_sparse`, with and
 without the expected-order hint, and
 :meth:`LatencyModel.feasibility_sparse_chunked`) must produce exactly
-``SparseFeasibility.from_dense(latency.feasibility(rates))`` and scatter
-back to the dense tensor itself. Inputs are adversarial: co-located
+``SparseFeasibility.from_dense`` of the oracle's dense ``latency <=
+deadline`` tensor (``tests/oracles/latency.py``) and scatter back to
+that tensor itself. Inputs are adversarial: co-located
 servers (tied per-bit times), deadlines equal to a latency bit for bit,
 all-infeasible and all-feasible instances, single server/user/model
 shapes, and expected as well as Rayleigh-faded rates.
@@ -23,6 +24,7 @@ from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
 from repro.network.users import UserBatch
 from repro.utils.units import MB
+from tests.oracles.latency import dense_feasibility, latency_tensor
 
 SERVER_SPOTS = [(0.0, 0.0), (300.0, 0.0), (0.0, 300.0)]
 #: The last spot is out of every server spot's 275 m coverage radius.
@@ -61,7 +63,7 @@ def _latency_model(case):
         # so that server's entry sits exactly on the `<=` boundary.
         user_index, model_index = np.indices((num_users, num_models))
         pick = (user_index + model_index) % len(servers)
-        hit = model.latency(rates)[pick, user_index, model_index]
+        hit = latency_tensor(model, rates)[pick, user_index, model_index]
         deadlines = np.where(np.isfinite(hit), hit, deadlines)
         model = LatencyModel(_topology(servers, users, deadlines, inference), sizes)
     return model, rates
@@ -69,7 +71,7 @@ def _latency_model(case):
 
 def check_every_build_matches_dense(case):
     model, rates = _latency_model(case)
-    dense = model.feasibility(rates)
+    dense = dense_feasibility(model, rates)
     reference = SparseFeasibility.from_dense(dense)
     num_users = dense.shape[1]
     builds = {
@@ -95,7 +97,7 @@ def check_every_build_matches_dense(case):
     if case[5] == "exact":
         # Every finite picked latency became its own deadline, bit for bit:
         # those entries sit on the `<=` boundary and must be feasible.
-        latency = model.latency(rates)
+        latency = latency_tensor(model, rates)
         boundary = latency == model.deadlines[None, :, :]
         assert boundary.any() or not np.isfinite(latency).any()
         assert dense[boundary].all()

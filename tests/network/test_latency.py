@@ -1,4 +1,9 @@
-"""Tests for E2E latency (eqs. 4-5) and the feasibility indicator I1."""
+"""Tests for E2E latency (eqs. 4-5) and the feasibility indicator I1.
+
+The latency values are read from the dense oracle tensor
+(``tests/oracles/latency.py``); the feasibility values from the
+package's CSR build, scattered by ``LatencyModel.feasibility``.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from repro.network.servers import EdgeServer
 from repro.network.topology import NetworkTopology
 from repro.network.users import UserBatch
 from repro.utils.units import GBPS, MB
+from tests.oracles.latency import latency_tensor
 
 
 def build(server_positions, user_positions, deadlines, inference, backhaul=None):
@@ -37,12 +43,12 @@ class TestDirectPath:
         model = LatencyModel(topo, sizes)
         rate = topo.expected_rates[0, 0]
         expected = 8.0 * 50 * MB / rate + 0.1
-        assert model.latency()[0, 0, 0] == pytest.approx(expected)
+        assert latency_tensor(model)[0, 0, 0] == pytest.approx(expected)
 
     def test_feasibility_threshold(self):
         topo = build([Point(0, 0)], [Point(100, 0)], [[1.0]], [[0.1]])
         model = LatencyModel(topo, np.array([50 * MB]))
-        latency = model.latency()[0, 0, 0]
+        latency = latency_tensor(model)[0, 0, 0]
         feasible = model.feasibility()[0, 0, 0]
         assert feasible == (latency <= 1.0)
 
@@ -51,7 +57,7 @@ class TestDirectPath:
             [Point(0, 0)], [Point(100, 0)], [[1.0, 1.0]], [[0.1, 0.1]]
         )
         model = LatencyModel(topo, np.array([10 * MB, 100 * MB]))
-        lat = model.latency()
+        lat = latency_tensor(model)
         assert lat[0, 0, 0] < lat[0, 0, 1]
 
 
@@ -70,14 +76,14 @@ class TestRelayPath:
         rate = topo.expected_rates[0, 0]
         backhaul_time = 8.0 * 50 * MB / (10 * GBPS)
         expected = backhaul_time + 8.0 * 50 * MB / rate + 0.1
-        assert model.latency()[1, 0, 0] == pytest.approx(expected)
+        assert latency_tensor(model)[1, 0, 0] == pytest.approx(expected)
 
     def test_relay_slower_than_direct(self):
         topo = build(
             [Point(0, 0), Point(2000, 0)], [Point(100, 0)], [[10.0]], [[0.1]]
         )
         model = LatencyModel(topo, np.array([50 * MB]))
-        lat = model.latency()
+        lat = latency_tensor(model)
         assert lat[1, 0, 0] > lat[0, 0, 0]
 
     def test_relay_picks_best_associated(self):
@@ -98,7 +104,7 @@ class TestRelayPath:
     def test_uncovered_user_unreachable(self):
         topo = build([Point(0, 0)], [Point(5000, 0)], [[10.0]], [[0.1]])
         model = LatencyModel(topo, np.array([50 * MB]))
-        assert np.isinf(model.latency()[0, 0, 0])
+        assert np.isinf(latency_tensor(model)[0, 0, 0])
         assert not model.feasibility()[0, 0, 0]
 
 

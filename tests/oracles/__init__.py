@@ -6,6 +6,9 @@ None of this is a user path, so none of it ships in ``repro``:
   and kernels that the equivalence and differential tests pin the
   package's solvers to, bit for bit;
 * :mod:`.submodular` — set-function checkers for Propositions 1-2;
+* :mod:`.latency` — the dense ``(M, K, I)`` latency tensor and the
+  ``latency <= deadline`` feasibility build the CSR build is checked
+  against;
 * :mod:`.request_sim` — the request-level Monte Carlo whose empirical
   hit ratio converges to ``U(X)`` (eq. 2);
 * :mod:`.capacity` — the capacity check of a finished placement.

@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.network.channel import ChannelModel
 from repro.sim.scenario import Scenario
 from repro.utils.rng import SeedLike, as_generator
+from .latency import latency_tensor
 
 
 @dataclass
@@ -93,7 +94,7 @@ class RequestSimulator:
         row_sums = demand.sum(axis=1)
         cached = placement.matrix  # (M, I)
 
-        expected_latency = latency_model.latency()
+        expected_latency = latency_tensor(latency_model)
         num_requests = 0
         num_hits = 0
         latencies: List[float] = []
@@ -107,7 +108,9 @@ class RequestSimulator:
                 gains = ChannelModel.sample_rayleigh_gains(
                     (num_servers, num_users), rng
                 )
-                latency = latency_model.latency(topology.faded_rates(gains))
+                latency = latency_tensor(
+                    latency_model, topology.faded_rates(gains)
+                )
             else:
                 latency = expected_latency
             for user in np.flatnonzero(active):

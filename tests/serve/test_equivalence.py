@@ -123,8 +123,9 @@ class TestPinnedEquivalence:
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_feasibility_forms_serve_alike(self, serve_scenarios, solver):
-        """A dense-primary scenario and its CSR-primary twin serve the
-        same trace to the same hit ratios and final placement."""
+        """A scenario whose instance was built from the dense tensor and
+        its CSR-built twin serve the same trace to the same hit ratios
+        and final placement."""
         trace = generate_event_trace(serve_scenarios["sparse"], 30, seed=17)
         dense = PlacementService(serve_scenarios["dense"], solver=solver)
         sparse = PlacementService(serve_scenarios["sparse"], solver=solver)

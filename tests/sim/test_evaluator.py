@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.gen import TrimCachingGen
-from repro.core.objective import hit_ratio
 from repro.network.channel import ChannelModel
 from repro.sim.evaluator import PlacementEvaluator
 from repro.utils.rng import as_generator
 from repro.utils.stats import RunningStats
 from tests.conftest import in_feasibility_form
+from tests.oracles.latency import dense_feasibility
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +81,24 @@ def dense_reference(scenario, placement, num_realizations, seed):
     """The pre-CSR Monte-Carlo loop: score the dense ``(M, K, I)`` tensor.
 
     Draws the same RNG stream as ``monte_carlo_hit_ratio`` and scores each
-    realisation with :func:`hit_ratio` on ``latency.feasibility(rates)``.
+    realisation with the dense einsum over the oracle's
+    ``latency <= deadline`` tensor under the faded rates.
     """
     rng = as_generator(seed)
     topology = scenario.topology
+    instance = scenario.instance
     shape = (topology.num_servers, topology.num_users)
     stats = RunningStats()
     for _ in range(num_realizations):
         gains = ChannelModel.sample_rayleigh_gains(shape, rng)
-        feasible = scenario.latency_model.feasibility(topology.faded_rates(gains))
-        stats.add(hit_ratio(scenario.instance, placement, feasible))
+        feasible = dense_feasibility(
+            scenario.latency_model, topology.faded_rates(gains)
+        )
+        # served[k, i] = OR_m (x[m, i] AND I1[m, k, i])
+        served = np.einsum("mki,mi->ki", feasible, placement.matrix) > 0
+        stats.add(
+            float((instance.demand * served).sum() / instance.total_demand)
+        )
     return stats
 
 
@@ -110,6 +118,7 @@ class TestMonteCarloMatchesDenseReference:
         assert sparse.std == dense.std
 
     def test_bit_identical_on_dense_primary_instance(self):
+        """An instance handed the dense tensor scores like its CSR twin."""
         import dataclasses
 
         from repro.sim.config import ScenarioConfig
@@ -121,7 +130,7 @@ class TestMonteCarloMatchesDenseReference:
         scenario = dataclasses.replace(
             built, instance=in_feasibility_form(built.instance, "dense")
         )
-        assert not scenario.instance.has_sparse
+        assert scenario.instance.sparse_feasible == built.instance.sparse_feasible
         result = TrimCachingGen().solve(scenario.instance)
         evaluator = PlacementEvaluator(scenario)
         dense = dense_reference(scenario, result.placement, 30, 2)
